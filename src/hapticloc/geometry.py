@@ -25,14 +25,26 @@ def quat_normalize(q):
 
 
 def quat_mul(a, b):
-    """Hamilton product of scalar-last quaternions, broadcasting over leading axes."""
+    """Hamilton product of scalar-last quaternions, broadcasting over leading axes.
+
+    Written out per component: the vector part is aw*bv + bw*av + av x bv with
+    the cross product in np.cross's operation order, and the dot product in the
+    scalar part sums from 0.0 in index order as np.sum does, so the result is
+    bit-identical to those formulas at a fraction of their per-call cost.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    av, aw = a[..., :3], a[..., 3:4]
-    bv, bw = b[..., :3], b[..., 3:4]
-    v = aw * bv + bw * av + np.cross(av, bv)
-    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
-    return np.concatenate([v, w], axis=-1)
+    ax, ay, az, aw = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx, by, bz, bw = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bx + bw * ax + (ay * bz - az * by),
+            aw * by + bw * ay + (az * bx - ax * bz),
+            aw * bz + bw * az + (ax * by - ay * bx),
+            aw * bw - (((0.0 + ax * bx) + ay * by) + az * bz),
+        ],
+        axis=-1,
+    )
 
 
 def quat_conjugate(q):
@@ -43,12 +55,26 @@ def quat_conjugate(q):
 
 
 def quat_rotate(q, v):
-    """Rotate 3-vectors v by quaternions q (both broadcast over leading axes)."""
+    """Rotate 3-vectors v by quaternions q (both broadcast over leading axes).
+
+    v + qw*t + qv x t with t = 2 qv x v, written out per component with each
+    cross product in np.cross's operation order (bit-identical to it).
+    """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    qv, qw = q[..., :3], q[..., 3:4]
-    t = 2.0 * np.cross(qv, v)
-    return v + qw * t + np.cross(qv, t)
+    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return np.stack(
+        [
+            vx + w * tx + (y * tz - z * ty),
+            vy + w * ty + (z * tx - x * tz),
+            vz + w * tz + (x * ty - y * tx),
+        ],
+        axis=-1,
+    )
 
 
 def quat_from_rotvec(rv):

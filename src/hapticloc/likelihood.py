@@ -12,6 +12,14 @@ Every channel is floored in the linear domain (default floor: the channel's
 density at 3 sigma) so a single bad contact cannot zero a particle. A foot that
 falls outside the map, or on a no-data / unlabeled cell, contributes a neutral
 factor of 1 (log-likelihood 0).
+
+The contacts of one step are evaluated together (contacts_log_likelihood):
+one quaternion call moves all K contacts to (K, N, 3) world points, and each
+channel looks its layer up once for every contact whose kind uses it, the
+class channel with one estimated class per contact row. The result keeps
+one row per contact, computed with the same arithmetic as one contact on its
+own, so a caller that adds the rows to the weights in contact order gets the
+same sums bit for bit as evaluating the contacts one at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .maps import (
     ElevationGrid,
     MapSet,
     PointCloudMap,
+    check_class_ids,
     class_at_many,
     class_distance_many,
     cloud_distances,
@@ -115,7 +124,7 @@ class ContactMeasurement:
 
 
 def elevation_log_likelihood_points(points, grid: ElevationGrid, cfg: LikelihoodConfig) -> np.ndarray:
-    """Per-point elevation channel for world contact points (N, 3)."""
+    """Per-point elevation channel for world contact points (..., 3)."""
     points = np.asarray(points, dtype=float)
     h = elevation_at_many(grid, points[..., :2])
     z = points[..., 2] - h
@@ -126,54 +135,91 @@ def elevation_log_likelihood_points(points, grid: ElevationGrid, cfg: Likelihood
 
 
 def cloud_log_likelihood_points(points, cloud: PointCloudMap, cfg: LikelihoodConfig) -> np.ndarray:
-    """Per-point cloud channel for world contact points (N, 3)."""
+    """Per-point cloud channel for world contact points (..., 3)."""
     d = cloud_distances(cloud, points)
     return np.maximum(gaussian_log_density(d, cfg.sigma_z), cfg.log_rho)
 
 
-def class_log_likelihood_points(points_xy, class_id: int, grid: ClassGrid, cfg: LikelihoodConfig) -> np.ndarray:
-    """Per-point class channel for world xy contact points (N, 2).
+def class_log_likelihood_points(points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig) -> np.ndarray:
+    """Per-point class channel for world xy contact points (..., 2).
 
-    class_id is the classifier's estimate for this contact. Cells already of
-    that class score the peak density; other cells score the floored density of
-    the lattice distance to the nearest cell of that class. An estimate absent
-    from the map scores the floor itself; off-map and unlabeled cells are
-    neutral.
+    class_id is the classifier's estimate: one class for every point, or
+    per-point classes that broadcast against the points (a (K, 1) column for
+    the (K, N) points of K contacts). Cells already of that class score the
+    peak density; other cells score the floored density of the lattice
+    distance to the nearest cell of that class, looked up in one call for all
+    of them. An estimate absent from the map scores the floor itself; off-map
+    and unlabeled cells are neutral.
     """
-    class_id = int(class_id)
-    if not 0 <= class_id < grid.n_classes:
-        raise ValueError(f"class id {class_id} outside [0, {grid.n_classes})")
+    class_id = check_class_ids(grid, class_id)
     points_xy = np.asarray(points_xy, dtype=float)
     ids = class_at_many(grid, points_xy)
-    ll = np.full(points_xy.shape[:-1], cfg.log_class_rho)
+    ll = np.full(ids.shape, cfg.log_class_rho)
     neutral = ids == UNKNOWN_CLASS
     match = ids == class_id
-    if grid._present[class_id]:
-        mismatch = ~neutral & ~match
-        if mismatch.any():
-            d = class_distance_many(grid, points_xy[mismatch], class_id)
-            ll[mismatch] = np.maximum(gaussian_log_density(d, cfg.sigma_c), cfg.log_class_rho)
+    # an absent class scores the floor without a distance lookup
+    mismatch = ~neutral & ~match & grid._present[class_id]
+    if mismatch.any():
+        d = class_distance_many(grid, points_xy[mismatch], np.broadcast_to(class_id, ids.shape)[mismatch])
+        ll[mismatch] = np.maximum(gaussian_log_density(d, cfg.sigma_c), cfg.log_class_rho)
     ll[match] = cfg.log_class_peak
     ll[neutral] = 0.0
     return ll
 
 
+def _estimated_class(contact: ContactMeasurement, grid: ClassGrid) -> int:
+    probs = contact.class_probs
+    if probs is not None and probs.shape != (grid.n_classes,):
+        raise ValueError(
+            f"class_probs has {probs.size} entries but the class layer has {grid.n_classes} classes"
+        )
+    return contact.estimated_class()
+
+
+def _rows(mask):
+    """Index for the rows where mask holds: a plain slice when all of them do."""
+    mask = np.asarray(mask, dtype=bool)
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def contacts_log_likelihood(positions, quats, contacts, maps: MapSet, cfg: LikelihoodConfig) -> np.ndarray:
+    """Joint log-likelihoods (K, N) of K contacts at N particles given as arrays.
+
+    Row k belongs to contacts[k]. Every contact is moved to world points in one
+    quaternion call, and each map layer is queried once, for all the contacts
+    whose kind uses it. Row k is the cloud channel alone for a cloud contact,
+    and (0 + elevation) + class, over the channels its kind uses, otherwise.
+    """
+    kinds = [c.kind for c in contacts]
+    uses_cloud = [k == "cloud" for k in kinds]
+    uses_elevation = [k in ("elevation", "elevation+class") for k in kinds]
+    uses_class = [k in ("class", "elevation+class") for k in kinds]
+    if any(uses_cloud) and maps.cloud is None:
+        raise ValueError("contact kind 'cloud' requires a point cloud layer")
+    if any(uses_class) and maps.class_grid is None:
+        kind = kinds[uses_class.index(True)]
+        raise ValueError(f"contact kind {kind!r} requires a class layer")
+    class_ids = [_estimated_class(c, maps.class_grid) for c, used in zip(contacts, uses_class) if used]
+
+    feet = np.array([c.foot.vec for c in contacts]).reshape(-1, 1, 3)
+    world = quat_rotate(quats, feet) + positions
+    ll = np.zeros(world.shape[:-1])
+    if any(uses_elevation):
+        rows = _rows(uses_elevation)
+        ll[rows] += elevation_log_likelihood_points(world[rows], maps.elevation, cfg)
+    if class_ids:
+        rows = _rows(uses_class)
+        column = np.array(class_ids).reshape(-1, 1)
+        ll[rows] += class_log_likelihood_points(world[rows, :, :2], column, maps.class_grid, cfg)
+    if any(uses_cloud):
+        rows = _rows(uses_cloud)
+        ll[rows] = cloud_log_likelihood_points(world[rows], maps.cloud, cfg)
+    return ll
+
+
 def contact_log_likelihood(positions, quats, contact: ContactMeasurement, maps: MapSet, cfg: LikelihoodConfig) -> np.ndarray:
     """Joint per-particle log-likelihood of one contact, particles as arrays."""
-    world = quat_rotate(quats, contact.foot.vec) + positions
-    kind = contact.kind
-    if kind == "cloud":
-        if maps.cloud is None:
-            raise ValueError("contact kind 'cloud' requires a point cloud layer")
-        return cloud_log_likelihood_points(world, maps.cloud, cfg)
-    ll = np.zeros(len(world))
-    if kind in ("elevation", "elevation+class"):
-        ll = ll + elevation_log_likelihood_points(world, maps.elevation, cfg)
-    if kind in ("class", "elevation+class"):
-        if maps.class_grid is None:
-            raise ValueError(f"contact kind {kind!r} requires a class layer")
-        ll = ll + class_log_likelihood_points(world[..., :2], contact.estimated_class(), maps.class_grid, cfg)
-    return ll
+    return contacts_log_likelihood(positions, quats, [contact], maps, cfg)[0]
 
 
 def elevation_loglik(pose: Pose, foot, grid: ElevationGrid, cfg: LikelihoodConfig) -> float:

@@ -174,7 +174,7 @@ def _cell_indices(grid, xy):
 
 
 def elevation_at_many(grid: ElevationGrid, xy) -> np.ndarray:
-    """Heights at query points (M, 2); nan outside the grid or on no-data cells."""
+    """Heights at query points (..., 2); nan outside the grid or on no-data cells."""
     xy = np.asarray(xy, dtype=float)
     ix, iy, inside = _cell_indices(grid, xy)
     out = np.full(xy.shape[:-1], np.nan)
@@ -188,7 +188,7 @@ def elevation_at(grid: ElevationGrid, xy) -> float:
 
 
 def class_at_many(grid: ClassGrid, xy) -> np.ndarray:
-    """Class ids at query points (M, 2); the unknown sentinel outside the grid."""
+    """Class ids at query points (..., 2); the unknown sentinel outside the grid."""
     xy = np.asarray(xy, dtype=float)
     ix, iy, inside = _cell_indices(grid, xy)
     out = np.full(xy.shape[:-1], UNKNOWN_CLASS, dtype=np.uint8)
@@ -224,19 +224,30 @@ def nearest_class_point(grid: ClassGrid, xy, class_id: int):
     return cell_center(grid, int(nc), int(nr)), float(grid._dist[class_id, iy, ix])
 
 
-def class_distance_many(grid: ClassGrid, xy, class_id: int) -> np.ndarray:
+def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
+    """class_id (one id or an array of them) as int64, each checked to lie in
+    [0, n_classes)."""
+    class_id = np.asarray(class_id, dtype=np.int64)
+    bad = (class_id < 0) | (class_id >= grid.n_classes)
+    if bad.any():
+        raise ValueError(f"class id {int(class_id[bad][0])} outside [0, {grid.n_classes})")
+    return class_id
+
+
+def class_distance_many(grid: ClassGrid, xy, class_id) -> np.ndarray:
     """Lattice distances to the nearest class_id cell for query points (M, 2).
 
-    Points outside the grid get inf (callers treat them as off-map before this).
+    class_id is one class for every point or an array of per-point classes
+    that broadcasts against the points. A class absent from the grid is at
+    distance inf; so are points outside the grid (callers treat them as
+    off-map before this).
     """
-    class_id = int(class_id)
-    if not 0 <= class_id < grid.n_classes:
-        raise ValueError(f"class id {class_id} outside [0, {grid.n_classes})")
+    class_id = check_class_ids(grid, class_id)
     xy = np.asarray(xy, dtype=float)
     ix, iy, inside = _cell_indices(grid, xy)
-    out = np.full(xy.shape[:-1], np.inf)
-    if grid._present[class_id]:
-        out[inside] = grid._dist[class_id, iy[inside], ix[inside]]
+    class_id = np.broadcast_to(class_id, inside.shape)
+    out = np.full(inside.shape, np.inf)
+    out[inside] = grid._dist[class_id[inside], iy[inside], ix[inside]]
     return out
 
 
@@ -252,7 +263,7 @@ def kd_nearest(cloud: PointCloudMap, point):
 
 
 def cloud_distances(cloud: PointCloudMap, points) -> np.ndarray:
-    """Nearest-neighbour distances for query points (M, 3)."""
+    """Nearest-neighbour distances for query points (..., 3)."""
     points = np.asarray(points, dtype=float)
     dist, _ = cloud._tree.query(points)
     return np.asarray(dist, dtype=float)

@@ -30,7 +30,7 @@ from .geometry import (
     quat_rotate,
     quat_to_rotvec,
 )
-from .likelihood import ContactMeasurement, LikelihoodConfig, contact_log_likelihood
+from .likelihood import ContactMeasurement, LikelihoodConfig, contacts_log_likelihood
 from .maps import MapSet
 
 log = logging.getLogger(__name__)
@@ -75,6 +75,9 @@ class FilterState:
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     step_count: int = 0
     divergence_count: int = 0
+    # the last odometry covariance step factored (a copy) and its factor
+    odom_cov: np.ndarray | None = None
+    odom_factor: np.ndarray | None = None
 
     @property
     def n_particles(self) -> int:
@@ -167,29 +170,44 @@ def estimate(state: FilterState) -> Pose:
     return estimate_detail(state)[0]
 
 
+def _odom_factor(state: FilterState, cov) -> np.ndarray:
+    """covariance_factor(cov), factored again only when cov differs bitwise
+    from the covariance the cached factor came from."""
+    cov = np.asarray(cov, dtype=float)
+    cached = state.odom_cov
+    if cached is None or cached.shape != cov.shape or cached.tobytes() != cov.tobytes():
+        state.odom_factor = covariance_factor(cov)
+        # a copy: the caller may mutate its array in place between steps
+        state.odom_cov = cov.copy()
+    return state.odom_factor
+
+
 def step(state: FilterState, inp: StepInput, maps: MapSet, cfg: LikelihoodConfig) -> FilterState:
     """Advance the filter by one four-support phase; mutates and returns state.
 
     Contacts with in_contact False are skipped. The contact's kind field selects
-    which likelihood channels apply.
+    which likelihood channels apply. The active contacts are evaluated together:
+    one quaternion call moves all of them to world points, and each map layer
+    is queried once for every contact that uses it. Their log-likelihoods are
+    then added to the weights one contact at a time, in contact order. The
+    odometry covariance factor is cached in the state and recomputed, with the
+    full symmetry and PSD checks, only when the covariance changes.
     """
     n = state.n_particles
     inc = inp.odom_increment
 
     # propagate: particle o increment, then right-perturbation noise
-    factor = covariance_factor(inp.odom_cov)
+    factor = _odom_factor(state, inp.odom_cov)
     delta = state.rng.standard_normal((n, 6)) @ factor.T
     state.positions = state.positions + quat_rotate(state.quats, inc.position)
     state.quats = quat_mul(state.quats, inc.quat)
     state.positions = state.positions + quat_rotate(state.quats, delta[:, :3])
     state.quats = quat_mul(state.quats, quat_from_rotvec(delta[:, 3:]))
 
-    for contact in inp.contacts:
-        if not contact.in_contact:
-            continue
-        state.log_weights = state.log_weights + contact_log_likelihood(
-            state.positions, state.quats, contact, maps, cfg
-        )
+    active = [c for c in inp.contacts if c.in_contact]
+    if active:
+        for ll in contacts_log_likelihood(state.positions, state.quats, active, maps, cfg):
+            state.log_weights = state.log_weights + ll
 
     total = _logsumexp(state.log_weights)
     if not np.isfinite(total):

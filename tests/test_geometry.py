@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from hapticloc.geometry import (
@@ -66,6 +67,73 @@ def test_quat_rotate_matches_rotation_matrix():
         q = quat_normalize(rng.normal(size=4))
         v = rng.normal(size=3)
         assert np.allclose(quat_rotate(q, v), Rotation.from_quat(q).as_matrix() @ v, atol=1e-12)
+
+
+# bit-exact oracle: the np.cross formulas the component arithmetic replaced
+
+
+def cross_quat_rotate(q, v):
+    qv, qw = q[..., :3], q[..., 3:4]
+    t = 2.0 * np.cross(qv, v)
+    return v + qw * t + np.cross(qv, t)
+
+
+def cross_quat_mul(a, b):
+    av, aw = a[..., :3], a[..., 3:4]
+    bv, bw = b[..., :3], b[..., 3:4]
+    v = aw * bv + bw * av + np.cross(av, bv)
+    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
+    return np.concatenate([v, w], axis=-1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+components = st.one_of(signed_zero, st.floats(-2.0, 2.0, allow_nan=False), st.floats(-1e-9, 1e-9))
+
+
+@st.composite
+def quat_batches(draw, shape):
+    """Raw components (zeros of both signs, tiny values) or the quaternions of
+    rotation vectors below 1e-8, as the filter's noise draws make them."""
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, shape, elements=components))
+    rv = draw(arrays(np.float64, shape[:-1] + (3,), elements=st.one_of(signed_zero, st.floats(-5e-9, 5e-9))))
+    return quat_from_rotvec(rv)
+
+
+ROTATE_SHAPES = {
+    "(N,4)x(N,3)": lambda n, k: ((n, 4), (n, 3)),
+    "(4,)x(N,3)": lambda n, k: ((4,), (n, 3)),
+    "(N,4)x(3,)": lambda n, k: ((n, 4), (3,)),
+    "(N,4)x(K,1,3)": lambda n, k: ((n, 4), (k, 1, 3)),
+}
+MUL_SHAPES = {
+    "(N,4)x(4,)": lambda n, k: ((n, 4), (4,)),
+    "(N,4)x(N,4)": lambda n, k: ((n, 4), (n, 4)),
+    "(4,)x(4,)": lambda n, k: ((4,), (4,)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(ROTATE_SHAPES)), st.integers(1, 12), st.integers(1, 4))
+def test_quat_rotate_bit_identical_to_cross_formula(data, pair, n, k):
+    q_shape, v_shape = ROTATE_SHAPES[pair](n, k)
+    q = data.draw(quat_batches(q_shape))
+    v = data.draw(arrays(np.float64, v_shape, elements=components))
+    assert same_bits(quat_rotate(q, v), cross_quat_rotate(q, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(MUL_SHAPES)), st.integers(1, 12))
+def test_quat_mul_bit_identical_to_cross_formula(data, pair, n):
+    a_shape, b_shape = MUL_SHAPES[pair](n, 1)
+    a = data.draw(quat_batches(a_shape))
+    b = data.draw(quat_batches(b_shape))
+    assert same_bits(quat_mul(a, b), cross_quat_mul(a, b))
+    assert same_bits(quat_mul(b, a), cross_quat_mul(b, a))
 
 
 def test_quat_from_rotvec_matches_scipy():

@@ -19,6 +19,7 @@ from hapticloc.likelihood import (
     cloud_log_likelihood_points,
     cloud_loglik,
     contact_log_likelihood,
+    contacts_log_likelihood,
     elevation_log_likelihood_points,
     elevation_loglik,
     gaussian_density,
@@ -190,6 +191,49 @@ def test_contact_requires_matching_layers():
     c = ContactMeasurement(foot, kind="class", class_probs=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         contact_log_likelihood(pos, quat, c, maps, LikelihoodConfig())
+
+
+def test_class_probs_length_must_match_the_class_layer():
+    maps = flat_maps()  # 3 classes
+    foot = FootOffset("LF", (0.0, 0.0, -0.3))
+    pos = np.array([[1.0, 1.0, 0.3]])
+    quat = np.array([[0.0, 0.0, 0.0, 1.0]])
+    for kind in ("class", "elevation+class"):
+        for probs in ([0.9, 0.1], [0.1] * 8):
+            c = ContactMeasurement(foot, kind=kind, class_probs=np.array(probs))
+            with pytest.raises(ValueError, match=f"{len(probs)} entries .* 3 classes"):
+                contact_log_likelihood(pos, quat, c, maps, LikelihoodConfig())
+        c = ContactMeasurement(foot, kind=kind, class_probs=np.array([0.1, 0.2, 0.7]))
+        assert np.isfinite(contact_log_likelihood(pos, quat, c, maps, LikelihoodConfig())).all()
+
+
+def test_batched_contacts_match_one_contact_at_a_time():
+    rng = np.random.default_rng(8)
+    cfg = LikelihoodConfig()
+    maps = flat_maps(with_cloud=True)
+    n = 30
+    positions = np.column_stack([rng.uniform(-0.5, 4.5, n), rng.uniform(-0.5, 4.5, n), rng.normal(0.3, 0.02, n)])
+    quats = np.stack([quat_from_yaw(y) for y in rng.uniform(-np.pi, np.pi, n)])
+    cs = [
+        ContactMeasurement(FootOffset(lab, rng.normal(0.0, 0.3, 3)), kind=kind, class_probs=rng.dirichlet(np.ones(3)))
+        for lab, kind in zip(("LF", "RF", "LH", "RH", "LF"), ("elevation+class", "cloud", "class", "elevation", "class"))
+    ]
+    rows = contacts_log_likelihood(positions, quats, cs, maps, cfg)
+    assert rows.shape == (len(cs), n)
+    for row, c in zip(rows, cs):
+        assert np.array_equal(row, contact_log_likelihood(positions, quats, c, maps, cfg))
+
+
+def test_class_channel_takes_one_class_per_row():
+    maps = flat_maps()
+    cfg = LikelihoodConfig()
+    xy = np.random.default_rng(9).uniform(-0.5, 4.5, (3, 20, 2))
+    ids = np.array([[0], [1], [2]])
+    rows = class_log_likelihood_points(xy, ids, maps.class_grid, cfg)
+    for row, pts, cid in zip(rows, xy, ids[:, 0]):
+        assert np.array_equal(row, class_log_likelihood_points(pts, cid, maps.class_grid, cfg))
+    with pytest.raises(ValueError, match="class id 7"):
+        class_log_likelihood_points(xy, np.array([[0], [7], [1]]), maps.class_grid, cfg)
 
 
 def test_joint_channel_is_sum_of_parts():

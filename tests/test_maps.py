@@ -104,6 +104,19 @@ def test_class_distance_matches_exhaustive_scan():
             assert np.array_equal(got, want)
 
 
+def test_class_distance_per_point_classes():
+    rng = np.random.default_rng(3)
+    g = random_class_grid(rng, 12, 9)
+    pts = rng.uniform(-1.0, 1.0, (50, 2))
+    classes = rng.integers(0, g.n_classes, 50)
+    got = class_distance_many(g, pts, classes)
+    want = [class_distance_many(g, p.reshape(1, 2), c)[0] for p, c in zip(pts, classes)]
+    assert np.array_equal(got, want)
+    classes[7] = g.n_classes
+    with pytest.raises(ValueError, match=f"class id {g.n_classes} outside"):
+        class_distance_many(g, pts, classes)
+
+
 def test_class_distance_outside_grid_is_inf():
     rng = np.random.default_rng(11)
     g = random_class_grid(rng, 5, 5)

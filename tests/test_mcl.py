@@ -2,14 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hapticloc.geometry import FOOT_LABELS, FootOffset, Pose, quat_from_yaw
-from hapticloc.likelihood import ContactMeasurement, LikelihoodConfig
-from hapticloc.maps import ElevationGrid, MapSet
+from hapticloc.geometry import (
+    FOOT_LABELS,
+    FootOffset,
+    Pose,
+    covariance_factor,
+    quat_from_rotvec,
+    quat_from_yaw,
+    quat_mul,
+    quat_rotate,
+)
+from hapticloc.likelihood import (
+    CONTACT_KINDS,
+    ContactMeasurement,
+    LikelihoodConfig,
+    cloud_log_likelihood_points,
+    elevation_log_likelihood_points,
+    gaussian_log_density,
+)
+from hapticloc.maps import (
+    UNKNOWN_CLASS,
+    ClassGrid,
+    ElevationGrid,
+    MapSet,
+    PointCloudMap,
+    class_at_many,
+    class_distance_many,
+)
 from hapticloc.mcl import (
     MODE_CONTACT_KINDS,
     FilterState,
     StepInput,
+    _logsumexp,
     contacts_for_mode,
     effective_sample_size,
     estimate,
@@ -286,3 +313,181 @@ def test_filter_tracks_through_height_feature():
     final_err = abs(st.trajectory[-1].position[0] - truths[-1].position[0])
     dead_reckon = 0.004 * n_steps  # error if the drift were never corrected
     assert final_err < dead_reckon / 2
+
+
+# the batched step against the per-contact step it replaced
+
+
+def reference_contact_log_likelihood(positions, quats, contact, maps, cfg):
+    """One contact's joint log-likelihood, evaluated on its own."""
+    world = quat_rotate(quats, contact.foot.vec) + positions
+    if contact.kind == "cloud":
+        return cloud_log_likelihood_points(world, maps.cloud, cfg)
+    ll = np.zeros(len(world))
+    if contact.kind in ("elevation", "elevation+class"):
+        ll = ll + elevation_log_likelihood_points(world, maps.elevation, cfg)
+    if contact.kind in ("class", "elevation+class"):
+        grid, class_id, xy = maps.class_grid, contact.estimated_class(), world[..., :2]
+        ids = class_at_many(grid, xy)
+        cl = np.full(len(xy), cfg.log_class_rho)
+        neutral = ids == UNKNOWN_CLASS
+        match = ids == class_id
+        if grid._present[class_id]:
+            mismatch = ~neutral & ~match
+            if mismatch.any():
+                d = class_distance_many(grid, xy[mismatch], class_id)
+                cl[mismatch] = np.maximum(gaussian_log_density(d, cfg.sigma_c), cfg.log_class_rho)
+        cl[match] = cfg.log_class_peak
+        cl[neutral] = 0.0
+        ll = ll + cl
+    return ll
+
+
+def reference_step(state, inp, maps, cfg):
+    """The particle update of step as it was before batching and caching:
+    factor the covariance, then weigh the contacts one at a time."""
+    n = state.n_particles
+    inc = inp.odom_increment
+    delta = state.rng.standard_normal((n, 6)) @ covariance_factor(inp.odom_cov).T
+    state.positions = state.positions + quat_rotate(state.quats, inc.position)
+    state.quats = quat_mul(state.quats, inc.quat)
+    state.positions = state.positions + quat_rotate(state.quats, delta[:, :3])
+    state.quats = quat_mul(state.quats, quat_from_rotvec(delta[:, 3:]))
+    for contact in inp.contacts:
+        if contact.in_contact:
+            state.log_weights = state.log_weights + reference_contact_log_likelihood(
+                state.positions, state.quats, contact, maps, cfg
+            )
+    total = _logsumexp(state.log_weights)
+    if np.isfinite(total):
+        state.log_weights = state.log_weights - total
+    else:
+        state.log_weights = np.full(n, -np.log(n))
+    w = np.exp(state.log_weights)
+    if 1.0 / np.sum(w * w) < state.resample_frac * n:
+        idx = systematic_resample_indices(w, state.rng)
+        state.positions = state.positions[idx]
+        state.quats = state.quats[idx]
+        state.log_weights = np.full(n, -np.log(n))
+
+
+def assert_same_particles(a, b):
+    for name in ("log_weights", "positions", "quats"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+
+
+N_ORACLE_CLASSES = 5  # class 3 is declared but absent from the grid
+
+
+def oracle_maps():
+    """4 x 3 m layers at 0.25 m with no-data heights, unlabeled cells and an
+    absent class, plus a point cloud."""
+    rng = np.random.default_rng(0)
+    rows, cols = 12, 16
+    heights = rng.uniform(0.0, 0.1, (rows, cols))
+    heights[rng.random((rows, cols)) < 0.15] = np.nan
+    ids = rng.choice(np.array([0, 1, 2, 4], dtype=np.uint8), (rows, cols))
+    ids[rng.random((rows, cols)) < 0.15] = UNKNOWN_CLASS
+    cloud = np.column_stack([rng.uniform(0, 4, 300), rng.uniform(0, 3, 300), rng.uniform(0, 0.1, 300)])
+    return MapSet(
+        ElevationGrid(0.25, (0.0, 0.0), heights),
+        ClassGrid(0.25, (0.0, 0.0), ids, N_ORACLE_CLASSES),
+        PointCloudMap(cloud),
+    )
+
+
+ORACLE_MAPS = oracle_maps()
+
+
+@st.composite
+def oracle_contacts(draw):
+    """A mix of every kind, lifted feet, feet reaching off the map, and class
+    estimates anywhere in [0, n_classes), the absent class included."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        label = draw(st.sampled_from(FOOT_LABELS))
+        vec = (draw(st.floats(-2.5, 2.5)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-0.4, 0.0)))
+        probs = np.full(N_ORACLE_CLASSES, 0.1)
+        probs[draw(st.integers(0, N_ORACLE_CLASSES - 1))] = 0.6
+        out.append(
+            ContactMeasurement(
+                FootOffset(label, vec),
+                kind=draw(st.sampled_from(CONTACT_KINDS)),
+                class_probs=probs,
+                in_contact=draw(st.booleans()),
+            )
+        )
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(oracle_contacts(), min_size=1, max_size=5), st.integers(0, 2**16))
+def test_batched_step_bit_identical_to_per_contact_step(contact_sets, seed):
+    maps, cfg = ORACLE_MAPS, LikelihoodConfig(sigma_z=0.02, sigma_c=0.2)
+    prior = np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1])
+    args = (Pose(np.array([2.0, 1.5, 0.3]), quat_from_yaw(0.3)), prior, 64, seed)
+    new, ref = init_filter(*args), init_filter(*args)
+    cov = np.array([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
+    for cs in contact_sets:
+        inp = StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), cov, cs)
+        step(new, inp, maps, cfg)
+        reference_step(ref, inp, maps, cfg)
+        assert_same_particles(new, ref)
+
+
+# the cached odometry covariance factor
+
+
+ODOM_COV = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
+
+
+def turning_input(cov):
+    return StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.02)), cov, contacts())
+
+
+def cache_filters():
+    """Two identical filters: one for step, one for reference_step."""
+    return [init_filter(stand_pose(), np.eye(6) * 1e-3, n_particles=150, seed=4) for _ in range(2)]
+
+
+def test_covariance_cache_follows_a_changing_covariance():
+    new, ref = cache_filters()
+    for cov in [ODOM_COV] * 3 + [2.0 * ODOM_COV] * 3 + [ODOM_COV, ODOM_COV.copy()]:
+        inp = turning_input(cov)
+        step(new, inp, flat_maps(), LikelihoodConfig())
+        reference_step(ref, inp, flat_maps(), LikelihoodConfig())
+        assert_same_particles(new, ref)
+
+
+def test_covariance_cache_sees_in_place_mutation():
+    new, ref = cache_filters()
+    cov = ODOM_COV.copy()
+    inp = turning_input(cov)
+    assert inp.odom_cov is cov  # the step input holds the caller's array
+    for k in range(6):
+        cov[0, 0] = 4e-4 * (1 + k % 3)
+        step(new, inp, flat_maps(), LikelihoodConfig())
+        reference_step(ref, inp, flat_maps(), LikelihoodConfig())
+        assert_same_particles(new, ref)
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["new-array", "in-place"])
+@pytest.mark.parametrize(
+    "cell, value, match",
+    [((0, 1), 1e-5, "symmetric"), ((5, 5), -1e-3, "PSD")],
+    ids=["asymmetric", "not-psd"],
+)
+def test_covariance_cache_still_rejects_bad_covariance_on_its_step(cell, value, match, in_place):
+    state = cache_filters()[0]
+    cov = ODOM_COV.copy()
+    inp = turning_input(cov)
+    for _ in range(3):
+        step(state, inp, flat_maps(), LikelihoodConfig())
+    if not in_place:
+        cov = cov.copy()
+        inp = turning_input(cov)
+    cov[cell] = value
+    with pytest.raises(ValueError, match=match):
+        step(state, inp, flat_maps(), LikelihoodConfig())
+    assert state.step_count == 3
