@@ -2,14 +2,15 @@
 """sha256 of every output file of the standard experiments, for given seeds.
 
     python scripts/output_digest.py --seeds 1 2 > digests.txt
+    python scripts/output_digest.py --seeds 3 4 5 --experiments wall-room wallroom-n5k
 
 Runs the three default experiments (chevron, class-tiles, wall-room) and the
 benchmark's three configurations (perfbench/run.py: class-tiles on a 1 cm
 map, chevron at 10k particles, wall-room at 5k particles) for the given
-seeds into a temporary directory. Prints one "<sha256>  <experiment>/<file>"
-line for report.csv and for every file under seed_N/. Run it on two
-checkouts and diff the outputs to check that a change keeps every file
-byte-identical.
+seeds into a temporary directory; --experiments picks some of the six.
+Prints one "<sha256>  <experiment>/<file>" line for report.csv and for every
+file under seed_N/. Run it on two checkouts and diff the outputs to check
+that a change keeps every file byte-identical.
 """
 
 import argparse
@@ -45,11 +46,13 @@ EXPERIMENTS = {
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    p.add_argument("--experiments", nargs="+", choices=list(EXPERIMENTS), default=list(EXPERIMENTS),
+                   metavar="NAME", help=f"experiments to run (default: all of {', '.join(EXPERIMENTS)})")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, make_config in EXPERIMENTS.items():
+        for name in args.experiments:
             out = Path(tmp) / name
-            run_experiment(replace(make_config(), seeds=tuple(args.seeds)), str(out))
+            run_experiment(replace(EXPERIMENTS[name](), seeds=tuple(args.seeds)), str(out))
             files = [out / "report.csv"] + sorted(f for f in out.glob("seed_*/**/*") if f.is_file())
             for f in files:
                 digest = hashlib.sha256(f.read_bytes()).hexdigest()

@@ -168,6 +168,8 @@ class FootOffset:
         if self.label not in FOOT_LABELS:
             raise ValueError(f"unknown foot label {self.label!r}, expected one of {FOOT_LABELS}")
         self.vec = np.array(self.vec, dtype=float).reshape(3)
+        if not np.isfinite(self.vec).all():
+            raise ValueError(f"foot offset {self.label} must be finite, got {self.vec.tolist()}")
 
 
 def compose(a: Pose, b: Pose) -> Pose:

@@ -13,6 +13,20 @@ density at 3 sigma) so a single bad contact cannot zero a particle. A foot that
 falls outside the map, or on a no-data / unlabeled cell, contributes a neutral
 factor of 1 (log-likelihood 0).
 
+The cloud channel's nearest-neighbour search stops at the floor reach
+(LikelihoodConfig.floor_reach): the distance beyond which the Gaussian can no
+longer beat the floor, widened by a relative 1e-6. A point with no map point
+within the reach gets distance inf, which scores max(-inf, log_rho) = log_rho.
+That is exactly what its true distance d scored: gaussian_log_density is
+non-increasing in d in float arithmetic too (d / sigma, its square, the
+scaling by -0.5 and the subtraction of constants each round monotonically), so
+d >= reach gives gaussian_log_density(d) <= gaussian_log_density(reach) <
+log_rho. The margin also covers the rounding of the tree's squared-distance
+comparison against the reach, which is some ulps, far below 1e-6. Points
+within the reach get the same nearest distance as the unbounded search, bit
+for bit, so the bound changes no output; it only saves searching the tree
+beyond the reach.
+
 The contacts of one step are evaluated together (contacts_log_likelihood):
 one quaternion call moves all K contacts to (K, N, 3) world points, and each
 channel looks its layer up once for every contact whose kind uses it, the
@@ -89,6 +103,17 @@ class LikelihoodConfig:
         return math.log(self.rho)
 
     @property
+    def floor_reach(self) -> float:
+        """Distance beyond which the sigma_z channels score their floor.
+
+        sigma_z * sqrt(2 * (log_peak - log_rho)) is where the log density meets
+        log_rho; the relative 1e-6 margin puts the density at the reach below
+        the floor in float arithmetic as well. Derived, not a setting.
+        """
+        log_peak = float(gaussian_log_density(0.0, self.sigma_z))
+        return self.sigma_z * math.sqrt(2.0 * (log_peak - self.log_rho)) * (1.0 + 1e-6)
+
+    @property
     def log_class_rho(self) -> float:
         return math.log(self.class_rho)
 
@@ -135,8 +160,12 @@ def elevation_log_likelihood_points(points, grid: ElevationGrid, cfg: Likelihood
 
 
 def cloud_log_likelihood_points(points, cloud: PointCloudMap, cfg: LikelihoodConfig) -> np.ndarray:
-    """Per-point cloud channel for world contact points (..., 3)."""
-    d = cloud_distances(cloud, points)
+    """Per-point cloud channel for world contact points (..., 3).
+
+    The nearest-neighbour search stops at cfg.floor_reach; a point farther
+    from the map scores the floor, as its exact distance would.
+    """
+    d = cloud_distances(cloud, points, cfg.floor_reach)
     return np.maximum(gaussian_log_density(d, cfg.sigma_z), cfg.log_rho)
 
 

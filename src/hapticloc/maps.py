@@ -16,7 +16,6 @@ File formats:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +69,6 @@ class ClassGrid:
     class_ids: np.ndarray
     n_classes: int
     _dist: np.ndarray = field(init=False, repr=False)
-    _nearest: np.ndarray = field(init=False, repr=False)
     _present: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -104,7 +102,6 @@ class ClassGrid:
     def _build_distance_fields(self):
         rows, cols = self.class_ids.shape
         self._dist = np.full((self.n_classes, rows, cols), np.inf)
-        self._nearest = np.zeros((self.n_classes, rows, cols, 2), dtype=np.int32)
         self._present = np.zeros(self.n_classes, dtype=bool)
         row_idx, col_idx = np.indices((rows, cols))
         for c in range(self.n_classes):
@@ -116,8 +113,6 @@ class ClassGrid:
             # recompute from integer offsets so lattice distances are exact
             d2 = (nr - row_idx).astype(np.int64) ** 2 + (nc - col_idx).astype(np.int64) ** 2
             self._dist[c] = self.resolution * np.sqrt(d2.astype(float))
-            self._nearest[c, ..., 0] = nr
-            self._nearest[c, ..., 1] = nc
 
 
 @dataclass
@@ -200,30 +195,6 @@ def class_at(grid: ClassGrid, xy) -> int:
     return int(class_at_many(grid, np.asarray(xy, dtype=float).reshape(1, 2))[0])
 
 
-def cell_center(grid, ix, iy) -> np.ndarray:
-    return grid.origin + (np.stack([np.asarray(ix), np.asarray(iy)], axis=-1) + 0.5) * grid.resolution
-
-
-def nearest_class_point(grid: ClassGrid, xy, class_id: int):
-    """Center of the closest cell holding class_id, and its lattice distance.
-
-    The query is resolved on the cell lattice: xy is mapped to its containing
-    cell (clamped to the border for points outside the grid) and the distance
-    is center-to-center. Returns (None, inf) when the class is absent.
-    """
-    class_id = int(class_id)
-    if not 0 <= class_id < grid.n_classes:
-        raise ValueError(f"class id {class_id} outside [0, {grid.n_classes})")
-    if not grid._present[class_id]:
-        return None, math.inf
-    xy = np.asarray(xy, dtype=float).reshape(2)
-    ix, iy, _ = _cell_indices(grid, xy)
-    ix = int(np.clip(ix, 0, grid.n_cols - 1))
-    iy = int(np.clip(iy, 0, grid.n_rows - 1))
-    nr, nc = grid._nearest[class_id, iy, ix]
-    return cell_center(grid, int(nc), int(nr)), float(grid._dist[class_id, iy, ix])
-
-
 def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
     """class_id (one id or an array of them) as int64, each checked to lie in
     [0, n_classes)."""
@@ -262,10 +233,18 @@ def kd_nearest(cloud: PointCloudMap, point):
     return cloud.points[idx].copy(), float(dist)
 
 
-def cloud_distances(cloud: PointCloudMap, points) -> np.ndarray:
-    """Nearest-neighbour distances for query points (..., 3)."""
+def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:
+    """Nearest-neighbour distances for query points (..., 3).
+
+    With max_distance the kd-tree search stops there: a point with no map point
+    nearer than max_distance gets inf, and every other point gets the same
+    distance as the unbounded search. The default is the exact, unbounded
+    query. A caller that scores every distance beyond some reach the same
+    (the cloud channel's floor) can pass the reach and lose nothing, provided
+    its score does not increase with distance.
+    """
     points = np.asarray(points, dtype=float)
-    dist, _ = cloud._tree.query(points)
+    dist, _ = cloud._tree.query(points, distance_upper_bound=max_distance)
     return np.asarray(dist, dtype=float)
 
 

@@ -50,6 +50,14 @@ class StepInput:
             self.odom_cov = np.diag(self.odom_cov)
         if self.odom_cov.shape != (6, 6):
             raise ValueError(f"odometry covariance must be 6x6, got {self.odom_cov.shape}")
+        # a non-finite input would turn every particle into nan without a trace
+        for name, value in (
+            ("odom_increment.position", self.odom_increment.position),
+            ("odom_increment.quat", self.odom_increment.quat),
+            ("odom_cov", self.odom_cov),
+        ):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass

@@ -209,6 +209,12 @@ def test_foot_offset_rejects_unknown_label():
         FootOffset("XX", [0, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_foot_offset_rejects_non_finite_vec(bad):
+    with pytest.raises(ValueError, match="foot offset RH must be finite"):
+        FootOffset("RH", [0.2, bad, -0.4])
+
+
 def test_pose_exp_log_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(20):

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from hapticloc.geometry import FootOffset, Pose, quat_from_yaw
 from hapticloc.likelihood import (
@@ -168,6 +171,44 @@ def test_cloud_channel_distance_and_floor():
     ll = cloud_log_likelihood_points(pts, cloud, cfg)
     assert abs(ll[0] - math.log(DENS_Z[1])) < 1e-12
     assert ll[1] == pytest.approx(cfg.log_rho)
+
+
+def test_floor_reach_is_where_the_density_meets_the_floor():
+    cfg = LikelihoodConfig()
+    assert cfg.floor_reach == pytest.approx(3.0 * cfg.sigma_z, rel=2e-6)
+    assert gaussian_log_density(cfg.floor_reach, cfg.sigma_z) < cfg.log_rho
+    assert gaussian_log_density(cfg.floor_reach / (1.0 + 2e-6), cfg.sigma_z) > cfg.log_rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cloud=st.integers(1, 60),
+    sigma_z=st.floats(1e-3, 0.5),
+    rho_frac=st.one_of(st.none(), st.floats(1e-6, 0.999)),
+)
+def test_bounded_cloud_channel_matches_unbounded_query(seed, n_cloud, sigma_z, rho_frac):
+    peak = float(gaussian_density(0.0, sigma_z))
+    cfg = LikelihoodConfig(sigma_z=sigma_z, rho=None if rho_frac is None else rho_frac * peak)
+    reach = cfg.floor_reach
+    rng = np.random.default_rng(seed)
+    cloud = PointCloudMap(rng.uniform(-10.0, 10.0, (n_cloud, 3)) * reach)
+    # on cloud points, just inside and just outside the reach of one, far away
+    base = cloud.points[rng.integers(0, n_cloud, 30)]
+    direction = rng.normal(size=(30, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    scale = reach * np.array([1.0 - 1e-9, 1.0 + 1e-9])[rng.integers(0, 2, 30)]
+    pts = np.concatenate(
+        [
+            cloud.points,
+            base + direction * scale[:, None],
+            cloud.points.max(axis=0) + reach * rng.uniform(1.0, 100.0, (10, 3)),
+        ]
+    )
+    got = cloud_log_likelihood_points(pts, cloud, cfg)
+    d = cKDTree(cloud.points).query(pts)[0]
+    want = np.maximum(gaussian_log_density(d, sigma_z), cfg.log_rho)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_contact_measurement_validation():

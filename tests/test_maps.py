@@ -10,7 +10,6 @@ from hapticloc.maps import (
     MapFormatError,
     MapSet,
     PointCloudMap,
-    cell_center,
     check_same_lattice,
     class_at,
     class_distance_many,
@@ -19,7 +18,6 @@ from hapticloc.maps import (
     elevation_at_many,
     kd_nearest,
     load_map,
-    nearest_class_point,
     save_map,
 )
 
@@ -64,6 +62,10 @@ def test_elevation_many_matches_scalar(points):
     for p, v in zip(points, many):
         s = elevation_at(g, p)
         assert (np.isnan(v) and np.isnan(s)) or v == s
+
+
+def cell_center(grid, ix, iy):
+    return grid.origin + (np.array([ix, iy]) + 0.5) * grid.resolution
 
 
 def test_class_at_unknown_off_map():
@@ -124,17 +126,16 @@ def test_class_distance_outside_grid_is_inf():
     assert out[0] == np.inf
 
 
-def test_nearest_class_point_returns_center_and_distance():
+def test_class_distance_lattice_absent_and_bad_class():
     ids = np.zeros((4, 5), dtype=np.uint8)
     ids[2, 3] = 1
     g = ClassGrid(0.1, (0.0, 0.0), ids, 3)  # class 2 declared but absent
-    center, dist = nearest_class_point(g, (0.05, 0.05), 1)
-    assert np.allclose(center, cell_center(g, 3, 2))
-    assert dist == pytest.approx(0.1 * np.sqrt(3**2 + 2**2))
-    none_center, none_dist = nearest_class_point(g, (0.05, 0.05), 2)
-    assert none_center is None and none_dist == np.inf
-    with pytest.raises(ValueError):
-        nearest_class_point(g, (0.05, 0.05), 9)
+    got = class_distance_many(g, [(0.05, 0.05)], [1])
+    assert got[0] == exhaustive_class_distance(g, (0.05, 0.05), 1) == 0.1 * np.sqrt(3**2 + 2**2)
+    got = class_distance_many(g, [(0.05, 0.05)], [2])
+    assert got[0] == exhaustive_class_distance(g, (0.05, 0.05), 2) == np.inf
+    with pytest.raises(ValueError, match="class id 9 outside"):
+        class_distance_many(g, [(0.05, 0.05)], [9])
 
 
 def test_class_grid_rejects_bad_ids():
@@ -176,6 +177,19 @@ def test_cloud_distances_vectorized():
     got = cloud_distances(cloud, qs)
     want = [exhaustive_nearest(cloud.points, q)[1] for q in qs]
     assert np.allclose(got, want, rtol=0, atol=0)
+
+
+def test_cloud_distances_bounded_search():
+    rng = np.random.default_rng(4)
+    cloud = PointCloudMap(rng.uniform(-1, 1, size=(200, 3)))
+    qs = rng.uniform(-1.5, 1.5, size=(300, 3))
+    want = np.array([exhaustive_nearest(cloud.points, q)[1] for q in qs])
+    bound = float(np.median(want))
+    got = cloud_distances(cloud, qs.reshape(30, 10, 3), bound).ravel()
+    inside = want < bound
+    assert 0 < inside.sum() < len(qs)
+    assert np.array_equal(got[inside], want[inside])
+    assert np.all(got[~inside] == np.inf)
 
 
 # file formats

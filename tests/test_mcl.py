@@ -182,6 +182,28 @@ def test_stepinput_covariance_shapes():
         StepInput(inc, np.zeros((3, 3)), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stepinput_rejects_non_finite_increment_position(bad):
+    with pytest.raises(ValueError, match="odom_increment.position must be finite"):
+        StepInput(Pose(np.array([0.05, bad, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), np.ones(6), [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stepinput_rejects_non_finite_increment_quat(bad):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="odom_increment.quat must be finite"):
+        StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, bad, 1.0])), np.ones(6), [])
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 6)])
+def test_stepinput_rejects_non_finite_covariance(shape):
+    # the finiteness check comes before, and instead of, the symmetry check
+    cov = np.eye(6) if shape == (6, 6) else np.ones(6)
+    cov[(2,) * len(shape)] = np.nan
+    inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="odom_cov must be finite"):
+        StepInput(inc, cov, [])
+
+
 def test_estimate_full_branch_on_tight_cluster():
     st = init_filter(stand_pose(0.5, -0.25), np.eye(6) * 1e-6, n_particles=400, seed=5)
     pose, xy_std, branch = estimate_detail(st)
