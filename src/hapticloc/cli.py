@@ -16,7 +16,7 @@ from dataclasses import replace
 from . import evaluate, sim
 from .classifier import load_baseline
 from .geometry import load_trajectory, save_trajectory
-from .likelihood import LikelihoodConfig
+from .likelihood import MODES, LikelihoodConfig
 from .maps import MapSet, load_map, save_map
 from .mcl import write_diagnostics_csv
 from .network import forward, load_weights
@@ -94,7 +94,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_localize(args) -> int:
     course = load_course_dir(args.course)
-    needs_class = args.mode in ("HL-GC", "HL-C")
+    needs_class = "class" in MODES[args.mode]
     log = sim.load_walklog(args.walklog, load_signals=needs_class and args.baseline is not None)
     if needs_class:
         if args.baseline is not None:
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="run the particle filter over a walk log")
     p.add_argument("--course", required=True)
     p.add_argument("--walklog", required=True)
-    p.add_argument("--mode", default="HL-G", choices=tuple(m for m in evaluate.MODES if m != "odom-only"))
+    p.add_argument("--mode", default="HL-G", choices=tuple(MODES))
     p.add_argument("--particles", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", help="trained baseline classifier json for class modes")

@@ -15,10 +15,11 @@ import numpy as np
 
 from .classifier import LogisticBaseline, baseline_train
 from .geometry import Pose, quat_conjugate, quat_rotate, quat_yaw, save_trajectory, wrap_angle
-from .likelihood import LikelihoodConfig
+from .likelihood import MODES, LikelihoodConfig
 from .maps import MapSet
 from .mcl import FilterState, StepInput, run_filter, write_diagnostics_csv
 from .sim import (
+    COURSE_LAYERS,
     N_TERRAIN_CLASSES,
     CourseSpec,
     GaitParams,
@@ -33,16 +34,6 @@ from .sim import (
     synth_force_signal,
     walklog_hash,
 )
-
-MODES = ("odom-only", "HL-G", "HL-GC", "HL-C", "HL-3D")
-
-_MODE_NEEDS = {
-    "HL-G": ("elevation",),
-    "HL-GC": ("elevation", "class"),
-    "HL-C": ("class",),
-    "HL-3D": ("cloud",),
-}
-
 
 def ate(truth, est) -> float:
     """Mean translational error of T_true^-1 T_est, no alignment, metres."""
@@ -87,6 +78,7 @@ class ExperimentConfig:
     gait: GaitParams = GaitParams()
     noise: NoiseSpec = NoiseSpec()
     likelihood: LikelihoodConfig = LikelihoodConfig()
+    # distinct keys of MODES; odometry-only dead reckoning is always reported
     modes: tuple = ("HL-G",)
     seeds: tuple = (1, 2, 3, 4, 5)
     n_particles: int = 500
@@ -111,18 +103,15 @@ class ExperimentConfig:
             raise ValueError("waypoint scenario needs waypoints")
         if self.scenario == "wall-probe" and self.course.kind != "wall-room":
             raise ValueError("wall-probe scenario requires the wall-room course")
-        has = {"elevation"}
-        if self.course.kind == "class-tiles":
-            has.add("class")
-        if self.course.kind == "wall-room":
-            has.add("cloud")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"modes {self.modes} repeat a mode")
+        has = COURSE_LAYERS[self.course.kind]
         for mode in self.modes:
-            if mode == "odom-only":
-                continue
-            needs = _MODE_NEEDS.get(mode)
-            if needs is None:
-                raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-            missing = [l for l in needs if l not in has]
+            if mode not in MODES:
+                raise ValueError(
+                    f"unknown mode {mode!r}, expected one of {tuple(MODES)} (odom-only is always reported)"
+                )
+            missing = [l for l in MODES[mode] if l not in has]
             if missing:
                 raise ValueError(f"mode {mode} needs map layers {missing} absent from course {self.course.kind}")
 
@@ -229,7 +218,7 @@ def train_contact_classifier(seed: int, per_class: int = 150) -> LogisticBaselin
 def simulate_for_config(cfg: ExperimentConfig, seed: int):
     """Course + walk log for one seed of an experiment."""
     course = generate_course(replace(cfg.course, seed=seed))
-    needs_class = any(m in ("HL-GC", "HL-C") for m in cfg.modes)
+    needs_class = any("class" in MODES[m] for m in cfg.modes)
     if cfg.scenario == "wall-probe":
         log = probe_scenario(course, cfg.course.wall_room, cfg.gait, cfg.noise, seed)
     else:

@@ -220,19 +220,6 @@ def covariance_factor(cov) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def sample_tangent(cov, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Draw n tangent vectors from N(0, cov); a single 6-vector when n is None."""
-    factor = covariance_factor(cov)
-    if n is None:
-        return factor @ rng.standard_normal(6)
-    return rng.standard_normal((n, 6)) @ factor.T
-
-
-def sample_pose_gaussian(mean: Pose, cov, rng: np.random.Generator) -> Pose:
-    """Right-perturbed Gaussian sample: compose(mean, exp(delta)), delta ~ N(0, cov)."""
-    return compose(mean, pose_exp(sample_tangent(cov, rng)))
-
-
 def save_trajectory(path, poses, times=None) -> None:
     """Write one 't x y z qx qy qz qw' line per pose, full float precision."""
     poses = list(poses)

@@ -27,13 +27,17 @@ within the reach get the same nearest distance as the unbounded search, bit
 for bit, so the bound changes no output; it only saves searching the tree
 beyond the reach.
 
+A localization mode is the set of channels it fuses (MODES). Each channel
+reads the map layer of its own name, so the layers a mode needs are its
+channels, and every contact is weighed with the same channel set.
+
 The contacts of one step are evaluated together (contacts_log_likelihood):
 one quaternion call moves all K contacts to (K, N, 3) world points, and each
-channel looks its layer up once for every contact whose kind uses it, the
-class channel with one estimated class per contact row. The result keeps
-one row per contact, computed with the same arithmetic as one contact on its
-own, so a caller that adds the rows to the weights in contact order gets the
-same sums bit for bit as evaluating the contacts one at a time.
+channel of the set looks its layer up once for all of them, the class
+channel with one estimated class per contact row. The result keeps one row
+per contact, computed with the same arithmetic as one contact on its own, so
+a caller that adds the rows to the weights in contact order gets the same
+sums bit for bit as evaluating the contacts one at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FootOffset, Pose, quat_rotate, transform_point
+from .geometry import FootOffset, quat_rotate
 from .maps import (
     UNKNOWN_CLASS,
     ClassGrid,
@@ -57,7 +61,13 @@ from .maps import (
     elevation_at_many,
 )
 
-CONTACT_KINDS = ("elevation", "cloud", "class", "elevation+class")
+# mode -> the channels it weighs every contact with
+MODES = {
+    "HL-G": ("elevation",),
+    "HL-GC": ("elevation", "class"),
+    "HL-C": ("class",),
+    "HL-3D": ("cloud",),
+}
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -126,26 +136,17 @@ class LikelihoodConfig:
 class ContactMeasurement:
     """One foot contact handed to the filter.
 
-    kind selects the likelihood channels. class_probs carries the classifier's
-    distribution over terrain classes; its argmax is the class the map is
-    queried for.
+    class_probs carries the classifier's distribution over terrain classes;
+    its argmax is the class the class channel queries the map for.
     """
 
     foot: FootOffset
-    kind: str = "elevation"
     class_probs: np.ndarray | None = None
     in_contact: bool = True
 
     def __post_init__(self):
-        if self.kind not in CONTACT_KINDS:
-            raise ValueError(f"unknown contact kind {self.kind!r}, expected one of {CONTACT_KINDS}")
         if self.class_probs is not None:
             self.class_probs = np.array(self.class_probs, dtype=float)
-
-    def estimated_class(self) -> int:
-        if self.class_probs is None:
-            raise ValueError("contact carries no class probabilities")
-        return int(np.argmax(self.class_probs))
 
 
 def elevation_log_likelihood_points(points, grid: ElevationGrid, cfg: LikelihoodConfig) -> np.ndarray:
@@ -197,78 +198,53 @@ def class_log_likelihood_points(points_xy, class_id, grid: ClassGrid, cfg: Likel
 
 
 def _estimated_class(contact: ContactMeasurement, grid: ClassGrid) -> int:
-    probs = contact.class_probs
-    if probs is not None and probs.shape != (grid.n_classes,):
+    """The argmax of the contact's class_probs, checked here because the
+    simulator assigns class_probs after the contact is built."""
+    if contact.class_probs is None:
+        raise ValueError("contact carries no class probabilities")
+    probs = np.asarray(contact.class_probs, dtype=float)
+    if probs.ndim != 1:
+        raise ValueError(f"class_probs must be 1-D, got shape {probs.shape}")
+    if probs.size != grid.n_classes:
         raise ValueError(
             f"class_probs has {probs.size} entries but the class layer has {grid.n_classes} classes"
         )
-    return contact.estimated_class()
+    # argmax would rank a nan above every probability
+    if not (np.isfinite(probs).all() and probs.min() >= 0.0):
+        raise ValueError(f"class_probs must be finite and non-negative, got {probs}")
+    return int(np.argmax(probs))
 
 
-def _rows(mask):
-    """Index for the rows where mask holds: a plain slice when all of them do."""
-    mask = np.asarray(mask, dtype=bool)
-    return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
-def contacts_log_likelihood(positions, quats, contacts, maps: MapSet, cfg: LikelihoodConfig) -> np.ndarray:
+def contacts_log_likelihood(positions, quats, contacts, channels, maps: MapSet, cfg: LikelihoodConfig) -> np.ndarray:
     """Joint log-likelihoods (K, N) of K contacts at N particles given as arrays.
 
-    Row k belongs to contacts[k]. Every contact is moved to world points in one
-    quaternion call, and each map layer is queried once, for all the contacts
-    whose kind uses it. Row k is the cloud channel alone for a cloud contact,
-    and (0 + elevation) + class, over the channels its kind uses, otherwise.
+    Row k belongs to contacts[k], and every row uses the same channels (a
+    value of MODES). Every contact is moved to world points in one quaternion
+    call, and each channel queries its layer once for all the contacts. Row
+    k starts at 0 and adds the channels given in the order elevation, class,
+    cloud: (0 + elevation) + class for elevation and class.
     """
-    kinds = [c.kind for c in contacts]
-    uses_cloud = [k == "cloud" for k in kinds]
-    uses_elevation = [k in ("elevation", "elevation+class") for k in kinds]
-    uses_class = [k in ("class", "elevation+class") for k in kinds]
-    if any(uses_cloud) and maps.cloud is None:
-        raise ValueError("contact kind 'cloud' requires a point cloud layer")
-    if any(uses_class) and maps.class_grid is None:
-        kind = kinds[uses_class.index(True)]
-        raise ValueError(f"contact kind {kind!r} requires a class layer")
-    class_ids = [_estimated_class(c, maps.class_grid) for c, used in zip(contacts, uses_class) if used]
+    if "class" in channels:
+        if maps.class_grid is None:
+            raise ValueError("the class channel requires a class layer")
+        column = np.array([_estimated_class(c, maps.class_grid) for c in contacts]).reshape(-1, 1)
+    if "cloud" in channels and maps.cloud is None:
+        raise ValueError("the cloud channel requires a point cloud layer")
 
     feet = np.array([c.foot.vec for c in contacts]).reshape(-1, 1, 3)
     world = quat_rotate(quats, feet) + positions
     ll = np.zeros(world.shape[:-1])
-    if any(uses_elevation):
-        rows = _rows(uses_elevation)
-        ll[rows] += elevation_log_likelihood_points(world[rows], maps.elevation, cfg)
-    if class_ids:
-        rows = _rows(uses_class)
-        column = np.array(class_ids).reshape(-1, 1)
-        ll[rows] += class_log_likelihood_points(world[rows, :, :2], column, maps.class_grid, cfg)
-    if any(uses_cloud):
-        rows = _rows(uses_cloud)
-        ll[rows] = cloud_log_likelihood_points(world[rows], maps.cloud, cfg)
+    if "elevation" in channels:
+        ll += elevation_log_likelihood_points(world, maps.elevation, cfg)
+    if "class" in channels:
+        ll += class_log_likelihood_points(world[..., :2], column, maps.class_grid, cfg)
+    if "cloud" in channels:
+        ll += cloud_log_likelihood_points(world, maps.cloud, cfg)
     return ll
 
 
-def contact_log_likelihood(positions, quats, contact: ContactMeasurement, maps: MapSet, cfg: LikelihoodConfig) -> np.ndarray:
+def contact_log_likelihood(
+    positions, quats, contact: ContactMeasurement, channels, maps: MapSet, cfg: LikelihoodConfig
+) -> np.ndarray:
     """Joint per-particle log-likelihood of one contact, particles as arrays."""
-    return contacts_log_likelihood(positions, quats, [contact], maps, cfg)[0]
-
-
-def elevation_loglik(pose: Pose, foot, grid: ElevationGrid, cfg: LikelihoodConfig) -> float:
-    """Elevation channel for a single pose and base-frame foot offset."""
-    p = transform_point(pose, foot)
-    return float(elevation_log_likelihood_points(p.reshape(1, 3), grid, cfg)[0])
-
-
-def cloud_loglik(pose: Pose, foot, cloud: PointCloudMap, cfg: LikelihoodConfig) -> float:
-    p = transform_point(pose, foot)
-    return float(cloud_log_likelihood_points(p.reshape(1, 3), cloud, cfg)[0])
-
-
-def class_loglik(pose: Pose, foot, class_id: int, grid: ClassGrid, cfg: LikelihoodConfig) -> float:
-    p = transform_point(pose, foot)
-    return float(class_log_likelihood_points(p[:2].reshape(1, 2), class_id, grid, cfg)[0])
-
-
-def joint_loglik(pose: Pose, contact: ContactMeasurement, maps: MapSet, cfg: LikelihoodConfig) -> float:
-    """Sum of the contact's active channels at one pose (conditional independence)."""
-    return float(
-        contact_log_likelihood(pose.position.reshape(1, 3), pose.quat.reshape(1, 4), contact, maps, cfg)[0]
-    )
+    return contacts_log_likelihood(positions, quats, [contact], channels, maps, cfg)[0]

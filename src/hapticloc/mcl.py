@@ -15,7 +15,7 @@ taken from the particles, so the reported pose never teleports between modes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,14 +23,13 @@ from .geometry import (
     Pose,
     compose,
     covariance_factor,
-    pose_exp,
     quat_conjugate,
     quat_from_rotvec,
     quat_mul,
     quat_rotate,
     quat_to_rotvec,
 )
-from .likelihood import ContactMeasurement, LikelihoodConfig, contacts_log_likelihood
+from .likelihood import MODES, ContactMeasurement, LikelihoodConfig, contacts_log_likelihood
 from .maps import MapSet
 
 log = logging.getLogger(__name__)
@@ -78,6 +77,8 @@ class FilterState:
     resample_frac: float
     xy_std_threshold: float
     last_estimate: Pose
+    # the likelihood channels of the filter's mode, a value of MODES
+    channels: tuple[str, ...]
     last_increment: Pose | None = None
     trajectory: list[Pose] = field(default_factory=list)
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
@@ -102,8 +103,15 @@ def init_filter(
     seed: int = 0,
     resample_frac: float = 0.5,
     xy_std_threshold: float = 0.10,
+    mode: str = "HL-G",
 ) -> FilterState:
-    """Sample the prior particle set; the trajectory starts at the prior mean."""
+    """Sample the prior particle set; the trajectory starts at the prior mean.
+
+    mode, a key of MODES, fixes the likelihood channels every step weighs
+    its contacts with.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
     if n_particles < 1:
         raise ValueError("need at least one particle")
     if not 0.0 <= resample_frac <= 1.0:
@@ -121,6 +129,7 @@ def init_filter(
         resample_frac=float(resample_frac),
         xy_std_threshold=float(xy_std_threshold),
         last_estimate=prior_mean,
+        channels=MODES[mode],
     )
     state.trajectory.append(prior_mean)
     return state
@@ -174,10 +183,6 @@ def estimate_detail(state: FilterState):
     return Pose([base.position[0], base.position[1], mean_p[2]], base.quat), xy_std, "z-only"
 
 
-def estimate(state: FilterState) -> Pose:
-    return estimate_detail(state)[0]
-
-
 def _odom_factor(state: FilterState, cov) -> np.ndarray:
     """covariance_factor(cov), factored again only when cov differs bitwise
     from the covariance the cached factor came from."""
@@ -190,14 +195,19 @@ def _odom_factor(state: FilterState, cov) -> np.ndarray:
     return state.odom_factor
 
 
+def contacts_for_mode(contacts) -> list:
+    """The contacts a step weighs with its mode's channels: the feet in contact."""
+    return [c for c in contacts if c.in_contact]
+
+
 def step(state: FilterState, inp: StepInput, maps: MapSet, cfg: LikelihoodConfig) -> FilterState:
     """Advance the filter by one four-support phase; mutates and returns state.
 
-    Contacts with in_contact False are skipped. The contact's kind field selects
-    which likelihood channels apply. The active contacts are evaluated together:
-    one quaternion call moves all of them to world points, and each map layer
-    is queried once for every contact that uses it. Their log-likelihoods are
-    then added to the weights one contact at a time, in contact order. The
+    Contacts with in_contact False are skipped (contacts_for_mode). The
+    others are weighed with the channels of the filter's mode, all together:
+    one quaternion call moves them to world points, and each channel queries
+    its map layer once for all of them. Their log-likelihoods are then added
+    to the weights one contact at a time, in contact order. The
     odometry covariance factor is cached in the state and recomputed, with the
     full symmetry and PSD checks, only when the covariance changes.
     """
@@ -212,9 +222,9 @@ def step(state: FilterState, inp: StepInput, maps: MapSet, cfg: LikelihoodConfig
     state.positions = state.positions + quat_rotate(state.quats, delta[:, :3])
     state.quats = quat_mul(state.quats, quat_from_rotvec(delta[:, 3:]))
 
-    active = [c for c in inp.contacts if c.in_contact]
+    active = contacts_for_mode(inp.contacts)
     if active:
-        for ll in contacts_log_likelihood(state.positions, state.quats, active, maps, cfg):
+        for ll in contacts_log_likelihood(state.positions, state.quats, active, state.channels, maps, cfg):
             state.log_weights = state.log_weights + ll
 
     total = _logsumexp(state.log_weights)
@@ -243,22 +253,6 @@ def step(state: FilterState, inp: StepInput, maps: MapSet, cfg: LikelihoodConfig
     return state
 
 
-MODE_CONTACT_KINDS = {
-    "HL-G": "elevation",
-    "HL-GC": "elevation+class",
-    "HL-C": "class",
-    "HL-3D": "cloud",
-}
-
-
-def contacts_for_mode(contacts, mode: str):
-    """Retag contacts with the likelihood kind the given mode uses."""
-    if mode not in MODE_CONTACT_KINDS:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {sorted(MODE_CONTACT_KINDS)}")
-    kind = MODE_CONTACT_KINDS[mode]
-    return [replace(c, kind=kind) for c in contacts]
-
-
 def run_filter(
     prior_mean: Pose,
     prior_cov,
@@ -272,10 +266,9 @@ def run_filter(
     xy_std_threshold: float = 0.10,
 ) -> FilterState:
     """Run the filter over a sequence of StepInputs in the given mode."""
-    state = init_filter(prior_mean, prior_cov, n_particles, seed, resample_frac, xy_std_threshold)
+    state = init_filter(prior_mean, prior_cov, n_particles, seed, resample_frac, xy_std_threshold, mode)
     for inp in inputs:
-        retagged = StepInput(inp.odom_increment, inp.odom_cov, contacts_for_mode(inp.contacts, mode))
-        step(state, retagged, maps, cfg)
+        step(state, inp, maps, cfg)
     return state
 
 

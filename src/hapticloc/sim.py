@@ -40,8 +40,6 @@ from .maps import (
     elevation_at,
 )
 
-COURSE_KINDS = ("chevron-ramp", "class-tiles", "wall-room")
-
 GAIT_ORDER = ("LF", "RH", "RF", "LH")
 
 N_TERRAIN_CLASSES = 8
@@ -241,6 +239,15 @@ def _wall_room_course(spec: CourseSpec) -> MapSet:
 
     cloud = PointCloudMap(np.vstack([floor, front, side]))
     return MapSet(elevation=elevation, cloud=cloud)
+
+
+# course kind -> the map layers its builder makes
+COURSE_LAYERS = {
+    "chevron-ramp": ("elevation",),
+    "class-tiles": ("elevation", "class"),
+    "wall-room": ("elevation", "cloud"),
+}
+COURSE_KINDS = tuple(COURSE_LAYERS)
 
 
 def generate_course(spec: CourseSpec) -> MapSet:

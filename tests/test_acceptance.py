@@ -69,7 +69,7 @@ def _flat_maps(extent=10.0, res=0.5):
 
 
 def _elevation_contacts():
-    return [ContactMeasurement(f, kind="elevation") for f in FEET]
+    return [ContactMeasurement(f) for f in FEET]
 
 
 # criterion 1 -----------------------------------------------------------------
@@ -408,8 +408,8 @@ def test_criterion_10_performance_budgets():
         cid = class_at(course.class_grid, w[:2])
         probs = np.zeros(8)
         probs[0 if cid == UNKNOWN_CLASS else cid] = 1.0
-        contacts.append(ContactMeasurement(f, kind="elevation+class", class_probs=probs))
-    st = init_filter(pose, np.diag([4e-4, 4e-4, 4e-4, 1e-6, 1e-6, 1e-6]), n_particles=500, seed=3)
+        contacts.append(ContactMeasurement(f, class_probs=probs))
+    st = init_filter(pose, np.diag([4e-4, 4e-4, 4e-4, 1e-6, 1e-6, 1e-6]), n_particles=500, seed=3, mode="HL-GC")
     inp = StepInput(Pose([0.002, 0.0, 0.0]), np.diag(np.full(6, 1e-6)), contacts)
     times = []
     for _ in range(50):

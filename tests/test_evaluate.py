@@ -104,6 +104,22 @@ def test_experiment_config_validation():
     assert np.allclose(np.diag(cov), [0.12**2, 0.12**2, 0.02**2, 0.02**2, 0.02**2, 0.05**2])
 
 
+@pytest.mark.parametrize(
+    "modes, match",
+    [(("odom-only", "HL-G"), "unknown mode 'odom-only'"), (("HL-G", "HL-G"), "repeat")],
+    ids=["odom-only", "repeated"],
+)
+def test_modes_are_distinct_filter_modes(modes, match, tmp_path):
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match=match):
+        replace(default_chevron_experiment(seeds=(1,)), modes=modes)
+    p = tmp_path / "modes.ini"
+    p.write_text(f"[experiment]\nkind = chevron-ramp\nmodes = {' '.join(modes)}\n")
+    with pytest.raises(ValueError, match=match):
+        load_experiment_config(p)
+
+
 def test_default_experiments_are_valid():
     for builder in (default_chevron_experiment, default_tiles_experiment, default_wallroom_experiment):
         cfg = builder(seeds=(1,))

@@ -23,8 +23,6 @@ from hapticloc.geometry import (
     quat_to_rotvec,
     quat_yaw,
     relative_increment,
-    sample_pose_gaussian,
-    sample_tangent,
     save_trajectory,
     transform_point,
     wrap_angle,
@@ -244,23 +242,6 @@ def test_covariance_factor_rejects_asymmetric():
     cov[0, 1] = 0.5
     with pytest.raises(ValueError):
         covariance_factor(cov)
-
-
-def test_sample_tangent_deterministic():
-    cov = np.diag([0.1, 0.2, 0.3, 0.01, 0.02, 0.03])
-    a = sample_tangent(cov, np.random.default_rng(9), n=5)
-    b = sample_tangent(cov, np.random.default_rng(9), n=5)
-    assert np.array_equal(a, b)
-    assert a.shape == (5, 6)
-
-
-def test_sample_pose_gaussian_statistics():
-    mean = Pose([1.0, -2.0, 0.5], quat_from_yaw(0.3))
-    cov = np.diag([0.04, 0.04, 0.01, 0.001, 0.001, 0.004])
-    rng = np.random.default_rng(6)
-    samples = np.array([sample_pose_gaussian(mean, cov, rng).position for _ in range(4000)])
-    assert np.allclose(samples.mean(axis=0), mean.position, atol=0.02)
-    assert np.allclose(samples.std(axis=0), [0.2, 0.2, 0.1], atol=0.02)
 
 
 # trajectory files

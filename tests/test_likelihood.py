@@ -13,21 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from hapticloc.geometry import FootOffset, Pose, quat_from_yaw
+from hapticloc.geometry import FootOffset, Pose, quat_from_yaw, transform_point
 from hapticloc.likelihood import (
+    MODES,
     ContactMeasurement,
     LikelihoodConfig,
     class_log_likelihood_points,
-    class_loglik,
     cloud_log_likelihood_points,
-    cloud_loglik,
     contact_log_likelihood,
     contacts_log_likelihood,
     elevation_log_likelihood_points,
-    elevation_loglik,
     gaussian_density,
     gaussian_log_density,
-    joint_loglik,
 )
 from hapticloc.maps import ClassGrid, ElevationGrid, MapSet, PointCloudMap
 
@@ -211,27 +208,31 @@ def test_bounded_cloud_channel_matches_unbounded_query(seed, n_cloud, sigma_z, r
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+ORIGIN = (np.zeros((1, 3)), np.array([[0.0, 0.0, 0.0, 1.0]]))
+
+
 def test_contact_measurement_validation():
-    foot = FootOffset("LF", (0.2, 0.15, -0.3))
-    with pytest.raises(ValueError):
-        ContactMeasurement(foot, kind="sonar")
-    c = ContactMeasurement(foot, kind="elevation")
-    with pytest.raises(ValueError):
-        c.estimated_class()
-    probs = np.array([0.1, 0.7, 0.2])
-    assert ContactMeasurement(foot, kind="class", class_probs=probs).estimated_class() == 1
+    foot = FootOffset("LF", (1.0, 1.0, 0.0))
+    maps = flat_maps()
+    c = ContactMeasurement(foot)
+    assert c.class_probs is None and c.in_contact
+    for mode in ("HL-GC", "HL-C"):
+        with pytest.raises(ValueError, match="no class probabilities"):
+            contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
+    c = ContactMeasurement(foot, class_probs=[0.1, 0.7, 0.2])
+    assert c.class_probs.dtype == float
+    # (1, 1) lies in column 2, class 0: a class-1 estimate scores the floor
+    got = contact_log_likelihood(*ORIGIN, c, MODES["HL-C"], maps, LikelihoodConfig())
+    assert got[0] == pytest.approx(LikelihoodConfig().log_class_rho)
 
 
 def test_contact_requires_matching_layers():
     maps = flat_maps(with_class=False)
     foot = FootOffset("LF", (0.0, 0.0, -0.3))
-    pos = np.zeros((1, 3))
-    quat = np.array([[0.0, 0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
-        contact_log_likelihood(pos, quat, ContactMeasurement(foot, kind="cloud"), maps, LikelihoodConfig())
-    c = ContactMeasurement(foot, kind="class", class_probs=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        contact_log_likelihood(pos, quat, c, maps, LikelihoodConfig())
+    c = ContactMeasurement(foot, class_probs=np.array([1.0, 0.0]))
+    for mode, layer in (("HL-3D", "point cloud layer"), ("HL-GC", "class layer"), ("HL-C", "class layer")):
+        with pytest.raises(ValueError, match=layer):
+            contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
 
 
 def test_class_probs_length_must_match_the_class_layer():
@@ -239,13 +240,38 @@ def test_class_probs_length_must_match_the_class_layer():
     foot = FootOffset("LF", (0.0, 0.0, -0.3))
     pos = np.array([[1.0, 1.0, 0.3]])
     quat = np.array([[0.0, 0.0, 0.0, 1.0]])
-    for kind in ("class", "elevation+class"):
+    for mode in ("HL-C", "HL-GC"):
         for probs in ([0.9, 0.1], [0.1] * 8):
-            c = ContactMeasurement(foot, kind=kind, class_probs=np.array(probs))
+            c = ContactMeasurement(foot, class_probs=np.array(probs))
             with pytest.raises(ValueError, match=f"{len(probs)} entries .* 3 classes"):
-                contact_log_likelihood(pos, quat, c, maps, LikelihoodConfig())
-        c = ContactMeasurement(foot, kind=kind, class_probs=np.array([0.1, 0.2, 0.7]))
-        assert np.isfinite(contact_log_likelihood(pos, quat, c, maps, LikelihoodConfig())).all()
+                contact_log_likelihood(pos, quat, c, MODES[mode], maps, LikelihoodConfig())
+        c = ContactMeasurement(foot, class_probs=np.array([0.1, 0.2, 0.7]))
+        assert np.isfinite(contact_log_likelihood(pos, quat, c, MODES[mode], maps, LikelihoodConfig())).all()
+
+
+@pytest.mark.parametrize("mode", ["HL-C", "HL-GC"])
+@pytest.mark.parametrize(
+    "probs, match",
+    [
+        ([0.05, np.nan, 0.9], "finite"),
+        ([0.05, np.inf, 0.9], "finite"),
+        ([0.05, -np.inf, 0.9], "finite"),
+        ([0.6, -0.1, 0.5], "non-negative"),
+        ([[0.1, 0.2, 0.7]], "1-D"),
+        (0.7, "1-D"),
+    ],
+    ids=["nan", "inf", "minus-inf", "negative", "2-d", "scalar"],
+)
+def test_class_probs_must_be_a_finite_non_negative_vector(probs, match, mode):
+    maps = flat_maps()
+    c = ContactMeasurement(FootOffset("LF", (1.0, 1.0, 0.0)), class_probs=probs)
+    with pytest.raises(ValueError, match=match):
+        contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
+    # the simulator assigns class_probs after construction; the check still holds
+    c = ContactMeasurement(FootOffset("LF", (1.0, 1.0, 0.0)))
+    c.class_probs = np.array(probs, dtype=float)
+    with pytest.raises(ValueError, match=match):
+        contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
 
 
 def test_batched_contacts_match_one_contact_at_a_time():
@@ -256,13 +282,14 @@ def test_batched_contacts_match_one_contact_at_a_time():
     positions = np.column_stack([rng.uniform(-0.5, 4.5, n), rng.uniform(-0.5, 4.5, n), rng.normal(0.3, 0.02, n)])
     quats = np.stack([quat_from_yaw(y) for y in rng.uniform(-np.pi, np.pi, n)])
     cs = [
-        ContactMeasurement(FootOffset(lab, rng.normal(0.0, 0.3, 3)), kind=kind, class_probs=rng.dirichlet(np.ones(3)))
-        for lab, kind in zip(("LF", "RF", "LH", "RH", "LF"), ("elevation+class", "cloud", "class", "elevation", "class"))
+        ContactMeasurement(FootOffset(lab, rng.normal(0.0, 0.3, 3)), class_probs=rng.dirichlet(np.ones(3)))
+        for lab in ("LF", "RF", "LH", "RH", "LF")
     ]
-    rows = contacts_log_likelihood(positions, quats, cs, maps, cfg)
-    assert rows.shape == (len(cs), n)
-    for row, c in zip(rows, cs):
-        assert np.array_equal(row, contact_log_likelihood(positions, quats, c, maps, cfg))
+    for channels in MODES.values():
+        rows = contacts_log_likelihood(positions, quats, cs, channels, maps, cfg)
+        assert rows.shape == (len(cs), n)
+        for row, c in zip(rows, cs):
+            assert np.array_equal(row, contact_log_likelihood(positions, quats, c, channels, maps, cfg))
 
 
 def test_class_channel_takes_one_class_per_row():
@@ -282,9 +309,15 @@ def test_joint_channel_is_sum_of_parts():
     maps = flat_maps()
     foot = FootOffset("RH", (-0.2, -0.15, -0.29))
     pose = Pose(np.array([2.1, 1.3, 0.29]), quat_from_yaw(0.4))
-    c = ContactMeasurement(foot, kind="elevation+class", class_probs=np.array([0.6, 0.3, 0.1]))
-    want = elevation_loglik(pose, foot, maps.elevation, cfg) + class_loglik(pose, foot, 0, maps.class_grid, cfg)
-    assert joint_loglik(pose, c, maps, cfg) == pytest.approx(want, abs=1e-12)
+    c = ContactMeasurement(foot, class_probs=np.array([0.6, 0.3, 0.1]))
+    world = transform_point(pose, foot.vec)
+    elevation = elevation_log_likelihood_points(world.reshape(1, 3), maps.elevation, cfg)[0]
+    klass = class_log_likelihood_points(world[:2].reshape(1, 2), 0, maps.class_grid, cfg)[0]
+    at_pose = (pose.position.reshape(1, 3), pose.quat.reshape(1, 4))
+    for mode, want in (("HL-G", elevation), ("HL-C", klass), ("HL-GC", elevation + klass)):
+        got = contacts_log_likelihood(*at_pose, [c], MODES[mode], maps, cfg)
+        assert got.shape == (1, 1)
+        assert got[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_vectorized_contact_matches_scalar_loop():
@@ -297,10 +330,13 @@ def test_vectorized_contact_matches_scalar_loop():
         [rng.uniform(0.5, 3.5, n), rng.uniform(0.5, 3.5, n), rng.normal(0.3, 0.02, n)]
     )
     quats = np.stack([quat_from_yaw(y) for y in rng.uniform(-np.pi, np.pi, n)])
-    for kind in ("elevation", "cloud", "class", "elevation+class"):
-        c = ContactMeasurement(foot, kind=kind, class_probs=np.array([0.2, 0.5, 0.3]))
-        vec = contact_log_likelihood(positions, quats, c, maps, cfg)
-        scal = np.array([joint_loglik(Pose(p, q), c, maps, cfg) for p, q in zip(positions, quats)])
+    c = ContactMeasurement(foot, class_probs=np.array([0.2, 0.5, 0.3]))
+    for channels in MODES.values():
+        vec = contact_log_likelihood(positions, quats, c, channels, maps, cfg)
+        scal = np.array(
+            [contact_log_likelihood(p.reshape(1, 3), q.reshape(1, 4), c, channels, maps, cfg)[0]
+             for p, q in zip(positions, quats)]
+        )
         assert np.allclose(vec, scal, atol=1e-12, rtol=0.0)
         assert np.all(np.isfinite(vec))
 
@@ -309,5 +345,10 @@ def test_cloud_loglik_single_pose():
     cfg = LikelihoodConfig()
     cloud = PointCloudMap(np.array([[1.0, 2.0, 0.0]]))
     pose = Pose(np.array([1.0, 2.0, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
-    got = cloud_loglik(pose, np.array([0.0, 0.0, -0.29]), cloud, cfg)
+    foot = np.array([0.0, 0.0, -0.29])
+    got = cloud_log_likelihood_points(transform_point(pose, foot).reshape(1, 3), cloud, cfg)[0]
     assert abs(got - math.log(DENS_Z[1])) < 1e-12
+    maps = MapSet(ElevationGrid(0.5, (0.0, 0.0), np.zeros((8, 8))), cloud=cloud)
+    c = ContactMeasurement(FootOffset("LF", foot))
+    row = contacts_log_likelihood(pose.position.reshape(1, 3), pose.quat.reshape(1, 4), [c], MODES["HL-3D"], maps, cfg)
+    assert abs(row[0, 0] - math.log(DENS_Z[1])) < 1e-12

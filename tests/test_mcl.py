@@ -16,7 +16,7 @@ from hapticloc.geometry import (
     quat_rotate,
 )
 from hapticloc.likelihood import (
-    CONTACT_KINDS,
+    MODES,
     ContactMeasurement,
     LikelihoodConfig,
     cloud_log_likelihood_points,
@@ -33,13 +33,10 @@ from hapticloc.maps import (
     class_distance_many,
 )
 from hapticloc.mcl import (
-    MODE_CONTACT_KINDS,
     FilterState,
     StepInput,
     _logsumexp,
-    contacts_for_mode,
     effective_sample_size,
-    estimate,
     estimate_detail,
     init_filter,
     run_filter,
@@ -64,7 +61,7 @@ def stand_pose(x=0.0, y=0.0, yaw=0.0):
 
 
 def contacts():
-    return [ContactMeasurement(f, kind="elevation") for f in FEET]
+    return [ContactMeasurement(f) for f in FEET]
 
 
 def forward_input(dx=0.05, cov_scale=1.0):
@@ -119,7 +116,13 @@ def test_init_filter_validation_and_prior():
         init_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=0)
     with pytest.raises(ValueError):
         init_filter(stand_pose(), np.eye(6) * 1e-4, resample_frac=1.5)
+    # dead reckoning is reported beside the filter, never run as a filter mode
+    for mode in ("odom-only", "HL-X"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            init_filter(stand_pose(), np.eye(6) * 1e-4, mode=mode)
+    assert init_filter(stand_pose(), np.eye(6) * 1e-4, mode="HL-3D").channels == ("cloud",)
     st = init_filter(stand_pose(1.0, 2.0), np.eye(6) * 1e-4, n_particles=300, seed=3)
+    assert st.channels == MODES["HL-G"]
     assert st.n_particles == 300
     assert len(st.trajectory) == 1 and st.trajectory[0] is st.last_estimate
     assert np.allclose(st.positions.mean(axis=0), [1.0, 2.0, STAND_Z], atol=0.01)
@@ -164,7 +167,7 @@ def test_out_of_contact_feet_are_skipped():
     maps = flat_maps()
     cfg = LikelihoodConfig()
     lifted = [
-        ContactMeasurement(FootOffset("LF", (0.2, 0.15, 5.0)), kind="elevation", in_contact=False)
+        ContactMeasurement(FootOffset("LF", (0.2, 0.15, 5.0)), in_contact=False)
     ]
     st = init_filter(stand_pose(), np.diag([0.01, 0.01, 0.01, 0, 0, 0]) ** 1, n_particles=80, seed=2)
     inp = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros(6), lifted)
@@ -210,7 +213,6 @@ def test_estimate_full_branch_on_tight_cluster():
     assert branch == "full"
     assert np.all(xy_std < 0.01)
     assert np.allclose(pose.position[:2], [0.5, -0.25], atol=0.005)
-    assert estimate(st).position == pytest.approx(pose.position)
 
 
 def test_estimate_z_only_branch_on_bimodal_cluster():
@@ -236,17 +238,6 @@ def test_z_only_branch_dead_reckons_with_last_increment():
     pose, _, branch = estimate_detail(st)
     assert branch == "z-only"
     assert pose.position[0] == pytest.approx(0.07)
-
-
-def test_contacts_for_mode_retags_kind():
-    base = contacts()
-    for mode, kind in MODE_CONTACT_KINDS.items():
-        out = contacts_for_mode(base, mode)
-        assert all(c.kind == kind for c in out)
-    # originals untouched
-    assert all(c.kind == "elevation" for c in base)
-    with pytest.raises(ValueError):
-        contacts_for_mode(base, "HL-X")
 
 
 def test_run_filter_bit_exact_determinism():
@@ -317,7 +308,7 @@ def test_filter_tracks_through_height_feature():
             fw = truth.position + f.vec
             vec = f.vec.copy()
             vec[2] = float(elevation_at(g, fw[:2])) - truth.position[2]
-            cs.append(ContactMeasurement(FootOffset(f.label, vec), kind="elevation"))
+            cs.append(ContactMeasurement(FootOffset(f.label, vec)))
         inc_true = np.array([0.05, 0.0, truth.position[2] - old_z])
         noisy = inc_true + rng.normal(0.0, [3e-3, 3e-3, 1e-3])
         noisy[0] += 0.004  # systematic forward drift the map must correct
@@ -340,16 +331,16 @@ def test_filter_tracks_through_height_feature():
 # the batched step against the per-contact step it replaced
 
 
-def reference_contact_log_likelihood(positions, quats, contact, maps, cfg):
-    """One contact's joint log-likelihood, evaluated on its own."""
+def reference_contact_log_likelihood(positions, quats, contact, channels, maps, cfg):
+    """One contact's joint log-likelihood under a channel set, evaluated on its own."""
     world = quat_rotate(quats, contact.foot.vec) + positions
-    if contact.kind == "cloud":
+    if channels == ("cloud",):
         return cloud_log_likelihood_points(world, maps.cloud, cfg)
     ll = np.zeros(len(world))
-    if contact.kind in ("elevation", "elevation+class"):
+    if "elevation" in channels:
         ll = ll + elevation_log_likelihood_points(world, maps.elevation, cfg)
-    if contact.kind in ("class", "elevation+class"):
-        grid, class_id, xy = maps.class_grid, contact.estimated_class(), world[..., :2]
+    if "class" in channels:
+        grid, class_id, xy = maps.class_grid, int(np.argmax(contact.class_probs)), world[..., :2]
         ids = class_at_many(grid, xy)
         cl = np.full(len(xy), cfg.log_class_rho)
         neutral = ids == UNKNOWN_CLASS
@@ -367,7 +358,8 @@ def reference_contact_log_likelihood(positions, quats, contact, maps, cfg):
 
 def reference_step(state, inp, maps, cfg):
     """The particle update of step as it was before batching and caching:
-    factor the covariance, then weigh the contacts one at a time."""
+    factor the covariance, then weigh the contacts one at a time with the
+    filter's channels."""
     n = state.n_particles
     inc = inp.odom_increment
     delta = state.rng.standard_normal((n, 6)) @ covariance_factor(inp.odom_cov).T
@@ -378,7 +370,7 @@ def reference_step(state, inp, maps, cfg):
     for contact in inp.contacts:
         if contact.in_contact:
             state.log_weights = state.log_weights + reference_contact_log_likelihood(
-                state.positions, state.quats, contact, maps, cfg
+                state.positions, state.quats, contact, state.channels, maps, cfg
             )
     total = _logsumexp(state.log_weights)
     if np.isfinite(total):
@@ -424,8 +416,9 @@ ORACLE_MAPS = oracle_maps()
 
 @st.composite
 def oracle_contacts(draw):
-    """A mix of every kind, lifted feet, feet reaching off the map, and class
-    estimates anywhere in [0, n_classes), the absent class included."""
+    """Lifted feet, feet reaching off the map or onto no-data and unlabeled
+    cells, and class estimates anywhere in [0, n_classes), the absent class
+    included."""
     out = []
     for _ in range(draw(st.integers(1, 6))):
         label = draw(st.sampled_from(FOOT_LABELS))
@@ -435,7 +428,6 @@ def oracle_contacts(draw):
         out.append(
             ContactMeasurement(
                 FootOffset(label, vec),
-                kind=draw(st.sampled_from(CONTACT_KINDS)),
                 class_probs=probs,
                 in_contact=draw(st.booleans()),
             )
@@ -444,12 +436,12 @@ def oracle_contacts(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(oracle_contacts(), min_size=1, max_size=5), st.integers(0, 2**16))
-def test_batched_step_bit_identical_to_per_contact_step(contact_sets, seed):
+@given(st.lists(oracle_contacts(), min_size=1, max_size=5), st.integers(0, 2**16), st.sampled_from(list(MODES)))
+def test_batched_step_bit_identical_to_per_contact_step(contact_sets, seed, mode):
     maps, cfg = ORACLE_MAPS, LikelihoodConfig(sigma_z=0.02, sigma_c=0.2)
     prior = np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1])
     args = (Pose(np.array([2.0, 1.5, 0.3]), quat_from_yaw(0.3)), prior, 64, seed)
-    new, ref = init_filter(*args), init_filter(*args)
+    new, ref = init_filter(*args, mode=mode), init_filter(*args, mode=mode)
     cov = np.array([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
     for cs in contact_sets:
         inp = StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), cov, cs)
