@@ -27,10 +27,6 @@ class StepSignal:
         if not np.isfinite(self.samples).all():
             raise ValueError("signal contains non-finite samples")
 
-    @property
-    def length(self) -> int:
-        return len(self.samples)
-
 
 def featurize(signal: StepSignal) -> np.ndarray:
     """24-vector: channel means, population stds, minima, maxima, in that order."""

@@ -16,11 +16,11 @@ from dataclasses import replace
 from . import evaluate, sim
 from .classifier import load_baseline
 from .geometry import load_trajectory, save_trajectory
-from .likelihood import MODES, LikelihoodConfig
+from .likelihood import MODES
 from .maps import MapSet, load_map, save_map
 from .mcl import write_diagnostics_csv
 from .network import forward, load_weights
-from .sim import CourseSpec, GaitParams, NoiseSpec, WallRoomLayout
+from .sim import CourseSpec, GaitParams, NoiseSpec
 
 
 def save_course_dir(maps: MapSet, out_dir) -> list:
@@ -52,14 +52,6 @@ def load_course_dir(path) -> MapSet:
     return MapSet(elevation, class_grid=class_grid, cloud=cloud)
 
 
-def _parse_waypoints(text):
-    pairs = [p.split(",") for p in text.split()]
-    try:
-        return tuple((float(a), float(b)) for a, b in pairs)
-    except ValueError as e:
-        raise ValueError(f"bad waypoint list {text!r}: expected 'x,y x,y ...'") from e
-
-
 def _cmd_make_course(args) -> int:
     spec = CourseSpec(args.kind, resolution=args.resolution, seed=args.seed)
     course = sim.generate_course(spec)
@@ -70,18 +62,16 @@ def _cmd_make_course(args) -> int:
 
 def _cmd_simulate(args) -> int:
     course = load_course_dir(args.course)
+    default = evaluate.default_experiment(course)
     gait, noise = GaitParams(), NoiseSpec()
     if args.scenario == "wall-probe":
-        if course.cloud is None:
-            raise ValueError("wall-probe scenario needs a course with a point cloud layer")
-        log = sim.probe_scenario(course, WallRoomLayout(), gait, noise, args.seed)
+        if default.scenario != "wall-probe":
+            raise ValueError(f"wall-probe scenario needs a wall-room course, not {default.course.kind}")
+        log = sim.probe_scenario(course, default.course.wall_room, gait, noise, args.seed)
     else:
-        if args.waypoints:
-            waypoints = _parse_waypoints(args.waypoints)
-        elif course.class_grid is not None:
-            waypoints = evaluate.TILES_WAYPOINTS
-        else:
-            waypoints = evaluate.CHEVRON_WAYPOINTS
+        waypoints = evaluate.parse_waypoints(args.waypoints) if args.waypoints else default.waypoints
+        if waypoints is None:
+            raise ValueError(f"a {default.course.kind} course has no default walk: pass --waypoints")
         log = sim.simulate_walk(
             course, waypoints, gait, noise, args.seed, synth_signals=course.class_grid is not None
         )
@@ -94,6 +84,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_localize(args) -> int:
     course = load_course_dir(args.course)
+    cfg = replace(evaluate.default_experiment(course), n_particles=args.particles)
     needs_class = "class" in MODES[args.mode]
     log = sim.load_walklog(args.walklog, load_signals=needs_class and args.baseline is not None)
     if needs_class:
@@ -101,9 +92,7 @@ def _cmd_localize(args) -> int:
             sim.classify_log(log, load_baseline(args.baseline))
         else:
             sim.one_hot_log(log)
-    state = evaluate.run_localization(
-        log, course, args.mode, LikelihoodConfig(), n_particles=args.particles, seed=args.seed
-    )
+    state = evaluate.run_localization(log, course, args.mode, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     save_trajectory(os.path.join(args.out, "estimate.traj"), state.trajectory, log.timestamps())
     write_diagnostics_csv(state, os.path.join(args.out, "diagnostics.csv"))

@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("wall-probe scenario requires the wall-room course")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes {self.modes} repeat a mode")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds {self.seeds} must be one or more distinct seeds")
         has = COURSE_LAYERS[self.course.kind]
         for mode in self.modes:
             if mode not in MODES:
@@ -199,6 +201,24 @@ def default_wallroom_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
     )
 
 
+_DEFAULT_BUILDERS = {
+    "chevron-ramp": default_chevron_experiment,
+    "class-tiles": default_tiles_experiment,
+    "wall-room": default_wallroom_experiment,
+}
+_KIND_OF_LAYERS = {frozenset(layers): kind for kind, layers in COURSE_LAYERS.items()}
+
+
+def default_experiment(maps: MapSet) -> ExperimentConfig:
+    """The default experiment of the course kind whose layers maps has."""
+    present = {"elevation": maps.elevation, "class": maps.class_grid, "cloud": maps.cloud}
+    layers = tuple(name for name, layer in present.items() if layer is not None)
+    kind = _KIND_OF_LAYERS.get(frozenset(layers))
+    if kind is None:
+        raise ValueError(f"no course kind has the map layers {layers}; the kinds have {COURSE_LAYERS}")
+    return _DEFAULT_BUILDERS[kind]()
+
+
 def make_training_set(per_class: int, seed: int, noise_scale: float = 1.0):
     """Labeled synthetic signals covering every class, deterministic in seed."""
     rng = np.random.default_rng(seed)
@@ -234,32 +254,19 @@ def simulate_for_config(cfg: ExperimentConfig, seed: int):
     return course, log
 
 
-def run_localization(
-    log: WalkLog,
-    maps: MapSet,
-    mode: str,
-    cfg: LikelihoodConfig = LikelihoodConfig(),
-    n_particles: int = 500,
-    seed: int = 0,
-    prior_cov=None,
-    resample_frac: float = 0.5,
-    xy_std_threshold: float = 0.10,
-    cov_scale: float = 1.5,
-) -> FilterState:
-    """Run one filter mode over a walk log, starting from the log's prior."""
-    if prior_cov is None:
-        prior_cov = np.diag([0.0144, 0.0144, 0.0004, 0.0004, 0.0004, 0.0025])
+def run_localization(log: WalkLog, maps: MapSet, mode: str, cfg: ExperimentConfig, seed: int = 0) -> FilterState:
+    """Run one filter mode over a walk log with cfg's filter settings, starting from the log's prior."""
     return run_filter(
         log.init_prior,
-        prior_cov,
-        to_step_inputs(log, cov_scale),
+        cfg.prior_cov(),
+        to_step_inputs(log, cfg.cov_scale),
         maps,
-        cfg,
+        cfg.likelihood,
         mode=mode,
-        n_particles=n_particles,
+        n_particles=cfg.n_particles,
         seed=seed,
-        resample_frac=resample_frac,
-        xy_std_threshold=xy_std_threshold,
+        resample_frac=cfg.resample_frac,
+        xy_std_threshold=cfg.xy_std_threshold,
     )
 
 
@@ -330,18 +337,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
         report.rows.append(ReportRow("odom-only", str(seed), ate_odom, 0.0))
         results = [("odom-only", odom_traj, None)]
         for mode in cfg.modes:
-            state = run_localization(
-                log,
-                course,
-                mode,
-                cfg.likelihood,
-                n_particles=cfg.n_particles,
-                seed=seed,
-                prior_cov=cfg.prior_cov(),
-                resample_frac=cfg.resample_frac,
-                xy_std_threshold=cfg.xy_std_threshold,
-                cov_scale=cfg.cov_scale,
-            )
+            state = run_localization(log, course, mode, cfg, seed)
             a = ate(truth, state.trajectory)
             per_mode[mode].append(a)
             report.rows.append(ReportRow(mode, str(seed), a, 100.0 * (ate_odom - a) / ate_odom))
@@ -360,81 +356,91 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
     return report
 
 
-_DEFAULT_BUILDERS = {
-    "chevron-ramp": default_chevron_experiment,
-    "class-tiles": default_tiles_experiment,
-    "wall-room": default_wallroom_experiment,
+def parse_waypoints(text) -> tuple:
+    """'x,y x,y ...' -> ((x, y), ...)."""
+    try:
+        return tuple((float(a), float(b)) for a, b in (p.split(",") for p in text.split()))
+    except ValueError as e:
+        raise ValueError(f"bad waypoint list {text!r}: expected 'x,y x,y ...'") from e
+
+
+def _tuple_of(parse):
+    return lambda text: tuple(parse(word) for word in text.split())
+
+
+# (section, key) -> (ExperimentConfig field or field.subfield, parser of the
+# value). [experiment] kind picks the builder the file starts from, and out
+# is the run directory, not a setting.
+_INI_KEYS = {
+    ("experiment", "name"): ("name", str),
+    ("experiment", "seeds"): ("seeds", _tuple_of(int)),
+    ("experiment", "modes"): ("modes", _tuple_of(str)),
+    ("course", "resolution"): ("course.resolution", float),
+    ("walk", "waypoints"): ("waypoints", parse_waypoints),
+    ("walk", "step_length"): ("gait.step_length", float),
+    ("walk", "standing_height"): ("gait.standing_height", float),
+    ("noise", "white_std"): ("noise.white_std", _tuple_of(float)),
+    ("noise", "z_bias"): ("noise.z_bias", float),
+    ("noise", "yaw_bias"): ("noise.yaw_bias", float),
+    ("noise", "outlier_prob"): ("noise.outlier_prob", float),
+    ("filter", "particles"): ("n_particles", int),
+    ("filter", "sigma_z"): ("likelihood.sigma_z", float),
+    ("filter", "sigma_c"): ("likelihood.sigma_c", float),
+    ("filter", "resample_frac"): ("resample_frac", float),
+    ("filter", "xy_std_threshold"): ("xy_std_threshold", float),
+    ("filter", "prior_std_xyz"): ("prior_std_xyz", float),
 }
+_INI_SECTIONS = tuple(dict.fromkeys(section for section, _ in _INI_KEYS))
+
+
+def _with_sigmas(lik: LikelihoodConfig, **sigmas) -> LikelihoodConfig:
+    # built anew, not replaced: replace would keep the floors derived from the old sigmas
+    return LikelihoodConfig(**{"sigma_z": lik.sigma_z, "sigma_c": lik.sigma_c, **sigmas})
 
 
 def load_experiment_config(path):
     """Parse an INI experiment file; unset keys keep the course's defaults.
 
-    Returns (ExperimentConfig, out_dir or None).
+    Returns (ExperimentConfig, out_dir or None). A section or key outside
+    _INI_KEYS, or a value that does not parse, raises a ValueError naming
+    the file, the section and the key.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ValueError(f"cannot read config file {path}")
     if "experiment" not in cp or "kind" not in cp["experiment"]:
         raise ValueError(f"{path}: config needs an [experiment] section with a 'kind' key")
-    exp = cp["experiment"]
-    kind = exp["kind"]
+    kind = cp["experiment"]["kind"]
     if kind not in _DEFAULT_BUILDERS:
         raise ValueError(f"{path}: unknown course kind {kind!r}")
     cfg = _DEFAULT_BUILDERS[kind]()
 
-    updates = {}
-    if "name" in exp:
-        updates["name"] = exp["name"]
-    if "seeds" in exp:
-        updates["seeds"] = tuple(int(s) for s in exp["seeds"].split())
-    if "modes" in exp:
-        updates["modes"] = tuple(exp["modes"].split())
-    if "particles" in exp:
-        updates["n_particles"] = int(exp["particles"])
-
-    if "course" in cp:
-        sec = cp["course"]
-        course = cfg.course
-        if "resolution" in sec:
-            course = replace(course, resolution=float(sec["resolution"]))
-        updates["course"] = course
-    if "walk" in cp:
-        sec = cp["walk"]
-        if "waypoints" in sec:
-            pairs = [p.split(",") for p in sec["waypoints"].split()]
-            updates["waypoints"] = tuple((float(a), float(b)) for a, b in pairs)
-        gait = cfg.gait
-        for key, fld in (("step_length", "step_length"), ("standing_height", "standing_height")):
-            if key in sec:
-                gait = replace(gait, **{fld: float(sec[key])})
-        updates["gait"] = gait
-    if "noise" in cp:
-        sec = cp["noise"]
-        noise = cfg.noise
-        if "white_std" in sec:
-            noise = replace(noise, white_std=tuple(float(v) for v in sec["white_std"].split()))
-        for key in ("z_bias", "yaw_bias", "outlier_prob"):
-            if key in sec:
-                noise = replace(noise, **{key: float(sec[key])})
-        updates["noise"] = noise
-    if "filter" in cp:
-        sec = cp["filter"]
-        lik = cfg.likelihood
-        if "sigma_z" in sec or "sigma_c" in sec:
-            lik = LikelihoodConfig(
-                sigma_z=float(sec.get("sigma_z", lik.sigma_z)),
-                sigma_c=float(sec.get("sigma_c", lik.sigma_c)),
-            )
-        updates["likelihood"] = lik
-        if "particles" in sec:
-            updates["n_particles"] = int(sec["particles"])
-        if "resample_frac" in sec:
-            updates["resample_frac"] = float(sec["resample_frac"])
-        if "xy_std_threshold" in sec:
-            updates["xy_std_threshold"] = float(sec["xy_std_threshold"])
-        if "prior_std_xyz" in sec:
-            updates["prior_std_xyz"] = float(sec["prior_std_xyz"])
-
-    out_dir = exp.get("out", None)
-    return replace(cfg, **updates), out_dir
+    updates, sub_updates = {}, {}
+    for section in cp.sections():
+        if section not in _INI_SECTIONS:
+            keys = ", ".join(cp[section]) or "no keys"
+            raise ValueError(f"{path}: unknown section [{section}] ({keys}), expected one of {_INI_SECTIONS}")
+        for key, text in cp[section].items():
+            if section == "experiment" and key in ("kind", "out"):
+                continue
+            if (section, key) not in _INI_KEYS:
+                home = [f"[{s}]" for s, k in _INI_KEYS if k == key]
+                hint = f" (it belongs in {', '.join(home)})" if home else ""
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]{hint}")
+            name, parse = _INI_KEYS[section, key]
+            try:
+                value = parse(text)
+            except ValueError as e:
+                raise ValueError(f"{path}: [{section}] {key} = {text!r}: {e}") from e
+            fld, _, sub = name.partition(".")
+            if sub:
+                sub_updates.setdefault(fld, {})[sub] = value
+            else:
+                updates[fld] = value
+    try:
+        for fld, values in sub_updates.items():
+            updates[fld] = (_with_sigmas if fld == "likelihood" else replace)(getattr(cfg, fld), **values)
+        cfg = replace(cfg, **updates)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    return cfg, cp["experiment"].get("out")

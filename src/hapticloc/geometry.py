@@ -139,14 +139,6 @@ class Pose:
         q = np.array(self.quat, dtype=float).reshape(4)
         self.quat = quat_normalize(q)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose()
-
-    @property
-    def yaw(self) -> float:
-        return float(quat_yaw(self.quat))
-
     def to_array(self) -> np.ndarray:
         """7-vector [x y z qx qy qz qw]."""
         return np.concatenate([self.position, self.quat])

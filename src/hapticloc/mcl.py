@@ -148,11 +148,6 @@ def systematic_resample_indices(weights, rng: np.random.Generator) -> np.ndarray
     return np.searchsorted(cum, pointers, side="right").clip(max=n - 1)
 
 
-def effective_sample_size(log_weights) -> float:
-    w = np.exp(log_weights - _logsumexp(log_weights))
-    return float(1.0 / np.sum(w * w))
-
-
 def _logsumexp(a):
     m = np.max(a)
     if not np.isfinite(m):

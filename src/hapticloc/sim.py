@@ -357,7 +357,7 @@ def _path_samples(waypoints, step_length):
 def _base_pose(maps, xy, yaw, gait) -> Pose:
     z = elevation_at(maps.elevation, xy)
     if np.isnan(z):
-        raise ValueError(f"walk path leaves the map at xy={tuple(np.round(xy, 3))}")
+        raise ValueError(f"walk path leaves the map at xy=({round(float(xy[0]), 3)}, {round(float(xy[1]), 3)})")
     return Pose([xy[0], xy[1], z + gait.standing_height], quat_from_yaw(yaw))
 
 

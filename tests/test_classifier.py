@@ -27,7 +27,7 @@ def test_step_signal_validation():
     bad[2, 1] = np.inf
     with pytest.raises(ValueError):
         StepSignal(bad)
-    assert StepSignal(np.zeros((7, 6))).length == 7
+    assert StepSignal(np.zeros((7, 6))).samples.shape == (7, 6)
 
 
 def test_featurize_hand_case():

@@ -1,6 +1,6 @@
 """End-to-end command-line flows, driven through main() in-process."""
 
-import os
+import shutil
 
 import numpy as np
 import pytest
@@ -141,6 +141,56 @@ def test_wall_probe_requires_cloud(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--course", str(d), "--scenario", "wall-probe",
                        "--out", str(tmp_path / "x.log"))
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "kind, mode, walk",
+    [
+        ("chevron-ramp", "HL-G", ("--waypoints", "1.0,0.7 2.0,0.7")),
+        ("class-tiles", "HL-GC", ("--waypoints", "0.6,0.6 1.6,0.6")),
+    ],
+)
+def test_localize_on_each_course_kind(kind, mode, walk, tmp_path, capsys):
+    # the wall-room kind: test_wall_probe_flow_and_localize
+    d = tmp_path / "course"
+    run(capsys, "make-course", "--kind", kind, "--out", str(d))
+    log_path = tmp_path / "walk.log"
+    code, _, err = run(capsys, "simulate", "--course", str(d), *walk, "--seed", "1", "--out", str(log_path))
+    assert code == 0, err
+    out_dir = tmp_path / "loc"
+    code, out, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path),
+                         "--mode", mode, "--particles", "100", "--out", str(out_dir))
+    assert code == 0, err
+    assert out.startswith("final=(")
+    est_lines = [l for l in (out_dir / "estimate.traj").read_text().split("\n") if l]
+    assert len(est_lines) == load_walklog(log_path).n_steps + 1
+
+
+def test_course_layers_matching_no_kind_error(tmp_path, capsys):
+    d = tmp_path / "tiles"
+    run(capsys, "make-course", "--kind", "class-tiles", "--out", str(d))
+    room = tmp_path / "room"
+    run(capsys, "make-course", "--kind", "wall-room", "--out", str(room))
+    shutil.copy(room / "course.xyz", d / "course.xyz")
+    code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(tmp_path / "no.log"),
+                       "--out", str(tmp_path / "loc"))
+    assert code == 1
+    assert err.startswith("error:") and "('elevation', 'class', 'cloud')" in err
+    code, _, err = run(capsys, "simulate", "--course", str(d), "--out", str(tmp_path / "x.log"))
+    assert code == 1 and "('elevation', 'class', 'cloud')" in err
+
+
+def test_simulate_path_errors(tmp_path, capsys):
+    d = tmp_path / "room"
+    run(capsys, "make-course", "--kind", "wall-room", "--out", str(d))
+    log_path = str(tmp_path / "x.log")
+    code, _, err = run(capsys, "simulate", "--course", str(d), "--out", log_path)
+    assert code == 1 and "wall-room course has no default walk" in err
+    code, _, err = run(capsys, "simulate", "--course", str(d), "--waypoints", "1.0,0.7 6.2,0.7", "--out", log_path)
+    assert code == 1
+    assert err.strip() == "error: walk path leaves the map at xy=(2.5, 0.7)"
+    code, _, err = run(capsys, "simulate", "--course", str(d), "--waypoints", "1.0,0.7 6.2", "--out", log_path)
+    assert code == 1 and "bad waypoint list" in err
 
 
 def test_localize_missing_course_errors(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """ATE metric, experiment configs, report generation, INI parsing."""
 
 import filecmp
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hapticloc.evaluate import (
     ReportRow,
     ate,
     default_chevron_experiment,
+    default_experiment,
     default_tiles_experiment,
     default_wallroom_experiment,
     load_experiment_config,
@@ -23,6 +26,9 @@ from hapticloc.evaluate import (
     write_report,
 )
 from hapticloc.geometry import Pose, quat_from_rotvec, quat_from_yaw
+from hapticloc.likelihood import LikelihoodConfig
+from hapticloc.maps import MapSet
+from hapticloc.mcl import run_filter
 from hapticloc.sim import CourseSpec, GaitParams, NoiseSpec, simulate_walk, generate_course
 
 
@@ -104,18 +110,23 @@ def test_experiment_config_validation():
     assert np.allclose(np.diag(cov), [0.12**2, 0.12**2, 0.02**2, 0.02**2, 0.02**2, 0.05**2])
 
 
+# modes and seeds each list distinct values, checked by the constructor and
+# so by the INI loader
 @pytest.mark.parametrize(
-    "modes, match",
-    [(("odom-only", "HL-G"), "unknown mode 'odom-only'"), (("HL-G", "HL-G"), "repeat")],
-    ids=["odom-only", "repeated"],
+    "key, values, match",
+    [
+        ("modes", ("odom-only", "HL-G"), "unknown mode 'odom-only'"),
+        ("modes", ("HL-G", "HL-G"), "repeat"),
+        ("seeds", (), "distinct seeds"),
+        ("seeds", (1, 1), "distinct seeds"),
+    ],
+    ids=["odom-only", "repeated", "no-seeds", "repeated-seeds"],
 )
-def test_modes_are_distinct_filter_modes(modes, match, tmp_path):
-    from dataclasses import replace
-
+def test_modes_are_distinct_filter_modes(key, values, match, tmp_path):
     with pytest.raises(ValueError, match=match):
-        replace(default_chevron_experiment(seeds=(1,)), modes=modes)
+        replace(default_chevron_experiment(seeds=(1,)), **{key: values})
     p = tmp_path / "modes.ini"
-    p.write_text(f"[experiment]\nkind = chevron-ramp\nmodes = {' '.join(modes)}\n")
+    p.write_text(f"[experiment]\nkind = chevron-ramp\n{key} = {' '.join(map(str, values))}\n")
     with pytest.raises(ValueError, match=match):
         load_experiment_config(p)
 
@@ -125,12 +136,16 @@ def test_default_experiments_are_valid():
         cfg = builder(seeds=(1,))
         assert cfg.seeds == (1,)
         assert cfg.n_particles == 500
+        # a course's layers name its kind's default experiment
+        assert default_experiment(generate_course(cfg.course)) == builder()
+    tiles = generate_course(CourseSpec("class-tiles"))
+    room = generate_course(CourseSpec("wall-room"))
+    with pytest.raises(ValueError, match=r"\('elevation', 'class', 'cloud'\)"):
+        default_experiment(MapSet(tiles.elevation, class_grid=tiles.class_grid, cloud=room.cloud))
 
 
 def tiny_chevron(seeds=(1, 2)):
     base = default_chevron_experiment(seeds=seeds)
-    from dataclasses import replace
-
     return replace(base, waypoints=((1.0, 0.7), (3.4, 0.7)), n_particles=150)
 
 
@@ -215,8 +230,6 @@ def test_write_report_row_order(tmp_path):
 
 
 def test_simulate_for_config_class_probs():
-    from dataclasses import replace
-
     base = default_tiles_experiment(seeds=(1,))
     cfg = replace(base, waypoints=((0.6, 0.6), (2.0, 0.6)), use_classifier=False)
     _, log = simulate_for_config(cfg, 1)
@@ -239,13 +252,36 @@ def test_courses_differ_across_experiment_seeds():
     assert not np.array_equal(a.elevation.heights, b.elevation.heights)
 
 
-def test_run_localization_default_prior():
+def test_run_localization_reads_the_experiment_config():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     log = simulate_walk(
         maps, CHEVRON_WAYPOINTS, noise=NoiseSpec(white_std=(0.004,) * 6), seed=0, n_steps=10
     )
-    st = run_localization(log, maps, "HL-G", n_particles=80, seed=0)
-    assert len(st.trajectory) == 11
+    cfg = replace(
+        default_chevron_experiment(),
+        likelihood=LikelihoodConfig(sigma_z=0.02),
+        n_particles=80,
+        resample_frac=0.7,
+        xy_std_threshold=0.05,
+        prior_std_xyz=0.1,
+        cov_scale=2.0,
+    )
+    st = run_localization(log, maps, "HL-G", cfg, seed=3)
+    want = run_filter(
+        log.init_prior,
+        np.diag([0.1**2, 0.1**2, 0.02**2, 0.02**2, 0.02**2, 0.05**2]),
+        to_step_inputs(log, cov_scale=2.0),
+        maps,
+        LikelihoodConfig(sigma_z=0.02),
+        mode="HL-G",
+        n_particles=80,
+        seed=3,
+        resample_frac=0.7,
+        xy_std_threshold=0.05,
+    )
+    assert len(st.trajectory) == 11 and st.n_particles == 80
+    assert all(np.array_equal(a.to_array(), b.to_array()) for a, b in zip(st.trajectory, want.trajectory))
+    assert [d.ess for d in st.diagnostics] == [d.ess for d in want.diagnostics]
 
 
 def test_load_experiment_config_overrides(tmp_path):
@@ -256,7 +292,6 @@ def test_load_experiment_config_overrides(tmp_path):
         "name = my-tiles\n"
         "seeds = 7 8\n"
         "modes = HL-G HL-GC\n"
-        "particles = 350\n"
         "out = runs/custom\n"
         "[course]\n"
         "resolution = 0.1\n"
@@ -267,6 +302,7 @@ def test_load_experiment_config_overrides(tmp_path):
         "white_std = 0.003 0.003 0.002 0.0003 0.0003 0.001\n"
         "z_bias = 0.002\n"
         "[filter]\n"
+        "particles = 350\n"
         "sigma_z = 0.02\n"
         "resample_frac = 0.4\n"
         "prior_std_xyz = 0.2\n"
@@ -282,33 +318,48 @@ def test_load_experiment_config_overrides(tmp_path):
     assert cfg.noise.white_std == (0.003, 0.003, 0.002, 0.0003, 0.0003, 0.001)
     assert cfg.noise.z_bias == 0.002
     assert cfg.noise.yaw_bias == 0.0006  # untouched default for this course
-    assert cfg.likelihood.sigma_z == 0.02 and cfg.likelihood.sigma_c == 0.05
+    # a new config, so the floor follows the new sigma_z
+    assert cfg.likelihood == LikelihoodConfig(sigma_z=0.02, sigma_c=0.05)
     assert cfg.resample_frac == 0.4
     assert cfg.prior_std_xyz == 0.2
     assert out == "runs/custom"
 
 
+# (INI text, pattern of the error); each error starts with the file's path
+BAD_CONFIGS = [
+    ("[experiment]\nname = x\n", "kind"),
+    ("[experiment]\nkind = volcano\n", "unknown course kind"),
+    ("[experiment]\nkind = chevron-ramp\n[filtr]\nparticles = 7\n", r"unknown section \[filtr\] \(particles\)"),
+    ("[experiment]\nkind = chevron-ramp\n[filter]\npartciles = 7\n", r"unknown key 'partciles' in section \[filter\]"),
+    (
+        "[experiment]\nkind = chevron-ramp\nparticles = 7\n",
+        r"unknown key 'particles' in section \[experiment\] \(it belongs in \[filter\]\)",
+    ),
+    ("[experiment]\nkind = chevron-ramp\n[filter]\nparticles = 7.5\n", r"\[filter\] particles = '7.5'"),
+    ("[experiment]\nkind = chevron-ramp\n[noise]\nz_bias = fast\n", r"\[noise\] z_bias = 'fast'"),
+    ("[experiment]\nkind = chevron-ramp\nseeds = 1 two\n", r"\[experiment\] seeds = '1 two'"),
+    ("[experiment]\nkind = chevron-ramp\n[walk]\nwaypoints = 1.0,0.7 3.0\n", r"\[walk\] waypoints = .*bad waypoint list"),
+]
+
+
 def test_load_experiment_config_errors(tmp_path):
     with pytest.raises(ValueError, match="cannot read"):
         load_experiment_config(tmp_path / "missing.ini")
-    p = tmp_path / "nokind.ini"
-    p.write_text("[experiment]\nname = x\n")
-    with pytest.raises(ValueError, match="kind"):
-        load_experiment_config(p)
-    p2 = tmp_path / "badkind.ini"
-    p2.write_text("[experiment]\nkind = volcano\n")
-    with pytest.raises(ValueError, match="unknown course kind"):
-        load_experiment_config(p2)
+    p = tmp_path / "bad.ini"
+    for body, match in BAD_CONFIGS:
+        p.write_text(body)
+        with pytest.raises(ValueError, match=match) as err:
+            load_experiment_config(p)
+        assert str(err.value).startswith(str(p))
 
 
 def test_packaged_configs_parse():
-    import pathlib
-
     root = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    for name, kind in (
-        ("chevron.ini", "chevron-ramp"),
-        ("class_tiles.ini", "class-tiles"),
-        ("wall_room.ini", "wall-room"),
+    for name, builder in (
+        ("chevron.ini", default_chevron_experiment),
+        ("class_tiles.ini", default_tiles_experiment),
+        ("wall_room.ini", default_wallroom_experiment),
     ):
-        cfg, _ = load_experiment_config(root / name)
-        assert cfg.course.kind == kind
+        cfg, out = load_experiment_config(root / name)
+        assert cfg == builder()
+        assert out is None

@@ -36,7 +36,6 @@ from hapticloc.mcl import (
     FilterState,
     StepInput,
     _logsumexp,
-    effective_sample_size,
     estimate_detail,
     init_filter,
     run_filter,
@@ -104,11 +103,17 @@ def test_systematic_resample_deterministic_under_seed():
 
 
 def test_effective_sample_size_bounds():
+    # a step without contacts keeps the weights, so StepDiagnostics.ess is theirs
     n = 64
-    assert effective_sample_size(np.full(n, -np.log(n))) == pytest.approx(n)
+    still = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros(6), [])
+    st = init_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=n, seed=0)
+    step(st, still, flat_maps(), LikelihoodConfig())
+    assert st.diagnostics[-1].ess == pytest.approx(n)
     lw = np.full(n, -1e3)
     lw[3] = 0.0
-    assert effective_sample_size(lw) == pytest.approx(1.0)
+    st.log_weights = lw
+    step(st, still, flat_maps(), LikelihoodConfig())
+    assert st.diagnostics[-1].ess == pytest.approx(1.0)
 
 
 def test_init_filter_validation_and_prior():
