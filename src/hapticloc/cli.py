@@ -20,36 +20,28 @@ from .likelihood import MODES
 from .maps import MapSet, load_map, save_map
 from .mcl import write_diagnostics_csv
 from .network import forward, load_weights
-from .sim import CourseSpec, GaitParams, NoiseSpec
+from .sim import CourseSpec
+
+
+# the file of each map layer in a course directory
+_LAYER_FILES = {"elevation": "course.hmap", "class": "course.cmap", "cloud": "course.xyz"}
 
 
 def save_course_dir(maps: MapSet, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    save_map(maps.elevation, os.path.join(out_dir, "course.hmap"))
-    written.append(os.path.join(out_dir, "course.hmap"))
-    if maps.class_grid is not None:
-        save_map(maps.class_grid, os.path.join(out_dir, "course.cmap"))
-        written.append(os.path.join(out_dir, "course.cmap"))
-    if maps.cloud is not None:
-        save_map(maps.cloud, os.path.join(out_dir, "course.xyz"))
-        written.append(os.path.join(out_dir, "course.xyz"))
+    for name, layer in maps.layers.items():
+        written.append(os.path.join(out_dir, _LAYER_FILES[name]))
+        save_map(layer, written[-1])
     return written
 
 
 def load_course_dir(path) -> MapSet:
-    hmap = os.path.join(path, "course.hmap")
-    if not os.path.isfile(hmap):
+    files = {name: os.path.join(path, file) for name, file in _LAYER_FILES.items()}
+    if not os.path.isfile(files["elevation"]):
         raise FileNotFoundError(f"no course.hmap in {path}")
-    elevation = load_map(hmap)
-    class_grid = cloud = None
-    cmap = os.path.join(path, "course.cmap")
-    if os.path.isfile(cmap):
-        class_grid = load_map(cmap)
-    xyz = os.path.join(path, "course.xyz")
-    if os.path.isfile(xyz):
-        cloud = load_map(xyz)
-    return MapSet(elevation, class_grid=class_grid, cloud=cloud)
+    layers = {name: load_map(file) for name, file in files.items() if os.path.isfile(file)}
+    return MapSet(layers["elevation"], class_grid=layers.get("class"), cloud=layers.get("cloud"))
 
 
 def _cmd_make_course(args) -> int:
@@ -63,17 +55,16 @@ def _cmd_make_course(args) -> int:
 def _cmd_simulate(args) -> int:
     course = load_course_dir(args.course)
     default = evaluate.default_experiment(course)
-    gait, noise = GaitParams(), NoiseSpec()
     if args.scenario == "wall-probe":
         if default.scenario != "wall-probe":
             raise ValueError(f"wall-probe scenario needs a wall-room course, not {default.course.kind}")
-        log = sim.probe_scenario(course, default.course.wall_room, gait, noise, args.seed)
+        log = sim.probe_scenario(course, default.course.wall_room, default.gait, default.noise, args.seed)
     else:
         waypoints = evaluate.parse_waypoints(args.waypoints) if args.waypoints else default.waypoints
         if waypoints is None:
             raise ValueError(f"a {default.course.kind} course has no default walk: pass --waypoints")
         log = sim.simulate_walk(
-            course, waypoints, gait, noise, args.seed, synth_signals=course.class_grid is not None
+            course, waypoints, default.gait, default.noise, args.seed, synth_signals="class" in course.layers
         )
     signals_dir = "signals" if any(s is not None for r in log.records for s in r.signals) else None
     sim.save_walklog(log, args.out, signals_dir=signals_dir)
@@ -84,15 +75,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_localize(args) -> int:
     course = load_course_dir(args.course)
-    cfg = replace(evaluate.default_experiment(course), n_particles=args.particles)
-    needs_class = "class" in MODES[args.mode]
+    cfg = evaluate.default_experiment(course)
+    if args.particles is not None:
+        cfg = replace(cfg, n_particles=args.particles)
+    mode = args.mode or cfg.modes[0]
+    needs_class = "class" in MODES[mode]
     log = sim.load_walklog(args.walklog, load_signals=needs_class and args.baseline is not None)
     if needs_class:
         if args.baseline is not None:
             sim.classify_log(log, load_baseline(args.baseline))
         else:
             sim.one_hot_log(log)
-    state = evaluate.run_localization(log, course, args.mode, cfg, seed=args.seed)
+    state = evaluate.run_localization(log, course, mode, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     save_trajectory(os.path.join(args.out, "estimate.traj"), state.trajectory, log.timestamps())
     write_diagnostics_csv(state, os.path.join(args.out, "diagnostics.csv"))
@@ -157,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="run the particle filter over a walk log")
     p.add_argument("--course", required=True)
     p.add_argument("--walklog", required=True)
-    p.add_argument("--mode", default="HL-G", choices=tuple(MODES))
-    p.add_argument("--particles", type=int, default=500)
+    p.add_argument("--mode", choices=tuple(MODES), help="default: the course kind's first experiment mode")
+    p.add_argument("--particles", type=int, help="default: the course kind's experiment particle count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", help="trained baseline classifier json for class modes")
     p.add_argument("--out", required=True, help="output directory")

@@ -15,9 +15,9 @@ import numpy as np
 
 from .classifier import LogisticBaseline, baseline_train
 from .geometry import Pose, quat_conjugate, quat_rotate, quat_yaw, save_trajectory, wrap_angle
-from .likelihood import MODES, LikelihoodConfig
+from .likelihood import MODES, LikelihoodConfig, require_layers
 from .maps import MapSet
-from .mcl import FilterState, StepInput, run_filter, write_diagnostics_csv
+from .mcl import FilterState, StepInput, init_filter, run_filter, write_diagnostics_csv
 from .sim import (
     COURSE_LAYERS,
     N_TERRAIN_CLASSES,
@@ -25,6 +25,7 @@ from .sim import (
     GaitParams,
     NoiseSpec,
     WalkLog,
+    check_waypoints,
     classify_log,
     generate_course,
     one_hot_log,
@@ -101,21 +102,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "waypoints" and self.waypoints is None:
             raise ValueError("waypoint scenario needs waypoints")
+        if self.waypoints is not None:
+            check_waypoints(self.waypoints)
         if self.scenario == "wall-probe" and self.course.kind != "wall-room":
             raise ValueError("wall-probe scenario requires the wall-room course")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes {self.modes} repeat a mode")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds {self.seeds} must be one or more distinct seeds")
-        has = COURSE_LAYERS[self.course.kind]
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(
                     f"unknown mode {mode!r}, expected one of {tuple(MODES)} (odom-only is always reported)"
                 )
-            missing = [l for l in MODES[mode] if l not in has]
-            if missing:
-                raise ValueError(f"mode {mode} needs map layers {missing} absent from course {self.course.kind}")
+            require_layers(MODES[mode], COURSE_LAYERS[self.course.kind])
 
     def prior_cov(self) -> np.ndarray:
         return np.diag(
@@ -211,8 +211,7 @@ _KIND_OF_LAYERS = {frozenset(layers): kind for kind, layers in COURSE_LAYERS.ite
 
 def default_experiment(maps: MapSet) -> ExperimentConfig:
     """The default experiment of the course kind whose layers maps has."""
-    present = {"elevation": maps.elevation, "class": maps.class_grid, "cloud": maps.cloud}
-    layers = tuple(name for name, layer in present.items() if layer is not None)
+    layers = tuple(maps.layers)
     kind = _KIND_OF_LAYERS.get(frozenset(layers))
     if kind is None:
         raise ValueError(f"no course kind has the map layers {layers}; the kinds have {COURSE_LAYERS}")
@@ -257,16 +256,18 @@ def simulate_for_config(cfg: ExperimentConfig, seed: int):
 def run_localization(log: WalkLog, maps: MapSet, mode: str, cfg: ExperimentConfig, seed: int = 0) -> FilterState:
     """Run one filter mode over a walk log with cfg's filter settings, starting from the log's prior."""
     return run_filter(
-        log.init_prior,
-        cfg.prior_cov(),
+        init_filter(
+            log.init_prior,
+            cfg.prior_cov(),
+            maps,
+            cfg.likelihood,
+            mode=mode,
+            n_particles=cfg.n_particles,
+            seed=seed,
+            resample_frac=cfg.resample_frac,
+            xy_std_threshold=cfg.xy_std_threshold,
+        ),
         to_step_inputs(log, cfg.cov_scale),
-        maps,
-        cfg.likelihood,
-        mode=mode,
-        n_particles=cfg.n_particles,
-        seed=seed,
-        resample_frac=cfg.resample_frac,
-        xy_std_threshold=cfg.xy_std_threshold,
     )
 
 
@@ -357,11 +358,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
 
 
 def parse_waypoints(text) -> tuple:
-    """'x,y x,y ...' -> ((x, y), ...)."""
+    """'x,y x,y ...' -> ((x, y), ...), checked by check_waypoints."""
     try:
-        return tuple((float(a), float(b)) for a, b in (p.split(",") for p in text.split()))
+        waypoints = tuple((float(a), float(b)) for a, b in (p.split(",") for p in text.split()))
     except ValueError as e:
         raise ValueError(f"bad waypoint list {text!r}: expected 'x,y x,y ...'") from e
+    check_waypoints(waypoints)
+    return waypoints
 
 
 def _tuple_of(parse):
@@ -391,11 +394,6 @@ _INI_KEYS = {
     ("filter", "prior_std_xyz"): ("prior_std_xyz", float),
 }
 _INI_SECTIONS = tuple(dict.fromkeys(section for section, _ in _INI_KEYS))
-
-
-def _with_sigmas(lik: LikelihoodConfig, **sigmas) -> LikelihoodConfig:
-    # built anew, not replaced: replace would keep the floors derived from the old sigmas
-    return LikelihoodConfig(**{"sigma_z": lik.sigma_z, "sigma_c": lik.sigma_c, **sigmas})
 
 
 def load_experiment_config(path):
@@ -439,7 +437,7 @@ def load_experiment_config(path):
                 updates[fld] = value
     try:
         for fld, values in sub_updates.items():
-            updates[fld] = (_with_sigmas if fld == "likelihood" else replace)(getattr(cfg, fld), **values)
+            updates[fld] = replace(getattr(cfg, fld), **values)
         cfg = replace(cfg, **updates)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e

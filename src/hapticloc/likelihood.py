@@ -8,8 +8,8 @@ Three channels, one per map layer:
               N(d; 0, sigma_c) of the lattice distance d to the nearest cell of
               the estimated class
 
-Every channel is floored in the linear domain (default floor: the channel's
-density at 3 sigma) so a single bad contact cannot zero a particle. A foot that
+Every channel is floored in the linear domain at the channel's density at
+3 sigma, so a single bad contact cannot zero a particle. A foot that
 falls outside the map, or on a no-data / unlabeled cell, contributes a neutral
 factor of 1 (log-likelihood 0).
 
@@ -43,7 +43,7 @@ sums bit for bit as evaluating the contacts one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,28 +85,23 @@ def gaussian_log_density(x, sigma):
 
 @dataclass(frozen=True)
 class LikelihoodConfig:
-    """Channel sigmas and linear-domain floors.
+    """Channel sigmas and the linear-domain floors derived from them.
 
-    Floors left as None resolve to the channel density at 3 sigma, which keeps
-    the floor strictly below the peak for any sigma.
+    Each floor is its channel's density at 3 sigma, strictly below the peak
+    for any sigma. The floors are not settable: replace(cfg, sigma_z=...)
+    derives them anew from the new sigmas.
     """
 
     sigma_z: float = 0.01
     sigma_c: float = 0.05
-    rho: float | None = None
-    class_rho: float | None = None
+    rho: float = field(init=False)
+    class_rho: float = field(init=False)
 
     def __post_init__(self):
         if not self.sigma_z > 0.0 or not self.sigma_c > 0.0:
             raise ValueError("likelihood sigmas must be positive")
-        if self.rho is None:
-            object.__setattr__(self, "rho", float(gaussian_density(3.0 * self.sigma_z, self.sigma_z)))
-        if self.class_rho is None:
-            object.__setattr__(self, "class_rho", float(gaussian_density(3.0 * self.sigma_c, self.sigma_c)))
-        if not 0.0 < self.rho < float(gaussian_density(0.0, self.sigma_z)):
-            raise ValueError("rho must lie strictly between 0 and the elevation peak density")
-        if not 0.0 < self.class_rho < float(gaussian_density(0.0, self.sigma_c)):
-            raise ValueError("class_rho must lie strictly between 0 and the class peak density")
+        object.__setattr__(self, "rho", float(gaussian_density(3.0 * self.sigma_z, self.sigma_z)))
+        object.__setattr__(self, "class_rho", float(gaussian_density(3.0 * self.sigma_c, self.sigma_c)))
 
     @property
     def log_rho(self) -> float:
@@ -215,6 +210,13 @@ def _estimated_class(contact: ContactMeasurement, grid: ClassGrid) -> int:
     return int(np.argmax(probs))
 
 
+def require_layers(channels, layers) -> None:
+    """Raise unless layers, names of map layers, include the layer every channel reads."""
+    for name in channels:
+        if name not in layers:
+            raise ValueError(f"the {name} channel requires a {name} layer, not among the map layers {tuple(layers)}")
+
+
 def contacts_log_likelihood(positions, quats, contacts, channels, maps: MapSet, cfg: LikelihoodConfig) -> np.ndarray:
     """Joint log-likelihoods (K, N) of K contacts at N particles given as arrays.
 
@@ -224,12 +226,9 @@ def contacts_log_likelihood(positions, quats, contacts, channels, maps: MapSet, 
     k starts at 0 and adds the channels given in the order elevation, class,
     cloud: (0 + elevation) + class for elevation and class.
     """
+    require_layers(channels, maps.layers)
     if "class" in channels:
-        if maps.class_grid is None:
-            raise ValueError("the class channel requires a class layer")
         column = np.array([_estimated_class(c, maps.class_grid) for c in contacts]).reshape(-1, 1)
-    if "cloud" in channels and maps.cloud is None:
-        raise ValueError("the cloud channel requires a point cloud layer")
 
     feet = np.array([c.foot.vec for c in contacts]).reshape(-1, 1, 3)
     world = quat_rotate(quats, feet) + positions

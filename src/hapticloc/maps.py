@@ -143,6 +143,12 @@ class MapSet:
         if self.class_grid is not None:
             check_same_lattice(self.elevation, self.class_grid)
 
+    @property
+    def layers(self) -> dict:
+        """The layers present, by the name of the likelihood channel that reads each."""
+        present = {"elevation": self.elevation, "class": self.class_grid, "cloud": self.cloud}
+        return {name: layer for name, layer in present.items() if layer is not None}
+
 
 def check_same_lattice(a, b) -> None:
     if (

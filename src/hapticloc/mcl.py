@@ -29,7 +29,7 @@ from .geometry import (
     quat_rotate,
     quat_to_rotvec,
 )
-from .likelihood import MODES, ContactMeasurement, LikelihoodConfig, contacts_log_likelihood
+from .likelihood import MODES, ContactMeasurement, LikelihoodConfig, contacts_log_likelihood, require_layers
 from .maps import MapSet
 
 log = logging.getLogger(__name__)
@@ -61,28 +61,31 @@ class StepInput:
 
 @dataclass
 class StepDiagnostics:
-    k: int
     ess: float
     xy_std: np.ndarray
     branch: str
-    estimate: Pose
 
 
 @dataclass
 class FilterState:
+    """The particle set plus every setting of the run, bound once by init_filter.
+
+    trajectory[0] is the prior mean and trajectory[k] the estimate after step
+    k, whose diagnostics are diagnostics[k - 1].
+    """
+
     positions: np.ndarray
     quats: np.ndarray
     log_weights: np.ndarray
     rng: np.random.Generator
-    resample_frac: float
-    xy_std_threshold: float
-    last_estimate: Pose
+    maps: MapSet
+    likelihood: LikelihoodConfig
     # the likelihood channels of the filter's mode, a value of MODES
     channels: tuple[str, ...]
-    last_increment: Pose | None = None
-    trajectory: list[Pose] = field(default_factory=list)
+    resample_frac: float
+    xy_std_threshold: float
+    trajectory: list[Pose]
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
-    step_count: int = 0
     divergence_count: int = 0
     # the last odometry covariance step factored (a copy) and its factor
     odom_cov: np.ndarray | None = None
@@ -92,26 +95,28 @@ class FilterState:
     def n_particles(self) -> int:
         return len(self.log_weights)
 
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
 
 def init_filter(
     prior_mean: Pose,
     prior_cov,
-    n_particles: int = 500,
-    seed: int = 0,
-    resample_frac: float = 0.5,
-    xy_std_threshold: float = 0.10,
-    mode: str = "HL-G",
+    maps: MapSet,
+    likelihood: LikelihoodConfig,
+    *,
+    mode: str,
+    n_particles: int,
+    seed: int,
+    resample_frac: float,
+    xy_std_threshold: float,
 ) -> FilterState:
     """Sample the prior particle set; the trajectory starts at the prior mean.
 
-    mode, a key of MODES, fixes the likelihood channels every step weighs
-    its contacts with.
+    Binds every setting of the run: the maps and likelihood every step
+    weighs its contacts against, and the channels of mode, a key of MODES.
+    A mode whose channels need a layer maps lacks raises here.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
+    require_layers(MODES[mode], maps.layers)
     if n_particles < 1:
         raise ValueError("need at least one particle")
     if not 0.0 <= resample_frac <= 1.0:
@@ -121,18 +126,18 @@ def init_filter(
     delta = rng.standard_normal((n_particles, 6)) @ factor.T
     positions = prior_mean.position + quat_rotate(prior_mean.quat, delta[:, :3])
     quats = quat_mul(prior_mean.quat, quat_from_rotvec(delta[:, 3:]))
-    state = FilterState(
+    return FilterState(
         positions=positions,
         quats=quats,
         log_weights=np.full(n_particles, -np.log(n_particles)),
         rng=rng,
+        maps=maps,
+        likelihood=likelihood,
+        channels=MODES[mode],
         resample_frac=float(resample_frac),
         xy_std_threshold=float(xy_std_threshold),
-        last_estimate=prior_mean,
-        channels=MODES[mode],
+        trajectory=[prior_mean],
     )
-    state.trajectory.append(prior_mean)
-    return state
 
 
 def systematic_resample_indices(weights, rng: np.random.Generator) -> np.ndarray:
@@ -155,12 +160,12 @@ def _logsumexp(a):
     return m + np.log(np.sum(np.exp(a - m)))
 
 
-def estimate_detail(state: FilterState):
+def estimate_detail(state: FilterState, increment: Pose):
     """(pose, xy_std, branch): weighted mean, or the dead-reckoning fallback.
 
     The full branch averages positions with the weights and averages orientation
     in the tangent space linearized at the highest-weight particle. The z-only
-    branch composes the previous estimate with the latest odometry increment
+    branch composes the previous estimate with the step's odometry increment
     for x, y, and orientation, and takes just z from the weighted mean.
     """
     w = np.exp(state.log_weights - _logsumexp(state.log_weights))
@@ -172,9 +177,7 @@ def estimate_detail(state: FilterState):
         mean_rv = w @ quat_to_rotvec(dq)
         q = quat_mul(ref, quat_from_rotvec(mean_rv))
         return Pose(mean_p, q), xy_std, "full"
-    base = state.last_estimate
-    if state.last_increment is not None:
-        base = compose(base, state.last_increment)
+    base = compose(state.trajectory[-1], increment)
     return Pose([base.position[0], base.position[1], mean_p[2]], base.quat), xy_std, "z-only"
 
 
@@ -195,16 +198,17 @@ def contacts_for_mode(contacts) -> list:
     return [c for c in contacts if c.in_contact]
 
 
-def step(state: FilterState, inp: StepInput, maps: MapSet, cfg: LikelihoodConfig) -> FilterState:
+def step(state: FilterState, inp: StepInput) -> FilterState:
     """Advance the filter by one four-support phase; mutates and returns state.
 
     Contacts with in_contact False are skipped (contacts_for_mode). The
-    others are weighed with the channels of the filter's mode, all together:
-    one quaternion call moves them to world points, and each channel queries
-    its map layer once for all of them. Their log-likelihoods are then added
-    to the weights one contact at a time, in contact order. The
-    odometry covariance factor is cached in the state and recomputed, with the
-    full symmetry and PSD checks, only when the covariance changes.
+    others are weighed against the state's maps and likelihood with the
+    channels of the filter's mode, all together: one quaternion call moves
+    them to world points, and each channel queries its map layer once for
+    all of them. Their log-likelihoods are then added to the weights one
+    contact at a time, in contact order. The odometry covariance factor is
+    cached in the state and recomputed, with the full symmetry and PSD
+    checks, only when the covariance changes.
     """
     n = state.n_particles
     inc = inp.odom_increment
@@ -219,14 +223,16 @@ def step(state: FilterState, inp: StepInput, maps: MapSet, cfg: LikelihoodConfig
 
     active = contacts_for_mode(inp.contacts)
     if active:
-        for ll in contacts_log_likelihood(state.positions, state.quats, active, state.channels, maps, cfg):
+        for ll in contacts_log_likelihood(
+            state.positions, state.quats, active, state.channels, state.maps, state.likelihood
+        ):
             state.log_weights = state.log_weights + ll
 
     total = _logsumexp(state.log_weights)
     if not np.isfinite(total):
         # every weight underflowed: reset rather than crash, and record it
         state.divergence_count += 1
-        log.warning("step %d: all particle weights underflowed, resetting to uniform", state.step_count + 1)
+        log.warning("step %d: all particle weights underflowed, resetting to uniform", len(state.diagnostics) + 1)
         state.log_weights = np.full(n, -np.log(n))
     else:
         state.log_weights = state.log_weights - total
@@ -239,31 +245,16 @@ def step(state: FilterState, inp: StepInput, maps: MapSet, cfg: LikelihoodConfig
         state.quats = state.quats[idx]
         state.log_weights = np.full(n, -np.log(n))
 
-    state.last_increment = inc
-    est, xy_std, branch = estimate_detail(state)
-    state.step_count += 1
+    est, xy_std, branch = estimate_detail(state, inc)
     state.trajectory.append(est)
-    state.last_estimate = est
-    state.diagnostics.append(StepDiagnostics(state.step_count, ess, xy_std, branch, est))
+    state.diagnostics.append(StepDiagnostics(ess, xy_std, branch))
     return state
 
 
-def run_filter(
-    prior_mean: Pose,
-    prior_cov,
-    inputs,
-    maps: MapSet,
-    cfg: LikelihoodConfig,
-    mode: str = "HL-G",
-    n_particles: int = 500,
-    seed: int = 0,
-    resample_frac: float = 0.5,
-    xy_std_threshold: float = 0.10,
-) -> FilterState:
-    """Run the filter over a sequence of StepInputs in the given mode."""
-    state = init_filter(prior_mean, prior_cov, n_particles, seed, resample_frac, xy_std_threshold, mode)
+def run_filter(state: FilterState, inputs) -> FilterState:
+    """Step the filter through a sequence of StepInputs; mutates and returns state."""
     for inp in inputs:
-        step(state, inp, maps, cfg)
+        step(state, inp)
     return state
 
 
@@ -271,6 +262,6 @@ def write_diagnostics_csv(state: FilterState, path) -> None:
     """Per-step diagnostics: ESS, xy spread, estimate branch, estimated pose."""
     with open(path, "w") as f:
         f.write("k,ess,xy_std_x,xy_std_y,branch,x,y,z,qx,qy,qz,qw\n")
-        for d in state.diagnostics:
-            pose = ",".join(format(v, ".17g") for v in d.estimate.to_array())
-            f.write(f"{d.k},{d.ess:.17g},{d.xy_std[0]:.17g},{d.xy_std[1]:.17g},{d.branch},{pose}\n")
+        for k, d in enumerate(state.diagnostics, start=1):
+            pose = ",".join(format(v, ".17g") for v in state.trajectory[k].to_array())
+            f.write(f"{k},{d.ess:.17g},{d.xy_std[0]:.17g},{d.xy_std[1]:.17g},{d.branch},{pose}\n")

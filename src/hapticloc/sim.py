@@ -332,15 +332,24 @@ class WalkLog:
         return out
 
 
-def _path_samples(waypoints, step_length):
-    """Positions and headings every step_length metres along a polyline."""
+def check_waypoints(waypoints) -> np.ndarray:
+    """The waypoints as an (n >= 2, 2) float array of finite values, no
+    waypoint equal to the one before it; the map is checked when walked."""
     wp = np.asarray(waypoints, dtype=float)
     if wp.ndim != 2 or wp.shape[1] != 2 or len(wp) < 2:
-        raise ValueError("waypoints must be an (n>=2, 2) array")
+        raise ValueError(f"waypoints must be an (n>=2, 2) array, got shape {wp.shape}")
+    if not np.isfinite(wp).all():
+        raise ValueError("waypoints must be finite")
+    if np.any(np.linalg.norm(np.diff(wp, axis=0), axis=1) == 0.0):
+        raise ValueError("duplicate consecutive waypoints")
+    return wp
+
+
+def _path_samples(waypoints, step_length):
+    """Positions and headings every step_length metres along a polyline."""
+    wp = check_waypoints(waypoints)
     seg = np.diff(wp, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
-    if np.any(seg_len == 0.0):
-        raise ValueError("duplicate consecutive waypoints")
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = cum[-1]
     n = int(np.floor(total / step_length + 1e-9))

@@ -319,7 +319,10 @@ def test_criterion_07_wallroom_probe_convergence(tmp_path):
 def test_criterion_08_ambiguity_fallback():
     maps = _flat_maps()
     n = 200
-    st = init_filter(Pose([0.0, 0.0, 0.3]), np.diag(np.full(6, 1e-12)), n_particles=n, seed=5)
+    st = init_filter(
+        Pose([0.0, 0.0, 0.3]), np.diag(np.full(6, 1e-12)), maps, LikelihoodConfig(),
+        mode="HL-G", n_particles=n, seed=5, resample_frac=0.5, xy_std_threshold=0.10,
+    )
     # two equally weighted clusters straddling y = 0: xy spread past the
     # threshold on ground that cannot disambiguate them
     st.positions = np.zeros((n, 3))
@@ -332,7 +335,7 @@ def test_criterion_08_ambiguity_fallback():
     inc = Pose([0.05, 0.0, 0.0])
     inp = StepInput(inc, np.diag(np.full(6, 1e-12)), _elevation_contacts())
     for _ in range(10):
-        step(st, inp, maps, LikelihoodConfig())
+        step(st, inp)
 
     branches = {d.branch for d in st.diagnostics}
     xy = np.array([p.position[:2] for p in st.trajectory])
@@ -359,10 +362,13 @@ def test_criterion_09_filter_invariants():
         for _ in range(10)
     ]
 
-    st = init_filter(Pose([0.0, 0.0, 0.3]), prior_cov, n_particles=50, seed=2)
+    st = init_filter(
+        Pose([0.0, 0.0, 0.3]), prior_cov, maps, LikelihoodConfig(),
+        mode="HL-G", n_particles=50, seed=2, resample_frac=0.5, xy_std_threshold=0.10,
+    )
     norm_err = 0.0
     for inp in inputs:
-        step(st, inp, maps, LikelihoodConfig())
+        step(st, inp)
         norm_err = max(norm_err, abs(float(np.exp(st.log_weights).sum()) - 1.0))
 
     rng_w = np.random.default_rng(3)
@@ -378,7 +384,11 @@ def test_criterion_09_filter_invariants():
 
     runs = [
         run_filter(
-            Pose([0.0, 0.0, 0.3]), prior_cov, inputs, maps, LikelihoodConfig(), mode="HL-G", n_particles=80, seed=9
+            init_filter(
+                Pose([0.0, 0.0, 0.3]), prior_cov, maps, LikelihoodConfig(),
+                mode="HL-G", n_particles=80, seed=9, resample_frac=0.5, xy_std_threshold=0.10,
+            ),
+            inputs,
         )
         for _ in range(2)
     ]
@@ -409,12 +419,15 @@ def test_criterion_10_performance_budgets():
         probs = np.zeros(8)
         probs[0 if cid == UNKNOWN_CLASS else cid] = 1.0
         contacts.append(ContactMeasurement(f, class_probs=probs))
-    st = init_filter(pose, np.diag([4e-4, 4e-4, 4e-4, 1e-6, 1e-6, 1e-6]), n_particles=500, seed=3, mode="HL-GC")
+    st = init_filter(
+        pose, np.diag([4e-4, 4e-4, 4e-4, 1e-6, 1e-6, 1e-6]), course, LikelihoodConfig(),
+        mode="HL-GC", n_particles=500, seed=3, resample_frac=0.5, xy_std_threshold=0.10,
+    )
     inp = StepInput(Pose([0.002, 0.0, 0.0]), np.diag(np.full(6, 1e-6)), contacts)
     times = []
     for _ in range(50):
         t0 = time.perf_counter()
-        step(st, inp, course, LikelihoodConfig())
+        step(st, inp)
         times.append(time.perf_counter() - t0)
     median_ms = 1e3 * statistics.median(times)
 

@@ -1,15 +1,21 @@
-"""The benchmark's traced layers exist in the package.
+"""The benchmark's hooks into the package still catch what they time.
 
 perfbench/spans.py looks up every TARGETS entry with getattr when a run uses
 --trace 1, so a renamed or removed function stops every traced run with an
-AttributeError. This test loads spans.py from its file, without writing
-bytecode next to it, and resolves each entry on the imported package.
+AttributeError. perfbench/run.py times each filter step by replacing every
+module-level reference to mcl.step, so a step bound anywhere else would run
+untimed. These tests load spans.py from its file, without writing bytecode
+next to it.
 """
 
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+from hapticloc import mcl
+from hapticloc.evaluate import default_chevron_experiment, run_localization, simulate_for_config
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +43,23 @@ def test_every_traced_target_resolves():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert not missing, f"perfbench/spans.py traces names the package lacks: {missing}"
+
+
+def test_step_timer_sees_every_step():
+    # the way perfbench/run.py's StepTimer installs its timer
+    spans = load_spans()
+    step, calls = mcl.step, []
+
+    def timed_step(state, *args, **kwargs):
+        calls.append(state)
+        return step(state, *args, **kwargs)
+
+    cfg = replace(default_chevron_experiment(), waypoints=((1.0, 0.7), (2.0, 0.7)), n_particles=50)
+    course, log = simulate_for_config(cfg, 1)
+    undo = spans.patch_everywhere(step, timed_step)
+    try:
+        state = run_localization(log, course, "HL-G", cfg, seed=1)
+    finally:
+        spans.restore(undo)
+    assert mcl.step is step
+    assert len(calls) == len(log.records) > 0 and all(c is state for c in calls)

@@ -1,13 +1,24 @@
 """End-to-end command-line flows, driven through main() in-process."""
 
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hapticloc.classifier import load_baseline, save_baseline
 from hapticloc.cli import load_course_dir, main
+from hapticloc.evaluate import (
+    default_chevron_experiment,
+    default_tiles_experiment,
+    default_wallroom_experiment,
+    run_localization,
+    simulate_for_config,
+    train_contact_classifier,
+)
+from hapticloc.geometry import save_trajectory
 from hapticloc.network import NetworkConfig, random_weights, save_weights
-from hapticloc.sim import load_walklog, save_signal, synth_force_signal
+from hapticloc.sim import classify_log, load_walklog, save_signal, synth_force_signal, walklog_hash
 
 SMALL_NET = NetworkConfig(res_channels=(8, 12), gru_hidden=10, fc_hidden=7)
 
@@ -113,6 +124,26 @@ def test_simulate_same_seed_same_hash(tmp_path, capsys):
     assert out1.split("\n")[1] == out2.split("\n")[1]
 
 
+@pytest.mark.parametrize(
+    "builder, walk",
+    [
+        (default_chevron_experiment, ()),
+        (default_tiles_experiment, ()),
+        (default_wallroom_experiment, ("--scenario", "wall-probe")),
+    ],
+    ids=["chevron-ramp", "class-tiles", "wall-room"],
+)
+def test_simulate_logs_the_experiment_walk(builder, walk, tmp_path, capsys):
+    # the default walk with the experiment's gait and noise: the log run-experiment records
+    cfg, seed = builder(), 3
+    d = tmp_path / "course"
+    run(capsys, "make-course", "--kind", cfg.course.kind, "--seed", str(seed), "--out", str(d))
+    code, out, err = run(capsys, "simulate", "--course", str(d), *walk, "--seed", str(seed),
+                         "--out", str(tmp_path / "walk.log"))
+    assert code == 0, err
+    assert out.split("\n")[1].endswith(f" sha256={walklog_hash(simulate_for_config(cfg, seed)[1])}")
+
+
 def test_wall_probe_flow_and_localize(tmp_path, capsys):
     d = tmp_path / "room"
     run(capsys, "make-course", "--kind", "wall-room", "--out", str(d))
@@ -133,6 +164,35 @@ def test_wall_probe_flow_and_localize(tmp_path, capsys):
     assert diag[0] == "k,ess,xy_std_x,xy_std_y,branch,x,y,z,qx,qy,qz,qw"
     est_lines = [l for l in (out_dir / "estimate.traj").read_text().split("\n") if l]
     assert len(est_lines) == 41  # prior pose plus one per step
+
+    # without --mode and --particles: the wall-room experiment's HL-3D and particle count
+    code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--out", str(out_dir))
+    assert code == 0, err
+    log = load_walklog(log_path)
+    want = run_localization(log, load_course_dir(d), "HL-3D", default_wallroom_experiment(), seed=0)
+    save_trajectory(tmp_path / "want.traj", want.trajectory, log.timestamps())
+    assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
+
+
+def test_localize_with_a_saved_baseline(tmp_path, capsys):
+    d = tmp_path / "tiles"
+    run(capsys, "make-course", "--kind", "class-tiles", "--seed", "1", "--out", str(d))
+    log_path = tmp_path / "walk.log"
+    code, _, err = run(capsys, "simulate", "--course", str(d), "--waypoints", "0.6,0.6 1.6,0.6",
+                       "--seed", "1", "--out", str(log_path))
+    assert code == 0, err
+    model_path = tmp_path / "baseline.json"
+    save_baseline(train_contact_classifier(seed=5, per_class=20), model_path)
+    out_dir = tmp_path / "loc"
+    code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-GC",
+                       "--particles", "100", "--baseline", str(model_path), "--out", str(out_dir))
+    assert code == 0, err
+    log = load_walklog(log_path, load_signals=True)
+    classify_log(log, load_baseline(model_path))
+    cfg = replace(default_tiles_experiment(), n_particles=100)
+    want = run_localization(log, load_course_dir(d), "HL-GC", cfg, seed=0)
+    save_trajectory(tmp_path / "want.traj", want.trajectory, log.timestamps())
+    assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
 
 
 def test_wall_probe_requires_cloud(tmp_path, capsys):

@@ -28,7 +28,7 @@ from hapticloc.evaluate import (
 from hapticloc.geometry import Pose, quat_from_rotvec, quat_from_yaw
 from hapticloc.likelihood import LikelihoodConfig
 from hapticloc.maps import MapSet
-from hapticloc.mcl import run_filter
+from hapticloc.mcl import init_filter, run_filter
 from hapticloc.sim import CourseSpec, GaitParams, NoiseSpec, simulate_walk, generate_course
 
 
@@ -102,7 +102,7 @@ def test_experiment_config_validation():
         ExperimentConfig("x", CourseSpec("chevron-ramp"), "waypoints", None)
     with pytest.raises(ValueError, match="wall-room"):
         ExperimentConfig("x", CourseSpec("chevron-ramp"), "wall-probe", None)
-    with pytest.raises(ValueError, match="needs map layers"):
+    with pytest.raises(ValueError, match=r"requires a class layer, not among the map layers \('elevation',\)"):
         ExperimentConfig("x", CourseSpec("chevron-ramp"), "waypoints", ((0, 0), (1, 0)), modes=("HL-GC",))
     with pytest.raises(ValueError, match="unknown mode"):
         ExperimentConfig("x", CourseSpec("chevron-ramp"), "waypoints", ((0, 0), (1, 0)), modes=("HL-Z",))
@@ -129,6 +129,28 @@ def test_modes_are_distinct_filter_modes(key, values, match, tmp_path):
     p.write_text(f"[experiment]\nkind = chevron-ramp\n{key} = {' '.join(map(str, values))}\n")
     with pytest.raises(ValueError, match=match):
         load_experiment_config(p)
+
+
+# waypoints that cannot be walked fail at construction, so the INI loader
+# rejects them too, naming the file, the section and the key
+@pytest.mark.parametrize(
+    "waypoints, text, match",
+    [
+        (((1.0, 0.7),), "1.0,0.7", r"\(n>=2, 2\) array, got shape \(1, 2\)"),
+        (((1.0, 0.7), (float("nan"), 0.7)), "1.0,0.7 nan,0.7", "finite"),
+        (((1.0, 0.7), (3.0, float("inf"))), "1.0,0.7 3.0,inf", "finite"),
+        (((1.0, 0.7), (3.0, 0.7), (3.0, 0.7)), "1.0,0.7 3.0,0.7 3.0,0.7", "duplicate consecutive"),
+    ],
+    ids=["one-waypoint", "nan", "inf", "repeated"],
+)
+def test_unwalkable_waypoints_are_rejected(waypoints, text, match, tmp_path):
+    with pytest.raises(ValueError, match=match):
+        replace(default_chevron_experiment(), waypoints=waypoints)
+    p = tmp_path / "walk.ini"
+    p.write_text(f"[experiment]\nkind = chevron-ramp\n[walk]\nwaypoints = {text}\n")
+    with pytest.raises(ValueError, match=match) as err:
+        load_experiment_config(p)
+    assert str(err.value).startswith(f"{p}: [walk] waypoints = ")
 
 
 def test_default_experiments_are_valid():
@@ -268,16 +290,18 @@ def test_run_localization_reads_the_experiment_config():
     )
     st = run_localization(log, maps, "HL-G", cfg, seed=3)
     want = run_filter(
-        log.init_prior,
-        np.diag([0.1**2, 0.1**2, 0.02**2, 0.02**2, 0.02**2, 0.05**2]),
+        init_filter(
+            log.init_prior,
+            np.diag([0.1**2, 0.1**2, 0.02**2, 0.02**2, 0.02**2, 0.05**2]),
+            maps,
+            LikelihoodConfig(sigma_z=0.02),
+            mode="HL-G",
+            n_particles=80,
+            seed=3,
+            resample_frac=0.7,
+            xy_std_threshold=0.05,
+        ),
         to_step_inputs(log, cov_scale=2.0),
-        maps,
-        LikelihoodConfig(sigma_z=0.02),
-        mode="HL-G",
-        n_particles=80,
-        seed=3,
-        resample_frac=0.7,
-        xy_std_threshold=0.05,
     )
     assert len(st.trajectory) == 11 and st.n_particles == 80
     assert all(np.array_equal(a.to_array(), b.to_array()) for a, b in zip(st.trajectory, want.trajectory))

@@ -6,6 +6,7 @@ formula.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,10 +66,18 @@ def test_config_rejects_bad_parameters():
         LikelihoodConfig(sigma_z=0.0)
     with pytest.raises(ValueError):
         LikelihoodConfig(sigma_c=-0.1)
+    # the floors derive from the sigmas and cannot be set
+    with pytest.raises(TypeError):
+        LikelihoodConfig(rho=0.1)
     with pytest.raises(ValueError):
-        LikelihoodConfig(rho=100.0)  # above the peak density
-    with pytest.raises(ValueError):
-        LikelihoodConfig(class_rho=0.0)
+        replace(LikelihoodConfig(), class_rho=0.1)
+
+
+def test_replaced_sigmas_derive_their_floors_anew():
+    assert replace(LikelihoodConfig(), sigma_z=0.02) == LikelihoodConfig(sigma_z=0.02)
+    assert replace(LikelihoodConfig(), sigma_c=0.1) == LikelihoodConfig(sigma_c=0.1)
+    # the density at 3 sigma scales as 1 / sigma
+    assert replace(LikelihoodConfig(), sigma_z=0.02).rho == pytest.approx(FLOOR_Z / 2, rel=1e-12)
 
 
 def flat_maps(height=0.0, with_class=True, with_cloud=False):
@@ -182,11 +191,9 @@ def test_floor_reach_is_where_the_density_meets_the_floor():
     seed=st.integers(0, 2**32 - 1),
     n_cloud=st.integers(1, 60),
     sigma_z=st.floats(1e-3, 0.5),
-    rho_frac=st.one_of(st.none(), st.floats(1e-6, 0.999)),
 )
-def test_bounded_cloud_channel_matches_unbounded_query(seed, n_cloud, sigma_z, rho_frac):
-    peak = float(gaussian_density(0.0, sigma_z))
-    cfg = LikelihoodConfig(sigma_z=sigma_z, rho=None if rho_frac is None else rho_frac * peak)
+def test_bounded_cloud_channel_matches_unbounded_query(seed, n_cloud, sigma_z):
+    cfg = LikelihoodConfig(sigma_z=sigma_z)
     reach = cfg.floor_reach
     rng = np.random.default_rng(seed)
     cloud = PointCloudMap(rng.uniform(-10.0, 10.0, (n_cloud, 3)) * reach)
@@ -230,7 +237,7 @@ def test_contact_requires_matching_layers():
     maps = flat_maps(with_class=False)
     foot = FootOffset("LF", (0.0, 0.0, -0.3))
     c = ContactMeasurement(foot, class_probs=np.array([1.0, 0.0]))
-    for mode, layer in (("HL-3D", "point cloud layer"), ("HL-GC", "class layer"), ("HL-C", "class layer")):
+    for mode, layer in (("HL-3D", "cloud layer"), ("HL-GC", "class layer"), ("HL-C", "class layer")):
         with pytest.raises(ValueError, match=layer):
             contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
 

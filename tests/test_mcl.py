@@ -63,6 +63,16 @@ def contacts():
     return [ContactMeasurement(f) for f in FEET]
 
 
+def new_filter(prior_mean, prior_cov, maps=None, likelihood=LikelihoodConfig(), **settings):
+    """init_filter on flat_maps() with the settings given, the others fixed here."""
+    fixed = dict(mode="HL-G", n_particles=500, seed=0, resample_frac=0.5, xy_std_threshold=0.10)
+    maps = flat_maps() if maps is None else maps
+    return init_filter(prior_mean, prior_cov, maps, likelihood, **{**fixed, **settings})
+
+
+STILL = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
+
+
 def forward_input(dx=0.05, cov_scale=1.0):
     cov = np.array([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5]) * cov_scale
     return StepInput(Pose(np.array([dx, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), cov, contacts())
@@ -106,66 +116,70 @@ def test_effective_sample_size_bounds():
     # a step without contacts keeps the weights, so StepDiagnostics.ess is theirs
     n = 64
     still = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros(6), [])
-    st = init_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=n, seed=0)
-    step(st, still, flat_maps(), LikelihoodConfig())
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=n, seed=0)
+    step(st, still)
     assert st.diagnostics[-1].ess == pytest.approx(n)
     lw = np.full(n, -1e3)
     lw[3] = 0.0
     st.log_weights = lw
-    step(st, still, flat_maps(), LikelihoodConfig())
+    step(st, still)
     assert st.diagnostics[-1].ess == pytest.approx(1.0)
 
 
 def test_init_filter_validation_and_prior():
     with pytest.raises(ValueError):
-        init_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=0)
+        new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=0)
     with pytest.raises(ValueError):
-        init_filter(stand_pose(), np.eye(6) * 1e-4, resample_frac=1.5)
+        new_filter(stand_pose(), np.eye(6) * 1e-4, resample_frac=1.5)
     # dead reckoning is reported beside the filter, never run as a filter mode
     for mode in ("odom-only", "HL-X"):
         with pytest.raises(ValueError, match="unknown mode"):
-            init_filter(stand_pose(), np.eye(6) * 1e-4, mode=mode)
-    assert init_filter(stand_pose(), np.eye(6) * 1e-4, mode="HL-3D").channels == ("cloud",)
-    st = init_filter(stand_pose(1.0, 2.0), np.eye(6) * 1e-4, n_particles=300, seed=3)
+            new_filter(stand_pose(), np.eye(6) * 1e-4, mode=mode)
+    # a mode whose layer the maps lack fails before the first step, not at it
+    for mode, layer in (("HL-3D", "cloud"), ("HL-GC", "class"), ("HL-C", "class")):
+        with pytest.raises(ValueError, match=f"requires a {layer} layer"):
+            new_filter(stand_pose(), np.eye(6) * 1e-4, mode=mode)
+    assert new_filter(stand_pose(), np.eye(6) * 1e-4, ORACLE_MAPS, mode="HL-3D").channels == ("cloud",)
+    prior = stand_pose(1.0, 2.0)
+    st = new_filter(prior, np.eye(6) * 1e-4, n_particles=300, seed=3)
     assert st.channels == MODES["HL-G"]
     assert st.n_particles == 300
-    assert len(st.trajectory) == 1 and st.trajectory[0] is st.last_estimate
+    assert len(st.trajectory) == 1 and st.trajectory[0] is prior and st.diagnostics == []
     assert np.allclose(st.positions.mean(axis=0), [1.0, 2.0, STAND_Z], atol=0.01)
-    assert np.sum(st.weights()) == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(np.exp(st.log_weights)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_normalizes_weights_within_tolerance():
     maps = flat_maps()
-    st = init_filter(stand_pose(), np.eye(6) * 2.5e-3, n_particles=200, seed=0)
+    st = new_filter(stand_pose(), np.eye(6) * 2.5e-3, n_particles=200, seed=0)
     for _ in range(10):
-        step(st, forward_input(), maps, LikelihoodConfig())
-        assert abs(np.sum(st.weights()) - 1.0) < 1e-9
+        step(st, forward_input())
+        assert abs(np.sum(np.exp(st.log_weights)) - 1.0) < 1e-9
 
 
 def test_step_counts_and_trajectory_growth():
     maps = flat_maps()
-    st = init_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=100, seed=0)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=100, seed=0)
     for k in range(5):
-        step(st, forward_input(), maps, LikelihoodConfig())
-        assert st.step_count == k + 1
+        step(st, forward_input())
+        assert len(st.diagnostics) == k + 1
         assert len(st.trajectory) == k + 2
-        assert st.diagnostics[-1].k == k + 1
 
 
 def test_resample_resets_weights_uniform():
     maps = flat_maps()
-    st = init_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=150, seed=1, resample_frac=1.0)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=150, seed=1, resample_frac=1.0)
     # frac 1.0 forces a resample every step
-    step(st, forward_input(), maps, LikelihoodConfig())
+    step(st, forward_input())
     assert np.allclose(st.log_weights, -np.log(150))
 
 
 def test_underflow_resets_to_uniform_and_counts():
-    st = init_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=50, seed=0)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=50, seed=0)
     st.log_weights = np.full(50, -np.inf)
-    step(st, forward_input(), flat_maps(), LikelihoodConfig())
+    step(st, forward_input())
     assert st.divergence_count == 1
-    assert np.sum(st.weights()) == pytest.approx(1.0, abs=1e-9)
+    assert np.sum(np.exp(st.log_weights)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_out_of_contact_feet_are_skipped():
@@ -174,9 +188,9 @@ def test_out_of_contact_feet_are_skipped():
     lifted = [
         ContactMeasurement(FootOffset("LF", (0.2, 0.15, 5.0)), in_contact=False)
     ]
-    st = init_filter(stand_pose(), np.diag([0.01, 0.01, 0.01, 0, 0, 0]) ** 1, n_particles=80, seed=2)
+    st = new_filter(stand_pose(), np.diag([0.01, 0.01, 0.01, 0, 0, 0]) ** 1, n_particles=80, seed=2)
     inp = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros(6), lifted)
-    step(st, inp, maps, cfg)
+    step(st, inp)
     # no active contact: weights stay exactly uniform after normalization
     assert np.allclose(st.log_weights, -np.log(80))
 
@@ -213,34 +227,33 @@ def test_stepinput_rejects_non_finite_covariance(shape):
 
 
 def test_estimate_full_branch_on_tight_cluster():
-    st = init_filter(stand_pose(0.5, -0.25), np.eye(6) * 1e-6, n_particles=400, seed=5)
-    pose, xy_std, branch = estimate_detail(st)
+    st = new_filter(stand_pose(0.5, -0.25), np.eye(6) * 1e-6, n_particles=400, seed=5)
+    pose, xy_std, branch = estimate_detail(st, STILL)
     assert branch == "full"
     assert np.all(xy_std < 0.01)
     assert np.allclose(pose.position[:2], [0.5, -0.25], atol=0.005)
 
 
 def test_estimate_z_only_branch_on_bimodal_cluster():
-    st = init_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=7)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=7)
     half = 100
     st.positions[:half, 1] -= 0.5
     st.positions[half:, 1] += 0.5
     st.positions[:, 2] = 0.41
-    pose, xy_std, branch = estimate_detail(st)
+    pose, xy_std, branch = estimate_detail(st, STILL)
     assert branch == "z-only"
     assert xy_std[1] > st.xy_std_threshold
     # x, y, heading held at the last estimate; z follows the particles
-    assert np.allclose(pose.position[:2], st.last_estimate.position[:2])
+    assert np.allclose(pose.position[:2], st.trajectory[-1].position[:2])
     assert pose.position[2] == pytest.approx(0.41, abs=1e-6)
-    assert np.array_equal(pose.quat, st.last_estimate.quat)
+    assert np.array_equal(pose.quat, st.trajectory[-1].quat)
 
 
 def test_z_only_branch_dead_reckons_with_last_increment():
-    st = init_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=7)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=7)
     st.positions[:100, 1] -= 0.5
     st.positions[100:, 1] += 0.5
-    st.last_increment = Pose(np.array([0.07, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))
-    pose, _, branch = estimate_detail(st)
+    pose, _, branch = estimate_detail(st, Pose(np.array([0.07, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])))
     assert branch == "z-only"
     assert pose.position[0] == pytest.approx(0.07)
 
@@ -248,29 +261,26 @@ def test_z_only_branch_dead_reckons_with_last_increment():
 def test_run_filter_bit_exact_determinism():
     maps = flat_maps()
     inputs = [forward_input() for _ in range(8)]
-    kw = dict(n_particles=120, seed=11, mode="HL-G")
-    a = run_filter(stand_pose(), np.eye(6) * 1e-4, inputs, maps, LikelihoodConfig(), **kw)
-    b = run_filter(stand_pose(), np.eye(6) * 1e-4, inputs, maps, LikelihoodConfig(), **kw)
+    a = run_filter(new_filter(stand_pose(), np.eye(6) * 1e-4, maps, n_particles=120, seed=11), inputs)
+    b = run_filter(new_filter(stand_pose(), np.eye(6) * 1e-4, maps, n_particles=120, seed=11), inputs)
     ta = np.stack([p.to_array() for p in a.trajectory])
     tb = np.stack([p.to_array() for p in b.trajectory])
     assert np.array_equal(ta, tb)
-    c = run_filter(stand_pose(), np.eye(6) * 1e-4, inputs, maps, LikelihoodConfig(), n_particles=120, seed=12)
+    c = run_filter(new_filter(stand_pose(), np.eye(6) * 1e-4, maps, n_particles=120, seed=12), inputs)
     tc = np.stack([p.to_array() for p in c.trajectory])
     assert not np.array_equal(ta, tc)
 
 
 def test_run_filter_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        run_filter(
-            stand_pose(), np.eye(6) * 1e-4, [forward_input()], flat_maps(), LikelihoodConfig(), mode="nope"
-        )
+    with pytest.raises(ValueError, match="unknown mode"):
+        run_filter(new_filter(stand_pose(), np.eye(6) * 1e-4, mode="nope"), [forward_input()])
 
 
 def test_diagnostics_csv_layout(tmp_path):
     maps = flat_maps()
-    st = init_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=60, seed=0)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=60, seed=0)
     for _ in range(3):
-        step(st, forward_input(), maps, LikelihoodConfig())
+        step(st, forward_input())
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(st, path)
     lines = path.read_text().strip().split("\n")
@@ -325,8 +335,7 @@ def test_filter_tracks_through_height_feature():
     # y carries no information here, so its prior must start under the spread
     # threshold or the estimate never leaves the dead-reckoning branch
     prior = np.diag([0.01, 4e-4, 1e-4, 1e-6, 1e-6, 1e-4])
-    st = run_filter(stand_pose(1.0, 3.0), prior, inputs, maps, LikelihoodConfig(),
-                    mode="HL-G", n_particles=400, seed=1)
+    st = run_filter(new_filter(stand_pose(1.0, 3.0), prior, maps, n_particles=400, seed=1), inputs)
     assert st.diagnostics[-1].branch == "full"
     final_err = abs(st.trajectory[-1].position[0] - truths[-1].position[0])
     dead_reckon = 0.004 * n_steps  # error if the drift were never corrected
@@ -361,7 +370,7 @@ def reference_contact_log_likelihood(positions, quats, contact, channels, maps, 
     return ll
 
 
-def reference_step(state, inp, maps, cfg):
+def reference_step(state, inp):
     """The particle update of step as it was before batching and caching:
     factor the covariance, then weigh the contacts one at a time with the
     filter's channels."""
@@ -375,7 +384,7 @@ def reference_step(state, inp, maps, cfg):
     for contact in inp.contacts:
         if contact.in_contact:
             state.log_weights = state.log_weights + reference_contact_log_likelihood(
-                state.positions, state.quats, contact, state.channels, maps, cfg
+                state.positions, state.quats, contact, state.channels, state.maps, state.likelihood
             )
     total = _logsumexp(state.log_weights)
     if np.isfinite(total):
@@ -444,14 +453,13 @@ def oracle_contacts(draw):
 @given(st.lists(oracle_contacts(), min_size=1, max_size=5), st.integers(0, 2**16), st.sampled_from(list(MODES)))
 def test_batched_step_bit_identical_to_per_contact_step(contact_sets, seed, mode):
     maps, cfg = ORACLE_MAPS, LikelihoodConfig(sigma_z=0.02, sigma_c=0.2)
-    prior = np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1])
-    args = (Pose(np.array([2.0, 1.5, 0.3]), quat_from_yaw(0.3)), prior, 64, seed)
-    new, ref = init_filter(*args, mode=mode), init_filter(*args, mode=mode)
+    start, prior = Pose(np.array([2.0, 1.5, 0.3]), quat_from_yaw(0.3)), np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1])
+    new, ref = (new_filter(start, prior, maps, cfg, mode=mode, n_particles=64, seed=seed) for _ in range(2))
     cov = np.array([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
     for cs in contact_sets:
         inp = StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), cov, cs)
-        step(new, inp, maps, cfg)
-        reference_step(ref, inp, maps, cfg)
+        step(new, inp)
+        reference_step(ref, inp)
         assert_same_particles(new, ref)
 
 
@@ -467,15 +475,15 @@ def turning_input(cov):
 
 def cache_filters():
     """Two identical filters: one for step, one for reference_step."""
-    return [init_filter(stand_pose(), np.eye(6) * 1e-3, n_particles=150, seed=4) for _ in range(2)]
+    return [new_filter(stand_pose(), np.eye(6) * 1e-3, n_particles=150, seed=4) for _ in range(2)]
 
 
 def test_covariance_cache_follows_a_changing_covariance():
     new, ref = cache_filters()
     for cov in [ODOM_COV] * 3 + [2.0 * ODOM_COV] * 3 + [ODOM_COV, ODOM_COV.copy()]:
         inp = turning_input(cov)
-        step(new, inp, flat_maps(), LikelihoodConfig())
-        reference_step(ref, inp, flat_maps(), LikelihoodConfig())
+        step(new, inp)
+        reference_step(ref, inp)
         assert_same_particles(new, ref)
 
 
@@ -486,8 +494,8 @@ def test_covariance_cache_sees_in_place_mutation():
     assert inp.odom_cov is cov  # the step input holds the caller's array
     for k in range(6):
         cov[0, 0] = 4e-4 * (1 + k % 3)
-        step(new, inp, flat_maps(), LikelihoodConfig())
-        reference_step(ref, inp, flat_maps(), LikelihoodConfig())
+        step(new, inp)
+        reference_step(ref, inp)
         assert_same_particles(new, ref)
 
 
@@ -502,11 +510,11 @@ def test_covariance_cache_still_rejects_bad_covariance_on_its_step(cell, value, 
     cov = ODOM_COV.copy()
     inp = turning_input(cov)
     for _ in range(3):
-        step(state, inp, flat_maps(), LikelihoodConfig())
+        step(state, inp)
     if not in_place:
         cov = cov.copy()
         inp = turning_input(cov)
     cov[cell] = value
     with pytest.raises(ValueError, match=match):
-        step(state, inp, flat_maps(), LikelihoodConfig())
-    assert state.step_count == 3
+        step(state, inp)
+    assert len(state.diagnostics) == 3
