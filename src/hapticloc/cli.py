@@ -54,18 +54,10 @@ def _cmd_make_course(args) -> int:
 
 def _cmd_simulate(args) -> int:
     course = load_course_dir(args.course)
-    default = evaluate.default_experiment(course)
-    if args.scenario == "wall-probe":
-        if default.scenario != "wall-probe":
-            raise ValueError(f"wall-probe scenario needs a wall-room course, not {default.course.kind}")
-        log = sim.probe_scenario(course, default.course.wall_room, default.gait, default.noise, args.seed)
-    else:
-        waypoints = evaluate.parse_waypoints(args.waypoints) if args.waypoints else default.waypoints
-        if waypoints is None:
-            raise ValueError(f"a {default.course.kind} course has no default walk: pass --waypoints")
-        log = sim.simulate_walk(
-            course, waypoints, default.gait, default.noise, args.seed, synth_signals="class" in course.layers
-        )
+    cfg = evaluate.default_experiment(course)
+    if args.waypoints:
+        cfg = replace(cfg, waypoints=evaluate.parse_waypoints(args.waypoints))
+    log = evaluate.walk(cfg, course, args.seed)
     signals_dir = "signals" if any(s is not None for r in log.records for s in r.signals) else None
     sim.save_walklog(log, args.out, signals_dir=signals_dir)
     print(args.out)
@@ -144,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--course", required=True, help="course directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="walk log csv path")
-    p.add_argument("--waypoints", help="override path: 'x,y x,y ...'")
-    p.add_argument("--scenario", choices=("walk", "wall-probe"), default="walk")
+    p.add_argument("--waypoints", help="walk 'x,y x,y ...' instead of the course kind's experiment walk")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("localize", help="run the particle filter over a walk log")

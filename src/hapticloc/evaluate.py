@@ -74,8 +74,7 @@ class ExperimentConfig:
 
     name: str
     course: CourseSpec
-    scenario: str  # "waypoints" or "wall-probe"
-    waypoints: tuple | None
+    waypoints: tuple | None  # None: the course kind's scripted walk (see walk)
     gait: GaitParams = GaitParams()
     noise: NoiseSpec = NoiseSpec()
     likelihood: LikelihoodConfig = LikelihoodConfig()
@@ -98,14 +97,10 @@ class ExperimentConfig:
     use_classifier: bool = True
 
     def __post_init__(self):
-        if self.scenario not in ("waypoints", "wall-probe"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.scenario == "waypoints" and self.waypoints is None:
-            raise ValueError("waypoint scenario needs waypoints")
         if self.waypoints is not None:
             check_waypoints(self.waypoints)
-        if self.scenario == "wall-probe" and self.course.kind != "wall-room":
-            raise ValueError("wall-probe scenario requires the wall-room course")
+        elif self.course.kind != "wall-room":
+            raise ValueError(f"a {self.course.kind} experiment needs waypoints: only wall-room has a scripted walk")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes {self.modes} repeat a mode")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -159,7 +154,6 @@ def default_chevron_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
     return ExperimentConfig(
         name="chevron",
         course=CourseSpec("chevron-ramp"),
-        scenario="waypoints",
         waypoints=CHEVRON_WAYPOINTS,
         noise=NoiseSpec(
             white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002),
@@ -176,7 +170,6 @@ def default_tiles_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
     return ExperimentConfig(
         name="class-tiles",
         course=CourseSpec("class-tiles"),
-        scenario="waypoints",
         waypoints=TILES_WAYPOINTS,
         noise=NoiseSpec(
             white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002),
@@ -193,7 +186,6 @@ def default_wallroom_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
     return ExperimentConfig(
         name="wall-room",
         course=CourseSpec("wall-room"),
-        scenario="wall-probe",
         waypoints=None,
         noise=NoiseSpec(white_std=(0.005, 0.005, 0.002, 0.0003, 0.0003, 0.001)),
         modes=("HL-3D",),
@@ -234,17 +226,25 @@ def train_contact_classifier(seed: int, per_class: int = 150) -> LogisticBaselin
     return baseline_train(signals, labels, n_classes=N_TERRAIN_CLASSES, seed=seed)
 
 
+def _reads_class(cfg: ExperimentConfig) -> bool:
+    return any("class" in MODES[m] for m in cfg.modes)
+
+
+def walk(cfg: ExperimentConfig, course: MapSet, seed: int) -> WalkLog:
+    """The experiment's walk: its waypoints, or with none the course kind's
+    scripted walk, which only wall-room has (the wall probe). Force signals
+    are synthesized when the classifier labels contacts for a class mode."""
+    if cfg.waypoints is None:
+        return probe_scenario(course, cfg.course.wall_room, cfg.gait, cfg.noise, seed)
+    synth_signals = cfg.use_classifier and _reads_class(cfg)
+    return simulate_walk(course, cfg.waypoints, cfg.gait, cfg.noise, seed, synth_signals)
+
+
 def simulate_for_config(cfg: ExperimentConfig, seed: int):
     """Course + walk log for one seed of an experiment."""
     course = generate_course(replace(cfg.course, seed=seed))
-    needs_class = any("class" in MODES[m] for m in cfg.modes)
-    if cfg.scenario == "wall-probe":
-        log = probe_scenario(course, cfg.course.wall_room, cfg.gait, cfg.noise, seed)
-    else:
-        log = simulate_walk(
-            course, cfg.waypoints, cfg.gait, cfg.noise, seed, synth_signals=needs_class and cfg.use_classifier
-        )
-    if needs_class:
+    log = walk(cfg, course, seed)
+    if _reads_class(cfg):
         if cfg.use_classifier:
             model = train_contact_classifier(seed=seed + 10_000, per_class=cfg.train_per_class)
             classify_log(log, model)

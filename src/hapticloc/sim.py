@@ -71,6 +71,12 @@ class GaitParams:
     foot_dy: float = 0.2  # half the 0.4 m rectangle, across the body
     dt: float = 1.0
 
+    def __post_init__(self):
+        for name in ("step_length", "standing_height", "foot_dx", "foot_dy", "dt"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
     def nominal_offset(self, label: str) -> np.ndarray:
         sx = 1.0 if label in ("LF", "RF") else -1.0
         sy = 1.0 if label in ("LF", "LH") else -1.0
@@ -87,11 +93,18 @@ class NoiseSpec:
     outlier_prob: float = 0.0
     outlier_shift: float = 0.15
 
+    def __post_init__(self):
+        white = np.asarray(self.white_std, dtype=float)
+        if not (white.shape == (6,) and np.isfinite(white).all() and (white >= 0.0).all()):
+            raise ValueError(f"white_std must hold 6 finite values that are not negative, got {self.white_std}")
+        for name in ("z_bias", "yaw_bias", "outlier_shift"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 <= self.outlier_prob <= 1.0:
+            raise ValueError(f"outlier_prob must lie in [0, 1], got {self.outlier_prob}")
+
     def white_array(self) -> np.ndarray:
-        a = np.asarray(self.white_std, dtype=float)
-        if a.shape != (6,):
-            raise ValueError("white_std must have 6 entries")
-        return a
+        return np.asarray(self.white_std, dtype=float)
 
     def bias_vector(self) -> np.ndarray:
         return np.array([0.0, 0.0, self.z_bias, 0.0, 0.0, self.yaw_bias])
@@ -217,6 +230,16 @@ def _tiles_course(spec: CourseSpec) -> MapSet:
     )
 
 
+# the wall-room course's scripted walk (probe_scenario): base start, lateral
+# walk length, the probing leg's reach from the base and its probe height,
+# and the offset of the filter prior from the true start pose
+PROBE_START_XY = (1.4, 0.2)
+PROBE_WALK_LENGTH = 2.0
+PROBE_REACH = 0.8
+PROBE_HEIGHT = 0.3
+PROBE_PRIOR_OFFSET = (0.10, 0.10, 0.0)
+
+
 def _wall_room_course(spec: CourseSpec) -> MapSet:
     lay = spec.wall_room
     res = spec.resolution
@@ -241,22 +264,19 @@ def _wall_room_course(spec: CourseSpec) -> MapSet:
     return MapSet(elevation=elevation, cloud=cloud)
 
 
-# course kind -> the map layers its builder makes
-COURSE_LAYERS = {
-    "chevron-ramp": ("elevation",),
-    "class-tiles": ("elevation", "class"),
-    "wall-room": ("elevation", "cloud"),
+# course kind -> (its builder, the map layers the builder makes)
+_COURSES = {
+    "chevron-ramp": (_chevron_course, ("elevation",)),
+    "class-tiles": (_tiles_course, ("elevation", "class")),
+    "wall-room": (_wall_room_course, ("elevation", "cloud")),
 }
-COURSE_KINDS = tuple(COURSE_LAYERS)
+COURSE_LAYERS = {kind: layers for kind, (_, layers) in _COURSES.items()}
+COURSE_KINDS = tuple(_COURSES)
 
 
 def generate_course(spec: CourseSpec) -> MapSet:
     """Build the named course's map layers, deterministic in the seed."""
-    if spec.kind == "chevron-ramp":
-        return _chevron_course(spec)
-    if spec.kind == "class-tiles":
-        return _tiles_course(spec)
-    return _wall_room_course(spec)
+    return _COURSES[spec.kind][0](spec)
 
 
 def sample_signal_length(rng: np.random.Generator) -> int:
@@ -378,7 +398,7 @@ def _place_foot(maps, pose: Pose, label: str, gait) -> np.ndarray | None:
     return np.array([world[0], world[1], z])
 
 
-def _record_step(maps, k, pose, prev_pose, feet, noise, gait, rng, synth_signals, probe_world=None):
+def _record_step(maps, k, pose, prev_pose, feet, noise, gait, rng, synth_signals):
     incr_true = relative_increment(prev_pose, pose)
     delta = noise.white_array() * rng.standard_normal(6) + noise.bias_vector()
     odom = compose(incr_true, pose_exp(delta))
@@ -386,9 +406,6 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, gait, rng, synth_signals
     contacts, worlds, classes, signals = [], [], [], []
     for label in FOOT_LABELS:
         world = feet[label].copy()
-        in_contact = True
-        if probe_world is not None and label == probe_world[0]:
-            world = np.array(probe_world[1], dtype=float)
         offset = quat_rotate(quat_conjugate(pose.quat), world - pose.position)
         if noise.outlier_prob > 0.0 and rng.random() < noise.outlier_prob:
             offset = offset.copy()
@@ -399,7 +416,7 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, gait, rng, synth_signals
             class_id = class_at(maps.class_grid, world[:2])
             if class_id != UNKNOWN_CLASS and synth_signals:
                 signal = synth_force_signal(class_id, sample_signal_length(rng), rng)
-        contacts.append(ContactMeasurement(FootOffset(label, offset), in_contact=in_contact))
+        contacts.append(ContactMeasurement(FootOffset(label, offset)))
         worlds.append(world)
         classes.append(class_id)
         signals.append(signal)
@@ -417,24 +434,13 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, gait, rng, synth_signals
     )
 
 
-def simulate_walk(
-    maps: MapSet,
-    waypoints,
-    gait: GaitParams = GaitParams(),
-    noise: NoiseSpec = NoiseSpec(),
-    seed: int = 0,
-    n_steps: int | None = None,
-    synth_signals: bool = True,
-) -> WalkLog:
-    """Walk the waypoint polyline and log every four-support phase."""
+def _walk(maps, xys, yaws, gait, noise, seed, synth_signals, probe=None):
+    """The one step loop: stand at base position 0, then log a four-support
+    phase at each later base position, swinging one leg per phase in crawl
+    order. probe(k, pose) returns (label, world), a foot touching a point off
+    the floor on phase k, or None. The log's prior is the true start pose."""
     rng = np.random.default_rng(seed)
-    pts, yaws = _path_samples(waypoints, gait.step_length)
-    if n_steps is not None:
-        if n_steps + 1 > len(pts):
-            raise ValueError(f"path supports at most {len(pts) - 1} steps, requested {n_steps}")
-        pts, yaws = pts[: n_steps + 1], yaws[: n_steps + 1]
-
-    start = _base_pose(maps, pts[0], yaws[0], gait)
+    start = _base_pose(maps, xys[0], yaws[0], gait)
     feet = {}
     for label in FOOT_LABELS:
         placed = _place_foot(maps, start, label, gait)
@@ -444,66 +450,45 @@ def simulate_walk(
 
     records = []
     prev = start
-    for k in range(1, len(pts)):
-        pose = _base_pose(maps, pts[k], yaws[k], gait)
+    for k in range(1, len(xys)):
+        pose = _base_pose(maps, xys[k], yaws[k], gait)
         swing = GAIT_ORDER[(k - 1) % 4]
         placed = _place_foot(maps, pose, swing, gait)
         if placed is not None:
             feet[swing] = placed
-        records.append(_record_step(maps, k, pose, prev, feet, noise, gait, rng, synth_signals))
+        touch = None if probe is None else probe(k, pose)
+        touching = feet if touch is None else {**feet, touch[0]: touch[1]}
+        records.append(_record_step(maps, k, pose, prev, touching, noise, gait, rng, synth_signals))
         prev = pose
-
     return WalkLog(start_pose=start, init_prior=start, records=records)
 
 
-def probe_scenario(
-    maps: MapSet,
-    layout: WallRoomLayout = WallRoomLayout(),
-    gait: GaitParams = GaitParams(),
-    noise: NoiseSpec = NoiseSpec(),
-    seed: int = 0,
-    start_xy: tuple = (1.4, 0.2),
-    walk_length: float = 2.0,
-    probe_reach: float = 0.8,
-    probe_height: float = 0.3,
-    prior_offset: tuple = (0.10, 0.10, 0.0),
-) -> WalkLog:
+def simulate_walk(maps: MapSet, waypoints, gait: GaitParams, noise: NoiseSpec, seed: int, synth_signals: bool) -> WalkLog:
+    """Walk the waypoint polyline and log every four-support phase."""
+    return _walk(maps, *_path_samples(waypoints, gait.step_length), gait, noise, seed, synth_signals)
+
+
+def probe_scenario(maps: MapSet, layout: WallRoomLayout, gait: GaitParams, noise: NoiseSpec, seed: int) -> WalkLog:
     """Lateral wall-probing walk: side-steps toward the side wall, facing the
     front wall, with the RF leg alternating front and side probes.
 
-    The filter prior is the true start pose shifted by prior_offset in world
-    coordinates, so the scripted contacts must pull the estimate back.
+    The filter prior is the true start pose shifted by PROBE_PRIOR_OFFSET in
+    world coordinates, so the scripted contacts must pull the estimate back.
     """
-    rng = np.random.default_rng(seed)
-    n = int(round(walk_length / gait.step_length))
-    start = _base_pose(maps, np.asarray(start_xy, dtype=float), 0.0, gait)
-    feet = {label: _place_foot(maps, start, label, gait) for label in FOOT_LABELS}
-    if any(v is None for v in feet.values()):
-        raise ValueError("a foot starts off the map")
+    n = int(round(PROBE_WALK_LENGTH / gait.step_length))
+    x0, y0 = PROBE_START_XY
+    xys = np.column_stack([np.full(n + 1, x0), y0 - np.arange(n + 1) * gait.step_length])
 
-    records = []
-    prev = start
-    for k in range(1, n + 1):
-        xy = np.array([start_xy[0], start_xy[1] - k * gait.step_length])
-        pose = _base_pose(maps, xy, 0.0, gait)
-        swing = GAIT_ORDER[(k - 1) % 4]
-        placed = _place_foot(maps, pose, swing, gait)
-        if placed is not None:
-            feet[swing] = placed
-
-        probe = None
+    def probe(k, pose):
         if k % 2 == 1:
-            target = np.array([layout.wall_x, pose.position[1] - gait.foot_dy, probe_height])
+            target = np.array([layout.wall_x, pose.position[1] - gait.foot_dy, PROBE_HEIGHT])
         else:
-            target = np.array([pose.position[0] + gait.foot_dx, layout.wall_y, probe_height])
-        if np.linalg.norm(target - pose.position) <= probe_reach:
-            probe = ("RF", target)
+            target = np.array([pose.position[0] + gait.foot_dx, layout.wall_y, PROBE_HEIGHT])
+        return ("RF", target) if np.linalg.norm(target - pose.position) <= PROBE_REACH else None
 
-        records.append(_record_step(maps, k, pose, prev, feet, noise, gait, rng, False, probe_world=probe))
-        prev = pose
-
-    prior = Pose(start.position + np.asarray(prior_offset, dtype=float), start.quat)
-    return WalkLog(start_pose=start, init_prior=prior, records=records)
+    log = _walk(maps, xys, np.zeros(n + 1), gait, noise, seed, False, probe)
+    log.init_prior = Pose(log.start_pose.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), log.start_pose.quat)
+    return log
 
 
 def classify_log(log: WalkLog, model) -> WalkLog:
@@ -617,58 +602,81 @@ def load_signal(path) -> StepSignal:
     return StepSignal(np.array(rows))
 
 
+_CONTACT_FLAGS = {"1": True, "0": False}
+
+
+def _class_id(text) -> int:
+    cid = int(text)
+    if not 0 <= cid <= UNKNOWN_CLASS:
+        raise ValueError(text)
+    return cid
+
+
+def _parse_field(text, parse, where, column):
+    """One walk log field. A field that does not parse, or a float that is
+    not finite, raises naming the file, the line and the column."""
+    try:
+        value = parse(text)
+    except (ValueError, KeyError):
+        raise ValueError(f"{where}: column {column}: cannot parse {text!r}") from None
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{where}: column {column}: {text} is not finite")
+    return value
+
+
 def load_walklog(path, load_signals: bool = False) -> WalkLog:
     base = os.path.dirname(os.path.abspath(path))
-    start = prior = None
+    columns = _walklog_header().split(",")
+    poses = {}
     records = []
     with open(path) as f:
         lines = f.readlines()
     header_seen = False
     for ln, line in enumerate(lines, start=1):
         s = line.strip()
+        where = f"{path}:{ln}"
         if not s:
             continue
-        if s.startswith("# start_pose"):
-            start = Pose.from_array([float(v) for v in s.split()[2:]])
-            continue
-        if s.startswith("# init_prior"):
-            prior = Pose.from_array([float(v) for v in s.split()[2:]])
+        if s.startswith(("# start_pose", "# init_prior")):
+            name, *values = s.split()[1:]
+            if len(values) != 7:
+                raise ValueError(f"{where}: {name} needs 7 values, got {len(values)}")
+            poses[name] = Pose.from_array([_parse_field(v, float, where, f"{name}[{i}]") for i, v in enumerate(values)])
             continue
         if s.startswith("#"):
             continue
         if not header_seen:
-            if s != _walklog_header():
-                raise ValueError(f"{path}:{ln}: unexpected walk log header")
+            if s != ",".join(columns):
+                raise ValueError(f"{where}: unexpected walk log header")
             header_seen = True
             continue
         parts = s.split(",")
-        expected = 22 + 7 * len(FOOT_LABELS)
-        if len(parts) != expected:
-            raise ValueError(f"{path}:{ln}: expected {expected} fields, got {len(parts)}")
-        k = int(parts[0])
-        t = float(parts[1])
-        true_pose = Pose.from_array([float(v) for v in parts[2:9]])
-        odom = Pose.from_array([float(v) for v in parts[9:16]])
-        cov = np.array([float(v) for v in parts[16:22]])
+        if len(parts) != len(columns):
+            raise ValueError(f"{where}: expected {len(columns)} fields, got {len(parts)}")
+
+        def field(i, parse=float):
+            return _parse_field(parts[i], parse, where, columns[i])
+
+        k, t = field(0, int), field(1)
+        true_pose = Pose.from_array([field(i) for i in range(2, 9)])
+        odom = Pose.from_array([field(i) for i in range(9, 16)])
+        cov = np.array([field(i) for i in range(16, 22)])
         contacts, worlds, classes, signals = [], [], [], []
         for j, label in enumerate(FOOT_LABELS):
             o = 22 + 7 * j
-            vec = np.array([float(v) for v in parts[o : o + 3]])
-            in_contact = parts[o + 3] == "1"
-            world_z = float(parts[o + 4])
-            cid = int(parts[o + 5])
+            vec = np.array([field(i) for i in range(o, o + 3)])
+            in_contact = field(o + 3, _CONTACT_FLAGS.__getitem__)
+            world_z = field(o + 4)
+            cid = field(o + 5, _class_id)
             ref = parts[o + 6]
             contacts.append(ContactMeasurement(FootOffset(label, vec), in_contact=in_contact))
             world = true_pose.position + quat_rotate(true_pose.quat, vec)
             worlds.append([world[0], world[1], world_z])
             classes.append(cid)
-            sig = None
-            if load_signals and ref:
-                sig = load_signal(os.path.join(base, ref))
-            signals.append(sig)
+            signals.append(load_signal(os.path.join(base, ref)) if load_signals and ref else None)
         records.append(
             StepRecord(k, t, true_pose, odom, cov, contacts, np.array(worlds), np.array(classes, dtype=np.uint8), signals)
         )
-    if start is None or prior is None or not header_seen:
+    if set(poses) != {"start_pose", "init_prior"} or not header_seen:
         raise ValueError(f"{path}: missing walk log header lines")
-    return WalkLog(start_pose=start, init_prior=prior, records=records)
+    return WalkLog(start_pose=poses["start_pose"], init_prior=poses["init_prior"], records=records)

@@ -4,24 +4,36 @@ perfbench/spans.py looks up every TARGETS entry with getattr when a run uses
 --trace 1, so a renamed or removed function stops every traced run with an
 AttributeError. perfbench/run.py times each filter step by replacing every
 module-level reference to mcl.step, so a step bound anywhere else would run
-untimed. These tests load spans.py from its file, without writing bytecode
-next to it.
+untimed. Each workload of perfbench/run.py and each experiment of
+scripts/output_digest.py builds its ExperimentConfig with code of its own,
+so a refactor of the config or the course builders can break them. These
+tests load spans.py and output_digest.py from their files, and run
+perfbench/run.py, without writing bytecode next to them.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from hapticloc import mcl
 from hapticloc.evaluate import default_chevron_experiment, run_localization, simulate_for_config
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+BENCH_RUN = ROOT / "perfbench" / "run.py"
+OUTPUT_DIGEST = ROOT / "scripts" / "output_digest.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -30,6 +42,28 @@ def load_spans():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+def load_spans():
+    return load_module("perfbench_spans", SPANS)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_workload_sets_up(workload):
+    # what setup_s times: the workload's ExperimentConfig and its first course
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(BENCH_RUN), "--setup-only", "--workload", workload, "--seed", "0"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_output_digest_experiment_builds():
+    experiments = load_module("output_digest", OUTPUT_DIGEST).EXPERIMENTS
+    assert set(WORKLOADS) < set(experiments)
+    for build in experiments.values():
+        build()  # raises if the config no longer builds
 
 
 def test_every_traced_target_resolves():

@@ -125,20 +125,17 @@ def test_simulate_same_seed_same_hash(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "builder, walk",
-    [
-        (default_chevron_experiment, ()),
-        (default_tiles_experiment, ()),
-        (default_wallroom_experiment, ("--scenario", "wall-probe")),
-    ],
+    "builder",
+    [default_chevron_experiment, default_tiles_experiment, default_wallroom_experiment],
     ids=["chevron-ramp", "class-tiles", "wall-room"],
 )
-def test_simulate_logs_the_experiment_walk(builder, walk, tmp_path, capsys):
-    # the default walk with the experiment's gait and noise: the log run-experiment records
+def test_simulate_logs_the_experiment_walk(builder, tmp_path, capsys):
+    # the experiment's walk (the wall probe on wall-room) with its gait and
+    # noise: the log run-experiment records
     cfg, seed = builder(), 3
     d = tmp_path / "course"
     run(capsys, "make-course", "--kind", cfg.course.kind, "--seed", str(seed), "--out", str(d))
-    code, out, err = run(capsys, "simulate", "--course", str(d), *walk, "--seed", str(seed),
+    code, out, err = run(capsys, "simulate", "--course", str(d), "--seed", str(seed),
                          "--out", str(tmp_path / "walk.log"))
     assert code == 0, err
     assert out.split("\n")[1].endswith(f" sha256={walklog_hash(simulate_for_config(cfg, seed)[1])}")
@@ -148,8 +145,7 @@ def test_wall_probe_flow_and_localize(tmp_path, capsys):
     d = tmp_path / "room"
     run(capsys, "make-course", "--kind", "wall-room", "--out", str(d))
     log_path = tmp_path / "probe.log"
-    code, out, _ = run(capsys, "simulate", "--course", str(d), "--scenario", "wall-probe",
-                       "--seed", "1", "--out", str(log_path))
+    code, out, _ = run(capsys, "simulate", "--course", str(d), "--seed", "1", "--out", str(log_path))
     assert code == 0
     assert "steps=40" in out
 
@@ -195,14 +191,6 @@ def test_localize_with_a_saved_baseline(tmp_path, capsys):
     assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
 
 
-def test_wall_probe_requires_cloud(tmp_path, capsys):
-    d = tmp_path / "chev"
-    run(capsys, "make-course", "--kind", "chevron-ramp", "--out", str(d))
-    code, _, err = run(capsys, "simulate", "--course", str(d), "--scenario", "wall-probe",
-                       "--out", str(tmp_path / "x.log"))
-    assert code == 1 and err.startswith("error:")
-
-
 @pytest.mark.parametrize(
     "kind, mode, walk",
     [
@@ -244,8 +232,6 @@ def test_simulate_path_errors(tmp_path, capsys):
     d = tmp_path / "room"
     run(capsys, "make-course", "--kind", "wall-room", "--out", str(d))
     log_path = str(tmp_path / "x.log")
-    code, _, err = run(capsys, "simulate", "--course", str(d), "--out", log_path)
-    assert code == 1 and "wall-room course has no default walk" in err
     code, _, err = run(capsys, "simulate", "--course", str(d), "--waypoints", "1.0,0.7 6.2,0.7", "--out", log_path)
     assert code == 1
     assert err.strip() == "error: walk path leaves the map at xy=(2.5, 0.7)"
@@ -290,3 +276,6 @@ def test_run_experiment_bad_config_errors(tmp_path, capsys):
     ini.write_text("[experiment]\nkind = volcano\n")
     code, _, err = run(capsys, "run-experiment", "--config", str(ini))
     assert code == 1 and err.startswith("error:")
+    ini.write_text("[experiment]\nkind = chevron-ramp\n[walk]\nstep_length = 0\n")
+    code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))
+    assert code == 1 and err.startswith(f"error: {ini}: ") and "step_length" in err

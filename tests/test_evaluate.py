@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from hapticloc.evaluate import (
-    CHEVRON_WAYPOINTS,
     EvalReport,
     ExperimentConfig,
     ReportRow,
@@ -83,9 +82,7 @@ def test_per_step_errors_components_and_yaw_wrap():
 
 def test_to_step_inputs_scales_covariance():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(
-        maps, CHEVRON_WAYPOINTS, noise=NoiseSpec(white_std=(0.004,) * 6), seed=0, n_steps=5
-    )
+    log = simulate_walk(maps, ((1.0, 0.7), (1.25, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0, False)
     inputs = to_step_inputs(log, cov_scale=1.5)
     assert len(inputs) == 5
     want = np.diag(1.5**2 * np.full(6, 0.004**2))
@@ -96,16 +93,14 @@ def test_to_step_inputs_scales_covariance():
 
 def test_experiment_config_validation():
     ok = default_chevron_experiment()
-    with pytest.raises(ValueError, match="scenario"):
-        ExperimentConfig("x", CourseSpec("chevron-ramp"), "teleport", None)
-    with pytest.raises(ValueError, match="waypoints"):
-        ExperimentConfig("x", CourseSpec("chevron-ramp"), "waypoints", None)
-    with pytest.raises(ValueError, match="wall-room"):
-        ExperimentConfig("x", CourseSpec("chevron-ramp"), "wall-probe", None)
+    # only wall-room has a scripted walk to take without waypoints
+    for kind in ("chevron-ramp", "class-tiles"):
+        with pytest.raises(ValueError, match=f"a {kind} experiment needs waypoints"):
+            ExperimentConfig("x", CourseSpec(kind), None)
     with pytest.raises(ValueError, match=r"requires a class layer, not among the map layers \('elevation',\)"):
-        ExperimentConfig("x", CourseSpec("chevron-ramp"), "waypoints", ((0, 0), (1, 0)), modes=("HL-GC",))
+        ExperimentConfig("x", CourseSpec("chevron-ramp"), ((0, 0), (1, 0)), modes=("HL-GC",))
     with pytest.raises(ValueError, match="unknown mode"):
-        ExperimentConfig("x", CourseSpec("chevron-ramp"), "waypoints", ((0, 0), (1, 0)), modes=("HL-Z",))
+        ExperimentConfig("x", CourseSpec("chevron-ramp"), ((0, 0), (1, 0)), modes=("HL-Z",))
     cov = ok.prior_cov()
     assert np.allclose(np.diag(cov), [0.12**2, 0.12**2, 0.02**2, 0.02**2, 0.02**2, 0.05**2])
 
@@ -276,9 +271,7 @@ def test_courses_differ_across_experiment_seeds():
 
 def test_run_localization_reads_the_experiment_config():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(
-        maps, CHEVRON_WAYPOINTS, noise=NoiseSpec(white_std=(0.004,) * 6), seed=0, n_steps=10
-    )
+    log = simulate_walk(maps, ((1.0, 0.7), (1.5, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0, False)
     cfg = replace(
         default_chevron_experiment(),
         likelihood=LikelihoodConfig(sigma_z=0.02),
@@ -363,6 +356,16 @@ BAD_CONFIGS = [
     ("[experiment]\nkind = chevron-ramp\n[noise]\nz_bias = fast\n", r"\[noise\] z_bias = 'fast'"),
     ("[experiment]\nkind = chevron-ramp\nseeds = 1 two\n", r"\[experiment\] seeds = '1 two'"),
     ("[experiment]\nkind = chevron-ramp\n[walk]\nwaypoints = 1.0,0.7 3.0\n", r"\[walk\] waypoints = .*bad waypoint list"),
+    # gait and noise settings no walk can use (the constructor's side: tests/test_sim.py)
+    ("[experiment]\nkind = chevron-ramp\n[walk]\nstep_length = 0\n", "step_length must be finite and positive"),
+    ("[experiment]\nkind = wall-room\n[walk]\nstep_length = -0.05\n", "step_length must be finite and positive"),
+    ("[experiment]\nkind = chevron-ramp\n[walk]\nstanding_height = 0\n", "standing_height must be finite and positive"),
+    ("[experiment]\nkind = chevron-ramp\n[noise]\nwhite_std = 0.1 0.1\n", "white_std must hold 6 finite values"),
+    ("[experiment]\nkind = chevron-ramp\n[noise]\nwhite_std = 0 0 0 0 0 -0.1\n", "white_std must hold 6 finite values"),
+    ("[experiment]\nkind = chevron-ramp\n[noise]\nwhite_std = 0 0 0 0 0 nan\n", "white_std must hold 6 finite values"),
+    ("[experiment]\nkind = chevron-ramp\n[noise]\nz_bias = nan\n", "z_bias must be finite"),
+    ("[experiment]\nkind = chevron-ramp\n[noise]\nyaw_bias = inf\n", "yaw_bias must be finite"),
+    ("[experiment]\nkind = chevron-ramp\n[noise]\noutlier_prob = 7\n", r"outlier_prob must lie in \[0, 1\], got 7.0"),
 ]
 
 
@@ -375,6 +378,18 @@ def test_load_experiment_config_errors(tmp_path):
         with pytest.raises(ValueError, match=match) as err:
             load_experiment_config(p)
         assert str(err.value).startswith(str(p))
+
+
+def test_wall_room_config_with_waypoints_walks_them(tmp_path):
+    # an experiment walks its waypoints; the wall probe is only the walk of
+    # a wall-room experiment without them
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    p = tmp_path / "room.ini"
+    p.write_text((root / "wall_room.ini").read_text() + "\n[walk]\nwaypoints = 0.2,-0.4 1.2,-0.4\n")
+    cfg, _ = load_experiment_config(p)
+    _, log = simulate_for_config(cfg, 1)
+    assert np.array_equal(log.true_poses()[0].position[:2], [0.2, -0.4])
+    assert log.n_steps == 20
 
 
 def test_packaged_configs_parse():

@@ -30,7 +30,13 @@ from hapticloc.sim import (
     walklog_hash,
 )
 
-WAYPOINTS = ((1.0, 0.7), (6.2, 0.7), (6.2, 1.3), (1.0, 1.3))
+GAIT = GaitParams()
+QUIET = NoiseSpec()
+
+
+def straight(length, start=(1.0, 0.7)):
+    """A straight walk along +x whose step count is length / 0.05."""
+    return (start, (start[0] + length, start[1]))
 
 
 def test_course_spec_validation():
@@ -121,7 +127,7 @@ def test_signal_file_round_trip(tmp_path):
 
 def test_walk_foot_placement_matches_map_exactly():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, WAYPOINTS, seed=0, n_steps=40)
+    log = simulate_walk(maps, straight(2.0), GAIT, QUIET, 0, True)
     assert log.n_steps == 40
     for r in log.records:
         for w in r.true_foot_world:
@@ -134,7 +140,7 @@ def test_walk_foot_placement_matches_map_exactly():
 
 def test_noise_free_odometry_reproduces_truth():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, WAYPOINTS, seed=0, n_steps=30, noise=NoiseSpec())
+    log = simulate_walk(maps, straight(1.5), GAIT, NoiseSpec(), 0, True)
     odo = log.odometry_poses(start=log.start_pose)
     for a, b in zip(odo, log.true_poses()):
         assert np.allclose(a.to_array(), b.to_array(), atol=1e-10)
@@ -143,7 +149,8 @@ def test_noise_free_odometry_reproduces_truth():
 def test_z_bias_accumulates_in_odometry():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     n = 30
-    log = simulate_walk(maps, WAYPOINTS, seed=0, n_steps=n, noise=NoiseSpec(z_bias=0.01))
+    log = simulate_walk(maps, straight(1.5), GAIT, NoiseSpec(z_bias=0.01), 0, True)
+    assert log.n_steps == n
     odo = log.odometry_poses(start=log.start_pose)
     drift = odo[-1].position[2] - log.true_poses()[-1].position[2]
     assert drift == pytest.approx(0.01 * n, abs=1e-6)
@@ -153,7 +160,8 @@ def test_walk_step_metadata():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     gait = GaitParams()
     noise = NoiseSpec(white_std=(0.003,) * 6)
-    log = simulate_walk(maps, WAYPOINTS, gait=gait, noise=noise, seed=2, n_steps=12)
+    log = simulate_walk(maps, straight(0.6), gait, noise, 2, True)
+    assert log.n_steps == 12
     for i, r in enumerate(log.records):
         assert r.k == i + 1
         assert r.timestamp == r.k * gait.dt
@@ -162,24 +170,24 @@ def test_walk_step_metadata():
         assert np.all(r.true_class_ids == UNKNOWN_CLASS)  # no class layer here
 
 
-def test_walk_truncation_and_path_errors():
+def test_walk_path_errors():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    with pytest.raises(ValueError, match="supports at most"):
-        simulate_walk(maps, WAYPOINTS, n_steps=100000)
     with pytest.raises(ValueError, match="leaves the map"):
-        simulate_walk(maps, ((1.0, 0.7), (50.0, 0.7)))
+        simulate_walk(maps, ((1.0, 0.7), (50.0, 0.7)), GAIT, QUIET, 0, True)
     with pytest.raises(ValueError):
-        simulate_walk(maps, ((1.0, 0.7),))
+        simulate_walk(maps, ((1.0, 0.7),), GAIT, QUIET, 0, True)
     with pytest.raises(ValueError, match="duplicate"):
-        simulate_walk(maps, ((1.0, 0.7), (1.0, 0.7), (2.0, 0.7)))
+        simulate_walk(maps, ((1.0, 0.7), (1.0, 0.7), (2.0, 0.7)), GAIT, QUIET, 0, True)
+    with pytest.raises(ValueError, match="foot LH starts off the map"):
+        simulate_walk(maps, ((0.1, 0.7), (2.0, 0.7)), GAIT, QUIET, 0, True)
 
 
 def test_walklog_hash_depends_on_seed_and_noise():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     noise = NoiseSpec(white_std=(0.004,) * 6)
-    a = simulate_walk(maps, WAYPOINTS, noise=noise, seed=1, n_steps=15)
-    b = simulate_walk(maps, WAYPOINTS, noise=noise, seed=1, n_steps=15)
-    c = simulate_walk(maps, WAYPOINTS, noise=noise, seed=2, n_steps=15)
+    a = simulate_walk(maps, straight(0.75), GAIT, noise, 1, True)
+    b = simulate_walk(maps, straight(0.75), GAIT, noise, 1, True)
+    c = simulate_walk(maps, straight(0.75), GAIT, noise, 2, True)
     assert walklog_hash(a) == walklog_hash(b)
     assert walklog_hash(a) != walklog_hash(c)
 
@@ -187,7 +195,8 @@ def test_walklog_hash_depends_on_seed_and_noise():
 def test_walklog_round_trip_with_signals(tmp_path):
     maps = generate_course(CourseSpec("class-tiles", seed=2))
     noise = NoiseSpec(white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002), z_bias=0.0015)
-    log = simulate_walk(maps, ((0.6, 0.6), (3.0, 0.6)), noise=noise, seed=3, n_steps=20)
+    log = simulate_walk(maps, straight(1.0, start=(0.6, 0.6)), GAIT, noise, 3, True)
+    assert log.n_steps == 20
     path = tmp_path / "walk.log"
     save_walklog(log, path, signals_dir="signals")
     loaded = load_walklog(path, load_signals=True)
@@ -219,10 +228,64 @@ def test_load_walklog_errors(tmp_path):
         load_walklog(p)
 
 
+def corrupt_walklog(tmp_path, column, text):
+    """A saved walk log with one field of its first row replaced; returns the
+    path and the line number of that row."""
+    maps = generate_course(CourseSpec("chevron-ramp", seed=1))
+    p = tmp_path / "walk.log"
+    save_walklog(simulate_walk(maps, straight(0.25), GAIT, NoiseSpec(white_std=(0.004,) * 6), 1, True), p)
+    lines = p.read_text().split("\n")
+    header = lines.index(next(l for l in lines if l.startswith("k,")))
+    row = lines[header + 1].split(",")
+    row[lines[header].split(",").index(column)] = text
+    lines[header + 1] = ",".join(row)
+    p.write_text("\n".join(lines))
+    return p, header + 2
+
+
+@pytest.mark.parametrize(
+    "column, text, match",
+    [
+        ("k", "abc", "column k: cannot parse 'abc'"),
+        ("true_x", "abc", "column true_x: cannot parse 'abc'"),
+        ("true_qw", "nan", "column true_qw: nan is not finite"),
+        ("odo_y", "inf", "column odo_y: inf is not finite"),
+        ("cov_yaw", "-inf", "column cov_yaw: -inf is not finite"),
+        ("RF_off_z", "1e400", "column RF_off_z: 1e400 is not finite"),
+        ("LH_contact", "yes", "column LH_contact: cannot parse 'yes'"),
+        ("RH_class", "2.5", "column RH_class: cannot parse '2.5'"),
+        ("LF_class", "256", "column LF_class: cannot parse '256'"),
+    ],
+    ids=["k", "true_x", "true_qw", "odo_y", "cov_yaw", "RF_off_z", "LH_contact", "RH_class", "LF_class"],
+)
+def test_load_walklog_names_the_bad_field(column, text, match, tmp_path):
+    p, ln = corrupt_walklog(tmp_path, column, text)
+    with pytest.raises(ValueError, match=match) as err:
+        load_walklog(p)
+    assert str(err.value).startswith(f"{p}:{ln}: column {column}: ")
+
+
+def test_load_walklog_checks_the_start_and_prior_lines(tmp_path):
+    p, _ = corrupt_walklog(tmp_path, "k", "1")
+    text = p.read_text()
+    prior = next(l for l in text.split("\n") if l.startswith("# init_prior"))
+    ln = text.split("\n").index(prior) + 1
+    for bad, match in (
+        (prior.rsplit(" ", 1)[0] + " abc", r"column init_prior\[6\]: cannot parse 'abc'"),
+        (prior.rsplit(" ", 1)[0] + " nan", r"column init_prior\[6\]: nan is not finite"),
+        (prior.rsplit(" ", 1)[0], "init_prior needs 7 values, got 6"),
+    ):
+        p.write_text(text.replace(prior, bad))
+        with pytest.raises(ValueError, match=match) as err:
+            load_walklog(p)
+        assert str(err.value).startswith(f"{p}:{ln}: ")
+
+
 def test_probe_scenario_prior_offset_and_probes():
     maps = generate_course(CourseSpec("wall-room", seed=0))
     lay = WallRoomLayout()
-    log = probe_scenario(maps, lay, seed=1, noise=NoiseSpec(white_std=(0.005,) * 6))
+    log = probe_scenario(maps, lay, GAIT, NoiseSpec(white_std=(0.005,) * 6), 1)
+    assert log.n_steps == 40
     shift = log.init_prior.position - log.start_pose.position
     assert np.allclose(shift, [0.10, 0.10, 0.0])
     assert np.array_equal(log.init_prior.quat, log.start_pose.quat)
@@ -247,7 +310,7 @@ def test_probe_scenario_prior_offset_and_probes():
 
 def test_one_hot_and_classifier_probs():
     maps = generate_course(CourseSpec("class-tiles", seed=2))
-    log = simulate_walk(maps, ((0.6, 0.6), (2.0, 0.6)), seed=3, n_steps=10)
+    log = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3, True)
     one_hot_log(log)
     for r in log.records:
         for contact, cid in zip(r.contacts, r.true_class_ids):
@@ -258,7 +321,7 @@ def test_one_hot_and_classifier_probs():
 
     from hapticloc.evaluate import train_contact_classifier
 
-    log2 = simulate_walk(maps, ((0.6, 0.6), (2.0, 0.6)), seed=3, n_steps=10)
+    log2 = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3, True)
     model = train_contact_classifier(seed=0, per_class=20)
     classify_log(log2, model)
     for r in log2.records:
@@ -280,3 +343,31 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(white_std=(0.1, 0.1)).white_array()
     assert np.array_equal(NoiseSpec(z_bias=0.2, yaw_bias=0.3).bias_vector(), [0, 0, 0.2, 0, 0, 0.3])
+
+
+# settings no walk can use fail at construction (the INI loader's side:
+# tests/test_evaluate.py)
+UNUSABLE = [
+    (GaitParams, "step_length", 0.0, "step_length must be finite and positive, got 0.0"),
+    (GaitParams, "step_length", -0.05, "step_length must be finite and positive"),
+    (GaitParams, "step_length", float("inf"), "step_length must be finite and positive"),
+    (GaitParams, "standing_height", 0.0, "standing_height must be finite and positive"),
+    (GaitParams, "foot_dx", -0.3, "foot_dx must be finite and positive"),
+    (GaitParams, "foot_dy", float("nan"), "foot_dy must be finite and positive"),
+    (GaitParams, "dt", 0.0, "dt must be finite and positive"),
+    (NoiseSpec, "white_std", (0.1, 0.1), "white_std must hold 6 finite values that are not negative"),
+    (NoiseSpec, "white_std", (0.1,) * 5 + (-0.1,), "white_std must hold 6 finite"),
+    (NoiseSpec, "white_std", (0.1,) * 5 + (float("nan"),), "white_std must hold 6 finite"),
+    (NoiseSpec, "z_bias", float("inf"), "z_bias must be finite"),
+    (NoiseSpec, "yaw_bias", float("nan"), "yaw_bias must be finite"),
+    (NoiseSpec, "outlier_shift", float("-inf"), "outlier_shift must be finite"),
+    (NoiseSpec, "outlier_prob", 7.0, r"outlier_prob must lie in \[0, 1\], got 7.0"),
+    (NoiseSpec, "outlier_prob", -0.1, r"outlier_prob must lie in \[0, 1\]"),
+    (NoiseSpec, "outlier_prob", float("nan"), r"outlier_prob must lie in \[0, 1\]"),
+]
+
+
+@pytest.mark.parametrize("cls, name, value, match", UNUSABLE, ids=[f"{n}={v}" for _, n, v, _ in UNUSABLE])
+def test_gait_and_noise_reject_settings_no_walk_can_use(cls, name, value, match):
+    with pytest.raises(ValueError, match=match):
+        cls(**{name: value})
