@@ -75,14 +75,12 @@ class LogisticBaseline:
         return (np.asarray(features, dtype=float) - self.feat_mean) / self.feat_std
 
 
-def baseline_train(
-    signals,
-    labels,
-    n_classes: int = 8,
-    seed: int = 0,
-    learning_rate: float = 0.5,
-    epochs: int = 400,
-) -> LogisticBaseline:
+# full-batch gradient descent: step size and number of steps
+LEARNING_RATE = 0.5
+EPOCHS = 400
+
+
+def baseline_train(signals, labels, n_classes: int = 8, seed: int = 0) -> LogisticBaseline:
     """Fit the baseline on labeled signals with full-batch gradient descent."""
     labels = np.asarray(labels, dtype=int)
     if len(signals) != len(labels) or len(labels) == 0:
@@ -98,10 +96,10 @@ def baseline_train(
     rng = np.random.default_rng(seed)
     w = 0.01 * rng.standard_normal((n_classes, x.shape[1]))
     b = np.zeros(n_classes)
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         _, dw, db = loss_and_grad(w, b, x, labels, n_classes)
-        w -= learning_rate * dw
-        b -= learning_rate * db
+        w -= LEARNING_RATE * dw
+        b -= LEARNING_RATE * db
     return LogisticBaseline(w, b, mean, std)
 
 

@@ -28,13 +28,27 @@ from .sim import (
     check_waypoints,
     classify_log,
     generate_course,
-    one_hot_log,
     probe_scenario,
     sample_signal_length,
     simulate_walk,
     synth_force_signal,
     walklog_hash,
 )
+
+# the filter's process noise is the odometry covariance scaled up: the
+# injected bias is deliberately absent from the reported covariance
+ODOM_COV_SCALE = 1.5
+
+# the prior's spread in z, roll and pitch, and yaw. Standing height is known
+# well; a loose z prior just starves the first contact update of effective
+# particles. The xy spread is ExperimentConfig.prior_std_xyz.
+PRIOR_STD_Z = 0.02
+PRIOR_STD_ROT = 0.02
+PRIOR_STD_YAW = 0.05
+
+# labeled signals per terrain class that train a seed's contact classifier
+TRAIN_PER_CLASS = 150
+
 
 def ate(truth, est) -> float:
     """Mean translational error of T_true^-1 T_est, no alignment, metres."""
@@ -63,14 +77,16 @@ def per_step_errors(truth, est) -> np.ndarray:
     return np.column_stack([ep - tp, dyaw])
 
 
-def to_step_inputs(log: WalkLog, cov_scale: float = 1.0) -> list:
-    s2 = cov_scale**2
+def to_step_inputs(log: WalkLog) -> list:
+    s2 = ODOM_COV_SCALE**2
     return [StepInput(r.odom_increment, np.diag(s2 * r.odom_cov_diag), r.contacts) for r in log.records]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; every field has a working default."""
+    """Everything one experiment needs. Every setting is an INI key (see
+    _INI_KEYS) but course.kind, which picks the builder, and course.seed,
+    which each seed of a run sets; the fixed ones are module constants."""
 
     name: str
     course: CourseSpec
@@ -85,20 +101,10 @@ class ExperimentConfig:
     resample_frac: float = 0.5
     xy_std_threshold: float = 0.10
     prior_std_xyz: float = 0.12
-    # standing height is known well; a loose z prior just starves the first
-    # contact update of effective particles
-    prior_std_z: float = 0.02
-    prior_std_rot: float = 0.02
-    prior_std_yaw: float = 0.05
-    # the filter's process noise is the odometry covariance scaled up: the
-    # injected bias is deliberately absent from the reported covariance
-    cov_scale: float = 1.5
-    train_per_class: int = 150
-    use_classifier: bool = True
 
     def __post_init__(self):
         if self.waypoints is not None:
-            check_waypoints(self.waypoints)
+            check_waypoints(self.waypoints, self.gait.step_length)
         elif self.course.kind != "wall-room":
             raise ValueError(f"a {self.course.kind} experiment needs waypoints: only wall-room has a scripted walk")
         if len(set(self.modes)) != len(self.modes):
@@ -113,16 +119,8 @@ class ExperimentConfig:
             require_layers(MODES[mode], COURSE_LAYERS[self.course.kind])
 
     def prior_cov(self) -> np.ndarray:
-        return np.diag(
-            [
-                self.prior_std_xyz**2,
-                self.prior_std_xyz**2,
-                self.prior_std_z**2,
-                self.prior_std_rot**2,
-                self.prior_std_rot**2,
-                self.prior_std_yaw**2,
-            ]
-        )
+        xyz, z, rot, yaw = self.prior_std_xyz, PRIOR_STD_Z, PRIOR_STD_ROT, PRIOR_STD_YAW
+        return np.diag([xyz**2, xyz**2, z**2, rot**2, rot**2, yaw**2])
 
 
 # both long legs cross the feature strip so drift never builds for long
@@ -149,7 +147,7 @@ TILES_WAYPOINTS = (
 )
 
 
-def default_chevron_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
+def default_chevron_experiment() -> ExperimentConfig:
     """Uneven-terrain loop with drifting odometry; geometry-only localization."""
     return ExperimentConfig(
         name="chevron",
@@ -161,11 +159,10 @@ def default_chevron_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
             yaw_bias=0.0003,
         ),
         modes=("HL-G",),
-        seeds=tuple(seeds),
     )
 
 
-def default_tiles_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
+def default_tiles_experiment() -> ExperimentConfig:
     """Material-tile field: geometry, geometry+class, and class-only modes."""
     return ExperimentConfig(
         name="class-tiles",
@@ -177,11 +174,10 @@ def default_tiles_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
             yaw_bias=0.0006,
         ),
         modes=("HL-G", "HL-GC", "HL-C"),
-        seeds=tuple(seeds),
     )
 
 
-def default_wallroom_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
+def default_wallroom_experiment() -> ExperimentConfig:
     """Flat room with two walls, offset prior, scripted probing; 3D cloud mode."""
     return ExperimentConfig(
         name="wall-room",
@@ -189,7 +185,6 @@ def default_wallroom_experiment(seeds=(1, 2, 3, 4, 5)) -> ExperimentConfig:
         waypoints=None,
         noise=NoiseSpec(white_std=(0.005, 0.005, 0.002, 0.0003, 0.0003, 0.001)),
         modes=("HL-3D",),
-        seeds=tuple(seeds),
     )
 
 
@@ -210,19 +205,19 @@ def default_experiment(maps: MapSet) -> ExperimentConfig:
     return _DEFAULT_BUILDERS[kind]()
 
 
-def make_training_set(per_class: int, seed: int, noise_scale: float = 1.0):
+def make_training_set(per_class: int, seed: int):
     """Labeled synthetic signals covering every class, deterministic in seed."""
     rng = np.random.default_rng(seed)
     signals, labels = [], []
     for c in range(N_TERRAIN_CLASSES):
         for _ in range(per_class):
-            signals.append(synth_force_signal(c, sample_signal_length(rng), rng, noise_scale))
+            signals.append(synth_force_signal(c, sample_signal_length(rng), rng))
             labels.append(c)
     return signals, labels
 
 
-def train_contact_classifier(seed: int, per_class: int = 150) -> LogisticBaseline:
-    signals, labels = make_training_set(per_class, seed)
+def train_contact_classifier(seed: int) -> LogisticBaseline:
+    signals, labels = make_training_set(TRAIN_PER_CLASS, seed)
     return baseline_train(signals, labels, n_classes=N_TERRAIN_CLASSES, seed=seed)
 
 
@@ -233,23 +228,19 @@ def _reads_class(cfg: ExperimentConfig) -> bool:
 def walk(cfg: ExperimentConfig, course: MapSet, seed: int) -> WalkLog:
     """The experiment's walk: its waypoints, or with none the course kind's
     scripted walk, which only wall-room has (the wall probe). Force signals
-    are synthesized when the classifier labels contacts for a class mode."""
+    are synthesized for the classifier when a mode reads classes."""
     if cfg.waypoints is None:
-        return probe_scenario(course, cfg.course.wall_room, cfg.gait, cfg.noise, seed)
-    synth_signals = cfg.use_classifier and _reads_class(cfg)
-    return simulate_walk(course, cfg.waypoints, cfg.gait, cfg.noise, seed, synth_signals)
+        return probe_scenario(course, cfg.gait, cfg.noise, seed)
+    return simulate_walk(course, cfg.waypoints, cfg.gait, cfg.noise, seed, _reads_class(cfg))
 
 
 def simulate_for_config(cfg: ExperimentConfig, seed: int):
-    """Course + walk log for one seed of an experiment."""
+    """Course + walk log for one seed of an experiment; a mode that reads
+    classes gets them from a classifier trained for the seed."""
     course = generate_course(replace(cfg.course, seed=seed))
     log = walk(cfg, course, seed)
     if _reads_class(cfg):
-        if cfg.use_classifier:
-            model = train_contact_classifier(seed=seed + 10_000, per_class=cfg.train_per_class)
-            classify_log(log, model)
-        else:
-            one_hot_log(log)
+        classify_log(log, train_contact_classifier(seed=seed + 10_000))
     return course, log
 
 
@@ -267,7 +258,7 @@ def run_localization(log: WalkLog, maps: MapSet, mode: str, cfg: ExperimentConfi
             resample_frac=cfg.resample_frac,
             xy_std_threshold=cfg.xy_std_threshold,
         ),
-        to_step_inputs(log, cfg.cov_scale),
+        to_step_inputs(log),
     )
 
 
@@ -319,6 +310,11 @@ def _write_per_seed_outputs(out_dir, seed, log, results):
             write_diagnostics_csv(state, os.path.join(d, f"diagnostics_{mode}.csv"))
 
 
+def _improvement_pct(ate_odom: float, ate_mode: float) -> float:
+    """Percent of the odometry ATE a mode removes; nan when odometry is exact."""
+    return 100.0 * (ate_odom - ate_mode) / ate_odom if ate_odom > 0.0 else float("nan")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
     """Simulate, localize in every configured mode, and score each seed.
 
@@ -341,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
             state = run_localization(log, course, mode, cfg, seed)
             a = ate(truth, state.trajectory)
             per_mode[mode].append(a)
-            report.rows.append(ReportRow(mode, str(seed), a, 100.0 * (ate_odom - a) / ate_odom))
+            report.rows.append(ReportRow(mode, str(seed), a, _improvement_pct(ate_odom, a)))
             results.append((mode, state.trajectory, state))
         if out_dir is not None:
             _write_per_seed_outputs(out_dir, seed, log, results)
@@ -350,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
     report.rows.append(ReportRow("odom-only", "mean", mean_odom, 0.0))
     for mode in cfg.modes:
         mean_mode = float(np.mean(per_mode[mode]))
-        report.rows.append(ReportRow(mode, "mean", mean_mode, 100.0 * (mean_odom - mean_mode) / mean_odom))
+        report.rows.append(ReportRow(mode, "mean", mean_mode, _improvement_pct(mean_odom, mean_mode)))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_report(report, os.path.join(out_dir, "report.csv"))
@@ -358,12 +354,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
 
 
 def parse_waypoints(text) -> tuple:
-    """'x,y x,y ...' -> ((x, y), ...), checked by check_waypoints."""
+    """'x,y x,y ...' -> ((x, y), ...), checked by check_waypoints; the length
+    against the gait's step is checked when the experiment is built."""
     try:
         waypoints = tuple((float(a), float(b)) for a, b in (p.split(",") for p in text.split()))
     except ValueError as e:
         raise ValueError(f"bad waypoint list {text!r}: expected 'x,y x,y ...'") from e
-    check_waypoints(waypoints)
+    check_waypoints(waypoints, 0.0)
     return waypoints
 
 

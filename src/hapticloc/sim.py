@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,25 +62,28 @@ CLASS_SIGNAL_PARAMS = np.array(
 
 SIGNAL_LENGTH_RANGE = (40, 120)
 
+FOOT_DX = 0.3  # half the 0.6 m foot rectangle, along the body
+FOOT_DY = 0.2  # half the 0.4 m rectangle, across the body
+PHASE_DT = 1.0  # seconds per four-support phase, the walk log's timestamps
+
+
+def nominal_offset(label: str) -> np.ndarray:
+    """A foot's standing offset from the base, in the base frame."""
+    sx = 1.0 if label in ("LF", "RF") else -1.0
+    sy = 1.0 if label in ("LF", "LH") else -1.0
+    return np.array([sx * FOOT_DX, sy * FOOT_DY, 0.0])
+
 
 @dataclass(frozen=True)
 class GaitParams:
     step_length: float = 0.05
     standing_height: float = 0.5
-    foot_dx: float = 0.3  # half the 0.6 m foot rectangle, along the body
-    foot_dy: float = 0.2  # half the 0.4 m rectangle, across the body
-    dt: float = 1.0
 
     def __post_init__(self):
-        for name in ("step_length", "standing_height", "foot_dx", "foot_dy", "dt"):
+        for name in ("step_length", "standing_height"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    def nominal_offset(self, label: str) -> np.ndarray:
-        sx = 1.0 if label in ("LF", "RF") else -1.0
-        sy = 1.0 if label in ("LF", "LH") else -1.0
-        return np.array([sx * self.foot_dx, sy * self.foot_dy, 0.0])
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,12 @@ class NoiseSpec:
     z_bias: float = 0.0
     yaw_bias: float = 0.0
     outlier_prob: float = 0.0
-    outlier_shift: float = 0.15
 
     def __post_init__(self):
         white = np.asarray(self.white_std, dtype=float)
         if not (white.shape == (6,) and np.isfinite(white).all() and (white >= 0.0).all()):
             raise ValueError(f"white_std must hold 6 finite values that are not negative, got {self.white_std}")
-        for name in ("z_bias", "yaw_bias", "outlier_shift"):
+        for name in ("z_bias", "yaw_bias"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.outlier_prob <= 1.0:
@@ -110,15 +112,8 @@ class NoiseSpec:
         return np.array([0.0, 0.0, self.z_bias, 0.0, 0.0, self.yaw_bias])
 
 
-@dataclass(frozen=True)
-class WallRoomLayout:
-    floor_x: tuple = (-0.5, 2.0)
-    floor_y: tuple = (-2.0, 1.0)
-    wall_x: float = 2.0  # probing wall plane, faces the robot
-    wall_y: float = -2.0  # side wall reached late in the lateral walk
-    wall_height: float = 0.8
-    spacing: float = 0.02
-    margin: float = 0.5  # extra flat grid border around the floor
+# an outlier contact's offset is shifted this far up or down
+OUTLIER_SHIFT = 0.15
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,6 @@ class CourseSpec:
     kind: str
     resolution: float = 0.05
     seed: int = 0
-    wall_room: WallRoomLayout = field(default_factory=WallRoomLayout)
 
     def __post_init__(self):
         if self.kind not in COURSE_KINDS:
@@ -239,26 +233,34 @@ PROBE_REACH = 0.8
 PROBE_HEIGHT = 0.3
 PROBE_PRIOR_OFFSET = (0.10, 0.10, 0.0)
 
+# the wall-room course: floor extent, the two wall planes, wall height,
+# cloud point spacing, and the flat grid border around the floor
+WALL_ROOM_FLOOR_X = (-0.5, 2.0)
+WALL_ROOM_FLOOR_Y = (-2.0, 1.0)
+WALL_ROOM_WALL_X = 2.0  # probing wall plane, faces the robot
+WALL_ROOM_WALL_Y = -2.0  # side wall reached late in the lateral walk
+WALL_ROOM_WALL_HEIGHT = 0.8
+WALL_ROOM_SPACING = 0.02
+WALL_ROOM_MARGIN = 0.5
+
 
 def _wall_room_course(spec: CourseSpec) -> MapSet:
-    lay = spec.wall_room
     res = spec.resolution
-    m = lay.margin
-    origin = (lay.floor_x[0] - m, lay.floor_y[0] - m)
-    n_cols = round((lay.floor_x[1] - lay.floor_x[0] + 2 * m) / res)
-    n_rows = round((lay.floor_y[1] - lay.floor_y[0] + 2 * m) / res)
-    elevation = ElevationGrid(res, origin, np.zeros((n_rows, n_cols)))
+    (x0, x1), (y0, y1), m = WALL_ROOM_FLOOR_X, WALL_ROOM_FLOOR_Y, WALL_ROOM_MARGIN
+    n_cols = round((x1 - x0 + 2 * m) / res)
+    n_rows = round((y1 - y0 + 2 * m) / res)
+    elevation = ElevationGrid(res, (x0 - m, y0 - m), np.zeros((n_rows, n_cols)))
 
-    s = lay.spacing
-    xs = np.arange(lay.floor_x[0], lay.floor_x[1] + s / 2, s)
-    ys = np.arange(lay.floor_y[0], lay.floor_y[1] + s / 2, s)
-    zs = np.arange(s, lay.wall_height + s / 2, s)
+    s = WALL_ROOM_SPACING
+    xs = np.arange(x0, x1 + s / 2, s)
+    ys = np.arange(y0, y1 + s / 2, s)
+    zs = np.arange(s, WALL_ROOM_WALL_HEIGHT + s / 2, s)
     fx, fy = np.meshgrid(xs, ys)
     floor = np.column_stack([fx.ravel(), fy.ravel(), np.zeros(fx.size)])
     wy, wz = np.meshgrid(ys, zs)
-    front = np.column_stack([np.full(wy.size, lay.wall_x), wy.ravel(), wz.ravel()])
+    front = np.column_stack([np.full(wy.size, WALL_ROOM_WALL_X), wy.ravel(), wz.ravel()])
     sx, sz = np.meshgrid(xs, zs)
-    side = np.column_stack([sx.ravel(), np.full(sx.size, lay.wall_y), sz.ravel()])
+    side = np.column_stack([sx.ravel(), np.full(sx.size, WALL_ROOM_WALL_Y), sz.ravel()])
 
     cloud = PointCloudMap(np.vstack([floor, front, side]))
     return MapSet(elevation=elevation, cloud=cloud)
@@ -284,11 +286,9 @@ def sample_signal_length(rng: np.random.Generator) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator, noise_scale: float = 1.0) -> StepSignal:
-    """Class-conditioned damped-oscillation force/torque signal.
-
-    With noise_scale 0 the deterministic class template is returned.
-    """
+def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) -> StepSignal:
+    """Class-conditioned damped-oscillation force/torque signal: the class
+    template plus white noise at 6% of each channel's amplitude."""
     class_id = int(class_id)
     if not 0 <= class_id < len(CLASS_SIGNAL_PARAMS):
         raise ValueError(f"class id {class_id} outside [0, {len(CLASS_SIGNAL_PARAMS)})")
@@ -308,7 +308,7 @@ def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator, 
             0.5 * torque * env * np.sin(0.5 * w),
         ]
     )
-    sigma = 0.06 * noise_scale * np.array([0.3 * amp, 0.3 * amp, amp, torque, torque, 0.5 * torque])
+    sigma = 0.06 * np.array([0.3 * amp, 0.3 * amp, amp, torque, torque, 0.5 * torque])
     cols = cols + rng.standard_normal((n_samples, 6)) * sigma
     return StepSignal(cols)
 
@@ -342,9 +342,9 @@ class WalkLog:
     def timestamps(self) -> np.ndarray:
         return np.array([0.0] + [r.timestamp for r in self.records])
 
-    def odometry_poses(self, start: Pose | None = None) -> list:
+    def odometry_poses(self) -> list:
         """Dead-reckoned trajectory: composed increments from the prior mean."""
-        pose = self.init_prior if start is None else start
+        pose = self.init_prior
         out = [pose]
         for r in self.records:
             pose = compose(pose, r.odom_increment)
@@ -352,22 +352,27 @@ class WalkLog:
         return out
 
 
-def check_waypoints(waypoints) -> np.ndarray:
+def check_waypoints(waypoints, step_length: float) -> np.ndarray:
     """The waypoints as an (n >= 2, 2) float array of finite values, no
-    waypoint equal to the one before it; the map is checked when walked."""
+    waypoint equal to the one before it, spanning at least one step_length
+    (0 checks no length); the map is checked when walked."""
     wp = np.asarray(waypoints, dtype=float)
     if wp.ndim != 2 or wp.shape[1] != 2 or len(wp) < 2:
         raise ValueError(f"waypoints must be an (n>=2, 2) array, got shape {wp.shape}")
     if not np.isfinite(wp).all():
         raise ValueError("waypoints must be finite")
-    if np.any(np.linalg.norm(np.diff(wp, axis=0), axis=1) == 0.0):
+    seg_len = np.linalg.norm(np.diff(wp, axis=0), axis=1)
+    if np.any(seg_len == 0.0):
         raise ValueError("duplicate consecutive waypoints")
+    total = seg_len.sum()
+    if total < (1.0 - 1e-9) * step_length:  # _path_samples counts steps to 1e-9 of a step
+        raise ValueError(f"waypoints span {total:.6g} m, shorter than one {step_length} m step")
     return wp
 
 
 def _path_samples(waypoints, step_length):
     """Positions and headings every step_length metres along a polyline."""
-    wp = check_waypoints(waypoints)
+    wp = check_waypoints(waypoints, step_length)
     seg = np.diff(wp, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
@@ -390,15 +395,15 @@ def _base_pose(maps, xy, yaw, gait) -> Pose:
     return Pose([xy[0], xy[1], z + gait.standing_height], quat_from_yaw(yaw))
 
 
-def _place_foot(maps, pose: Pose, label: str, gait) -> np.ndarray | None:
-    world = pose.position + quat_rotate(pose.quat, gait.nominal_offset(label))
+def _place_foot(maps, pose: Pose, label: str) -> np.ndarray | None:
+    world = pose.position + quat_rotate(pose.quat, nominal_offset(label))
     z = elevation_at(maps.elevation, world[:2])
     if np.isnan(z):
         return None
     return np.array([world[0], world[1], z])
 
 
-def _record_step(maps, k, pose, prev_pose, feet, noise, gait, rng, synth_signals):
+def _record_step(maps, k, pose, prev_pose, feet, noise, rng, synth_signals):
     incr_true = relative_increment(prev_pose, pose)
     delta = noise.white_array() * rng.standard_normal(6) + noise.bias_vector()
     odom = compose(incr_true, pose_exp(delta))
@@ -409,7 +414,7 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, gait, rng, synth_signals
         offset = quat_rotate(quat_conjugate(pose.quat), world - pose.position)
         if noise.outlier_prob > 0.0 and rng.random() < noise.outlier_prob:
             offset = offset.copy()
-            offset[2] += noise.outlier_shift * (1.0 if rng.random() < 0.5 else -1.0)
+            offset[2] += OUTLIER_SHIFT * (1.0 if rng.random() < 0.5 else -1.0)
         class_id = UNKNOWN_CLASS
         signal = None
         if maps.class_grid is not None:
@@ -423,7 +428,7 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, gait, rng, synth_signals
 
     return StepRecord(
         k=k,
-        timestamp=k * gait.dt,
+        timestamp=k * PHASE_DT,
         true_pose=pose,
         odom_increment=odom,
         odom_cov_diag=noise.white_array() ** 2,
@@ -443,7 +448,7 @@ def _walk(maps, xys, yaws, gait, noise, seed, synth_signals, probe=None):
     start = _base_pose(maps, xys[0], yaws[0], gait)
     feet = {}
     for label in FOOT_LABELS:
-        placed = _place_foot(maps, start, label, gait)
+        placed = _place_foot(maps, start, label)
         if placed is None:
             raise ValueError(f"foot {label} starts off the map")
         feet[label] = placed
@@ -453,12 +458,12 @@ def _walk(maps, xys, yaws, gait, noise, seed, synth_signals, probe=None):
     for k in range(1, len(xys)):
         pose = _base_pose(maps, xys[k], yaws[k], gait)
         swing = GAIT_ORDER[(k - 1) % 4]
-        placed = _place_foot(maps, pose, swing, gait)
+        placed = _place_foot(maps, pose, swing)
         if placed is not None:
             feet[swing] = placed
         touch = None if probe is None else probe(k, pose)
         touching = feet if touch is None else {**feet, touch[0]: touch[1]}
-        records.append(_record_step(maps, k, pose, prev, touching, noise, gait, rng, synth_signals))
+        records.append(_record_step(maps, k, pose, prev, touching, noise, rng, synth_signals))
         prev = pose
     return WalkLog(start_pose=start, init_prior=start, records=records)
 
@@ -468,7 +473,7 @@ def simulate_walk(maps: MapSet, waypoints, gait: GaitParams, noise: NoiseSpec, s
     return _walk(maps, *_path_samples(waypoints, gait.step_length), gait, noise, seed, synth_signals)
 
 
-def probe_scenario(maps: MapSet, layout: WallRoomLayout, gait: GaitParams, noise: NoiseSpec, seed: int) -> WalkLog:
+def probe_scenario(maps: MapSet, gait: GaitParams, noise: NoiseSpec, seed: int) -> WalkLog:
     """Lateral wall-probing walk: side-steps toward the side wall, facing the
     front wall, with the RF leg alternating front and side probes.
 
@@ -481,9 +486,9 @@ def probe_scenario(maps: MapSet, layout: WallRoomLayout, gait: GaitParams, noise
 
     def probe(k, pose):
         if k % 2 == 1:
-            target = np.array([layout.wall_x, pose.position[1] - gait.foot_dy, PROBE_HEIGHT])
+            target = np.array([WALL_ROOM_WALL_X, pose.position[1] - FOOT_DY, PROBE_HEIGHT])
         else:
-            target = np.array([pose.position[0] + gait.foot_dx, layout.wall_y, PROBE_HEIGHT])
+            target = np.array([pose.position[0] + FOOT_DX, WALL_ROOM_WALL_Y, PROBE_HEIGHT])
         return ("RF", target) if np.linalg.norm(target - pose.position) <= PROBE_REACH else None
 
     log = _walk(maps, xys, np.zeros(n + 1), gait, noise, seed, False, probe)
@@ -500,12 +505,12 @@ def classify_log(log: WalkLog, model) -> WalkLog:
     return log
 
 
-def one_hot_log(log: WalkLog, n_classes: int = N_TERRAIN_CLASSES) -> WalkLog:
+def one_hot_log(log: WalkLog) -> WalkLog:
     """Fill contact class probabilities from the logged true classes, in place."""
     for rec in log.records:
         for contact, cid in zip(rec.contacts, rec.true_class_ids):
             if cid != UNKNOWN_CLASS:
-                probs = np.zeros(n_classes)
+                probs = np.zeros(N_TERRAIN_CLASSES)
                 probs[int(cid)] = 1.0
                 contact.class_probs = probs
     return log

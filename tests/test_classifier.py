@@ -104,8 +104,8 @@ def test_train_validation():
 def test_train_is_deterministic():
     sigs, labels = make_training_set(per_class=6, seed=3)
     labels = np.asarray(labels)
-    a = baseline_train(sigs, labels, seed=5, epochs=50)
-    b = baseline_train(sigs, labels, seed=5, epochs=50)
+    a = baseline_train(sigs, labels, seed=5)
+    b = baseline_train(sigs, labels, seed=5)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
 
@@ -129,7 +129,7 @@ def test_train_separates_synthetic_materials():
 
 def test_save_load_round_trip(tmp_path):
     sigs, labels = make_training_set(per_class=5, seed=2)
-    model = baseline_train(sigs, labels, seed=1, epochs=30)
+    model = baseline_train(sigs, labels, seed=1)
     p = tmp_path / "model.json"
     save_baseline(model, p)
     loaded = load_baseline(p)

@@ -1,5 +1,6 @@
 """End-to-end command-line flows, driven through main() in-process."""
 
+import pathlib
 import shutil
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from hapticloc.network import NetworkConfig, random_weights, save_weights
 from hapticloc.sim import classify_log, load_walklog, save_signal, synth_force_signal, walklog_hash
 
 SMALL_NET = NetworkConfig(res_channels=(8, 12), gru_hidden=10, fc_hidden=7)
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -178,7 +180,7 @@ def test_localize_with_a_saved_baseline(tmp_path, capsys):
                        "--seed", "1", "--out", str(log_path))
     assert code == 0, err
     model_path = tmp_path / "baseline.json"
-    save_baseline(train_contact_classifier(seed=5, per_class=20), model_path)
+    save_baseline(train_contact_classifier(seed=5), model_path)
     out_dir = tmp_path / "loc"
     code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-GC",
                        "--particles", "100", "--baseline", str(model_path), "--out", str(out_dir))
@@ -279,3 +281,54 @@ def test_run_experiment_bad_config_errors(tmp_path, capsys):
     ini.write_text("[experiment]\nkind = chevron-ramp\n[walk]\nstep_length = 0\n")
     code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))
     assert code == 1 and err.startswith(f"error: {ini}: ") and "step_length" in err
+
+
+def test_run_experiment_with_exact_odometry_reports_nan(tmp_path, capsys):
+    # noise-free odometry has an ATE of 0, so no improvement over it is defined
+    ini = tmp_path / "exact.ini"
+    ini.write_text(
+        "[experiment]\nkind = chevron-ramp\nseeds = 1\n"
+        "[walk]\nwaypoints = 1.0,0.7 1.5,0.7\n"
+        "[noise]\nwhite_std = 0 0 0 0 0 0\nz_bias = 0\nyaw_bias = 0\n"
+    )
+    out_dir = tmp_path / "run"
+    code, out, err = run(capsys, "run-experiment", "--config", str(ini), "--particles", "100", "--out", str(out_dir))
+    assert code == 0, err
+    report = (out_dir / "report.csv").read_text().split("\n")
+    assert "odom-only,1,0.000000,0.000000" in report
+    rows = [line.split(",") for line in report if line.startswith("HL-G,")]
+    assert [r[1] for r in rows] == ["1", "mean"]
+    assert all(r[3] == "nan" for r in rows)
+    assert "improvement=+nan%" in out
+
+
+def readme_quick_start():
+    """The README quick-start's commands, each with the output its comment
+    lines show: the comments right below a command are what it prints."""
+    block = README.read_text().split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    steps, below_command = [], False
+    for line in block.split("\n"):
+        if line.startswith("hapticloc "):
+            steps.append((line.split()[1:], []))
+            below_command = True
+        elif below_command and line.startswith("# "):
+            steps[-1][1].append(line[2:])
+        else:
+            below_command = False
+    return steps
+
+
+def test_readme_quick_start_prints_what_it_shows(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = readme_quick_start()
+    assert [(argv[0], len(shown)) for argv, shown in steps] == [("make-course", 0), ("simulate", 1), ("localize", 1)]
+    for argv, shown in steps:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        printed = out.split("\n")
+        for want in shown:
+            # a shown line ending in "..." is the start of the printed one
+            if want.endswith("..."):
+                assert any(line.startswith(want[:-3]) for line in printed), (want, out)
+            else:
+                assert want in printed, (want, out)

@@ -2,12 +2,13 @@
 
 import filecmp
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from hapticloc.evaluate import (
+    _INI_KEYS,
     EvalReport,
     ExperimentConfig,
     ReportRow,
@@ -83,7 +84,7 @@ def test_per_step_errors_components_and_yaw_wrap():
 def test_to_step_inputs_scales_covariance():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     log = simulate_walk(maps, ((1.0, 0.7), (1.25, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0, False)
-    inputs = to_step_inputs(log, cov_scale=1.5)
+    inputs = to_step_inputs(log)
     assert len(inputs) == 5
     want = np.diag(1.5**2 * np.full(6, 0.004**2))
     for inp, rec in zip(inputs, log.records):
@@ -119,7 +120,7 @@ def test_experiment_config_validation():
 )
 def test_modes_are_distinct_filter_modes(key, values, match, tmp_path):
     with pytest.raises(ValueError, match=match):
-        replace(default_chevron_experiment(seeds=(1,)), **{key: values})
+        replace(default_chevron_experiment(), **{key: values})
     p = tmp_path / "modes.ini"
     p.write_text(f"[experiment]\nkind = chevron-ramp\n{key} = {' '.join(map(str, values))}\n")
     with pytest.raises(ValueError, match=match):
@@ -148,10 +149,58 @@ def test_unwalkable_waypoints_are_rejected(waypoints, text, match, tmp_path):
     assert str(err.value).startswith(f"{p}: [walk] waypoints = ")
 
 
+# a walk must log at least one step; the length is checked against the
+# gait's step when the experiment is built, so the INI loader names only
+# the file
+@pytest.mark.parametrize(
+    "walk, waypoints, step_length",
+    [
+        ("waypoints = 1.0,0.7 1.03,0.7", ((1.0, 0.7), (1.03, 0.7)), 0.05),
+        ("waypoints = 1.0,0.7 1.03,0.7 1.03,0.71", ((1.0, 0.7), (1.03, 0.7), (1.03, 0.71)), 0.05),
+        ("waypoints = 1.0,0.7 1.06,0.7\nstep_length = 0.1", ((1.0, 0.7), (1.06, 0.7)), 0.1),
+    ],
+    ids=["one-leg", "two-legs", "longer-step"],
+)
+def test_a_walk_shorter_than_one_step_is_rejected(walk, waypoints, step_length, tmp_path):
+    match = f"waypoints span .* m, shorter than one {step_length} m step"
+    with pytest.raises(ValueError, match=match):
+        replace(default_chevron_experiment(), waypoints=waypoints, gait=GaitParams(step_length=step_length))
+    p = tmp_path / "short.ini"
+    p.write_text(f"[experiment]\nkind = chevron-ramp\n[walk]\n{walk}\n")
+    with pytest.raises(ValueError, match=match) as err:
+        load_experiment_config(p)
+    assert str(err.value).startswith(f"{p}: waypoints span ")
+
+
+def test_a_walk_of_one_step_is_walked():
+    cfg = replace(default_chevron_experiment(), waypoints=((1.0, 0.7), (1.05, 0.7)))
+    _, log = simulate_for_config(cfg, 1)
+    assert log.n_steps == 1
+
+
+def settings(obj, prefix=""):
+    """Dotted names of a config's settable fields, nested configs expanded."""
+    names = set()
+    for f in fields(obj):
+        if f.init:
+            value = getattr(obj, f.name)
+            names |= settings(value, f"{prefix}{f.name}.") if is_dataclass(value) else {prefix + f.name}
+    return names
+
+
+def test_every_setting_is_an_ini_key():
+    # but the course kind, which picks the builder, and the course seed,
+    # which each seed of a run sets
+    want = {name for name, _ in _INI_KEYS.values()} | {"course.kind", "course.seed"}
+    for builder in (default_chevron_experiment, default_tiles_experiment, default_wallroom_experiment):
+        assert settings(builder()) == want
+    assert len(want) == 19
+
+
 def test_default_experiments_are_valid():
     for builder in (default_chevron_experiment, default_tiles_experiment, default_wallroom_experiment):
-        cfg = builder(seeds=(1,))
-        assert cfg.seeds == (1,)
+        cfg = builder()
+        assert cfg.seeds == (1, 2, 3, 4, 5)
         assert cfg.n_particles == 500
         # a course's layers name its kind's default experiment
         assert default_experiment(generate_course(cfg.course)) == builder()
@@ -162,8 +211,7 @@ def test_default_experiments_are_valid():
 
 
 def tiny_chevron(seeds=(1, 2)):
-    base = default_chevron_experiment(seeds=seeds)
-    return replace(base, waypoints=((1.0, 0.7), (3.4, 0.7)), n_particles=150)
+    return replace(default_chevron_experiment(), seeds=seeds, waypoints=((1.0, 0.7), (3.4, 0.7)), n_particles=150)
 
 
 def test_run_experiment_report_structure_and_consistency(tmp_path):
@@ -247,16 +295,9 @@ def test_write_report_row_order(tmp_path):
 
 
 def test_simulate_for_config_class_probs():
-    base = default_tiles_experiment(seeds=(1,))
-    cfg = replace(base, waypoints=((0.6, 0.6), (2.0, 0.6)), use_classifier=False)
+    cfg = replace(default_tiles_experiment(), waypoints=((0.6, 0.6), (2.0, 0.6)))
     _, log = simulate_for_config(cfg, 1)
-    labeled = [c for r in log.records for c in r.contacts if c.class_probs is not None]
-    assert labeled
-    for c in labeled:
-        assert c.class_probs.max() == 1.0 and c.class_probs.sum() == 1.0
-    cfg2 = replace(base, waypoints=((0.6, 0.6), (2.0, 0.6)), train_per_class=20)
-    _, log2 = simulate_for_config(cfg2, 1)
-    soft = [c for r in log2.records for c in r.contacts if c.class_probs is not None]
+    soft = [c for r in log.records for c in r.contacts if c.class_probs is not None]
     assert soft
     for c in soft:
         assert c.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -279,7 +320,6 @@ def test_run_localization_reads_the_experiment_config():
         resample_frac=0.7,
         xy_std_threshold=0.05,
         prior_std_xyz=0.1,
-        cov_scale=2.0,
     )
     st = run_localization(log, maps, "HL-G", cfg, seed=3)
     want = run_filter(
@@ -294,7 +334,7 @@ def test_run_localization_reads_the_experiment_config():
             resample_frac=0.7,
             xy_std_threshold=0.05,
         ),
-        to_step_inputs(log, cov_scale=2.0),
+        to_step_inputs(log),
     )
     assert len(st.trajectory) == 11 and st.n_particles == 80
     assert all(np.array_equal(a.to_array(), b.to_array()) for a, b in zip(st.trajectory, want.trajectory))
