@@ -3,6 +3,7 @@
 
     python scripts/output_digest.py --seeds 1 2 > digests.txt
     python scripts/output_digest.py --seeds 3 4 5 --experiments wall-room wallroom-n5k
+    python scripts/output_digest.py --write
 
 Runs the three default experiments (chevron, class-tiles, wall-room) and the
 benchmark's three configurations (perfbench/run.py: class-tiles on a 1 cm
@@ -11,6 +12,10 @@ seeds into a temporary directory; --experiments picks some of the six.
 Prints one "<sha256>  <experiment>/<file>" line for report.csv and for every
 file under seed_N/. Run it on two checkouts and diff the outputs to check
 that a change keeps every file byte-identical.
+
+--write instead writes the golden digests that tests/test_golden.py checks,
+to tests/golden_digests.txt: GOLDEN's experiments and seeds, under a header
+line with the numpy and scipy versions that produced them.
 """
 
 import argparse
@@ -20,8 +25,12 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 # digest the package of this checkout, not an installed one
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy  # noqa: E402
+import scipy  # noqa: E402
 
 from hapticloc.evaluate import (  # noqa: E402
     default_chevron_experiment,
@@ -42,21 +51,43 @@ EXPERIMENTS = {
     "wallroom-n5k": lambda: replace(default_wallroom_experiment(), n_particles=5_000),
 }
 
+# the golden set: seed 1 of the three default experiments, plus wall-room
+# seed 40, whose probe once ended in the wrong mode
+GOLDEN = {"chevron": (1,), "class-tiles": (1,), "wall-room": (1, 40)}
+GOLDEN_FILE = ROOT / "tests" / "golden_digests.txt"
+
+
+def versions_line() -> str:
+    return f"# numpy {numpy.__version__} scipy {scipy.__version__}"
+
+
+def digest_lines(runs):
+    """Yield "<sha256>  <experiment>/<file>" for each (name, seeds) of runs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seeds in runs:
+            out = Path(tmp) / name
+            run_experiment(replace(EXPERIMENTS[name](), seeds=tuple(seeds)), str(out))
+            files = [out / "report.csv"] + sorted(f for f in out.glob("seed_*/**/*") if f.is_file())
+            for f in files:
+                digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                yield f"{digest}  {name}/{f.relative_to(out).as_posix()}"
+
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     p.add_argument("--experiments", nargs="+", choices=list(EXPERIMENTS), default=list(EXPERIMENTS),
                    metavar="NAME", help=f"experiments to run (default: all of {', '.join(EXPERIMENTS)})")
+    p.add_argument("--write", action="store_true",
+                   help=f"write the golden digests to {GOLDEN_FILE.relative_to(ROOT)} instead")
     args = p.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in args.experiments:
-            out = Path(tmp) / name
-            run_experiment(replace(EXPERIMENTS[name](), seeds=tuple(args.seeds)), str(out))
-            files = [out / "report.csv"] + sorted(f for f in out.glob("seed_*/**/*") if f.is_file())
-            for f in files:
-                digest = hashlib.sha256(f.read_bytes()).hexdigest()
-                print(f"{digest}  {name}/{f.relative_to(out).as_posix()}", flush=True)
+    if args.write:
+        lines = [versions_line(), *digest_lines(GOLDEN.items())]
+        GOLDEN_FILE.write_text("\n".join(lines) + "\n")
+        print(f"{GOLDEN_FILE}: {len(lines) - 1} digests")
+        return
+    for line in digest_lines((name, args.seeds) for name in args.experiments):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -3,13 +3,14 @@
 A contact signal is reduced to 24 features (per-channel mean, std, min, max)
 and classified with multinomial logistic regression trained by full-batch
 gradient descent on the cross-entropy loss. Deterministic given a seed.
+
+A terrain classifier is anything with predict(signal) -> class probabilities:
+this baseline, or the network of network.py.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -74,6 +75,9 @@ class LogisticBaseline:
     def standardize(self, features) -> np.ndarray:
         return (np.asarray(features, dtype=float) - self.feat_mean) / self.feat_std
 
+    def predict(self, signal: StepSignal) -> np.ndarray:
+        return baseline_predict(self, signal)
+
 
 # full-batch gradient descent: step size and number of steps
 LEARNING_RATE = 0.5
@@ -107,46 +111,3 @@ def baseline_predict(model: LogisticBaseline, signal: StepSignal) -> np.ndarray:
     """Class probability vector for one signal."""
     x = model.standardize(featurize(signal))
     return _softmax_rows((x @ model.weights.T + model.bias)[None, :])[0]
-
-
-def baseline_predict_many(model: LogisticBaseline, signals) -> np.ndarray:
-    x = model.standardize(np.stack([featurize(s) for s in signals]))
-    return _softmax_rows(x @ model.weights.T + model.bias)
-
-
-def save_baseline(model: LogisticBaseline, path) -> None:
-    blob = {
-        "format": "hapticloc-baseline-1",
-        "weights": model.weights.tolist(),
-        "bias": model.bias.tolist(),
-        "feat_mean": model.feat_mean.tolist(),
-        "feat_std": model.feat_std.tolist(),
-    }
-    with open(path, "w") as f:
-        json.dump(blob, f)
-
-
-def load_baseline(path) -> LogisticBaseline:
-    with open(path) as f:
-        blob = json.load(f)
-    if blob.get("format") != "hapticloc-baseline-1":
-        raise ValueError(f"{path}: not a baseline model file")
-    return LogisticBaseline(
-        np.array(blob["weights"], dtype=float),
-        np.array(blob["bias"], dtype=float),
-        np.array(blob["feat_mean"], dtype=float),
-        np.array(blob["feat_std"], dtype=float),
-    )
-
-
-def material_names() -> list[str]:
-    """Terrain material for each class id, from the packaged table."""
-    text = resources.files("hapticloc").joinpath("data/materials.txt").read_text()
-    table = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        idx, name = line.split(maxsplit=1)
-        table[int(idx)] = name.strip()
-    return [table[i] for i in range(len(table))]

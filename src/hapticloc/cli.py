@@ -4,6 +4,12 @@ Subcommands: make-course, simulate, localize, eval, classify, run-experiment.
 A course directory holds course.hmap plus course.cmap / course.xyz when the
 course has those layers. Failures print one `error: ...` line on stderr and
 exit nonzero.
+
+On a mode that reads terrain classes, localize fuses a classifier's class
+probabilities for the walk log's force signals: by default the logistic
+baseline run-experiment trains for experiment seed --seed (so make-course,
+simulate and localize with one --seed write run-experiment's files for that
+seed), or with --weights FILE the network that classify also runs.
 """
 
 from __future__ import annotations
@@ -14,12 +20,11 @@ import sys
 from dataclasses import replace
 
 from . import evaluate, sim
-from .classifier import load_baseline
 from .geometry import load_trajectory, save_trajectory
 from .likelihood import MODES
 from .maps import MapSet, load_map, save_map
 from .mcl import write_diagnostics_csv
-from .network import forward, load_weights
+from .network import load_weights
 from .sim import CourseSpec
 
 
@@ -58,8 +63,7 @@ def _cmd_simulate(args) -> int:
     if args.waypoints:
         cfg = replace(cfg, waypoints=evaluate.parse_waypoints(args.waypoints))
     log = evaluate.walk(cfg, course, args.seed)
-    signals_dir = "signals" if any(s is not None for r in log.records for s in r.signals) else None
-    sim.save_walklog(log, args.out, signals_dir=signals_dir)
+    sim.save_walklog(log, args.out, signals_dir="signals" if log.has_signals else None)
     print(args.out)
     print(f"steps={log.n_steps} sha256={sim.walklog_hash(log)}")
     return 0
@@ -72,12 +76,12 @@ def _cmd_localize(args) -> int:
         cfg = replace(cfg, n_particles=args.particles)
     mode = args.mode or cfg.modes[0]
     needs_class = "class" in MODES[mode]
-    log = sim.load_walklog(args.walklog, load_signals=needs_class and args.baseline is not None)
+    if args.weights is not None and not needs_class:
+        raise ValueError(f"--weights: mode {mode} reads no terrain classes")
+    log = sim.load_walklog(args.walklog, load_signals=needs_class)
     if needs_class:
-        if args.baseline is not None:
-            sim.classify_log(log, load_baseline(args.baseline))
-        else:
-            sim.one_hot_log(log)
+        model = evaluate.train_contact_classifier(args.seed) if args.weights is None else load_weights(args.weights)
+        sim.classify_log(log, model)
     state = evaluate.run_localization(log, course, mode, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     save_trajectory(os.path.join(args.out, "estimate.traj"), state.trajectory, log.timestamps())
@@ -96,9 +100,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    net = load_weights(args.weights)
-    signal = sim.load_signal(args.signal)
-    probs = forward(net, signal.samples)
+    probs = load_weights(args.weights).predict(sim.load_signal(args.signal))
     print(" ".join(format(p, ".9f") for p in probs))
     return 0
 
@@ -144,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walklog", required=True)
     p.add_argument("--mode", choices=tuple(MODES), help="default: the course kind's first experiment mode")
     p.add_argument("--particles", type=int, help="default: the course kind's experiment particle count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline", help="trained baseline classifier json for class modes")
+    p.add_argument("--seed", type=int, default=0, help="filter seed, and the experiment seed of the classifier")
+    p.add_argument("--weights", help="class modes: fuse this network weights file, not the seed's baseline")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_localize)
 

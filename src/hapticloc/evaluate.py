@@ -29,6 +29,7 @@ from .sim import (
     classify_log,
     generate_course,
     probe_scenario,
+    probe_steps,
     sample_signal_length,
     simulate_walk,
     synth_force_signal,
@@ -46,8 +47,11 @@ PRIOR_STD_Z = 0.02
 PRIOR_STD_ROT = 0.02
 PRIOR_STD_YAW = 0.05
 
-# labeled signals per terrain class that train a seed's contact classifier
+# labeled signals per terrain class that train a seed's contact classifier,
+# and the offset from the experiment seed to its training seed, which keeps
+# the training draws clear of the seeds the walks draw from
 TRAIN_PER_CLASS = 150
+TRAIN_SEED_OFFSET = 10_000
 
 
 def ate(truth, est) -> float:
@@ -107,6 +111,8 @@ class ExperimentConfig:
             check_waypoints(self.waypoints, self.gait.step_length)
         elif self.course.kind != "wall-room":
             raise ValueError(f"a {self.course.kind} experiment needs waypoints: only wall-room has a scripted walk")
+        else:
+            probe_steps(self.gait.step_length)
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes {self.modes} repeat a mode")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -217,8 +223,10 @@ def make_training_set(per_class: int, seed: int):
 
 
 def train_contact_classifier(seed: int) -> LogisticBaseline:
-    signals, labels = make_training_set(TRAIN_PER_CLASS, seed)
-    return baseline_train(signals, labels, n_classes=N_TERRAIN_CLASSES, seed=seed)
+    """The logistic baseline that labels the contacts of experiment seed `seed`."""
+    train_seed = seed + TRAIN_SEED_OFFSET
+    signals, labels = make_training_set(TRAIN_PER_CLASS, train_seed)
+    return baseline_train(signals, labels, n_classes=N_TERRAIN_CLASSES, seed=train_seed)
 
 
 def _reads_class(cfg: ExperimentConfig) -> bool:
@@ -240,7 +248,7 @@ def simulate_for_config(cfg: ExperimentConfig, seed: int):
     course = generate_course(replace(cfg.course, seed=seed))
     log = walk(cfg, course, seed)
     if _reads_class(cfg):
-        classify_log(log, train_contact_classifier(seed=seed + 10_000))
+        classify_log(log, train_contact_classifier(seed))
     return course, log
 
 

@@ -228,17 +228,6 @@ def class_distance_many(grid: ClassGrid, xy, class_id) -> np.ndarray:
     return out
 
 
-def kd_nearest(cloud: PointCloudMap, point):
-    """Nearest cloud point and its Euclidean distance; exact ties -> lowest index."""
-    point = np.asarray(point, dtype=float).reshape(3)
-    dist, idx = cloud._tree.query(point)
-    # the tree's tie order is unspecified; normalize to the lowest index
-    ties = cloud._tree.query_ball_point(point, dist)
-    if len(ties) > 1:
-        idx = min(ties)
-    return cloud.points[idx].copy(), float(dist)
-
-
 def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:
     """Nearest-neighbour distances for query points (..., 3).
 

@@ -132,6 +132,11 @@ class NetworkWeights:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
+    def predict(self, signal) -> np.ndarray:
+        """Class probabilities for one StepSignal: the classifier interface
+        the logistic baseline shares (classifier.py)."""
+        return forward(self, signal.samples)
+
 
 def random_weights(cfg: NetworkConfig, seed: int = 0) -> NetworkWeights:
     """Deterministic random initialization, for tests and untrained inference."""

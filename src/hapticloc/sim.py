@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import StepSignal, baseline_predict
+from .classifier import StepSignal
 from .geometry import (
     FOOT_LABELS,
     FootOffset,
@@ -336,6 +336,10 @@ class WalkLog:
     def n_steps(self) -> int:
         return len(self.records)
 
+    @property
+    def has_signals(self) -> bool:
+        return any(s is not None for r in self.records for s in r.signals)
+
     def true_poses(self) -> list:
         return [self.start_pose] + [r.true_pose for r in self.records]
 
@@ -473,6 +477,15 @@ def simulate_walk(maps: MapSet, waypoints, gait: GaitParams, noise: NoiseSpec, s
     return _walk(maps, *_path_samples(waypoints, gait.step_length), gait, noise, seed, synth_signals)
 
 
+def probe_steps(step_length: float) -> int:
+    """Steps of the wall probe's PROBE_WALK_LENGTH lateral walk; a step too
+    long to leave one raises."""
+    n = int(round(PROBE_WALK_LENGTH / step_length))
+    if n < 1:
+        raise ValueError(f"step_length {step_length} m leaves the {PROBE_WALK_LENGTH} m wall probe without a step")
+    return n
+
+
 def probe_scenario(maps: MapSet, gait: GaitParams, noise: NoiseSpec, seed: int) -> WalkLog:
     """Lateral wall-probing walk: side-steps toward the side wall, facing the
     front wall, with the RF leg alternating front and side probes.
@@ -480,7 +493,7 @@ def probe_scenario(maps: MapSet, gait: GaitParams, noise: NoiseSpec, seed: int) 
     The filter prior is the true start pose shifted by PROBE_PRIOR_OFFSET in
     world coordinates, so the scripted contacts must pull the estimate back.
     """
-    n = int(round(PROBE_WALK_LENGTH / gait.step_length))
+    n = probe_steps(gait.step_length)
     x0, y0 = PROBE_START_XY
     xys = np.column_stack([np.full(n + 1, x0), y0 - np.arange(n + 1) * gait.step_length])
 
@@ -497,22 +510,14 @@ def probe_scenario(maps: MapSet, gait: GaitParams, noise: NoiseSpec, seed: int) 
 
 
 def classify_log(log: WalkLog, model) -> WalkLog:
-    """Fill contact class probabilities from the baseline classifier, in place."""
+    """Fill contact class probabilities in place from a terrain classifier:
+    anything with predict(signal) -> probs. A log without force signals raises."""
+    if not log.has_signals:
+        raise ValueError("the walk log holds no force signals to classify")
     for rec in log.records:
         for contact, signal in zip(rec.contacts, rec.signals):
             if signal is not None:
-                contact.class_probs = baseline_predict(model, signal)
-    return log
-
-
-def one_hot_log(log: WalkLog) -> WalkLog:
-    """Fill contact class probabilities from the logged true classes, in place."""
-    for rec in log.records:
-        for contact, cid in zip(rec.contacts, rec.true_class_ids):
-            if cid != UNKNOWN_CLASS:
-                probs = np.zeros(N_TERRAIN_CLASSES)
-                probs[int(cid)] = 1.0
-                contact.class_probs = probs
+                contact.class_probs = model.predict(signal)
     return log
 
 

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from hapticloc.classifier import baseline_predict_many, baseline_train, loss_and_grad
+from hapticloc.classifier import baseline_predict, baseline_train, loss_and_grad
 from hapticloc.evaluate import (
     default_chevron_experiment,
     default_tiles_experiment,
@@ -35,8 +35,8 @@ from hapticloc.maps import (
     PointCloudMap,
     class_at,
     class_distance_many,
+    cloud_distances,
     elevation_at,
-    kd_nearest,
 )
 from hapticloc.mcl import (
     StepInput,
@@ -120,14 +120,17 @@ def test_criterion_02_exact_nearest_queries():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260819)
 
+    # the cloud channel's query: unbounded, and stopped at the floor reach,
+    # where a point is inf beyond the reach and exact within it. Half the
+    # queries land about half a reach from a map point, so both sides count.
     cloud = PointCloudMap(rng.uniform(-4.0, 4.0, (3000, 3)))
-    kd_bad = 0
-    for q in rng.uniform(-4.5, 4.5, (1000, 3)):
-        gp, gd = kd_nearest(cloud, q)
-        d = np.linalg.norm(cloud.points - q, axis=1)
-        wi = int(np.argmin(d))
-        if not (np.array_equal(gp, cloud.points[wi]) and gd == float(d[wi])):
-            kd_bad += 1
+    reach = LikelihoodConfig().floor_reach
+    near = cloud.points[rng.integers(0, len(cloud.points), 500)] + rng.normal(0.0, 0.5 * reach, (500, 3))
+    queries = np.vstack([rng.uniform(-4.5, 4.5, (500, 3)), near])
+    want = np.array([np.linalg.norm(cloud.points - q, axis=1).min() for q in queries])
+    bounded = np.where(want < reach, want, np.inf)
+    cloud_bad = int(np.sum(cloud_distances(cloud, queries) != want))
+    cloud_bad += int(np.sum(cloud_distances(cloud, queries, reach) != bounded))
 
     ids = rng.integers(0, 8, (40, 60)).astype(np.uint8)
     ids[rng.random((40, 60)) < 0.1] = UNKNOWN_CLASS
@@ -145,12 +148,13 @@ def test_criterion_02_exact_nearest_queries():
         field_bad += int(np.sum(got != want))
 
     dt = time.perf_counter() - t0
-    ok = kd_bad == 0 and field_bad == 0 and dt < 5.0
+    ok = cloud_bad == 0 and field_bad == 0 and dt < 5.0
     _report(
         2,
         "exact nearest queries",
         ok,
-        f"kd mismatches {kd_bad}/1000, field mismatches {field_bad}/8000, {dt:.2f}s vs 5s",
+        f"cloud mismatches {cloud_bad}/2000 ({int(np.sum(bounded < np.inf))} within reach), "
+        f"field mismatches {field_bad}/8000, {dt:.2f}s vs 5s",
     )
 
 
@@ -188,7 +192,7 @@ def test_criterion_04_classifier_baseline():
     cut = int(0.75 * len(sigs))
     tr, te = order[:cut], order[cut:]
     model = baseline_train([sigs[i] for i in tr], labels[tr], seed=0)
-    probs = baseline_predict_many(model, [sigs[i] for i in te])
+    probs = np.stack([baseline_predict(model, sigs[i]) for i in te])
     acc = float(np.mean(np.argmax(probs, axis=1) == labels[te]))
 
     rng = np.random.default_rng(1)

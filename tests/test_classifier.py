@@ -1,4 +1,4 @@
-"""Baseline classifier: features, analytic gradient, training, persistence."""
+"""Baseline classifier: features, analytic gradient, training, prediction."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,9 @@ from hapticloc.classifier import (
     LogisticBaseline,
     StepSignal,
     baseline_predict,
-    baseline_predict_many,
     baseline_train,
     featurize,
-    load_baseline,
     loss_and_grad,
-    material_names,
-    save_baseline,
 )
 from hapticloc.evaluate import make_training_set
 
@@ -119,37 +115,9 @@ def test_train_separates_synthetic_materials():
     cut = int(0.75 * n)
     tr, te = order[:cut], order[cut:]
     model = baseline_train([sigs[i] for i in tr], labels[tr], seed=0)
-    probs = baseline_predict_many(model, [sigs[i] for i in te])
+    probs = np.stack([baseline_predict(model, sigs[i]) for i in te])
     acc = float(np.mean(np.argmax(probs, axis=1) == labels[te]))
     assert acc >= 0.9
-    single = baseline_predict(model, sigs[te[0]])
-    assert np.allclose(single, probs[0], atol=1e-12)
-    assert single.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_save_load_round_trip(tmp_path):
-    sigs, labels = make_training_set(per_class=5, seed=2)
-    model = baseline_train(sigs, labels, seed=1)
-    p = tmp_path / "model.json"
-    save_baseline(model, p)
-    loaded = load_baseline(p)
-    assert np.array_equal(loaded.weights, model.weights)
-    assert np.array_equal(loaded.bias, model.bias)
-    assert np.array_equal(loaded.feat_mean, model.feat_mean)
-    assert np.array_equal(loaded.feat_std, model.feat_std)
-    got = baseline_predict(loaded, sigs[0])
-    assert np.array_equal(got, baseline_predict(model, sigs[0]))
-
-
-def test_load_rejects_foreign_json(tmp_path):
-    p = tmp_path / "other.json"
-    p.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError):
-        load_baseline(p)
-
-
-def test_material_names_table():
-    names = material_names()
-    assert len(names) == 8
-    assert len(set(names)) == 8
-    assert all(isinstance(n, str) and n for n in names)
+    assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # the classifier interface: predict(signal) -> probs
+    assert np.array_equal(model.predict(sigs[te[0]]), probs[0])

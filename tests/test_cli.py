@@ -7,19 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hapticloc.classifier import load_baseline, save_baseline
 from hapticloc.cli import load_course_dir, main
 from hapticloc.evaluate import (
     default_chevron_experiment,
     default_tiles_experiment,
     default_wallroom_experiment,
+    run_experiment,
     run_localization,
     simulate_for_config,
-    train_contact_classifier,
 )
 from hapticloc.geometry import save_trajectory
-from hapticloc.network import NetworkConfig, random_weights, save_weights
-from hapticloc.sim import classify_log, load_walklog, save_signal, synth_force_signal, walklog_hash
+from hapticloc.network import NetworkConfig, forward, load_weights, random_weights, save_weights
+from hapticloc.sim import classify_log, load_walklog, save_signal, save_walklog, synth_force_signal, walklog_hash
 
 SMALL_NET = NetworkConfig(res_channels=(8, 12), gru_hidden=10, fc_hidden=7)
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -58,15 +57,14 @@ def test_eval_missing_file_errors(tmp_path, capsys):
 
 def test_classify_prints_distribution(tmp_path, capsys):
     w = tmp_path / "w.net"
-    save_weights(random_weights(SMALL_NET, seed=0), w)
+    net = random_weights(SMALL_NET, seed=0)
+    save_weights(net, w)
     s = tmp_path / "s.csv"
-    save_signal(synth_force_signal(2, 60, np.random.default_rng(1)), s)
+    signal = synth_force_signal(2, 60, np.random.default_rng(1))
+    save_signal(signal, s)
     code, out, _ = run(capsys, "classify", "--weights", str(w), "--signal", str(s))
     assert code == 0
-    probs = [float(v) for v in out.split()]
-    assert len(probs) == 8
-    assert sum(probs) == pytest.approx(1.0, abs=1e-6)
-    assert all(p >= 0.0 for p in probs)
+    assert out.split() == [format(p, ".9f") for p in forward(net, signal.samples)]
 
 
 def test_classify_rejects_bad_weights(tmp_path, capsys):
@@ -172,25 +170,62 @@ def test_wall_probe_flow_and_localize(tmp_path, capsys):
     assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
 
 
-def test_localize_with_a_saved_baseline(tmp_path, capsys):
-    d = tmp_path / "tiles"
+def test_localize_fuses_the_seed_s_baseline_as_run_experiment_does(tmp_path, capsys):
+    # make-course, simulate and localize with one --seed: the HL-GC files
+    # run-experiment writes for that seed, byte for byte
+    d, log_path, out_dir = tmp_path / "tiles", tmp_path / "walk.csv", tmp_path / "loc"
+    for argv in (
+        ("make-course", "--kind", "class-tiles", "--seed", "1", "--out", str(d)),
+        ("simulate", "--course", str(d), "--seed", "1", "--out", str(log_path)),
+        ("localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-GC", "--seed", "1",
+         "--out", str(out_dir)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    run_experiment(replace(default_tiles_experiment(), seeds=(1,), modes=("HL-GC",)), tmp_path / "run")
+    seed_dir = tmp_path / "run" / "seed_1"
+    assert (out_dir / "estimate.traj").read_bytes() == (seed_dir / "HL-GC.traj").read_bytes()
+    assert (out_dir / "diagnostics.csv").read_bytes() == (seed_dir / "diagnostics_HL-GC.csv").read_bytes()
+
+
+def tiles_walk(tmp_path, capsys):
+    """A short class-tiles walk log with its force signals: (course, log)."""
+    d, log_path = tmp_path / "tiles", tmp_path / "walk.csv"
     run(capsys, "make-course", "--kind", "class-tiles", "--seed", "1", "--out", str(d))
-    log_path = tmp_path / "walk.log"
     code, _, err = run(capsys, "simulate", "--course", str(d), "--waypoints", "0.6,0.6 1.6,0.6",
                        "--seed", "1", "--out", str(log_path))
     assert code == 0, err
-    model_path = tmp_path / "baseline.json"
-    save_baseline(train_contact_classifier(seed=5), model_path)
+    return d, log_path
+
+
+def test_localize_with_network_weights(tmp_path, capsys):
+    d, log_path = tiles_walk(tmp_path, capsys)
+    w = tmp_path / "w.net"
+    save_weights(random_weights(SMALL_NET, seed=3), w)
     out_dir = tmp_path / "loc"
-    code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-GC",
-                       "--particles", "100", "--baseline", str(model_path), "--out", str(out_dir))
+    code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-C",
+                       "--particles", "100", "--weights", str(w), "--out", str(out_dir))
     assert code == 0, err
-    log = load_walklog(log_path, load_signals=True)
-    classify_log(log, load_baseline(model_path))
+    log = classify_log(load_walklog(log_path, load_signals=True), load_weights(w))
     cfg = replace(default_tiles_experiment(), n_particles=100)
-    want = run_localization(log, load_course_dir(d), "HL-GC", cfg, seed=0)
+    want = run_localization(log, load_course_dir(d), "HL-C", cfg, seed=0)
     save_trajectory(tmp_path / "want.traj", want.trajectory, log.timestamps())
     assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
+
+
+def test_localize_class_source_errors(tmp_path, capsys):
+    d, log_path = tiles_walk(tmp_path, capsys)
+    # the same walk, saved without its force signals
+    bare = tmp_path / "bare.csv"
+    save_walklog(load_walklog(log_path), bare)
+    args = ("localize", "--course", str(d), "--particles", "100", "--out", str(tmp_path / "loc"))
+    code, out, err = run(capsys, *args, "--walklog", str(bare), "--mode", "HL-GC")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: the walk log holds no force signals to classify"
+    # a mode without the class channel fuses no classifier
+    code, _, err = run(capsys, *args, "--walklog", str(log_path), "--mode", "HL-G", "--weights", "w.net")
+    assert code == 1
+    assert err.strip() == "error: --weights: mode HL-G reads no terrain classes"
 
 
 @pytest.mark.parametrize(
@@ -281,6 +316,12 @@ def test_run_experiment_bad_config_errors(tmp_path, capsys):
     ini.write_text("[experiment]\nkind = chevron-ramp\n[walk]\nstep_length = 0\n")
     code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))
     assert code == 1 and err.startswith(f"error: {ini}: ") and "step_length" in err
+    # a wall probe step too long to leave one step: no walk, no run
+    ini.write_text("[experiment]\nkind = wall-room\n[walk]\nstep_length = 5\n")
+    code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert err.strip() == f"error: {ini}: step_length 5.0 m leaves the 2.0 m wall probe without a step"
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_experiment_with_exact_odometry_reports_nan(tmp_path, capsys):
@@ -321,7 +362,9 @@ def readme_quick_start():
 def test_readme_quick_start_prints_what_it_shows(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     steps = readme_quick_start()
-    assert [(argv[0], len(shown)) for argv, shown in steps] == [("make-course", 0), ("simulate", 1), ("localize", 1)]
+    # the chevron flow, then the class-tiles flow
+    flow = [("make-course", 0), ("simulate", 1), ("localize", 1)]
+    assert [(argv[0], len(shown)) for argv, shown in steps] == flow + flow
     for argv, shown in steps:
         code, out, err = run(capsys, *argv)
         assert code == 0, err

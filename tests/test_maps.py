@@ -16,7 +16,6 @@ from hapticloc.maps import (
     cloud_distances,
     elevation_at,
     elevation_at_many,
-    kd_nearest,
     load_map,
     save_map,
 )
@@ -147,27 +146,8 @@ def test_class_grid_rejects_bad_ids():
 # kd queries vs exhaustive scan
 
 
-def exhaustive_nearest(points, q):
-    d = np.linalg.norm(points - np.asarray(q, dtype=float), axis=1)
-    best = float(d.min())
-    return int(np.flatnonzero(d == best)[0]), best
-
-
-def test_kd_nearest_matches_exhaustive():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        cloud = PointCloudMap(rng.uniform(-2, 2, size=(rng.integers(5, 300), 3)))
-        for q in rng.uniform(-2.5, 2.5, size=(40, 3)):
-            gp, gd = kd_nearest(cloud, q)
-            wi, wd = exhaustive_nearest(cloud.points, q)
-            assert np.array_equal(gp, cloud.points[wi])
-            assert gd == wd
-
-
-def test_kd_nearest_tie_breaks_lowest_index():
-    pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    pt, dist = kd_nearest(PointCloudMap(pts), (0.0, 0.0, 0.0))
-    assert np.array_equal(pt, pts[0]) and dist == 1.0
+def exhaustive_distance(points, q):
+    return float(np.linalg.norm(points - np.asarray(q, dtype=float), axis=1).min())
 
 
 def test_cloud_distances_vectorized():
@@ -175,7 +155,7 @@ def test_cloud_distances_vectorized():
     cloud = PointCloudMap(rng.normal(size=(50, 3)))
     qs = rng.normal(size=(10, 3))
     got = cloud_distances(cloud, qs)
-    want = [exhaustive_nearest(cloud.points, q)[1] for q in qs]
+    want = [exhaustive_distance(cloud.points, q) for q in qs]
     assert np.allclose(got, want, rtol=0, atol=0)
 
 
@@ -183,7 +163,7 @@ def test_cloud_distances_bounded_search():
     rng = np.random.default_rng(4)
     cloud = PointCloudMap(rng.uniform(-1, 1, size=(200, 3)))
     qs = rng.uniform(-1.5, 1.5, size=(300, 3))
-    want = np.array([exhaustive_nearest(cloud.points, q)[1] for q in qs])
+    want = np.array([exhaustive_distance(cloud.points, q) for q in qs])
     bound = float(np.median(want))
     got = cloud_distances(cloud, qs.reshape(30, 10, 3), bound).ravel()
     inside = want < bound

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hapticloc.evaluate import train_contact_classifier
 from hapticloc.geometry import FOOT_LABELS, Pose, quat_rotate
 from hapticloc.maps import UNKNOWN_CLASS, elevation_at
 from hapticloc.sim import (
@@ -24,7 +25,6 @@ from hapticloc.sim import (
     load_signal,
     load_walklog,
     nominal_offset,
-    one_hot_log,
     probe_scenario,
     sample_signal_length,
     save_signal,
@@ -308,27 +308,22 @@ def test_probe_scenario_prior_offset_and_probes():
     assert side_probes > 0  # the side wall comes into reach late in the walk
 
 
-def test_one_hot_and_classifier_probs():
+def test_classify_log_fills_each_signal_s_prediction():
     maps = generate_course(CourseSpec("class-tiles", seed=2))
     log = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3, True)
-    one_hot_log(log)
-    for r in log.records:
-        for contact, cid in zip(r.contacts, r.true_class_ids):
-            if cid != UNKNOWN_CLASS:
-                assert contact.class_probs is not None
-                assert contact.class_probs[int(cid)] == 1.0
-                assert contact.class_probs.sum() == 1.0
-
-    from hapticloc.evaluate import train_contact_classifier
-
-    log2 = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3, True)
     model = train_contact_classifier(seed=0)
-    classify_log(log2, model)
-    for r in log2.records:
+    classify_log(log, model)
+    for r in log.records:
         for contact, sig in zip(r.contacts, r.signals):
-            if sig is not None:
-                assert contact.class_probs is not None
-                assert contact.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
+            assert sig is not None  # every tile is classed, so every contact has a signal
+            assert np.array_equal(contact.class_probs, model.predict(sig))
+            assert contact.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+    # a log without force signals leaves a class mode nothing to fuse
+    bare = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3, False)
+    assert not bare.has_signals
+    with pytest.raises(ValueError, match="no force signals"):
+        classify_log(bare, model)
 
 
 def test_gait_nominal_offsets():
