@@ -2,59 +2,4 @@
 foot-contact geometry and tactile terrain classes against prior maps,
 plus the synthetic gait simulator and evaluation harness around it."""
 
-from .geometry import (
-    FOOT_LABELS,
-    FootOffset,
-    Pose,
-    compose,
-    inverse,
-    pose_exp,
-    pose_log,
-    relative_increment,
-    transform_point,
-)
-from .likelihood import ContactMeasurement, LikelihoodConfig
-from .maps import UNKNOWN_CLASS, ClassGrid, ElevationGrid, MapSet, PointCloudMap, load_map, save_map
-from .mcl import FilterState, StepInput, init_filter, run_filter, step
-from .sim import CourseSpec, GaitParams, NoiseSpec, WalkLog, generate_course, probe_scenario, simulate_walk
-from .evaluate import ExperimentConfig, ate, run_experiment, run_localization
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FOOT_LABELS",
-    "UNKNOWN_CLASS",
-    "ClassGrid",
-    "ContactMeasurement",
-    "CourseSpec",
-    "ElevationGrid",
-    "ExperimentConfig",
-    "FilterState",
-    "FootOffset",
-    "GaitParams",
-    "LikelihoodConfig",
-    "MapSet",
-    "NoiseSpec",
-    "PointCloudMap",
-    "Pose",
-    "StepInput",
-    "WalkLog",
-    "ate",
-    "compose",
-    "generate_course",
-    "init_filter",
-    "inverse",
-    "load_map",
-    "pose_exp",
-    "pose_log",
-    "probe_scenario",
-    "relative_increment",
-    "run_experiment",
-    "run_filter",
-    "run_localization",
-    "save_map",
-    "simulate_walk",
-    "step",
-    "transform_point",
-    "__version__",
-]

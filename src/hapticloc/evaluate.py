@@ -235,11 +235,10 @@ def _reads_class(cfg: ExperimentConfig) -> bool:
 
 def walk(cfg: ExperimentConfig, course: MapSet, seed: int) -> WalkLog:
     """The experiment's walk: its waypoints, or with none the course kind's
-    scripted walk, which only wall-room has (the wall probe). Force signals
-    are synthesized for the classifier when a mode reads classes."""
+    scripted walk, which only wall-room has (the wall probe)."""
     if cfg.waypoints is None:
         return probe_scenario(course, cfg.gait, cfg.noise, seed)
-    return simulate_walk(course, cfg.waypoints, cfg.gait, cfg.noise, seed, _reads_class(cfg))
+    return simulate_walk(course, cfg.waypoints, cfg.gait, cfg.noise, seed)
 
 
 def simulate_for_config(cfg: ExperimentConfig, seed: int):

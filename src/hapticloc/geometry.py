@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the feet in the order every step lists its contacts: a contact's foot is its index
 FOOT_LABELS = ("LF", "RF", "LH", "RH")
 
 _QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
@@ -149,21 +150,6 @@ class Pose:
         return Pose(a[:3], a[3:])
 
 
-@dataclass
-class FootOffset:
-    """Contact point in the base frame, tagged with the foot that produced it."""
-
-    label: str
-    vec: np.ndarray
-
-    def __post_init__(self):
-        if self.label not in FOOT_LABELS:
-            raise ValueError(f"unknown foot label {self.label!r}, expected one of {FOOT_LABELS}")
-        self.vec = np.array(self.vec, dtype=float).reshape(3)
-        if not np.isfinite(self.vec).all():
-            raise ValueError(f"foot offset {self.label} must be finite, got {self.vec.tolist()}")
-
-
 def compose(a: Pose, b: Pose) -> Pose:
     """a then b: the pose of frame b expressed in a's parent frame."""
     return Pose(a.position + quat_rotate(a.quat, b.position), quat_mul(a.quat, b.quat))
@@ -179,20 +165,10 @@ def relative_increment(prev: Pose, curr: Pose) -> Pose:
     return compose(inverse(prev), curr)
 
 
-def transform_point(pose: Pose, offset) -> np.ndarray:
-    """Map a base-frame point (3-vector or FootOffset) to world coordinates."""
-    vec = offset.vec if isinstance(offset, FootOffset) else np.asarray(offset, dtype=float)
-    return pose.position + quat_rotate(pose.quat, vec)
-
-
 def pose_exp(delta) -> Pose:
     """Tangent vector [dx dy dz droll dpitch dyaw] to a small pose."""
     delta = np.asarray(delta, dtype=float).reshape(6)
     return Pose(delta[:3], quat_from_rotvec(delta[3:]))
-
-
-def pose_log(p: Pose) -> np.ndarray:
-    return np.concatenate([p.position, quat_to_rotvec(p.quat)])
 
 
 def covariance_factor(cov) -> np.ndarray:

@@ -11,7 +11,9 @@ Three channels, one per map layer:
 Every channel is floored in the linear domain at the channel's density at
 3 sigma, so a single bad contact cannot zero a particle. A foot that
 falls outside the map, or on a no-data / unlabeled cell, contributes a neutral
-factor of 1 (log-likelihood 0).
+factor of 1 (log-likelihood 0). So does the class channel for a contact
+without class_probs: no classifier labeled it, as the simulator logs no
+force signal for a foot on an unlabeled cell.
 
 The cloud channel's nearest-neighbour search stops at the floor reach
 (LikelihoodConfig.floor_reach): the distance beyond which the Gaussian can no
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FootOffset, quat_rotate
+from .geometry import quat_rotate
 from .maps import (
     UNKNOWN_CLASS,
     ClassGrid,
@@ -127,21 +129,40 @@ class LikelihoodConfig:
         return float(gaussian_log_density(0.0, self.sigma_c))
 
 
-@dataclass
-class ContactMeasurement:
-    """One foot contact handed to the filter.
+def _read_only(value) -> np.ndarray:
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
 
-    class_probs carries the classifier's distribution over terrain classes;
-    its argmax is the class the class channel queries the map for.
+
+@dataclass(frozen=True)
+class ContactMeasurement:
+    """One foot contact handed to the filter, checked once, when it is built.
+
+    offset is the contact point in the base frame, a finite 3-vector.
+    class_probs is a terrain classifier's distribution over the classes, a
+    finite, non-negative 1-D vector whose argmax is the class the class
+    channel queries the map for; None when no classifier labeled the
+    contact. Both are kept as read-only copies.
     """
 
-    foot: FootOffset
+    offset: np.ndarray
     class_probs: np.ndarray | None = None
     in_contact: bool = True
 
     def __post_init__(self):
+        offset = _read_only(self.offset)
+        if offset.shape != (3,) or not np.isfinite(offset).all():
+            raise ValueError(f"contact offset must be a finite 3-vector, got {offset.tolist()}")
+        object.__setattr__(self, "offset", offset)
         if self.class_probs is not None:
-            self.class_probs = np.array(self.class_probs, dtype=float)
+            probs = _read_only(self.class_probs)
+            if probs.ndim != 1:
+                raise ValueError(f"class_probs must be 1-D, got shape {probs.shape}")
+            # argmax would rank a nan above every probability
+            if not (np.isfinite(probs).all() and (probs >= 0.0).all()):
+                raise ValueError(f"class_probs must be finite and non-negative, got {probs}")
+            object.__setattr__(self, "class_probs", probs)
 
 
 def elevation_log_likelihood_points(points, grid: ElevationGrid, cfg: LikelihoodConfig) -> np.ndarray:
@@ -193,21 +214,12 @@ def class_log_likelihood_points(points_xy, class_id, grid: ClassGrid, cfg: Likel
 
 
 def _estimated_class(contact: ContactMeasurement, grid: ClassGrid) -> int:
-    """The argmax of the contact's class_probs, checked here because the
-    simulator assigns class_probs after the contact is built."""
-    if contact.class_probs is None:
-        raise ValueError("contact carries no class probabilities")
-    probs = np.asarray(contact.class_probs, dtype=float)
-    if probs.ndim != 1:
-        raise ValueError(f"class_probs must be 1-D, got shape {probs.shape}")
-    if probs.size != grid.n_classes:
+    """The argmax of the contact's class_probs, one entry per class of the layer."""
+    if contact.class_probs.size != grid.n_classes:
         raise ValueError(
-            f"class_probs has {probs.size} entries but the class layer has {grid.n_classes} classes"
+            f"class_probs has {contact.class_probs.size} entries but the class layer has {grid.n_classes} classes"
         )
-    # argmax would rank a nan above every probability
-    if not (np.isfinite(probs).all() and probs.min() >= 0.0):
-        raise ValueError(f"class_probs must be finite and non-negative, got {probs}")
-    return int(np.argmax(probs))
+    return int(np.argmax(contact.class_probs))
 
 
 def require_layers(channels, layers) -> None:
@@ -224,19 +236,21 @@ def contacts_log_likelihood(positions, quats, contacts, channels, maps: MapSet, 
     value of MODES). Every contact is moved to world points in one quaternion
     call, and each channel queries its layer once for all the contacts. Row
     k starts at 0 and adds the channels given in the order elevation, class,
-    cloud: (0 + elevation) + class for elevation and class.
+    cloud: (0 + elevation) + class for elevation and class. A contact
+    without class_probs adds no class term.
     """
     require_layers(channels, maps.layers)
     if "class" in channels:
-        column = np.array([_estimated_class(c, maps.class_grid) for c in contacts]).reshape(-1, 1)
+        labeled = [k for k, c in enumerate(contacts) if c.class_probs is not None]
+        column = np.array([_estimated_class(contacts[k], maps.class_grid) for k in labeled]).reshape(-1, 1)
 
-    feet = np.array([c.foot.vec for c in contacts]).reshape(-1, 1, 3)
+    feet = np.array([c.offset for c in contacts]).reshape(-1, 1, 3)
     world = quat_rotate(quats, feet) + positions
     ll = np.zeros(world.shape[:-1])
     if "elevation" in channels:
         ll += elevation_log_likelihood_points(world, maps.elevation, cfg)
-    if "class" in channels:
-        ll += class_log_likelihood_points(world[..., :2], column, maps.class_grid, cfg)
+    if "class" in channels and labeled:
+        ll[labeled] += class_log_likelihood_points(world[labeled, :, :2], column, maps.class_grid, cfg)
     if "cloud" in channels:
         ll += cloud_log_likelihood_points(world, maps.cloud, cfg)
     return ll

@@ -45,8 +45,6 @@ class StepInput:
 
     def __post_init__(self):
         self.odom_cov = np.asarray(self.odom_cov, dtype=float)
-        if self.odom_cov.shape == (6,):
-            self.odom_cov = np.diag(self.odom_cov)
         if self.odom_cov.shape != (6, 6):
             raise ValueError(f"odometry covariance must be 6x6, got {self.odom_cov.shape}")
         # a non-finite input would turn every particle into nan without a trace

@@ -1,11 +1,37 @@
-"""Synthetic courses, a crawl-gait walker, and contact signal synthesis.
+"""Synthetic courses, a crawl-gait walker, contact signal synthesis, walk logs.
 
 The walker advances the base a fixed distance per four-support phase and
 repositions one leg per phase in crawl order LF -> RH -> RF -> LH. Every phase
 logs the true pose, a noisy odometry increment (white noise plus an unreported
 deterministic z/yaw bias, so raw odometry drifts), and one contact per foot
 with its base-frame offset. True foot heights come from the elevation layer, so
-a logged contact's world z equals the map height under it exactly.
+a logged contact's world z equals the map height under it exactly. On a course
+with a class layer, every foot on a labeled cell also logs a force signal of
+its cell's class; a foot on an unlabeled cell logs none.
+
+Walk log format (save_walklog, load_walklog): a text file whose first line is
+the version line "# walklog 1"; a log with another version, or with none, is
+rejected. Two lines follow, "# start_pose" and "# init_prior" (the filter
+prior), each with 7 values x y z qx qy qz qw. Then a CSV header line and one
+row per step:
+
+  k, t                     step index and timestamp (k * PHASE_DT seconds)
+  true_x ... true_qw       true base pose in the world
+  odo_x ... odo_qw         odometry increment from the previous step's base
+  cov_x ... cov_yaw        diagonal of the reported odometry covariance, in
+                           the tangent order x y z roll pitch yaw
+  then per foot F in FOOT_LABELS order (LF, RF, LH, RH), 7 columns:
+  F_off_x, F_off_y, F_off_z   contact point in the base frame
+  F_contact                1 for a foot in contact, 0 for a lifted one
+  F_world_z                true world z of the contact
+  F_class                  true class id of the cell, 255 for none (no class
+                           layer, or an unlabeled cell)
+  F_signal                 the force signal file, relative to the log's
+                           directory, or empty
+
+Floats are written with 17 significant digits, so they load back exactly,
+and every field must parse and be finite. A signal file is a CSV with the
+header "fx,fy,fz,tx,ty,tz" and one sample per row.
 """
 
 from __future__ import annotations
@@ -20,7 +46,6 @@ import numpy as np
 from .classifier import StepSignal
 from .geometry import (
     FOOT_LABELS,
-    FootOffset,
     Pose,
     compose,
     pose_exp,
@@ -407,7 +432,7 @@ def _place_foot(maps, pose: Pose, label: str) -> np.ndarray | None:
     return np.array([world[0], world[1], z])
 
 
-def _record_step(maps, k, pose, prev_pose, feet, noise, rng, synth_signals):
+def _record_step(maps, k, pose, prev_pose, feet, noise, rng):
     incr_true = relative_increment(prev_pose, pose)
     delta = noise.white_array() * rng.standard_normal(6) + noise.bias_vector()
     odom = compose(incr_true, pose_exp(delta))
@@ -423,9 +448,9 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, rng, synth_signals):
         signal = None
         if maps.class_grid is not None:
             class_id = class_at(maps.class_grid, world[:2])
-            if class_id != UNKNOWN_CLASS and synth_signals:
+            if class_id != UNKNOWN_CLASS:
                 signal = synth_force_signal(class_id, sample_signal_length(rng), rng)
-        contacts.append(ContactMeasurement(FootOffset(label, offset)))
+        contacts.append(ContactMeasurement(offset))
         worlds.append(world)
         classes.append(class_id)
         signals.append(signal)
@@ -443,7 +468,7 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, rng, synth_signals):
     )
 
 
-def _walk(maps, xys, yaws, gait, noise, seed, synth_signals, probe=None):
+def _walk(maps, xys, yaws, gait, noise, seed, probe=None):
     """The one step loop: stand at base position 0, then log a four-support
     phase at each later base position, swinging one leg per phase in crawl
     order. probe(k, pose) returns (label, world), a foot touching a point off
@@ -467,14 +492,14 @@ def _walk(maps, xys, yaws, gait, noise, seed, synth_signals, probe=None):
             feet[swing] = placed
         touch = None if probe is None else probe(k, pose)
         touching = feet if touch is None else {**feet, touch[0]: touch[1]}
-        records.append(_record_step(maps, k, pose, prev, touching, noise, rng, synth_signals))
+        records.append(_record_step(maps, k, pose, prev, touching, noise, rng))
         prev = pose
     return WalkLog(start_pose=start, init_prior=start, records=records)
 
 
-def simulate_walk(maps: MapSet, waypoints, gait: GaitParams, noise: NoiseSpec, seed: int, synth_signals: bool) -> WalkLog:
+def simulate_walk(maps: MapSet, waypoints, gait: GaitParams, noise: NoiseSpec, seed: int) -> WalkLog:
     """Walk the waypoint polyline and log every four-support phase."""
-    return _walk(maps, *_path_samples(waypoints, gait.step_length), gait, noise, seed, synth_signals)
+    return _walk(maps, *_path_samples(waypoints, gait.step_length), gait, noise, seed)
 
 
 def probe_steps(step_length: float) -> int:
@@ -504,22 +529,27 @@ def probe_scenario(maps: MapSet, gait: GaitParams, noise: NoiseSpec, seed: int) 
             target = np.array([pose.position[0] + FOOT_DX, WALL_ROOM_WALL_Y, PROBE_HEIGHT])
         return ("RF", target) if np.linalg.norm(target - pose.position) <= PROBE_REACH else None
 
-    log = _walk(maps, xys, np.zeros(n + 1), gait, noise, seed, False, probe)
+    log = _walk(maps, xys, np.zeros(n + 1), gait, noise, seed, probe)
     log.init_prior = Pose(log.start_pose.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), log.start_pose.quat)
     return log
 
 
 def classify_log(log: WalkLog, model) -> WalkLog:
-    """Fill contact class probabilities in place from a terrain classifier:
-    anything with predict(signal) -> probs. A log without force signals raises."""
+    """Label, in place, every contact that has a force signal with a terrain
+    classifier's class probabilities: model is anything with predict(signal)
+    -> probs. A contact without a signal, a foot on an unlabeled cell, stays
+    unlabeled. A log without force signals raises."""
     if not log.has_signals:
         raise ValueError("the walk log holds no force signals to classify")
     for rec in log.records:
-        for contact, signal in zip(rec.contacts, rec.signals):
-            if signal is not None:
-                contact.class_probs = model.predict(signal)
+        rec.contacts = [
+            c if signal is None else ContactMeasurement(c.offset, model.predict(signal), c.in_contact)
+            for c, signal in zip(rec.contacts, rec.signals)
+        ]
     return log
 
+
+WALKLOG_VERSION = "1"
 
 _POSE_COLS = ("x", "y", "z", "qx", "qy", "qz", "qw")
 
@@ -544,7 +574,7 @@ def _walklog_header() -> str:
 
 def _write_walklog(log: WalkLog, f, signal_refs=None) -> None:
     g = lambda v: format(v, ".17g")
-    f.write("# walklog 1\n")
+    f.write(f"# walklog {WALKLOG_VERSION}\n")
     f.write("# start_pose " + " ".join(g(v) for v in log.start_pose.to_array()) + "\n")
     f.write("# init_prior " + " ".join(g(v) for v in log.init_prior.to_array()) + "\n")
     f.write(_walklog_header() + "\n")
@@ -554,7 +584,7 @@ def _write_walklog(log: WalkLog, f, signal_refs=None) -> None:
         row += [g(v) for v in r.odom_increment.to_array()]
         row += [g(v) for v in r.odom_cov_diag]
         for j, contact in enumerate(r.contacts):
-            row += [g(v) for v in contact.foot.vec]
+            row += [g(v) for v in contact.offset]
             row.append("1" if contact.in_contact else "0")
             row.append(g(r.true_foot_world[j, 2]))
             row.append(str(int(r.true_class_ids[j])))
@@ -641,6 +671,12 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
     records = []
     with open(path) as f:
         lines = f.readlines()
+    first = lines[0].split() if lines else []
+    version = first[2] if len(first) == 3 and first[:2] == ["#", "walklog"] else None
+    if version is None:
+        raise ValueError(f"{path}: walk log version line missing, expected '# walklog {WALKLOG_VERSION}' first")
+    if version != WALKLOG_VERSION:
+        raise ValueError(f"{path}: walk log version {version}, this reader reads version {WALKLOG_VERSION}")
     header_seen = False
     for ln, line in enumerate(lines, start=1):
         s = line.strip()
@@ -672,14 +708,14 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
         odom = Pose.from_array([field(i) for i in range(9, 16)])
         cov = np.array([field(i) for i in range(16, 22)])
         contacts, worlds, classes, signals = [], [], [], []
-        for j, label in enumerate(FOOT_LABELS):
+        for j in range(len(FOOT_LABELS)):
             o = 22 + 7 * j
             vec = np.array([field(i) for i in range(o, o + 3)])
             in_contact = field(o + 3, _CONTACT_FLAGS.__getitem__)
             world_z = field(o + 4)
             cid = field(o + 5, _class_id)
             ref = parts[o + 6]
-            contacts.append(ContactMeasurement(FootOffset(label, vec), in_contact=in_contact))
+            contacts.append(ContactMeasurement(vec, in_contact=in_contact))
             world = true_pose.position + quat_rotate(true_pose.quat, vec)
             worlds.append([world[0], world[1], world_z])
             classes.append(cid)

@@ -25,7 +25,7 @@ from hapticloc.evaluate import (
     make_training_set,
     run_experiment,
 )
-from hapticloc.geometry import FootOffset, Pose, transform_point
+from hapticloc.geometry import Pose, quat_rotate
 from hapticloc.likelihood import ContactMeasurement, LikelihoodConfig, gaussian_density
 from hapticloc.maps import (
     UNKNOWN_CLASS,
@@ -54,11 +54,12 @@ def _report(num, name, ok, detail):
     assert ok, f"criterion {num:02d} {name}: {detail}"
 
 
+# base-frame foot offsets, in FOOT_LABELS order (LF, RF, LH, RH)
 FEET = (
-    FootOffset("LF", (0.2, 0.15, -0.3)),
-    FootOffset("RF", (0.2, -0.15, -0.3)),
-    FootOffset("LH", (-0.2, 0.15, -0.3)),
-    FootOffset("RH", (-0.2, -0.15, -0.3)),
+    (0.2, 0.15, -0.3),
+    (0.2, -0.15, -0.3),
+    (-0.2, 0.15, -0.3),
+    (-0.2, -0.15, -0.3),
 )
 
 
@@ -418,7 +419,7 @@ def test_criterion_10_performance_budgets():
     pose = Pose([3.0, 1.5, elevation_at(course.elevation, (3.0, 1.5)) + 0.3])
     contacts = []
     for f in FEET:
-        w = transform_point(pose, f.vec)
+        w = pose.position + quat_rotate(pose.quat, np.array(f))
         cid = class_at(course.class_grid, w[:2])
         probs = np.zeros(8)
         probs[0 if cid == UNKNOWN_CLASS else cid] = 1.0

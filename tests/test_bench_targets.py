@@ -11,7 +11,6 @@ tests load spans.py and output_digest.py from their files, and run
 perfbench/run.py, without writing bytecode next to them.
 """
 
-import importlib
 import importlib.util
 import json
 import os
@@ -66,16 +65,31 @@ def test_every_output_digest_experiment_builds():
         build()  # raises if the config no longer builds
 
 
+# resolves (module, attr) pairs given as JSON the way Tracer.install does, in
+# an interpreter that has imported only what perfbench/run.py imports
+RESOLVE_TARGETS = """
+import json, sys
+import hapticloc, hapticloc.evaluate
+missing = []
+for module, attr in json.loads(sys.argv[1]):
+    obj = getattr(hapticloc, module, None)
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    if not callable(obj):
+        missing.append(f"{module}.{attr}")
+print(json.dumps(missing))
+"""
+
+
 def test_every_traced_target_resolves():
     targets = load_spans().TARGETS
     assert targets
-    missing = []
-    for module, attr, _ in targets:
-        obj = importlib.import_module(f"hapticloc.{module}")
-        for part in attr.split("."):
-            obj = getattr(obj, part, None)
-        if not callable(obj):
-            missing.append(f"{module}.{attr}")
+    pairs = json.dumps([(module, attr) for module, attr, _ in targets])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", RESOLVE_TARGETS, pairs], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    missing = json.loads(done.stdout)
     assert not missing, f"perfbench/spans.py traces names the package lacks: {missing}"
 
 

@@ -15,8 +15,10 @@ from hapticloc.evaluate import (
     run_experiment,
     run_localization,
     simulate_for_config,
+    train_contact_classifier,
 )
 from hapticloc.geometry import save_trajectory
+from hapticloc.maps import UNKNOWN_CLASS, ClassGrid, load_map, save_map
 from hapticloc.network import NetworkConfig, forward, load_weights, random_weights, save_weights
 from hapticloc.sim import classify_log, load_walklog, save_signal, save_walklog, synth_force_signal, walklog_hash
 
@@ -226,6 +228,42 @@ def test_localize_class_source_errors(tmp_path, capsys):
     code, _, err = run(capsys, *args, "--walklog", str(log_path), "--mode", "HL-G", "--weights", "w.net")
     assert code == 1
     assert err.strip() == "error: --weights: mode HL-G reads no terrain classes"
+
+
+def test_localize_rejects_another_walk_log_version(tmp_path, capsys):
+    d, log_path = tiles_walk(tmp_path, capsys)
+    log_path.write_text(log_path.read_text().replace("# walklog 1\n", "# walklog 2\n", 1))
+    code, out, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-G",
+                         "--particles", "100", "--out", str(tmp_path / "loc"))
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: {log_path}: walk log version 2, this reader reads version 1"
+
+
+@pytest.mark.parametrize("mode", ["HL-GC", "HL-C"])
+def test_localize_over_a_patch_of_unlabeled_cells(mode, tmp_path, capsys):
+    # feet on unlabeled cells log no force signal, stay unlabeled and add
+    # no class term, so the class modes run over them
+    d, log_path = tmp_path / "tiles", tmp_path / "walk.csv"
+    run(capsys, "make-course", "--kind", "class-tiles", "--seed", "1", "--out", str(d))
+    grid = load_map(d / "course.cmap")
+    x = grid.origin[0] + (np.arange(grid.n_cols) + 0.5) * grid.resolution
+    y = grid.origin[1] + (np.arange(grid.n_rows) + 0.5) * grid.resolution
+    ids = grid.class_ids.copy()
+    ids[np.ix_((y >= 0.3) & (y < 0.9), (x >= 2.0) & (x < 2.5))] = UNKNOWN_CLASS
+    save_map(ClassGrid(grid.resolution, grid.origin, ids, grid.n_classes), d / "course.cmap")
+    code, _, err = run(capsys, "simulate", "--course", str(d), "--waypoints", "1.6,0.6 2.8,0.6",
+                       "--seed", "1", "--out", str(log_path))
+    assert code == 0, err
+    log = classify_log(load_walklog(log_path, load_signals=True), train_contact_classifier(1))
+    unlabeled = np.array([r.true_class_ids == UNKNOWN_CLASS for r in log.records])
+    assert unlabeled.sum() > 10 and not unlabeled.all()
+    labeled = np.array([[c.class_probs is not None for c in r.contacts] for r in log.records])
+    assert np.array_equal(labeled, ~unlabeled)
+
+    code, out, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", mode,
+                         "--particles", "100", "--seed", "1", "--out", str(tmp_path / "loc"))
+    assert code == 0, err
+    assert out.startswith("final=(")
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from hapticloc.geometry import Pose, quat_from_rotvec, quat_from_yaw
 from hapticloc.likelihood import LikelihoodConfig
 from hapticloc.maps import MapSet
 from hapticloc.mcl import init_filter, run_filter
-from hapticloc.sim import CourseSpec, GaitParams, NoiseSpec, simulate_walk, generate_course
+from hapticloc.sim import CourseSpec, GaitParams, NoiseSpec, generate_course, simulate_walk, walklog_hash
 
 
 def pose(x=0.0, y=0.0, z=0.0, yaw=0.0):
@@ -83,7 +83,7 @@ def test_per_step_errors_components_and_yaw_wrap():
 
 def test_to_step_inputs_scales_covariance():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, ((1.0, 0.7), (1.25, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0, False)
+    log = simulate_walk(maps, ((1.0, 0.7), (1.25, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0)
     inputs = to_step_inputs(log)
     assert len(inputs) == 5
     want = np.diag(1.5**2 * np.full(6, 0.004**2))
@@ -303,6 +303,18 @@ def test_simulate_for_config_class_probs():
         assert c.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_class_tiles_walk_does_not_depend_on_the_modes():
+    # a walk on a course with a class layer always logs its force signals, so
+    # the signal draws, and with them the odometry noise, do not depend on
+    # whether a mode reads classes
+    hashes = {
+        modes: walklog_hash(simulate_for_config(replace(default_tiles_experiment(), modes=modes), 1)[1])
+        for modes in (("HL-G",), default_tiles_experiment().modes)
+    }
+    assert len(set(hashes.values())) == 1
+    assert hashes["HL-G",].startswith("0f48e9d3cb28")
+
+
 def test_courses_differ_across_experiment_seeds():
     cfg = tiny_chevron()
     a, _ = simulate_for_config(cfg, 1)
@@ -312,7 +324,7 @@ def test_courses_differ_across_experiment_seeds():
 
 def test_run_localization_reads_the_experiment_config():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, ((1.0, 0.7), (1.5, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0, False)
+    log = simulate_walk(maps, ((1.0, 0.7), (1.5, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0)
     cfg = replace(
         default_chevron_experiment(),
         likelihood=LikelihoodConfig(sigma_z=0.02),

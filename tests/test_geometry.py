@@ -6,14 +6,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from hapticloc.geometry import (
-    FootOffset,
     Pose,
     compose,
     covariance_factor,
     inverse,
     load_trajectory,
     pose_exp,
-    pose_log,
     quat_conjugate,
     quat_from_rotvec,
     quat_from_yaw,
@@ -24,12 +22,22 @@ from hapticloc.geometry import (
     quat_yaw,
     relative_increment,
     save_trajectory,
-    transform_point,
     wrap_angle,
 )
+from hapticloc.likelihood import ContactMeasurement
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 angles = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+def transform_point(pose, vec):
+    """A base-frame point in world coordinates."""
+    return pose.position + quat_rotate(pose.quat, np.asarray(vec, dtype=float))
+
+
+def pose_log(p):
+    """Small pose to tangent vector [dx dy dz droll dpitch dyaw], pose_exp's inverse."""
+    return np.concatenate([p.position, quat_to_rotvec(p.quat)])
 
 
 def random_pose(rng):
@@ -196,21 +204,11 @@ def test_transform_point_hand_case():
     assert np.allclose(w, [1.0, 2.5, 3.0], atol=1e-12)
 
 
-def test_transform_point_accepts_foot_offset():
-    off = FootOffset("LF", [0.3, 0.2, -0.5])
-    p = Pose([0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0])
-    assert np.allclose(transform_point(p, off), [0.3, 0.2, 0.0])
-
-
-def test_foot_offset_rejects_unknown_label():
-    with pytest.raises(ValueError):
-        FootOffset("XX", [0, 0, 0])
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_foot_offset_rejects_non_finite_vec(bad):
-    with pytest.raises(ValueError, match="foot offset RH must be finite"):
-        FootOffset("RH", [0.2, bad, -0.4])
+    # a contact's foot offset, its base-frame point, is checked when the contact is built
+    with pytest.raises(ValueError, match="contact offset must be a finite 3-vector"):
+        ContactMeasurement([0.2, bad, -0.4])
 
 
 def test_pose_exp_log_round_trip():

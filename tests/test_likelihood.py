@@ -6,7 +6,7 @@ formula.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from hapticloc.geometry import FootOffset, Pose, quat_from_yaw, transform_point
+from hapticloc.geometry import Pose, quat_from_yaw, quat_rotate
 from hapticloc.likelihood import (
     MODES,
     ContactMeasurement,
@@ -219,24 +219,58 @@ ORIGIN = (np.zeros((1, 3)), np.array([[0.0, 0.0, 0.0, 1.0]]))
 
 
 def test_contact_measurement_validation():
-    foot = FootOffset("LF", (1.0, 1.0, 0.0))
-    maps = flat_maps()
-    c = ContactMeasurement(foot)
+    maps, cfg = flat_maps(), LikelihoodConfig()
+    c = ContactMeasurement((1.0, 1.0, 0.0))
     assert c.class_probs is None and c.in_contact
-    for mode in ("HL-GC", "HL-C"):
-        with pytest.raises(ValueError, match="no class probabilities"):
-            contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
-    c = ContactMeasurement(foot, class_probs=[0.1, 0.7, 0.2])
-    assert c.class_probs.dtype == float
+    assert c.offset.dtype == float and not c.offset.flags.writeable
+    # a contact no classifier labeled adds no class term: HL-C scores it
+    # neutral, and HL-GC as HL-G
+    got = {mode: contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, cfg) for mode in ("HL-G", "HL-GC", "HL-C")}
+    assert got["HL-C"][0] == 0.0
+    assert np.array_equal(got["HL-GC"], got["HL-G"]) and got["HL-G"][0] == pytest.approx(math.log(PEAK_Z))
+    c = ContactMeasurement((1.0, 1.0, 0.0), class_probs=[0.1, 0.7, 0.2])
+    assert c.class_probs.dtype == float and not c.class_probs.flags.writeable
     # (1, 1) lies in column 2, class 0: a class-1 estimate scores the floor
-    got = contact_log_likelihood(*ORIGIN, c, MODES["HL-C"], maps, LikelihoodConfig())
-    assert got[0] == pytest.approx(LikelihoodConfig().log_class_rho)
+    got = contact_log_likelihood(*ORIGIN, c, MODES["HL-C"], maps, cfg)
+    assert got[0] == pytest.approx(cfg.log_class_rho)
+
+
+def test_contact_fields_cannot_be_assigned():
+    c = ContactMeasurement((0.0, 0.0, -0.3), class_probs=[0.2, 0.8])
+    for name, value in (("offset", np.zeros(3)), ("class_probs", None), ("in_contact", False)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, value)
+    # the checked arrays are read-only too
+    for values in (c.offset, c.class_probs):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = np.nan
+
+
+BAD_ENTRIES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(max_value=-1e-300, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+    st.data(),
+)
+def test_contact_construction_rejects_non_finite_or_negative_input(offset, probs, data):
+    c = ContactMeasurement(offset, class_probs=probs)
+    assert np.array_equal(c.offset, offset) and np.array_equal(c.class_probs, probs)
+    bad_offset = list(offset)
+    bad_offset[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ValueError, match="offset must be a finite 3-vector"):
+        ContactMeasurement(bad_offset, class_probs=probs)
+    bad_probs = list(probs)
+    bad_probs[data.draw(st.integers(0, len(probs) - 1))] = data.draw(BAD_ENTRIES)
+    with pytest.raises(ValueError, match="class_probs must be finite and non-negative"):
+        ContactMeasurement(offset, class_probs=bad_probs)
 
 
 def test_contact_requires_matching_layers():
     maps = flat_maps(with_class=False)
-    foot = FootOffset("LF", (0.0, 0.0, -0.3))
-    c = ContactMeasurement(foot, class_probs=np.array([1.0, 0.0]))
+    c = ContactMeasurement((0.0, 0.0, -0.3), class_probs=np.array([1.0, 0.0]))
     for mode, layer in (("HL-3D", "cloud layer"), ("HL-GC", "class layer"), ("HL-C", "class layer")):
         with pytest.raises(ValueError, match=layer):
             contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
@@ -244,7 +278,7 @@ def test_contact_requires_matching_layers():
 
 def test_class_probs_length_must_match_the_class_layer():
     maps = flat_maps()  # 3 classes
-    foot = FootOffset("LF", (0.0, 0.0, -0.3))
+    foot = (0.0, 0.0, -0.3)
     pos = np.array([[1.0, 1.0, 0.3]])
     quat = np.array([[0.0, 0.0, 0.0, 1.0]])
     for mode in ("HL-C", "HL-GC"):
@@ -270,15 +304,10 @@ def test_class_probs_length_must_match_the_class_layer():
     ids=["nan", "inf", "minus-inf", "negative", "2-d", "scalar"],
 )
 def test_class_probs_must_be_a_finite_non_negative_vector(probs, match, mode):
-    maps = flat_maps()
-    c = ContactMeasurement(FootOffset("LF", (1.0, 1.0, 0.0)), class_probs=probs)
+    # the contact is rejected when it is built, before any class mode can score it
     with pytest.raises(ValueError, match=match):
-        contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
-    # the simulator assigns class_probs after construction; the check still holds
-    c = ContactMeasurement(FootOffset("LF", (1.0, 1.0, 0.0)))
-    c.class_probs = np.array(probs, dtype=float)
-    with pytest.raises(ValueError, match=match):
-        contact_log_likelihood(*ORIGIN, c, MODES[mode], maps, LikelihoodConfig())
+        c = ContactMeasurement((1.0, 1.0, 0.0), class_probs=probs)
+        contact_log_likelihood(*ORIGIN, c, MODES[mode], flat_maps(), LikelihoodConfig())
 
 
 def test_batched_contacts_match_one_contact_at_a_time():
@@ -289,8 +318,8 @@ def test_batched_contacts_match_one_contact_at_a_time():
     positions = np.column_stack([rng.uniform(-0.5, 4.5, n), rng.uniform(-0.5, 4.5, n), rng.normal(0.3, 0.02, n)])
     quats = np.stack([quat_from_yaw(y) for y in rng.uniform(-np.pi, np.pi, n)])
     cs = [
-        ContactMeasurement(FootOffset(lab, rng.normal(0.0, 0.3, 3)), class_probs=rng.dirichlet(np.ones(3)))
-        for lab in ("LF", "RF", "LH", "RH", "LF")
+        ContactMeasurement(rng.normal(0.0, 0.3, 3), class_probs=None if k == 2 else rng.dirichlet(np.ones(3)))
+        for k in range(5)
     ]
     for channels in MODES.values():
         rows = contacts_log_likelihood(positions, quats, cs, channels, maps, cfg)
@@ -314,10 +343,10 @@ def test_class_channel_takes_one_class_per_row():
 def test_joint_channel_is_sum_of_parts():
     cfg = LikelihoodConfig()
     maps = flat_maps()
-    foot = FootOffset("RH", (-0.2, -0.15, -0.29))
+    foot = np.array([-0.2, -0.15, -0.29])
     pose = Pose(np.array([2.1, 1.3, 0.29]), quat_from_yaw(0.4))
     c = ContactMeasurement(foot, class_probs=np.array([0.6, 0.3, 0.1]))
-    world = transform_point(pose, foot.vec)
+    world = pose.position + quat_rotate(pose.quat, foot)
     elevation = elevation_log_likelihood_points(world.reshape(1, 3), maps.elevation, cfg)[0]
     klass = class_log_likelihood_points(world[:2].reshape(1, 2), 0, maps.class_grid, cfg)[0]
     at_pose = (pose.position.reshape(1, 3), pose.quat.reshape(1, 4))
@@ -331,7 +360,7 @@ def test_vectorized_contact_matches_scalar_loop():
     rng = np.random.default_rng(7)
     cfg = LikelihoodConfig()
     maps = flat_maps(with_cloud=True)
-    foot = FootOffset("RF", (0.2, -0.15, -0.3))
+    foot = (0.2, -0.15, -0.3)
     n = 40
     positions = np.column_stack(
         [rng.uniform(0.5, 3.5, n), rng.uniform(0.5, 3.5, n), rng.normal(0.3, 0.02, n)]
@@ -353,9 +382,9 @@ def test_cloud_loglik_single_pose():
     cloud = PointCloudMap(np.array([[1.0, 2.0, 0.0]]))
     pose = Pose(np.array([1.0, 2.0, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
     foot = np.array([0.0, 0.0, -0.29])
-    got = cloud_log_likelihood_points(transform_point(pose, foot).reshape(1, 3), cloud, cfg)[0]
+    got = cloud_log_likelihood_points((pose.position + quat_rotate(pose.quat, foot)).reshape(1, 3), cloud, cfg)[0]
     assert abs(got - math.log(DENS_Z[1])) < 1e-12
     maps = MapSet(ElevationGrid(0.5, (0.0, 0.0), np.zeros((8, 8))), cloud=cloud)
-    c = ContactMeasurement(FootOffset("LF", foot))
+    c = ContactMeasurement(foot)
     row = contacts_log_likelihood(pose.position.reshape(1, 3), pose.quat.reshape(1, 4), [c], MODES["HL-3D"], maps, cfg)
     assert abs(row[0, 0] - math.log(DENS_Z[1])) < 1e-12

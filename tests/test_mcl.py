@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hapticloc.geometry import (
-    FOOT_LABELS,
-    FootOffset,
     Pose,
     covariance_factor,
     quat_from_rotvec,
@@ -45,10 +43,8 @@ from hapticloc.mcl import (
 )
 
 STAND_Z = 0.3
-FEET = tuple(
-    FootOffset(lab, (sx * 0.2, sy * 0.15, -STAND_Z))
-    for lab, (sx, sy) in zip(FOOT_LABELS, ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-)
+# base-frame foot offsets, in FOOT_LABELS order (LF, RF, LH, RH)
+FEET = tuple(np.array([sx * 0.2, sy * 0.15, -STAND_Z]) for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
 
 
 def flat_maps(n=20, res=0.5):
@@ -74,7 +70,7 @@ STILL = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
 
 
 def forward_input(dx=0.05, cov_scale=1.0):
-    cov = np.array([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5]) * cov_scale
+    cov = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5]) * cov_scale
     return StepInput(Pose(np.array([dx, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), cov, contacts())
 
 
@@ -115,7 +111,7 @@ def test_systematic_resample_deterministic_under_seed():
 def test_effective_sample_size_bounds():
     # a step without contacts keeps the weights, so StepDiagnostics.ess is theirs
     n = 64
-    still = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros(6), [])
+    still = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros((6, 6)), [])
     st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=n, seed=0)
     step(st, still)
     assert st.diagnostics[-1].ess == pytest.approx(n)
@@ -186,10 +182,10 @@ def test_out_of_contact_feet_are_skipped():
     maps = flat_maps()
     cfg = LikelihoodConfig()
     lifted = [
-        ContactMeasurement(FootOffset("LF", (0.2, 0.15, 5.0)), in_contact=False)
+        ContactMeasurement((0.2, 0.15, 5.0), in_contact=False)
     ]
     st = new_filter(stand_pose(), np.diag([0.01, 0.01, 0.01, 0, 0, 0]) ** 1, n_particles=80, seed=2)
-    inp = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros(6), lifted)
+    inp = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros((6, 6)), lifted)
     step(st, inp)
     # no active contact: weights stay exactly uniform after normalization
     assert np.allclose(st.log_weights, -np.log(80))
@@ -197,30 +193,30 @@ def test_out_of_contact_feet_are_skipped():
 
 def test_stepinput_covariance_shapes():
     inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
-    si = StepInput(inc, np.arange(1, 7, dtype=float), [])
-    assert si.odom_cov.shape == (6, 6)
-    assert np.array_equal(np.diag(si.odom_cov), np.arange(1, 7, dtype=float))
-    with pytest.raises(ValueError):
-        StepInput(inc, np.zeros((3, 3)), [])
+    cov = np.diag(np.arange(1, 7, dtype=float))
+    assert StepInput(inc, cov, []).odom_cov is cov
+    # a covariance is a full 6x6 matrix, never its diagonal alone
+    for shape in ((6,), (3, 3)):
+        with pytest.raises(ValueError, match="must be 6x6"):
+            StepInput(inc, np.ones(shape), [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stepinput_rejects_non_finite_increment_position(bad):
     with pytest.raises(ValueError, match="odom_increment.position must be finite"):
-        StepInput(Pose(np.array([0.05, bad, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), np.ones(6), [])
+        StepInput(Pose(np.array([0.05, bad, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), np.eye(6), [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stepinput_rejects_non_finite_increment_quat(bad):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="odom_increment.quat must be finite"):
-        StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, bad, 1.0])), np.ones(6), [])
+        StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, bad, 1.0])), np.eye(6), [])
 
 
-@pytest.mark.parametrize("shape", [(6,), (6, 6)])
-def test_stepinput_rejects_non_finite_covariance(shape):
+def test_stepinput_rejects_non_finite_covariance():
     # the finiteness check comes before, and instead of, the symmetry check
-    cov = np.eye(6) if shape == (6, 6) else np.ones(6)
-    cov[(2,) * len(shape)] = np.nan
+    cov = np.eye(6)
+    cov[2, 2] = np.nan
     inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="odom_cov must be finite"):
         StepInput(inc, cov, [])
@@ -320,17 +316,17 @@ def test_filter_tracks_through_height_feature():
         truths.append(truth)
         cs = []
         for f in FEET:
-            fw = truth.position + f.vec
-            vec = f.vec.copy()
+            fw = truth.position + f
+            vec = f.copy()
             vec[2] = float(elevation_at(g, fw[:2])) - truth.position[2]
-            cs.append(ContactMeasurement(FootOffset(f.label, vec)))
+            cs.append(ContactMeasurement(vec))
         inc_true = np.array([0.05, 0.0, truth.position[2] - old_z])
         noisy = inc_true + rng.normal(0.0, [3e-3, 3e-3, 1e-3])
         noisy[0] += 0.004  # systematic forward drift the map must correct
         inputs.append(
             StepInput(Pose(noisy, np.array([0.0, 0.0, 0.0, 1.0])),
                       # inflated x variance: exploration must outrun the bias
-                      np.array([6e-5, 2e-5, 4e-6, 1e-8, 1e-8, 1e-8]), cs)
+                      np.diag([6e-5, 2e-5, 4e-6, 1e-8, 1e-8, 1e-8]), cs)
         )
     # y carries no information here, so its prior must start under the spread
     # threshold or the estimate never leaves the dead-reckoning branch
@@ -347,13 +343,13 @@ def test_filter_tracks_through_height_feature():
 
 def reference_contact_log_likelihood(positions, quats, contact, channels, maps, cfg):
     """One contact's joint log-likelihood under a channel set, evaluated on its own."""
-    world = quat_rotate(quats, contact.foot.vec) + positions
+    world = quat_rotate(quats, contact.offset) + positions
     if channels == ("cloud",):
         return cloud_log_likelihood_points(world, maps.cloud, cfg)
     ll = np.zeros(len(world))
     if "elevation" in channels:
         ll = ll + elevation_log_likelihood_points(world, maps.elevation, cfg)
-    if "class" in channels:
+    if "class" in channels and contact.class_probs is not None:
         grid, class_id, xy = maps.class_grid, int(np.argmax(contact.class_probs)), world[..., :2]
         ids = class_at_many(grid, xy)
         cl = np.full(len(xy), cfg.log_class_rho)
@@ -431,18 +427,17 @@ ORACLE_MAPS = oracle_maps()
 @st.composite
 def oracle_contacts(draw):
     """Lifted feet, feet reaching off the map or onto no-data and unlabeled
-    cells, and class estimates anywhere in [0, n_classes), the absent class
-    included."""
+    cells, class estimates anywhere in [0, n_classes), the absent class
+    included, and contacts no classifier labeled."""
     out = []
     for _ in range(draw(st.integers(1, 6))):
-        label = draw(st.sampled_from(FOOT_LABELS))
         vec = (draw(st.floats(-2.5, 2.5)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-0.4, 0.0)))
         probs = np.full(N_ORACLE_CLASSES, 0.1)
         probs[draw(st.integers(0, N_ORACLE_CLASSES - 1))] = 0.6
         out.append(
             ContactMeasurement(
-                FootOffset(label, vec),
-                class_probs=probs,
+                vec,
+                class_probs=probs if draw(st.integers(0, 3)) else None,
                 in_contact=draw(st.booleans()),
             )
         )
@@ -455,7 +450,7 @@ def test_batched_step_bit_identical_to_per_contact_step(contact_sets, seed, mode
     maps, cfg = ORACLE_MAPS, LikelihoodConfig(sigma_z=0.02, sigma_c=0.2)
     start, prior = Pose(np.array([2.0, 1.5, 0.3]), quat_from_yaw(0.3)), np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1])
     new, ref = (new_filter(start, prior, maps, cfg, mode=mode, n_particles=64, seed=seed) for _ in range(2))
-    cov = np.array([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
+    cov = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
     for cs in contact_sets:
         inp = StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), cov, cs)
         step(new, inp)

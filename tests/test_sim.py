@@ -17,6 +17,7 @@ from hapticloc.sim import (
     WALL_ROOM_WALL_HEIGHT,
     WALL_ROOM_WALL_X,
     WALL_ROOM_WALL_Y,
+    WALKLOG_VERSION,
     CourseSpec,
     GaitParams,
     NoiseSpec,
@@ -127,20 +128,20 @@ def test_signal_file_round_trip(tmp_path):
 
 def test_walk_foot_placement_matches_map_exactly():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, straight(2.0), GAIT, QUIET, 0, True)
+    log = simulate_walk(maps, straight(2.0), GAIT, QUIET, 0)
     assert log.n_steps == 40
     for r in log.records:
         for w in r.true_foot_world:
             assert w[2] == elevation_at(maps.elevation, w[:2])  # exact lookup
         # body-frame offsets reconstruct the same world points
         for contact, w in zip(r.contacts, r.true_foot_world):
-            back = r.true_pose.position + quat_rotate(r.true_pose.quat, contact.foot.vec)
+            back = r.true_pose.position + quat_rotate(r.true_pose.quat, contact.offset)
             assert np.allclose(back, w, atol=1e-12)
 
 
 def test_noise_free_odometry_reproduces_truth():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, straight(1.5), GAIT, NoiseSpec(), 0, True)
+    log = simulate_walk(maps, straight(1.5), GAIT, NoiseSpec(), 0)
     odo = log.odometry_poses()
     for a, b in zip(odo, log.true_poses()):
         assert np.allclose(a.to_array(), b.to_array(), atol=1e-10)
@@ -149,7 +150,7 @@ def test_noise_free_odometry_reproduces_truth():
 def test_z_bias_accumulates_in_odometry():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     n = 30
-    log = simulate_walk(maps, straight(1.5), GAIT, NoiseSpec(z_bias=0.01), 0, True)
+    log = simulate_walk(maps, straight(1.5), GAIT, NoiseSpec(z_bias=0.01), 0)
     assert log.n_steps == n
     odo = log.odometry_poses()
     drift = odo[-1].position[2] - log.true_poses()[-1].position[2]
@@ -159,7 +160,7 @@ def test_z_bias_accumulates_in_odometry():
 def test_walk_step_metadata():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     noise = NoiseSpec(white_std=(0.003,) * 6)
-    log = simulate_walk(maps, straight(0.6), GAIT, noise, 2, True)
+    log = simulate_walk(maps, straight(0.6), GAIT, noise, 2)
     assert log.n_steps == 12
     for i, r in enumerate(log.records):
         assert r.k == i + 1
@@ -172,23 +173,23 @@ def test_walk_step_metadata():
 def test_walk_path_errors():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     with pytest.raises(ValueError, match="leaves the map"):
-        simulate_walk(maps, ((1.0, 0.7), (50.0, 0.7)), GAIT, QUIET, 0, True)
+        simulate_walk(maps, ((1.0, 0.7), (50.0, 0.7)), GAIT, QUIET, 0)
     with pytest.raises(ValueError):
-        simulate_walk(maps, ((1.0, 0.7),), GAIT, QUIET, 0, True)
+        simulate_walk(maps, ((1.0, 0.7),), GAIT, QUIET, 0)
     with pytest.raises(ValueError, match="duplicate"):
-        simulate_walk(maps, ((1.0, 0.7), (1.0, 0.7), (2.0, 0.7)), GAIT, QUIET, 0, True)
+        simulate_walk(maps, ((1.0, 0.7), (1.0, 0.7), (2.0, 0.7)), GAIT, QUIET, 0)
     with pytest.raises(ValueError, match="foot LH starts off the map"):
-        simulate_walk(maps, ((0.1, 0.7), (2.0, 0.7)), GAIT, QUIET, 0, True)
+        simulate_walk(maps, ((0.1, 0.7), (2.0, 0.7)), GAIT, QUIET, 0)
     with pytest.raises(ValueError, match="waypoints span 0.03 m, shorter than one 0.05 m step"):
-        simulate_walk(maps, ((1.0, 0.7), (1.03, 0.7)), GAIT, QUIET, 0, True)
+        simulate_walk(maps, ((1.0, 0.7), (1.03, 0.7)), GAIT, QUIET, 0)
 
 
 def test_walklog_hash_depends_on_seed_and_noise():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     noise = NoiseSpec(white_std=(0.004,) * 6)
-    a = simulate_walk(maps, straight(0.75), GAIT, noise, 1, True)
-    b = simulate_walk(maps, straight(0.75), GAIT, noise, 1, True)
-    c = simulate_walk(maps, straight(0.75), GAIT, noise, 2, True)
+    a = simulate_walk(maps, straight(0.75), GAIT, noise, 1)
+    b = simulate_walk(maps, straight(0.75), GAIT, noise, 1)
+    c = simulate_walk(maps, straight(0.75), GAIT, noise, 2)
     assert walklog_hash(a) == walklog_hash(b)
     assert walklog_hash(a) != walklog_hash(c)
 
@@ -196,7 +197,7 @@ def test_walklog_hash_depends_on_seed_and_noise():
 def test_walklog_round_trip_with_signals(tmp_path):
     maps = generate_course(CourseSpec("class-tiles", seed=2))
     noise = NoiseSpec(white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002), z_bias=0.0015)
-    log = simulate_walk(maps, straight(1.0, start=(0.6, 0.6)), GAIT, noise, 3, True)
+    log = simulate_walk(maps, straight(1.0, start=(0.6, 0.6)), GAIT, noise, 3)
     assert log.n_steps == 20
     path = tmp_path / "walk.log"
     save_walklog(log, path, signals_dir="signals")
@@ -211,7 +212,7 @@ def test_walklog_round_trip_with_signals(tmp_path):
         assert np.array_equal(rl.odom_cov_diag, ro.odom_cov_diag)
         assert np.array_equal(rl.true_class_ids, ro.true_class_ids)
         for co, cl, so, sl in zip(ro.contacts, rl.contacts, ro.signals, rl.signals):
-            assert np.array_equal(cl.foot.vec, co.foot.vec)
+            assert np.array_equal(cl.offset, co.offset)
             assert cl.in_contact == co.in_contact
             assert (so is None) == (sl is None)
             if so is not None:
@@ -229,12 +230,28 @@ def test_load_walklog_errors(tmp_path):
         load_walklog(p)
 
 
+def test_load_walklog_reads_only_its_version(tmp_path):
+    maps = generate_course(CourseSpec("chevron-ramp", seed=1))
+    p = tmp_path / "walk.log"
+    save_walklog(simulate_walk(maps, straight(0.25), GAIT, QUIET, 1), p)
+    text = p.read_text()
+    assert text.startswith(f"# walklog {WALKLOG_VERSION}\n")
+    p.write_text(text.replace("# walklog 1\n", "# walklog 2\n", 1))
+    with pytest.raises(ValueError, match="walk log version 2, this reader reads version 1") as err:
+        load_walklog(p)
+    assert str(err.value).startswith(f"{p}: ")
+    p.write_text(text.split("\n", 1)[1])
+    with pytest.raises(ValueError, match="walk log version line missing") as err:
+        load_walklog(p)
+    assert str(err.value).startswith(f"{p}: ")
+
+
 def corrupt_walklog(tmp_path, column, text):
     """A saved walk log with one field of its first row replaced; returns the
     path and the line number of that row."""
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     p = tmp_path / "walk.log"
-    save_walklog(simulate_walk(maps, straight(0.25), GAIT, NoiseSpec(white_std=(0.004,) * 6), 1, True), p)
+    save_walklog(simulate_walk(maps, straight(0.25), GAIT, NoiseSpec(white_std=(0.004,) * 6), 1), p)
     lines = p.read_text().split("\n")
     header = lines.index(next(l for l in lines if l.startswith("k,")))
     row = lines[header + 1].split(",")
@@ -310,7 +327,7 @@ def test_probe_scenario_prior_offset_and_probes():
 
 def test_classify_log_fills_each_signal_s_prediction():
     maps = generate_course(CourseSpec("class-tiles", seed=2))
-    log = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3, True)
+    log = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3)
     model = train_contact_classifier(seed=0)
     classify_log(log, model)
     for r in log.records:
@@ -319,8 +336,9 @@ def test_classify_log_fills_each_signal_s_prediction():
             assert np.array_equal(contact.class_probs, model.predict(sig))
             assert contact.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
 
-    # a log without force signals leaves a class mode nothing to fuse
-    bare = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3, False)
+    # a walk on a course without a class layer logs no force signals, and
+    # leaves a class mode nothing to fuse
+    bare = simulate_walk(generate_course(CourseSpec("chevron-ramp", seed=1)), straight(0.5), GAIT, QUIET, 3)
     assert not bare.has_signals
     with pytest.raises(ValueError, match="no force signals"):
         classify_log(bare, model)
