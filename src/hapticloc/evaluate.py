@@ -61,11 +61,11 @@ def ate(truth, est) -> float:
         raise ValueError(f"trajectory length mismatch: {len(truth)} truth vs {len(est)} estimated")
     if not truth:
         raise ValueError("cannot evaluate empty trajectories")
-    tp = np.stack([p.position for p in truth])
-    ep = np.stack([p.position for p in est])
-    tq = np.stack([p.quat for p in truth])
+    tp = np.stack([p.position for p in truth], axis=1)
+    ep = np.stack([p.position for p in est], axis=1)
+    tq = np.stack([p.quat for p in truth], axis=1)
     rel = quat_rotate(quat_conjugate(tq), ep - tp)
-    return float(np.mean(np.linalg.norm(rel, axis=1)))
+    return float(np.mean(np.linalg.norm(rel, axis=0)))
 
 
 def per_step_errors(truth, est) -> np.ndarray:

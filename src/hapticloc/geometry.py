@@ -3,6 +3,12 @@
 Quaternions are [qx, qy, qz, qw] everywhere in this package. Tangent vectors
 are ordered [dx, dy, dz, droll, dpitch, dyaw] and perturb a pose on the right:
 compose(mean, exp(delta)), i.e. noise lives in the body frame of the pose.
+
+Layout rule: components sit on the leading axis. A batch of N quaternions is
+a (4, N) array, N vectors a (3, N) array and N map points (2, N) or (3, N),
+so each component is one contiguous row. The quaternion and vector functions
+read q[0]..q[3] and stack their results on axis 0, broadcasting over the
+trailing axes; a single pose, (4,) or (3,), is the case with none.
 """
 
 from __future__ import annotations
@@ -19,52 +25,46 @@ _QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    n = np.linalg.norm(q, axis=0, keepdims=True)
     if np.any(n == 0.0):
         raise ValueError("zero-norm quaternion cannot be normalized")
     return q / n
 
 
 def quat_mul(a, b):
-    """Hamilton product of scalar-last quaternions, broadcasting over leading axes.
+    """Hamilton product of scalar-last quaternions (4, ...), broadcasting.
 
     Written out per component: the vector part is aw*bv + bw*av + av x bv with
     the cross product in np.cross's operation order, and the dot product in the
     scalar part sums from 0.0 in index order as np.sum does, so the result is
     bit-identical to those formulas at a fraction of their per-call cost.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ax, ay, az, aw = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bx, by, bz, bw = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    ax, ay, az, aw = np.asarray(a, dtype=float)
+    bx, by, bz, bw = np.asarray(b, dtype=float)
     return np.stack(
         [
             aw * bx + bw * ax + (ay * bz - az * by),
             aw * by + bw * ay + (az * bx - ax * bz),
             aw * bz + bw * az + (ax * by - ay * bx),
             aw * bw - (((0.0 + ax * bx) + ay * by) + az * bz),
-        ],
-        axis=-1,
+        ]
     )
 
 
 def quat_conjugate(q):
-    q = np.asarray(q, dtype=float)
-    out = q.copy()
-    out[..., :3] *= -1.0
+    out = np.array(q, dtype=float)
+    out[:3] *= -1.0
     return out
 
 
 def quat_rotate(q, v):
-    """Rotate 3-vectors v by quaternions q (both broadcast over leading axes).
+    """Rotate 3-vectors v (3, ...) by quaternions q (4, ...), broadcasting.
 
     v + qw*t + qv x t with t = 2 qv x v, written out per component with each
     cross product in np.cross's operation order (bit-identical to it).
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    x, y, z, w = np.asarray(q, dtype=float)
+    vx, vy, vz = np.asarray(v, dtype=float)
     tx = 2.0 * (y * vz - z * vy)
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
@@ -73,30 +73,29 @@ def quat_rotate(q, v):
             vx + w * tx + (y * tz - z * ty),
             vy + w * ty + (z * tx - x * tz),
             vz + w * tz + (x * ty - y * tx),
-        ],
-        axis=-1,
+        ]
     )
 
 
 def quat_from_rotvec(rv):
-    """Exponential map: rotation vector (axis * angle) to quaternion."""
+    """Exponential map: rotation vectors (3, ...) (axis * angle) to quaternions."""
     rv = np.asarray(rv, dtype=float)
-    angle = np.linalg.norm(rv, axis=-1, keepdims=True)
+    angle = np.linalg.norm(rv, axis=0)
     half = 0.5 * angle
     # sin(angle/2)/angle, series expansion below 1e-8 to avoid 0/0
     small = angle < 1e-8
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(small, 0.5 - angle * angle / 48.0, np.sin(half) / np.where(angle == 0.0, 1.0, angle))
-    w = np.cos(half)
-    return np.concatenate([rv * scale, w], axis=-1)
+    return np.stack([rv[0] * scale, rv[1] * scale, rv[2] * scale, np.cos(half)])
 
 
 def quat_to_rotvec(q):
-    """Logarithm map: quaternion to rotation vector with angle in [0, pi]."""
+    """Logarithm map: quaternions (4, ...) to rotation vectors with angle in [0, pi]."""
     q = np.asarray(q, dtype=float)
-    q = np.where(q[..., 3:4] < 0.0, -q, q)
-    qv, qw = q[..., :3], q[..., 3:4]
-    n = np.linalg.norm(qv, axis=-1, keepdims=True)
+    q = np.where(q[3:4] < 0.0, -q, q)
+    # qw keeps its leading axis: on a single pose a scalar's ** rounds otherwise
+    qv, qw = q[:3], q[3:4]
+    n = np.linalg.norm(qv, axis=0, keepdims=True)
     angle = 2.0 * np.arctan2(n, qw)
     small = n < 1e-9
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -110,8 +109,7 @@ def quat_to_rotvec(q):
 
 def quat_yaw(q):
     """Heading angle about world z."""
-    q = np.asarray(q, dtype=float)
-    qx, qy, qz, qw = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    qx, qy, qz, qw = np.asarray(q, dtype=float)
     return np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
 
 
@@ -120,7 +118,7 @@ def quat_from_yaw(yaw):
     z = np.sin(yaw / 2.0)
     w = np.cos(yaw / 2.0)
     zero = np.zeros_like(z)
-    return np.stack([zero, zero, z, w], axis=-1)
+    return np.stack([zero, zero, z, w])
 
 
 def wrap_angle(a):

@@ -34,12 +34,12 @@ reads the map layer of its own name, so the layers a mode needs are its
 channels, and every contact is weighed with the same channel set.
 
 The contacts of one step are evaluated together (contacts_log_likelihood):
-one quaternion call moves all K contacts to (K, N, 3) world points, and each
-channel of the set looks its layer up once for all of them, the class
-channel with one estimated class per contact row. The result keeps one row
-per contact, computed with the same arithmetic as one contact on its own, so
-a caller that adds the rows to the weights in contact order gets the same
-sums bit for bit as evaluating the contacts one at a time.
+one quaternion call per contact moves the K contacts to (3, K, N) world
+points, and each channel of the set looks its layer up once for all of them,
+the class channel with one estimated class per contact row. The result
+keeps one row per contact, computed with the same arithmetic as one contact
+on its own, so a caller that adds the rows to the weights in contact order
+gets the same sums bit for bit as evaluating the contacts one at a time.
 """
 
 from __future__ import annotations
@@ -166,10 +166,10 @@ class ContactMeasurement:
 
 
 def elevation_log_likelihood_points(points, grid: ElevationGrid, cfg: LikelihoodConfig) -> np.ndarray:
-    """Per-point elevation channel for world contact points (..., 3)."""
+    """Per-point elevation channel for world contact points (3, ...)."""
     points = np.asarray(points, dtype=float)
-    h = elevation_at_many(grid, points[..., :2])
-    z = points[..., 2] - h
+    h = elevation_at_many(grid, points[:2])
+    z = points[2] - h
     nodata = np.isnan(h)
     ll = np.maximum(gaussian_log_density(np.where(nodata, 0.0, z), cfg.sigma_z), cfg.log_rho)
     ll[nodata] = 0.0
@@ -177,7 +177,7 @@ def elevation_log_likelihood_points(points, grid: ElevationGrid, cfg: Likelihood
 
 
 def cloud_log_likelihood_points(points, cloud: PointCloudMap, cfg: LikelihoodConfig) -> np.ndarray:
-    """Per-point cloud channel for world contact points (..., 3).
+    """Per-point cloud channel for world contact points (3, ...).
 
     The nearest-neighbour search stops at cfg.floor_reach; a point farther
     from the map scores the floor, as its exact distance would.
@@ -187,11 +187,11 @@ def cloud_log_likelihood_points(points, cloud: PointCloudMap, cfg: LikelihoodCon
 
 
 def class_log_likelihood_points(points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig) -> np.ndarray:
-    """Per-point class channel for world xy contact points (..., 2).
+    """Per-point class channel for world xy contact points (2, ...).
 
     class_id is the classifier's estimate: one class for every point, or
     per-point classes that broadcast against the points (a (K, 1) column for
-    the (K, N) points of K contacts). Cells already of that class score the
+    the (2, K, N) points of K contacts). Cells already of that class score the
     peak density; other cells score the floored density of the lattice
     distance to the nearest cell of that class, looked up in one call for all
     of them. An estimate absent from the map scores the floor itself; off-map
@@ -206,7 +206,7 @@ def class_log_likelihood_points(points_xy, class_id, grid: ClassGrid, cfg: Likel
     # an absent class scores the floor without a distance lookup
     mismatch = ~neutral & ~match & grid._present[class_id]
     if mismatch.any():
-        d = class_distance_many(grid, points_xy[mismatch], np.broadcast_to(class_id, ids.shape)[mismatch])
+        d = class_distance_many(grid, points_xy[:, mismatch], np.broadcast_to(class_id, ids.shape)[mismatch])
         ll[mismatch] = np.maximum(gaussian_log_density(d, cfg.sigma_c), cfg.log_class_rho)
     ll[match] = cfg.log_class_peak
     ll[neutral] = 0.0
@@ -230,27 +230,27 @@ def require_layers(channels, layers) -> None:
 
 
 def contacts_log_likelihood(positions, quats, contacts, channels, maps: MapSet, cfg: LikelihoodConfig) -> np.ndarray:
-    """Joint log-likelihoods (K, N) of K contacts at N particles given as arrays.
+    """Joint log-likelihoods (K, N) of K contacts at N particles, positions
+    (3, N) and quats (4, N).
 
     Row k belongs to contacts[k], and every row uses the same channels (a
-    value of MODES). Every contact is moved to world points in one quaternion
-    call, and each channel queries its layer once for all the contacts. Row
-    k starts at 0 and adds the channels given in the order elevation, class,
-    cloud: (0 + elevation) + class for elevation and class. A contact
-    without class_probs adds no class term.
+    value of MODES). Each contact is moved to world points by its own
+    quaternion call, into one (3, K, N) array, and each channel queries its
+    layer once for all the contacts. Row k starts at 0 and adds the channels
+    given in the order elevation, class, cloud: (0 + elevation) + class for
+    elevation and class. A contact without class_probs adds no class term.
     """
     require_layers(channels, maps.layers)
     if "class" in channels:
         labeled = [k for k, c in enumerate(contacts) if c.class_probs is not None]
         column = np.array([_estimated_class(contacts[k], maps.class_grid) for k in labeled]).reshape(-1, 1)
 
-    feet = np.array([c.offset for c in contacts]).reshape(-1, 1, 3)
-    world = quat_rotate(quats, feet) + positions
-    ll = np.zeros(world.shape[:-1])
+    world = np.stack([quat_rotate(quats, c.offset) + positions for c in contacts], axis=1)
+    ll = np.zeros(world.shape[1:])
     if "elevation" in channels:
         ll += elevation_log_likelihood_points(world, maps.elevation, cfg)
     if "class" in channels and labeled:
-        ll[labeled] += class_log_likelihood_points(world[labeled, :, :2], column, maps.class_grid, cfg)
+        ll[labeled] += class_log_likelihood_points(world[:2, labeled], column, maps.class_grid, cfg)
     if "cloud" in channels:
         ll += cloud_log_likelihood_points(world, maps.cloud, cfg)
     return ll

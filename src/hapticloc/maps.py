@@ -29,6 +29,17 @@ class MapFormatError(ValueError):
     """Raised when a map file does not parse; message carries path and line."""
 
 
+def _check_lattice(grid) -> None:
+    """Coerce and check a grid's resolution and origin, naming the bad field:
+    a cell index computed from a non-finite one means nothing."""
+    grid.resolution = float(grid.resolution)
+    if not (np.isfinite(grid.resolution) and grid.resolution > 0.0):
+        raise ValueError(f"grid resolution must be finite and positive, got {grid.resolution}")
+    grid.origin = np.array(grid.origin, dtype=float).reshape(2)
+    if not np.isfinite(grid.origin).all():
+        raise ValueError(f"grid origin must be finite, got {grid.origin.tolist()}")
+
+
 @dataclass
 class ElevationGrid:
     """2.5D height field. heights has shape (n_rows, n_cols), nan = no data."""
@@ -38,13 +49,14 @@ class ElevationGrid:
     heights: np.ndarray
 
     def __post_init__(self):
-        self.resolution = float(self.resolution)
-        if not self.resolution > 0.0:
-            raise ValueError("grid resolution must be positive")
-        self.origin = np.array(self.origin, dtype=float).reshape(2)
+        _check_lattice(self)
         self.heights = np.array(self.heights, dtype=float)
         if self.heights.ndim != 2 or self.heights.size == 0:
             raise ValueError("heights must be a non-empty 2D array")
+        # nan marks no data; an infinite height is a corrupt one
+        if np.isinf(self.heights).any():
+            r, c = np.argwhere(np.isinf(self.heights))[0]
+            raise ValueError(f"heights must be finite or nan (no data), got {self.heights[r, c]} at (row {r}, col {c})")
 
     @property
     def n_rows(self) -> int:
@@ -72,10 +84,7 @@ class ClassGrid:
     _present: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.resolution = float(self.resolution)
-        if not self.resolution > 0.0:
-            raise ValueError("grid resolution must be positive")
-        self.origin = np.array(self.origin, dtype=float).reshape(2)
+        _check_lattice(self)
         self.class_ids = np.array(self.class_ids, dtype=np.uint8)
         if self.class_ids.ndim != 2 or self.class_ids.size == 0:
             raise ValueError("class_ids must be a non-empty 2D array")
@@ -164,41 +173,38 @@ def check_same_lattice(a, b) -> None:
         )
 
 
-def _cell_indices(grid, xy):
-    """Column/row indices and inside-mask for query points (..., 2)."""
+def _flat_cells(grid, xy):
+    """Row-major flat cell indices and inside-mask for query points (2, ...).
+
+    The index is 0 outside the grid, so a gather through it stays in bounds
+    and the caller puts its off-map value where inside is False.
+    """
     xy = np.asarray(xy, dtype=float)
-    rel = (xy - grid.origin) / grid.resolution
-    ix = np.floor(rel[..., 0]).astype(np.int64)
-    iy = np.floor(rel[..., 1]).astype(np.int64)
+    ix = np.floor((xy[0] - grid.origin[0]) / grid.resolution).astype(np.int64)
+    iy = np.floor((xy[1] - grid.origin[1]) / grid.resolution).astype(np.int64)
     inside = (ix >= 0) & (ix < grid.n_cols) & (iy >= 0) & (iy < grid.n_rows)
-    return ix, iy, inside
+    return np.where(inside, iy * grid.n_cols + ix, 0), inside
 
 
 def elevation_at_many(grid: ElevationGrid, xy) -> np.ndarray:
-    """Heights at query points (..., 2); nan outside the grid or on no-data cells."""
-    xy = np.asarray(xy, dtype=float)
-    ix, iy, inside = _cell_indices(grid, xy)
-    out = np.full(xy.shape[:-1], np.nan)
-    out[inside] = grid.heights[iy[inside], ix[inside]]
-    return out
+    """Heights at query points (2, ...); nan outside the grid or on no-data cells."""
+    flat, inside = _flat_cells(grid, xy)
+    return np.where(inside, grid.heights.take(flat), np.nan)
 
 
 def elevation_at(grid: ElevationGrid, xy) -> float:
     """Height of the cell containing xy; nan outside the grid or on no-data cells."""
-    return float(elevation_at_many(grid, np.asarray(xy, dtype=float).reshape(1, 2))[0])
+    return float(elevation_at_many(grid, np.asarray(xy, dtype=float).reshape(2, 1))[0])
 
 
 def class_at_many(grid: ClassGrid, xy) -> np.ndarray:
-    """Class ids at query points (..., 2); the unknown sentinel outside the grid."""
-    xy = np.asarray(xy, dtype=float)
-    ix, iy, inside = _cell_indices(grid, xy)
-    out = np.full(xy.shape[:-1], UNKNOWN_CLASS, dtype=np.uint8)
-    out[inside] = grid.class_ids[iy[inside], ix[inside]]
-    return out
+    """Class ids at query points (2, ...); the unknown sentinel outside the grid."""
+    flat, inside = _flat_cells(grid, xy)
+    return np.where(inside, grid.class_ids.take(flat), np.uint8(UNKNOWN_CLASS))
 
 
 def class_at(grid: ClassGrid, xy) -> int:
-    return int(class_at_many(grid, np.asarray(xy, dtype=float).reshape(1, 2))[0])
+    return int(class_at_many(grid, np.asarray(xy, dtype=float).reshape(2, 1))[0])
 
 
 def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
@@ -212,7 +218,7 @@ def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
 
 
 def class_distance_many(grid: ClassGrid, xy, class_id) -> np.ndarray:
-    """Lattice distances to the nearest class_id cell for query points (M, 2).
+    """Lattice distances to the nearest class_id cell for query points (2, M).
 
     class_id is one class for every point or an array of per-point classes
     that broadcasts against the points. A class absent from the grid is at
@@ -220,16 +226,13 @@ def class_distance_many(grid: ClassGrid, xy, class_id) -> np.ndarray:
     off-map before this).
     """
     class_id = check_class_ids(grid, class_id)
-    xy = np.asarray(xy, dtype=float)
-    ix, iy, inside = _cell_indices(grid, xy)
-    class_id = np.broadcast_to(class_id, inside.shape)
-    out = np.full(inside.shape, np.inf)
-    out[inside] = grid._dist[class_id[inside], iy[inside], ix[inside]]
-    return out
+    flat, inside = _flat_cells(grid, xy)
+    cells = grid.n_rows * grid.n_cols
+    return np.where(inside, grid._dist.take(class_id * cells + flat), np.inf)
 
 
 def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:
-    """Nearest-neighbour distances for query points (..., 3).
+    """Nearest-neighbour distances for query points (3, ...), on every core.
 
     With max_distance the kd-tree search stops there: a point with no map point
     nearer than max_distance gets inf, and every other point gets the same
@@ -238,8 +241,8 @@ def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) 
     (the cloud channel's floor) can pass the reach and lose nothing, provided
     its score does not increase with distance.
     """
-    points = np.asarray(points, dtype=float)
-    dist, _ = cloud._tree.query(points, distance_upper_bound=max_distance)
+    points = np.moveaxis(np.asarray(points, dtype=float), 0, -1)
+    dist, _ = cloud._tree.query(points, distance_upper_bound=max_distance, workers=-1)
     return np.asarray(dist, dtype=float)
 
 
@@ -282,7 +285,7 @@ def load_map(path):
     if tag == "HMAP":
         n_cols, n_rows, resolution, origin, _ = _parse_grid_header(path, lines[0], "HMAP", 7)
         values = _parse_floats(path, lines[1:], n_rows * n_cols, "height")
-        return ElevationGrid(resolution, origin, values.reshape(n_rows, n_cols))
+        return _build(path, ElevationGrid, resolution, origin, values.reshape(n_rows, n_cols))
 
     if tag == "CMAP":
         n_cols, n_rows, resolution, origin, parts = _parse_grid_header(path, lines[0], "CMAP", 8)
@@ -291,7 +294,7 @@ def load_map(path):
         except ValueError as e:
             raise MapFormatError(f"{path}:1: bad n_classes field: {e}") from e
         ids = _parse_ints(path, lines[1:], n_rows * n_cols, n_classes)
-        return ClassGrid(resolution, origin, ids.reshape(n_rows, n_cols), n_classes)
+        return _build(path, ClassGrid, resolution, origin, ids.reshape(n_rows, n_cols), n_classes)
 
     # no recognized header: point cloud
     pts = []
@@ -308,7 +311,15 @@ def load_map(path):
             raise MapFormatError(f"{path}:{ln}: bad coordinate: {e}") from e
     if not pts:
         raise MapFormatError(f"{path}: point cloud file has no points")
-    return PointCloudMap(np.array(pts))
+    return _build(path, PointCloudMap, np.array(pts))
+
+
+def _build(path, layer, *fields):
+    """layer(*fields); a field the layer rejects raises with the file's path."""
+    try:
+        return layer(*fields)
+    except ValueError as e:
+        raise MapFormatError(f"{path}: {e}") from e
 
 
 def _parse_floats(path, lines, expected, what):

@@ -1,7 +1,7 @@
 """Sequential Monte Carlo localization over foot-contact measurements.
 
-Particles are SE(3) poses stored as flat arrays (positions (N, 3), scalar-last
-quaternions (N, 4)) with log-domain weights. Each step propagates every
+Particles are SE(3) poses stored as component rows (positions (3, N),
+scalar-last quaternions (4, N), each C-contiguous) with log-domain weights. Each step propagates every
 particle by the odometry increment with body-frame Gaussian noise, multiplies
 weights by the joint contact likelihood, resamples systematically when the
 effective sample size drops below a fraction of N, and appends a pose estimate.
@@ -72,6 +72,7 @@ class FilterState:
     k, whose diagnostics are diagnostics[k - 1].
     """
 
+    # component rows: positions (3, N) and quats (4, N), each C-contiguous
     positions: np.ndarray
     quats: np.ndarray
     log_weights: np.ndarray
@@ -121,9 +122,10 @@ def init_filter(
         raise ValueError("resample_frac must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     factor = covariance_factor(prior_cov)
-    delta = rng.standard_normal((n_particles, 6)) @ factor.T
-    positions = prior_mean.position + quat_rotate(prior_mean.quat, delta[:, :3])
-    quats = quat_mul(prior_mean.quat, quat_from_rotvec(delta[:, 3:]))
+    # the draws and their matmul as (N, 6) rows, then one copy to component rows
+    delta = np.ascontiguousarray((rng.standard_normal((n_particles, 6)) @ factor.T).T)
+    positions = prior_mean.position[:, None] + quat_rotate(prior_mean.quat, delta[:3])
+    quats = quat_mul(prior_mean.quat, quat_from_rotvec(delta[3:]))
     return FilterState(
         positions=positions,
         quats=quats,
@@ -167,12 +169,15 @@ def estimate_detail(state: FilterState, increment: Pose):
     for x, y, and orientation, and takes just z from the weighted mean.
     """
     w = np.exp(state.log_weights - _logsumexp(state.log_weights))
-    mean_p = w @ state.positions
-    xy_std = np.sqrt(w @ (state.positions[:, :2] - mean_p[:2]) ** 2)
+    # the weighted means multiply w by (N, k) copies, the matmul the golden
+    # outputs were made with; (k, N) @ w takes another BLAS path
+    positions = np.ascontiguousarray(state.positions.T)
+    mean_p = w @ positions
+    xy_std = np.sqrt(w @ (positions[:, :2] - mean_p[:2]) ** 2)
     if np.all(xy_std <= state.xy_std_threshold):
-        ref = state.quats[int(np.argmax(state.log_weights))]
+        ref = state.quats[:, int(np.argmax(state.log_weights))]
         dq = quat_mul(quat_conjugate(ref), state.quats)
-        mean_rv = w @ quat_to_rotvec(dq)
+        mean_rv = w @ np.ascontiguousarray(quat_to_rotvec(dq).T)
         q = quat_mul(ref, quat_from_rotvec(mean_rv))
         return Pose(mean_p, q), xy_std, "full"
     base = compose(state.trajectory[-1], increment)
@@ -213,11 +218,11 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
 
     # propagate: particle o increment, then right-perturbation noise
     factor = _odom_factor(state, inp.odom_cov)
-    delta = state.rng.standard_normal((n, 6)) @ factor.T
+    delta = np.ascontiguousarray((state.rng.standard_normal((n, 6)) @ factor.T).T)
     state.positions = state.positions + quat_rotate(state.quats, inc.position)
     state.quats = quat_mul(state.quats, inc.quat)
-    state.positions = state.positions + quat_rotate(state.quats, delta[:, :3])
-    state.quats = quat_mul(state.quats, quat_from_rotvec(delta[:, 3:]))
+    state.positions = state.positions + quat_rotate(state.quats, delta[:3])
+    state.quats = quat_mul(state.quats, quat_from_rotvec(delta[3:]))
 
     active = contacts_for_mode(inp.contacts)
     if active:
@@ -239,8 +244,8 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     ess = float(1.0 / np.sum(w * w))
     if ess < state.resample_frac * n:
         idx = systematic_resample_indices(w, state.rng)
-        state.positions = state.positions[idx]
-        state.quats = state.quats[idx]
+        state.positions = state.positions.take(idx, axis=1)
+        state.quats = state.quats.take(idx, axis=1)
         state.log_weights = np.full(n, -np.log(n))
 
     est, xy_std, branch = estimate_detail(state, inc)

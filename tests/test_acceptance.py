@@ -130,8 +130,8 @@ def test_criterion_02_exact_nearest_queries():
     queries = np.vstack([rng.uniform(-4.5, 4.5, (500, 3)), near])
     want = np.array([np.linalg.norm(cloud.points - q, axis=1).min() for q in queries])
     bounded = np.where(want < reach, want, np.inf)
-    cloud_bad = int(np.sum(cloud_distances(cloud, queries) != want))
-    cloud_bad += int(np.sum(cloud_distances(cloud, queries, reach) != bounded))
+    cloud_bad = int(np.sum(cloud_distances(cloud, queries.T) != want))
+    cloud_bad += int(np.sum(cloud_distances(cloud, queries.T, reach) != bounded))
 
     ids = rng.integers(0, 8, (40, 60)).astype(np.uint8)
     ids[rng.random((40, 60)) < 0.1] = UNKNOWN_CLASS
@@ -144,7 +144,7 @@ def test_criterion_02_exact_nearest_queries():
     )
     field_bad = 0
     for c in range(grid.n_classes):
-        got = class_distance_many(grid, pts, c)
+        got = class_distance_many(grid, pts.T, c)
         want = np.array([_exhaustive_class_distance(grid, p, c) for p in pts])
         field_bad += int(np.sum(got != want))
 
@@ -330,12 +330,12 @@ def test_criterion_08_ambiguity_fallback():
     )
     # two equally weighted clusters straddling y = 0: xy spread past the
     # threshold on ground that cannot disambiguate them
-    st.positions = np.zeros((n, 3))
-    st.positions[:, 2] = 0.3
-    st.positions[: n // 2, 1] = 0.15
-    st.positions[n // 2 :, 1] = -0.15
-    st.quats = np.zeros((n, 4))
-    st.quats[:, 3] = 1.0
+    st.positions = np.zeros((3, n))
+    st.positions[2] = 0.3
+    st.positions[1, : n // 2] = 0.15
+    st.positions[1, n // 2 :] = -0.15
+    st.quats = np.zeros((4, n))
+    st.quats[3] = 1.0
 
     inc = Pose([0.05, 0.0, 0.0])
     inp = StepInput(inc, np.diag(np.full(6, 1e-12)), _elevation_contacts())

@@ -75,7 +75,8 @@ def test_quat_rotate_matches_rotation_matrix():
         assert np.allclose(quat_rotate(q, v), Rotation.from_quat(q).as_matrix() @ v, atol=1e-12)
 
 
-# bit-exact oracle: the np.cross formulas the component arithmetic replaced
+# bit-exact oracle: the np.cross formulas the component arithmetic replaced,
+# on trailing-axis arrays; leading-axis batches are moved to them and back
 
 
 def cross_quat_rotate(q, v):
@@ -92,7 +93,13 @@ def cross_quat_mul(a, b):
     return np.concatenate([v, w], axis=-1)
 
 
+def leading(oracle):
+    """oracle of trailing-axis arrays, applied to leading-axis ones."""
+    return lambda *args: np.moveaxis(oracle(*(np.moveaxis(x, 0, -1) for x in args)), -1, 0)
+
+
 def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
@@ -106,19 +113,19 @@ def quat_batches(draw, shape):
     rotation vectors below 1e-8, as the filter's noise draws make them."""
     if draw(st.booleans()):
         return draw(arrays(np.float64, shape, elements=components))
-    rv = draw(arrays(np.float64, shape[:-1] + (3,), elements=st.one_of(signed_zero, st.floats(-5e-9, 5e-9))))
+    rv = draw(arrays(np.float64, (3,) + shape[1:], elements=st.one_of(signed_zero, st.floats(-5e-9, 5e-9))))
     return quat_from_rotvec(rv)
 
 
 ROTATE_SHAPES = {
-    "(N,4)x(N,3)": lambda n, k: ((n, 4), (n, 3)),
-    "(4,)x(N,3)": lambda n, k: ((4,), (n, 3)),
-    "(N,4)x(3,)": lambda n, k: ((n, 4), (3,)),
-    "(N,4)x(K,1,3)": lambda n, k: ((n, 4), (k, 1, 3)),
+    "(4,N)x(3,N)": lambda n, k: ((4, n), (3, n)),
+    "(4,)x(3,N)": lambda n, k: ((4,), (3, n)),
+    "(4,N)x(3,)": lambda n, k: ((4, n), (3,)),
+    "(4,1,N)x(3,K,1)": lambda n, k: ((4, 1, n), (3, k, 1)),
 }
 MUL_SHAPES = {
-    "(N,4)x(4,)": lambda n, k: ((n, 4), (4,)),
-    "(N,4)x(N,4)": lambda n, k: ((n, 4), (n, 4)),
+    "(4,N)x(4,)": lambda n, k: ((4, n), (4,)),
+    "(4,N)x(4,N)": lambda n, k: ((4, n), (4, n)),
     "(4,)x(4,)": lambda n, k: ((4,), (4,)),
 }
 
@@ -129,7 +136,7 @@ def test_quat_rotate_bit_identical_to_cross_formula(data, pair, n, k):
     q_shape, v_shape = ROTATE_SHAPES[pair](n, k)
     q = data.draw(quat_batches(q_shape))
     v = data.draw(arrays(np.float64, v_shape, elements=components))
-    assert same_bits(quat_rotate(q, v), cross_quat_rotate(q, v))
+    assert same_bits(quat_rotate(q, v), leading(cross_quat_rotate)(q, v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,8 +145,80 @@ def test_quat_mul_bit_identical_to_cross_formula(data, pair, n):
     a_shape, b_shape = MUL_SHAPES[pair](n, 1)
     a = data.draw(quat_batches(a_shape))
     b = data.draw(quat_batches(b_shape))
-    assert same_bits(quat_mul(a, b), cross_quat_mul(a, b))
-    assert same_bits(quat_mul(b, a), cross_quat_mul(b, a))
+    assert same_bits(quat_mul(a, b), leading(cross_quat_mul)(a, b))
+    assert same_bits(quat_mul(b, a), leading(cross_quat_mul)(b, a))
+
+
+# single poses read as they did when components sat on the trailing axis:
+# the trailing-axis formulas of every geometry function, kept as the oracle
+
+
+def trailing_normalize(q):
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def trailing_conjugate(q):
+    out = q.copy()
+    out[..., :3] *= -1.0
+    return out
+
+
+def trailing_from_rotvec(rv):
+    angle = np.linalg.norm(rv, axis=-1, keepdims=True)
+    half = 0.5 * angle
+    small = angle < 1e-8
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(small, 0.5 - angle * angle / 48.0, np.sin(half) / np.where(angle == 0.0, 1.0, angle))
+    return np.concatenate([rv * scale, np.cos(half)], axis=-1)
+
+
+def trailing_to_rotvec(q):
+    q = np.where(q[..., 3:4] < 0.0, -q, q)
+    qv, qw = q[..., :3], q[..., 3:4]
+    n = np.linalg.norm(qv, axis=-1, keepdims=True)
+    angle = 2.0 * np.arctan2(n, qw)
+    small = n < 1e-9
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(small, 2.0 / qw - 2.0 * n * n / (3.0 * qw**3), angle / np.where(n == 0.0, 1.0, n))
+    return qv * scale
+
+
+def trailing_yaw(q):
+    qx, qy, qz, qw = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
+
+
+def trailing_from_yaw(yaw):
+    z, w = np.sin(yaw / 2.0), np.cos(yaw / 2.0)
+    zero = np.zeros_like(z)
+    return np.stack([zero, zero, z, w], axis=-1)
+
+
+wide = st.one_of(components, st.floats(-1e3, 1e3, allow_nan=False))
+# any nonzero components, or a vector part below quat_to_rotvec's 1e-9
+# series threshold beside any scalar part
+single_quats = st.one_of(
+    arrays(np.float64, (4,), elements=wide),
+    st.tuples(arrays(np.float64, (3,), elements=st.floats(-5e-10, 5e-10)), wide).map(
+        lambda vw: np.append(*vw)
+    ),
+).filter(lambda q: np.linalg.norm(q) > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_quats, single_quats, arrays(np.float64, (3,), elements=wide), st.floats(-10.0, 10.0))
+def test_single_pose_bit_identical_to_trailing_axis_formulas(q, p, v, yaw):
+    yaw = np.float64(yaw)
+    assert same_bits(quat_normalize(q), trailing_normalize(q))
+    assert same_bits(quat_conjugate(q), trailing_conjugate(q))
+    assert same_bits(quat_mul(q, p), cross_quat_mul(q, p))
+    assert same_bits(quat_rotate(q, v), cross_quat_rotate(q, v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(quat_to_rotvec(q), trailing_to_rotvec(q))
+    assert same_bits(quat_yaw(q), trailing_yaw(q))
+    assert same_bits(quat_from_yaw(yaw), trailing_from_yaw(yaw))
+    for rv in (v, 1e-12 * v, q[:3]):
+        assert same_bits(quat_from_rotvec(rv), trailing_from_rotvec(rv))
 
 
 def test_quat_from_rotvec_matches_scipy():

@@ -109,7 +109,7 @@ def test_elevation_channel_values_and_floor():
             [-5.0, 1.0, 0.0],  # off the map -> neutral
         ]
     )
-    ll = elevation_log_likelihood_points(pts, maps.elevation, cfg)
+    ll = elevation_log_likelihood_points(pts.T, maps.elevation, cfg)
     assert abs(ll[0] - math.log(PEAK_Z)) < 1e-12
     assert abs(ll[1] - math.log(DENS_Z[1])) < 1e-12
     assert abs(ll[2] - math.log(DENS_Z[2])) < 1e-12
@@ -122,7 +122,7 @@ def test_elevation_nodata_cell_is_neutral():
     heights[2, 2] = np.nan
     ev = ElevationGrid(0.5, (0.0, 0.0), heights)
     cfg = LikelihoodConfig()
-    ll = elevation_log_likelihood_points(np.array([[1.25, 1.25, 7.0]]), ev, cfg)
+    ll = elevation_log_likelihood_points(np.array([[1.25], [1.25], [7.0]]), ev, cfg)
     assert ll[0] == 0.0
 
 
@@ -139,7 +139,7 @@ def test_class_channel_match_mismatch_floor_neutral():
             [9.0, 9.0],  # off the map -> neutral
         ]
     )
-    ll1 = class_log_likelihood_points(pts, 1, g, cfg)
+    ll1 = class_log_likelihood_points(pts.T, 1, g, cfg)
     d = 0.5 * 4.0  # four columns to the nearest class-1 cell
     want_mismatch = max(float(gaussian_log_density(d, cfg.sigma_c)), cfg.log_class_rho)
     assert ll1[0] == pytest.approx(want_mismatch)
@@ -148,7 +148,7 @@ def test_class_channel_match_mismatch_floor_neutral():
     assert ll1[2] == 0.0
     assert ll1[3] == 0.0
     # Class 2 is declared but absent from the grid: every labeled cell floors.
-    ll2 = class_log_likelihood_points(pts, 2, g, cfg)
+    ll2 = class_log_likelihood_points(pts.T, 2, g, cfg)
     assert ll2[0] == pytest.approx(cfg.log_class_rho)
     assert ll2[1] == pytest.approx(cfg.log_class_rho)
     assert ll2[2] == 0.0
@@ -160,21 +160,21 @@ def test_class_channel_near_mismatch_uses_lattice_distance():
     g = ClassGrid(0.05, (0.0, 0.0), ids, 2)
     cfg = LikelihoodConfig()
     # Column 2, one cell from the class-1 column: distance 0.05 = one sigma_c.
-    ll = class_log_likelihood_points(np.array([[0.125, 0.025]]), 1, g, cfg)
+    ll = class_log_likelihood_points(np.array([[0.125], [0.025]]), 1, g, cfg)
     assert abs(ll[0] - math.log(DENS_C[1])) < 1e-12
 
 
 def test_class_channel_rejects_out_of_range_id():
     maps = flat_maps()
     with pytest.raises(ValueError):
-        class_log_likelihood_points(np.array([[0.2, 0.2]]), 7, maps.class_grid, LikelihoodConfig())
+        class_log_likelihood_points(np.array([[0.2], [0.2]]), 7, maps.class_grid, LikelihoodConfig())
 
 
 def test_cloud_channel_distance_and_floor():
     cfg = LikelihoodConfig()
     cloud = PointCloudMap(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     pts = np.array([[0.0, 0.0, 0.01], [0.0, 0.0, 5.0]])
-    ll = cloud_log_likelihood_points(pts, cloud, cfg)
+    ll = cloud_log_likelihood_points(pts.T, cloud, cfg)
     assert abs(ll[0] - math.log(DENS_Z[1])) < 1e-12
     assert ll[1] == pytest.approx(cfg.log_rho)
 
@@ -209,13 +209,13 @@ def test_bounded_cloud_channel_matches_unbounded_query(seed, n_cloud, sigma_z):
             cloud.points.max(axis=0) + reach * rng.uniform(1.0, 100.0, (10, 3)),
         ]
     )
-    got = cloud_log_likelihood_points(pts, cloud, cfg)
+    got = cloud_log_likelihood_points(pts.T, cloud, cfg)
     d = cKDTree(cloud.points).query(pts)[0]
     want = np.maximum(gaussian_log_density(d, sigma_z), cfg.log_rho)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-ORIGIN = (np.zeros((1, 3)), np.array([[0.0, 0.0, 0.0, 1.0]]))
+ORIGIN = (np.zeros((3, 1)), np.array([[0.0], [0.0], [0.0], [1.0]]))
 
 
 def test_contact_measurement_validation():
@@ -279,8 +279,8 @@ def test_contact_requires_matching_layers():
 def test_class_probs_length_must_match_the_class_layer():
     maps = flat_maps()  # 3 classes
     foot = (0.0, 0.0, -0.3)
-    pos = np.array([[1.0, 1.0, 0.3]])
-    quat = np.array([[0.0, 0.0, 0.0, 1.0]])
+    pos = np.array([[1.0], [1.0], [0.3]])
+    quat = np.array([[0.0], [0.0], [0.0], [1.0]])
     for mode in ("HL-C", "HL-GC"):
         for probs in ([0.9, 0.1], [0.1] * 8):
             c = ContactMeasurement(foot, class_probs=np.array(probs))
@@ -315,8 +315,8 @@ def test_batched_contacts_match_one_contact_at_a_time():
     cfg = LikelihoodConfig()
     maps = flat_maps(with_cloud=True)
     n = 30
-    positions = np.column_stack([rng.uniform(-0.5, 4.5, n), rng.uniform(-0.5, 4.5, n), rng.normal(0.3, 0.02, n)])
-    quats = np.stack([quat_from_yaw(y) for y in rng.uniform(-np.pi, np.pi, n)])
+    positions = np.stack([rng.uniform(-0.5, 4.5, n), rng.uniform(-0.5, 4.5, n), rng.normal(0.3, 0.02, n)])
+    quats = quat_from_yaw(rng.uniform(-np.pi, np.pi, n))
     cs = [
         ContactMeasurement(rng.normal(0.0, 0.3, 3), class_probs=None if k == 2 else rng.dirichlet(np.ones(3)))
         for k in range(5)
@@ -331,10 +331,10 @@ def test_batched_contacts_match_one_contact_at_a_time():
 def test_class_channel_takes_one_class_per_row():
     maps = flat_maps()
     cfg = LikelihoodConfig()
-    xy = np.random.default_rng(9).uniform(-0.5, 4.5, (3, 20, 2))
+    xy = np.random.default_rng(9).uniform(-0.5, 4.5, (2, 3, 20))
     ids = np.array([[0], [1], [2]])
     rows = class_log_likelihood_points(xy, ids, maps.class_grid, cfg)
-    for row, pts, cid in zip(rows, xy, ids[:, 0]):
+    for row, pts, cid in zip(rows, xy.transpose(1, 0, 2), ids[:, 0]):
         assert np.array_equal(row, class_log_likelihood_points(pts, cid, maps.class_grid, cfg))
     with pytest.raises(ValueError, match="class id 7"):
         class_log_likelihood_points(xy, np.array([[0], [7], [1]]), maps.class_grid, cfg)
@@ -347,9 +347,9 @@ def test_joint_channel_is_sum_of_parts():
     pose = Pose(np.array([2.1, 1.3, 0.29]), quat_from_yaw(0.4))
     c = ContactMeasurement(foot, class_probs=np.array([0.6, 0.3, 0.1]))
     world = pose.position + quat_rotate(pose.quat, foot)
-    elevation = elevation_log_likelihood_points(world.reshape(1, 3), maps.elevation, cfg)[0]
-    klass = class_log_likelihood_points(world[:2].reshape(1, 2), 0, maps.class_grid, cfg)[0]
-    at_pose = (pose.position.reshape(1, 3), pose.quat.reshape(1, 4))
+    elevation = elevation_log_likelihood_points(world.reshape(3, 1), maps.elevation, cfg)[0]
+    klass = class_log_likelihood_points(world[:2].reshape(2, 1), 0, maps.class_grid, cfg)[0]
+    at_pose = (pose.position.reshape(3, 1), pose.quat.reshape(4, 1))
     for mode, want in (("HL-G", elevation), ("HL-C", klass), ("HL-GC", elevation + klass)):
         got = contacts_log_likelihood(*at_pose, [c], MODES[mode], maps, cfg)
         assert got.shape == (1, 1)
@@ -362,16 +362,14 @@ def test_vectorized_contact_matches_scalar_loop():
     maps = flat_maps(with_cloud=True)
     foot = (0.2, -0.15, -0.3)
     n = 40
-    positions = np.column_stack(
-        [rng.uniform(0.5, 3.5, n), rng.uniform(0.5, 3.5, n), rng.normal(0.3, 0.02, n)]
-    )
-    quats = np.stack([quat_from_yaw(y) for y in rng.uniform(-np.pi, np.pi, n)])
+    positions = np.stack([rng.uniform(0.5, 3.5, n), rng.uniform(0.5, 3.5, n), rng.normal(0.3, 0.02, n)])
+    quats = quat_from_yaw(rng.uniform(-np.pi, np.pi, n))
     c = ContactMeasurement(foot, class_probs=np.array([0.2, 0.5, 0.3]))
     for channels in MODES.values():
         vec = contact_log_likelihood(positions, quats, c, channels, maps, cfg)
         scal = np.array(
-            [contact_log_likelihood(p.reshape(1, 3), q.reshape(1, 4), c, channels, maps, cfg)[0]
-             for p, q in zip(positions, quats)]
+            [contact_log_likelihood(p.reshape(3, 1), q.reshape(4, 1), c, channels, maps, cfg)[0]
+             for p, q in zip(positions.T, quats.T)]
         )
         assert np.allclose(vec, scal, atol=1e-12, rtol=0.0)
         assert np.all(np.isfinite(vec))
@@ -382,9 +380,9 @@ def test_cloud_loglik_single_pose():
     cloud = PointCloudMap(np.array([[1.0, 2.0, 0.0]]))
     pose = Pose(np.array([1.0, 2.0, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
     foot = np.array([0.0, 0.0, -0.29])
-    got = cloud_log_likelihood_points((pose.position + quat_rotate(pose.quat, foot)).reshape(1, 3), cloud, cfg)[0]
+    got = cloud_log_likelihood_points((pose.position + quat_rotate(pose.quat, foot)).reshape(3, 1), cloud, cfg)[0]
     assert abs(got - math.log(DENS_Z[1])) < 1e-12
     maps = MapSet(ElevationGrid(0.5, (0.0, 0.0), np.zeros((8, 8))), cloud=cloud)
     c = ContactMeasurement(foot)
-    row = contacts_log_likelihood(pose.position.reshape(1, 3), pose.quat.reshape(1, 4), [c], MODES["HL-3D"], maps, cfg)
+    row = contacts_log_likelihood(pose.position.reshape(3, 1), pose.quat.reshape(4, 1), [c], MODES["HL-3D"], maps, cfg)
     assert abs(row[0, 0] - math.log(DENS_Z[1])) < 1e-12

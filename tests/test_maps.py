@@ -49,7 +49,7 @@ def test_elevation_outside_and_nodata_are_nan():
     assert np.isnan(elevation_at(g, (0.99, 2.1)))
     assert np.isnan(elevation_at(g, (1.1, 3.01)))
     assert np.isnan(elevation_at(g, (2.6, 2.1)))  # nodata cell
-    many = elevation_at_many(g, [(0.0, 0.0), (1.01, 2.01)])
+    many = elevation_at_many(g, [(0.0, 1.01), (0.0, 2.01)])
     assert np.isnan(many[0]) and many[1] == 0.0
 
 
@@ -57,7 +57,7 @@ def test_elevation_outside_and_nodata_are_nan():
 @given(st.lists(st.tuples(st.floats(0.5, 3.5), st.floats(1.5, 3.5)), min_size=1, max_size=20))
 def test_elevation_many_matches_scalar(points):
     g = small_elevation()
-    many = elevation_at_many(g, points)
+    many = elevation_at_many(g, np.array(points).T)
     for p, v in zip(points, many):
         s = elevation_at(g, p)
         assert (np.isnan(v) and np.isnan(s)) or v == s
@@ -100,7 +100,7 @@ def test_class_distance_matches_exhaustive_scan():
             ]
         )
         for c in range(g.n_classes):
-            got = class_distance_many(g, pts, c)
+            got = class_distance_many(g, pts.T, c)
             want = np.array([exhaustive_class_distance(g, p, c) for p in pts])
             assert np.array_equal(got, want)
 
@@ -110,18 +110,18 @@ def test_class_distance_per_point_classes():
     g = random_class_grid(rng, 12, 9)
     pts = rng.uniform(-1.0, 1.0, (50, 2))
     classes = rng.integers(0, g.n_classes, 50)
-    got = class_distance_many(g, pts, classes)
-    want = [class_distance_many(g, p.reshape(1, 2), c)[0] for p, c in zip(pts, classes)]
+    got = class_distance_many(g, pts.T, classes)
+    want = [class_distance_many(g, p.reshape(2, 1), c)[0] for p, c in zip(pts, classes)]
     assert np.array_equal(got, want)
     classes[7] = g.n_classes
     with pytest.raises(ValueError, match=f"class id {g.n_classes} outside"):
-        class_distance_many(g, pts, classes)
+        class_distance_many(g, pts.T, classes)
 
 
 def test_class_distance_outside_grid_is_inf():
     rng = np.random.default_rng(11)
     g = random_class_grid(rng, 5, 5)
-    out = class_distance_many(g, [(g.origin[0] - 1.0, g.origin[1])], 0)
+    out = class_distance_many(g, [[g.origin[0] - 1.0], [g.origin[1]]], 0)
     assert out[0] == np.inf
 
 
@@ -129,12 +129,12 @@ def test_class_distance_lattice_absent_and_bad_class():
     ids = np.zeros((4, 5), dtype=np.uint8)
     ids[2, 3] = 1
     g = ClassGrid(0.1, (0.0, 0.0), ids, 3)  # class 2 declared but absent
-    got = class_distance_many(g, [(0.05, 0.05)], [1])
+    got = class_distance_many(g, [[0.05], [0.05]], [1])
     assert got[0] == exhaustive_class_distance(g, (0.05, 0.05), 1) == 0.1 * np.sqrt(3**2 + 2**2)
-    got = class_distance_many(g, [(0.05, 0.05)], [2])
+    got = class_distance_many(g, [[0.05], [0.05]], [2])
     assert got[0] == exhaustive_class_distance(g, (0.05, 0.05), 2) == np.inf
     with pytest.raises(ValueError, match="class id 9 outside"):
-        class_distance_many(g, [(0.05, 0.05)], [9])
+        class_distance_many(g, [[0.05], [0.05]], [9])
 
 
 def test_class_grid_rejects_bad_ids():
@@ -154,7 +154,7 @@ def test_cloud_distances_vectorized():
     rng = np.random.default_rng(3)
     cloud = PointCloudMap(rng.normal(size=(50, 3)))
     qs = rng.normal(size=(10, 3))
-    got = cloud_distances(cloud, qs)
+    got = cloud_distances(cloud, qs.T)
     want = [exhaustive_distance(cloud.points, q) for q in qs]
     assert np.allclose(got, want, rtol=0, atol=0)
 
@@ -165,7 +165,7 @@ def test_cloud_distances_bounded_search():
     qs = rng.uniform(-1.5, 1.5, size=(300, 3))
     want = np.array([exhaustive_distance(cloud.points, q) for q in qs])
     bound = float(np.median(want))
-    got = cloud_distances(cloud, qs.reshape(30, 10, 3), bound).ravel()
+    got = cloud_distances(cloud, qs.T.reshape(3, 30, 10), bound).ravel()
     inside = want < bound
     assert 0 < inside.sum() < len(qs)
     assert np.array_equal(got[inside], want[inside])
@@ -238,3 +238,57 @@ def test_pointcloud_rejects_nonfinite():
     pts = np.array([[0.0, 0.0, np.nan]])
     with pytest.raises(ValueError):
         PointCloudMap(pts)
+
+
+# lattice validation: a cell index from a non-finite resolution or origin means nothing
+
+
+def make_grid(kind, resolution, origin):
+    if kind == "elevation":
+        return ElevationGrid(resolution, origin, np.zeros((2, 3)))
+    return ClassGrid(resolution, origin, np.zeros((2, 3), dtype=np.uint8), 2)
+
+
+@pytest.mark.parametrize("kind", ["elevation", "class"])
+@pytest.mark.parametrize(
+    "field, resolution, origin",
+    [
+        ("resolution", np.inf, (0.0, 0.0)),
+        ("resolution", np.nan, (0.0, 0.0)),
+        ("resolution", 0.0, (0.0, 0.0)),
+        ("origin", 0.1, (np.nan, 0.0)),
+        ("origin", 0.1, (0.0, -np.inf)),
+    ],
+    ids=["inf-resolution", "nan-resolution", "zero-resolution", "nan-origin", "inf-origin"],
+)
+def test_grids_reject_non_finite_lattice(kind, field, resolution, origin):
+    with pytest.raises(ValueError, match=f"grid {field} must be finite"):
+        make_grid(kind, resolution, origin)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_elevation_rejects_infinite_heights_and_keeps_nan_as_no_data(bad):
+    h = np.zeros((2, 3))
+    h[0, 0] = np.nan
+    assert np.isnan(elevation_at(ElevationGrid(0.5, (0.0, 0.0), h), (0.1, 0.1)))
+    h[1, 2] = bad
+    with pytest.raises(ValueError, match=r"heights must be finite or nan \(no data\), got -?inf at \(row 1, col 2\)"):
+        ElevationGrid(0.5, (0.0, 0.0), h)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("HMAP 1 2 1 inf 0.0 0.0\n0 0\n", "grid resolution must be finite"),
+        ("HMAP 1 2 1 0.5 nan 0.0\n0 0\n", "grid origin must be finite"),
+        ("HMAP 1 2 1 0.5 0.0 0.0\n0 -inf\n", "heights must be finite or nan"),
+        ("CMAP 1 2 1 inf 0.0 0.0 2\n0 1\n", "grid resolution must be finite"),
+        ("0 0 inf\n", "non-finite"),
+    ],
+    ids=["hmap-resolution", "hmap-origin", "hmap-height", "cmap-resolution", "cloud-point"],
+)
+def test_load_map_rejects_non_finite_geometry_with_its_path(tmp_path, text, match):
+    p = tmp_path / "odd.map"
+    p.write_text(text)
+    with pytest.raises(MapFormatError, match=f"odd.map: .*{match}"):
+        load_map(p)

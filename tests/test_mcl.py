@@ -141,8 +141,25 @@ def test_init_filter_validation_and_prior():
     assert st.channels == MODES["HL-G"]
     assert st.n_particles == 300
     assert len(st.trajectory) == 1 and st.trajectory[0] is prior and st.diagnostics == []
-    assert np.allclose(st.positions.mean(axis=0), [1.0, 2.0, STAND_Z], atol=0.01)
+    assert np.allclose(st.positions.mean(axis=1), [1.0, 2.0, STAND_Z], atol=0.01)
     assert np.sum(np.exp(st.log_weights)) == pytest.approx(1.0, abs=1e-12)
+
+
+def assert_component_rows(st):
+    n = st.n_particles
+    assert st.positions.shape == (3, n) and st.positions.flags.c_contiguous
+    assert st.quats.shape == (4, n) and st.quats.flags.c_contiguous
+
+
+@pytest.mark.parametrize("resample", [False, True], ids=["kept", "resampled"])
+def test_particles_stay_contiguous_component_rows(resample):
+    # a return to strided (N, 4) columns would slow every quaternion kernel
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=90, seed=0, resample_frac=float(resample))
+    assert_component_rows(st)
+    step(st, forward_input())
+    assert_component_rows(st)
+    # frac 1.0 resamples the uneven weights the contacts leave, frac 0.0 never
+    assert np.all(st.log_weights == -np.log(90)) == resample
 
 
 def test_step_normalizes_weights_within_tolerance():
@@ -233,9 +250,9 @@ def test_estimate_full_branch_on_tight_cluster():
 def test_estimate_z_only_branch_on_bimodal_cluster():
     st = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=7)
     half = 100
-    st.positions[:half, 1] -= 0.5
-    st.positions[half:, 1] += 0.5
-    st.positions[:, 2] = 0.41
+    st.positions[1, :half] -= 0.5
+    st.positions[1, half:] += 0.5
+    st.positions[2] = 0.41
     pose, xy_std, branch = estimate_detail(st, STILL)
     assert branch == "z-only"
     assert xy_std[1] > st.xy_std_threshold
@@ -247,8 +264,8 @@ def test_estimate_z_only_branch_on_bimodal_cluster():
 
 def test_z_only_branch_dead_reckons_with_last_increment():
     st = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=7)
-    st.positions[:100, 1] -= 0.5
-    st.positions[100:, 1] += 0.5
+    st.positions[1, :100] -= 0.5
+    st.positions[1, 100:] += 0.5
     pose, _, branch = estimate_detail(st, Pose(np.array([0.07, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])))
     assert branch == "z-only"
     assert pose.position[0] == pytest.approx(0.07)
@@ -346,19 +363,19 @@ def reference_contact_log_likelihood(positions, quats, contact, channels, maps, 
     world = quat_rotate(quats, contact.offset) + positions
     if channels == ("cloud",):
         return cloud_log_likelihood_points(world, maps.cloud, cfg)
-    ll = np.zeros(len(world))
+    ll = np.zeros(world.shape[1])
     if "elevation" in channels:
         ll = ll + elevation_log_likelihood_points(world, maps.elevation, cfg)
     if "class" in channels and contact.class_probs is not None:
-        grid, class_id, xy = maps.class_grid, int(np.argmax(contact.class_probs)), world[..., :2]
+        grid, class_id, xy = maps.class_grid, int(np.argmax(contact.class_probs)), world[:2]
         ids = class_at_many(grid, xy)
-        cl = np.full(len(xy), cfg.log_class_rho)
+        cl = np.full(xy.shape[1], cfg.log_class_rho)
         neutral = ids == UNKNOWN_CLASS
         match = ids == class_id
         if grid._present[class_id]:
             mismatch = ~neutral & ~match
             if mismatch.any():
-                d = class_distance_many(grid, xy[mismatch], class_id)
+                d = class_distance_many(grid, xy[:, mismatch], class_id)
                 cl[mismatch] = np.maximum(gaussian_log_density(d, cfg.sigma_c), cfg.log_class_rho)
         cl[match] = cfg.log_class_peak
         cl[neutral] = 0.0
@@ -375,8 +392,8 @@ def reference_step(state, inp):
     delta = state.rng.standard_normal((n, 6)) @ covariance_factor(inp.odom_cov).T
     state.positions = state.positions + quat_rotate(state.quats, inc.position)
     state.quats = quat_mul(state.quats, inc.quat)
-    state.positions = state.positions + quat_rotate(state.quats, delta[:, :3])
-    state.quats = quat_mul(state.quats, quat_from_rotvec(delta[:, 3:]))
+    state.positions = state.positions + quat_rotate(state.quats, delta[:, :3].T)
+    state.quats = quat_mul(state.quats, quat_from_rotvec(delta[:, 3:].T))
     for contact in inp.contacts:
         if contact.in_contact:
             state.log_weights = state.log_weights + reference_contact_log_likelihood(
@@ -390,8 +407,8 @@ def reference_step(state, inp):
     w = np.exp(state.log_weights)
     if 1.0 / np.sum(w * w) < state.resample_frac * n:
         idx = systematic_resample_indices(w, state.rng)
-        state.positions = state.positions[idx]
-        state.quats = state.quats[idx]
+        state.positions = state.positions[:, idx]
+        state.quats = state.quats[:, idx]
         state.log_weights = np.full(n, -np.log(n))
 
 
