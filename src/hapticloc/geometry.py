@@ -93,7 +93,8 @@ def quat_to_rotvec(q):
     """Logarithm map: quaternions (4, ...) to rotation vectors with angle in [0, pi]."""
     q = np.asarray(q, dtype=float)
     q = np.where(q[3:4] < 0.0, -q, q)
-    # qw keeps its leading axis: on a single pose a scalar's ** rounds otherwise
+    # qw keeps a length-1 leading axis: on a single pose a numpy scalar's **
+    # can round differently from the array power
     qv, qw = q[:3], q[3:4]
     n = np.linalg.norm(qv, axis=0, keepdims=True)
     angle = 2.0 * np.arctan2(n, qw)

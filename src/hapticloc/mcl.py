@@ -1,10 +1,11 @@
 """Sequential Monte Carlo localization over foot-contact measurements.
 
 Particles are SE(3) poses stored as component rows (positions (3, N),
-scalar-last quaternions (4, N), each C-contiguous) with log-domain weights. Each step propagates every
-particle by the odometry increment with body-frame Gaussian noise, multiplies
-weights by the joint contact likelihood, resamples systematically when the
-effective sample size drops below a fraction of N, and appends a pose estimate.
+scalar-last quaternions (4, N), each C-contiguous) with log-domain weights.
+Each step propagates every particle by the odometry increment with body-frame
+Gaussian noise, multiplies weights by the joint contact likelihood, resamples
+systematically when the effective sample size drops below a fraction of N,
+and appends a pose estimate.
 
 The estimate is the weighted mean while the particle spread in x and y stays
 below a threshold. Beyond it (ambiguous, typically multimodal sets) x, y, and
