@@ -7,8 +7,19 @@ compose(mean, exp(delta)), i.e. noise lives in the body frame of the pose.
 Layout rule: components sit on the leading axis. A batch of N quaternions is
 a (4, N) array, N vectors a (3, N) array and N map points (2, N) or (3, N),
 so each component is one contiguous row. The quaternion and vector functions
-read q[0]..q[3] and stack their results on axis 0, broadcasting over the
+read q[0]..q[3] and write their results on axis 0, broadcasting over the
 trailing axes; a single pose, (4,) or (3,), is the case with none.
+
+quat_mul, quat_rotate, quat_from_rotvec and quat_to_rotvec take out=, an
+array of the result's shape to write into (any strides, say one contact's
+slice of a larger array), and return it; without it they allocate the
+result. An out that shares memory with an input raises ValueError. Each
+evaluates its formula in its operation order (x + y as y + x at most), with
+in-place operators on its temporaries, and the last operation of each
+component writes straight into out: the result is the same bit for bit
+whether out is given or not, and no result is assembled by a copy. On a
+single pose the temporaries are numpy scalars, whose arithmetic costs far
+less per call than a ufunc writing into a 0-d array.
 """
 
 from __future__ import annotations
@@ -31,7 +42,38 @@ def quat_normalize(q):
     return q / n
 
 
-def quat_mul(a, b):
+def _rows(a):
+    """The components of a, its leading axis, as writable views: 0-d for a
+    single pose, where iterating would give scalar copies."""
+    return [a[i, ...] for i in range(len(a))]
+
+
+def _out(out, shape, *inputs):
+    """The array a kernel writes its result into: a new one, or out, checked.
+
+    A kernel writes out one component at a time while it still reads its
+    inputs, so an out that shares memory with an input raises rather than
+    silently corrupting the result.
+    """
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
+    for a in inputs:
+        if np.shares_memory(out, a):
+            raise ValueError("out overlaps an input of the kernel")
+    return out
+
+
+def _diff(a, b, c, d):
+    """a * b - c * d, one np.cross component in its operation order; the
+    difference is taken in place in a * b when that is an array."""
+    r = a * b
+    r -= c * d
+    return r
+
+
+def quat_mul(a, b, out=None):
     """Hamilton product of scalar-last quaternions (4, ...), broadcasting.
 
     Written out per component: the vector part is aw*bv + bw*av + av x bv with
@@ -39,16 +81,26 @@ def quat_mul(a, b):
     scalar part sums from 0.0 in index order as np.sum does, so the result is
     bit-identical to those formulas at a fraction of their per-call cost.
     """
-    ax, ay, az, aw = np.asarray(a, dtype=float)
-    bx, by, bz, bw = np.asarray(b, dtype=float)
-    return np.stack(
-        [
-            aw * bx + bw * ax + (ay * bz - az * by),
-            aw * by + bw * ay + (az * bx - ax * bz),
-            aw * bz + bw * az + (ax * by - ay * bx),
-            aw * bw - (((0.0 + ax * bx) + ay * by) + az * bz),
-        ]
-    )
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ax, ay, az, aw = a
+    bx, by, bz, bw = b
+    out = _out(out, (4,) + np.broadcast(ax, bx).shape, a, b)
+    ox, oy, oz, ow = _rows(out)
+    for o, av, bv, cross in (
+        (ox, ax, bx, (ay, bz, az, by)),
+        (oy, ay, by, (az, bx, ax, bz)),
+        (oz, az, bz, (ax, by, ay, bx)),
+    ):
+        s = aw * bv
+        s += bw * av
+        np.add(s, _diff(*cross), out=o)
+    dot = ax * bx
+    dot += 0.0
+    dot += ay * by
+    dot += az * bz
+    np.subtract(aw * bw, dot, out=ow)
+    return out
 
 
 def quat_conjugate(q):
@@ -57,55 +109,71 @@ def quat_conjugate(q):
     return out
 
 
-def quat_rotate(q, v):
+def quat_rotate(q, v, out=None):
     """Rotate 3-vectors v (3, ...) by quaternions q (4, ...), broadcasting.
 
     v + qw*t + qv x t with t = 2 qv x v, written out per component with each
     cross product in np.cross's operation order (bit-identical to it).
     """
-    x, y, z, w = np.asarray(q, dtype=float)
-    vx, vy, vz = np.asarray(v, dtype=float)
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return np.stack(
-        [
-            vx + w * tx + (y * tz - z * ty),
-            vy + w * ty + (z * tx - x * tz),
-            vz + w * tz + (x * ty - y * tx),
-        ]
-    )
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    x, y, z, w = q
+    vx, vy, vz = v
+    out = _out(out, (3,) + np.broadcast(x, vx).shape, q, v)
+    tx = _diff(y, vz, z, vy)
+    ty = _diff(z, vx, x, vz)
+    tz = _diff(x, vy, y, vx)
+    tx *= 2.0
+    ty *= 2.0
+    tz *= 2.0
+    for o, vc, t, cross in zip(
+        _rows(out), (vx, vy, vz), (tx, ty, tz), ((y, tz, z, ty), (z, tx, x, tz), (x, ty, y, tx))
+    ):
+        s = w * t
+        s += vc
+        np.add(s, _diff(*cross), out=o)
+    return out
 
 
-def quat_from_rotvec(rv):
+def quat_from_rotvec(rv, out=None):
     """Exponential map: rotation vectors (3, ...) (axis * angle) to quaternions."""
     rv = np.asarray(rv, dtype=float)
-    angle = np.linalg.norm(rv, axis=0)
+    rx, ry, rz = rv
+    out = _out(out, (4,) + rv.shape[1:], rv)
+    ox, oy, oz, ow = _rows(out)
+    # the norm, squares summed in row order as np.linalg.norm sums them
+    angle = np.sqrt((rx * rx + ry * ry) + rz * rz)
     half = 0.5 * angle
-    # sin(angle/2)/angle, series expansion below 1e-8 to avoid 0/0
-    small = angle < 1e-8
+    # sin(angle/2)/angle, with the series expansion below 1e-8, where it
+    # also replaces the 0/0 of angle 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(small, 0.5 - angle * angle / 48.0, np.sin(half) / np.where(angle == 0.0, 1.0, angle))
-    return np.stack([rv[0] * scale, rv[1] * scale, rv[2] * scale, np.cos(half)])
+        scale = np.where(angle < 1e-8, 0.5 - angle * angle / 48.0, np.sin(half) / angle)
+    np.multiply(rx, scale, out=ox)
+    np.multiply(ry, scale, out=oy)
+    np.multiply(rz, scale, out=oz)
+    np.cos(half, out=ow)
+    return out
 
 
-def quat_to_rotvec(q):
+def quat_to_rotvec(q, out=None):
     """Logarithm map: quaternions (4, ...) to rotation vectors with angle in [0, pi]."""
     q = np.asarray(q, dtype=float)
-    q = np.where(q[3:4] < 0.0, -q, q)
-    # qw keeps a length-1 leading axis: on a single pose a numpy scalar's **
+    out = _out(out, (3,) + q.shape[1:], q)
+    # q and -q are one rotation: take the one with qw >= 0. The scalar terms
+    # keep qw's length-1 leading axis: on a single pose a numpy scalar's **
     # can round differently from the array power
-    qv, qw = q[:3], q[3:4]
-    n = np.linalg.norm(qv, axis=0, keepdims=True)
+    flip = q[3:4] < 0.0
+    qw = np.where(flip, -q[3:4], q[3:4])
+    qv = np.negative(q[:3], out=out)
+    np.copyto(qv, q[:3], where=~flip)
+    # the norm, squares summed in row order as np.linalg.norm sums them
+    n = np.sqrt((qv[0:1] * qv[0:1] + qv[1:2] * qv[1:2]) + qv[2:3] * qv[2:3])
     angle = 2.0 * np.arctan2(n, qw)
-    small = n < 1e-9
+    # angle/n, with the series expansion below 1e-9, where it also replaces
+    # the 0/0 of n = 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(
-            small,
-            2.0 / qw - 2.0 * n * n / (3.0 * qw**3),
-            angle / np.where(n == 0.0, 1.0, n),
-        )
-    return qv * scale
+        scale = np.where(n < 1e-9, 2.0 / qw - 2.0 * n * n / (3.0 * qw**3), angle / n)
+    return np.multiply(qv, scale, out=out)
 
 
 def quat_yaw(q):

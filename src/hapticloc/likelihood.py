@@ -35,11 +35,14 @@ channels, and every contact is weighed with the same channel set.
 
 The contacts of one step are evaluated together (contacts_log_likelihood):
 one quaternion call per contact moves the K contacts to (3, K, N) world
-points, and each channel of the set looks its layer up once for all of them,
-the class channel with one estimated class per contact row. The result
-keeps one row per contact, computed with the same arithmetic as one contact
-on its own, so a caller that adds the rows to the weights in contact order
-gets the same sums bit for bit as evaluating the contacts one at a time.
+points, the grid channels share one set of padded cell indices for all of
+them, and each channel of the set looks its layer up once, the class channel
+with one estimated class per contact row. The result keeps one row per
+contact, computed with the same arithmetic as one contact on its own, so a
+caller that adds the rows to the weights in contact order gets the same sums
+bit for bit as evaluating the contacts one at a time. A filter hands it
+ContactBuffers, so that the world points, cell indices and rows of every
+step are written into the same arrays.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .maps import (
     class_distance_many,
     cloud_distances,
     elevation_at_many,
+    padded_cells,
 )
 
 # mode -> the channels it weighs every contact with
@@ -80,9 +84,14 @@ def gaussian_density(x, sigma):
     return np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def gaussian_log_density(x, sigma):
+def gaussian_log_density(x, sigma, out=None):
+    """log N(x; 0, sigma); out, which may be x itself, receives the result."""
     x = np.asarray(x, dtype=float)
-    return -0.5 * (x / sigma) ** 2 - math.log(sigma) - 0.5 * _LOG_2PI
+    out = np.divide(x, sigma, out=np.empty_like(x) if out is None else out)
+    np.square(out, out=out)
+    np.multiply(out, -0.5, out=out)
+    np.subtract(out, math.log(sigma), out=out)
+    return np.subtract(out, 0.5 * _LOG_2PI, out=out)
 
 
 @dataclass(frozen=True)
@@ -165,14 +174,22 @@ class ContactMeasurement:
             object.__setattr__(self, "class_probs", probs)
 
 
-def elevation_log_likelihood_points(points, grid: ElevationGrid, cfg: LikelihoodConfig) -> np.ndarray:
-    """Per-point elevation channel for world contact points (3, ...)."""
+def elevation_log_likelihood_points(
+    points, grid: ElevationGrid, cfg: LikelihoodConfig, cells=None, out=None
+) -> np.ndarray:
+    """Per-point elevation channel for world contact points (3, ...).
+
+    cells, the points' padded_cells when the caller has them, saves computing
+    them again. out receives the result; it holds the heights, then the
+    residuals, then their log-likelihoods.
+    """
     points = np.asarray(points, dtype=float)
-    h = elevation_at_many(grid, points[:2])
-    z = points[2] - h
-    nodata = np.isnan(h)
-    ll = np.maximum(gaussian_log_density(np.where(nodata, 0.0, z), cfg.sigma_z), cfg.log_rho)
-    ll[nodata] = 0.0
+    ll = elevation_at_many(grid, points[:2], cells=cells, out=out)
+    nodata = np.isnan(ll)
+    np.subtract(points[2], ll, out=ll)
+    gaussian_log_density(ll, cfg.sigma_z, out=ll)
+    np.maximum(ll, cfg.log_rho, out=ll)
+    np.copyto(ll, 0.0, where=nodata)
     return ll
 
 
@@ -186,7 +203,9 @@ def cloud_log_likelihood_points(points, cloud: PointCloudMap, cfg: LikelihoodCon
     return np.maximum(gaussian_log_density(d, cfg.sigma_z), cfg.log_rho)
 
 
-def class_log_likelihood_points(points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig) -> np.ndarray:
+def class_log_likelihood_points(
+    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None
+) -> np.ndarray:
     """Per-point class channel for world xy contact points (2, ...).
 
     class_id is the classifier's estimate: one class for every point, or
@@ -195,18 +214,22 @@ def class_log_likelihood_points(points_xy, class_id, grid: ClassGrid, cfg: Likel
     peak density; other cells score the floored density of the lattice
     distance to the nearest cell of that class, looked up in one call for all
     of them. An estimate absent from the map scores the floor itself; off-map
-    and unlabeled cells are neutral.
+    and unlabeled cells are neutral. cells as for the elevation channel.
     """
     class_id = check_class_ids(grid, class_id)
     points_xy = np.asarray(points_xy, dtype=float)
-    ids = class_at_many(grid, points_xy)
+    if cells is None:
+        cells = padded_cells(grid, points_xy)
+    ids = class_at_many(grid, points_xy, cells=cells)
     ll = np.full(ids.shape, cfg.log_class_rho)
     neutral = ids == UNKNOWN_CLASS
     match = ids == class_id
     # an absent class scores the floor without a distance lookup
     mismatch = ~neutral & ~match & grid._present[class_id]
     if mismatch.any():
-        d = class_distance_many(grid, points_xy[:, mismatch], np.broadcast_to(class_id, ids.shape)[mismatch])
+        d = class_distance_many(
+            grid, points_xy[:, mismatch], np.broadcast_to(class_id, ids.shape)[mismatch], cells=cells[mismatch]
+        )
         ll[mismatch] = np.maximum(gaussian_log_density(d, cfg.sigma_c), cfg.log_class_rho)
     ll[match] = cfg.log_class_peak
     ll[neutral] = 0.0
@@ -229,28 +252,71 @@ def require_layers(channels, layers) -> None:
             raise ValueError(f"the {name} channel requires a {name} layer, not among the map layers {tuple(layers)}")
 
 
-def contacts_log_likelihood(positions, quats, contacts, channels, maps: MapSet, cfg: LikelihoodConfig) -> np.ndarray:
+class ContactBuffers:
+    """The arrays contacts_log_likelihood writes for N particles, reused from
+    call to call: the (3, K, N) world points, their (K, N) padded cell indices
+    and the (K, N) rows it returns, each contiguous for any contact count K.
+    They grow to the largest K asked for. The rows a call returns are
+    overwritten by the next call.
+    """
+
+    def __init__(self, n_particles: int):
+        self.n_particles = n_particles
+        self._world = np.empty(0)
+        self._cells = np.empty(0, dtype=np.int64)
+        self._rows = np.empty(0)
+
+    def views(self, k: int):
+        """(world, cells, rows) for k contacts."""
+        n = self.n_particles
+        if self._rows.size < k * n:
+            self._world = np.empty(3 * k * n)
+            self._cells = np.empty(k * n, dtype=np.int64)
+            self._rows = np.empty(k * n)
+        return (
+            self._world[: 3 * k * n].reshape(3, k, n),
+            self._cells[: k * n].reshape(k, n),
+            self._rows[: k * n].reshape(k, n),
+        )
+
+
+def contacts_log_likelihood(
+    positions, quats, contacts, channels, maps: MapSet, cfg: LikelihoodConfig, buffers: ContactBuffers | None = None
+) -> np.ndarray:
     """Joint log-likelihoods (K, N) of K contacts at N particles, positions
     (3, N) and quats (4, N).
 
     Row k belongs to contacts[k], and every row uses the same channels (a
     value of MODES). Each contact is moved to world points by its own
-    quaternion call, into one (3, K, N) array, and each channel queries its
-    layer once for all the contacts. Row k starts at 0 and adds the channels
-    given in the order elevation, class, cloud: (0 + elevation) + class for
-    elevation and class. A contact without class_probs adds no class term.
+    quaternion call, into one (3, K, N) array, the grid channels share the
+    points' padded cell indices (MapSet keeps its grids on one lattice), and
+    each channel queries its layer once for all the contacts. Row k starts at
+    0 and adds the channels given in the order elevation, class, cloud:
+    (0 + elevation) + class for elevation and class. A contact without
+    class_probs adds no class term. The arrays come from buffers, or new
+    ones without.
     """
     require_layers(channels, maps.layers)
     if "class" in channels:
         labeled = [k for k, c in enumerate(contacts) if c.class_probs is not None]
         column = np.array([_estimated_class(contacts[k], maps.class_grid) for k in labeled]).reshape(-1, 1)
 
-    world = np.stack([quat_rotate(quats, c.offset) + positions for c in contacts], axis=1)
-    ll = np.zeros(world.shape[1:])
+    if buffers is None:
+        buffers = ContactBuffers(positions.shape[1])
+    world, cells, ll = buffers.views(len(contacts))
+    for k, c in enumerate(contacts):
+        np.add(quat_rotate(quats, c.offset, out=world[:, k]), positions, out=world[:, k])
+    if "elevation" in channels or "class" in channels:
+        padded_cells(maps.elevation, world[:2], out=cells)
     if "elevation" in channels:
-        ll += elevation_log_likelihood_points(world, maps.elevation, cfg)
+        # the channel is never -0.0, so writing it is adding it to 0 bit for bit
+        elevation_log_likelihood_points(world, maps.elevation, cfg, cells=cells, out=ll)
+    else:
+        ll.fill(0.0)
     if "class" in channels and labeled:
-        ll[labeled] += class_log_likelihood_points(world[:2, labeled], column, maps.class_grid, cfg)
+        ll[labeled] += class_log_likelihood_points(
+            world[:2, labeled], column, maps.class_grid, cfg, cells=cells[labeled]
+        )
     if "cloud" in channels:
         ll += cloud_log_likelihood_points(world, maps.cloud, cfg)
     return ll

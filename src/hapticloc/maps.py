@@ -5,6 +5,13 @@ the outer corner of cell (col 0, row 0), cells are `resolution` squares, and a
 query point belongs to the cell that contains it (no interpolation). Values are
 stored row-major, one grid row per file line.
 
+Every grid layer keeps its values in a padded array, the lattice with a
+one-cell border that holds the layer's off-map value (nan height, the unknown
+class, inf distance), and its public array is a view of the interior.
+padded_cells maps query points to flat indices into the padded array, a point
+off the lattice to the border, so a lookup is one gather with no inside mask.
+Layers on one lattice share the indices.
+
 File formats:
 
   elevation   header ``HMAP 1 <n_cols> <n_rows> <resolution> <origin_x> <origin_y>``
@@ -40,23 +47,37 @@ def _check_lattice(grid) -> None:
         raise ValueError(f"grid origin must be finite, got {grid.origin.tolist()}")
 
 
+def _padded(interior, border):
+    """interior inside a one-cell border of the value border."""
+    rows, cols = interior.shape[-2:]
+    out = np.full(interior.shape[:-2] + (rows + 2, cols + 2), border, dtype=interior.dtype)
+    out[..., 1:-1, 1:-1] = interior
+    return out
+
+
 @dataclass
 class ElevationGrid:
-    """2.5D height field. heights has shape (n_rows, n_cols), nan = no data."""
+    """2.5D height field. heights has shape (n_rows, n_cols), nan = no data.
+
+    heights is the interior view of _padded, the heights with a nan border.
+    """
 
     resolution: float
     origin: np.ndarray
     heights: np.ndarray
+    _padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_lattice(self)
-        self.heights = np.array(self.heights, dtype=float)
-        if self.heights.ndim != 2 or self.heights.size == 0:
+        heights = np.asarray(self.heights, dtype=float)
+        if heights.ndim != 2 or heights.size == 0:
             raise ValueError("heights must be a non-empty 2D array")
         # nan marks no data; an infinite height is a corrupt one
-        if np.isinf(self.heights).any():
-            r, c = np.argwhere(np.isinf(self.heights))[0]
-            raise ValueError(f"heights must be finite or nan (no data), got {self.heights[r, c]} at (row {r}, col {c})")
+        if np.isinf(heights).any():
+            r, c = np.argwhere(np.isinf(heights))[0]
+            raise ValueError(f"heights must be finite or nan (no data), got {heights[r, c]} at (row {r}, col {c})")
+        self._padded = _padded(heights, np.nan)
+        self.heights = self._padded[1:-1, 1:-1]
 
     @property
     def n_rows(self) -> int:
@@ -74,30 +95,36 @@ class ClassGrid:
     Per-class distance fields are precomputed at construction from an exact
     Euclidean distance transform, so nearest-class queries are O(1). Distances
     are measured center-to-center on the cell lattice.
+
+    class_ids is the interior view of _padded, the ids with an unknown-class
+    border, and _dist holds the padded distance fields, inf on the border.
     """
 
     resolution: float
     origin: np.ndarray
     class_ids: np.ndarray
     n_classes: int
-    _dist: np.ndarray = field(init=False, repr=False)
-    _present: np.ndarray = field(init=False, repr=False)
+    _padded: np.ndarray = field(init=False, repr=False, compare=False)
+    _dist: np.ndarray = field(init=False, repr=False, compare=False)
+    _present: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_lattice(self)
-        self.class_ids = np.array(self.class_ids, dtype=np.uint8)
-        if self.class_ids.ndim != 2 or self.class_ids.size == 0:
+        ids = np.asarray(self.class_ids, dtype=np.uint8)
+        if ids.ndim != 2 or ids.size == 0:
             raise ValueError("class_ids must be a non-empty 2D array")
         self.n_classes = int(self.n_classes)
         if not 0 < self.n_classes <= 254:
             raise ValueError("n_classes must be in [1, 254]")
-        bad = (self.class_ids >= self.n_classes) & (self.class_ids != UNKNOWN_CLASS)
+        bad = (ids >= self.n_classes) & (ids != UNKNOWN_CLASS)
         if bad.any():
             r, c = np.argwhere(bad)[0]
             raise ValueError(
-                f"class id {int(self.class_ids[r, c])} at cell (row {r}, col {c}) "
+                f"class id {int(ids[r, c])} at cell (row {r}, col {c}) "
                 f"outside [0, {self.n_classes}) and not the unknown sentinel {UNKNOWN_CLASS}"
             )
+        self._padded = _padded(ids, UNKNOWN_CLASS)
+        self.class_ids = self._padded[1:-1, 1:-1]
         self._build_distance_fields()
 
     @property
@@ -110,7 +137,7 @@ class ClassGrid:
 
     def _build_distance_fields(self):
         rows, cols = self.class_ids.shape
-        self._dist = np.full((self.n_classes, rows, cols), np.inf)
+        self._dist = np.full((self.n_classes, rows + 2, cols + 2), np.inf)
         self._present = np.zeros(self.n_classes, dtype=bool)
         row_idx, col_idx = np.indices((rows, cols))
         for c in range(self.n_classes):
@@ -121,7 +148,7 @@ class ClassGrid:
             _, (nr, nc) = distance_transform_edt(~mask, return_indices=True)
             # recompute from integer offsets so lattice distances are exact
             d2 = (nr - row_idx).astype(np.int64) ** 2 + (nc - col_idx).astype(np.int64) ** 2
-            self._dist[c] = self.resolution * np.sqrt(d2.astype(float))
+            self._dist[c, 1:-1, 1:-1] = self.resolution * np.sqrt(d2.astype(float))
 
 
 @dataclass
@@ -173,23 +200,45 @@ def check_same_lattice(a, b) -> None:
         )
 
 
-def _flat_cells(grid, xy):
-    """Row-major flat cell indices and inside-mask for query points (2, ...).
+def padded_cells(grid, xy, out=None) -> np.ndarray:
+    """Flat indices into the grid's padded layers for query points (2, ...).
 
-    The index is 0 outside the grid, so a gather through it stays in bounds
-    and the caller puts its off-map value where inside is False.
+    A point off the lattice, or with a nan coordinate, gets a border cell.
+    out, an int64 array of the points' shape, receives the indices.
     """
     xy = np.asarray(xy, dtype=float)
-    ix = np.floor((xy[0] - grid.origin[0]) / grid.resolution).astype(np.int64)
-    iy = np.floor((xy[1] - grid.origin[1]) / grid.resolution).astype(np.int64)
-    inside = (ix >= 0) & (ix < grid.n_cols) & (iy >= 0) & (iy < grid.n_rows)
-    return np.where(inside, iy * grid.n_cols + ix, 0), inside
+    col, row = np.empty((2,) + xy.shape[1:])
+    for axis, coord, origin, n in (
+        (col, xy[0], grid.origin[0], grid.n_cols),
+        (row, xy[1], grid.origin[1], grid.n_rows),
+    ):
+        np.subtract(coord, origin, out=axis)
+        np.divide(axis, grid.resolution, out=axis)
+        np.floor(axis, out=axis)
+        # the lattice index, -1 and n (off the lattice, nan included) as the border
+        np.fmax(axis, -1.0, out=axis)
+        np.fmin(axis, n, out=axis)
+        np.add(axis, 1.0, out=axis)
+    # integers far below 2**53, so exact in float64
+    np.multiply(row, grid.n_cols + 2, out=row)
+    np.add(row, col, out=row)
+    if out is None:
+        return row.astype(np.int64)
+    np.copyto(out, row, casting="unsafe")
+    return out
 
 
-def elevation_at_many(grid: ElevationGrid, xy) -> np.ndarray:
-    """Heights at query points (2, ...); nan outside the grid or on no-data cells."""
-    flat, inside = _flat_cells(grid, xy)
-    return np.where(inside, grid.heights.take(flat), np.nan)
+def _cells(grid, xy, cells):
+    return padded_cells(grid, xy) if cells is None else cells
+
+
+def elevation_at_many(grid: ElevationGrid, xy, cells=None, out=None) -> np.ndarray:
+    """Heights at query points (2, ...); nan outside the grid or on no-data cells.
+
+    cells, the points' padded_cells when the caller has them, saves computing
+    them again; out receives the heights.
+    """
+    return grid._padded.take(_cells(grid, xy, cells), out=out, mode="clip")
 
 
 def elevation_at(grid: ElevationGrid, xy) -> float:
@@ -197,10 +246,12 @@ def elevation_at(grid: ElevationGrid, xy) -> float:
     return float(elevation_at_many(grid, np.asarray(xy, dtype=float).reshape(2, 1))[0])
 
 
-def class_at_many(grid: ClassGrid, xy) -> np.ndarray:
-    """Class ids at query points (2, ...); the unknown sentinel outside the grid."""
-    flat, inside = _flat_cells(grid, xy)
-    return np.where(inside, grid.class_ids.take(flat), np.uint8(UNKNOWN_CLASS))
+def class_at_many(grid: ClassGrid, xy, cells=None) -> np.ndarray:
+    """Class ids at query points (2, ...); the unknown sentinel outside the grid.
+
+    cells as for elevation_at_many.
+    """
+    return grid._padded.take(_cells(grid, xy, cells), mode="clip")
 
 
 def class_at(grid: ClassGrid, xy) -> int:
@@ -217,18 +268,17 @@ def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
     return class_id
 
 
-def class_distance_many(grid: ClassGrid, xy, class_id) -> np.ndarray:
+def class_distance_many(grid: ClassGrid, xy, class_id, cells=None) -> np.ndarray:
     """Lattice distances to the nearest class_id cell for query points (2, M).
 
     class_id is one class for every point or an array of per-point classes
     that broadcasts against the points. A class absent from the grid is at
     distance inf; so are points outside the grid (callers treat them as
-    off-map before this).
+    off-map before this). cells as for elevation_at_many.
     """
     class_id = check_class_ids(grid, class_id)
-    flat, inside = _flat_cells(grid, xy)
-    cells = grid.n_rows * grid.n_cols
-    return np.where(inside, grid._dist.take(class_id * cells + flat), np.inf)
+    field_size = grid._padded.size
+    return grid._dist.take(class_id * field_size + _cells(grid, xy, cells), mode="clip")
 
 
 def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:

@@ -11,6 +11,15 @@ The estimate is the weighted mean while the particle spread in x and y stays
 below a threshold. Beyond it (ambiguous, typically multimodal sets) x, y, and
 heading continue by dead reckoning from the previous estimate and only z is
 taken from the particles, so the reported pose never teleports between modes.
+
+The state owns its particle arrays. A FilterState allocates, once, every
+particle-sized array a step writes (its _Workspace), and a step writes into
+those, not into new arrays: the kernels take out=, and positions and quats
+each alternate between two buffers, one read while the other is written. So
+a step overwrites the arrays the state held before it; a caller that wants
+a snapshot of positions, quats or log_weights copies it. A caller may still
+replace those attributes with arrays of its own: the next step only reads
+them, and writes its results into the workspace.
 """
 
 from __future__ import annotations
@@ -30,7 +39,14 @@ from .geometry import (
     quat_rotate,
     quat_to_rotvec,
 )
-from .likelihood import MODES, ContactMeasurement, LikelihoodConfig, contacts_log_likelihood, require_layers
+from .likelihood import (
+    MODES,
+    ContactBuffers,
+    ContactMeasurement,
+    LikelihoodConfig,
+    contacts_log_likelihood,
+    require_layers,
+)
 from .maps import MapSet
 
 log = logging.getLogger(__name__)
@@ -65,12 +81,47 @@ class StepDiagnostics:
     branch: str
 
 
+class _Workspace:
+    """Every particle-sized array a step writes, for N particles.
+
+    positions and quats are pairs of buffers: a kernel reads the state's
+    current array and writes the other one of the pair (_spare).
+    """
+
+    def __init__(self, n: int):
+        self.positions = (np.empty((3, n)), np.empty((3, n)))
+        self.quats = (np.empty((4, n)), np.empty((4, n)))
+        # the (N, 6) normal draws, their product with the covariance factor,
+        # and that noise as component rows
+        self.draws = np.empty((n, 6))
+        self.noise = np.empty((n, 6))
+        self.delta = np.empty((6, n))
+        # a rotated vector and a rotation per particle
+        self.vec = np.empty((3, n))
+        self.rot = np.empty((4, n))
+        self.log_weights = np.empty(n)
+        self.weights = np.empty(n)
+        self.scratch = np.empty(n)
+        # the estimate's (N, k) copies for its weighted means
+        self.columns = np.empty((n, 3))
+        self.spread = np.empty((n, 2))
+        self.contacts = ContactBuffers(n)
+
+
+def _spare(pair, current):
+    """The buffer of pair that current is not."""
+    return pair[1] if current is pair[0] else pair[0]
+
+
 @dataclass
 class FilterState:
     """The particle set plus every setting of the run, bound once by init_filter.
 
     trajectory[0] is the prior mean and trajectory[k] the estimate after step
     k, whose diagnostics are diagnostics[k - 1].
+
+    The state owns positions, quats and log_weights, and each step
+    overwrites them in place (see the module docstring): copy one to keep it.
     """
 
     # component rows: positions (3, N) and quats (4, N), each C-contiguous
@@ -90,6 +141,10 @@ class FilterState:
     # the last odometry covariance step factored (a copy) and its factor
     odom_cov: np.ndarray | None = None
     odom_factor: np.ndarray | None = None
+    workspace: _Workspace = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.workspace = _Workspace(self.n_particles)
 
     @property
     def n_particles(self) -> int:
@@ -154,11 +209,13 @@ def systematic_resample_indices(weights, rng: np.random.Generator) -> np.ndarray
     return np.searchsorted(cum, pointers, side="right").clip(max=n - 1)
 
 
-def _logsumexp(a):
+def _logsumexp(a, scratch=None):
+    """log(sum(exp(a))); scratch, an array of a's shape, holds the exponentials."""
     m = np.max(a)
     if not np.isfinite(m):
         return m
-    return m + np.log(np.sum(np.exp(a - m)))
+    e = np.subtract(a, m, out=scratch)
+    return m + np.log(np.sum(np.exp(e, out=e)))
 
 
 def estimate_detail(state: FilterState, increment: Pose):
@@ -169,17 +226,23 @@ def estimate_detail(state: FilterState, increment: Pose):
     branch composes the previous estimate with the step's odometry increment
     for x, y, and orientation, and takes just z from the weighted mean.
     """
-    w = np.exp(state.log_weights - _logsumexp(state.log_weights))
+    ws = state.workspace
+    lw = state.log_weights
+    w = np.subtract(lw, _logsumexp(lw, ws.scratch), out=ws.weights)
+    np.exp(w, out=w)
     # the weighted means multiply w by (N, k) copies, the matmul the golden
     # outputs were made with; (k, N) @ w takes another BLAS path
-    positions = np.ascontiguousarray(state.positions.T)
+    positions = ws.columns
+    np.copyto(positions, state.positions.T)
     mean_p = w @ positions
-    xy_std = np.sqrt(w @ (positions[:, :2] - mean_p[:2]) ** 2)
+    spread = np.subtract(positions[:, :2], mean_p[:2], out=ws.spread)
+    xy_std = np.sqrt(w @ np.square(spread, out=spread))
     if np.all(xy_std <= state.xy_std_threshold):
-        ref = state.quats[:, int(np.argmax(state.log_weights))]
-        dq = quat_mul(quat_conjugate(ref), state.quats)
-        mean_rv = w @ np.ascontiguousarray(quat_to_rotvec(dq).T)
-        q = quat_mul(ref, quat_from_rotvec(mean_rv))
+        ref = state.quats[:, int(np.argmax(lw))]
+        dq = quat_mul(quat_conjugate(ref), state.quats, out=ws.rot)
+        rotvecs = ws.columns
+        np.copyto(rotvecs, quat_to_rotvec(dq, out=ws.vec).T)
+        q = quat_mul(ref, quat_from_rotvec(w @ rotvecs))
         return Pose(mean_p, q), xy_std, "full"
     base = compose(state.trajectory[-1], increment)
     return Pose([base.position[0], base.position[1], mean_p[2]], base.quat), xy_std, "z-only"
@@ -216,38 +279,47 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     """
     n = state.n_particles
     inc = inp.odom_increment
+    ws = state.workspace
 
     # propagate: particle o increment, then right-perturbation noise
     factor = _odom_factor(state, inp.odom_cov)
-    delta = np.ascontiguousarray((state.rng.standard_normal((n, 6)) @ factor.T).T)
-    state.positions = state.positions + quat_rotate(state.quats, inc.position)
-    state.quats = quat_mul(state.quats, inc.quat)
-    state.positions = state.positions + quat_rotate(state.quats, delta[:3])
-    state.quats = quat_mul(state.quats, quat_from_rotvec(delta[3:]))
+    state.rng.standard_normal(out=ws.draws)
+    np.copyto(ws.delta, np.matmul(ws.draws, factor.T, out=ws.noise).T)
+    p, q = state.positions, state.quats
+    p = np.add(p, quat_rotate(q, inc.position, out=ws.vec), out=_spare(ws.positions, p))
+    q = quat_mul(q, inc.quat, out=_spare(ws.quats, q))
+    p = np.add(p, quat_rotate(q, ws.delta[:3], out=ws.vec), out=_spare(ws.positions, p))
+    q = quat_mul(q, quat_from_rotvec(ws.delta[3:], out=ws.rot), out=_spare(ws.quats, q))
+    state.positions, state.quats = p, q
 
+    # the first write of the weights moves them into the workspace
+    lw = state.log_weights
     active = contacts_for_mode(inp.contacts)
     if active:
         for ll in contacts_log_likelihood(
-            state.positions, state.quats, active, state.channels, state.maps, state.likelihood
+            p, q, active, state.channels, state.maps, state.likelihood, ws.contacts
         ):
-            state.log_weights = state.log_weights + ll
+            lw = np.add(lw, ll, out=ws.log_weights)
 
-    total = _logsumexp(state.log_weights)
+    total = _logsumexp(lw, ws.scratch)
     if not np.isfinite(total):
         # every weight underflowed: reset rather than crash, and record it
         state.divergence_count += 1
         log.warning("step %d: all particle weights underflowed, resetting to uniform", len(state.diagnostics) + 1)
-        state.log_weights = np.full(n, -np.log(n))
+        lw = ws.log_weights
+        lw.fill(-np.log(n))
     else:
-        state.log_weights = state.log_weights - total
+        lw = np.subtract(lw, total, out=ws.log_weights)
+    state.log_weights = lw
 
-    w = np.exp(state.log_weights)
-    ess = float(1.0 / np.sum(w * w))
+    w = np.exp(lw, out=ws.weights)
+    ess = float(1.0 / np.sum(np.square(w, out=ws.scratch)))
     if ess < state.resample_frac * n:
         idx = systematic_resample_indices(w, state.rng)
-        state.positions = state.positions.take(idx, axis=1)
-        state.quats = state.quats.take(idx, axis=1)
-        state.log_weights = np.full(n, -np.log(n))
+        # the indices lie in [0, n): mode="clip" writes out unbuffered
+        state.positions = p.take(idx, axis=1, out=_spare(ws.positions, p), mode="clip")
+        state.quats = q.take(idx, axis=1, out=_spare(ws.quats, q), mode="clip")
+        lw.fill(-np.log(n))
 
     est, xy_std, branch = estimate_detail(state, inc)
     state.trajectory.append(est)

@@ -221,6 +221,99 @@ def test_single_pose_bit_identical_to_trailing_axis_formulas(q, p, v, yaw):
         assert same_bits(quat_from_rotvec(rv), trailing_from_rotvec(rv))
 
 
+# out= forms: the same bits as the oracles, whatever the layout of out
+
+
+def out_like(shape, layout, k=3):
+    """An array of shape to write into: C-contiguous, one slice of a larger
+    (c, k, ...) array as one contact's world points are, or a transpose."""
+    if layout == "slice":
+        return np.full((shape[0], k) + shape[1:], np.nan)[:, k - 1]
+    if layout == "transposed":
+        return np.full(shape[::-1], np.nan).T
+    return np.full(shape, np.nan)
+
+
+LAYOUTS = st.sampled_from(["contiguous", "slice", "transposed"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(ROTATE_SHAPES)), st.integers(1, 12), st.integers(1, 4), LAYOUTS)
+def test_quat_rotate_out_bit_identical_to_cross_formula(data, pair, n, k, layout):
+    q_shape, v_shape = ROTATE_SHAPES[pair](n, k)
+    q = data.draw(quat_batches(q_shape))
+    v = data.draw(arrays(np.float64, v_shape, elements=components))
+    want = leading(cross_quat_rotate)(q, v)
+    out = out_like(want.shape, layout)
+    assert quat_rotate(q, v, out=out) is out
+    assert same_bits(out, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(MUL_SHAPES)), st.integers(1, 12), LAYOUTS)
+def test_quat_mul_out_bit_identical_to_cross_formula(data, pair, n, layout):
+    a_shape, b_shape = MUL_SHAPES[pair](n, 1)
+    a = data.draw(quat_batches(a_shape))
+    b = data.draw(quat_batches(b_shape))
+    want = leading(cross_quat_mul)(a, b)
+    out = out_like(want.shape, layout)
+    assert quat_mul(a, b, out=out) is out
+    assert same_bits(out, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 12), LAYOUTS)
+def test_rotvec_maps_out_bit_identical_to_trailing_axis_formulas(data, n, layout):
+    # batches against the trailing-axis oracles, near the series thresholds too
+    q = data.draw(quat_batches((4, n)))
+    scale = data.draw(st.sampled_from([1.0, 1e-8, 1e-10]))
+    rv = scale * data.draw(arrays(np.float64, (3, n), elements=components))
+    out = out_like((4, n), layout)
+    assert same_bits(quat_from_rotvec(rv, out=out), leading(trailing_from_rotvec)(rv))
+    assert same_bits(quat_from_rotvec(rv), out)
+    out = out_like((3, n), layout)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = leading(trailing_to_rotvec)(q)
+        assert same_bits(quat_to_rotvec(q, out=out), want)
+        assert same_bits(quat_to_rotvec(q), out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_quats, single_quats, arrays(np.float64, (3,), elements=wide))
+def test_single_pose_out_bit_identical_to_trailing_axis_formulas(q, p, v):
+    out3, out4 = np.empty(3), np.empty(4)
+    assert same_bits(quat_mul(q, p, out=out4), cross_quat_mul(q, p))
+    assert same_bits(quat_rotate(q, v, out=out3), cross_quat_rotate(q, v))
+    assert same_bits(quat_from_rotvec(v, out=out4), trailing_from_rotvec(v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(quat_to_rotvec(q, out=out3), trailing_to_rotvec(q))
+
+
+def test_out_that_overlaps_an_input_raises():
+    rng = np.random.default_rng(3)
+    q, v = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+    for call in (
+        lambda: quat_rotate(q, v, out=v),
+        lambda: quat_rotate(q, v, out=q[:3]),
+        lambda: quat_mul(q, q[:, 0], out=q),
+        lambda: quat_mul(q[:, 0], q, out=q[:, ::-1]),
+        lambda: quat_from_rotvec(q[:3], out=q),
+        lambda: quat_to_rotvec(q, out=q[1:]),
+    ):
+        before = (q.copy(), v.copy())
+        with pytest.raises(ValueError, match="overlaps"):
+            call()
+        # raised before any input was written
+        assert same_bits(q, before[0]) and same_bits(v, before[1])
+
+
+def test_out_of_another_shape_or_dtype_raises():
+    q, v = np.tile([0.0, 0.0, 0.0, 1.0], (5, 1)).T, np.ones((3, 5))
+    for out in (np.empty((3, 4)), np.empty((3, 5, 1)), np.empty((3, 5), dtype=np.float32)):
+        with pytest.raises(ValueError, match="shape"):
+            quat_rotate(q, v, out=out)
+
+
 def test_quat_from_rotvec_matches_scipy():
     rng = np.random.default_rng(2)
     for scale in (1.0, 1e-3, 1e-7, 1e-10, 0.0):

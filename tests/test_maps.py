@@ -16,7 +16,9 @@ from hapticloc.maps import (
     cloud_distances,
     elevation_at,
     elevation_at_many,
+    class_at_many,
     load_map,
+    padded_cells,
     save_map,
 )
 
@@ -61,6 +63,45 @@ def test_elevation_many_matches_scalar(points):
     for p, v in zip(points, many):
         s = elevation_at(g, p)
         assert (np.isnan(v) and np.isnan(s)) or v == s
+
+
+def masked_lookups(grid, ids, xy):
+    """Heights, class ids and class-0 distances through an inside mask, as the
+    lookups read them before the padded layers: the oracle for the border."""
+    ix = np.floor((xy[0] - grid.origin[0]) / grid.resolution)
+    iy = np.floor((xy[1] - grid.origin[1]) / grid.resolution)
+    inside = (ix >= 0) & (ix < grid.n_cols) & (iy >= 0) & (iy < grid.n_rows)
+    r, c = np.where(inside, iy, 0).astype(int), np.where(inside, ix, 0).astype(int)
+    heights = np.where(inside, grid.heights[r, c], np.nan)
+    classes = np.where(inside, ids.class_ids[r, c], UNKNOWN_CLASS)
+    return heights, classes, np.where(inside, ids._dist[0, 1:-1, 1:-1][r, c], np.inf)
+
+
+coords = st.one_of(st.floats(-2.0, 5.0), st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=30))
+def test_padded_lookups_match_an_inside_mask(points):
+    # off the lattice, non-finite or past int64: every such point reads the border
+    g = small_elevation()
+    ids = ClassGrid(g.resolution, g.origin, np.array([[0, 1, 255], [2, 0, 1]]), 3)
+    xy = np.array(points, dtype=float).T
+    cells = padded_cells(g, xy)
+    assert np.array_equal(cells, padded_cells(ids, xy))
+    heights, classes, dist = masked_lookups(g, ids, xy)
+    assert np.array_equal(elevation_at_many(g, xy, cells=cells), heights, equal_nan=True)
+    assert np.array_equal(elevation_at_many(g, xy), heights, equal_nan=True)
+    assert np.array_equal(class_at_many(ids, xy), classes)
+    assert np.array_equal(class_distance_many(ids, xy, 0, cells=cells), dist)
+
+
+def test_layer_arrays_are_views_of_the_padded_layers():
+    g = small_elevation()
+    assert np.shares_memory(g.heights, g._padded)
+    g.heights[0, 0] = 7.0
+    assert elevation_at(g, (1.01, 2.01)) == 7.0
+    assert np.isnan(g._padded[0]).all() and np.isnan(g._padded[:, -1]).all()
 
 
 def cell_center(grid, ix, iy):

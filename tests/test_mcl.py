@@ -1,10 +1,14 @@
 """Particle filter mechanics: resampling, normalization, branches, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hapticloc.likelihood as likelihood_module
+import hapticloc.maps as maps_module
 from hapticloc.geometry import (
     Pose,
     covariance_factor,
@@ -530,3 +534,125 @@ def test_covariance_cache_still_rejects_bad_covariance_on_its_step(cell, value, 
     with pytest.raises(ValueError, match=match):
         step(state, inp)
     assert len(state.diagnostics) == 3
+
+
+# the workspace: each state writes its steps into arrays of its own
+
+
+def walk_inputs(k):
+    """k turning steps whose active contacts go 4, 3, 0, 4, ...: one foot
+    lifted, then all four, so the contact buffers change shape."""
+    out = []
+    for i in range(k):
+        lifted = {0: (), 1: (2,), 2: (0, 1, 2, 3)}[i % 3]
+        cs = [ContactMeasurement(f, in_contact=j not in lifted) for j, f in enumerate(FEET)]
+        out.append(StepInput(Pose(np.array([0.04, 0.01, 0.0]), quat_from_yaw(0.02)), ODOM_COV, cs))
+    return out
+
+
+def height_maps():
+    heights = np.random.default_rng(1).uniform(0.0, 0.05, (20, 20))
+    return MapSet(ElevationGrid(0.1, (-1.0, -1.0), heights))
+
+
+def test_changing_contact_count_matches_reference_step():
+    maps = height_maps()
+    new, ref = (new_filter(stand_pose(), np.eye(6) * 1e-3, maps, n_particles=120, seed=9) for _ in range(2))
+    for inp in walk_inputs(9):
+        step(new, inp)
+        reference_step(ref, inp)
+        assert_same_particles(new, ref)
+
+
+def test_interleaved_filters_match_filters_run_alone():
+    # a workspace shared between states would mix their particles
+    maps, inputs = height_maps(), walk_inputs(6)
+    filters = lambda: [new_filter(stand_pose(), np.eye(6) * 1e-3, maps, n_particles=90, seed=s) for s in (1, 2)]
+    alone = [run_filter(st, inputs) for st in filters()]
+    together = filters()
+    for inp in inputs:
+        for st in together:
+            step(st, inp)
+    for a, b in zip(alone, together):
+        assert_same_particles(a, b)
+        assert np.array_equal(
+            np.stack([p.to_array() for p in a.trajectory]), np.stack([p.to_array() for p in b.trajectory])
+        )
+
+
+def test_step_overwrites_the_arrays_the_state_held():
+    st = new_filter(stand_pose(), np.eye(6) * 1e-3, height_maps(), n_particles=60, seed=3, resample_frac=0.0)
+    step(st, forward_input())
+    held = {name: getattr(st, name) for name in ("positions", "quats", "log_weights")}
+    snapshot = {name: value.copy() for name, value in held.items()}
+    step(st, forward_input())
+    # the documented contract: the step reuses the arrays, so a snapshot is a copy
+    for name, value in held.items():
+        assert not np.array_equal(value, snapshot[name]), name
+
+
+def test_replaced_arrays_keep_stepping_and_are_not_written():
+    maps, inputs = height_maps(), walk_inputs(4)
+    new, ref = (new_filter(stand_pose(), np.eye(6) * 1e-3, maps, n_particles=80, seed=5) for _ in range(2))
+    for inp in inputs[:2]:
+        step(new, inp)
+        reference_step(ref, inp)
+    rng = np.random.default_rng(6)
+    mine = {
+        "positions": new.positions + rng.normal(0.0, 0.01, new.positions.shape),
+        "quats": np.asfortranarray(new.quats),
+        "log_weights": np.log(rng.dirichlet(np.ones(80))),
+    }
+    for name, value in mine.items():
+        value.flags.writeable = False
+        setattr(new, name, value)
+        setattr(ref, name, value.copy())
+    kept = {name: value.copy() for name, value in mine.items()}
+    for inp in inputs[2:]:
+        step(new, inp)
+        reference_step(ref, inp)
+        assert_same_particles(new, ref)
+    for name, value in mine.items():
+        assert np.array_equal(value, kept[name]), name
+
+
+def test_warm_step_allocates_few_particle_sized_arrays():
+    # the step writes into the state's workspace: once warmed up, an HL-G step
+    # at 10k particles with four contacts and the full estimate allocates
+    # transient arrays peaking near 8 particle-sized ones (0.66 MB), against
+    # 38.5 when every kernel returned new stacked arrays
+    n = 10_000
+    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n,
+                    seed=0, xy_std_threshold=10.0)
+    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
+    for _ in range(3):
+        step(st, inp)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(st, inp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert st.diagnostics[-1].branch == "full"
+    assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
+
+
+def test_grid_channels_share_one_cell_index_per_step(monkeypatch):
+    # elevation, class and class-distance lookups all read the padded cells
+    # contacts_log_likelihood computes once for every contact
+    calls = []
+    real = maps_module.padded_cells
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(maps_module, "padded_cells", counting)
+    monkeypatch.setattr(likelihood_module, "padded_cells", counting)
+    start = Pose(np.array([2.0, 1.5, 0.3]), quat_from_yaw(0.3))
+    st = new_filter(start, np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1]), ORACLE_MAPS, mode="HL-GC", n_particles=64)
+    probs = np.eye(N_ORACLE_CLASSES)
+    cs = [ContactMeasurement(f, class_probs=probs[k % 3]) for k, f in enumerate(FEET)]
+    step(st, StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), ODOM_COV, cs))
+    assert calls == [(2, 4, 64)]
