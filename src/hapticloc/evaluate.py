@@ -40,11 +40,11 @@ from .sim import (
 # injected bias is deliberately absent from the reported covariance
 ODOM_COV_SCALE = 1.5
 
-# the prior's spread in z, roll and pitch, and yaw. Standing height is known
-# well; a loose z prior just starves the first contact update of effective
-# particles. The xy spread is ExperimentConfig.prior_std_xyz.
+# the prior's spread in z and yaw. Standing height is known well; a loose z
+# prior just starves the first contact update of effective particles. The xy
+# spread is ExperimentConfig.prior_std_xyz; roll and pitch have none, as the
+# filter takes them from gravity.
 PRIOR_STD_Z = 0.02
-PRIOR_STD_ROT = 0.02
 PRIOR_STD_YAW = 0.05
 
 # labeled signals per terrain class that train a seed's contact classifier,
@@ -83,7 +83,7 @@ def per_step_errors(truth, est) -> np.ndarray:
 
 def to_step_inputs(log: WalkLog) -> list:
     s2 = ODOM_COV_SCALE**2
-    return [StepInput(r.odom_increment, np.diag(s2 * r.odom_cov_diag), r.contacts) for r in log.records]
+    return [StepInput(r.odom_increment, np.diag(s2 * r.odom_cov_diag), r.contacts, r.tilt) for r in log.records]
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,10 @@ class ExperimentConfig:
             require_layers(MODES[mode], COURSE_LAYERS[self.course.kind])
 
     def prior_cov(self) -> np.ndarray:
-        xyz, z, rot, yaw = self.prior_std_xyz, PRIOR_STD_Z, PRIOR_STD_ROT, PRIOR_STD_YAW
-        return np.diag([xyz**2, xyz**2, z**2, rot**2, rot**2, yaw**2])
+        """The 6x6 tangent covariance of the filter prior; roll and pitch, which
+        the filter takes from gravity, have none."""
+        xyz, z, yaw = self.prior_std_xyz, PRIOR_STD_Z, PRIOR_STD_YAW
+        return np.diag([xyz**2, xyz**2, z**2, 0.0, 0.0, yaw**2])
 
 
 # both long legs cross the feature strip so drift never builds for long

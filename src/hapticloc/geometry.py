@@ -10,20 +10,24 @@ so each component is one contiguous row. The quaternion and vector functions
 read q[0]..q[3] and write their results on axis 0, broadcasting over the
 trailing axes; a single pose, (4,) or (3,), is the case with none.
 
-quat_mul, quat_rotate, quat_from_rotvec and quat_to_rotvec take out=, an
-array of the result's shape to write into (any strides, say one contact's
-slice of a larger array), and return it; without it they allocate the
-result. An out that shares memory with an input raises ValueError. Each
-evaluates its formula in its operation order (x + y as y + x at most), with
-in-place operators on its temporaries, and the last operation of each
-component writes straight into out: the result is the same bit for bit
-whether out is given or not, and no result is assembled by a copy. On a
-single pose the temporaries are numpy scalars, whose arithmetic costs far
-less per call than a ufunc writing into a 0-d array.
+The quaternion kernels evaluate each formula in its operation order (x + y as
+y + x at most), with in-place operators on their temporaries, and the last
+operation of each component writes straight into the result, so no result is
+assembled by a copy. On a single pose the temporaries are numpy scalars,
+whose arithmetic costs far less per call than a ufunc writing into a 0-d
+array.
+
+Attitude as Euler angles: quat_from_euler and quat_to_euler use the z-y-x
+convention of a legged robot's base, R = Rz(yaw) Ry(pitch) Rx(roll), so roll
+and pitch are the tilt against gravity and yaw the heading. They work on one
+pose with plain floats, as does quat_matrix, so the filter's per-step shared
+terms cost microseconds. Per particle, the filter turns vectors in the plane
+by each particle's yaw (planar_rotate_add), writing into arrays it owns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,23 +52,6 @@ def _rows(a):
     return [a[i, ...] for i in range(len(a))]
 
 
-def _out(out, shape, *inputs):
-    """The array a kernel writes its result into: a new one, or out, checked.
-
-    A kernel writes out one component at a time while it still reads its
-    inputs, so an out that shares memory with an input raises rather than
-    silently corrupting the result.
-    """
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
-    for a in inputs:
-        if np.shares_memory(out, a):
-            raise ValueError("out overlaps an input of the kernel")
-    return out
-
-
 def _diff(a, b, c, d):
     """a * b - c * d, one np.cross component in its operation order; the
     difference is taken in place in a * b when that is an array."""
@@ -73,7 +60,7 @@ def _diff(a, b, c, d):
     return r
 
 
-def quat_mul(a, b, out=None):
+def quat_mul(a, b):
     """Hamilton product of scalar-last quaternions (4, ...), broadcasting.
 
     Written out per component: the vector part is aw*bv + bw*av + av x bv with
@@ -85,7 +72,7 @@ def quat_mul(a, b, out=None):
     b = np.asarray(b, dtype=float)
     ax, ay, az, aw = a
     bx, by, bz, bw = b
-    out = _out(out, (4,) + np.broadcast(ax, bx).shape, a, b)
+    out = np.empty((4,) + np.broadcast(ax, bx).shape)
     ox, oy, oz, ow = _rows(out)
     for o, av, bv, cross in (
         (ox, ax, bx, (ay, bz, az, by)),
@@ -109,7 +96,7 @@ def quat_conjugate(q):
     return out
 
 
-def quat_rotate(q, v, out=None):
+def quat_rotate(q, v):
     """Rotate 3-vectors v (3, ...) by quaternions q (4, ...), broadcasting.
 
     v + qw*t + qv x t with t = 2 qv x v, written out per component with each
@@ -119,7 +106,7 @@ def quat_rotate(q, v, out=None):
     v = np.asarray(v, dtype=float)
     x, y, z, w = q
     vx, vy, vz = v
-    out = _out(out, (3,) + np.broadcast(x, vx).shape, q, v)
+    out = np.empty((3,) + np.broadcast(x, vx).shape)
     tx = _diff(y, vz, z, vy)
     ty = _diff(z, vx, x, vz)
     tz = _diff(x, vy, y, vx)
@@ -135,11 +122,11 @@ def quat_rotate(q, v, out=None):
     return out
 
 
-def quat_from_rotvec(rv, out=None):
+def quat_from_rotvec(rv):
     """Exponential map: rotation vectors (3, ...) (axis * angle) to quaternions."""
     rv = np.asarray(rv, dtype=float)
     rx, ry, rz = rv
-    out = _out(out, (4,) + rv.shape[1:], rv)
+    out = np.empty((4,) + rv.shape[1:])
     ox, oy, oz, ow = _rows(out)
     # the norm, squares summed in row order as np.linalg.norm sums them
     angle = np.sqrt((rx * rx + ry * ry) + rz * rz)
@@ -155,10 +142,10 @@ def quat_from_rotvec(rv, out=None):
     return out
 
 
-def quat_to_rotvec(q, out=None):
+def quat_to_rotvec(q):
     """Logarithm map: quaternions (4, ...) to rotation vectors with angle in [0, pi]."""
     q = np.asarray(q, dtype=float)
-    out = _out(out, (3,) + q.shape[1:], q)
+    out = np.empty((3,) + q.shape[1:])
     # q and -q are one rotation: take the one with qw >= 0. The scalar terms
     # keep qw's length-1 leading axis: on a single pose a numpy scalar's **
     # can round differently from the array power
@@ -193,6 +180,61 @@ def quat_from_yaw(yaw):
 def wrap_angle(a):
     """Wrap angles to (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(a, dtype=float), 2.0 * np.pi)
+
+
+def planar_rotate_add(heading, v, p, out):
+    """out = p + v with v's x and y turned in the plane, per particle.
+
+    heading (2, ...) holds the cos and sin of each angle; v and p are (3, ...)
+    vectors. All broadcast against out (3, ...), which must not overlap them:
+    out[2] serves as the temporary of the x and y rows before it receives z.
+    """
+    c, s = heading
+    x, y, z = out
+    np.multiply(c, v[0], out=x)
+    x -= np.multiply(s, v[1], out=z)
+    x += p[0]
+    np.multiply(s, v[0], out=y)
+    y += np.multiply(c, v[1], out=z)
+    y += p[1]
+    np.add(p[2], v[2], out=z)
+    return out
+
+
+def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
+    """The quaternion of Rz(yaw) Ry(pitch) Rx(roll), one pose."""
+    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
+    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
+    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    return np.array(
+        [
+            sr * cp * cy - cr * sp * sy,
+            cr * sp * cy + sr * cp * sy,
+            cr * cp * sy - sr * sp * cy,
+            cr * cp * cy + sr * sp * sy,
+        ]
+    )
+
+
+def quat_to_euler(q) -> tuple[float, float, float]:
+    """(roll, pitch, yaw) of a unit quaternion, one pose; pitch in [-pi/2, pi/2]."""
+    x, y, z, w = (float(c) for c in q)
+    roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+    pitch = math.asin(max(-1.0, min(1.0, 2.0 * (w * y - z * x))))
+    yaw = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    return roll, pitch, yaw
+
+
+def quat_matrix(q) -> np.ndarray:
+    """The 3x3 rotation matrix of a unit quaternion, one pose."""
+    x, y, z, w = (float(c) for c in q)
+    return np.array(
+        [
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
+            [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
+            [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)],
+        ]
+    )
 
 
 @dataclass
@@ -239,13 +281,13 @@ def pose_exp(delta) -> Pose:
 
 
 def covariance_factor(cov) -> np.ndarray:
-    """Factor F with F @ F.T == cov for a symmetric PSD 6x6 covariance.
+    """Factor F with F @ F.T == cov for a symmetric PSD square covariance.
 
     Eigenvalues may dip to -1e-12 from rounding; anything lower is rejected.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (6, 6):
-        raise ValueError(f"pose covariance must be 6x6, got {cov.shape}")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"pose covariance must be a square matrix, got {cov.shape}")
     if not np.allclose(cov, cov.T, atol=1e-10):
         raise ValueError("pose covariance must be symmetric")
     w, v = np.linalg.eigh(cov)

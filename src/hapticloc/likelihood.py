@@ -33,16 +33,18 @@ A localization mode is the set of channels it fuses (MODES). Each channel
 reads the map layer of its own name, so the layers a mode needs are its
 channels, and every contact is weighed with the same channel set.
 
-The contacts of one step are evaluated together (contacts_log_likelihood):
-one quaternion call per contact moves the K contacts to (3, K, N) world
-points, the grid channels share one set of padded cell indices for all of
-them, and each channel of the set looks its layer up once, the class channel
-with one estimated class per contact row. The result keeps one row per
-contact, computed with the same arithmetic as one contact on its own, so a
-caller that adds the rows to the weights in contact order gets the same sums
-bit for bit as evaluating the contacts one at a time. A filter hands it
-ContactBuffers, so that the world points, cell indices and rows of every
-step are written into the same arrays.
+The contacts of one step are evaluated together (contacts_log_likelihood) at
+particles that carry a position and a yaw each and share one roll and pitch:
+each contact's offset is tilted once, as a single pose, and then turned per
+particle in the plane into (3, K, N) world points. The grid channels share
+one set of padded cell indices for all of them, and each channel of the set
+looks its layer up once, the class channel with one estimated class per
+contact row. The result keeps one row per contact, computed with the same
+arithmetic as one contact on its own, so a caller that adds the rows to the
+weights in contact order gets the same sums bit for bit as evaluating the
+contacts one at a time. A filter hands it ContactBuffers, so that the world
+points, cell indices and rows of every step are written into the same
+arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import quat_rotate
+from .geometry import planar_rotate_add, quat_from_euler, quat_matrix
 from .maps import (
     UNKNOWN_CLASS,
     ClassGrid,
@@ -204,35 +206,25 @@ def cloud_log_likelihood_points(points, cloud: PointCloudMap, cfg: LikelihoodCon
 
 
 def class_log_likelihood_points(
-    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None
+    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None, out=None
 ) -> np.ndarray:
     """Per-point class channel for world xy contact points (2, ...).
 
     class_id is the classifier's estimate: one class for every point, or
     per-point classes that broadcast against the points (a (K, 1) column for
-    the (2, K, N) points of K contacts). Cells already of that class score the
-    peak density; other cells score the floored density of the lattice
-    distance to the nearest cell of that class, looked up in one call for all
-    of them. An estimate absent from the map scores the floor itself; off-map
-    and unlabeled cells are neutral. cells as for the elevation channel.
+    the (2, K, N) points of K contacts). Every point scores the floored
+    density of the lattice distance to the nearest cell of that class, so a
+    cell of that class scores the peak density (distance 0) and an estimate
+    absent from the map the floor (distance inf); off-map and unlabeled
+    cells are neutral. cells as for the elevation channel; out receives the
+    distances, then the scores.
     """
-    class_id = check_class_ids(grid, class_id)
-    points_xy = np.asarray(points_xy, dtype=float)
     if cells is None:
         cells = padded_cells(grid, points_xy)
-    ids = class_at_many(grid, points_xy, cells=cells)
-    ll = np.full(ids.shape, cfg.log_class_rho)
-    neutral = ids == UNKNOWN_CLASS
-    match = ids == class_id
-    # an absent class scores the floor without a distance lookup
-    mismatch = ~neutral & ~match & grid._present[class_id]
-    if mismatch.any():
-        d = class_distance_many(
-            grid, points_xy[:, mismatch], np.broadcast_to(class_id, ids.shape)[mismatch], cells=cells[mismatch]
-        )
-        ll[mismatch] = np.maximum(gaussian_log_density(d, cfg.sigma_c), cfg.log_class_rho)
-    ll[match] = cfg.log_class_peak
-    ll[neutral] = 0.0
+    ll = class_distance_many(grid, points_xy, class_id, cells=cells, out=out)
+    gaussian_log_density(ll, cfg.sigma_c, out=ll)
+    np.maximum(ll, cfg.log_class_rho, out=ll)
+    np.copyto(ll, 0.0, where=class_at_many(grid, points_xy, cells=cells) == UNKNOWN_CLASS)
     return ll
 
 
@@ -254,10 +246,10 @@ def require_layers(channels, layers) -> None:
 
 class ContactBuffers:
     """The arrays contacts_log_likelihood writes for N particles, reused from
-    call to call: the (3, K, N) world points, their (K, N) padded cell indices
-    and the (K, N) rows it returns, each contiguous for any contact count K.
-    They grow to the largest K asked for. The rows a call returns are
-    overwritten by the next call.
+    call to call: the (3, K, N) world points, their (K, N) padded cell
+    indices, the (K, N) rows it returns and the (K, N) class rows, each
+    contiguous for any contact count K. They grow to the largest K asked
+    for. The rows a call returns are overwritten by the next call.
     """
 
     def __init__(self, n_particles: int):
@@ -265,47 +257,65 @@ class ContactBuffers:
         self._world = np.empty(0)
         self._cells = np.empty(0, dtype=np.int64)
         self._rows = np.empty(0)
+        self._class_rows = np.empty(0)
 
     def views(self, k: int):
-        """(world, cells, rows) for k contacts."""
+        """(world, cells, rows, class_rows) for k contacts."""
         n = self.n_particles
         if self._rows.size < k * n:
             self._world = np.empty(3 * k * n)
             self._cells = np.empty(k * n, dtype=np.int64)
             self._rows = np.empty(k * n)
+            self._class_rows = np.empty(k * n)
         return (
             self._world[: 3 * k * n].reshape(3, k, n),
             self._cells[: k * n].reshape(k, n),
             self._rows[: k * n].reshape(k, n),
+            self._class_rows[: k * n].reshape(k, n),
         )
 
 
 def contacts_log_likelihood(
-    positions, quats, contacts, channels, maps: MapSet, cfg: LikelihoodConfig, buffers: ContactBuffers | None = None
+    positions,
+    heading,
+    tilt,
+    contacts,
+    channels,
+    maps: MapSet,
+    cfg: LikelihoodConfig,
+    buffers: ContactBuffers | None = None,
 ) -> np.ndarray:
-    """Joint log-likelihoods (K, N) of K contacts at N particles, positions
-    (3, N) and quats (4, N).
+    """Joint log-likelihoods (K, N) of K contacts at N particles: positions
+    (3, N), heading (2, N) the cos and sin of each particle's yaw, and tilt
+    the (roll, pitch) they share.
 
     Row k belongs to contacts[k], and every row uses the same channels (a
-    value of MODES). Each contact is moved to world points by its own
-    quaternion call, into one (3, K, N) array, the grid channels share the
-    points' padded cell indices (MapSet keeps its grids on one lattice), and
-    each channel queries its layer once for all the contacts. Row k starts at
-    0 and adds the channels given in the order elevation, class, cloud:
-    (0 + elevation) + class for elevation and class. A contact without
-    class_probs adds no class term. The arrays come from buffers, or new
-    ones without.
+    value of MODES). The contact offsets are tilted by one rotation matrix,
+    then turned by each particle's heading into one (3, K, N) array; the
+    grid channels share the points' padded cell indices (MapSet keeps its
+    grids on one lattice), and each channel queries its layer once for all
+    the contacts. Row k starts at 0 and adds the channels given in the order
+    elevation, class, cloud: (0 + elevation) + class for elevation and
+    class. A contact without class_probs adds no class term: its class row
+    is computed for a stand-in class and then zeroed. The arrays come from
+    buffers, or new ones without.
     """
     require_layers(channels, maps.layers)
+    labeled = []
     if "class" in channels:
-        labeled = [k for k, c in enumerate(contacts) if c.class_probs is not None]
-        column = np.array([_estimated_class(contacts[k], maps.class_grid) for k in labeled]).reshape(-1, 1)
+        labeled = [c.class_probs is not None for c in contacts]
+        column = np.array(
+            [_estimated_class(c, maps.class_grid) if has else 0 for c, has in zip(contacts, labeled)]
+        ).reshape(-1, 1)
 
     if buffers is None:
         buffers = ContactBuffers(positions.shape[1])
-    world, cells, ll = buffers.views(len(contacts))
-    for k, c in enumerate(contacts):
-        np.add(quat_rotate(quats, c.offset, out=world[:, k]), positions, out=world[:, k])
+    world, cells, ll, class_rows = buffers.views(len(contacts))
+    # each offset tilted once, as one pose, so a contact's row does not
+    # depend on the others; then turned per particle
+    tilt_matrix = quat_matrix(quat_from_euler(tilt[0], tilt[1], 0.0))
+    offsets = np.array([tilt_matrix @ c.offset for c in contacts]).T
+    planar_rotate_add(heading, offsets[:, :, None], positions, world)
     if "elevation" in channels or "class" in channels:
         padded_cells(maps.elevation, world[:2], out=cells)
     if "elevation" in channels:
@@ -313,17 +323,19 @@ def contacts_log_likelihood(
         elevation_log_likelihood_points(world, maps.elevation, cfg, cells=cells, out=ll)
     else:
         ll.fill(0.0)
-    if "class" in channels and labeled:
-        ll[labeled] += class_log_likelihood_points(
-            world[:2, labeled], column, maps.class_grid, cfg, cells=cells[labeled]
-        )
+    if any(labeled):
+        class_log_likelihood_points(world[:2], column, maps.class_grid, cfg, cells=cells, out=class_rows)
+        for row, has in zip(class_rows, labeled):
+            if not has:
+                row.fill(0.0)
+        ll += class_rows
     if "cloud" in channels:
         ll += cloud_log_likelihood_points(world, maps.cloud, cfg)
     return ll
 
 
 def contact_log_likelihood(
-    positions, quats, contact: ContactMeasurement, channels, maps: MapSet, cfg: LikelihoodConfig
+    positions, heading, tilt, contact: ContactMeasurement, channels, maps: MapSet, cfg: LikelihoodConfig
 ) -> np.ndarray:
     """Joint per-particle log-likelihood of one contact, particles as arrays."""
-    return contacts_log_likelihood(positions, quats, [contact], channels, maps, cfg)[0]
+    return contacts_log_likelihood(positions, heading, tilt, [contact], channels, maps, cfg)[0]

@@ -23,6 +23,7 @@ File formats:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +107,6 @@ class ClassGrid:
     n_classes: int
     _padded: np.ndarray = field(init=False, repr=False, compare=False)
     _dist: np.ndarray = field(init=False, repr=False, compare=False)
-    _present: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_lattice(self)
@@ -138,13 +138,11 @@ class ClassGrid:
     def _build_distance_fields(self):
         rows, cols = self.class_ids.shape
         self._dist = np.full((self.n_classes, rows + 2, cols + 2), np.inf)
-        self._present = np.zeros(self.n_classes, dtype=bool)
         row_idx, col_idx = np.indices((rows, cols))
         for c in range(self.n_classes):
             mask = self.class_ids == c
             if not mask.any():
                 continue
-            self._present[c] = True
             _, (nr, nc) = distance_transform_edt(~mask, return_indices=True)
             # recompute from integer offsets so lattice distances are exact
             d2 = (nr - row_idx).astype(np.int64) ** 2 + (nc - col_idx).astype(np.int64) ** 2
@@ -241,9 +239,24 @@ def elevation_at_many(grid: ElevationGrid, xy, cells=None, out=None) -> np.ndarr
     return grid._padded.take(_cells(grid, xy, cells), out=out, mode="clip")
 
 
+def _padded_index(coord, origin, resolution, n) -> int:
+    """One coordinate's index into a padded axis, by padded_cells' rule in
+    plain floats: (coord - origin) / resolution, floored, plus one for the
+    border; 0, a border cell, off the lattice or for nan."""
+    i = (float(coord) - float(origin)) / resolution
+    return math.floor(i) + 1 if 0.0 <= i < n else 0
+
+
+def _padded_value(grid, xy):
+    """The padded layer's value at one point (x, y): the lookup the batched
+    functions make, without their per-call array overhead."""
+    row = _padded_index(xy[1], grid.origin[1], grid.resolution, grid.n_rows)
+    return grid._padded[row, _padded_index(xy[0], grid.origin[0], grid.resolution, grid.n_cols)]
+
+
 def elevation_at(grid: ElevationGrid, xy) -> float:
     """Height of the cell containing xy; nan outside the grid or on no-data cells."""
-    return float(elevation_at_many(grid, np.asarray(xy, dtype=float).reshape(2, 1))[0])
+    return float(_padded_value(grid, xy))
 
 
 def class_at_many(grid: ClassGrid, xy, cells=None) -> np.ndarray:
@@ -255,7 +268,8 @@ def class_at_many(grid: ClassGrid, xy, cells=None) -> np.ndarray:
 
 
 def class_at(grid: ClassGrid, xy) -> int:
-    return int(class_at_many(grid, np.asarray(xy, dtype=float).reshape(2, 1))[0])
+    """Class id of the cell containing xy; the unknown sentinel outside the grid."""
+    return int(_padded_value(grid, xy))
 
 
 def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
@@ -268,17 +282,17 @@ def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
     return class_id
 
 
-def class_distance_many(grid: ClassGrid, xy, class_id, cells=None) -> np.ndarray:
+def class_distance_many(grid: ClassGrid, xy, class_id, cells=None, out=None) -> np.ndarray:
     """Lattice distances to the nearest class_id cell for query points (2, M).
 
     class_id is one class for every point or an array of per-point classes
     that broadcasts against the points. A class absent from the grid is at
     distance inf; so are points outside the grid (callers treat them as
-    off-map before this). cells as for elevation_at_many.
+    off-map before this). cells and out as for elevation_at_many.
     """
     class_id = check_class_ids(grid, class_id)
     field_size = grid._padded.size
-    return grid._dist.take(class_id * field_size + _cells(grid, xy, cells), mode="clip")
+    return grid._dist.take(class_id * field_size + _cells(grid, xy, cells), out=out, mode="clip")
 
 
 def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:

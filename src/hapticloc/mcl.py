@@ -1,30 +1,53 @@
 """Sequential Monte Carlo localization over foot-contact measurements.
 
-Particles are SE(3) poses stored as component rows (positions (3, N),
-scalar-last quaternions (4, N), each C-contiguous) with log-domain weights.
+Particles are 4-DoF poses, a position and a yaw each, stored as component
+rows (positions (3, N) and yaw (N,), each C-contiguous) with log-domain
+weights. Roll and pitch are not particle state: on a legged robot the IMU
+observes them against gravity, so each step takes them from its input
+(StepInput.tilt) and every particle shares them. A particle's attitude is
+Rz(yaw) Ry(pitch) Rx(roll).
+
 Each step propagates every particle by the odometry increment with body-frame
 Gaussian noise, multiplies weights by the joint contact likelihood, resamples
 systematically when the effective sample size drops below a fraction of N,
 and appends a pose estimate.
 
+Propagation reads the x, y, z and yaw block of the odometry covariance. The
+increment's rotation, seen from the tilted base at the step start, turns the
+heading by an angle all particles share and leaves a level part; both are
+folded, once per step, into the 4x4 noise factor and the increment's
+translation (_propagation_terms). Each particle then draws 4 normal values:
+its yaw moves by the turn plus its yaw noise, and its position by the
+displacement rotated in the plane by its new yaw less the turn. The yaw noise
+is thus applied before the translation instead of after it, which turns the
+step by the noise angle (about 0.1 mm on a 5 cm step), so that one cos/sin
+pair per particle, of its new yaw, serves both the propagation and the
+contacts: each contact offset is tilted once, as a single pose, and then
+rotated per particle in the plane by that pair.
+
 The estimate is the weighted mean while the particle spread in x and y stays
-below a threshold. Beyond it (ambiguous, typically multimodal sets) x, y, and
-heading continue by dead reckoning from the previous estimate and only z is
-taken from the particles, so the reported pose never teleports between modes.
+below a threshold: positions average with the weights, and yaw averages as
+yaw_ref + sum(w * wrap(yaw - yaw_ref)) about the highest-weight particle, so
+a set straddling +-pi averages near pi. Beyond the threshold (ambiguous,
+typically multimodal sets) x, y, and heading continue by dead reckoning from
+the previous estimate and only z is taken from the particles, so the
+reported pose never teleports between modes. Either way the estimate's
+attitude is its yaw composed with the step's roll and pitch.
 
 The state owns its particle arrays. A FilterState allocates, once, every
 particle-sized array a step writes (its _Workspace), and a step writes into
-those, not into new arrays: the kernels take out=, and positions and quats
-each alternate between two buffers, one read while the other is written. So
-a step overwrites the arrays the state held before it; a caller that wants
-a snapshot of positions, quats or log_weights copies it. A caller may still
-replace those attributes with arrays of its own: the next step only reads
-them, and writes its results into the workspace.
+those, not into new arrays: positions and yaw each alternate between two
+buffers, one read while the other is written. So later steps overwrite the
+arrays the state holds now; a caller that wants a snapshot of positions,
+yaw or log_weights copies it. A caller may still replace those
+attributes with arrays of its own: the next step only reads them, and
+writes its results into the workspace.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +56,10 @@ from .geometry import (
     Pose,
     compose,
     covariance_factor,
-    quat_conjugate,
-    quat_from_rotvec,
-    quat_mul,
-    quat_rotate,
-    quat_to_rotvec,
+    planar_rotate_add,
+    quat_from_euler,
+    quat_matrix,
+    quat_to_euler,
 )
 from .likelihood import (
     MODES,
@@ -51,24 +73,42 @@ from .maps import MapSet
 
 log = logging.getLogger(__name__)
 
+# the x, y, z and yaw entries of a tangent vector [dx dy dz droll dpitch dyaw]
+_XYZ_YAW = np.array([0, 1, 2, 5])
+
+
+def _xyz_yaw_block(cov, name) -> np.ndarray:
+    """The x, y, z and yaw block of a 6x6 tangent covariance."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (6, 6):
+        raise ValueError(f"{name} must be 6x6, got {cov.shape}")
+    return cov[np.ix_(_XYZ_YAW, _XYZ_YAW)]
+
 
 @dataclass
 class StepInput:
-    """Odometry increment with its 6x6 tangent covariance, plus foot contacts."""
+    """Odometry increment with its 6x6 tangent covariance, the foot contacts,
+    and tilt, the base's (roll, pitch) against gravity at the end of the step."""
 
     odom_increment: Pose
     odom_cov: np.ndarray
     contacts: list[ContactMeasurement]
+    tilt: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         self.odom_cov = np.asarray(self.odom_cov, dtype=float)
         if self.odom_cov.shape != (6, 6):
             raise ValueError(f"odometry covariance must be 6x6, got {self.odom_cov.shape}")
+        tilt = np.asarray(self.tilt, dtype=float)
+        if tilt.shape != (2,):
+            raise ValueError(f"tilt must be (roll, pitch), got {self.tilt}")
+        self.tilt = (float(tilt[0]), float(tilt[1]))
         # a non-finite input would turn every particle into nan without a trace
         for name, value in (
             ("odom_increment.position", self.odom_increment.position),
             ("odom_increment.quat", self.odom_increment.quat),
             ("odom_cov", self.odom_cov),
+            ("tilt", tilt),
         ):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
@@ -84,27 +124,22 @@ class StepDiagnostics:
 class _Workspace:
     """Every particle-sized array a step writes, for N particles.
 
-    positions and quats are pairs of buffers: a kernel reads the state's
-    current array and writes the other one of the pair (_spare).
+    positions and yaw are pairs of buffers: a step reads the state's current
+    array and writes the other one of the pair (_spare).
     """
 
     def __init__(self, n: int):
         self.positions = (np.empty((3, n)), np.empty((3, n)))
-        self.quats = (np.empty((4, n)), np.empty((4, n)))
-        # the (N, 6) normal draws, their product with the covariance factor,
-        # and that noise as component rows
-        self.draws = np.empty((n, 6))
-        self.noise = np.empty((n, 6))
-        self.delta = np.empty((6, n))
-        # a rotated vector and a rotation per particle
-        self.vec = np.empty((3, n))
-        self.rot = np.empty((4, n))
+        self.yaw = (np.empty(n), np.empty(n))
+        # the (4, N) normal draws and the noise rows the step's factor makes
+        # of them; the estimate reuses two rows for the xy residuals
+        self.draws = np.empty((4, n))
+        self.delta = np.empty((4, n))
+        # cos and sin of the particles' yaw after propagation
+        self.heading = np.empty((2, n))
         self.log_weights = np.empty(n)
         self.weights = np.empty(n)
         self.scratch = np.empty(n)
-        # the estimate's (N, k) copies for its weighted means
-        self.columns = np.empty((n, 3))
-        self.spread = np.empty((n, 2))
         self.contacts = ContactBuffers(n)
 
 
@@ -118,15 +153,17 @@ class FilterState:
     """The particle set plus every setting of the run, bound once by init_filter.
 
     trajectory[0] is the prior mean and trajectory[k] the estimate after step
-    k, whose diagnostics are diagnostics[k - 1].
+    k, whose diagnostics are diagnostics[k - 1]. tilt is the (roll, pitch)
+    every particle shares: the prior mean's, then the last step's.
 
-    The state owns positions, quats and log_weights, and each step
-    overwrites them in place (see the module docstring): copy one to keep it.
+    The state owns positions, yaw and log_weights, and later steps overwrite
+    them in place (see the module docstring): copy one to keep it.
     """
 
-    # component rows: positions (3, N) and quats (4, N), each C-contiguous
+    # component rows: positions (3, N) and yaw (N,), each C-contiguous
     positions: np.ndarray
-    quats: np.ndarray
+    yaw: np.ndarray
+    tilt: tuple
     log_weights: np.ndarray
     rng: np.random.Generator
     maps: MapSet
@@ -138,7 +175,8 @@ class FilterState:
     trajectory: list[Pose]
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     divergence_count: int = 0
-    # the last odometry covariance step factored (a copy) and its factor
+    # the last odometry covariance step factored (a copy) and the factor of
+    # its x, y, z and yaw block
     odom_cov: np.ndarray | None = None
     odom_factor: np.ndarray | None = None
     workspace: _Workspace = field(init=False, repr=False)
@@ -165,9 +203,12 @@ def init_filter(
 ) -> FilterState:
     """Sample the prior particle set; the trajectory starts at the prior mean.
 
-    Binds every setting of the run: the maps and likelihood every step
-    weighs its contacts against, and the channels of mode, a key of MODES.
-    A mode whose channels need a layer maps lacks raises here.
+    prior_cov is a 6x6 tangent covariance in the prior mean's body frame, of
+    which the particles draw the x, y, z and yaw block; they share the prior
+    mean's roll and pitch. Binds every setting of the run: the maps and
+    likelihood every step weighs its contacts against, and the channels of
+    mode, a key of MODES. A mode whose channels need a layer maps lacks
+    raises here.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
@@ -177,14 +218,15 @@ def init_filter(
     if not 0.0 <= resample_frac <= 1.0:
         raise ValueError("resample_frac must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    factor = covariance_factor(prior_cov)
-    # the draws and their matmul as (N, 6) rows, then one copy to component rows
-    delta = np.ascontiguousarray((rng.standard_normal((n_particles, 6)) @ factor.T).T)
-    positions = prior_mean.position[:, None] + quat_rotate(prior_mean.quat, delta[:3])
-    quats = quat_mul(prior_mean.quat, quat_from_rotvec(delta[3:]))
+    roll, pitch, yaw = quat_to_euler(prior_mean.quat)
+    factor = covariance_factor(_xyz_yaw_block(prior_cov, "prior covariance"))
+    # body-frame position noise, turned into the world by the prior's attitude
+    factor[:3] = quat_matrix(prior_mean.quat) @ factor[:3]
+    delta = factor @ rng.standard_normal((4, n_particles))
     return FilterState(
-        positions=positions,
-        quats=quats,
+        positions=prior_mean.position[:, None] + delta[:3],
+        yaw=yaw + delta[3],
+        tilt=(roll, pitch),
         log_weights=np.full(n_particles, -np.log(n_particles)),
         rng=rng,
         maps=maps,
@@ -221,43 +263,63 @@ def _logsumexp(a, scratch=None):
 def estimate_detail(state: FilterState, increment: Pose):
     """(pose, xy_std, branch): weighted mean, or the dead-reckoning fallback.
 
-    The full branch averages positions with the weights and averages orientation
-    in the tangent space linearized at the highest-weight particle. The z-only
-    branch composes the previous estimate with the step's odometry increment
-    for x, y, and orientation, and takes just z from the weighted mean.
+    The full branch averages positions with the weights, and yaw about the
+    highest-weight particle's yaw, each difference wrapped to (-pi, pi]. The
+    z-only branch composes the previous estimate with the step's odometry
+    increment for x, y, and yaw, and takes just z from the weighted mean.
+    Both attach the state's roll and pitch.
     """
     ws = state.workspace
     lw = state.log_weights
     w = np.subtract(lw, _logsumexp(lw, ws.scratch), out=ws.weights)
     np.exp(w, out=w)
-    # the weighted means multiply w by (N, k) copies, the matmul the golden
-    # outputs were made with; (k, N) @ w takes another BLAS path
-    positions = ws.columns
-    np.copyto(positions, state.positions.T)
-    mean_p = w @ positions
-    spread = np.subtract(positions[:, :2], mean_p[:2], out=ws.spread)
-    xy_std = np.sqrt(w @ np.square(spread, out=spread))
+    p = state.positions
+    mean_p = p @ w
+    spread = np.subtract(p[:2], mean_p[:2, None], out=ws.delta[:2])
+    xy_std = np.sqrt(np.square(spread, out=spread) @ w)
+    roll, pitch = state.tilt
     if np.all(xy_std <= state.xy_std_threshold):
-        ref = state.quats[:, int(np.argmax(lw))]
-        dq = quat_mul(quat_conjugate(ref), state.quats, out=ws.rot)
-        rotvecs = ws.columns
-        np.copyto(rotvecs, quat_to_rotvec(dq, out=ws.vec).T)
-        q = quat_mul(ref, quat_from_rotvec(w @ rotvecs))
-        return Pose(mean_p, q), xy_std, "full"
+        ref = float(state.yaw[int(np.argmax(lw))])
+        # wrap(yaw - ref) as pi - mod(pi - (yaw - ref), 2 pi), in place
+        dyaw = np.subtract(np.pi + ref, state.yaw, out=ws.scratch)
+        np.mod(dyaw, 2.0 * np.pi, out=dyaw)
+        np.subtract(np.pi, dyaw, out=dyaw)
+        yaw = ref + float(dyaw @ w)
+        return Pose(mean_p, quat_from_euler(roll, pitch, yaw)), xy_std, "full"
     base = compose(state.trajectory[-1], increment)
-    return Pose([base.position[0], base.position[1], mean_p[2]], base.quat), xy_std, "z-only"
+    yaw = quat_to_euler(base.quat)[2]
+    return Pose([base.position[0], base.position[1], mean_p[2]], quat_from_euler(roll, pitch, yaw)), xy_std, "z-only"
 
 
 def _odom_factor(state: FilterState, cov) -> np.ndarray:
-    """covariance_factor(cov), factored again only when cov differs bitwise
-    from the covariance the cached factor came from."""
+    """The factor of cov's x, y, z and yaw block, factored again only when
+    cov differs bitwise from the covariance the cached factor came from."""
     cov = np.asarray(cov, dtype=float)
     cached = state.odom_cov
     if cached is None or cached.shape != cov.shape or cached.tobytes() != cov.tobytes():
-        state.odom_factor = covariance_factor(cov)
+        state.odom_factor = covariance_factor(_xyz_yaw_block(cov, "odometry covariance"))
         # a copy: the caller may mutate its array in place between steps
         state.odom_cov = cov.copy()
     return state.odom_factor
+
+
+def _propagation_terms(tilt, increment: Pose, factor):
+    """The terms of a step every particle shares: (g, u, turn).
+
+    The increment's rotation, seen from the base at the step start (tilt,
+    its roll and pitch), turns the heading by turn. g is the 4x4 noise
+    factor with its position rows carried through the increment's rotation
+    and the turn undone, u the increment's translation with the tilt applied
+    and the turn undone: a particle's displacement is u + g[:3] @ draws,
+    rotated in the plane by its new yaw.
+    """
+    start = quat_matrix(quat_from_euler(tilt[0], tilt[1], 0.0))
+    m = start @ quat_matrix(increment.quat)
+    turn = math.atan2(m[1, 0], m[0, 0])
+    undo = quat_matrix(quat_from_euler(0.0, 0.0, -turn))
+    g = factor.copy()
+    g[:3] = undo @ m @ factor[:3]
+    return g, undo @ (start @ increment.position), turn
 
 
 def contacts_for_mode(contacts) -> list:
@@ -270,9 +332,9 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
 
     Contacts with in_contact False are skipped (contacts_for_mode). The
     others are weighed against the state's maps and likelihood with the
-    channels of the filter's mode, all together: one quaternion call moves
-    them to world points, and each channel queries its map layer once for
-    all of them. Their log-likelihoods are then added to the weights one
+    channels of the filter's mode, all together: the particles' cos/sin pair
+    moves them to world points, and each channel queries its map layer once
+    for all of them. Their log-likelihoods are then added to the weights one
     contact at a time, in contact order. The odometry covariance factor is
     cached in the state and recomputed, with the full symmetry and PSD
     checks, only when the covariance changes.
@@ -281,23 +343,24 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     inc = inp.odom_increment
     ws = state.workspace
 
-    # propagate: particle o increment, then right-perturbation noise
-    factor = _odom_factor(state, inp.odom_cov)
+    # propagate: the shared terms once, then 4 draws and one cos/sin pair per particle
+    g, u, turn = _propagation_terms(state.tilt, inc, _odom_factor(state, inp.odom_cov))
     state.rng.standard_normal(out=ws.draws)
-    np.copyto(ws.delta, np.matmul(ws.draws, factor.T, out=ws.noise).T)
-    p, q = state.positions, state.quats
-    p = np.add(p, quat_rotate(q, inc.position, out=ws.vec), out=_spare(ws.positions, p))
-    q = quat_mul(q, inc.quat, out=_spare(ws.quats, q))
-    p = np.add(p, quat_rotate(q, ws.delta[:3], out=ws.vec), out=_spare(ws.positions, p))
-    q = quat_mul(q, quat_from_rotvec(ws.delta[3:], out=ws.rot), out=_spare(ws.quats, q))
-    state.positions, state.quats = p, q
+    d = np.matmul(g, ws.draws, out=ws.delta)
+    yaw = np.add(state.yaw, d[3], out=_spare(ws.yaw, state.yaw))
+    yaw += turn
+    np.cos(yaw, out=ws.heading[0])
+    np.sin(yaw, out=ws.heading[1])
+    np.add(d[:3], u[:, None], out=d[:3])
+    p = planar_rotate_add(ws.heading, d, state.positions, _spare(ws.positions, state.positions))
+    state.positions, state.yaw, state.tilt = p, yaw, inp.tilt
 
     # the first write of the weights moves them into the workspace
     lw = state.log_weights
     active = contacts_for_mode(inp.contacts)
     if active:
         for ll in contacts_log_likelihood(
-            p, q, active, state.channels, state.maps, state.likelihood, ws.contacts
+            p, ws.heading, state.tilt, active, state.channels, state.maps, state.likelihood, ws.contacts
         ):
             lw = np.add(lw, ll, out=ws.log_weights)
 
@@ -318,7 +381,7 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
         idx = systematic_resample_indices(w, state.rng)
         # the indices lie in [0, n): mode="clip" writes out unbuffered
         state.positions = p.take(idx, axis=1, out=_spare(ws.positions, p), mode="clip")
-        state.quats = q.take(idx, axis=1, out=_spare(ws.quats, q), mode="clip")
+        state.yaw = yaw.take(idx, out=_spare(ws.yaw, yaw), mode="clip")
         lw.fill(-np.log(n))
 
     est, xy_std, branch = estimate_detail(state, inc)

@@ -9,8 +9,13 @@ a logged contact's world z equals the map height under it exactly. On a course
 with a class layer, every foot on a labeled cell also logs a force signal of
 its cell's class; a foot on an unlabeled cell logs none.
 
+Every phase also logs the base's roll and pitch, the attitude an IMU observes
+against gravity, which the filter takes as given. The IMU tilt is modelled as
+exact: the simulator logs the true base attitude, with no noise. Every course
+here is walked level, so both are 0.
+
 Walk log format (save_walklog, load_walklog): a text file whose first line is
-the version line "# walklog 1"; a log with another version, or with none, is
+the version line "# walklog 2"; a log with another version, or with none, is
 rejected. Two lines follow, "# start_pose" and "# init_prior" (the filter
 prior), each with 7 values x y z qx qy qz qw. Then a CSV header line and one
 row per step:
@@ -20,6 +25,7 @@ row per step:
   odo_x ... odo_qw         odometry increment from the previous step's base
   cov_x ... cov_yaw        diagonal of the reported odometry covariance, in
                            the tangent order x y z roll pitch yaw
+  tilt_roll, tilt_pitch    the base's roll and pitch at this step, radians
   then per foot F in FOOT_LABELS order (LF, RF, LH, RH), 7 columns:
   F_off_x, F_off_y, F_off_z   contact point in the base frame
   F_contact                1 for a foot in contact, 0 for a lifted one
@@ -52,6 +58,7 @@ from .geometry import (
     quat_conjugate,
     quat_from_yaw,
     quat_rotate,
+    quat_to_euler,
     relative_increment,
 )
 from .likelihood import ContactMeasurement
@@ -345,6 +352,7 @@ class StepRecord:
     true_pose: Pose
     odom_increment: Pose
     odom_cov_diag: np.ndarray
+    tilt: tuple  # (roll, pitch) of the base, as an IMU observes it against gravity
     contacts: list  # ContactMeasurement, one per foot in FOOT_LABELS order
     true_foot_world: np.ndarray  # (4, 3)
     true_class_ids: np.ndarray  # (4,), UNKNOWN_CLASS where no class layer
@@ -461,6 +469,7 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, rng):
         true_pose=pose,
         odom_increment=odom,
         odom_cov_diag=noise.white_array() ** 2,
+        tilt=quat_to_euler(pose.quat)[:2],
         contacts=contacts,
         true_foot_world=np.array(worlds),
         true_class_ids=np.array(classes, dtype=np.uint8),
@@ -549,7 +558,7 @@ def classify_log(log: WalkLog, model) -> WalkLog:
     return log
 
 
-WALKLOG_VERSION = "1"
+WALKLOG_VERSION = "2"
 
 _POSE_COLS = ("x", "y", "z", "qx", "qy", "qz", "qw")
 
@@ -559,6 +568,7 @@ def _walklog_header() -> str:
     cols += [f"true_{c}" for c in _POSE_COLS]
     cols += [f"odo_{c}" for c in _POSE_COLS]
     cols += ["cov_x", "cov_y", "cov_z", "cov_roll", "cov_pitch", "cov_yaw"]
+    cols += ["tilt_roll", "tilt_pitch"]
     for label in FOOT_LABELS:
         cols += [
             f"{label}_off_x",
@@ -583,6 +593,7 @@ def _write_walklog(log: WalkLog, f, signal_refs=None) -> None:
         row += [g(v) for v in r.true_pose.to_array()]
         row += [g(v) for v in r.odom_increment.to_array()]
         row += [g(v) for v in r.odom_cov_diag]
+        row += [g(v) for v in r.tilt]
         for j, contact in enumerate(r.contacts):
             row += [g(v) for v in contact.offset]
             row.append("1" if contact.in_contact else "0")
@@ -707,9 +718,10 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
         true_pose = Pose.from_array([field(i) for i in range(2, 9)])
         odom = Pose.from_array([field(i) for i in range(9, 16)])
         cov = np.array([field(i) for i in range(16, 22)])
+        tilt = (field(22), field(23))
         contacts, worlds, classes, signals = [], [], [], []
         for j in range(len(FOOT_LABELS)):
-            o = 22 + 7 * j
+            o = 24 + 7 * j
             vec = np.array([field(i) for i in range(o, o + 3)])
             in_contact = field(o + 3, _CONTACT_FLAGS.__getitem__)
             world_z = field(o + 4)
@@ -721,7 +733,9 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             classes.append(cid)
             signals.append(load_signal(os.path.join(base, ref)) if load_signals and ref else None)
         records.append(
-            StepRecord(k, t, true_pose, odom, cov, contacts, np.array(worlds), np.array(classes, dtype=np.uint8), signals)
+            StepRecord(
+                k, t, true_pose, odom, cov, tilt, contacts, np.array(worlds), np.array(classes, dtype=np.uint8), signals
+            )
         )
     if set(poses) != {"start_pose", "init_prior"} or not header_seen:
         raise ValueError(f"{path}: missing walk log header lines")

@@ -334,8 +334,7 @@ def test_criterion_08_ambiguity_fallback():
     st.positions[2] = 0.3
     st.positions[1, : n // 2] = 0.15
     st.positions[1, n // 2 :] = -0.15
-    st.quats = np.zeros((4, n))
-    st.quats[3] = 1.0
+    st.yaw = np.zeros(n)
 
     inc = Pose([0.05, 0.0, 0.0])
     inp = StepInput(inc, np.diag(np.full(6, 1e-12)), _elevation_contacts())

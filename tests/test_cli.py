@@ -232,11 +232,11 @@ def test_localize_class_source_errors(tmp_path, capsys):
 
 def test_localize_rejects_another_walk_log_version(tmp_path, capsys):
     d, log_path = tiles_walk(tmp_path, capsys)
-    log_path.write_text(log_path.read_text().replace("# walklog 1\n", "# walklog 2\n", 1))
+    log_path.write_text(log_path.read_text().replace("# walklog 2\n", "# walklog 1\n", 1))
     code, out, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-G",
                          "--particles", "100", "--out", str(tmp_path / "loc"))
     assert code == 1 and out == ""
-    assert err.strip() == f"error: {log_path}: walk log version 2, this reader reads version 1"
+    assert err.strip() == f"error: {log_path}: walk log version 1, this reader reads version 2"
 
 
 @pytest.mark.parametrize("mode", ["HL-GC", "HL-C"])

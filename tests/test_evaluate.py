@@ -90,6 +90,7 @@ def test_to_step_inputs_scales_covariance():
     for inp, rec in zip(inputs, log.records):
         assert np.allclose(inp.odom_cov, want, atol=1e-18)
         assert inp.contacts is rec.contacts
+        assert inp.tilt == rec.tilt
 
 
 def test_experiment_config_validation():
@@ -103,7 +104,7 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="unknown mode"):
         ExperimentConfig("x", CourseSpec("chevron-ramp"), ((0, 0), (1, 0)), modes=("HL-Z",))
     cov = ok.prior_cov()
-    assert np.allclose(np.diag(cov), [0.12**2, 0.12**2, 0.02**2, 0.02**2, 0.02**2, 0.05**2])
+    assert np.allclose(np.diag(cov), [0.12**2, 0.12**2, 0.02**2, 0.0, 0.0, 0.05**2])
 
 
 # modes and seeds each list distinct values, checked by the constructor and
@@ -312,7 +313,7 @@ def test_class_tiles_walk_does_not_depend_on_the_modes():
         for modes in (("HL-G",), default_tiles_experiment().modes)
     }
     assert len(set(hashes.values())) == 1
-    assert hashes["HL-G",].startswith("0f48e9d3cb28")
+    assert hashes["HL-G",].startswith("9d611a17cc51")
 
 
 def test_courses_differ_across_experiment_seeds():

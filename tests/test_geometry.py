@@ -11,13 +11,17 @@ from hapticloc.geometry import (
     covariance_factor,
     inverse,
     load_trajectory,
+    planar_rotate_add,
     pose_exp,
     quat_conjugate,
+    quat_from_euler,
     quat_from_rotvec,
     quat_from_yaw,
+    quat_matrix,
     quat_mul,
     quat_normalize,
     quat_rotate,
+    quat_to_euler,
     quat_to_rotvec,
     quat_yaw,
     relative_increment,
@@ -221,97 +225,39 @@ def test_single_pose_bit_identical_to_trailing_axis_formulas(q, p, v, yaw):
         assert same_bits(quat_from_rotvec(rv), trailing_from_rotvec(rv))
 
 
-# out= forms: the same bits as the oracles, whatever the layout of out
-
-
-def out_like(shape, layout, k=3):
-    """An array of shape to write into: C-contiguous, one slice of a larger
-    (c, k, ...) array as one contact's world points are, or a transpose."""
-    if layout == "slice":
-        return np.full((shape[0], k) + shape[1:], np.nan)[:, k - 1]
-    if layout == "transposed":
-        return np.full(shape[::-1], np.nan).T
-    return np.full(shape, np.nan)
-
-
-LAYOUTS = st.sampled_from(["contiguous", "slice", "transposed"])
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from(sorted(ROTATE_SHAPES)), st.integers(1, 12), st.integers(1, 4), LAYOUTS)
-def test_quat_rotate_out_bit_identical_to_cross_formula(data, pair, n, k, layout):
-    q_shape, v_shape = ROTATE_SHAPES[pair](n, k)
-    q = data.draw(quat_batches(q_shape))
-    v = data.draw(arrays(np.float64, v_shape, elements=components))
-    want = leading(cross_quat_rotate)(q, v)
-    out = out_like(want.shape, layout)
-    assert quat_rotate(q, v, out=out) is out
-    assert same_bits(out, want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from(sorted(MUL_SHAPES)), st.integers(1, 12), LAYOUTS)
-def test_quat_mul_out_bit_identical_to_cross_formula(data, pair, n, layout):
-    a_shape, b_shape = MUL_SHAPES[pair](n, 1)
-    a = data.draw(quat_batches(a_shape))
-    b = data.draw(quat_batches(b_shape))
-    want = leading(cross_quat_mul)(a, b)
-    out = out_like(want.shape, layout)
-    assert quat_mul(a, b, out=out) is out
-    assert same_bits(out, want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 12), LAYOUTS)
-def test_rotvec_maps_out_bit_identical_to_trailing_axis_formulas(data, n, layout):
+@given(st.data(), st.integers(1, 12))
+def test_rotvec_maps_bit_identical_to_trailing_axis_formulas(data, n):
     # batches against the trailing-axis oracles, near the series thresholds too
     q = data.draw(quat_batches((4, n)))
     scale = data.draw(st.sampled_from([1.0, 1e-8, 1e-10]))
     rv = scale * data.draw(arrays(np.float64, (3, n), elements=components))
-    out = out_like((4, n), layout)
-    assert same_bits(quat_from_rotvec(rv, out=out), leading(trailing_from_rotvec)(rv))
-    assert same_bits(quat_from_rotvec(rv), out)
-    out = out_like((3, n), layout)
+    assert same_bits(quat_from_rotvec(rv), leading(trailing_from_rotvec)(rv))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = leading(trailing_to_rotvec)(q)
-        assert same_bits(quat_to_rotvec(q, out=out), want)
-        assert same_bits(quat_to_rotvec(q), out)
+        assert same_bits(quat_to_rotvec(q), leading(trailing_to_rotvec)(q))
+
+
+# Euler attitude, rotation matrices and the planar rotation of the particles
 
 
 @settings(max_examples=100, deadline=None)
-@given(single_quats, single_quats, arrays(np.float64, (3,), elements=wide))
-def test_single_pose_out_bit_identical_to_trailing_axis_formulas(q, p, v):
-    out3, out4 = np.empty(3), np.empty(4)
-    assert same_bits(quat_mul(q, p, out=out4), cross_quat_mul(q, p))
-    assert same_bits(quat_rotate(q, v, out=out3), cross_quat_rotate(q, v))
-    assert same_bits(quat_from_rotvec(v, out=out4), trailing_from_rotvec(v))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(quat_to_rotvec(q, out=out3), trailing_to_rotvec(q))
+@given(st.floats(-3.0, 3.0), st.floats(-1.5, 1.5), st.floats(-3.0, 3.0))
+def test_euler_attitude_matches_scipy_and_round_trips(roll, pitch, yaw):
+    q = quat_from_euler(roll, pitch, yaw)
+    want = Rotation.from_euler("ZYX", [yaw, pitch, roll])
+    assert np.allclose(quat_matrix(q), want.as_matrix(), atol=1e-12)
+    assert np.allclose(quat_rotate(q, np.eye(3)), want.as_matrix(), atol=1e-12)
+    assert np.allclose(quat_to_euler(q), (roll, pitch, yaw), atol=1e-9)
+    # a level attitude reads exactly 0 roll and pitch, as the simulator logs it
+    assert quat_to_euler(quat_from_yaw(yaw))[:2] == (0.0, 0.0)
 
 
-def test_out_that_overlaps_an_input_raises():
-    rng = np.random.default_rng(3)
-    q, v = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
-    for call in (
-        lambda: quat_rotate(q, v, out=v),
-        lambda: quat_rotate(q, v, out=q[:3]),
-        lambda: quat_mul(q, q[:, 0], out=q),
-        lambda: quat_mul(q[:, 0], q, out=q[:, ::-1]),
-        lambda: quat_from_rotvec(q[:3], out=q),
-        lambda: quat_to_rotvec(q, out=q[1:]),
-    ):
-        before = (q.copy(), v.copy())
-        with pytest.raises(ValueError, match="overlaps"):
-            call()
-        # raised before any input was written
-        assert same_bits(q, before[0]) and same_bits(v, before[1])
-
-
-def test_out_of_another_shape_or_dtype_raises():
-    q, v = np.tile([0.0, 0.0, 0.0, 1.0], (5, 1)).T, np.ones((3, 5))
-    for out in (np.empty((3, 4)), np.empty((3, 5, 1)), np.empty((3, 5), dtype=np.float32)):
-        with pytest.raises(ValueError, match="shape"):
-            quat_rotate(q, v, out=out)
+def test_planar_rotate_add_turns_x_and_y_per_angle():
+    rng = np.random.default_rng(4)
+    yaw, v, p = rng.uniform(-np.pi, np.pi, 7), rng.normal(size=(3, 7)), rng.normal(size=(3, 7))
+    out = np.empty((3, 7))
+    assert planar_rotate_add(np.stack([np.cos(yaw), np.sin(yaw)]), v, p, out) is out
+    assert np.allclose(out, p + quat_rotate(quat_from_yaw(yaw), v), atol=1e-12)
 
 
 def test_quat_from_rotvec_matches_scipy():

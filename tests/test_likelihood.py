@@ -215,7 +215,17 @@ def test_bounded_cloud_channel_matches_unbounded_query(seed, n_cloud, sigma_z):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-ORIGIN = (np.zeros((3, 1)), np.array([[0.0], [0.0], [0.0], [1.0]]))
+LEVEL = (0.0, 0.0)
+
+
+def heading_of(yaw):
+    """The (2, N) cos and sin rows contacts_log_likelihood turns contacts by."""
+    yaw = np.asarray(yaw, dtype=float)
+    return np.stack([np.cos(yaw), np.sin(yaw)])
+
+
+# one particle at the origin, yaw 0, level
+ORIGIN = (np.zeros((3, 1)), heading_of([0.0]), LEVEL)
 
 
 def test_contact_measurement_validation():
@@ -279,15 +289,14 @@ def test_contact_requires_matching_layers():
 def test_class_probs_length_must_match_the_class_layer():
     maps = flat_maps()  # 3 classes
     foot = (0.0, 0.0, -0.3)
-    pos = np.array([[1.0], [1.0], [0.3]])
-    quat = np.array([[0.0], [0.0], [0.0], [1.0]])
+    particle = (np.array([[1.0], [1.0], [0.3]]), heading_of([0.0]), LEVEL)
     for mode in ("HL-C", "HL-GC"):
         for probs in ([0.9, 0.1], [0.1] * 8):
             c = ContactMeasurement(foot, class_probs=np.array(probs))
             with pytest.raises(ValueError, match=f"{len(probs)} entries .* 3 classes"):
-                contact_log_likelihood(pos, quat, c, MODES[mode], maps, LikelihoodConfig())
+                contact_log_likelihood(*particle, c, MODES[mode], maps, LikelihoodConfig())
         c = ContactMeasurement(foot, class_probs=np.array([0.1, 0.2, 0.7]))
-        assert np.isfinite(contact_log_likelihood(pos, quat, c, MODES[mode], maps, LikelihoodConfig())).all()
+        assert np.isfinite(contact_log_likelihood(*particle, c, MODES[mode], maps, LikelihoodConfig())).all()
 
 
 @pytest.mark.parametrize("mode", ["HL-C", "HL-GC"])
@@ -316,16 +325,16 @@ def test_batched_contacts_match_one_contact_at_a_time():
     maps = flat_maps(with_cloud=True)
     n = 30
     positions = np.stack([rng.uniform(-0.5, 4.5, n), rng.uniform(-0.5, 4.5, n), rng.normal(0.3, 0.02, n)])
-    quats = quat_from_yaw(rng.uniform(-np.pi, np.pi, n))
+    heading = heading_of(rng.uniform(-np.pi, np.pi, n))
     cs = [
         ContactMeasurement(rng.normal(0.0, 0.3, 3), class_probs=None if k == 2 else rng.dirichlet(np.ones(3)))
         for k in range(5)
     ]
     for channels in MODES.values():
-        rows = contacts_log_likelihood(positions, quats, cs, channels, maps, cfg)
+        rows = contacts_log_likelihood(positions, heading, (0.05, -0.1), cs, channels, maps, cfg)
         assert rows.shape == (len(cs), n)
         for row, c in zip(rows, cs):
-            assert np.array_equal(row, contact_log_likelihood(positions, quats, c, channels, maps, cfg))
+            assert np.array_equal(row, contact_log_likelihood(positions, heading, (0.05, -0.1), c, channels, maps, cfg))
 
 
 def test_class_channel_takes_one_class_per_row():
@@ -349,7 +358,7 @@ def test_joint_channel_is_sum_of_parts():
     world = pose.position + quat_rotate(pose.quat, foot)
     elevation = elevation_log_likelihood_points(world.reshape(3, 1), maps.elevation, cfg)[0]
     klass = class_log_likelihood_points(world[:2].reshape(2, 1), 0, maps.class_grid, cfg)[0]
-    at_pose = (pose.position.reshape(3, 1), pose.quat.reshape(4, 1))
+    at_pose = (pose.position.reshape(3, 1), heading_of([0.4]), LEVEL)
     for mode, want in (("HL-G", elevation), ("HL-C", klass), ("HL-GC", elevation + klass)):
         got = contacts_log_likelihood(*at_pose, [c], MODES[mode], maps, cfg)
         assert got.shape == (1, 1)
@@ -363,13 +372,13 @@ def test_vectorized_contact_matches_scalar_loop():
     foot = (0.2, -0.15, -0.3)
     n = 40
     positions = np.stack([rng.uniform(0.5, 3.5, n), rng.uniform(0.5, 3.5, n), rng.normal(0.3, 0.02, n)])
-    quats = quat_from_yaw(rng.uniform(-np.pi, np.pi, n))
+    heading = heading_of(rng.uniform(-np.pi, np.pi, n))
     c = ContactMeasurement(foot, class_probs=np.array([0.2, 0.5, 0.3]))
     for channels in MODES.values():
-        vec = contact_log_likelihood(positions, quats, c, channels, maps, cfg)
+        vec = contact_log_likelihood(positions, heading, LEVEL, c, channels, maps, cfg)
         scal = np.array(
-            [contact_log_likelihood(p.reshape(3, 1), q.reshape(4, 1), c, channels, maps, cfg)[0]
-             for p, q in zip(positions.T, quats.T)]
+            [contact_log_likelihood(p.reshape(3, 1), h.reshape(2, 1), LEVEL, c, channels, maps, cfg)[0]
+             for p, h in zip(positions.T, heading.T)]
         )
         assert np.allclose(vec, scal, atol=1e-12, rtol=0.0)
         assert np.all(np.isfinite(vec))
@@ -384,5 +393,5 @@ def test_cloud_loglik_single_pose():
     assert abs(got - math.log(DENS_Z[1])) < 1e-12
     maps = MapSet(ElevationGrid(0.5, (0.0, 0.0), np.zeros((8, 8))), cloud=cloud)
     c = ContactMeasurement(foot)
-    row = contacts_log_likelihood(pose.position.reshape(3, 1), pose.quat.reshape(4, 1), [c], MODES["HL-3D"], maps, cfg)
+    row = contacts_log_likelihood(pose.position.reshape(3, 1), heading_of([0.0]), LEVEL, [c], MODES["HL-3D"], maps, cfg)
     assert abs(row[0, 0] - math.log(DENS_Z[1])) < 1e-12

@@ -96,6 +96,27 @@ def test_padded_lookups_match_an_inside_mask(points):
     assert np.array_equal(class_distance_many(ids, xy, 0, cells=cells), dist)
 
 
+# cell edges of small_elevation's lattice (origin (1, 2), 0.5 m cells), and
+# the floats just below them
+edges = st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 3.5]).flatmap(
+    lambda e: st.sampled_from([e, np.nextafter(e, -np.inf), -0.0])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.one_of(coords, edges), st.one_of(coords, edges)), min_size=1, max_size=20))
+def test_scalar_lookups_match_the_batched_ones_bit_for_bit(points):
+    # elevation_at and class_at take one point in plain floats: the same
+    # cells as padded_cells, off-lattice, nan and inf points on the border
+    g = small_elevation()
+    ids = ClassGrid(g.resolution, g.origin, np.array([[0, 1, 255], [2, 0, 1]]), 3)
+    xy = np.array(points, dtype=float).T
+    for p, h, c in zip(points, elevation_at_many(g, xy), class_at_many(ids, xy)):
+        assert np.float64(elevation_at(g, p)).view(np.uint64) == h.view(np.uint64), p
+        assert class_at(ids, p) == c, p
+        assert class_at(ids, np.array(p)) == c and np.array_equal(elevation_at(g, np.array(p)), h, equal_nan=True)
+
+
 def test_layer_arrays_are_views_of_the_padded_layers():
     g = small_elevation()
     assert np.shares_memory(g.heights, g._padded)

@@ -1,5 +1,6 @@
 """Particle filter mechanics: resampling, normalization, branches, determinism."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,11 +12,14 @@ import hapticloc.likelihood as likelihood_module
 import hapticloc.maps as maps_module
 from hapticloc.geometry import (
     Pose,
+    compose,
     covariance_factor,
+    quat_from_euler,
     quat_from_rotvec,
     quat_from_yaw,
-    quat_mul,
-    quat_rotate,
+    quat_matrix,
+    quat_to_euler,
+    wrap_angle,
 )
 from hapticloc.likelihood import (
     MODES,
@@ -152,12 +156,12 @@ def test_init_filter_validation_and_prior():
 def assert_component_rows(st):
     n = st.n_particles
     assert st.positions.shape == (3, n) and st.positions.flags.c_contiguous
-    assert st.quats.shape == (4, n) and st.quats.flags.c_contiguous
+    assert st.yaw.shape == (n,) and st.yaw.flags.c_contiguous
 
 
 @pytest.mark.parametrize("resample", [False, True], ids=["kept", "resampled"])
 def test_particles_stay_contiguous_component_rows(resample):
-    # a return to strided (N, 4) columns would slow every quaternion kernel
+    # a return to strided (N, 3) columns would slow every particle pass
     st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=90, seed=0, resample_frac=float(resample))
     assert_component_rows(st)
     step(st, forward_input())
@@ -362,9 +366,11 @@ def test_filter_tracks_through_height_feature():
 # the batched step against the per-contact step it replaced
 
 
-def reference_contact_log_likelihood(positions, quats, contact, channels, maps, cfg):
+def reference_contact_log_likelihood(positions, yaw, tilt, contact, channels, maps, cfg):
     """One contact's joint log-likelihood under a channel set, evaluated on its own."""
-    world = quat_rotate(quats, contact.offset) + positions
+    o = quat_matrix(quat_from_euler(*tilt, 0.0)) @ contact.offset
+    c, s = np.cos(yaw), np.sin(yaw)
+    world = np.stack([c * o[0] - s * o[1] + positions[0], s * o[0] + c * o[1] + positions[1], positions[2] + o[2]])
     if channels == ("cloud",):
         return cloud_log_likelihood_points(world, maps.cloud, cfg)
     ll = np.zeros(world.shape[1])
@@ -376,7 +382,7 @@ def reference_contact_log_likelihood(positions, quats, contact, channels, maps, 
         cl = np.full(xy.shape[1], cfg.log_class_rho)
         neutral = ids == UNKNOWN_CLASS
         match = ids == class_id
-        if grid._present[class_id]:
+        if (grid.class_ids == class_id).any():
             mismatch = ~neutral & ~match
             if mismatch.any():
                 d = class_distance_many(grid, xy[:, mismatch], class_id)
@@ -388,20 +394,29 @@ def reference_contact_log_likelihood(positions, quats, contact, channels, maps, 
 
 
 def reference_step(state, inp):
-    """The particle update of step as it was before batching and caching:
-    factor the covariance, then weigh the contacts one at a time with the
-    filter's channels."""
+    """The particle update of step written plainly: the covariance factored on
+    every step, new arrays for every result, and the contacts weighed one at a
+    time with the filter's channels."""
     n = state.n_particles
     inc = inp.odom_increment
-    delta = state.rng.standard_normal((n, 6)) @ covariance_factor(inp.odom_cov).T
-    state.positions = state.positions + quat_rotate(state.quats, inc.position)
-    state.quats = quat_mul(state.quats, inc.quat)
-    state.positions = state.positions + quat_rotate(state.quats, delta[:, :3].T)
-    state.quats = quat_mul(state.quats, quat_from_rotvec(delta[:, 3:].T))
+    factor = covariance_factor(inp.odom_cov[np.ix_([0, 1, 2, 5], [0, 1, 2, 5])])
+    start = quat_matrix(quat_from_euler(*state.tilt, 0.0))
+    m = start @ quat_matrix(inc.quat)
+    turn = math.atan2(m[1, 0], m[0, 0])
+    undo = quat_matrix(quat_from_euler(0.0, 0.0, -turn))
+    g = factor.copy()
+    g[:3] = undo @ m @ factor[:3]
+    d = g @ state.rng.standard_normal((4, n))
+    state.yaw = (state.yaw + d[3]) + turn
+    c, s = np.cos(state.yaw), np.sin(state.yaw)
+    v = d[:3] + (undo @ (start @ inc.position))[:, None]
+    p = state.positions
+    state.positions = np.stack([c * v[0] - s * v[1] + p[0], s * v[0] + c * v[1] + p[1], p[2] + v[2]])
+    state.tilt = inp.tilt
     for contact in inp.contacts:
         if contact.in_contact:
             state.log_weights = state.log_weights + reference_contact_log_likelihood(
-                state.positions, state.quats, contact, state.channels, state.maps, state.likelihood
+                state.positions, state.yaw, state.tilt, contact, state.channels, state.maps, state.likelihood
             )
     total = _logsumexp(state.log_weights)
     if np.isfinite(total):
@@ -412,14 +427,15 @@ def reference_step(state, inp):
     if 1.0 / np.sum(w * w) < state.resample_frac * n:
         idx = systematic_resample_indices(w, state.rng)
         state.positions = state.positions[:, idx]
-        state.quats = state.quats[:, idx]
+        state.yaw = state.yaw[idx]
         state.log_weights = np.full(n, -np.log(n))
 
 
 def assert_same_particles(a, b):
-    for name in ("log_weights", "positions", "quats"):
+    for name in ("log_weights", "positions", "yaw"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+    assert a.tilt == b.tilt
 
 
 N_ORACLE_CLASSES = 5  # class 3 is declared but absent from the grid
@@ -472,8 +488,9 @@ def test_batched_step_bit_identical_to_per_contact_step(contact_sets, seed, mode
     start, prior = Pose(np.array([2.0, 1.5, 0.3]), quat_from_yaw(0.3)), np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1])
     new, ref = (new_filter(start, prior, maps, cfg, mode=mode, n_particles=64, seed=seed) for _ in range(2))
     cov = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
-    for cs in contact_sets:
-        inp = StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), cov, cs)
+    for k, cs in enumerate(contact_sets):
+        tilt = (0.03 * k, -0.02 * k)
+        inp = StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_rotvec([0.002, -0.001, 0.01])), cov, cs, tilt)
         step(new, inp)
         reference_step(ref, inp)
         assert_same_particles(new, ref)
@@ -583,10 +600,13 @@ def test_interleaved_filters_match_filters_run_alone():
 def test_step_overwrites_the_arrays_the_state_held():
     st = new_filter(stand_pose(), np.eye(6) * 1e-3, height_maps(), n_particles=60, seed=3, resample_frac=0.0)
     step(st, forward_input())
-    held = {name: getattr(st, name) for name in ("positions", "quats", "log_weights")}
+    held = {name: getattr(st, name) for name in ("positions", "yaw", "log_weights")}
     snapshot = {name: value.copy() for name, value in held.items()}
+    # positions and yaw alternate between two buffers, so the step after next
+    # writes the ones held now
     step(st, forward_input())
-    # the documented contract: the step reuses the arrays, so a snapshot is a copy
+    step(st, forward_input())
+    # the documented contract: later steps reuse the arrays, so a snapshot is a copy
     for name, value in held.items():
         assert not np.array_equal(value, snapshot[name]), name
 
@@ -600,7 +620,8 @@ def test_replaced_arrays_keep_stepping_and_are_not_written():
     rng = np.random.default_rng(6)
     mine = {
         "positions": new.positions + rng.normal(0.0, 0.01, new.positions.shape),
-        "quats": np.asfortranarray(new.quats),
+        # a strided view: the step reads any layout
+        "yaw": np.repeat(new.yaw, 2)[::2],
         "log_weights": np.log(rng.dirichlet(np.ones(80))),
     }
     for name, value in mine.items():
@@ -656,3 +677,88 @@ def test_grid_channels_share_one_cell_index_per_step(monkeypatch):
     cs = [ContactMeasurement(f, class_probs=probs[k % 3]) for k, f in enumerate(FEET)]
     step(st, StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), ODOM_COV, cs))
     assert calls == [(2, 4, 64)]
+
+
+def class_height_maps():
+    """A 200 x 200 three-class tile field with random heights at 1 cm."""
+    rng = np.random.default_rng(2)
+    heights = rng.uniform(0.0, 0.05, (200, 200))
+    ids = rng.integers(0, 3, (200, 200)).astype(np.uint8)
+    return MapSet(ElevationGrid(0.01, (-1.0, -1.0), heights), ClassGrid(0.01, (-1.0, -1.0), ids, 3))
+
+
+def test_warm_class_step_allocates_few_particle_sized_arrays():
+    # the class channel writes its rows into the contact buffers too: a warm
+    # HL-GC step with four labeled contacts stays under the HL-G bound,
+    # against 36.7 particle-sized arrays when it gathered fancy-indexed copies
+    n = 10_000
+    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), class_height_maps(), n_particles=n,
+                    seed=0, xy_std_threshold=10.0, mode="HL-GC")
+    probs = np.eye(3)
+    cs = [ContactMeasurement(f, class_probs=probs[k % 3]) for k, f in enumerate(FEET)]
+    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
+    for _ in range(3):
+        step(st, inp)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(st, inp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert st.diagnostics[-1].branch == "full"
+    assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
+
+
+# the 4-DoF particle: x, y, z and yaw, with roll and pitch shared
+
+
+def test_noise_free_step_moves_each_particle_as_compose_does():
+    # a tilted, turning increment: each particle's new position and yaw are
+    # those of its 6-DoF pose composed with the increment
+    st = new_filter(stand_pose(), np.eye(6) * 1e-2, n_particles=40, seed=3, resample_frac=0.0)
+    st.tilt = (0.12, -0.2)
+    before = [Pose(p, quat_from_euler(*st.tilt, y)) for p, y in zip(st.positions.T.copy(), st.yaw.copy())]
+    inc = Pose(np.array([0.05, -0.01, 0.02]), quat_from_rotvec([0.03, -0.02, 0.4]))
+    step(st, StepInput(inc, np.zeros((6, 6)), [], (0.1, -0.18)))
+    for pose, p, y in zip(before, st.positions.T, st.yaw):
+        after = compose(pose, inc)
+        assert np.allclose(p, after.position, rtol=0.0, atol=1e-12)
+        assert abs(wrap_angle(y - quat_to_euler(after.quat)[2])) < 1e-12
+
+
+def test_estimate_yaw_averages_across_plus_minus_pi():
+    st = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=5)
+    jitter = np.random.default_rng(1).normal(0.0, 0.005, 200)
+    st.yaw = np.where(np.arange(200) % 2 == 0, np.pi - 0.01, -np.pi + 0.01) + jitter
+    pose, _, branch = estimate_detail(st, STILL)
+    assert branch == "full"
+    yaw = quat_to_euler(pose.quat)[2]
+    assert abs(wrap_angle(yaw - np.pi)) < 0.01, yaw
+
+
+finite_vectors = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)
+
+
+@st.composite
+def finite_step_inputs(draw):
+    """Any finite increment, a PSD covariance, a tilt and contacts."""
+    position = draw(finite_vectors)
+    rotvec = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    a = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=36, max_size=36))).reshape(6, 6)
+    cov = a @ a.T
+    tilt = (draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
+    return StepInput(Pose(position, quat_from_rotvec(rotvec)), 0.5 * (cov + cov.T), draw(oracle_contacts()), tilt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(finite_step_inputs(), min_size=1, max_size=4), st.integers(0, 2**16), st.sampled_from(list(MODES)))
+def test_any_finite_input_keeps_the_filter_finite_and_normalized(inputs, seed, mode):
+    start = Pose(np.array([2.0, 1.5, 0.3]), quat_from_yaw(0.3))
+    st_ = new_filter(start, np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1]), ORACLE_MAPS, mode=mode, n_particles=32,
+                     seed=seed)
+    for inp in inputs:
+        step(st_, inp)
+        assert abs(np.sum(np.exp(st_.log_weights)) - 1.0) < 1e-9
+        assert np.isfinite(st_.positions).all() and np.isfinite(st_.yaw).all()
+        assert np.isfinite(st_.trajectory[-1].to_array()).all()

@@ -168,6 +168,8 @@ def test_walk_step_metadata():
         assert np.array_equal(r.odom_cov_diag, np.full(6, 0.003**2))
         assert all(c.in_contact for c in r.contacts)
         assert np.all(r.true_class_ids == UNKNOWN_CLASS)  # no class layer here
+        # every course is walked level, and the IMU tilt is logged exactly
+        assert r.tilt == (0.0, 0.0)
 
 
 def test_walk_path_errors():
@@ -210,6 +212,7 @@ def test_walklog_round_trip_with_signals(tmp_path):
         assert np.array_equal(rl.true_pose.to_array(), ro.true_pose.to_array())
         assert np.array_equal(rl.odom_increment.to_array(), ro.odom_increment.to_array())
         assert np.array_equal(rl.odom_cov_diag, ro.odom_cov_diag)
+        assert rl.tilt == ro.tilt
         assert np.array_equal(rl.true_class_ids, ro.true_class_ids)
         for co, cl, so, sl in zip(ro.contacts, rl.contacts, ro.signals, rl.signals):
             assert np.array_equal(cl.offset, co.offset)
@@ -222,7 +225,7 @@ def test_walklog_round_trip_with_signals(tmp_path):
 
 def test_load_walklog_errors(tmp_path):
     p = tmp_path / "bad.log"
-    p.write_text("# walklog 1\nnot,a,header\n")
+    p.write_text("# walklog 2\nnot,a,header\n")
     with pytest.raises(ValueError, match="header"):
         load_walklog(p)
     p.write_text("")
@@ -236,8 +239,9 @@ def test_load_walklog_reads_only_its_version(tmp_path):
     save_walklog(simulate_walk(maps, straight(0.25), GAIT, QUIET, 1), p)
     text = p.read_text()
     assert text.startswith(f"# walklog {WALKLOG_VERSION}\n")
-    p.write_text(text.replace("# walklog 1\n", "# walklog 2\n", 1))
-    with pytest.raises(ValueError, match="walk log version 2, this reader reads version 1") as err:
+    # a version 1 log, without the tilt columns, is rejected by name
+    p.write_text(text.replace("# walklog 2\n", "# walklog 1\n", 1))
+    with pytest.raises(ValueError, match="walk log version 1, this reader reads version 2") as err:
         load_walklog(p)
     assert str(err.value).startswith(f"{p}: ")
     p.write_text(text.split("\n", 1)[1])
@@ -269,12 +273,13 @@ def corrupt_walklog(tmp_path, column, text):
         ("true_qw", "nan", "column true_qw: nan is not finite"),
         ("odo_y", "inf", "column odo_y: inf is not finite"),
         ("cov_yaw", "-inf", "column cov_yaw: -inf is not finite"),
+        ("tilt_pitch", "nan", "column tilt_pitch: nan is not finite"),
         ("RF_off_z", "1e400", "column RF_off_z: 1e400 is not finite"),
         ("LH_contact", "yes", "column LH_contact: cannot parse 'yes'"),
         ("RH_class", "2.5", "column RH_class: cannot parse '2.5'"),
         ("LF_class", "256", "column LF_class: cannot parse '256'"),
     ],
-    ids=["k", "true_x", "true_qw", "odo_y", "cov_yaw", "RF_off_z", "LH_contact", "RH_class", "LF_class"],
+    ids=["k", "true_x", "true_qw", "odo_y", "cov_yaw", "tilt_pitch", "RF_off_z", "LH_contact", "RH_class", "LF_class"],
 )
 def test_load_walklog_names_the_bad_field(column, text, match, tmp_path):
     p, ln = corrupt_walklog(tmp_path, column, text)
