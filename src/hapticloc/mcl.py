@@ -18,12 +18,12 @@ heading by an angle all particles share and leaves a level part; both are
 folded, once per step, into the 4x4 noise factor and the increment's
 translation (_propagation_terms). Each particle then draws 4 normal values:
 its yaw moves by the turn plus its yaw noise, and its position by the
-displacement rotated in the plane by its new yaw less the turn. The yaw noise
-is thus applied before the translation instead of after it, which turns the
-step by the noise angle (about 0.1 mm on a 5 cm step), so that one cos/sin
-pair per particle, of its new yaw, serves both the propagation and the
-contacts: each contact offset is tilted once, as a single pose, and then
-rotated per particle in the plane by that pair.
+displacement rotated in the plane by its new yaw less the turn. The yaw
+noise is thus applied before the translation instead of after it, which
+turns the step by the noise angle (about 0.15 mm on a 5 cm step at 3 mrad),
+so that one cos/sin pair per particle, of its new yaw, serves both the
+propagation and the contacts: each contact offset is tilted once, as a
+single pose, and then rotated per particle in the plane by that pair.
 
 The estimate is the weighted mean while the particle spread in x and y stays
 below a threshold: positions average with the weights, and yaw averages as

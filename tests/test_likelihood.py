@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from hapticloc.geometry import Pose, quat_from_yaw, quat_rotate
+from hapticloc.geometry import Pose, quat_from_euler, quat_from_yaw, quat_rotate
 from hapticloc.likelihood import (
     MODES,
+    ContactBuffers,
     ContactMeasurement,
     LikelihoodConfig,
     class_log_likelihood_points,
@@ -335,6 +336,22 @@ def test_batched_contacts_match_one_contact_at_a_time():
         assert rows.shape == (len(cs), n)
         for row, c in zip(rows, cs):
             assert np.array_equal(row, contact_log_likelihood(positions, heading, (0.05, -0.1), c, channels, maps, cfg))
+
+
+def test_contact_world_points_match_the_6dof_rotation():
+    # a tilted base at many yaws: tilting each offset once and turning it in
+    # the plane puts the foot where the full 6-DoF pose puts it
+    rng = np.random.default_rng(5)
+    n, tilt = 25, (0.21, -0.14)
+    positions = rng.normal(2.0, 0.5, (3, n))
+    yaw = rng.uniform(-np.pi, np.pi, n)
+    cs = [ContactMeasurement(rng.normal(0.0, 0.3, 3)) for _ in range(4)]
+    buffers = ContactBuffers(n)
+    contacts_log_likelihood(positions, heading_of(yaw), tilt, cs, MODES["HL-G"], flat_maps(), LikelihoodConfig(), buffers)
+    world = buffers.views(len(cs))[0]
+    quats = np.stack([quat_from_euler(*tilt, y) for y in yaw], axis=1)
+    for k, c in enumerate(cs):
+        assert np.allclose(world[:, k], positions + quat_rotate(quats, c.offset), rtol=0.0, atol=1e-12)
 
 
 def test_class_channel_takes_one_class_per_row():

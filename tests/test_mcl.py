@@ -238,6 +238,12 @@ def test_stepinput_rejects_non_finite_increment_quat(bad):
         StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, bad, 1.0])), np.eye(6), [])
 
 
+@pytest.mark.parametrize("tilt", [(np.nan, 0.0), (0.0, np.inf), (0.1,), (0.1, 0.2, 0.3)])
+def test_stepinput_rejects_a_tilt_that_is_not_two_finite_angles(tilt):
+    with pytest.raises(ValueError, match="tilt"):
+        StepInput(STILL, np.eye(6), [], tilt)
+
+
 def test_stepinput_rejects_non_finite_covariance():
     # the finiteness check comes before, and instead of, the symmetry check
     cov = np.eye(6)
