@@ -61,7 +61,6 @@ from .maps import (
     ElevationGrid,
     MapSet,
     PointCloudMap,
-    check_class_ids,
     class_at_many,
     class_distance_many,
     cloud_distances,
