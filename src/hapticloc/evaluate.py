@@ -2,7 +2,9 @@
 
 ATE here is the mean norm of the translational part of T_true^-1 T_est over
 all poses, with no alignment step: estimates are judged in the map frame the
-filter localizes in.
+filter localizes in. That translational part is R_true^T (p_est - p_true),
+and a rotation keeps a vector's length, so ATE equals the mean
+||p_est - p_true|| and is computed so, with no rotation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import LogisticBaseline, baseline_train
-from .geometry import Pose, quat_conjugate, quat_rotate, quat_yaw, save_trajectory, wrap_angle
+from .geometry import Pose, quat_yaw, save_trajectory, wrap_angle
 from .likelihood import MODES, LikelihoodConfig, require_layers
 from .maps import MapSet
 from .mcl import FilterState, StepInput, init_filter, run_filter, write_diagnostics_csv
@@ -61,11 +63,9 @@ def ate(truth, est) -> float:
         raise ValueError(f"trajectory length mismatch: {len(truth)} truth vs {len(est)} estimated")
     if not truth:
         raise ValueError("cannot evaluate empty trajectories")
-    tp = np.stack([p.position for p in truth], axis=1)
-    ep = np.stack([p.position for p in est], axis=1)
-    tq = np.stack([p.quat for p in truth], axis=1)
-    rel = quat_rotate(quat_conjugate(tq), ep - tp)
-    return float(np.mean(np.linalg.norm(rel, axis=0)))
+    tp = np.stack([p.position for p in truth])
+    ep = np.stack([p.position for p in est])
+    return float(np.mean(np.linalg.norm(ep - tp, axis=1)))
 
 
 def per_step_errors(truth, est) -> np.ndarray:

@@ -4,25 +4,18 @@ Quaternions are [qx, qy, qz, qw] everywhere in this package. Tangent vectors
 are ordered [dx, dy, dz, droll, dpitch, dyaw] and perturb a pose on the right:
 compose(mean, exp(delta)), i.e. noise lives in the body frame of the pose.
 
-Layout rule: components sit on the leading axis. A batch of N quaternions is
-a (4, N) array, N vectors a (3, N) array and N map points (2, N) or (3, N),
-so each component is one contiguous row. The quaternion and vector functions
-read q[0]..q[3] and write their results on axis 0, broadcasting over the
-trailing axes; a single pose, (4,) or (3,), is the case with none.
-
-The quaternion kernels evaluate each formula in its operation order (x + y as
-y + x at most), with in-place operators on their temporaries, and the last
-operation of each component writes straight into the result, so no result is
-assembled by a copy. On a single pose the temporaries are numpy scalars,
-whose arithmetic costs far less per call than a ufunc writing into a 0-d
-array.
+Quaternions are single poses: every quaternion function takes one pose and
+computes in plain floats. The formulas keep the operation order of np.cross,
+np.sum and np.linalg.norm (the tests keep those numpy forms as oracles), so
+the outputs are byte-identical to them. np.arctan2 and the power of an array
+round differently from math.atan2 and a scalar's ** in the last bit, so those
+two stay numpy calls.
 
 Attitude as Euler angles: quat_from_euler and quat_to_euler use the z-y-x
 convention of a legged robot's base, R = Rz(yaw) Ry(pitch) Rx(roll), so roll
-and pitch are the tilt against gravity and yaw the heading. They work on one
-pose with plain floats, as does quat_matrix, so the filter's per-step shared
-terms cost microseconds. Per particle, the filter turns vectors in the plane
-by each particle's yaw (planar_rotate_add), writing into arrays it owns.
+and pitch are the tilt against gravity and yaw the heading. Per particle, the
+filter turns vectors in the plane by each particle's yaw (planar_rotate_add),
+writing into arrays it owns.
 """
 
 from __future__ import annotations
@@ -39,142 +32,96 @@ _QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def quat_normalize(q):
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=0, keepdims=True)
-    if np.any(n == 0.0):
+    x, y, z, w = (float(c) for c in q)
+    # the norm, squares summed in index order as np.linalg.norm sums them
+    n = math.sqrt(((x * x + y * y) + z * z) + w * w)
+    if n == 0.0:
         raise ValueError("zero-norm quaternion cannot be normalized")
-    return q / n
-
-
-def _rows(a):
-    """The components of a, its leading axis, as writable views: 0-d for a
-    single pose, where iterating would give scalar copies."""
-    return [a[i, ...] for i in range(len(a))]
-
-
-def _diff(a, b, c, d):
-    """a * b - c * d, one np.cross component in its operation order; the
-    difference is taken in place in a * b when that is an array."""
-    r = a * b
-    r -= c * d
-    return r
+    return np.array([x / n, y / n, z / n, w / n])
 
 
 def quat_mul(a, b):
-    """Hamilton product of scalar-last quaternions (4, ...), broadcasting.
+    """Hamilton product of scalar-last quaternions.
 
-    Written out per component: the vector part is aw*bv + bw*av + av x bv with
-    the cross product in np.cross's operation order, and the dot product in the
-    scalar part sums from 0.0 in index order as np.sum does, so the result is
-    bit-identical to those formulas at a fraction of their per-call cost.
+    The vector part is aw*bv + bw*av + av x bv with the cross product in
+    np.cross's operation order, and the dot product in the scalar part sums
+    from 0.0 in index order as np.sum does.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
-    out = np.empty((4,) + np.broadcast(ax, bx).shape)
-    ox, oy, oz, ow = _rows(out)
-    for o, av, bv, cross in (
-        (ox, ax, bx, (ay, bz, az, by)),
-        (oy, ay, by, (az, bx, ax, bz)),
-        (oz, az, bz, (ax, by, ay, bx)),
-    ):
-        s = aw * bv
-        s += bw * av
-        np.add(s, _diff(*cross), out=o)
-    dot = ax * bx
-    dot += 0.0
-    dot += ay * by
-    dot += az * bz
-    np.subtract(aw * bw, dot, out=ow)
-    return out
+    ax, ay, az, aw = (float(c) for c in a)
+    bx, by, bz, bw = (float(c) for c in b)
+    return np.array(
+        [
+            aw * bx + bw * ax + (ay * bz - az * by),
+            aw * by + bw * ay + (az * bx - ax * bz),
+            aw * bz + bw * az + (ax * by - ay * bx),
+            aw * bw - (ax * bx + 0.0 + ay * by + az * bz),
+        ]
+    )
 
 
 def quat_conjugate(q):
-    out = np.array(q, dtype=float)
-    out[:3] *= -1.0
-    return out
+    x, y, z, w = (float(c) for c in q)
+    return np.array([-x, -y, -z, w])
 
 
 def quat_rotate(q, v):
-    """Rotate 3-vectors v (3, ...) by quaternions q (4, ...), broadcasting.
-
-    v + qw*t + qv x t with t = 2 qv x v, written out per component with each
-    cross product in np.cross's operation order (bit-identical to it).
-    """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x, y, z, w = q
-    vx, vy, vz = v
-    out = np.empty((3,) + np.broadcast(x, vx).shape)
-    tx = _diff(y, vz, z, vy)
-    ty = _diff(z, vx, x, vz)
-    tz = _diff(x, vy, y, vx)
-    tx *= 2.0
-    ty *= 2.0
-    tz *= 2.0
-    for o, vc, t, cross in zip(
-        _rows(out), (vx, vy, vz), (tx, ty, tz), ((y, tz, z, ty), (z, tx, x, tz), (x, ty, y, tx))
-    ):
-        s = w * t
-        s += vc
-        np.add(s, _diff(*cross), out=o)
-    return out
+    """Rotate the 3-vector v by the quaternion q: v + qw*t + qv x t with
+    t = 2 qv x v, each cross product in np.cross's operation order."""
+    x, y, z, w = (float(c) for c in q)
+    vx, vy, vz = (float(c) for c in v)
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return np.array(
+        [
+            vx + w * tx + (y * tz - z * ty),
+            vy + w * ty + (z * tx - x * tz),
+            vz + w * tz + (x * ty - y * tx),
+        ]
+    )
 
 
 def quat_from_rotvec(rv):
-    """Exponential map: rotation vectors (3, ...) (axis * angle) to quaternions."""
-    rv = np.asarray(rv, dtype=float)
-    rx, ry, rz = rv
-    out = np.empty((4,) + rv.shape[1:])
-    ox, oy, oz, ow = _rows(out)
-    # the norm, squares summed in row order as np.linalg.norm sums them
-    angle = np.sqrt((rx * rx + ry * ry) + rz * rz)
+    """Exponential map: a rotation vector (axis * angle) to its quaternion."""
+    rx, ry, rz = (float(c) for c in rv)
+    # the norm, squares summed in index order as np.linalg.norm sums them
+    angle = math.sqrt((rx * rx + ry * ry) + rz * rz)
     half = 0.5 * angle
     # sin(angle/2)/angle, with the series expansion below 1e-8, where it
     # also replaces the 0/0 of angle 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(angle < 1e-8, 0.5 - angle * angle / 48.0, np.sin(half) / angle)
-    np.multiply(rx, scale, out=ox)
-    np.multiply(ry, scale, out=oy)
-    np.multiply(rz, scale, out=oz)
-    np.cos(half, out=ow)
-    return out
+    scale = 0.5 - angle * angle / 48.0 if angle < 1e-8 else math.sin(half) / angle
+    return np.array([rx * scale, ry * scale, rz * scale, math.cos(half)])
 
 
 def quat_to_rotvec(q):
-    """Logarithm map: quaternions (4, ...) to rotation vectors with angle in [0, pi]."""
-    q = np.asarray(q, dtype=float)
-    out = np.empty((3,) + q.shape[1:])
-    # q and -q are one rotation: take the one with qw >= 0. The scalar terms
-    # keep qw's length-1 leading axis: on a single pose a numpy scalar's **
-    # can round differently from the array power
-    flip = q[3:4] < 0.0
-    qw = np.where(flip, -q[3:4], q[3:4])
-    qv = np.negative(q[:3], out=out)
-    np.copyto(qv, q[:3], where=~flip)
-    # the norm, squares summed in row order as np.linalg.norm sums them
-    n = np.sqrt((qv[0:1] * qv[0:1] + qv[1:2] * qv[1:2]) + qv[2:3] * qv[2:3])
-    angle = 2.0 * np.arctan2(n, qw)
-    # angle/n, with the series expansion below 1e-9, where it also replaces
-    # the 0/0 of n = 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(n < 1e-9, 2.0 / qw - 2.0 * n * n / (3.0 * qw**3), angle / n)
-    return np.multiply(qv, scale, out=out)
+    """Logarithm map: a quaternion to its rotation vector, angle in [0, pi]."""
+    x, y, z, w = (float(c) for c in q)
+    # q and -q are one rotation: take the one with qw >= 0
+    if w < 0.0:
+        x, y, z, w = -x, -y, -z, -w
+    n = math.sqrt((x * x + y * y) + z * z)
+    angle = 2.0 * np.arctan2(n, w)
+    if n < 1e-9:
+        # angle/n by its series expansion, which also replaces the 0/0 of
+        # n = 0; on a length-1 array for the array power, and because a float
+        # raises at w = 0 where numpy gives inf or nan
+        qw = np.array([w])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = (2.0 / qw - 2.0 * n * n / (3.0 * qw**3))[0]
+    else:
+        scale = angle / n
+    return np.array([x * scale, y * scale, z * scale])
 
 
 def quat_yaw(q):
     """Heading angle about world z."""
-    qx, qy, qz, qw = np.asarray(q, dtype=float)
+    qx, qy, qz, qw = (float(c) for c in q)
     return np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
 
 
 def quat_from_yaw(yaw):
-    yaw = np.asarray(yaw, dtype=float)
-    z = np.sin(yaw / 2.0)
-    w = np.cos(yaw / 2.0)
-    zero = np.zeros_like(z)
-    return np.stack([zero, zero, z, w])
+    half = float(yaw) / 2.0
+    return np.array([0.0, 0.0, math.sin(half), math.cos(half)])
 
 
 def wrap_angle(a):
@@ -297,6 +244,9 @@ def covariance_factor(cov) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
+_TRAJECTORY_FIELDS = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
+
+
 def save_trajectory(path, poses, times=None) -> None:
     """Write one 't x y z qx qy qz qw' line per pose, full float precision."""
     poses = list(poses)
@@ -321,8 +271,16 @@ def load_trajectory(path):
                 continue
             parts = line.split()
             if len(parts) != 8:
-                raise ValueError(f"{path}:{ln}: expected 8 fields 't x y z qx qy qz qw', got {len(parts)}")
-            vals = [float(p) for p in parts]
+                raise ValueError(f"{path}:{ln}: expected 8 fields '{' '.join(_TRAJECTORY_FIELDS)}', got {len(parts)}")
+            vals = []
+            for name, text in zip(_TRAJECTORY_FIELDS, parts):
+                try:
+                    v = float(text)
+                except ValueError:
+                    v = math.nan
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}:{ln}: {name} is {text!r}, not a finite number")
+                vals.append(v)
             times.append(vals[0])
             poses.append(Pose.from_array(vals[1:]))
     return np.array(times), poses

@@ -50,6 +50,17 @@ def test_eval_constant_offset(tmp_path, capsys):
     assert out.strip() == "0.100000"
 
 
+@pytest.mark.parametrize("bad", ["0 1.1 nan 0.5 0 0 0 1", "0 1.1 2 0.5 nan 0 0 1"])
+def test_eval_rejects_non_finite_fields(tmp_path, capsys, bad):
+    t = tmp_path / "t.traj"
+    e = tmp_path / "e.traj"
+    t.write_text("0 1.0 2 0.5 0 0 0 1\n")
+    e.write_text(bad + "\n")
+    code, out, err = run(capsys, "eval", "--truth", str(t), "--est", str(e))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {e}:1: ") and len(err.splitlines()) == 1
+
+
 def test_eval_missing_file_errors(tmp_path, capsys):
     code, out, err = run(capsys, "eval", "--truth", str(tmp_path / "no.traj"), "--est", str(tmp_path / "no.traj"))
     assert code == 1

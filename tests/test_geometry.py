@@ -28,7 +28,6 @@ from hapticloc.geometry import (
     save_trajectory,
     wrap_angle,
 )
-from hapticloc.likelihood import ContactMeasurement
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 angles = st.floats(-3.0, 3.0, allow_nan=False)
@@ -79,8 +78,7 @@ def test_quat_rotate_matches_rotation_matrix():
         assert np.allclose(quat_rotate(q, v), Rotation.from_quat(q).as_matrix() @ v, atol=1e-12)
 
 
-# bit-exact oracle: the np.cross formulas the component arithmetic replaced,
-# on trailing-axis arrays; leading-axis batches are moved to them and back
+# bit-exact oracle: the np.cross formulas, on trailing-axis arrays
 
 
 def cross_quat_rotate(q, v):
@@ -97,11 +95,6 @@ def cross_quat_mul(a, b):
     return np.concatenate([v, w], axis=-1)
 
 
-def leading(oracle):
-    """oracle of trailing-axis arrays, applied to leading-axis ones."""
-    return lambda *args: np.moveaxis(oracle(*(np.moveaxis(x, 0, -1) for x in args)), -1, 0)
-
-
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -111,50 +104,8 @@ signed_zero = st.sampled_from([0.0, -0.0])
 components = st.one_of(signed_zero, st.floats(-2.0, 2.0, allow_nan=False), st.floats(-1e-9, 1e-9))
 
 
-@st.composite
-def quat_batches(draw, shape):
-    """Raw components (zeros of both signs, tiny values) or the quaternions of
-    rotation vectors below 1e-8, as the filter's noise draws make them."""
-    if draw(st.booleans()):
-        return draw(arrays(np.float64, shape, elements=components))
-    rv = draw(arrays(np.float64, (3,) + shape[1:], elements=st.one_of(signed_zero, st.floats(-5e-9, 5e-9))))
-    return quat_from_rotvec(rv)
-
-
-ROTATE_SHAPES = {
-    "(4,N)x(3,N)": lambda n, k: ((4, n), (3, n)),
-    "(4,)x(3,N)": lambda n, k: ((4,), (3, n)),
-    "(4,N)x(3,)": lambda n, k: ((4, n), (3,)),
-    "(4,1,N)x(3,K,1)": lambda n, k: ((4, 1, n), (3, k, 1)),
-}
-MUL_SHAPES = {
-    "(4,N)x(4,)": lambda n, k: ((4, n), (4,)),
-    "(4,N)x(4,N)": lambda n, k: ((4, n), (4, n)),
-    "(4,)x(4,)": lambda n, k: ((4,), (4,)),
-}
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from(sorted(ROTATE_SHAPES)), st.integers(1, 12), st.integers(1, 4))
-def test_quat_rotate_bit_identical_to_cross_formula(data, pair, n, k):
-    q_shape, v_shape = ROTATE_SHAPES[pair](n, k)
-    q = data.draw(quat_batches(q_shape))
-    v = data.draw(arrays(np.float64, v_shape, elements=components))
-    assert same_bits(quat_rotate(q, v), leading(cross_quat_rotate)(q, v))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from(sorted(MUL_SHAPES)), st.integers(1, 12))
-def test_quat_mul_bit_identical_to_cross_formula(data, pair, n):
-    a_shape, b_shape = MUL_SHAPES[pair](n, 1)
-    a = data.draw(quat_batches(a_shape))
-    b = data.draw(quat_batches(b_shape))
-    assert same_bits(quat_mul(a, b), leading(cross_quat_mul)(a, b))
-    assert same_bits(quat_mul(b, a), leading(cross_quat_mul)(b, a))
-
-
-# single poses read as they did when components sat on the trailing axis:
-# the trailing-axis formulas of every geometry function, kept as the oracle
+# the trailing-axis numpy formulas of every geometry function, kept as the
+# oracle of its single-pose arithmetic
 
 
 def trailing_normalize(q):
@@ -225,18 +176,6 @@ def test_single_pose_bit_identical_to_trailing_axis_formulas(q, p, v, yaw):
         assert same_bits(quat_from_rotvec(rv), trailing_from_rotvec(rv))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 12))
-def test_rotvec_maps_bit_identical_to_trailing_axis_formulas(data, n):
-    # batches against the trailing-axis oracles, near the series thresholds too
-    q = data.draw(quat_batches((4, n)))
-    scale = data.draw(st.sampled_from([1.0, 1e-8, 1e-10]))
-    rv = scale * data.draw(arrays(np.float64, (3, n), elements=components))
-    assert same_bits(quat_from_rotvec(rv), leading(trailing_from_rotvec)(rv))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(quat_to_rotvec(q), leading(trailing_to_rotvec)(q))
-
-
 # Euler attitude, rotation matrices and the planar rotation of the particles
 
 
@@ -246,7 +185,7 @@ def test_euler_attitude_matches_scipy_and_round_trips(roll, pitch, yaw):
     q = quat_from_euler(roll, pitch, yaw)
     want = Rotation.from_euler("ZYX", [yaw, pitch, roll])
     assert np.allclose(quat_matrix(q), want.as_matrix(), atol=1e-12)
-    assert np.allclose(quat_rotate(q, np.eye(3)), want.as_matrix(), atol=1e-12)
+    assert np.allclose(np.column_stack([quat_rotate(q, e) for e in np.eye(3)]), want.as_matrix(), atol=1e-12)
     assert np.allclose(quat_to_euler(q), (roll, pitch, yaw), atol=1e-9)
     # a level attitude reads exactly 0 roll and pitch, as the simulator logs it
     assert quat_to_euler(quat_from_yaw(yaw))[:2] == (0.0, 0.0)
@@ -257,7 +196,8 @@ def test_planar_rotate_add_turns_x_and_y_per_angle():
     yaw, v, p = rng.uniform(-np.pi, np.pi, 7), rng.normal(size=(3, 7)), rng.normal(size=(3, 7))
     out = np.empty((3, 7))
     assert planar_rotate_add(np.stack([np.cos(yaw), np.sin(yaw)]), v, p, out) is out
-    assert np.allclose(out, p + quat_rotate(quat_from_yaw(yaw), v), atol=1e-12)
+    turned = np.column_stack([quat_rotate(quat_from_yaw(a), u) for a, u in zip(yaw, v.T)])
+    assert np.allclose(out, p + turned, atol=1e-12)
 
 
 def test_quat_from_rotvec_matches_scipy():
@@ -322,13 +262,6 @@ def test_transform_point_hand_case():
     assert np.allclose(w, [1.0, 2.5, 3.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_foot_offset_rejects_non_finite_vec(bad):
-    # a contact's foot offset, its base-frame point, is checked when the contact is built
-    with pytest.raises(ValueError, match="contact offset must be a finite 3-vector"):
-        ContactMeasurement([0.2, bad, -0.4])
-
-
 def test_pose_exp_log_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -380,6 +313,15 @@ def test_trajectory_bad_line_reports_location(tmp_path):
     path.write_text("0 1 2 3 0 0 0 1\n0 1 2\n")
     with pytest.raises(ValueError, match="bad.traj:2"):
         load_trajectory(path)
+    for line, name in (
+        ("0 nan 2 3 0 0 0 1", "x"),
+        ("0 1 2 3 nan 0 0 1", "qx"),
+        ("-inf 1 2 3 0 0 0 1", "t"),
+        ("0 1 2 3 0 0 0 one", "qw"),
+    ):
+        path.write_text(f"0 1 2 3 0 0 0 1\n{line}\n")
+        with pytest.raises(ValueError, match=f"bad.traj:2: {name} is '.*', not a finite number"):
+            load_trajectory(path)
 
 
 def test_pose_validation():

@@ -349,9 +349,9 @@ def test_contact_world_points_match_the_6dof_rotation():
     buffers = ContactBuffers(n)
     contacts_log_likelihood(positions, heading_of(yaw), tilt, cs, MODES["HL-G"], flat_maps(), LikelihoodConfig(), buffers)
     world = buffers.views(len(cs))[0]
-    quats = np.stack([quat_from_euler(*tilt, y) for y in yaw], axis=1)
     for k, c in enumerate(cs):
-        assert np.allclose(world[:, k], positions + quat_rotate(quats, c.offset), rtol=0.0, atol=1e-12)
+        turned = np.column_stack([quat_rotate(quat_from_euler(*tilt, y), c.offset) for y in yaw])
+        assert np.allclose(world[:, k], positions + turned, rtol=0.0, atol=1e-12)
 
 
 def test_class_channel_takes_one_class_per_row():
