@@ -52,8 +52,9 @@ EXPERIMENTS = {
 }
 
 # the golden set: seed 1 of the three default experiments, plus wall-room
-# seed 40, whose probe once ended in the wrong mode
-GOLDEN = {"chevron": (1,), "class-tiles": (1,), "wall-room": (1, 40)}
+# seed 40, whose probe once ended in the wrong mode, and seed 1 of
+# chevron-n10k, the one whose particle count adapts
+GOLDEN = {"chevron": (1,), "class-tiles": (1,), "wall-room": (1, 40), "chevron-n10k": (1,)}
 GOLDEN_FILE = ROOT / "tests" / "golden_digests.txt"
 
 

@@ -145,7 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--course", required=True)
     p.add_argument("--walklog", required=True)
     p.add_argument("--mode", choices=tuple(MODES), help="default: the course kind's first experiment mode")
-    p.add_argument("--particles", type=int, help="default: the course kind's experiment particle count")
+    p.add_argument(
+        "--particles",
+        type=int,
+        help="maximum; above 500 the filter adapts by KLD (default: the course kind's experiment particle count)",
+    )
     p.add_argument("--seed", type=int, default=0, help="filter seed, and the experiment seed of the classifier")
     p.add_argument("--weights", help="class modes: fuse this network weights file, not the seed's baseline")
     p.add_argument("--out", required=True, help="output directory")
@@ -164,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-experiment", help="full multi-seed experiment from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, help="run this single seed instead of the config's list")
-    p.add_argument("--particles", type=int)
+    p.add_argument("--particles", type=int, help="maximum; above 500 the filter adapts by KLD")
     p.add_argument("--out", help="output directory (overrides config)")
     p.set_defaults(func=_cmd_run_experiment)
     return ap

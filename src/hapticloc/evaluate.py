@@ -101,12 +101,22 @@ class ExperimentConfig:
     # distinct keys of MODES; odometry-only dead reckoning is always reported
     modes: tuple = ("HL-G",)
     seeds: tuple = (1, 2, 3, 4, 5)
+    # maximum; above 500 the filter adapts by KLD (mcl.KLD_MIN_PARTICLES)
     n_particles: int = 500
     resample_frac: float = 0.5
     xy_std_threshold: float = 0.10
     prior_std_xyz: float = 0.12
 
     def __post_init__(self):
+        # the [filter] keys, checked before a walk is simulated for them
+        if not self.n_particles >= 1:
+            raise ValueError(f"[filter] particles must be at least 1, got {self.n_particles}")
+        if not 0.0 <= self.resample_frac <= 1.0:
+            raise ValueError(f"[filter] resample_frac must lie in [0, 1], got {self.resample_frac}")
+        if not self.xy_std_threshold > 0.0:
+            raise ValueError(f"[filter] xy_std_threshold must be positive, got {self.xy_std_threshold}")
+        if not 0.0 <= self.prior_std_xyz < np.inf:
+            raise ValueError(f"[filter] prior_std_xyz must be finite and non-negative, got {self.prior_std_xyz}")
         if self.waypoints is not None:
             check_waypoints(self.waypoints, self.gait.step_length)
         elif self.course.kind != "wall-room":

@@ -43,8 +43,8 @@ contact row. The result keeps one row per contact, computed with the same
 arithmetic as one contact on its own, so a caller that adds the rows to the
 weights in contact order gets the same sums bit for bit as evaluating the
 contacts one at a time. A filter hands it ContactBuffers, so that the world
-points, cell indices and rows of every step are written into the same
-arrays.
+points, cell indices, rows and the lookups' scratch of every step are
+written into the same arrays.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def cloud_log_likelihood_points(points, cloud: PointCloudMap, cfg: LikelihoodCon
 
 
 def class_log_likelihood_points(
-    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None, out=None
+    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None, out=None, scratch=None
 ) -> np.ndarray:
     """Per-point class channel for world xy contact points (2, ...).
 
@@ -216,11 +216,11 @@ def class_log_likelihood_points(
     cell of that class scores the peak density (distance 0) and an estimate
     absent from the map the floor (distance inf); off-map and unlabeled
     cells are neutral. cells as for the elevation channel; out receives the
-    distances, then the scores.
+    distances, then the scores; scratch as for class_distance_many.
     """
     if cells is None:
         cells = padded_cells(grid, points_xy)
-    ll = class_distance_many(grid, points_xy, class_id, cells=cells, out=out)
+    ll = class_distance_many(grid, points_xy, class_id, cells=cells, out=out, scratch=scratch)
     gaussian_log_density(ll, cfg.sigma_c, out=ll)
     np.maximum(ll, cfg.log_class_rho, out=ll)
     np.copyto(ll, 0.0, where=class_at_many(grid, points_xy, cells=cells) == UNKNOWN_CLASS)
@@ -244,33 +244,37 @@ def require_layers(channels, layers) -> None:
 
 
 class ContactBuffers:
-    """The arrays contacts_log_likelihood writes for N particles, reused from
-    call to call: the (3, K, N) world points, their (K, N) padded cell
-    indices, the (K, N) rows it returns and the (K, N) class rows, each
-    contiguous for any contact count K. They grow to the largest K asked
-    for. The rows a call returns are overwritten by the next call.
+    """The arrays contacts_log_likelihood writes for up to n_max particles,
+    reused from call to call: the (3, K, N) world points, their (K, N)
+    padded cell indices, the (K, N) flat indices into the class distance
+    fields, and a (2, K, N) pair of float rows: the rows it returns and the
+    class rows, which padded_cells uses first as its scratch. Each is a
+    contiguous view of a flat array, for any contact count K and particle
+    count N up to n_max; the arrays grow to the largest K asked for. The rows
+    a call returns are overwritten by the next call.
     """
 
-    def __init__(self, n_particles: int):
-        self.n_particles = n_particles
+    def __init__(self, n_max: int):
+        self.n_max = n_max
         self._world = np.empty(0)
         self._cells = np.empty(0, dtype=np.int64)
+        self._index = np.empty(0, dtype=np.int64)
         self._rows = np.empty(0)
-        self._class_rows = np.empty(0)
 
-    def views(self, k: int):
-        """(world, cells, rows, class_rows) for k contacts."""
-        n = self.n_particles
-        if self._rows.size < k * n:
-            self._world = np.empty(3 * k * n)
-            self._cells = np.empty(k * n, dtype=np.int64)
-            self._rows = np.empty(k * n)
-            self._class_rows = np.empty(k * n)
+    def views(self, k: int, n: int):
+        """(world, cells, index, rows) for k contacts at n particles."""
+        if self._cells.size < k * self.n_max:
+            size = k * self.n_max
+            self._world = np.empty(3 * size)
+            self._cells = np.empty(size, dtype=np.int64)
+            self._index = np.empty(size, dtype=np.int64)
+            self._rows = np.empty(2 * size)
+        kn = k * n
         return (
-            self._world[: 3 * k * n].reshape(3, k, n),
-            self._cells[: k * n].reshape(k, n),
-            self._rows[: k * n].reshape(k, n),
-            self._class_rows[: k * n].reshape(k, n),
+            self._world[: 3 * kn].reshape(3, k, n),
+            self._cells[:kn].reshape(k, n),
+            self._index[:kn].reshape(k, n),
+            self._rows[: 2 * kn].reshape(2, k, n),
         )
 
 
@@ -307,23 +311,27 @@ def contacts_log_likelihood(
             [_estimated_class(c, maps.class_grid) if has else 0 for c, has in zip(contacts, labeled)]
         ).reshape(-1, 1)
 
+    n = positions.shape[1]
     if buffers is None:
-        buffers = ContactBuffers(positions.shape[1])
-    world, cells, ll, class_rows = buffers.views(len(contacts))
+        buffers = ContactBuffers(n)
+    world, cells, index, rows = buffers.views(len(contacts), n)
+    ll, class_rows = rows
     # each offset tilted once, as one pose, so a contact's row does not
     # depend on the others; then turned per particle
     tilt_matrix = quat_matrix(quat_from_euler(tilt[0], tilt[1], 0.0))
     offsets = np.array([tilt_matrix @ c.offset for c in contacts]).T
     planar_rotate_add(heading, offsets[:, :, None], positions, world)
     if "elevation" in channels or "class" in channels:
-        padded_cells(maps.elevation, world[:2], out=cells)
+        padded_cells(maps.elevation, world[:2], out=cells, scratch=rows)
     if "elevation" in channels:
         # the channel is never -0.0, so writing it is adding it to 0 bit for bit
         elevation_log_likelihood_points(world, maps.elevation, cfg, cells=cells, out=ll)
     else:
         ll.fill(0.0)
     if any(labeled):
-        class_log_likelihood_points(world[:2], column, maps.class_grid, cfg, cells=cells, out=class_rows)
+        class_log_likelihood_points(
+            world[:2], column, maps.class_grid, cfg, cells=cells, out=class_rows, scratch=index
+        )
         for row, has in zip(class_rows, labeled):
             if not has:
                 row.fill(0.0)

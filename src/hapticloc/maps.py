@@ -198,14 +198,15 @@ def check_same_lattice(a, b) -> None:
         )
 
 
-def padded_cells(grid, xy, out=None) -> np.ndarray:
+def padded_cells(grid, xy, out=None, scratch=None) -> np.ndarray:
     """Flat indices into the grid's padded layers for query points (2, ...).
 
     A point off the lattice, or with a nan coordinate, gets a border cell.
-    out, an int64 array of the points' shape, receives the indices.
+    out, an int64 array of the points' shape, receives the indices; scratch,
+    a float array of xy's shape, holds the column and row on the way.
     """
     xy = np.asarray(xy, dtype=float)
-    col, row = np.empty((2,) + xy.shape[1:])
+    col, row = np.empty(xy.shape) if scratch is None else scratch
     for axis, coord, origin, n in (
         (col, xy[0], grid.origin[0], grid.n_cols),
         (row, xy[1], grid.origin[1], grid.n_rows),
@@ -282,17 +283,20 @@ def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
     return class_id
 
 
-def class_distance_many(grid: ClassGrid, xy, class_id, cells=None, out=None) -> np.ndarray:
+def class_distance_many(grid: ClassGrid, xy, class_id, cells=None, out=None, scratch=None) -> np.ndarray:
     """Lattice distances to the nearest class_id cell for query points (2, M).
 
     class_id is one class for every point or an array of per-point classes
     that broadcasts against the points. A class absent from the grid is at
     distance inf; so are points outside the grid (callers treat them as
-    off-map before this). cells and out as for elevation_at_many.
+    off-map before this). cells and out as for elevation_at_many; scratch,
+    an int64 array of the points' shape, holds the flat index into the
+    distance fields.
     """
     class_id = check_class_ids(grid, class_id)
     field_size = grid._padded.size
-    return grid._dist.take(class_id * field_size + _cells(grid, xy, cells), out=out, mode="clip")
+    index = np.add(class_id * field_size, _cells(grid, xy, cells), out=scratch)
+    return grid._dist.take(index, out=out, mode="clip")
 
 
 def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:

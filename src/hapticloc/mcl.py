@@ -40,8 +40,22 @@ those, not into new arrays: positions and yaw each alternate between two
 buffers, one read while the other is written. So later steps overwrite the
 arrays the state holds now; a caller that wants a snapshot of positions,
 yaw or log_weights copies it. A caller may still replace those
-attributes with arrays of its own: the next step only reads them, and
-writes its results into the workspace.
+attributes with arrays of its own, of any count up to the maximum: the
+next step only reads them, and writes its results into the workspace.
+
+The particle count adapts by KLD-sampling (Fox, "Adapting the sample size
+in particle filters through KLD-sampling", IJRR 2003; Probabilistic
+Robotics 8.3.7). init_filter's n_particles is the maximum. A filter whose
+maximum exceeds KLD_MIN_PARTICLES resamples in two draws: a systematic draw
+of the current count, then, if the KLD bound for the (x, y, yaw) bins of
+KLD_BIN that the distinct drawn particles occupy (kld_sample_size), clamped
+to [KLD_MIN_PARTICLES, maximum], differs from the current count, a second
+systematic draw of that many. Below the floor a step costs mostly its fixed
+numpy call overhead and the filter loses accuracy, so a filter with at most
+KLD_MIN_PARTICLES particles keeps its count and draws once. The workspace is
+allocated once, at the maximum: each buffer is a flat array viewed as
+C-contiguous (rows, n) for the current count n, and the views are rebuilt
+only when n changes.
 """
 
 from __future__ import annotations
@@ -49,6 +63,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -75,6 +90,16 @@ log = logging.getLogger(__name__)
 
 # the x, y, z and yaw entries of a tangent vector [dx dy dz droll dpitch dyaw]
 _XYZ_YAW = np.array([0, 1, 2, 5])
+
+# KLD-sampling: with probability 1 - KLD_DELTA the KL divergence between the
+# particle set and the binned posterior stays below KLD_EPSILON; the bins are
+# KLD_BIN wide in x, y (m) and yaw (rad). A filter never adapts below
+# KLD_MIN_PARTICLES, and one of at most that many never adapts.
+KLD_EPSILON = 0.03
+KLD_DELTA = 0.01
+KLD_BIN = (0.02, 0.02, math.radians(2.0))
+KLD_MIN_PARTICLES = 500
+_KLD_Z = NormalDist().inv_cdf(1.0 - KLD_DELTA)
 
 
 def _xyz_yaw_block(cov, name) -> np.ndarray:
@@ -119,33 +144,51 @@ class StepDiagnostics:
     ess: float
     xy_std: np.ndarray
     branch: str
+    # the particles the step propagated and weighed; its resample may leave
+    # another count for the next step
+    n_particles: int
 
 
 class _Workspace:
-    """Every particle-sized array a step writes, for N particles.
+    """Every particle-sized array a step writes, for up to n_max particles.
 
+    Each buffer is a flat array of n_max per row, and the attributes are its
+    C-contiguous (rows, n) views for the current count n, rebuilt by resize.
     positions and yaw are pairs of buffers: a step reads the state's current
     array and writes the other one of the pair (_spare).
     """
 
-    def __init__(self, n: int):
-        self.positions = (np.empty((3, n)), np.empty((3, n)))
-        self.yaw = (np.empty(n), np.empty(n))
-        # the (4, N) normal draws and the noise rows the step's factor makes
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self._positions = (np.empty(3 * n_max), np.empty(3 * n_max))
+        self._yaw = (np.empty(n_max), np.empty(n_max))
+        self._draws = np.empty(4 * n_max)
+        self._delta = np.empty(4 * n_max)
+        self._heading = np.empty(2 * n_max)
+        self._vectors = tuple(np.empty(n_max) for _ in range(3))
+        self.contacts = ContactBuffers(n_max)
+        self.n = None
+        self.resize(n_max)
+
+    def resize(self, n: int) -> None:
+        """Point the views at the first n particles of every buffer."""
+        if n == self.n:
+            return
+        self.n = n
+        self.positions = tuple(flat[: 3 * n].reshape(3, n) for flat in self._positions)
+        self.yaw = tuple(flat[:n] for flat in self._yaw)
+        # the (4, n) normal draws and the noise rows the step's factor makes
         # of them; the estimate reuses two rows for the xy residuals
-        self.draws = np.empty((4, n))
-        self.delta = np.empty((4, n))
+        self.draws = self._draws[: 4 * n].reshape(4, n)
+        self.delta = self._delta[: 4 * n].reshape(4, n)
         # cos and sin of the particles' yaw after propagation
-        self.heading = np.empty((2, n))
-        self.log_weights = np.empty(n)
-        self.weights = np.empty(n)
-        self.scratch = np.empty(n)
-        self.contacts = ContactBuffers(n)
+        self.heading = self._heading[: 2 * n].reshape(2, n)
+        self.log_weights, self.weights, self.scratch = (flat[:n] for flat in self._vectors)
 
 
-def _spare(pair, current):
-    """The buffer of pair that current is not."""
-    return pair[1] if current is pair[0] else pair[0]
+def _spare(pair, current) -> int:
+    """The index in pair of the buffer that current is not."""
+    return int(current is pair[0])
 
 
 @dataclass
@@ -186,7 +229,12 @@ class FilterState:
 
     @property
     def n_particles(self) -> int:
+        """The current count; init_filter's n_particles is its maximum, n_max."""
         return len(self.log_weights)
+
+    @property
+    def n_max(self) -> int:
+        return self.workspace.n_max
 
 
 def init_filter(
@@ -202,6 +250,9 @@ def init_filter(
     xy_std_threshold: float,
 ) -> FilterState:
     """Sample the prior particle set; the trajectory starts at the prior mean.
+
+    n_particles is the maximum count, and the prior's count: above
+    KLD_MIN_PARTICLES the count adapts by KLD-sampling on each resample.
 
     prior_cov is a 6x6 tangent covariance in the prior mean's body frame, of
     which the particles draw the x, y, z and yaw block; they share the prior
@@ -238,17 +289,64 @@ def init_filter(
     )
 
 
-def systematic_resample_indices(weights, rng: np.random.Generator) -> np.ndarray:
-    """Systematic resampling: N evenly spaced pointers with one shared random offset.
+def systematic_resample_indices(weights, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
+    """Systematic resampling: m evenly spaced pointers (default: one per
+    weight) with one shared random offset; the indices come out sorted.
 
-    Unbiased: particle i is drawn N * weights[i] times in expectation.
+    Unbiased: particle i is drawn m * weights[i] times in expectation.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(weights)
+    m = n if m is None else m
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    pointers = (rng.random() + np.arange(n)) / n
+    pointers = (rng.random() + np.arange(m)) / m
     return np.searchsorted(cum, pointers, side="right").clip(max=n - 1)
+
+
+def kld_sample_size(k: int) -> int:
+    """The KLD-sampling particle count for k occupied bins.
+
+    The chi-square quantile chi2(1 - KLD_DELTA, k - 1) / (2 KLD_EPSILON), by
+    the Wilson-Hilferty approximation; 1 for a single bin.
+    """
+    if k < 2:
+        return 1
+    a = 2.0 / (9.0 * (k - 1))
+    return math.ceil((k - 1) / (2.0 * KLD_EPSILON) * (1.0 - a + math.sqrt(a) * _KLD_Z) ** 3)
+
+
+def occupied_bins(positions, yaw, idx) -> int:
+    """The number of KLD_BIN cells of (x, y, yaw) the particles idx occupy.
+
+    idx is sorted, as systematic_resample_indices returns it, so a particle
+    counts once, where its index first appears; only those keys are sorted.
+    """
+    first = np.empty(len(idx), dtype=bool)
+    first[0] = True
+    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    picked = idx[first]
+    bins = np.stack([positions[0].take(picked), positions[1].take(picked), np.mod(yaw.take(picked), 2.0 * np.pi)])
+    bins /= np.array(KLD_BIN)[:, None]
+    np.floor(bins, out=bins)
+    # one integer key per bin, exact in float64 while the spans allow it
+    low = bins - bins.min(axis=1, keepdims=True)
+    span = low.max(axis=1) + 1.0
+    if span[0] * span[1] * span[2] < 2.0**53:
+        return len(np.unique((low[0] * span[1] + low[1]) * span[2] + low[2]))
+    return np.unique(bins, axis=1).shape[1]
+
+
+def _resample_indices(state: FilterState, weights) -> np.ndarray:
+    """A systematic draw of the current count, and above KLD_MIN_PARTICLES a
+    second one if the KLD count of the first, clamped to [KLD_MIN_PARTICLES,
+    n_max], differs from it."""
+    idx = systematic_resample_indices(weights, state.rng)
+    if state.n_max <= KLD_MIN_PARTICLES:
+        return idx
+    k = occupied_bins(state.positions, state.yaw, idx)
+    m = min(max(kld_sample_size(k), KLD_MIN_PARTICLES), state.n_max)
+    return idx if m == len(idx) else systematic_resample_indices(weights, state.rng, m)
 
 
 def _logsumexp(a, scratch=None):
@@ -337,22 +435,26 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     for all of them. Their log-likelihoods are then added to the weights one
     contact at a time, in contact order. The odometry covariance factor is
     cached in the state and recomputed, with the full symmetry and PSD
-    checks, only when the covariance changes.
+    checks, only when the covariance changes. A resample may change the
+    particle count (_resample_indices); the step's diagnostics keep the
+    count it carried.
     """
     n = state.n_particles
     inc = inp.odom_increment
     ws = state.workspace
+    # a no-op unless the caller replaced the arrays with another count
+    ws.resize(n)
 
     # propagate: the shared terms once, then 4 draws and one cos/sin pair per particle
     g, u, turn = _propagation_terms(state.tilt, inc, _odom_factor(state, inp.odom_cov))
     state.rng.standard_normal(out=ws.draws)
     d = np.matmul(g, ws.draws, out=ws.delta)
-    yaw = np.add(state.yaw, d[3], out=_spare(ws.yaw, state.yaw))
+    yaw = np.add(state.yaw, d[3], out=ws.yaw[_spare(ws.yaw, state.yaw)])
     yaw += turn
     np.cos(yaw, out=ws.heading[0])
     np.sin(yaw, out=ws.heading[1])
     np.add(d[:3], u[:, None], out=d[:3])
-    p = planar_rotate_add(ws.heading, d, state.positions, _spare(ws.positions, state.positions))
+    p = planar_rotate_add(ws.heading, d, state.positions, ws.positions[_spare(ws.positions, state.positions)])
     state.positions, state.yaw, state.tilt = p, yaw, inp.tilt
 
     # the first write of the weights moves them into the workspace
@@ -378,15 +480,19 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     w = np.exp(lw, out=ws.weights)
     ess = float(1.0 / np.sum(np.square(w, out=ws.scratch)))
     if ess < state.resample_frac * n:
-        idx = systematic_resample_indices(w, state.rng)
+        idx = _resample_indices(state, w)
+        # the spare of each pair, picked before a new count resizes the views
+        spare_p, spare_yaw = _spare(ws.positions, p), _spare(ws.yaw, yaw)
+        ws.resize(len(idx))
         # the indices lie in [0, n): mode="clip" writes out unbuffered
-        state.positions = p.take(idx, axis=1, out=_spare(ws.positions, p), mode="clip")
-        state.yaw = yaw.take(idx, out=_spare(ws.yaw, yaw), mode="clip")
-        lw.fill(-np.log(n))
+        state.positions = p.take(idx, axis=1, out=ws.positions[spare_p], mode="clip")
+        state.yaw = yaw.take(idx, out=ws.yaw[spare_yaw], mode="clip")
+        state.log_weights = ws.log_weights
+        state.log_weights.fill(-np.log(len(idx)))
 
     est, xy_std, branch = estimate_detail(state, inc)
     state.trajectory.append(est)
-    state.diagnostics.append(StepDiagnostics(ess, xy_std, branch))
+    state.diagnostics.append(StepDiagnostics(ess, xy_std, branch, n))
     return state
 
 

@@ -373,6 +373,26 @@ def test_run_experiment_bad_config_errors(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("prior_std_xyz", "-0.5", "prior_std_xyz must be finite and non-negative, got -0.5"),
+        ("xy_std_threshold", "-1", "xy_std_threshold must be positive, got -1.0"),
+        ("particles", "0", "particles must be at least 1, got 0"),
+        ("resample_frac", "1.5", "resample_frac must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_run_experiment_rejects_a_filter_value_out_of_range(tmp_path, capsys, key, value, message):
+    # each value once ran: a negative std squared, a threshold that made every
+    # step z-only, or an error without the file after the walk was simulated
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[experiment]\nkind = chevron-ramp\nseeds = 1\n[filter]\n{key} = {value}\n")
+    code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert err.strip() == f"error: {ini}: [filter] {message}"
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_experiment_with_exact_odometry_reports_nan(tmp_path, capsys):
     # noise-free odometry has an ATE of 0, so no improvement over it is defined
     ini = tmp_path / "exact.ini"

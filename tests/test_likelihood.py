@@ -348,7 +348,7 @@ def test_contact_world_points_match_the_6dof_rotation():
     cs = [ContactMeasurement(rng.normal(0.0, 0.3, 3)) for _ in range(4)]
     buffers = ContactBuffers(n)
     contacts_log_likelihood(positions, heading_of(yaw), tilt, cs, MODES["HL-G"], flat_maps(), LikelihoodConfig(), buffers)
-    world = buffers.views(len(cs))[0]
+    world = buffers.views(len(cs), n)[0]
     for k, c in enumerate(cs):
         turned = np.column_stack([quat_rotate(quat_from_euler(*tilt, y), c.offset) for y in yaw])
         assert np.allclose(world[:, k], positions + turned, rtol=0.0, atol=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import hapticloc.likelihood as likelihood_module
 import hapticloc.maps as maps_module
@@ -39,11 +40,16 @@ from hapticloc.maps import (
     class_distance_many,
 )
 from hapticloc.mcl import (
+    KLD_DELTA,
+    KLD_EPSILON,
+    KLD_MIN_PARTICLES,
     FilterState,
     StepInput,
     _logsumexp,
     estimate_detail,
     init_filter,
+    kld_sample_size,
+    occupied_bins,
     run_filter,
     step,
     systematic_resample_indices,
@@ -768,3 +774,97 @@ def test_any_finite_input_keeps_the_filter_finite_and_normalized(inputs, seed, m
         assert abs(np.sum(np.exp(st_.log_weights)) - 1.0) < 1e-9
         assert np.isfinite(st_.positions).all() and np.isfinite(st_.yaw).all()
         assert np.isfinite(st_.trajectory[-1].to_array()).all()
+
+
+# KLD-sampling: the particle count adapts above KLD_MIN_PARTICLES
+
+
+def test_kld_sample_size_matches_the_chi_square_quantile():
+    k = np.arange(2, 10_001)
+    want = chi2.ppf(1.0 - KLD_DELTA, k - 1) / (2.0 * KLD_EPSILON)
+    got = np.array([kld_sample_size(int(i)) for i in k])
+    assert np.all(np.abs(got / want - 1.0) < 0.01)
+
+
+def test_occupied_bins_count_each_drawn_particle_once():
+    # (x, y, yaw) bins of 2 cm and 2 degrees; a yaw and that yaw plus 2 pi share one
+    positions = np.array([[0.001, 0.005, 0.03, 0.001], [0.0, 0.0, 0.0, 0.0], [0.3, 0.3, 0.3, 0.3]])
+    yaw = np.array([0.001, 0.001 + 2.0 * np.pi, 0.001, 0.2])
+    assert occupied_bins(positions, yaw, np.array([0, 0, 1, 1, 1])) == 1
+    assert occupied_bins(positions, yaw, np.array([0, 1, 2, 3])) == 3
+    # spans too wide for one exact key fall back to a sort of the bin rows
+    far = np.array([[-1e150, 1e150, 1e150], [0.0, 1e150, 1e150], [0.0, 0.0, 0.0]])
+    assert occupied_bins(far, np.zeros(3), np.arange(3)) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 40, 500, 501, 1200]),
+    st.integers(0, 2**16),
+    st.floats(-1e150, 1e150),
+    st.floats(0.0, 1e150),
+    st.floats(0.0, 1e6),
+    st.floats(1e-3, 50.0),
+)
+def test_any_finite_state_resamples_to_a_count_in_range(n_max, seed, centre, spread, yaw_spread, weight_spread):
+    st_ = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=n_max, seed=seed, resample_frac=1.0)
+    rng = np.random.default_rng(seed)
+    st_.positions = centre + spread * rng.uniform(-1.0, 1.0, (3, n_max))
+    st_.yaw = yaw_spread * rng.uniform(-1.0, 1.0, n_max)
+    st_.log_weights = weight_spread * rng.standard_normal(n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step(st_, StepInput(STILL, np.zeros((6, 6)), []))
+    n, ws = st_.n_particles, st_.workspace
+    assert st_.diagnostics[-1].n_particles == n_max
+    assert min(KLD_MIN_PARTICLES, n_max) <= n <= n_max
+    if n_max <= KLD_MIN_PARTICLES:
+        assert n == n_max
+    assert np.all(st_.log_weights == -np.log(n))
+    assert abs(np.sum(np.exp(st_.log_weights)) - 1.0) < 1e-9
+    # the state holds the workspace's C-contiguous views for its count
+    assert ws.n == n and st_.log_weights is ws.log_weights
+    assert any(st_.positions is view for view in ws.positions) and any(st_.yaw is view for view in ws.yaw)
+    for name, shape in (("positions", (3, n)), ("yaw", (n,)), ("log_weights", (n,))):
+        assert getattr(st_, name).shape == shape and getattr(st_, name).flags.c_contiguous, name
+    for view in (ws.draws, ws.delta, ws.heading, ws.weights, ws.scratch):
+        assert view.shape[-1] == n and view.flags.c_contiguous
+
+
+def converged_filter(n_max):
+    """A filter whose particles sit within a millimetre of the stand pose on a
+    flat map, after one resample of its uneven contact weights."""
+    st_ = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=n_max, seed=4, resample_frac=1.0)
+    step(st_, forward_input(cov_scale=1e-4))
+    return st_
+
+
+def test_converged_set_shrinks_below_its_maximum():
+    st_ = converged_filter(10_000)
+    assert st_.diagnostics[-1].n_particles == 10_000
+    assert KLD_MIN_PARTICLES <= st_.n_particles < 10_000
+    # the next step carries the smaller set
+    step(st_, forward_input(cov_scale=1e-4))
+    assert st_.diagnostics[-1].n_particles < 10_000
+    assert np.isfinite(st_.positions).all() and st_.positions.shape[1] == st_.n_particles
+
+
+def test_widened_set_grows_back_to_its_maximum():
+    # from 500 distinct particles the bound reaches about 9.6k, so a 5k set
+    # grows back in one resample
+    st_ = converged_filter(5_000)
+    assert st_.n_particles < 5_000
+    rng = np.random.default_rng(8)
+    st_.positions = st_.positions + np.array([[0.5], [0.5], [0.0]]) * rng.standard_normal((3, st_.n_particles))
+    step(st_, forward_input(cov_scale=1e-4))
+    assert st_.n_particles == 5_000
+
+
+def test_replaced_arrays_of_another_count_step_in_views_of_that_count():
+    st_ = converged_filter(2_000)
+    rng = np.random.default_rng(3)
+    st_.positions = st_.positions[:, rng.integers(0, st_.n_particles, 1_500)]
+    st_.yaw = np.zeros(1_500)
+    st_.log_weights = np.full(1_500, -np.log(1_500))
+    step(st_, forward_input(cov_scale=1e-4))
+    assert st_.diagnostics[-1].n_particles == 1_500
+    assert st_.positions.shape[1] == st_.n_particles == st_.workspace.n
