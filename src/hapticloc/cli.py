@@ -22,7 +22,7 @@ from dataclasses import replace
 from . import evaluate, sim
 from .geometry import load_trajectory, save_trajectory
 from .likelihood import MODES
-from .maps import MapSet, load_map, save_map
+from .maps import MapSet, check_same_lattice, load_map, save_map
 from .mcl import write_diagnostics_csv
 from .network import load_weights
 from .sim import CourseSpec
@@ -46,6 +46,11 @@ def load_course_dir(path) -> MapSet:
     if not os.path.isfile(files["elevation"]):
         raise FileNotFoundError(f"no course.hmap in {path}")
     layers = {name: load_map(file) for name, file in files.items() if os.path.isfile(file)}
+    if "class" in layers:
+        try:
+            check_same_lattice(layers["class"], layers["elevation"])
+        except ValueError as e:
+            raise ValueError(f"{files['class']}: not on the lattice of {files['elevation']}: {e}") from e
     return MapSet(layers["elevation"], class_grid=layers.get("class"), cloud=layers.get("cloud"))
 
 

@@ -16,6 +16,10 @@ convention of a legged robot's base, R = Rz(yaw) Ry(pitch) Rx(roll), so roll
 and pitch are the tilt against gravity and yaw the heading. Per particle, the
 filter turns vectors in the plane by each particle's yaw (planar_rotate_add),
 writing into arrays it owns.
+
+Trajectory files hold one 't x y z qx qy qz qw' line per pose, read with
+fields.parse_field: a field that does not parse, or is not finite, raises an
+error naming the file, the line and the field.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .fields import data_lines, parse_fields
 
 # the feet in the order every step lists its contacts: a contact's foot is its index
 FOOT_LABELS = ("LF", "RF", "LH", "RH")
@@ -263,24 +269,7 @@ def save_trajectory(path, poses, times=None) -> None:
 
 def load_trajectory(path):
     """Read a trajectory file; returns (times (K,), [Pose] * K)."""
-    times, poses = [], []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise ValueError(f"{path}:{ln}: expected 8 fields '{' '.join(_TRAJECTORY_FIELDS)}', got {len(parts)}")
-            vals = []
-            for name, text in zip(_TRAJECTORY_FIELDS, parts):
-                try:
-                    v = float(text)
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
-                    raise ValueError(f"{path}:{ln}: {name} is {text!r}, not a finite number")
-                vals.append(v)
-            times.append(vals[0])
-            poses.append(Pose.from_array(vals[1:]))
-    return np.array(times), poses
+    rows = [parse_fields(line.split(), _TRAJECTORY_FIELDS, where) for where, line in data_lines(path)]
+    if not rows:
+        raise ValueError(f"{path}: trajectory file has no poses")
+    return np.array([row[0] for row in rows]), [Pose.from_array(row[1:]) for row in rows]

@@ -134,10 +134,6 @@ class LikelihoodConfig:
     def log_class_rho(self) -> float:
         return math.log(self.class_rho)
 
-    @property
-    def log_class_peak(self) -> float:
-        return float(gaussian_log_density(0.0, self.sigma_c))
-
 
 def _read_only(value) -> np.ndarray:
     a = np.array(value, dtype=float)

@@ -12,7 +12,9 @@ padded_cells maps query points to flat indices into the padded array, a point
 off the lattice to the border, so a lookup is one gather with no inside mask.
 Layers on one lattice share the indices.
 
-File formats:
+File formats, read with fields.parse_field: a field that does not parse, or
+is not finite, raises an error naming the file, the line and the field; nan
+is allowed only as a height's no-data value.
 
   elevation   header ``HMAP 1 <n_cols> <n_rows> <resolution> <origin_x> <origin_y>``
               followed by n_rows * n_cols heights; missing cells are ``nan``.
@@ -29,6 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
+
+from .fields import build, data_lines, parse_field, parse_fields, positive_int
 
 UNKNOWN_CLASS = 255
 
@@ -314,112 +318,60 @@ def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) 
     return np.asarray(dist, dtype=float)
 
 
-def _read_tokens(path):
-    with open(path) as f:
-        lines = f.readlines()
-    return lines
+def parse_class_id(text) -> int:
+    """A class id as a file holds it: 0 to 254 a class, 255 unlabeled."""
+    cid = int(text)
+    if not 0 <= cid <= UNKNOWN_CLASS:
+        raise ValueError(text)
+    return cid
 
 
-def _parse_grid_header(path, line, tag, n_fields):
-    parts = line.split()
-    if len(parts) != n_fields or parts[0] != tag or parts[1] != "1":
-        raise MapFormatError(
-            f"{path}:1: expected header '{tag} 1 <n_cols> <n_rows> <resolution> <origin_x> <origin_y>"
-            + (" <n_classes>'" if tag == "CMAP" else "'")
-            + f", got {line.strip()!r}"
-        )
-    try:
-        n_cols, n_rows = int(parts[2]), int(parts[3])
-        resolution = float(parts[4])
-        origin = (float(parts[5]), float(parts[6]))
-    except ValueError as e:
-        raise MapFormatError(f"{path}:1: bad header field: {e}") from e
-    if n_cols <= 0 or n_rows <= 0:
-        raise MapFormatError(f"{path}:1: grid dimensions must be positive")
-    return n_cols, n_rows, resolution, origin, parts
+def _height(text, where, column):
+    # nan, as save_map writes a no-data cell, or a finite height
+    return math.nan if text == "nan" else parse_field(text, float, where, column)
+
+
+_GRID_COLUMNS = ("n_cols", "n_rows", "resolution", "origin_x", "origin_y")
+_GRID_RULES = {"n_cols": positive_int, "n_rows": positive_int, "n_classes": int}
+
+
+def _grid(path, lines, make, column, parse):
+    """A grid layer from its file's data lines: the header, then n_rows *
+    n_cols values, each parse(text, where, column)."""
+    where, header = lines[0]
+    tag, *parts = header.split()
+    columns = _GRID_COLUMNS + (("n_classes",) if tag == "CMAP" else ())
+    if len(parts) != 1 + len(columns) or parts[0] != "1":
+        expected = " ".join([tag, "1"] + [f"<{c}>" for c in columns])
+        raise ValueError(f"{where}: expected header '{expected}', got {header!r}")
+    fields = [parse_field(text, _GRID_RULES.get(c, float), where, c) for text, c in zip(parts[1:], columns)]
+    n_cols, n_rows, resolution, origin_x, origin_y = fields[:5]
+    values = [parse(text, w, f"{column}[{j}]") for w, line in lines[1:] for j, text in enumerate(line.split())]
+    if len(values) != n_rows * n_cols:
+        raise ValueError(f"{path}: expected {n_rows * n_cols} {column} values, found {len(values)}")
+    return build(path, make, resolution, (origin_x, origin_y), np.reshape(values, (n_rows, n_cols)), *fields[5:])
 
 
 def load_map(path):
-    """Load a map file; the format is sniffed from the first line.
+    """Load a map file; the format is sniffed from the first line that is
+    neither blank nor a comment.
 
     Returns ElevationGrid, ClassGrid, or PointCloudMap.
     """
-    lines = _read_tokens(path)
-    if not lines:
-        raise MapFormatError(f"{path}:1: empty map file")
-    first = lines[0].split()
-    tag = first[0] if first else ""
-
-    if tag == "HMAP":
-        n_cols, n_rows, resolution, origin, _ = _parse_grid_header(path, lines[0], "HMAP", 7)
-        values = _parse_floats(path, lines[1:], n_rows * n_cols, "height")
-        return _build(path, ElevationGrid, resolution, origin, values.reshape(n_rows, n_cols))
-
-    if tag == "CMAP":
-        n_cols, n_rows, resolution, origin, parts = _parse_grid_header(path, lines[0], "CMAP", 8)
-        try:
-            n_classes = int(parts[7])
-        except ValueError as e:
-            raise MapFormatError(f"{path}:1: bad n_classes field: {e}") from e
-        ids = _parse_ints(path, lines[1:], n_rows * n_cols, n_classes)
-        return _build(path, ClassGrid, resolution, origin, ids.reshape(n_rows, n_cols), n_classes)
-
-    # no recognized header: point cloud
-    pts = []
-    for ln, line in enumerate(lines, start=1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        parts = s.split()
-        if len(parts) != 3:
-            raise MapFormatError(f"{path}:{ln}: expected 'x y z', got {len(parts)} fields")
-        try:
-            pts.append([float(p) for p in parts])
-        except ValueError as e:
-            raise MapFormatError(f"{path}:{ln}: bad coordinate: {e}") from e
-    if not pts:
-        raise MapFormatError(f"{path}: point cloud file has no points")
-    return _build(path, PointCloudMap, np.array(pts))
-
-
-def _build(path, layer, *fields):
-    """layer(*fields); a field the layer rejects raises with the file's path."""
+    lines = list(data_lines(path))
+    tag = lines[0][1].split()[0] if lines else ""
     try:
-        return layer(*fields)
+        if tag == "HMAP":
+            return _grid(path, lines, ElevationGrid, "height", _height)
+        if tag == "CMAP":
+            return _grid(path, lines, ClassGrid, "class_id", lambda t, w, c: parse_field(t, parse_class_id, w, c))
+        # no recognized header: point cloud
+        points = [parse_fields(line.split(), ("x", "y", "z"), where) for where, line in lines]
+        if not points:
+            raise ValueError(f"{path}: no HMAP or CMAP header and no 'x y z' points")
+        return build(path, PointCloudMap, points)
     except ValueError as e:
-        raise MapFormatError(f"{path}: {e}") from e
-
-
-def _parse_floats(path, lines, expected, what):
-    vals = []
-    for ln, line in enumerate(lines, start=2):
-        for tok in line.split():
-            try:
-                vals.append(float(tok))
-            except ValueError as e:
-                raise MapFormatError(f"{path}:{ln}: bad {what} value {tok!r}") from e
-    if len(vals) != expected:
-        raise MapFormatError(f"{path}: expected {expected} {what} values, found {len(vals)}")
-    return np.array(vals)
-
-
-def _parse_ints(path, lines, expected, n_classes):
-    vals = []
-    for ln, line in enumerate(lines, start=2):
-        for fld, tok in enumerate(line.split()):
-            try:
-                v = int(tok)
-            except ValueError as e:
-                raise MapFormatError(f"{path}:{ln}: field {fld}: bad class id {tok!r}") from e
-            if (v < 0 or v >= n_classes) and v != UNKNOWN_CLASS:
-                raise MapFormatError(
-                    f"{path}:{ln}: field {fld}: class id {v} outside [0, {n_classes}) "
-                    f"and not the unknown sentinel {UNKNOWN_CLASS}"
-                )
-            vals.append(v)
-    if len(vals) != expected:
-        raise MapFormatError(f"{path}: expected {expected} class ids, found {len(vals)}")
-    return np.array(vals, dtype=np.uint8)
+        raise MapFormatError(str(e)) from e
 
 
 def save_map(obj, path) -> None:

@@ -15,6 +15,10 @@ Weights live in a self-describing text file:
     tensor <name> <ndim> <dim0> <dim1> ...
     <values, whitespace separated>
     ...
+
+It is read with fields.parse_field: a field that does not parse, or is not
+finite, raises an error naming the file, the line and the field.
+NetworkWeights rejects a non-finite tensor however it is built.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
+
+from .fields import build, parse_field, positive_int
 
 _BN_EPS = 1e-5
 
@@ -127,6 +133,8 @@ class NetworkWeights:
             t = np.asarray(self.tensors[name], dtype=float)
             if t.shape != shape:
                 raise ValueError(f"tensor {name} has shape {t.shape}, expected {shape}")
+            if not np.isfinite(t).all():
+                raise ValueError(f"tensor {name} holds non-finite values")
             self.tensors[name] = t
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -136,31 +144,6 @@ class NetworkWeights:
         """Class probabilities for one StepSignal: the classifier interface
         the logistic baseline shares (classifier.py)."""
         return forward(self, signal.samples)
-
-
-def random_weights(cfg: NetworkConfig, seed: int = 0) -> NetworkWeights:
-    """Deterministic random initialization, for tests and untrained inference."""
-    rng = np.random.default_rng(seed)
-    tensors = {}
-    for name, shape in expected_tensor_shapes(cfg).items():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf == "gamma":
-            tensors[name] = 1.0 + 0.1 * rng.standard_normal(shape)
-        elif leaf == "var":
-            tensors[name] = rng.uniform(0.5, 1.5, shape)
-        elif leaf in ("beta", "mean"):
-            tensors[name] = 0.1 * rng.standard_normal(shape)
-        elif leaf == "bias":
-            tensors[name] = 0.01 * rng.standard_normal(shape)
-        elif leaf in ("w_ih", "w_hh"):
-            bound = 1.0 / math.sqrt(shape[-1])
-            tensors[name] = rng.uniform(-bound, bound, shape)
-        else:  # conv / fc weight
-            fan_in = int(np.prod(shape[1:]))
-            fan_out = shape[0]
-            std = math.sqrt(2.0 / (fan_in + fan_out))
-            tensors[name] = std * rng.standard_normal(shape)
-    return NetworkWeights(cfg, tensors)
 
 
 def save_weights(net: NetworkWeights, path) -> None:
@@ -176,33 +159,34 @@ def save_weights(net: NetworkWeights, path) -> None:
 def load_weights(path) -> NetworkWeights:
     with open(path) as f:
         lines = f.read().split("\n")
-    if not lines or not lines[0].startswith("HAPTICNET 1 "):
+    header = lines[0].split(maxsplit=2)
+    if header[:2] != ["HAPTICNET", "1"] or len(header) != 3:
         raise ValueError(f"{path}:1: expected 'HAPTICNET 1 <architecture>' header")
-    cfg = parse_architecture(lines[0].split(maxsplit=2)[2].strip())
+    cfg = parse_field(header[2].strip(), parse_architecture, f"{path}:1", "architecture")
     tensors = {}
     i = 1
     while i < len(lines):
-        line = lines[i].strip()
-        if not line:
-            i += 1
-            continue
-        parts = line.split()
-        if parts[0] != "tensor" or len(parts) < 3:
-            raise ValueError(f"{path}:{i + 1}: expected 'tensor <name> <ndim> <dims...>'")
-        name, ndim = parts[1], int(parts[2])
-        if len(parts) != 3 + ndim:
-            raise ValueError(f"{path}:{i + 1}: tensor {name} declares {ndim} dims, header lists {len(parts) - 3}")
-        shape = tuple(int(d) for d in parts[3:])
-        count = int(np.prod(shape)) if shape else 1
+        where, parts = f"{path}:{i + 1}", lines[i].split()
         i += 1
-        vals = []
+        if not parts:
+            continue
+        if parts[0] != "tensor" or len(parts) < 3:
+            raise ValueError(f"{where}: expected 'tensor <name> <ndim> <dims...>'")
+        name, ndim = parts[1], parse_field(parts[2], int, where, "ndim")
+        if len(parts) != 3 + ndim:
+            raise ValueError(f"{where}: tensor {name} declares {ndim} dims, header lists {len(parts) - 3}")
+        shape = tuple(parse_field(d, positive_int, where, f"dim{k}") for k, d in enumerate(parts[3:]))
+        count, vals = math.prod(shape), []
         while i < len(lines) and len(vals) < count:
-            vals.extend(float(v) for v in lines[i].split())
+            for text in lines[i].split():
+                vals.append(parse_field(text, float, f"{path}:{i + 1}", f"{name}[{len(vals)}]"))
             i += 1
         if len(vals) != count:
             raise ValueError(f"{path}: tensor {name} expects {count} values, found {len(vals)}")
-        tensors[name] = np.array(vals).reshape(shape)
-    return NetworkWeights(cfg, tensors)
+        tensors[name] = np.reshape(vals, shape)
+    if not tensors:
+        raise ValueError(f"{path}: weights file has no tensors")
+    return build(path, NetworkWeights, cfg, tensors)
 
 
 def _conv1d_same(x, w, b, stride: int = 1) -> np.ndarray:

@@ -35,9 +35,10 @@ row per step:
   F_signal                 the force signal file, relative to the log's
                            directory, or empty
 
-Floats are written with 17 significant digits, so they load back exactly,
-and every field must parse and be finite. A signal file is a CSV with the
-header "fx,fy,fz,tx,ty,tz" and one sample per row.
+Floats are written with 17 significant digits, so they load back exactly.
+A signal file is a CSV with the header "fx,fy,fz,tx,ty,tz" and one sample
+per row. Both are read with fields.parse_field: a field that does not parse,
+or is not finite, raises an error naming the file, the line and the field.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import StepSignal
+from .fields import data_lines, parse_field, parse_fields
 from .geometry import (
     FOOT_LABELS,
     Pose,
@@ -70,6 +72,7 @@ from .maps import (
     PointCloudMap,
     class_at,
     elevation_at,
+    parse_class_id,
 )
 
 GAIT_ORDER = ("LF", "RH", "RF", "LH")
@@ -632,47 +635,25 @@ def walklog_hash(log: WalkLog) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+_SIGNAL_HEADER = "fx,fy,fz,tx,ty,tz"
+
+
 def save_signal(signal: StepSignal, path) -> None:
     with open(path, "w") as f:
-        f.write("fx,fy,fz,tx,ty,tz\n")
+        f.write(_SIGNAL_HEADER + "\n")
         for row in signal.samples:
             f.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def load_signal(path) -> StepSignal:
-    rows = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("fx,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{ln}: expected 6 channels, got {len(parts)}")
-            rows.append([float(p) for p in parts])
+    columns = _SIGNAL_HEADER.split(",")
+    rows = [parse_fields(line.split(","), columns, where) for where, line in data_lines(path) if line != _SIGNAL_HEADER]
+    if not rows:
+        raise ValueError(f"{path}: signal file has no samples")
     return StepSignal(np.array(rows))
 
 
 _CONTACT_FLAGS = {"1": True, "0": False}
-
-
-def _class_id(text) -> int:
-    cid = int(text)
-    if not 0 <= cid <= UNKNOWN_CLASS:
-        raise ValueError(text)
-    return cid
-
-
-def _parse_field(text, parse, where, column):
-    """One walk log field. A field that does not parse, or a float that is
-    not finite, raises naming the file, the line and the column."""
-    try:
-        value = parse(text)
-    except (ValueError, KeyError):
-        raise ValueError(f"{where}: column {column}: cannot parse {text!r}") from None
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ValueError(f"{where}: column {column}: {text} is not finite")
-    return value
 
 
 def load_walklog(path, load_signals: bool = False) -> WalkLog:
@@ -698,7 +679,7 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             name, *values = s.split()[1:]
             if len(values) != 7:
                 raise ValueError(f"{where}: {name} needs 7 values, got {len(values)}")
-            poses[name] = Pose.from_array([_parse_field(v, float, where, f"{name}[{i}]") for i, v in enumerate(values)])
+            poses[name] = Pose.from_array([parse_field(v, float, where, f"{name}[{i}]") for i, v in enumerate(values)])
             continue
         if s.startswith("#"):
             continue
@@ -712,7 +693,7 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             raise ValueError(f"{where}: expected {len(columns)} fields, got {len(parts)}")
 
         def field(i, parse=float):
-            return _parse_field(parts[i], parse, where, columns[i])
+            return parse_field(parts[i], parse, where, columns[i])
 
         k, t = field(0, int), field(1)
         true_pose = Pose.from_array([field(i) for i in range(2, 9)])
@@ -725,7 +706,7 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             vec = np.array([field(i) for i in range(o, o + 3)])
             in_contact = field(o + 3, _CONTACT_FLAGS.__getitem__)
             world_z = field(o + 4)
-            cid = field(o + 5, _class_id)
+            cid = field(o + 5, parse_class_id)
             ref = parts[o + 6]
             contacts.append(ContactMeasurement(vec, in_contact=in_contact))
             world = true_pose.position + quat_rotate(true_pose.quat, vec)
@@ -739,4 +720,6 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
         )
     if set(poses) != {"start_pose", "init_prior"} or not header_seen:
         raise ValueError(f"{path}: missing walk log header lines")
+    if not records:
+        raise ValueError(f"{path}: walk log has no step rows")
     return WalkLog(start_pose=poses["start_pose"], init_prior=poses["init_prior"], records=records)

@@ -45,8 +45,9 @@ from hapticloc.mcl import (
     step,
     systematic_resample_indices,
 )
-from hapticloc.network import NetworkConfig, forward, random_weights
+from hapticloc.network import NetworkConfig, forward
 from hapticloc.sim import CourseSpec, generate_course
+from test_network import random_weights
 
 
 def _report(num, name, ok, detail):

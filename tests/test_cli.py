@@ -19,8 +19,9 @@ from hapticloc.evaluate import (
 )
 from hapticloc.geometry import save_trajectory
 from hapticloc.maps import UNKNOWN_CLASS, ClassGrid, load_map, save_map
-from hapticloc.network import NetworkConfig, forward, load_weights, random_weights, save_weights
+from hapticloc.network import NetworkConfig, forward, load_weights, save_weights
 from hapticloc.sim import classify_log, load_walklog, save_signal, save_walklog, synth_force_signal, walklog_hash
+from test_network import random_weights
 
 SMALL_NET = NetworkConfig(res_channels=(8, 12), gru_hidden=10, fc_hidden=7)
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -87,6 +88,27 @@ def test_classify_rejects_bad_weights(tmp_path, capsys):
     save_signal(synth_force_signal(0, 50, np.random.default_rng(0)), s)
     code, _, err = run(capsys, "classify", "--weights", str(w), "--signal", str(s))
     assert code == 1 and err.startswith("error:")
+
+
+def test_classify_names_the_line_of_a_nan_weight_and_a_bad_sample(tmp_path, capsys):
+    w = tmp_path / "w.net"
+    save_weights(random_weights(SMALL_NET, seed=0), w)
+    s = tmp_path / "s.csv"
+    save_signal(synth_force_signal(2, 60, np.random.default_rng(1)), s)
+    lines = w.read_text().split("\n")
+    ln = lines.index(next(l for l in lines if l.startswith("tensor fc2.bias "))) + 2
+    lines[ln - 1] = "nan " + lines[ln - 1].split(" ", 1)[1]
+    w.write_text("\n".join(lines))
+    code, out, err = run(capsys, "classify", "--weights", str(w), "--signal", str(s))
+    assert code == 1 and out == ""
+    assert err == f"error: {w}:{ln}: column fc2.bias[0]: nan is not finite\n"
+    save_weights(random_weights(SMALL_NET, seed=0), w)
+    lines = s.read_text().split("\n")
+    lines[2] = "x," + lines[2].split(",", 1)[1]
+    s.write_text("\n".join(lines))
+    code, out, err = run(capsys, "classify", "--weights", str(w), "--signal", str(s))
+    assert code == 1 and out == ""
+    assert err == f"error: {s}:3: column fx: cannot parse 'x'\n"
 
 
 def test_make_course_layers(tmp_path, capsys):
@@ -312,6 +334,18 @@ def test_course_layers_matching_no_kind_error(tmp_path, capsys):
     assert err.startswith("error:") and "('elevation', 'class', 'cloud')" in err
     code, _, err = run(capsys, "simulate", "--course", str(d), "--out", str(tmp_path / "x.log"))
     assert code == 1 and "('elevation', 'class', 'cloud')" in err
+
+
+def test_course_with_a_class_layer_off_the_elevation_lattice_names_the_file(tmp_path, capsys):
+    d = tmp_path / "tiles"
+    run(capsys, "make-course", "--kind", "class-tiles", "--out", str(d))
+    save_map(ClassGrid(0.1, (0.0, 0.0), np.zeros((35, 70), dtype=np.uint8), 8), d / "course.cmap")
+    code, out, err = run(capsys, "simulate", "--course", str(d), "--out", str(tmp_path / "x.log"))
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {d / 'course.cmap'}: not on the lattice of {d / 'course.hmap'}: "
+        "grid lattice mismatch: 70x35@0.1 origin [0. 0.] vs 140x70@0.05 origin [0. 0.]\n"
+    )
 
 
 def test_simulate_path_errors(tmp_path, capsys):

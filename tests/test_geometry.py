@@ -313,15 +313,16 @@ def test_trajectory_bad_line_reports_location(tmp_path):
     path.write_text("0 1 2 3 0 0 0 1\n0 1 2\n")
     with pytest.raises(ValueError, match="bad.traj:2"):
         load_trajectory(path)
-    for line, name in (
-        ("0 nan 2 3 0 0 0 1", "x"),
-        ("0 1 2 3 nan 0 0 1", "qx"),
-        ("-inf 1 2 3 0 0 0 1", "t"),
-        ("0 1 2 3 0 0 0 one", "qw"),
+    for line, name, why in (
+        ("0 nan 2 3 0 0 0 1", "x", "nan is not finite"),
+        ("0 1 2 3 nan 0 0 1", "qx", "nan is not finite"),
+        ("-inf 1 2 3 0 0 0 1", "t", "-inf is not finite"),
+        ("0 1 2 3 0 0 0 one", "qw", "cannot parse 'one'"),
     ):
         path.write_text(f"0 1 2 3 0 0 0 1\n{line}\n")
-        with pytest.raises(ValueError, match=f"bad.traj:2: {name} is '.*', not a finite number"):
+        with pytest.raises(ValueError) as err:
             load_trajectory(path)
+        assert str(err.value) == f"{path}:2: column {name}: {why}"
 
 
 def test_pose_validation():

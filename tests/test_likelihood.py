@@ -59,7 +59,7 @@ def test_default_config_floors():
     assert abs(cfg.class_rho - FLOOR_C) < 1e-12
     assert abs(cfg.log_rho - math.log(FLOOR_Z)) < 1e-12
     assert abs(cfg.log_class_rho - math.log(FLOOR_C)) < 1e-12
-    assert abs(cfg.log_class_peak - math.log(PEAK_C)) < 1e-12
+    assert abs(float(gaussian_log_density(0.0, cfg.sigma_c)) - math.log(PEAK_C)) < 1e-12
 
 
 def test_config_rejects_bad_parameters():

@@ -399,7 +399,7 @@ def reference_contact_log_likelihood(positions, yaw, tilt, contact, channels, ma
             if mismatch.any():
                 d = class_distance_many(grid, xy[:, mismatch], class_id)
                 cl[mismatch] = np.maximum(gaussian_log_density(d, cfg.sigma_c), cfg.log_class_rho)
-        cl[match] = cfg.log_class_peak
+        cl[match] = float(gaussian_log_density(0.0, cfg.sigma_c))
         cl[neutral] = 0.0
         ll = ll + cl
     return ll

@@ -6,6 +6,8 @@ invariance is checked on small cases here; the randomized sweep lives in the
 acceptance suite.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -23,11 +25,35 @@ from hapticloc.network import (
     forward,
     load_weights,
     parse_architecture,
-    random_weights,
     save_weights,
 )
 
 SMALL = NetworkConfig(in_channels=6, res_channels=(8, 12), kernel=5, gru_hidden=10, fc_hidden=7, n_classes=8)
+
+
+def random_weights(cfg: NetworkConfig, seed: int = 0) -> NetworkWeights:
+    """Deterministic random initialization: the network the tests run."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for name, shape in expected_tensor_shapes(cfg).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "gamma":
+            tensors[name] = 1.0 + 0.1 * rng.standard_normal(shape)
+        elif leaf == "var":
+            tensors[name] = rng.uniform(0.5, 1.5, shape)
+        elif leaf in ("beta", "mean"):
+            tensors[name] = 0.1 * rng.standard_normal(shape)
+        elif leaf == "bias":
+            tensors[name] = 0.01 * rng.standard_normal(shape)
+        elif leaf in ("w_ih", "w_hh"):
+            bound = 1.0 / math.sqrt(shape[-1])
+            tensors[name] = rng.uniform(-bound, bound, shape)
+        else:  # conv / fc weight
+            fan_in = int(np.prod(shape[1:]))
+            fan_out = shape[0]
+            std = math.sqrt(2.0 / (fan_in + fan_out))
+            tensors[name] = std * rng.standard_normal(shape)
+    return NetworkWeights(cfg, tensors)
 
 
 def conv_same_loop(x, w, b, stride):
@@ -180,6 +206,14 @@ def test_weights_validation():
     tensors = dict(good.tensors)
     tensors["fc2.bias"] = np.zeros(5)
     with pytest.raises(ValueError, match="shape"):
+        NetworkWeights(SMALL, tensors)
+
+
+def test_weights_reject_a_non_finite_tensor():
+    tensors = dict(random_weights(SMALL, seed=0).tensors)
+    tensors["fc2.bias"] = tensors["fc2.bias"].copy()
+    tensors["fc2.bias"][3] = np.nan
+    with pytest.raises(ValueError, match="tensor fc2.bias holds non-finite values"):
         NetworkWeights(SMALL, tensors)
 
 
