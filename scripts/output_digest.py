@@ -52,9 +52,16 @@ EXPERIMENTS = {
 }
 
 # the golden set: seed 1 of the three default experiments, plus wall-room
-# seed 40, whose probe once ended in the wrong mode, and seed 1 of
-# chevron-n10k, the one whose particle count adapts
-GOLDEN = {"chevron": (1,), "class-tiles": (1,), "wall-room": (1, 40), "chevron-n10k": (1,)}
+# seed 40, whose probe once ended in the wrong mode, seed 1 of chevron-n10k,
+# the one whose particle count adapts, and seed 1 of tiles-1cm-n500, whose
+# 1 cm class layer, force signals and trained classifier feed its outputs
+GOLDEN = {
+    "chevron": (1,),
+    "class-tiles": (1,),
+    "wall-room": (1, 40),
+    "chevron-n10k": (1,),
+    "tiles-1cm-n500": (1,),
+}
 GOLDEN_FILE = ROOT / "tests" / "golden_digests.txt"
 
 

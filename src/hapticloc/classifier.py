@@ -2,7 +2,10 @@
 
 A contact signal is reduced to 24 features (per-channel mean, std, min, max)
 and classified with multinomial logistic regression trained by full-batch
-gradient descent on the cross-entropy loss. Deterministic given a seed.
+gradient descent on the cross-entropy loss. Training runs the gradient only
+(_cross_entropy_grad, against a one-hot label matrix built once); it never
+evaluates the loss itself, which loss_and_grad adds for checks. Deterministic
+given a seed.
 
 A terrain classifier is anything with predict(signal) -> class probabilities:
 this baseline, or the network of network.py.
@@ -32,13 +35,24 @@ class StepSignal:
 def featurize(signal: StepSignal) -> np.ndarray:
     """24-vector: channel means, population stds, minima, maxima, in that order."""
     s = signal.samples
-    return np.concatenate([s.mean(axis=0), s.std(axis=0), s.min(axis=0), s.max(axis=0)])
+    mean = s.mean(axis=0)
+    # np.std's own arithmetic, from the mean already at hand
+    std = np.sqrt(((s - mean) ** 2).sum(axis=0) / len(s))
+    return np.concatenate([mean, std, s.min(axis=0), s.max(axis=0)])
 
 
 def _softmax_rows(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _cross_entropy_grad(probs, features, one_hot):
+    """(d_weights, d_bias) of the mean cross-entropy, from the model's class
+    probabilities (B, C), which it overwrites, and the one-hot labels (B, C)."""
+    delta = np.subtract(probs, one_hot, out=probs)
+    delta /= len(delta)
+    return delta.T @ features, delta.sum(axis=0)
 
 
 def loss_and_grad(weights, bias, features, labels, n_classes: int):
@@ -49,14 +63,9 @@ def loss_and_grad(weights, bias, features, labels, n_classes: int):
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    logits = features @ weights.T + bias
-    probs = _softmax_rows(logits)
-    b = len(labels)
-    loss = -np.mean(np.log(probs[np.arange(b), labels]))
-    delta = probs.copy()
-    delta[np.arange(b), labels] -= 1.0
-    delta /= b
-    return float(loss), delta.T @ features, delta.sum(axis=0)
+    probs = _softmax_rows(features @ weights.T + bias)
+    loss = -np.mean(np.log(probs[np.arange(len(labels)), labels]))
+    return float(loss), *_cross_entropy_grad(probs, features, np.eye(n_classes)[labels])
 
 
 @dataclass
@@ -100,8 +109,9 @@ def baseline_train(signals, labels, n_classes: int = 8, seed: int = 0) -> Logist
     rng = np.random.default_rng(seed)
     w = 0.01 * rng.standard_normal((n_classes, x.shape[1]))
     b = np.zeros(n_classes)
+    one_hot = np.eye(n_classes)[labels]
     for _ in range(EPOCHS):
-        _, dw, db = loss_and_grad(w, b, x, labels, n_classes)
+        dw, db = _cross_entropy_grad(_softmax_rows(x @ w.T + b), x, one_hot)
         w -= LEARNING_RATE * dw
         b -= LEARNING_RATE * db
     return LogisticBaseline(w, b, mean, std)

@@ -3,9 +3,11 @@
 Map layers, walk logs, force signals, trajectories and network weights all
 read their fields through parse_field. The rule is stated here once: a field
 that does not parse, or is not finite, raises ValueError naming the file, the
-line and the field, ``<path>:<line>: column <name>: ...``; an error of the
-file as a whole (no data rows, a wrong count of values) names the file,
-``<path>: ...``. nan is allowed only as a height's no-data value.
+line and the field, ``<path>:<line>: column <name>: ...``; a row whose values
+parse but make no valid object (a pose with a zero quaternion) names the line,
+``<path>:<line>: ...``; an error of the file as a whole (no data rows, a wrong
+count of values) names the file, ``<path>: ...``. nan is allowed only as a
+height's no-data value.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def data_lines(path):
 
 
 def build(path, make, *args):
-    """make(*args); a ValueError it raises is raised again naming the file."""
+    """make(*args); a ValueError it raises is raised again naming the file,
+    or the line when path is a row's "<path>:<line>"."""
     try:
         return make(*args)
     except ValueError as e:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import data_lines, parse_fields
+from .fields import build, data_lines, parse_fields
 
 # the feet in the order every step lists its contacts: a contact's foot is its index
 FOOT_LABELS = ("LF", "RF", "LH", "RH")
@@ -269,7 +269,7 @@ def save_trajectory(path, poses, times=None) -> None:
 
 def load_trajectory(path):
     """Read a trajectory file; returns (times (K,), [Pose] * K)."""
-    rows = [parse_fields(line.split(), _TRAJECTORY_FIELDS, where) for where, line in data_lines(path)]
+    rows = [(where, parse_fields(line.split(), _TRAJECTORY_FIELDS, where)) for where, line in data_lines(path)]
     if not rows:
         raise ValueError(f"{path}: trajectory file has no poses")
-    return np.array([row[0] for row in rows]), [Pose.from_array(row[1:]) for row in rows]
+    return np.array([row[0] for _, row in rows]), [build(where, Pose.from_array, row[1:]) for where, row in rows]

@@ -142,15 +142,12 @@ class ClassGrid:
     def _build_distance_fields(self):
         rows, cols = self.class_ids.shape
         self._dist = np.full((self.n_classes, rows + 2, cols + 2), np.inf)
-        row_idx, col_idx = np.indices((rows, cols))
         for c in range(self.n_classes):
             mask = self.class_ids == c
-            if not mask.any():
-                continue
-            _, (nr, nc) = distance_transform_edt(~mask, return_indices=True)
-            # recompute from integer offsets so lattice distances are exact
-            d2 = (nr - row_idx).astype(np.int64) ** 2 + (nc - col_idx).astype(np.int64) ** 2
-            self._dist[c, 1:-1, 1:-1] = self.resolution * np.sqrt(d2.astype(float))
+            if mask.any():
+                # scipy takes the root of the summed squared integer offsets
+                # to the nearest cell of class c, so lattice distances are exact
+                np.multiply(self.resolution, distance_transform_edt(~mask), out=self._dist[c, 1:-1, 1:-1])
 
 
 @dataclass

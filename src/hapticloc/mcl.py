@@ -166,6 +166,10 @@ class _Workspace:
         self._delta = np.empty(4 * n_max)
         self._heading = np.empty(2 * n_max)
         self._vectors = tuple(np.empty(n_max) for _ in range(3))
+        # systematic resampling's cumulative weights and pointers, and the
+        # ramp 0, 1, ..., n_max - 1 the pointers are made from; a draw may
+        # take any count up to n_max, so these are never resized
+        self.resample_rows = (np.empty(n_max), np.empty(n_max), np.arange(n_max, dtype=float))
         self.contacts = ContactBuffers(n_max)
         self.n = None
         self.resize(n_max)
@@ -289,19 +293,24 @@ def init_filter(
     )
 
 
-def systematic_resample_indices(weights, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
+def systematic_resample_indices(weights, rng: np.random.Generator, m: int | None = None, rows=None) -> np.ndarray:
     """Systematic resampling: m evenly spaced pointers (default: one per
     weight) with one shared random offset; the indices come out sorted.
 
     Unbiased: particle i is drawn m * weights[i] times in expectation.
+    rows, the workspace's resample_rows, holds the cumulative weights and the
+    pointers, so only the indices are allocated; without it all are.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(weights)
     m = n if m is None else m
-    cum = np.cumsum(weights)
+    cum_row, pointer_row, ramp = (np.empty(n), np.empty(m), np.arange(m, dtype=float)) if rows is None else rows
+    cum = np.cumsum(weights, out=cum_row[:n])
     cum[-1] = 1.0
-    pointers = (rng.random() + np.arange(m)) / m
-    return np.searchsorted(cum, pointers, side="right").clip(max=n - 1)
+    pointers = np.add(rng.random(), ramp[:m], out=pointer_row[:m])
+    pointers /= m
+    idx = np.searchsorted(cum, pointers, side="right")
+    return np.minimum(idx, n - 1, out=idx)
 
 
 def kld_sample_size(k: int) -> int:
@@ -326,14 +335,24 @@ def occupied_bins(positions, yaw, idx) -> int:
     first[0] = True
     np.not_equal(idx[1:], idx[:-1], out=first[1:])
     picked = idx[first]
-    bins = np.stack([positions[0].take(picked), positions[1].take(picked), np.mod(yaw.take(picked), 2.0 * np.pi)])
+    bins = np.empty((3, len(picked)))
+    positions[0].take(picked, out=bins[0])
+    positions[1].take(picked, out=bins[1])
+    np.mod(yaw.take(picked, out=bins[2]), 2.0 * np.pi, out=bins[2])
     bins /= np.array(KLD_BIN)[:, None]
     np.floor(bins, out=bins)
-    # one integer key per bin, exact in float64 while the spans allow it
-    low = bins - bins.min(axis=1, keepdims=True)
-    span = low.max(axis=1) + 1.0
+    # one integer key per bin, exact in float64 while the spans allow it:
+    # (low[0] * span[1] + low[1]) * span[2] + low[2], low = bins - min, made
+    # in place (rounding is monotonic, so max(low) is max(bins) - min)
+    lo = bins.min(axis=1)
+    span = bins.max(axis=1) - lo + 1.0
     if span[0] * span[1] * span[2] < 2.0**53:
-        return len(np.unique((low[0] * span[1] + low[1]) * span[2] + low[2]))
+        bins -= lo[:, None]
+        key = np.multiply(bins[0], span[1])
+        key += bins[1]
+        key *= span[2]
+        key += bins[2]
+        return len(np.unique(key))
     return np.unique(bins, axis=1).shape[1]
 
 
@@ -341,12 +360,13 @@ def _resample_indices(state: FilterState, weights) -> np.ndarray:
     """A systematic draw of the current count, and above KLD_MIN_PARTICLES a
     second one if the KLD count of the first, clamped to [KLD_MIN_PARTICLES,
     n_max], differs from it."""
-    idx = systematic_resample_indices(weights, state.rng)
+    rows = state.workspace.resample_rows
+    idx = systematic_resample_indices(weights, state.rng, rows=rows)
     if state.n_max <= KLD_MIN_PARTICLES:
         return idx
     k = occupied_bins(state.positions, state.yaw, idx)
     m = min(max(kld_sample_size(k), KLD_MIN_PARTICLES), state.n_max)
-    return idx if m == len(idx) else systematic_resample_indices(weights, state.rng, m)
+    return idx if m == len(idx) else systematic_resample_indices(weights, state.rng, m, rows)
 
 
 def _logsumexp(a, scratch=None):

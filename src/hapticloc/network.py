@@ -173,6 +173,8 @@ def load_weights(path) -> NetworkWeights:
         if parts[0] != "tensor" or len(parts) < 3:
             raise ValueError(f"{where}: expected 'tensor <name> <ndim> <dims...>'")
         name, ndim = parts[1], parse_field(parts[2], int, where, "ndim")
+        if name in tensors:
+            raise ValueError(f"{where}: tensor {name} listed twice")
         if len(parts) != 3 + ndim:
             raise ValueError(f"{where}: tensor {name} declares {ndim} dims, header lists {len(parts) - 3}")
         shape = tuple(parse_field(d, positive_int, where, f"dim{k}") for k, d in enumerate(parts[3:]))

@@ -7,7 +7,9 @@ deterministic z/yaw bias, so raw odometry drifts), and one contact per foot
 with its base-frame offset. True foot heights come from the elevation layer, so
 a logged contact's world z equals the map height under it exactly. On a course
 with a class layer, every foot on a labeled cell also logs a force signal of
-its cell's class; a foot on an unlabeled cell logs none.
+its cell's class; a foot on an unlabeled cell logs none. A signal is its
+class's noise-free template plus fresh white noise; the template of each
+(class, length) is built once and shared read-only (_signal_template).
 
 Every phase also logs the base's roll and pitch, the attitude an IMU observes
 against gravity, which the filter takes as given. The IMU tilt is modelled as
@@ -43,6 +45,7 @@ or is not finite, raises an error naming the file, the line and the field.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import os
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import StepSignal
-from .fields import data_lines, parse_field, parse_fields
+from .fields import build, data_lines, parse_field, parse_fields
 from .geometry import (
     FOOT_LABELS,
     Pose,
@@ -321,14 +324,10 @@ def sample_signal_length(rng: np.random.Generator) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) -> StepSignal:
-    """Class-conditioned damped-oscillation force/torque signal: the class
-    template plus white noise at 6% of each channel's amplitude."""
-    class_id = int(class_id)
-    if not 0 <= class_id < len(CLASS_SIGNAL_PARAMS):
-        raise ValueError(f"class id {class_id} outside [0, {len(CLASS_SIGNAL_PARAMS)})")
-    if n_samples < 1:
-        raise ValueError("signal needs at least one sample")
+@functools.lru_cache(maxsize=N_TERRAIN_CLASSES * (SIGNAL_LENGTH_RANGE[1] - SIGNAL_LENGTH_RANGE[0] + 1))
+def _signal_template(class_id: int, n_samples: int):
+    """(template (n_samples, 6), sigma (6,)) of a class: the noise-free signal
+    and the per-channel noise std, both read-only since callers share them."""
     amp, freq, damp, offset, torque = CLASS_SIGNAL_PARAMS[class_id]
     t = np.arange(n_samples) / max(n_samples - 1, 1)
     env = np.exp(-damp * t)
@@ -344,8 +343,21 @@ def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) 
         ]
     )
     sigma = 0.06 * np.array([0.3 * amp, 0.3 * amp, amp, torque, torque, 0.5 * torque])
-    cols = cols + rng.standard_normal((n_samples, 6)) * sigma
-    return StepSignal(cols)
+    cols.flags.writeable = False
+    sigma.flags.writeable = False
+    return cols, sigma
+
+
+def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) -> StepSignal:
+    """Class-conditioned damped-oscillation force/torque signal: the class
+    template plus white noise at 6% of each channel's amplitude."""
+    class_id = int(class_id)
+    if not 0 <= class_id < len(CLASS_SIGNAL_PARAMS):
+        raise ValueError(f"class id {class_id} outside [0, {len(CLASS_SIGNAL_PARAMS)})")
+    if n_samples < 1:
+        raise ValueError("signal needs at least one sample")
+    template, sigma = _signal_template(class_id, int(n_samples))
+    return StepSignal(template + rng.standard_normal((n_samples, 6)) * sigma)
 
 
 @dataclass
@@ -679,7 +691,8 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             name, *values = s.split()[1:]
             if len(values) != 7:
                 raise ValueError(f"{where}: {name} needs 7 values, got {len(values)}")
-            poses[name] = Pose.from_array([parse_field(v, float, where, f"{name}[{i}]") for i, v in enumerate(values)])
+            values = [parse_field(v, float, where, f"{name}[{i}]") for i, v in enumerate(values)]
+            poses[name] = build(where, Pose.from_array, values)
             continue
         if s.startswith("#"):
             continue
@@ -696,8 +709,8 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             return parse_field(parts[i], parse, where, columns[i])
 
         k, t = field(0, int), field(1)
-        true_pose = Pose.from_array([field(i) for i in range(2, 9)])
-        odom = Pose.from_array([field(i) for i in range(9, 16)])
+        true_pose = build(where, Pose.from_array, [field(i) for i in range(2, 9)])
+        odom = build(where, Pose.from_array, [field(i) for i in range(9, 16)])
         cov = np.array([field(i) for i in range(16, 22)])
         tilt = (field(22), field(23))
         contacts, worlds, classes, signals = [], [], [], []

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hapticloc.classifier import (
+    EPOCHS,
+    LEARNING_RATE,
     LogisticBaseline,
     StepSignal,
     baseline_predict,
@@ -12,6 +17,7 @@ from hapticloc.classifier import (
     loss_and_grad,
 )
 from hapticloc.evaluate import make_training_set
+from test_geometry import same_bits
 
 
 def test_step_signal_validation():
@@ -37,6 +43,86 @@ def test_featurize_hand_case():
     assert f[6] == pytest.approx(np.sqrt(2.0 / 3.0))  # population std
     assert f[12] == 1.0 and f[18] == 3.0  # min, max of channel 0
     assert f[17] == -1.0 and f[23] == 1.0
+
+
+def numpy_features(s):
+    """The features through numpy's own std."""
+    return np.concatenate([s.mean(0), s.std(0), s.min(0), s.max(0)])
+
+
+@st.composite
+def signal_samples(draw):
+    """(n, 6) finite samples: any floats, or a scaled normal draw on a large offset."""
+    n = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, (n, 6), elements=st.floats(-1e100, 1e100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    scale = draw(st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+    offset = draw(st.sampled_from([0.0, -7.5, 1e6, -1e9, 1e12]))
+    return offset + scale * rng.standard_normal((n, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signal_samples())
+def test_featurize_matches_numpy_std_bit_for_bit(samples):
+    assert same_bits(featurize(StepSignal(samples)), numpy_features(samples))
+
+
+def test_featurize_of_one_sample_matches_numpy_std():
+    s = np.array([[1.0, -2.0, 3.5, 1e9, -1e-9, 0.0]])
+    assert same_bits(featurize(StepSignal(s)), numpy_features(s))
+
+
+def reference_loss_and_grad(weights, bias, features, labels):
+    """The gradient through a copy of the probabilities, fancy-indexed."""
+    logits = features @ weights.T + bias
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    b = len(labels)
+    loss = -np.mean(np.log(probs[np.arange(b), labels]))
+    delta = probs.copy()
+    delta[np.arange(b), labels] -= 1.0
+    delta /= b
+    return float(loss), delta.T @ features, delta.sum(axis=0)
+
+
+def reference_train(signals, labels, n_classes, seed):
+    """Training that evaluates the loss every epoch, as a check would."""
+    feats = np.stack([numpy_features(s.samples) for s in signals])
+    mean = feats.mean(axis=0)
+    std = feats.std(axis=0)
+    std[std < 1e-12] = 1.0
+    x = (feats - mean) / std
+    rng = np.random.default_rng(seed)
+    w = 0.01 * rng.standard_normal((n_classes, x.shape[1]))
+    b = np.zeros(n_classes)
+    for _ in range(EPOCHS):
+        _, dw, db = reference_loss_and_grad(w, b, x, labels)
+        w -= LEARNING_RATE * dw
+        b -= LEARNING_RATE * db
+    return w, b, mean, std
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_loss_and_grad_match_the_fancy_indexed_gradient_bit_for_bit(b, c, data_seed, label_seed):
+    rng = np.random.default_rng(data_seed)
+    w, bias, x = rng.standard_normal((c, 5)), rng.standard_normal(c), rng.standard_normal((b, 5))
+    y = np.random.default_rng(label_seed).integers(0, c, b)
+    got, want = loss_and_grad(w, bias, x, y, c), reference_loss_and_grad(w, bias, x, y)
+    assert all(same_bits(g, r) for g, r in zip(got, want))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 1000), st.integers(0, 1000))
+def test_training_matches_the_loss_evaluating_loop_bit_for_bit(per_class, data_seed, seed):
+    sigs, labels = make_training_set(per_class=per_class, seed=data_seed)
+    labels = np.asarray(labels)
+    model = baseline_train(sigs, labels, seed=seed)
+    want = reference_train(sigs, labels, 8, seed)
+    got = (model.weights, model.bias, model.feat_mean, model.feat_std)
+    assert all(same_bits(g, r) for g, r in zip(got, want))
 
 
 def test_loss_matches_direct_cross_entropy():

@@ -62,6 +62,16 @@ def test_eval_rejects_non_finite_fields(tmp_path, capsys, bad):
     assert err.startswith(f"error: {e}:1: ") and len(err.splitlines()) == 1
 
 
+def test_eval_names_the_line_of_a_zero_quaternion(tmp_path, capsys):
+    t = tmp_path / "t.traj"
+    e = tmp_path / "e.traj"
+    t.write_text("0 1.0 2 0.5 0 0 0 1\n1 1.5 2 0.5 0 0 0 1\n")
+    e.write_text("0 1.0 2 0.5 0 0 0 1\n1 1 2 3 0 0 0 0\n")
+    code, out, err = run(capsys, "eval", "--truth", str(t), "--est", str(e))
+    assert code == 1 and out == ""
+    assert err == f"error: {e}:2: zero-norm quaternion cannot be normalized\n"
+
+
 def test_eval_missing_file_errors(tmp_path, capsys):
     code, out, err = run(capsys, "eval", "--truth", str(tmp_path / "no.traj"), "--est", str(tmp_path / "no.traj"))
     assert code == 1

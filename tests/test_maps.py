@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import distance_transform_edt
 
 from hapticloc.maps import (
     UNKNOWN_CLASS,
@@ -165,6 +166,42 @@ def test_class_distance_matches_exhaustive_scan():
             got = class_distance_many(g, pts.T, c)
             want = np.array([exhaustive_class_distance(g, p, c) for p in pts])
             assert np.array_equal(got, want)
+
+
+def index_distance_fields(ids, n_classes, resolution):
+    """The padded fields worked out from the transform's nearest-cell indices."""
+    rows, cols = ids.shape
+    dist = np.full((n_classes, rows + 2, cols + 2), np.inf)
+    row_idx, col_idx = np.indices((rows, cols))
+    for c in range(n_classes):
+        mask = ids == c
+        if not mask.any():
+            continue
+        _, (nr, nc) = distance_transform_edt(~mask, return_indices=True)
+        d2 = (nr - row_idx).astype(np.int64) ** 2 + (nc - col_idx).astype(np.int64) ** 2
+        dist[c, 1:-1, 1:-1] = resolution * np.sqrt(d2.astype(float))
+    return dist
+
+
+@st.composite
+def class_maps(draw):
+    """(ids, n_classes): a random map over some of the classes, with unlabeled cells."""
+    n_classes = draw(st.integers(1, 6))
+    present = draw(st.lists(st.integers(0, n_classes - 1), max_size=n_classes, unique=True))
+    values = np.array(present + [UNKNOWN_CLASS] * draw(st.integers(0 if present else 1, 2)), dtype=np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    return rng.choice(values, size=shape), n_classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_maps(), st.sampled_from([0.01, 0.05, 0.1, 0.37, 2.5]))
+def test_distance_fields_match_the_index_fields_bit_for_bit(class_map, resolution):
+    # scipy's distances are the root of the same summed integer offsets
+    ids, n_classes = class_map
+    g = ClassGrid(resolution, (0.0, 0.0), ids, n_classes)
+    want = index_distance_fields(ids, n_classes, resolution)
+    assert np.array_equal(g._dist.view(np.uint64), want.view(np.uint64))
 
 
 def test_class_distance_per_point_classes():

@@ -40,6 +40,7 @@ from hapticloc.maps import (
     class_distance_many,
 )
 from hapticloc.mcl import (
+    KLD_BIN,
     KLD_DELTA,
     KLD_EPSILON,
     KLD_MIN_PARTICLES,
@@ -120,6 +121,41 @@ def test_systematic_resample_deterministic_under_seed():
     a = systematic_resample_indices(w, np.random.default_rng(9))
     b = systematic_resample_indices(w, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+def reference_resample_indices(weights, rng, m=None):
+    """Systematic resampling on freshly allocated sums and pointers."""
+    n = len(weights)
+    m = n if m is None else m
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    pointers = (rng.random() + np.arange(m)) / m
+    return np.searchsorted(cum, pointers, side="right").clip(max=n - 1)
+
+
+@st.composite
+def resample_draws(draw):
+    """(weights, m, seed): normalized weights, some zero, some peaked."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    w = rng.random(n) ** draw(st.sampled_from([1.0, 8.0, 64.0]))
+    w[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.99]))] = 0.0
+    if not w.any():
+        w[rng.integers(n)] = 1.0
+    m = draw(st.one_of(st.none(), st.integers(1, 400)))
+    return w / w.sum(), m, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(resample_draws())
+def test_resample_into_workspace_rows_matches_fresh_arrays(case):
+    # rows sized at the maximum, holding stale values, give the same indices
+    weights, m, seed = case
+    k = max(len(weights), m or 0) + 7
+    rows = (np.full(k, np.nan), np.full(k, np.nan), np.arange(k, dtype=float))
+    want = reference_resample_indices(weights, np.random.default_rng(seed), m)
+    assert np.array_equal(systematic_resample_indices(weights, np.random.default_rng(seed), m, rows), want)
+    assert np.array_equal(systematic_resample_indices(weights, np.random.default_rng(seed), m), want)
 
 
 def test_effective_sample_size_bounds():
@@ -649,6 +685,19 @@ def test_replaced_arrays_keep_stepping_and_are_not_written():
         assert np.array_equal(value, kept[name]), name
 
 
+def warm_step_peak(st, inp) -> int:
+    """The transient peak, in bytes, of one step after three warm-up steps."""
+    for _ in range(3):
+        step(st, inp)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(st, inp)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_warm_step_allocates_few_particle_sized_arrays():
     # the step writes into the state's workspace: once warmed up, an HL-G step
     # at 10k particles with four contacts and the full estimate allocates
@@ -658,17 +707,23 @@ def test_warm_step_allocates_few_particle_sized_arrays():
     st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n,
                     seed=0, xy_std_threshold=10.0)
     inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
-    for _ in range(3):
-        step(st, inp)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        step(st, inp)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].branch == "full"
     assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
+
+
+def test_warm_resampling_step_allocates_few_particle_sized_arrays():
+    # resampling writes its sums and pointers into workspace rows, and the
+    # KLD bin count builds its keys in place: a warm resampling step at 10k
+    # particles peaks near 3.8 particle-sized arrays, against 4.98 when both
+    # allocated theirs
+    n = 10_000
+    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n,
+                    seed=0, xy_std_threshold=10.0, resample_frac=1.0)
+    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
+    peak = warm_step_peak(st, inp)
+    assert st.diagnostics[-1].ess < n and np.all(st.log_weights == st.log_weights[0]), "the step resampled"
+    assert peak < 4.5 * 8 * n, f"transient peak {peak / (8 * n):.2f} particle-sized arrays"
 
 
 def test_grid_channels_share_one_cell_index_per_step(monkeypatch):
@@ -709,15 +764,7 @@ def test_warm_class_step_allocates_few_particle_sized_arrays():
     probs = np.eye(3)
     cs = [ContactMeasurement(f, class_probs=probs[k % 3]) for k, f in enumerate(FEET)]
     inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
-    for _ in range(3):
-        step(st, inp)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        step(st, inp)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].branch == "full"
     assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
 
@@ -784,6 +831,33 @@ def test_kld_sample_size_matches_the_chi_square_quantile():
     want = chi2.ppf(1.0 - KLD_DELTA, k - 1) / (2.0 * KLD_EPSILON)
     got = np.array([kld_sample_size(int(i)) for i in k])
     assert np.all(np.abs(got / want - 1.0) < 0.01)
+
+
+def reference_occupied_bins(positions, yaw, idx) -> int:
+    """The bin count through a stacked copy and a separate offset array."""
+    first = np.empty(len(idx), dtype=bool)
+    first[0] = True
+    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    picked = idx[first]
+    bins = np.stack([positions[0].take(picked), positions[1].take(picked), np.mod(yaw.take(picked), 2.0 * np.pi)])
+    bins /= np.array(KLD_BIN)[:, None]
+    np.floor(bins, out=bins)
+    low = bins - bins.min(axis=1, keepdims=True)
+    span = low.max(axis=1) + 1.0
+    if span[0] * span[1] * span[2] < 2.0**53:
+        return len(np.unique((low[0] * span[1] + low[1]) * span[2] + low[2]))
+    return np.unique(bins, axis=1).shape[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 400), st.sampled_from([0.01, 0.3, 50.0, 1e6]), st.integers(0, 2**32))
+def test_occupied_bins_match_the_stacked_count(n, spread, seed):
+    # spreads from a few bins to ones whose keys overflow 2**53
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-spread, spread, (3, n))
+    yaw = rng.uniform(-10.0, 10.0, n)
+    idx = np.sort(rng.integers(0, n, n))
+    assert occupied_bins(positions, yaw, idx) == reference_occupied_bins(positions, yaw, idx)
 
 
 def test_occupied_bins_count_each_drawn_particle_once():

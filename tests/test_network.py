@@ -243,6 +243,18 @@ def test_weights_file_errors(tmp_path):
         load_weights(p)
 
 
+def test_weights_file_rejects_a_repeated_tensor(tmp_path):
+    # a second copy of a tensor is an error at its line, not a silent overwrite
+    p = tmp_path / "w.net"
+    save_weights(random_weights(SMALL, seed=0), p)
+    n_lines = len(p.read_text().splitlines())
+    with open(p, "a") as f:
+        f.write("tensor fc2.bias 1 8\n" + " ".join(["9"] * 8) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_weights(p)
+    assert str(err.value) == f"{p}:{n_lines + 1}: tensor fc2.bias listed twice"
+
+
 def test_forward_outputs_probabilities():
     net = random_weights(SMALL, seed=2)
     rng = np.random.default_rng(6)

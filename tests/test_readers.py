@@ -4,7 +4,8 @@ Each reader parses its fields with fields.parse_field, so a token that does
 not parse, a value that is not finite, and a file with no data rows all raise
 ValueError (MapFormatError for maps). A field's error starts with
 "<path>:<line>: column <field>: ", an error of the file as a whole with
-"<path>: " and names what the file lacks.
+"<path>: " and names what the file lacks. A pose row whose quaternion is
+zero raises "<path>:<line>: ..." too.
 """
 
 import numpy as np
@@ -97,3 +98,23 @@ def test_reader_rejects_bad_input_naming_the_file_line_and_field(reader, kind, t
         token = {"unparsable": "x", "non-finite": "inf"}[kind]
         assert message.startswith(f"{path}:{line}: column {field}: ") and token in message
 
+
+
+# reader -> (its line of a pose, the index of the pose's qx, the separator)
+POSE_ROWS = {"trajectory": (2, 4, " "), "walklog": (5, 5, ",")}
+
+
+@pytest.mark.parametrize("reader", list(POSE_ROWS))
+def test_reader_rejects_a_zero_quaternion_naming_the_line(reader, tmp_path):
+    write, load = READERS[reader][:2]
+    line, qx, sep = POSE_ROWS[reader]
+    path = tmp_path / f"zero.{reader}"
+    write(path)
+    lines = path.read_text().split("\n")
+    fields = lines[line - 1].split(sep)
+    fields[qx : qx + 4] = ["0"] * 4
+    lines[line - 1] = sep.join(fields)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}:{line}: ") and "zero-norm quaternion" in str(err.value)

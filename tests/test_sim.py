@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hapticloc.evaluate import train_contact_classifier
 from hapticloc.geometry import FOOT_LABELS, Pose, quat_rotate
@@ -10,6 +12,7 @@ from hapticloc.sim import (
     CHEVRON_HEIGHT,
     CHEVRON_RAMP_DEG,
     CHEVRON_STRIP_Y,
+    CLASS_SIGNAL_PARAMS,
     N_TERRAIN_CLASSES,
     PHASE_DT,
     SIGNAL_LENGTH_RANGE,
@@ -31,6 +34,7 @@ from hapticloc.sim import (
     save_signal,
     save_walklog,
     simulate_walk,
+    _signal_template,
     synth_force_signal,
     walklog_hash,
 )
@@ -113,6 +117,54 @@ def test_signal_length_range_and_synthesis():
         synth_force_signal(8, 50, rng)
     with pytest.raises(ValueError):
         synth_force_signal(0, 0, rng)
+
+
+def uncached_signal(class_id, n_samples, rng):
+    """The signal formula with its template built inline on every call."""
+    amp, freq, damp, offset, torque = CLASS_SIGNAL_PARAMS[class_id]
+    t = np.arange(n_samples) / max(n_samples - 1, 1)
+    env = np.exp(-damp * t)
+    w = 2.0 * np.pi * freq * t
+    cols = np.column_stack(
+        [
+            0.3 * amp * env * np.sin(w + 0.7),
+            0.3 * amp * env * np.cos(w + 1.3),
+            offset * (1.0 - np.exp(-8.0 * t)) + amp * env * np.sin(w),
+            torque * env * np.sin(w + 0.4),
+            torque * env * np.cos(w + 2.1),
+            0.5 * torque * env * np.sin(0.5 * w),
+        ]
+    )
+    sigma = 0.06 * np.array([0.3 * amp, 0.3 * amp, amp, torque, torque, 0.5 * torque])
+    return cols + rng.standard_normal((n_samples, 6)) * sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, N_TERRAIN_CLASSES - 1), st.integers(1, 200), st.integers(0, 2**63), st.booleans())
+def test_signal_matches_the_uncached_formula_bit_for_bit(class_id, n_samples, seed, cold):
+    # a cold template (just built) and a warm one (shared) give the same bits
+    # and draw the same noise as the formula built inline
+    if cold:
+        _signal_template.cache_clear()
+    want = uncached_signal(class_id, n_samples, np.random.default_rng(seed)).view(np.uint64)
+    for _ in range(2):
+        got = synth_force_signal(class_id, n_samples, np.random.default_rng(seed)).samples
+        assert np.array_equal(got.view(np.uint64), want)
+
+
+def test_cached_templates_are_shared_read_only():
+    template, sigma = _signal_template(2, 50)
+    assert _signal_template(2, 50)[0] is template
+    with pytest.raises(ValueError, match="read-only"):
+        template[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sigma[0] = 1.0
+    # a signal owns its samples: writing one leaves the template alone
+    kept = template.copy()
+    synth_force_signal(2, 50, np.random.default_rng(0)).samples[:] = 0.0
+    assert np.array_equal(_signal_template(2, 50)[0], kept)
+    lo, hi = SIGNAL_LENGTH_RANGE
+    assert _signal_template.cache_info().maxsize == N_TERRAIN_CLASSES * (hi - lo + 1)
 
 
 def test_signal_file_round_trip(tmp_path):
