@@ -53,14 +53,16 @@ EXPERIMENTS = {
 
 # the golden set: seed 1 of the three default experiments, plus wall-room
 # seed 40, whose probe once ended in the wrong mode, seed 1 of chevron-n10k,
-# the one whose particle count adapts, and seed 1 of tiles-1cm-n500, whose
-# 1 cm class layer, force signals and trained classifier feed its outputs
+# the one whose particle count adapts, seed 1 of tiles-1cm-n500, whose 1 cm
+# class layer, force signals and trained classifier feed its outputs, and
+# seed 1 of wallroom-n5k, whose 5k-particle filter weighs the cloud field
 GOLDEN = {
     "chevron": (1,),
     "class-tiles": (1,),
     "wall-room": (1, 40),
     "chevron-n10k": (1,),
     "tiles-1cm-n500": (1,),
+    "wallroom-n5k": (1,),
 }
 GOLDEN_FILE = ROOT / "tests" / "golden_digests.txt"
 

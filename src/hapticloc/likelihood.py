@@ -3,7 +3,8 @@
 Three channels, one per map layer:
 
   elevation   residual z = foot_world_z - grid height under the foot, N(z; 0, sigma_z)
-  cloud       residual z = distance from the foot to the nearest map point, N(z; 0, sigma_z)
+  cloud       residual z = distance from the foot to the nearest map point, read
+              from the cloud's field, N(z; 0, sigma_z)
   class       matching class -> the N(.; 0, sigma_c) peak density; mismatch ->
               N(d; 0, sigma_c) of the lattice distance d to the nearest cell of
               the estimated class
@@ -15,19 +16,30 @@ factor of 1 (log-likelihood 0). So does the class channel for a contact
 without class_probs: no classifier labeled it, as the simulator logs no
 force signal for a foot on an unlabeled cell.
 
-The cloud channel's nearest-neighbour search stops at the floor reach
-(LikelihoodConfig.floor_reach): the distance beyond which the Gaussian can no
-longer beat the floor, widened by a relative 1e-6. A point with no map point
-within the reach gets distance inf, which scores max(-inf, log_rho) = log_rho.
-That is exactly what its true distance d scored: gaussian_log_density is
-non-increasing in d in float arithmetic too (d / sigma, its square, the
-scaling by -0.5 and the subtraction of constants each round monotonically), so
-d >= reach gives gaussian_log_density(d) <= gaussian_log_density(reach) <
-log_rho. The margin also covers the rounding of the tree's squared-distance
-comparison against the reach, which is some ulps, far below 1e-6. Points
-within the reach get the same nearest distance as the unbounded search, bit
-for bit, so the bound changes no output; it only saves searching the tree
-beyond the reach.
+The cloud channel reads its distance from the cloud's likelihood field
+(Probabilistic Robotics, section 6.4): maps.DistanceField, made once per
+cloud and reach on the first request, which init_filter makes, and kept
+by the cloud. Its lattice nodes lie field_spacing = 0.75 sigma_z apart. Each
+node in the band around the cloud holds its exact nearest-neighbour
+distance, capped at the floor reach (LikelihoodConfig.floor_reach, beyond
+which the Gaussian can no longer beat the floor) plus a cell diagonal, and
+rounded to one of 254 quanta; the band is stored sparsely, in bricks of
+nodes found by sorted keys. A point's distance interpolates the eight
+corners of its cell, and a corner no step has read before is filled from
+the kd-tree first, so runs pay for the nodes their contacts reach, once
+per cloud, and no value depends on which filled first. For a point within
+the reach the distance lies within error_bound = sqrt(3)/2 field_spacing
+plus half a quantum of the exact distance (the interpolation of a
+distance, whose slope is at most 1, misses by at most half a cell
+diagonal). A point beyond the reach plus that bound,
+or off the band, reads at least the reach and scores the floor, as its
+exact distance would: gaussian_log_density is non-increasing in the
+distance in float arithmetic too. A cloud whose field would hold more than
+maps.FIELD_BUDGET_BYTES (a sigma_z of a few mm on the wall room) has none,
+and its channel keeps the exact nearest-neighbour search, stopped at the
+floor reach: there a point with no map point within the reach gets
+distance inf, which scores the floor, and every other point its exact
+distance, bit for bit.
 
 A localization mode is the set of channels it fuses (MODES). Each channel
 reads the map layer of its own name, so the layers a mode needs are its
@@ -65,6 +77,8 @@ from .maps import (
     class_distance_many,
     cloud_distances,
     elevation_at_many,
+    field_distances,
+    field_scratch,
     padded_cells,
 )
 
@@ -131,6 +145,12 @@ class LikelihoodConfig:
         return self.sigma_z * math.sqrt(2.0 * (log_peak - self.log_rho)) * (1.0 + 1e-6)
 
     @property
+    def field_spacing(self) -> float:
+        """The node spacing of the cloud channel's distance field, 0.75
+        sigma_z. Derived, not a setting."""
+        return 0.75 * self.sigma_z
+
+    @property
     def log_class_rho(self) -> float:
         return math.log(self.class_rho)
 
@@ -190,14 +210,31 @@ def elevation_log_likelihood_points(
     return ll
 
 
-def cloud_log_likelihood_points(points, cloud: PointCloudMap, cfg: LikelihoodConfig) -> np.ndarray:
+def cloud_field(cloud: PointCloudMap, cfg: LikelihoodConfig):
+    """The cloud's distance field for the channel: truncated at
+    cfg.floor_reach, with nodes cfg.field_spacing apart. The cloud makes it
+    on the first request and keeps it; None when it exceeds the budget."""
+    return cloud.distance_field(cfg.floor_reach, cfg.field_spacing)
+
+
+def cloud_log_likelihood_points(
+    points, cloud: PointCloudMap, cfg: LikelihoodConfig, out=None, scratch=None
+) -> np.ndarray:
     """Per-point cloud channel for world contact points (3, ...).
 
-    The nearest-neighbour search stops at cfg.floor_reach; a point farther
-    from the map scores the floor, as its exact distance would.
+    The distance is the cloud's field interpolated at the point, or, for a
+    cloud whose field exceeds the budget, the nearest-neighbour search
+    stopped at cfg.floor_reach; a point beyond the reach scores the floor
+    either way. out receives the distances, then the scores; scratch as for
+    maps.field_distances.
     """
-    d = cloud_distances(cloud, points, cfg.floor_reach)
-    return np.maximum(gaussian_log_density(d, cfg.sigma_z), cfg.log_rho)
+    field = cloud_field(cloud, cfg)
+    if field is None:
+        d = cloud_distances(cloud, points, cfg.floor_reach)
+    else:
+        d = field_distances(field, points, out=out, scratch=scratch)
+    ll = gaussian_log_density(d, cfg.sigma_z, out=d if out is None else out)
+    return np.maximum(ll, cfg.log_rho, out=ll)
 
 
 def class_log_likelihood_points(
@@ -244,10 +281,12 @@ class ContactBuffers:
     reused from call to call: the (3, K, N) world points, their (K, N)
     padded cell indices, the (K, N) flat indices into the class distance
     fields, and a (2, K, N) pair of float rows: the rows it returns and the
-    class rows, which padded_cells uses first as its scratch. Each is a
-    contiguous view of a flat array, for any contact count K and particle
-    count N up to n_max; the arrays grow to the largest K asked for. The rows
-    a call returns are overwritten by the next call.
+    class rows, which padded_cells uses first as its scratch and the cloud
+    channel as its distances. Each is a contiguous view of a flat array, for
+    any contact count K and particle count N up to n_max; the arrays grow to
+    the largest K asked for. The rows a call returns are overwritten by the
+    next call. The cloud field's scratch (cloud_scratch), of a fixed size,
+    is allocated only when a cloud channel asks for it.
     """
 
     def __init__(self, n_max: int):
@@ -256,6 +295,14 @@ class ContactBuffers:
         self._cells = np.empty(0, dtype=np.int64)
         self._index = np.empty(0, dtype=np.int64)
         self._rows = np.empty(0)
+        self._cloud_scratch = None
+
+    @property
+    def cloud_scratch(self):
+        """maps.field_distances' scratch, made on the first request."""
+        if self._cloud_scratch is None:
+            self._cloud_scratch = field_scratch()
+        return self._cloud_scratch
 
     def views(self, k: int, n: int):
         """(world, cells, index, rows) for k contacts at n particles."""
@@ -333,7 +380,7 @@ def contacts_log_likelihood(
                 row.fill(0.0)
         ll += class_rows
     if "cloud" in channels:
-        ll += cloud_log_likelihood_points(world, maps.cloud, cfg)
+        ll += cloud_log_likelihood_points(world, maps.cloud, cfg, out=class_rows, scratch=buffers.cloud_scratch)
     return ll
 
 

@@ -21,11 +21,21 @@ is allowed only as a height's no-data value.
   class map   header ``CMAP 1 <n_cols> <n_rows> <resolution> <origin_x> <origin_y> <n_classes>``
               followed by integer ids; 255 marks unlabeled cells.
   point cloud one ``x y z`` triple per line, no header.
+
+A point cloud answers exact nearest-neighbour queries from a kd-tree
+(cloud_distances), and keeps a truncated distance field for one reach and
+lattice spacing (PointCloudMap.distance_field): the band of lattice nodes
+near the cloud, in bricks found by sorted keys, so its memory follows the
+cloud's surface, not its bounding box. field_distances interpolates it at
+query points, and fills each brick from kd-tree queries the first time it
+reads it, so a run pays only for the bricks its points reach.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +93,12 @@ class ElevationGrid:
             raise ValueError(f"heights must be finite or nan (no data), got {heights[r, c]} at (row {r}, col {c})")
         self._padded = _padded(heights, np.nan)
         self.heights = self._padded[1:-1, 1:-1]
+
+    def freeze(self) -> None:
+        """Make the heights read-only, for a grid that several callers
+        share."""
+        self._padded.flags.writeable = False
+        self.heights.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
@@ -152,10 +168,16 @@ class ClassGrid:
 
 @dataclass
 class PointCloudMap:
-    """3D map as a raw point set with a kd-tree for nearest-neighbour queries."""
+    """3D map as a raw point set with a kd-tree for nearest-neighbour queries.
+
+    points is a read-only copy: the kd-tree keeps a reference to it, not a
+    copy, and every distance field is filled from it. _field keeps the last
+    field distance_field made, with its (reach, spacing): a filter reads one.
+    """
 
     points: np.ndarray
-    _tree: cKDTree = field(init=False, repr=False)
+    _tree: cKDTree = field(init=False, repr=False, compare=False)
+    _field: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.points = np.array(self.points, dtype=float)
@@ -163,7 +185,247 @@ class PointCloudMap:
             raise ValueError("point cloud must be a non-empty (M, 3) array")
         if not np.isfinite(self.points).all():
             raise ValueError("point cloud contains non-finite coordinates")
+        self.points.flags.writeable = False
         self._tree = cKDTree(self.points)
+
+    def distance_field(self, reach: float, spacing: float) -> DistanceField | None:
+        """The cloud's DistanceField for reach, on a lattice of the given
+        spacing: made on the first request and kept until a request for
+        another reach or spacing replaces it. None when its bricks would
+        hold more than FIELD_BUDGET_BYTES."""
+        key = (float(reach), float(spacing))
+        if self._field is None or self._field[0] != key:
+            self._field = (key, _make_field(self, *key))
+        return self._field[1]
+
+
+# A distance field's lattice has a node at every integer multiple of its
+# spacing. Its nodes are stored in bricks of FIELD_BRICK cells a side: brick
+# b holds nodes FIELD_BRICK * b to FIELD_BRICK * (b + 1) on each axis, the
+# last an apron shared with the next brick, so the eight corners of a cell
+# lie in one brick. A field holds at most FIELD_BUDGET_BYTES.
+FIELD_BRICK = 8
+FIELD_BUDGET_BYTES = 16 * 2**20
+_SIDE = FIELD_BRICK + 1
+_BRICK_NODES = _SIDE**3
+# a node's offsets x, y, z in its brick, in the order of its index there,
+# 81 x + 9 y + z, so FIELD_BRICK times these weights weigh offsets over
+# FIELD_BRICK; a cell's corners from its low one, in the order the gather
+# interpolates them: z pairs, then x, then y
+_LOCAL = np.indices((_SIDE,) * 3).reshape(-1, _BRICK_NODES).T
+_OFFSET_WEIGHTS = FIELD_BRICK * np.array([[_SIDE**2, _SIDE, 1.0]])
+_CORNERS = np.array([dx * _SIDE**2 + dy * _SIDE + dz for dy in (0, 1) for dx in (0, 1) for dz in (0, 1)])
+# the steps of a node's distance from 0 to the cap, stored one above, so
+# that a uint8 0 marks a node not filled yet; the nodes one fill queries at
+# a time, so that its scratch, about 140 bytes a node with the kd-tree's
+# results, stays near 2.3 MB; and the points field_distances gathers at a
+# time, so that its scratch, 80 bytes a point, stays at 655 KB whatever the
+# particle count
+_QUANTA = 254
+_FILL_CHUNK = 16384
+_GATHER_SLICE = 8192
+
+
+@dataclass(frozen=True)
+class DistanceField:
+    """A point cloud's distance field for one reach, stored sparsely and
+    filled node by node as gathers read it.
+
+    Each node holds its distance to the nearest point of cloud, capped at
+    cap (reach plus a cell diagonal) and rounded to a multiple of quantum,
+    as one plus that multiple: one uint8 a node, 0 while the node is not
+    filled. keys are the sorted keys of the bricks that may hold a node
+    within reach plus half a cell diagonal of the cloud, and bricks their
+    nodes, a row each, plus a last row all at cap that stands for every
+    other brick. A node is filled (fill) on the first gather that reads it;
+    its value does not depend on when, and the pages of bricks no gather
+    read take no memory (_make_field). A brick's key is weights @ (b - low) for its brick
+    coordinates b; low and high lie at least one brick beyond the kept ones
+    on each side, so a brick outside that box clamps to a border key, which
+    is never kept.
+    """
+
+    cloud: PointCloudMap = field(repr=False, compare=False)
+    reach: float
+    spacing: float
+    keys: np.ndarray
+    bricks: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def cap(self) -> float:
+        return self.reach + math.sqrt(3.0) * self.spacing
+
+    @property
+    def quantum(self) -> float:
+        return self.cap / _QUANTA
+
+    @property
+    def error_bound(self) -> float:
+        """How far field_distances may lie from the exact distance of a
+        point within reach: half a cell diagonal, the most that interpolating
+        a function of slope at most 1 between a cell's corners can miss by,
+        plus half a quantum."""
+        return 0.5 * math.sqrt(3.0) * self.spacing + 0.5 * self.quantum
+
+    def fill(self, nodes=None) -> None:
+        """Fill the nodes given by their flat indices into bricks, or every
+        node, that are not filled yet, _FILL_CHUNK nodes at a time."""
+        n_nodes = self.bricks.size - _BRICK_NODES
+        nodes = None if nodes is None else np.unique(nodes)
+        for start in range(0, n_nodes if nodes is None else len(nodes), _FILL_CHUNK):
+            stop = start + _FILL_CHUNK
+            self._fill(np.arange(start, min(stop, n_nodes)) if nodes is None else nodes[start:stop])
+
+    def _fill(self, nodes) -> None:
+        """Each of the nodes not filled yet its bounded cloud_distances,
+        capped and quantized."""
+        flat = self.bricks.reshape(-1)
+        nodes = nodes[flat[nodes] == 0]
+        row, local = np.divmod(nodes, _BRICK_NODES)
+        span = (self.high - self.low + 1.0).astype(np.int64)
+        brick = np.column_stack(np.unravel_index(self.keys[row].astype(np.int64), span)) + self.low
+        at = FIELD_BRICK * brick + _LOCAL[local]
+        at *= self.spacing
+        d = cloud_distances(self.cloud, at.T, self.cap)
+        np.minimum(d, self.cap, out=d)
+        np.rint(np.divide(d, self.quantum, out=d), out=d)
+        flat[nodes] = d + 1.0
+
+
+def _field_bricks(points, radius: float, spacing: float):
+    """(keys, low, high, weights) of the bricks with a node within radius of
+    some point on every axis, as DistanceField keeps them; None when the key
+    box is too large for exact float keys or the bricks exceed the budget."""
+    u = points.T / spacing
+    lo = np.ceil((u - radius / spacing) / FIELD_BRICK) - 1.0
+    hi = np.floor((u + radius / spacing) / FIELD_BRICK)
+    low, high = lo.min(axis=1) - 1.0, hi.max(axis=1) + 1.0
+    span = high - low + 1.0
+    if span.prod() >= 2.0**53:
+        return None
+    weights = np.array([span[1] * span[2], span[2], 1.0])
+    # the points' own bricks alone may exceed the budget
+    own = np.unique(weights @ (np.floor(u / FIELD_BRICK) - low[:, None]))
+    if len(own) * _BRICK_NODES > FIELD_BUDGET_BYTES:
+        return None
+    keys = []
+    for offset in itertools.product(range(int((hi - lo).max()) + 1), repeat=3):
+        b = lo + np.array(offset, dtype=float)[:, None]
+        keys.append(np.unique(weights @ (b[:, (b <= hi).all(axis=0)] - low[:, None])))
+    keys = np.unique(np.concatenate(keys))
+    if len(keys) * (_BRICK_NODES + keys.itemsize) > FIELD_BUDGET_BYTES:
+        return None
+    return keys, low, high, weights
+
+
+def _make_field(cloud: PointCloudMap, reach: float, spacing: float) -> DistanceField | None:
+    """The field of distance_field, no node filled yet; None over the budget.
+
+    A cell that holds a point within reach of the cloud has its nearest
+    corner within reach plus half a cell diagonal, and every corner within
+    reach plus a diagonal, the cap. So the field keeps the bricks with a
+    node within reach plus half a diagonal of some cloud point on every
+    axis; a point in any other brick is beyond the reach and reads cap. The
+    bricks lie in an anonymous memory map, whose pages read zero and take
+    memory only once a node on them fills (numpy's own allocation asks for
+    huge pages for an array this large, so a first write would commit 2 MB).
+    """
+    found = _field_bricks(cloud.points, reach + 0.5 * math.sqrt(3.0) * spacing, spacing)
+    if found is None:
+        return None
+    keys, low, high, weights = found
+    rows = len(keys) + 1
+    bricks = np.frombuffer(mmap.mmap(-1, rows * _BRICK_NODES), dtype=np.uint8).reshape(rows, _BRICK_NODES)
+    bricks[-1] = _QUANTA + 1
+    return DistanceField(cloud, reach, spacing, keys, bricks, low, high, weights)
+
+
+def field_distances(distance_field: DistanceField, points, out=None, scratch=None) -> np.ndarray:
+    """The field's distances at finite query points (3, ...): each point's
+    cell, its brick found among the sorted keys, and the trilinear
+    interpolation of the cell's eight corner nodes, each filled first if no
+    gather has read it yet. For a point within the field's reach of the cloud, the distance
+    lies within error_bound of the exact one; a point in a brick the field
+    does not keep reads cap.
+
+    out, a C-contiguous float array of the points' shape, receives the
+    distances. scratch, from field_scratch, holds the corner indices and the
+    corner nodes of _GATHER_SLICE points at a time, so the memory a call
+    uses does not grow with the number of points.
+    """
+    points = np.asarray(points, dtype=float)
+    shape = points.shape[1:]
+    points = points.reshape(3, -1)
+    out = np.empty(shape) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("field_distances writes into a C-contiguous out")
+    index, nodes = field_scratch() if scratch is None else scratch
+    flat = out.reshape(-1)
+    for s in range(0, len(flat), _GATHER_SLICE):
+        m = min(_GATHER_SLICE, len(flat) - s)
+        slice_index, slice_nodes = index[: 9 * m].reshape(9, m), nodes[: 8 * m].reshape(8, m)
+        _field_slice(distance_field, points[:, s : s + m], flat[s : s + m], slice_index, slice_nodes)
+    return out
+
+
+def field_scratch():
+    """field_distances' scratch: flat int64 and uint8 arrays, viewed as
+    (9, m) and (8, m) for a slice of m points, up to _GATHER_SLICE."""
+    return np.empty(9 * _GATHER_SLICE, dtype=np.int64), np.empty(8 * _GATHER_SLICE, dtype=np.uint8)
+
+
+def _field_slice(f: DistanceField, points, out, index, nodes) -> None:
+    """field_distances for points (3, M), into out (M,), with a (9, M) int64
+    index and (8, M) uint8 nodes as scratch; the index's float view holds
+    the cells, bricks and keys on the way."""
+    rows = index.view(float)
+    cell, brick, key, offset, base = rows[0:3], rows[3:6], rows[6], rows[7], index[8]
+    # the cell's brick, and its low node's offset in the brick over FIELD_BRICK
+    # (scaling by a power of two and flooring integers are exact)
+    np.floor(np.divide(points, f.spacing, out=cell), out=cell)
+    np.multiply(cell, 1.0 / FIELD_BRICK, out=cell)
+    np.floor(cell, out=brick)
+    np.subtract(cell, brick, out=cell)
+    np.matmul(_OFFSET_WEIGHTS, cell, out=offset[None])
+    # a brick outside the box clamps to its border, where none is kept
+    np.fmax(brick, f.low[:, None], out=brick)
+    np.fmin(brick, f.high[:, None], out=brick)
+    np.subtract(brick, f.low[:, None], out=brick)
+    np.matmul(f.weights[None], brick, out=key[None])
+    base[:] = np.searchsorted(f.keys, key)
+    n = len(f.keys)
+    np.minimum(base, n - 1, out=base)
+    absent = nodes[0].view(bool)
+    np.not_equal(f.keys.take(base, out=cell[0], mode="clip"), key, out=absent)
+    # a brick that is not kept reads the last row, all cap
+    np.copyto(base, n, where=absent)
+    np.multiply(base, _BRICK_NODES, out=base)
+    np.add(base, offset, out=base, casting="unsafe")
+    np.add(base, _CORNERS[:, None], out=index[:8])
+    f.bricks.reshape(-1).take(index[:8], out=nodes, mode="clip")
+    # a node no gather has read yet reads 0: fill it, then gather again
+    if not nodes.all():
+        f.fill(index[:8][nodes == 0])
+        f.bricks.reshape(-1).take(index[:8], out=nodes, mode="clip")
+
+    # the point's offset in its cell, in cells, then the corners interpolated
+    # along z, y and x in quanta
+    t, lerp = rows[0:3], rows[3:7]
+    np.divide(points, f.spacing, out=t)
+    np.subtract(t, np.floor(t, out=rows[3:6]), out=t)
+    np.subtract(nodes[1::2], nodes[0::2], out=lerp, dtype=float)
+    np.multiply(lerp, t[2], out=lerp)
+    np.add(lerp, nodes[0::2], out=lerp)
+    for lo, hi, frac in ((lerp[0:2], lerp[2:4], t[1]), (lerp[0], lerp[1], t[0])):
+        np.subtract(hi, lo, out=hi)
+        np.multiply(hi, frac, out=hi)
+        np.add(lo, hi, out=lo)
+    # nodes hold one quantum above their distance
+    np.subtract(lerp[0], 1.0, out=lerp[0])
+    np.multiply(lerp[0], f.quantum, out=out)
 
 
 @dataclass
@@ -300,8 +562,14 @@ def class_distance_many(grid: ClassGrid, xy, class_id, cells=None, out=None, scr
     return grid._dist.take(index, out=out, mode="clip")
 
 
+_PARALLEL_QUERY = 2048
+
+
 def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:
-    """Nearest-neighbour distances for query points (3, ...), on every core.
+    """Nearest-neighbour distances for query points (3, ...), on every core
+    for _PARALLEL_QUERY points or more; below that, starting the threads
+    costs more than they save (a distance field fills its nodes a few
+    hundred at a time).
 
     With max_distance the kd-tree search stops there: a point with no map point
     nearer than max_distance gets inf, and every other point gets the same
@@ -311,7 +579,8 @@ def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) 
     its score does not increase with distance.
     """
     points = np.moveaxis(np.asarray(points, dtype=float), 0, -1)
-    dist, _ = cloud._tree.query(points, distance_upper_bound=max_distance, workers=-1)
+    workers = -1 if points.size >= 3 * _PARALLEL_QUERY else 1
+    dist, _ = cloud._tree.query(points, distance_upper_bound=max_distance, workers=workers)
     return np.asarray(dist, dtype=float)
 
 

@@ -81,6 +81,7 @@ from .likelihood import (
     ContactBuffers,
     ContactMeasurement,
     LikelihoodConfig,
+    cloud_field,
     contacts_log_likelihood,
     require_layers,
 )
@@ -263,7 +264,9 @@ def init_filter(
     mean's roll and pitch. Binds every setting of the run: the maps and
     likelihood every step weighs its contacts against, and the channels of
     mode, a key of MODES. A mode whose channels need a layer maps lacks
-    raises here.
+    raises here. A mode with the cloud channel requests the cloud's distance
+    field here (likelihood.cloud_field), so that no step pays for finding
+    its bricks; steps fill the nodes they read.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
@@ -272,6 +275,8 @@ def init_filter(
         raise ValueError("need at least one particle")
     if not 0.0 <= resample_frac <= 1.0:
         raise ValueError("resample_frac must lie in [0, 1]")
+    if "cloud" in MODES[mode]:
+        cloud_field(maps.cloud, likelihood)
     rng = np.random.default_rng(seed)
     roll, pitch, yaw = quat_to_euler(prior_mean.quat)
     factor = covariance_factor(_xyz_yaw_block(prior_cov, "prior covariance"))

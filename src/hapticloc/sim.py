@@ -283,7 +283,16 @@ WALL_ROOM_MARGIN = 0.5
 
 
 def _wall_room_course(spec: CourseSpec) -> MapSet:
-    res = spec.resolution
+    """The wall room does not depend on the seed, so its layers are built
+    once per resolution and shared by every seed (_wall_room_maps)."""
+    return _wall_room_maps(spec.resolution)
+
+
+@functools.lru_cache(maxsize=4)
+def _wall_room_maps(res: float) -> MapSet:
+    """The wall room at one resolution. Every caller shares its layers, and
+    with them the nodes of the cloud's distance field that earlier filters
+    filled, so the heights are read-only, as the cloud's points are."""
     (x0, x1), (y0, y1), m = WALL_ROOM_FLOOR_X, WALL_ROOM_FLOOR_Y, WALL_ROOM_MARGIN
     n_cols = round((x1 - x0 + 2 * m) / res)
     n_rows = round((y1 - y0 + 2 * m) / res)
@@ -300,8 +309,8 @@ def _wall_room_course(spec: CourseSpec) -> MapSet:
     sx, sz = np.meshgrid(xs, zs)
     side = np.column_stack([sx.ravel(), np.full(sx.size, WALL_ROOM_WALL_Y), sz.ravel()])
 
-    cloud = PointCloudMap(np.vstack([floor, front, side]))
-    return MapSet(elevation=elevation, cloud=cloud)
+    elevation.freeze()
+    return MapSet(elevation=elevation, cloud=PointCloudMap(np.vstack([floor, front, side])))
 
 
 # course kind -> (its builder, the map layers the builder makes)

@@ -7,6 +7,7 @@ formula.
 
 import math
 from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hapticloc.likelihood import (
     ContactMeasurement,
     LikelihoodConfig,
     class_log_likelihood_points,
+    cloud_field,
     cloud_log_likelihood_points,
     contact_log_likelihood,
     contacts_log_likelihood,
@@ -28,7 +30,9 @@ from hapticloc.likelihood import (
     gaussian_density,
     gaussian_log_density,
 )
-from hapticloc.maps import ClassGrid, ElevationGrid, MapSet, PointCloudMap
+import hapticloc.maps as maps_module
+from hapticloc.maps import ClassGrid, ElevationGrid, MapSet, PointCloudMap, field_distances
+from hapticloc.sim import CourseSpec, generate_course
 
 # N(k*sigma; 0, sigma) for sigma_z = 0.01 and sigma_c = 0.05.
 PEAK_Z = 39.894228040143275
@@ -171,15 +175,6 @@ def test_class_channel_rejects_out_of_range_id():
         class_log_likelihood_points(np.array([[0.2], [0.2]]), 7, maps.class_grid, LikelihoodConfig())
 
 
-def test_cloud_channel_distance_and_floor():
-    cfg = LikelihoodConfig()
-    cloud = PointCloudMap(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    pts = np.array([[0.0, 0.0, 0.01], [0.0, 0.0, 5.0]])
-    ll = cloud_log_likelihood_points(pts.T, cloud, cfg)
-    assert abs(ll[0] - math.log(DENS_Z[1])) < 1e-12
-    assert ll[1] == pytest.approx(cfg.log_rho)
-
-
 def test_floor_reach_is_where_the_density_meets_the_floor():
     cfg = LikelihoodConfig()
     assert cfg.floor_reach == pytest.approx(3.0 * cfg.sigma_z, rel=2e-6)
@@ -187,17 +182,106 @@ def test_floor_reach_is_where_the_density_meets_the_floor():
     assert gaussian_log_density(cfg.floor_reach / (1.0 + 2e-6), cfg.sigma_z) > cfg.log_rho
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_cloud=st.integers(1, 60),
-    sigma_z=st.floats(1e-3, 0.5),
-)
-def test_bounded_cloud_channel_matches_unbounded_query(seed, n_cloud, sigma_z):
+# The cloud channel reads a distance field: its scores against the exact
+# nearest distances of a kd-tree over the same points.
+
+
+def field_score_bounds(d, field, cfg):
+    """The lowest and highest score of a distance within the field's error
+    bound of d, the bound widened by the interpolation's rounding."""
+    slack = field.error_bound + 1e-9 * field.cap
+    low = np.maximum(gaussian_log_density(d + slack, cfg.sigma_z), cfg.log_rho)
+    high = np.maximum(gaussian_log_density(np.maximum(d - slack, 0.0), cfg.sigma_z), cfg.log_rho)
+    return low, high
+
+
+def random_cloud(seed, n_cloud, reach):
+    rng = np.random.default_rng(seed)
+    return rng, PointCloudMap(rng.uniform(-10.0, 10.0, (n_cloud, 3)) * reach)
+
+
+def around(rng, points, n, outer, inner=0.0):
+    """n points between inner and outer from points drawn from points, in
+    random directions."""
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return points[rng.integers(0, len(points), n)] + direction * rng.uniform(inner, outer, (n, 1))
+
+
+cloud_cases = dict(seed=st.integers(0, 2**32 - 1), n_cloud=st.integers(1, 30), sigma_z=st.floats(1e-3, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**cloud_cases)
+def test_cloud_field_scores_a_distance_within_its_bound_inside_the_reach(seed, n_cloud, sigma_z):
     cfg = LikelihoodConfig(sigma_z=sigma_z)
     reach = cfg.floor_reach
-    rng = np.random.default_rng(seed)
-    cloud = PointCloudMap(rng.uniform(-10.0, 10.0, (n_cloud, 3)) * reach)
+    rng, cloud = random_cloud(seed, n_cloud, reach)
+    pts = np.concatenate([cloud.points, around(rng, cloud.points, 200, reach)])
+    d = cKDTree(cloud.points).query(pts)[0]
+    inside = d <= reach
+    field = cloud_field(cloud, cfg)
+    # nodes 0.75 sigma_z apart, quantized over [0, reach plus a cell diagonal]
+    assert field is not None and field.spacing == 0.75 * sigma_z
+    assert field.cap == pytest.approx(reach + math.sqrt(3.0) * field.spacing)
+    assert field.error_bound == pytest.approx(math.sqrt(3.0) / 2.0 * field.spacing + field.cap / 508.0)
+    got = cloud_log_likelihood_points(pts.T, cloud, cfg)
+    fd = field_distances(field, pts.T)
+    assert np.all(np.abs(fd[inside] - d[inside]) <= field.error_bound + 1e-9 * field.cap)
+    # the score is the channel's Gaussian of the field distance
+    want = np.maximum(gaussian_log_density(fd, sigma_z), cfg.log_rho)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    low, high = field_score_bounds(d, field, cfg)
+    assert np.all((low[inside] <= got[inside]) & (got[inside] <= high[inside]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**cloud_cases)
+def test_cloud_field_scores_the_floor_beyond_the_reach_and_off_the_band(seed, n_cloud, sigma_z):
+    cfg = LikelihoodConfig(sigma_z=sigma_z)
+    reach = cfg.floor_reach
+    rng, cloud = random_cloud(seed, n_cloud, reach)
+    field = cloud_field(cloud, cfg)
+    # anywhere in and around the cloud's box, just beyond the reach of a map
+    # point, and far off every brick
+    pts = np.concatenate(
+        [
+            rng.uniform(-15.0 * reach, 15.0 * reach, (300, 3)),
+            around(rng, cloud.points, 300, reach + 2.0 * field.error_bound, reach + field.error_bound),
+            cloud.points.max(axis=0) + reach * rng.uniform(30.0, 1e4, (20, 3)),
+            cloud.points.min(axis=0) - reach * rng.uniform(30.0, 1e4, (20, 3)),
+        ]
+    )
+    d = cKDTree(cloud.points).query(pts)[0]
+    beyond = d > reach + field.error_bound + 1e-9 * field.cap
+    assert beyond[-40:].all()
+    got = cloud_log_likelihood_points(pts.T, cloud, cfg)
+    assert np.all(got[beyond] == cfg.log_rho)
+    low, high = field_score_bounds(d, field, cfg)
+    assert np.all((low <= got) & (got <= high))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sigma_z=st.floats(1e-3, 0.5), direction=st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 1)]))
+def test_cloud_field_of_two_far_points_stores_a_few_bricks(sigma_z, direction):
+    # the field follows the cloud, not its bounding box: 100 m apart, the
+    # two points need at most 27 bricks each however fine the lattice
+    far = 100.0 * np.array(direction) / np.linalg.norm(direction)
+    cloud = PointCloudMap(np.array([[0.3, -0.2, 0.1], [0.3, -0.2, 0.1] + far]))
+    field = cloud_field(cloud, LikelihoodConfig(sigma_z=sigma_z))
+    assert len(field.keys) <= 2 * 27
+    assert field.keys.nbytes + field.bricks.nbytes <= 2 * 27 * (9**3 + 8) + 9**3
+    # and both points are found
+    got = cloud_log_likelihood_points(cloud.points.T, cloud, LikelihoodConfig(sigma_z=sigma_z))
+    assert np.all(got >= gaussian_log_density(field.error_bound * (1.0 + 1e-9), sigma_z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**cloud_cases)
+def test_cloud_over_the_budget_keeps_the_bounded_kd_tree_query(seed, n_cloud, sigma_z):
+    cfg = LikelihoodConfig(sigma_z=sigma_z)
+    reach = cfg.floor_reach
+    rng, cloud = random_cloud(seed, n_cloud, reach)
     # on cloud points, just inside and just outside the reach of one, far away
     base = cloud.points[rng.integers(0, n_cloud, 30)]
     direction = rng.normal(size=(30, 3))
@@ -210,10 +294,19 @@ def test_bounded_cloud_channel_matches_unbounded_query(seed, n_cloud, sigma_z):
             cloud.points.max(axis=0) + reach * rng.uniform(1.0, 100.0, (10, 3)),
         ]
     )
-    got = cloud_log_likelihood_points(pts.T, cloud, cfg)
+    with mock.patch.object(maps_module, "FIELD_BUDGET_BYTES", 9**3 - 1):
+        assert cloud_field(cloud, cfg) is None
+        got = cloud_log_likelihood_points(pts.T, cloud, cfg)
     d = cKDTree(cloud.points).query(pts)[0]
     want = np.maximum(gaussian_log_density(d, sigma_z), cfg.log_rho)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_wall_room_field_at_a_few_mm_exceeds_the_budget():
+    cloud = generate_course(CourseSpec("wall-room")).cloud
+    assert cloud_field(PointCloudMap(cloud.points), LikelihoodConfig(sigma_z=0.002)) is None
+    field = cloud_field(cloud, LikelihoodConfig())
+    assert field is not None and field.keys.nbytes + field.bricks.nbytes <= maps_module.FIELD_BUDGET_BYTES
 
 
 LEVEL = (0.0, 0.0)
@@ -402,13 +495,16 @@ def test_vectorized_contact_matches_scalar_loop():
 
 
 def test_cloud_loglik_single_pose():
+    # the single-pose route puts the foot where quat_rotate does, and the
+    # channel scores it within the field's bound of the closed form
     cfg = LikelihoodConfig()
     cloud = PointCloudMap(np.array([[1.0, 2.0, 0.0]]))
     pose = Pose(np.array([1.0, 2.0, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
     foot = np.array([0.0, 0.0, -0.29])
     got = cloud_log_likelihood_points((pose.position + quat_rotate(pose.quat, foot)).reshape(3, 1), cloud, cfg)[0]
-    assert abs(got - math.log(DENS_Z[1])) < 1e-12
+    bound = cloud_field(cloud, cfg).error_bound
+    assert math.log(closed_form(0.01 + bound, 0.01)) <= got <= math.log(closed_form(0.01 - bound, 0.01))
     maps = MapSet(ElevationGrid(0.5, (0.0, 0.0), np.zeros((8, 8))), cloud=cloud)
     c = ContactMeasurement(foot)
     row = contacts_log_likelihood(pose.position.reshape(3, 1), heading_of([0.0]), LEVEL, [c], MODES["HL-3D"], maps, cfg)
-    assert abs(row[0, 0] - math.log(DENS_Z[1])) < 1e-12
+    assert row[0, 0] == got

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
+from scipy.spatial import cKDTree
 
 from hapticloc.maps import (
     UNKNOWN_CLASS,
@@ -18,6 +19,7 @@ from hapticloc.maps import (
     elevation_at,
     elevation_at_many,
     class_at_many,
+    field_distances,
     load_map,
     padded_cells,
     save_map,
@@ -124,6 +126,14 @@ def test_layer_arrays_are_views_of_the_padded_layers():
     g.heights[0, 0] = 7.0
     assert elevation_at(g, (1.01, 2.01)) == 7.0
     assert np.isnan(g._padded[0]).all() and np.isnan(g._padded[:, -1]).all()
+
+
+def test_a_frozen_grid_rejects_writes():
+    g = small_elevation()
+    g.freeze()
+    with pytest.raises(ValueError, match="read-only"):
+        g.heights[0, 0] = 7.0
+    assert elevation_at(g, (1.01, 2.01)) == 0.0
 
 
 def cell_center(grid, ix, iy):
@@ -269,6 +279,77 @@ def test_cloud_distances_bounded_search():
     assert 0 < inside.sum() < len(qs)
     assert np.array_equal(got[inside], want[inside])
     assert np.all(got[~inside] == np.inf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_cloud=st.integers(1, 30), spacing=st.floats(1e-3, 0.3))
+def test_field_nodes_hold_their_quantized_capped_distance(seed, n_cloud, spacing):
+    # every brick with a node within reach plus half a cell diagonal is
+    # kept, and only bricks next to a point's own; a gather fills the
+    # corners it reads and no other node; once filled, every node is its
+    # exact nearest distance, capped and rounded to the quantum, plus one;
+    # the last brick, which stands for every other one, is all cap
+    reach = 4.0 * spacing
+    rng = np.random.default_rng(seed)
+    cloud = PointCloudMap(rng.uniform(-20.0, 20.0, (n_cloud, 3)) * spacing)
+    f = cloud.distance_field(reach, spacing)
+    assert f is cloud.distance_field(reach, spacing)
+    assert np.all(np.diff(f.keys) > 0) and not f.bricks[:-1].any()
+    own = np.floor(cloud.points / (8 * spacing))
+    brick = np.unique((own[:, None, :] + np.indices((3, 3, 3)).reshape(3, -1).T - 1.0).reshape(-1, 3), axis=0)
+    nodes = (8 * brick[:, None, :] + np.indices((9, 9, 9)).reshape(3, -1).T) * spacing
+    d = cKDTree(cloud.points).query(nodes.reshape(-1, 3))[0]
+    want = np.rint(np.minimum(d, f.cap) / f.quantum).reshape(len(brick), -1) + 1
+    near = reach + np.sqrt(3.0) / 2.0 * spacing
+    key = (brick - f.low) @ f.weights
+    kept = np.isin(key, f.keys)
+    assert kept[d.reshape(len(brick), -1).min(axis=1) <= near].all()
+    assert np.isin(f.keys, key).all()
+    field_distances(f, cloud.points[:1].T)
+    assert np.count_nonzero(f.bricks[:-1]) == 8
+    f.fill()
+    assert np.array_equal(f.bricks[:-1], want[kept][np.argsort(key[kept])])
+    assert np.all(f.bricks[-1] == 255)
+    # a gather just past a kept brick's own node reads that node's distance
+    own_nodes = (np.indices((9, 9, 9)).reshape(3, -1).T < 8).all(axis=1)
+    at = nodes[kept][:, own_nodes].reshape(-1, 3) + 1e-6 * spacing
+    got = field_distances(f, at.T)
+    assert np.allclose(got, (want[kept][:, own_nodes].ravel() - 1) * f.quantum, rtol=0.0, atol=1e-3 * f.quantum)
+
+
+def test_field_distances_do_not_depend_on_which_nodes_filled_first():
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-0.2, 0.2, (50, 3))
+    query = (points[rng.integers(0, 50, 400)] + rng.normal(0.0, 0.02, (400, 3))).T
+    gathered = PointCloudMap(points).distance_field(0.03, 0.0075)
+    filled = PointCloudMap(points).distance_field(0.03, 0.0075)
+    filled.fill()
+    # a gather in two halves, which fills as it goes, against one over a
+    # full field
+    got = np.concatenate([field_distances(gathered, query[:, :200]), field_distances(gathered, query[:, 200:])])
+    assert np.array_equal(got, field_distances(filled, query))
+    assert np.array_equal(field_distances(gathered, query), got)
+
+
+def test_a_cloud_keeps_one_field():
+    cloud = PointCloudMap(np.zeros((1, 3)))
+    f = cloud.distance_field(0.03, 0.0075)
+    assert cloud.distance_field(0.03, 0.0075) is f
+    assert cloud.distance_field(0.04, 0.0075) is not f
+    assert cloud.distance_field(0.03, 0.0075) is not f
+
+
+def test_cloud_points_are_read_only():
+    # the kd-tree and the distance fields read the cloud's own array: a write
+    # into it would leave them answering for the old points without an error
+    rng = np.random.default_rng(5)
+    cloud = PointCloudMap(rng.uniform(-10.0, 10.0, (1000, 3)))
+    query = np.full((3, 1), -5.0)
+    before = cloud_distances(cloud, query)
+    with pytest.raises(ValueError, match="read-only"):
+        cloud.points[0] = query[:, 0]
+    assert np.array_equal(cloud_distances(cloud, query), before)
+    assert before[0] == exhaustive_distance(cloud.points, query[:, 0]) > 0.0
 
 
 # file formats

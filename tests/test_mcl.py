@@ -769,6 +769,35 @@ def test_warm_class_step_allocates_few_particle_sized_arrays():
     assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
 
 
+def flat_cloud_maps():
+    """A flat floor with a cloud point every 2 cm over 2 m x 2 m."""
+    xs = np.arange(-1.0, 1.0 + 1e-9, 0.02)
+    x, y = np.meshgrid(xs, xs)
+    cloud = PointCloudMap(np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)]))
+    return MapSet(ElevationGrid(0.1, (-1.0, -1.0), np.zeros((20, 20))), cloud=cloud)
+
+
+def test_warm_cloud_step_allocates_few_particle_sized_arrays():
+    # the cloud channel gathers its distance field into the contact buffers:
+    # a warm HL-3D step with four contacts stays under the HL-G bound,
+    # against 20.1 particle-sized arrays for the kd-tree query's results
+    n = 10_000
+    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), flat_cloud_maps(), n_particles=n,
+                    seed=0, xy_std_threshold=10.0, mode="HL-3D")
+    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
+    peak = warm_step_peak(st, inp)
+    assert st.diagnostics[-1].branch == "full"
+    assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
+
+
+def test_only_a_cloud_mode_allocates_the_field_scratch():
+    maps = flat_cloud_maps()
+    for mode, used in (("HL-G", False), ("HL-3D", True)):
+        st = new_filter(stand_pose(), np.eye(6) * 1e-4, maps, mode=mode, n_particles=300)
+        step(st, forward_input())
+        assert (st.workspace.contacts._cloud_scratch is not None) == used, mode
+
+
 # the 4-DoF particle: x, y, z and yaw, with roll and pitch shared
 
 
