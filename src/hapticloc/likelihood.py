@@ -24,10 +24,12 @@ node in the band around the cloud holds its exact nearest-neighbour
 distance, capped at the floor reach (LikelihoodConfig.floor_reach, beyond
 which the Gaussian can no longer beat the floor) plus a cell diagonal, and
 rounded to one of 254 quanta; the band is stored sparsely, in bricks of
-nodes found by sorted keys. A point's distance interpolates the eight
-corners of its cell, and a corner no step has read before is filled from
-the kd-tree first, so runs pay for the nodes their contacts reach, once
-per cloud, and no value depends on which filled first. For a point within
+nodes found through a hash table built with the field (a power of two of
+at least 8 slots a brick; its longest probe, recorded then, bounds a
+lookup's rounds). A point's distance interpolates the eight corners of
+its cell, and a corner no step has read before is filled from the kd-tree
+first, so runs pay for the nodes their contacts reach, once per cloud,
+and no value depends on which filled first. For a point within
 the reach the distance lies within error_bound = sqrt(3)/2 field_spacing
 plus half a quantum of the exact distance (the interpolation of a
 distance, whose slope is at most 1, misses by at most half a cell

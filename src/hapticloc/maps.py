@@ -25,10 +25,11 @@ is allowed only as a height's no-data value.
 A point cloud answers exact nearest-neighbour queries from a kd-tree
 (cloud_distances), and keeps a truncated distance field for one reach and
 lattice spacing (PointCloudMap.distance_field): the band of lattice nodes
-near the cloud, in bricks found by sorted keys, so its memory follows the
-cloud's surface, not its bounding box. field_distances interpolates it at
-query points, and fills each brick from kd-tree queries the first time it
-reads it, so a run pays only for the bricks its points reach.
+near the cloud, in bricks found through a hash table of their keys built
+with the field, so its memory follows the cloud's surface, not its bounding
+box. field_distances interpolates it at query points, and fills each node
+from kd-tree queries the first time it reads it, so a run pays only for the
+nodes its points reach.
 """
 
 from __future__ import annotations
@@ -226,6 +227,13 @@ _FILL_CHUNK = 16384
 _GATHER_SLICE = 8192
 
 
+# a brick table's slots per kept brick, at least (rounded up to a power of
+# two), and the multiplier of its Fibonacci hashing, 2**64 over the golden
+# ratio, odd
+_SLOTS_PER_BRICK = 8
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+
+
 @dataclass(frozen=True)
 class DistanceField:
     """A point cloud's distance field for one reach, stored sparsely and
@@ -239,20 +247,34 @@ class DistanceField:
     nodes, a row each, plus a last row all at cap that stands for every
     other brick. A node is filled (fill) on the first gather that reads it;
     its value does not depend on when, and the pages of bricks no gather
-    read take no memory (_make_field). A brick's key is weights @ (b - low) for its brick
-    coordinates b; low and high lie at least one brick beyond the kept ones
-    on each side, so a brick outside that box clamps to a border key, which
-    is never kept.
+    read take no memory (_make_field). A brick's key is weights @ (b - low)
+    for its brick coordinates b; low and high lie at least one brick beyond
+    the kept ones on each side, so a brick outside that box clamps to a
+    border key, which is never kept.
+
+    A gather finds a brick's row through slots, an open-addressing hash
+    table built with the field (_brick_table): row_keys holds each row's
+    key, the keys then -1 for the last row, and slots, a power of two of at
+    least _SLOTS_PER_BRICK a kept brick, the rows, a key's home slot its
+    Fibonacci hash and the last row's index in an empty slot. Every kept
+    key lies at most probes slots past its home, so a lookup reads probes
+    + 1 slots.
     """
 
     cloud: PointCloudMap = field(repr=False, compare=False)
     reach: float
     spacing: float
-    keys: np.ndarray
+    row_keys: np.ndarray
     bricks: np.ndarray
     low: np.ndarray
     high: np.ndarray
     weights: np.ndarray
+    slots: np.ndarray
+    probes: int
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.row_keys[:-1]
 
     @property
     def cap(self) -> float:
@@ -274,7 +296,7 @@ class DistanceField:
         """Fill the nodes given by their flat indices into bricks, or every
         node, that are not filled yet, _FILL_CHUNK nodes at a time."""
         n_nodes = self.bricks.size - _BRICK_NODES
-        nodes = None if nodes is None else np.unique(nodes)
+        nodes = None if nodes is None else _distinct_nodes(nodes, len(self.bricks))
         for start in range(0, n_nodes if nodes is None else len(nodes), _FILL_CHUNK):
             stop = start + _FILL_CHUNK
             self._fill(np.arange(start, min(stop, n_nodes)) if nodes is None else nodes[start:stop])
@@ -295,10 +317,87 @@ class DistanceField:
         flat[nodes] = d + 1.0
 
 
+def _distinct_nodes(nodes, n_rows: int) -> np.ndarray:
+    """The distinct flat node indices among nodes, ascending, found without
+    a sort: marked in a bitmap over just the bricks rows they lie in."""
+    row = nodes // _BRICK_NODES
+    touched = np.zeros(n_rows, dtype=bool)
+    touched[row] = True
+    rows = np.flatnonzero(touched)
+    # how far a node moves from its row of bricks to its row of the bitmap
+    shift = np.empty(n_rows, dtype=np.intp)
+    shift[rows] = (np.arange(len(rows)) - rows) * _BRICK_NODES
+    seen = np.zeros(len(rows) * _BRICK_NODES, dtype=bool)
+    seen[nodes + shift[row]] = True
+    at = np.flatnonzero(seen)
+    return at - shift[rows[at // _BRICK_NODES]]
+
+
+def _slot_count(n_keys: int) -> int:
+    """The slots of a brick table for n_keys kept bricks."""
+    return 1 << (_SLOTS_PER_BRICK * n_keys - 1).bit_length()
+
+
+def _home_slots(keys, n_slots: int, out) -> np.ndarray:
+    """Fibonacci hashing: the top log2(n_slots) bits of each key times
+    _FIBONACCI, modulo 2**64, into out, an int64 array of the keys' shape."""
+    np.copyto(out, keys, casting="unsafe")
+    bits = out.view(np.uint64)
+    np.multiply(bits, _FIBONACCI, out=bits)
+    np.right_shift(bits, np.uint64(65 - n_slots.bit_length()), out=bits)
+    return out
+
+
+def _brick_table(keys) -> tuple[np.ndarray, np.ndarray, int]:
+    """(row_keys, slots, probes) of DistanceField for the sorted keys.
+
+    Each round places every key not placed yet at the slot that many past
+    its home, if that slot is empty; of several keys that reach one slot,
+    the first takes it. The rounds it takes are the longest probe.
+    """
+    n = len(keys)
+    slots = np.full(_slot_count(n), n, dtype=np.int32)
+    home = _home_slots(keys, len(slots), np.empty(n, dtype=np.int64))
+    pending = np.arange(n)
+    probe = 0
+    while True:
+        at = (home[pending] + probe) & (len(slots) - 1)
+        free = np.flatnonzero(slots[at] == n)
+        taken, first = np.unique(at[free], return_index=True)
+        slots[taken] = pending[free[first]]
+        pending = np.delete(pending, free[first])
+        if not len(pending):
+            return np.append(keys, -1.0), slots, probe
+        probe += 1
+
+
+def _brick_rows(row_keys, slots, probes: int, key, out, scratch) -> None:
+    """Each of the brick keys' (M,) row, into out, an (M,) int64 array: the
+    row row_keys holds it at, or the last row for a key no row holds.
+    scratch is a (4, M) int64 array."""
+    m = len(key)
+    at, found = scratch[0], scratch[1].view(float)
+    row, hit = scratch[2].view(np.int32)[:m], scratch[3].view(bool)[:m]
+    _home_slots(key, len(slots), at)
+    out.fill(len(row_keys) - 1)
+    for _ in range(probes + 1):
+        slots.take(at, out=row, mode="wrap")
+        row_keys.take(row, out=found, mode="clip")
+        np.equal(found, key, out=hit)
+        np.copyto(out, row, where=hit)
+        np.add(at, 1, out=at)
+
+
 def _field_bricks(points, radius: float, spacing: float):
     """(keys, low, high, weights) of the bricks with a node within radius of
     some point on every axis, as DistanceField keeps them; None when the key
-    box is too large for exact float keys or the bricks exceed the budget."""
+    box is too large for exact float keys or the bricks and their table
+    exceed the budget.
+
+    A point's bricks form a box, lo to hi; points with a box of one shape
+    share its offsets, so each shape's distinct low corners, shifted by
+    each of its offsets, give the kept keys.
+    """
     u = points.T / spacing
     lo = np.ceil((u - radius / spacing) / FIELD_BRICK) - 1.0
     hi = np.floor((u + radius / spacing) / FIELD_BRICK)
@@ -307,16 +406,24 @@ def _field_bricks(points, radius: float, spacing: float):
     if span.prod() >= 2.0**53:
         return None
     weights = np.array([span[1] * span[2], span[2], 1.0])
-    # the points' own bricks alone may exceed the budget
-    own = np.unique(weights @ (np.floor(u / FIELD_BRICK) - low[:, None]))
-    if len(own) * _BRICK_NODES > FIELD_BUDGET_BYTES:
+    corner = weights @ (lo - low[:, None])
+    extent = (hi - lo).astype(np.int64)
+    sizes = (int(extent.max()) + 1,) * 3
+    shape = np.ravel_multi_index(extent, sizes)
+    shapes = np.unique(shape)
+    corners = [np.unique(corner[shape == s]) for s in shapes]
+    # a box's low corner is a kept brick, so one shape's distinct corners
+    # alone may exceed the budget
+    if max(map(len, corners)) * _BRICK_NODES > FIELD_BUDGET_BYTES:
         return None
-    keys = []
-    for offset in itertools.product(range(int((hi - lo).max()) + 1), repeat=3):
-        b = lo + np.array(offset, dtype=float)[:, None]
-        keys.append(np.unique(weights @ (b[:, (b <= hi).all(axis=0)] - low[:, None])))
+    keys = [
+        c + weights @ np.array(offset, dtype=float)
+        for s, c in zip(shapes, corners)
+        for offset in itertools.product(*(range(e + 1) for e in np.unravel_index(s, sizes)))
+    ]
     keys = np.unique(np.concatenate(keys))
-    if len(keys) * (_BRICK_NODES + keys.itemsize) > FIELD_BUDGET_BYTES:
+    # a row of nodes and a key a brick, and the table's int32 slots
+    if len(keys) * (_BRICK_NODES + keys.itemsize) + 4 * _slot_count(len(keys)) > FIELD_BUDGET_BYTES:
         return None
     return keys, low, high, weights
 
@@ -337,15 +444,16 @@ def _make_field(cloud: PointCloudMap, reach: float, spacing: float) -> DistanceF
     if found is None:
         return None
     keys, low, high, weights = found
+    row_keys, slots, probes = _brick_table(keys)
     rows = len(keys) + 1
     bricks = np.frombuffer(mmap.mmap(-1, rows * _BRICK_NODES), dtype=np.uint8).reshape(rows, _BRICK_NODES)
     bricks[-1] = _QUANTA + 1
-    return DistanceField(cloud, reach, spacing, keys, bricks, low, high, weights)
+    return DistanceField(cloud, reach, spacing, row_keys, bricks, low, high, weights, slots, probes)
 
 
 def field_distances(distance_field: DistanceField, points, out=None, scratch=None) -> np.ndarray:
     """The field's distances at finite query points (3, ...): each point's
-    cell, its brick found among the sorted keys, and the trilinear
+    cell, its brick found through the field's hash table, and the trilinear
     interpolation of the cell's eight corner nodes, each filled first if no
     gather has read it yet. For a point within the field's reach of the cloud, the distance
     lies within error_bound of the exact one; a point in a brick the field
@@ -395,13 +503,8 @@ def _field_slice(f: DistanceField, points, out, index, nodes) -> None:
     np.fmin(brick, f.high[:, None], out=brick)
     np.subtract(brick, f.low[:, None], out=brick)
     np.matmul(f.weights[None], brick, out=key[None])
-    base[:] = np.searchsorted(f.keys, key)
-    n = len(f.keys)
-    np.minimum(base, n - 1, out=base)
-    absent = nodes[0].view(bool)
-    np.not_equal(f.keys.take(base, out=cell[0], mode="clip"), key, out=absent)
     # a brick that is not kept reads the last row, all cap
-    np.copyto(base, n, where=absent)
+    _brick_rows(f.row_keys, f.slots, f.probes, key, base, index[:4])
     np.multiply(base, _BRICK_NODES, out=base)
     np.add(base, offset, out=base, casting="unsafe")
     np.add(base, _CORNERS[:, None], out=index[:8])

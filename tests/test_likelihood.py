@@ -270,7 +270,9 @@ def test_cloud_field_of_two_far_points_stores_a_few_bricks(sigma_z, direction):
     cloud = PointCloudMap(np.array([[0.3, -0.2, 0.1], [0.3, -0.2, 0.1] + far]))
     field = cloud_field(cloud, LikelihoodConfig(sigma_z=sigma_z))
     assert len(field.keys) <= 2 * 27
-    assert field.keys.nbytes + field.bricks.nbytes <= 2 * 27 * (9**3 + 8) + 9**3
+    # a brick, its key and fewer than 16 int32 slots of the table a kept
+    # brick, and the last row
+    assert field.keys.nbytes + field.bricks.nbytes + field.slots.nbytes <= 2 * 27 * (9**3 + 8 + 64) + 9**3
     # and both points are found
     got = cloud_log_likelihood_points(cloud.points.T, cloud, LikelihoodConfig(sigma_z=sigma_z))
     assert np.all(got >= gaussian_log_density(field.error_bound * (1.0 + 1e-9), sigma_z))
@@ -306,7 +308,8 @@ def test_wall_room_field_at_a_few_mm_exceeds_the_budget():
     cloud = generate_course(CourseSpec("wall-room")).cloud
     assert cloud_field(PointCloudMap(cloud.points), LikelihoodConfig(sigma_z=0.002)) is None
     field = cloud_field(cloud, LikelihoodConfig())
-    assert field is not None and field.keys.nbytes + field.bricks.nbytes <= maps_module.FIELD_BUDGET_BYTES
+    assert field is not None
+    assert field.keys.nbytes + field.bricks.nbytes + field.slots.nbytes <= maps_module.FIELD_BUDGET_BYTES
 
 
 LEVEL = (0.0, 0.0)

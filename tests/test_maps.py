@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
+import hapticloc.maps as maps_module
 from hapticloc.maps import (
     UNKNOWN_CLASS,
     ClassGrid,
@@ -329,6 +330,50 @@ def test_field_distances_do_not_depend_on_which_nodes_filled_first():
     got = np.concatenate([field_distances(gathered, query[:, :200]), field_distances(gathered, query[:, 200:])])
     assert np.array_equal(got, field_distances(filled, query))
     assert np.array_equal(field_distances(gathered, query), got)
+
+
+def binary_search_rows(keys, query):
+    """Each query key's rank among the sorted keys, or len(keys), the
+    border row, for a key not among them."""
+    rank = np.searchsorted(keys, query)
+    found = rank < len(keys)
+    found[found] = keys[rank[found]] == query[found]
+    return np.where(found, rank, len(keys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_other=st.integers(0, 300),
+    n_colliding=st.integers(3, 8),
+    wrap=st.booleans(),
+)
+def test_brick_table_finds_the_rows_a_binary_search_finds(seed, n_other, n_colliding, wrap):
+    # keys in a box of span bricks, whose border keys 0 and span - 1 are
+    # never kept; n_colliding of them share one home slot, the last one if
+    # wrap, so the lookup runs its probe rounds (and wraps round the table)
+    rng = np.random.default_rng(seed)
+    span = 2**20 + 1
+    n_slots = maps_module._slot_count(n_other + n_colliding)
+    inner = np.arange(1.0, span - 1)
+    home = maps_module._home_slots(inner, n_slots, np.empty(len(inner), dtype=np.int64))
+    target = n_slots - 1 if wrap else rng.integers(n_slots)
+    colliding = rng.choice(inner[home == target], n_colliding, replace=False)
+    other = rng.choice(inner[home != target], n_other, replace=False)
+    keys = np.sort(np.concatenate([colliding, other]))
+    row_keys, slots, probes = maps_module._brick_table(keys)
+    n = len(keys)
+    assert np.array_equal(row_keys[:-1], keys) and row_keys[-1] == -1.0
+    assert len(slots) == n_slots and 8 * n <= n_slots < 16 * n
+    assert slots.dtype == np.int32 and np.array_equal(np.sort(slots[slots < n]), np.arange(n))
+    assert np.all(slots[slots >= n] == n)
+    assert probes >= n_colliding - 1 >= 2
+    # kept keys, absent ones, and the border keys a clamped brick gets
+    query = np.concatenate([keys, rng.integers(0, span, 200).astype(float), [0.0, span - 1.0]])
+    rng.shuffle(query)
+    got = np.empty(len(query), dtype=np.int64)
+    maps_module._brick_rows(row_keys, slots, probes, query, got, np.empty((4, len(query)), dtype=np.int64))
+    assert np.array_equal(got, binary_search_rows(keys, query))
 
 
 def test_a_cloud_keeps_one_field():
