@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from . import evaluate, sim
 from .geometry import load_trajectory, save_trajectory
-from .likelihood import MODES
+from .likelihood import MODES, require_layers
 from .maps import MapSet, check_same_lattice, load_map, save_map
 from .mcl import write_diagnostics_csv
 from .network import load_weights
@@ -80,6 +80,7 @@ def _cmd_localize(args) -> int:
     if args.particles is not None:
         cfg = replace(cfg, n_particles=args.particles)
     mode = args.mode or cfg.modes[0]
+    require_layers(MODES[mode], course.layers)
     needs_class = "class" in MODES[mode]
     if args.weights is not None and not needs_class:
         raise ValueError(f"--weights: mode {mode} reads no terrain classes")
@@ -98,8 +99,14 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _, truth = load_trajectory(args.truth)
-    _, est = load_trajectory(args.est)
+    t_truth, truth = load_trajectory(args.truth)
+    t_est, est = load_trajectory(args.est)
+    i = next((i for i, (a, b) in enumerate(zip(t_truth, t_est)) if a != b), None)
+    if i is not None:
+        raise ValueError(
+            f"the trajectories' times differ at row {i + 1}: "
+            f"{float(t_truth[i])!r} in {args.truth}, {float(t_est[i])!r} in {args.est}"
+        )
     print(f"{evaluate.ate(truth, est):.6f}")
     return 0
 
@@ -160,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_localize)
 
-    p = sub.add_parser("eval", help="mean translational error between two trajectories")
+    p = sub.add_parser("eval", help="mean translational error between two trajectories of the same times")
     p.add_argument("--truth", required=True)
     p.add_argument("--est", required=True)
     p.set_defaults(func=_cmd_eval)

@@ -417,10 +417,17 @@ def load_experiment_config(path):
 
     Returns (ExperimentConfig, out_dir or None). A section or key outside
     _INI_KEYS, or a value that does not parse, raises a ValueError naming
-    the file, the section and the key.
+    the file, the section and the key; a file that is not INI syntax (no
+    section header, a section or key listed twice) raises one naming the
+    file. Values are literal text: a '%' in one is not interpolation.
     """
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as e:
+        # some of configparser's messages span lines; the CLI prints one
+        raise ValueError(f"{path}: {' '.join(str(e).split())}") from e
+    if not read:
         raise ValueError(f"cannot read config file {path}")
     if "experiment" not in cp or "kind" not in cp["experiment"]:
         raise ValueError(f"{path}: config needs an [experiment] section with a 'kind' key")

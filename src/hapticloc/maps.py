@@ -30,6 +30,10 @@ with the field, so its memory follows the cloud's surface, not its bounding
 box. field_distances interpolates it at query points, and fills each node
 from kd-tree queries the first time it reads it, so a run pays only for the
 nodes its points reach.
+
+scipy is imported only where a layer is built with it: the class layer's
+distance fields (scipy.ndimage) and the point cloud's kd-tree (scipy.spatial).
+A process that builds neither, such as an elevation-only run, never loads it.
 """
 
 from __future__ import annotations
@@ -38,12 +42,14 @@ import itertools
 import math
 import mmap
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
-from scipy.spatial import cKDTree
 
 from .fields import build, data_lines, parse_field, parse_fields, positive_int
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 UNKNOWN_CLASS = 255
 
@@ -157,6 +163,8 @@ class ClassGrid:
         return self.class_ids.shape[1]
 
     def _build_distance_fields(self):
+        from scipy.ndimage import distance_transform_edt
+
         rows, cols = self.class_ids.shape
         self._dist = np.full((self.n_classes, rows + 2, cols + 2), np.inf)
         for c in range(self.n_classes):
@@ -187,6 +195,8 @@ class PointCloudMap:
         if not np.isfinite(self.points).all():
             raise ValueError("point cloud contains non-finite coordinates")
         self.points.flags.writeable = False
+        from scipy.spatial import cKDTree
+
         self._tree = cKDTree(self.points)
 
     def distance_field(self, reach: float, spacing: float) -> DistanceField | None:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from .fields import build, parse_field, positive_int
 
@@ -215,6 +214,12 @@ def _elu(x) -> np.ndarray:
     return np.where(x > 0.0, x, np.expm1(x))
 
 
+def _logistic(x) -> np.ndarray:
+    """1 / (1 + exp(-x)) through tanh, which neither overflows nor warns
+    at any finite x."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
+
+
 def _valid_after_stride(length: int, stride: int) -> int:
     return -(-length // stride)
 
@@ -252,8 +257,8 @@ def _gru_pass(xs, w_ih, w_hh, bias) -> np.ndarray:
     h = np.zeros(h_len)
     for t in range(t_len):
         gh = w_hh @ h
-        r = expit(gi[t, :h_len] + gh[:h_len])
-        z = expit(gi[t, h_len : 2 * h_len] + gh[h_len : 2 * h_len])
+        r = _logistic(gi[t, :h_len] + gh[:h_len])
+        z = _logistic(gi[t, h_len : 2 * h_len] + gh[h_len : 2 * h_len])
         cand = np.tanh(gi[t, 2 * h_len :] + r * gh[2 * h_len :])
         h = (1.0 - z) * cand + z * h
         hs[t] = h

@@ -1,12 +1,17 @@
 """End-to-end command-line flows, driven through main() in-process."""
 
+import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hapticloc import evaluate
 from hapticloc.cli import load_course_dir, main
 from hapticloc.evaluate import (
     default_chevron_experiment,
@@ -24,7 +29,8 @@ from hapticloc.sim import classify_log, load_walklog, save_signal, save_walklog,
 from test_network import random_weights
 
 SMALL_NET = NetworkConfig(res_channels=(8, 12), gru_hidden=10, fc_hidden=7)
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -49,6 +55,17 @@ def test_eval_constant_offset(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", "--truth", str(t), "--est", str(e))
     assert code == 0
     assert out.strip() == "0.100000"
+
+
+def test_eval_rejects_trajectories_whose_times_differ(tmp_path, capsys):
+    # each pose shifted by 100 s once scored 0.000000 against its source
+    t = tmp_path / "t.traj"
+    e = tmp_path / "e.traj"
+    t.write_text("0 1.0 2 0.5 0 0 0 1\n1 1.5 2 0.5 0 0 0 1\n")
+    e.write_text("0 1.0 2 0.5 0 0 0 1\n101 1.5 2 0.5 0 0 0 1\n")
+    code, out, err = run(capsys, "eval", "--truth", str(t), "--est", str(e))
+    assert code == 1 and out == ""
+    assert err == f"error: the trajectories' times differ at row 2: 1.0 in {t}, 101.0 in {e}\n"
 
 
 @pytest.mark.parametrize("bad", ["0 1.1 nan 0.5 0 0 0 1", "0 1.1 2 0.5 nan 0 0 1"])
@@ -273,6 +290,19 @@ def test_localize_class_source_errors(tmp_path, capsys):
     assert err.strip() == "error: --weights: mode HL-G reads no terrain classes"
 
 
+@pytest.mark.parametrize("mode", ["HL-GC", "HL-C"])
+def test_localize_checks_the_mode_s_layers_before_it_trains(mode, tmp_path, capsys, monkeypatch):
+    d, log_path = tmp_path / "chevron", tmp_path / "walk.csv"
+    run(capsys, "make-course", "--kind", "chevron-ramp", "--out", str(d))
+    run(capsys, "simulate", "--course", str(d), "--waypoints", "1.0,0.7 2.0,0.7", "--out", str(log_path))
+    trained = []
+    monkeypatch.setattr(evaluate, "train_contact_classifier", trained.append)
+    code, out, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", mode,
+                         "--out", str(tmp_path / "loc"))
+    assert code == 1 and out == "" and trained == []
+    assert err.strip() == "error: the class channel requires a class layer, not among the map layers ('elevation',)"
+
+
 def test_localize_rejects_another_walk_log_version(tmp_path, capsys):
     d, log_path = tiles_walk(tmp_path, capsys)
     log_path.write_text(log_path.read_text().replace("# walklog 2\n", "# walklog 1\n", 1))
@@ -415,6 +445,20 @@ def test_run_experiment_bad_config_errors(tmp_path, capsys):
     assert code == 1
     assert err.strip() == f"error: {ini}: step_length 5.0 m leaves the 2.0 m wall probe without a step"
     assert not (tmp_path / "run").exists()
+    # INI syntax errors, each once a configparser traceback; a '%' is
+    # literal text, so that file fails only at its bad step length
+    for body, message in [
+        ("[experiment]\nkind = chevron-ramp\nname = run%x\n[walk]\nstep_length = 0\n", "step_length"),
+        ("[experiment]\nkind = chevron-ramp\nkind = wall-room\n", "option 'kind' in section 'experiment' already exists"),
+        ("[experiment]\nkind = chevron-ramp\n[walk]\n[walk]\n", "section 'walk' already exists"),
+        ("kind = chevron-ramp\n", "File contains no section headers"),
+        ("[experiment]\nkind = chevron-ramp\nseeds\n", "[line 3]: 'seeds\\n'"),
+    ]:
+        ini.write_text(body)
+        code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))
+        assert code == 1 and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {ini}: ") and message in err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -488,3 +532,38 @@ def test_readme_quick_start_prints_what_it_shows(tmp_path, capsys, monkeypatch):
                 assert any(line.startswith(want[:-3]) for line in printed), (want, out)
             else:
                 assert want in printed, (want, out)
+
+
+# in a fresh interpreter: the scipy modules loaded after the CLI's import and
+# an elevation-only run, then after each course that builds a scipy layer
+COLD_START = """
+import json, sys
+from dataclasses import replace
+import hapticloc.cli
+from hapticloc.evaluate import default_chevron_experiment, run_localization, simulate_for_config
+from hapticloc.sim import CourseSpec, generate_course
+
+def loaded():
+    return [m for m in ("scipy.ndimage", "scipy.spatial", "scipy.special") if m in sys.modules]
+
+seen = [loaded()]
+cfg = replace(default_chevron_experiment(), waypoints=((1.0, 0.7), (2.0, 0.7)), n_particles=50)
+course, log = simulate_for_config(cfg, 1)
+run_localization(log, course, "HL-G", cfg, seed=1)
+seen.append(loaded())
+for kind in ("class-tiles", "wall-room"):
+    generate_course(CourseSpec(kind))
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_an_elevation_only_process_loads_no_scipy_module():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    after_import, after_hl_g, after_tiles, after_wall_room = json.loads(done.stdout)
+    assert after_import == after_hl_g == []
+    # scipy.ndimage itself loads scipy.special
+    assert "scipy.ndimage" in after_tiles and "scipy.spatial" not in after_tiles
+    assert "scipy.spatial" in after_wall_room

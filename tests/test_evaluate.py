@@ -359,7 +359,7 @@ def test_load_experiment_config_overrides(tmp_path):
     p.write_text(
         "[experiment]\n"
         "kind = class-tiles\n"
-        "name = my-tiles\n"
+        "name = my-tiles 100%\n"
         "seeds = 7 8\n"
         "modes = HL-G HL-GC\n"
         "out = runs/custom\n"
@@ -378,7 +378,7 @@ def test_load_experiment_config_overrides(tmp_path):
         "prior_std_xyz = 0.2\n"
     )
     cfg, out = load_experiment_config(p)
-    assert cfg.name == "my-tiles"
+    assert cfg.name == "my-tiles 100%"
     assert cfg.course.kind == "class-tiles" and cfg.course.resolution == 0.1
     assert cfg.seeds == (7, 8)
     assert cfg.modes == ("HL-G", "HL-GC")

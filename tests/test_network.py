@@ -7,10 +7,15 @@ acceptance suite.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.signal
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hapticloc.network import (
     NetworkConfig,
@@ -20,6 +25,7 @@ from hapticloc.network import (
     _conv1d_same,
     _elu,
     _gru_pass,
+    _logistic,
     _valid_after_stride,
     expected_tensor_shapes,
     forward,
@@ -119,6 +125,18 @@ def test_elu_definition():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
     want = np.where(x > 0, x, np.exp(x) - 1.0)
     assert np.allclose(_elu(x), want, atol=1e-15, rtol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([1e300, -1e300, 800.0, -800.0, 0.0, -0.0, 5e-324]))
+def test_logistic_matches_scipy_expit(x):
+    # the GRU gates take it in place of scipy.special.expit, which an import
+    # of the network module would otherwise load
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _logistic(x)
+    assert np.abs(got - scipy.special.expit(x)).max() <= 4.5e-16
 
 
 def test_valid_after_stride_is_ceil():
