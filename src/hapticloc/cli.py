@@ -135,20 +135,28 @@ def _cmd_run_experiment(args) -> int:
     return 0
 
 
+def non_negative_int(text) -> int:
+    """A --seed: a non-negative integer, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hapticloc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-course", help="generate a synthetic course into a directory")
     p.add_argument("--kind", required=True, choices=sim.COURSE_KINDS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--resolution", type=float, default=0.05)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_make_course)
 
     p = sub.add_parser("simulate", help="walk a course and write the log")
     p.add_argument("--course", required=True, help="course directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="walk log csv path")
     p.add_argument("--waypoints", help="walk 'x,y x,y ...' instead of the course kind's experiment walk")
     p.set_defaults(func=_cmd_simulate)
@@ -162,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="maximum; above 500 the filter adapts by KLD (default: the course kind's experiment particle count)",
     )
-    p.add_argument("--seed", type=int, default=0, help="filter seed, and the experiment seed of the classifier")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="filter seed, and the experiment seed of the classifier")
     p.add_argument("--weights", help="class modes: fuse this network weights file, not the seed's baseline")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_localize)
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-experiment", help="full multi-seed experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, help="run this single seed instead of the config's list")
+    p.add_argument("--seed", type=non_negative_int, help="run this single seed instead of the config's list")
     p.add_argument("--particles", type=int, help="maximum; above 500 the filter adapts by KLD")
     p.add_argument("--out", help="output directory (overrides config)")
     p.set_defaults(func=_cmd_run_experiment)

@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ValueError(f"modes {self.modes} repeat a mode")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds {self.seeds} must be one or more distinct seeds")
+        if min(self.seeds) < 0:
+            raise ValueError(f"[experiment] seeds must be non-negative integers, got {self.seeds}")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(

@@ -24,24 +24,24 @@ node in the band around the cloud holds its exact nearest-neighbour
 distance, capped at the floor reach (LikelihoodConfig.floor_reach, beyond
 which the Gaussian can no longer beat the floor) plus a cell diagonal, and
 rounded to one of 254 quanta; the band is stored sparsely, in bricks of
-nodes found through a hash table built with the field (a power of two of
-at least 8 slots a brick; its longest probe, recorded then, bounds a
-lookup's rounds). A point's distance interpolates the eight corners of
-its cell, and a corner no step has read before is filled from the kd-tree
-first, so runs pay for the nodes their contacts reach, once per cloud,
-and no value depends on which filled first. For a point within
-the reach the distance lies within error_bound = sqrt(3)/2 field_spacing
-plus half a quantum of the exact distance (the interpolation of a
-distance, whose slope is at most 1, misses by at most half a cell
-diagonal). A point beyond the reach plus that bound,
-or off the band, reads at least the reach and scores the floor, as its
-exact distance would: gaussian_log_density is non-increasing in the
-distance in float arithmetic too. A cloud whose field would hold more than
-maps.FIELD_BUDGET_BYTES (a sigma_z of a few mm on the wall room) has none,
-and its channel keeps the exact nearest-neighbour search, stopped at the
-floor reach: there a point with no map point within the reach gets
-distance inf, which scores the floor, and every other point its exact
-distance, bit for bit.
+nodes, and a dense index over the box of bricks around the cloud holds
+each brick's row, so a contact finds its brick with one lookup. A point's
+distance interpolates the eight corners of its cell, and a corner no step
+has read before is filled from the kd-tree first, so runs pay for the
+nodes their contacts reach, once per cloud, and no value depends on which
+filled first. For a point within the reach the distance lies within
+error_bound = sqrt(3)/2 field_spacing plus half a quantum of the exact
+distance (the interpolation of a distance, whose slope is at most 1,
+misses by at most half a cell diagonal). A point beyond the reach plus
+that bound, or off the band, reads at least the reach and scores the
+floor, as its exact distance would: gaussian_log_density is
+non-increasing in the distance in float arithmetic too. A cloud whose
+field and row index would hold more than maps.FIELD_BUDGET_BYTES (a
+sigma_z of a few mm on the wall room, or a few points far apart at a fine
+spacing) has none, and its channel keeps the exact nearest-neighbour
+search, stopped at the floor reach: there a point with no map point
+within the reach gets distance inf, which scores the floor, and every
+other point its exact distance, bit for bit.
 
 A localization mode is the set of channels it fuses (MODES). Each channel
 reads the map layer of its own name, so the layers a mode needs are its
@@ -111,6 +111,18 @@ def gaussian_log_density(x, sigma, out=None):
     return np.subtract(out, 0.5 * _LOG_2PI, out=out)
 
 
+def _floor_density(name, sigma) -> float:
+    """The density at 3 sigma, a channel's floor. A sigma that is not finite
+    and positive, or so small or large that its floor is not a finite,
+    positive float, raises: every weight it made would be 0, inf or nan."""
+    if 0.0 < sigma < math.inf:
+        with np.errstate(over="ignore", under="ignore"):
+            rho = float(gaussian_density(3.0 * sigma, sigma))
+        if 0.0 < rho < math.inf:
+            return rho
+    raise ValueError(f"[filter] {name} must be finite and positive with a finite, positive floor density, got {sigma}")
+
+
 @dataclass(frozen=True)
 class LikelihoodConfig:
     """Channel sigmas and the linear-domain floors derived from them.
@@ -126,10 +138,8 @@ class LikelihoodConfig:
     class_rho: float = field(init=False)
 
     def __post_init__(self):
-        if not self.sigma_z > 0.0 or not self.sigma_c > 0.0:
-            raise ValueError("likelihood sigmas must be positive")
-        object.__setattr__(self, "rho", float(gaussian_density(3.0 * self.sigma_z, self.sigma_z)))
-        object.__setattr__(self, "class_rho", float(gaussian_density(3.0 * self.sigma_c, self.sigma_c)))
+        object.__setattr__(self, "rho", _floor_density("sigma_z", self.sigma_z))
+        object.__setattr__(self, "class_rho", _floor_density("sigma_c", self.sigma_c))
 
     @property
     def log_rho(self) -> float:

@@ -25,11 +25,10 @@ is allowed only as a height's no-data value.
 A point cloud answers exact nearest-neighbour queries from a kd-tree
 (cloud_distances), and keeps a truncated distance field for one reach and
 lattice spacing (PointCloudMap.distance_field): the band of lattice nodes
-near the cloud, in bricks found through a hash table of their keys built
-with the field, so its memory follows the cloud's surface, not its bounding
-box. field_distances interpolates it at query points, and fills each node
-from kd-tree queries the first time it reads it, so a run pays only for the
-nodes its points reach.
+near the cloud, stored sparsely in bricks, and one dense index of their
+rows over the box of bricks around the cloud. field_distances interpolates
+it at query points, and fills each node from kd-tree queries the first time
+it reads it, so a run pays only for the nodes its points reach.
 
 scipy is imported only where a layer is built with it: the class layer's
 distance fields (scipy.ndimage) and the point cloud's kd-tree (scipy.spatial).
@@ -202,8 +201,8 @@ class PointCloudMap:
     def distance_field(self, reach: float, spacing: float) -> DistanceField | None:
         """The cloud's DistanceField for reach, on a lattice of the given
         spacing: made on the first request and kept until a request for
-        another reach or spacing replaces it. None when its bricks would
-        hold more than FIELD_BUDGET_BYTES."""
+        another reach or spacing replaces it. None when its bricks and their
+        row index would hold more than FIELD_BUDGET_BYTES."""
         key = (float(reach), float(spacing))
         if self._field is None or self._field[0] != key:
             self._field = (key, _make_field(self, *key))
@@ -237,13 +236,6 @@ _FILL_CHUNK = 16384
 _GATHER_SLICE = 8192
 
 
-# a brick table's slots per kept brick, at least (rounded up to a power of
-# two), and the multiplier of its Fibonacci hashing, 2**64 over the golden
-# ratio, odd
-_SLOTS_PER_BRICK = 8
-_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
-
-
 @dataclass(frozen=True)
 class DistanceField:
     """A point cloud's distance field for one reach, stored sparsely and
@@ -252,39 +244,30 @@ class DistanceField:
     Each node holds its distance to the nearest point of cloud, capped at
     cap (reach plus a cell diagonal) and rounded to a multiple of quantum,
     as one plus that multiple: one uint8 a node, 0 while the node is not
-    filled. keys are the sorted keys of the bricks that may hold a node
-    within reach plus half a cell diagonal of the cloud, and bricks their
-    nodes, a row each, plus a last row all at cap that stands for every
-    other brick. A node is filled (fill) on the first gather that reads it;
-    its value does not depend on when, and the pages of bricks no gather
-    read take no memory (_make_field). A brick's key is weights @ (b - low)
-    for its brick coordinates b; low and high lie at least one brick beyond
-    the kept ones on each side, so a brick outside that box clamps to a
-    border key, which is never kept.
+    filled. keys are the sorted int64 keys of the bricks that may hold a
+    node within reach plus half a cell diagonal of the cloud, and bricks
+    their nodes, a row each, plus a last row all at cap that stands for
+    every other brick. A node is filled (fill) on the first gather that
+    reads it; its value does not depend on when, and the pages of bricks no
+    gather read take no memory (_make_field). A brick's key is weights @
+    (b - low) for its brick coordinates b; low and high lie at least one
+    brick beyond the kept ones on each side, so a brick outside that box
+    clamps to a border key, which is never kept.
 
-    A gather finds a brick's row through slots, an open-addressing hash
-    table built with the field (_brick_table): row_keys holds each row's
-    key, the keys then -1 for the last row, and slots, a power of two of at
-    least _SLOTS_PER_BRICK a kept brick, the rows, a key's home slot its
-    Fibonacci hash and the last row's index in an empty slot. Every kept
-    key lies at most probes slots past its home, so a lookup reads probes
-    + 1 slots.
+    rows is the row index over that box, one entry a key: the row of a kept
+    brick, the last row for every other one, so a gather finds each point's
+    row with one take.
     """
 
     cloud: PointCloudMap = field(repr=False, compare=False)
     reach: float
     spacing: float
-    row_keys: np.ndarray
+    keys: np.ndarray
+    rows: np.ndarray
     bricks: np.ndarray
     low: np.ndarray
     high: np.ndarray
     weights: np.ndarray
-    slots: np.ndarray
-    probes: int
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self.row_keys[:-1]
 
     @property
     def cap(self) -> float:
@@ -318,7 +301,7 @@ class DistanceField:
         nodes = nodes[flat[nodes] == 0]
         row, local = np.divmod(nodes, _BRICK_NODES)
         span = (self.high - self.low + 1.0).astype(np.int64)
-        brick = np.column_stack(np.unravel_index(self.keys[row].astype(np.int64), span)) + self.low
+        brick = np.column_stack(np.unravel_index(self.keys[row], span)) + self.low
         at = FIELD_BRICK * brick + _LOCAL[local]
         at *= self.spacing
         d = cloud_distances(self.cloud, at.T, self.cap)
@@ -343,99 +326,42 @@ def _distinct_nodes(nodes, n_rows: int) -> np.ndarray:
     return at - shift[rows[at // _BRICK_NODES]]
 
 
-def _slot_count(n_keys: int) -> int:
-    """The slots of a brick table for n_keys kept bricks."""
-    return 1 << (_SLOTS_PER_BRICK * n_keys - 1).bit_length()
-
-
-def _home_slots(keys, n_slots: int, out) -> np.ndarray:
-    """Fibonacci hashing: the top log2(n_slots) bits of each key times
-    _FIBONACCI, modulo 2**64, into out, an int64 array of the keys' shape."""
-    np.copyto(out, keys, casting="unsafe")
-    bits = out.view(np.uint64)
-    np.multiply(bits, _FIBONACCI, out=bits)
-    np.right_shift(bits, np.uint64(65 - n_slots.bit_length()), out=bits)
-    return out
-
-
-def _brick_table(keys) -> tuple[np.ndarray, np.ndarray, int]:
-    """(row_keys, slots, probes) of DistanceField for the sorted keys.
-
-    Each round places every key not placed yet at the slot that many past
-    its home, if that slot is empty; of several keys that reach one slot,
-    the first takes it. The rounds it takes are the longest probe.
-    """
-    n = len(keys)
-    slots = np.full(_slot_count(n), n, dtype=np.int32)
-    home = _home_slots(keys, len(slots), np.empty(n, dtype=np.int64))
-    pending = np.arange(n)
-    probe = 0
-    while True:
-        at = (home[pending] + probe) & (len(slots) - 1)
-        free = np.flatnonzero(slots[at] == n)
-        taken, first = np.unique(at[free], return_index=True)
-        slots[taken] = pending[free[first]]
-        pending = np.delete(pending, free[first])
-        if not len(pending):
-            return np.append(keys, -1.0), slots, probe
-        probe += 1
-
-
-def _brick_rows(row_keys, slots, probes: int, key, out, scratch) -> None:
-    """Each of the brick keys' (M,) row, into out, an (M,) int64 array: the
-    row row_keys holds it at, or the last row for a key no row holds.
-    scratch is a (4, M) int64 array."""
-    m = len(key)
-    at, found = scratch[0], scratch[1].view(float)
-    row, hit = scratch[2].view(np.int32)[:m], scratch[3].view(bool)[:m]
-    _home_slots(key, len(slots), at)
-    out.fill(len(row_keys) - 1)
-    for _ in range(probes + 1):
-        slots.take(at, out=row, mode="wrap")
-        row_keys.take(row, out=found, mode="clip")
-        np.equal(found, key, out=hit)
-        np.copyto(out, row, where=hit)
-        np.add(at, 1, out=at)
-
-
 def _field_bricks(points, radius: float, spacing: float):
-    """(keys, low, high, weights) of the bricks with a node within radius of
-    some point on every axis, as DistanceField keeps them; None when the key
-    box is too large for exact float keys or the bricks and their table
-    exceed the budget.
+    """(keys, rows, low, high, weights) of DistanceField for the bricks with
+    a node within radius of some point on every axis; None when they and
+    their row index exceed the budget.
 
     A point's bricks form a box, lo to hi; points with a box of one shape
     share its offsets, so each shape's distinct low corners, shifted by
-    each of its offsets, give the kept keys.
+    each of its offsets, mark the kept bricks in a mask over the box.
     """
     u = points.T / spacing
     lo = np.ceil((u - radius / spacing) / FIELD_BRICK) - 1.0
     hi = np.floor((u + radius / spacing) / FIELD_BRICK)
     low, high = lo.min(axis=1) - 1.0, hi.max(axis=1) + 1.0
     span = high - low + 1.0
-    if span.prod() >= 2.0**53:
+    # the row index, an intp a brick of the box, is checked before anything
+    # the size of the box is made
+    index_bytes = span.prod() * np.dtype(np.intp).itemsize
+    if index_bytes > FIELD_BUDGET_BYTES:
         return None
     weights = np.array([span[1] * span[2], span[2], 1.0])
     corner = weights @ (lo - low[:, None])
     extent = (hi - lo).astype(np.int64)
     sizes = (int(extent.max()) + 1,) * 3
     shape = np.ravel_multi_index(extent, sizes)
-    shapes = np.unique(shape)
-    corners = [np.unique(corner[shape == s]) for s in shapes]
-    # a box's low corner is a kept brick, so one shape's distinct corners
-    # alone may exceed the budget
-    if max(map(len, corners)) * _BRICK_NODES > FIELD_BUDGET_BYTES:
+    kept = np.zeros(int(span.prod()), dtype=bool)
+    for s in np.unique(shape):
+        corners = np.unique(corner[shape == s])
+        for offset in itertools.product(*(range(e + 1) for e in np.unravel_index(s, sizes))):
+            kept[(corners + weights @ offset).astype(np.int64)] = True
+    keys = np.flatnonzero(kept)
+    # a row of nodes and a key a kept brick, and the index
+    if len(keys) * (_BRICK_NODES + keys.itemsize) + index_bytes > FIELD_BUDGET_BYTES:
         return None
-    keys = [
-        c + weights @ np.array(offset, dtype=float)
-        for s, c in zip(shapes, corners)
-        for offset in itertools.product(*(range(e + 1) for e in np.unravel_index(s, sizes)))
-    ]
-    keys = np.unique(np.concatenate(keys))
-    # a row of nodes and a key a brick, and the table's int32 slots
-    if len(keys) * (_BRICK_NODES + keys.itemsize) + 4 * _slot_count(len(keys)) > FIELD_BUDGET_BYTES:
-        return None
-    return keys, low, high, weights
+    rows = np.full(len(kept), len(keys), dtype=np.intp)
+    rows[keys] = np.arange(len(keys))
+    return keys, rows, low, high, weights
 
 
 def _make_field(cloud: PointCloudMap, reach: float, spacing: float) -> DistanceField | None:
@@ -453,17 +379,16 @@ def _make_field(cloud: PointCloudMap, reach: float, spacing: float) -> DistanceF
     found = _field_bricks(cloud.points, reach + 0.5 * math.sqrt(3.0) * spacing, spacing)
     if found is None:
         return None
-    keys, low, high, weights = found
-    row_keys, slots, probes = _brick_table(keys)
-    rows = len(keys) + 1
-    bricks = np.frombuffer(mmap.mmap(-1, rows * _BRICK_NODES), dtype=np.uint8).reshape(rows, _BRICK_NODES)
+    keys, rows, low, high, weights = found
+    n = len(keys) + 1
+    bricks = np.frombuffer(mmap.mmap(-1, n * _BRICK_NODES), dtype=np.uint8).reshape(n, _BRICK_NODES)
     bricks[-1] = _QUANTA + 1
-    return DistanceField(cloud, reach, spacing, row_keys, bricks, low, high, weights, slots, probes)
+    return DistanceField(cloud, reach, spacing, keys, rows, bricks, low, high, weights)
 
 
 def field_distances(distance_field: DistanceField, points, out=None, scratch=None) -> np.ndarray:
     """The field's distances at finite query points (3, ...): each point's
-    cell, its brick found through the field's hash table, and the trilinear
+    cell, its brick's row read from the field's row index, and the trilinear
     interpolation of the cell's eight corner nodes, each filled first if no
     gather has read it yet. For a point within the field's reach of the cloud, the distance
     lies within error_bound of the exact one; a point in a brick the field
@@ -499,8 +424,8 @@ def _field_slice(f: DistanceField, points, out, index, nodes) -> None:
     """field_distances for points (3, M), into out (M,), with a (9, M) int64
     index and (8, M) uint8 nodes as scratch; the index's float view holds
     the cells, bricks and keys on the way."""
-    rows = index.view(float)
-    cell, brick, key, offset, base = rows[0:3], rows[3:6], rows[6], rows[7], index[8]
+    real = index.view(float)
+    cell, brick, key, offset, base = real[0:3], real[3:6], real[6], real[7], index[8]
     # the cell's brick, and its low node's offset in the brick over FIELD_BRICK
     # (scaling by a power of two and flooring integers are exact)
     np.floor(np.divide(points, f.spacing, out=cell), out=cell)
@@ -513,8 +438,10 @@ def _field_slice(f: DistanceField, points, out, index, nodes) -> None:
     np.fmin(brick, f.high[:, None], out=brick)
     np.subtract(brick, f.low[:, None], out=brick)
     np.matmul(f.weights[None], brick, out=key[None])
-    # a brick that is not kept reads the last row, all cap
-    _brick_rows(f.row_keys, f.slots, f.probes, key, base, index[:4])
+    # a brick that is not kept reads the last row, all cap; the cells' row
+    # is free by now to hold the keys as integers
+    np.copyto(index[0], key, casting="unsafe")
+    f.rows.take(index[0], out=base, mode="clip")
     np.multiply(base, _BRICK_NODES, out=base)
     np.add(base, offset, out=base, casting="unsafe")
     np.add(base, _CORNERS[:, None], out=index[:8])
@@ -526,9 +453,9 @@ def _field_slice(f: DistanceField, points, out, index, nodes) -> None:
 
     # the point's offset in its cell, in cells, then the corners interpolated
     # along z, y and x in quanta
-    t, lerp = rows[0:3], rows[3:7]
+    t, lerp = real[0:3], real[3:7]
     np.divide(points, f.spacing, out=t)
-    np.subtract(t, np.floor(t, out=rows[3:6]), out=t)
+    np.subtract(t, np.floor(t, out=real[3:6]), out=t)
     np.subtract(nodes[1::2], nodes[0::2], out=lerp, dtype=float)
     np.multiply(lerp, t[2], out=lerp)
     np.add(lerp, nodes[0::2], out=lerp)

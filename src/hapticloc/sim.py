@@ -163,8 +163,10 @@ class CourseSpec:
     def __post_init__(self):
         if self.kind not in COURSE_KINDS:
             raise ValueError(f"unknown course kind {self.kind!r}, expected one of {COURSE_KINDS}")
-        if not self.resolution > 0.0:
-            raise ValueError("course resolution must be positive")
+        if not 0.0 < self.resolution < np.inf:
+            raise ValueError(f"course resolution must be finite and positive, got {self.resolution}")
+        if not self.seed >= 0:
+            raise ValueError(f"course seed must be a non-negative integer, got {self.seed}")
 
 
 def _cell_centers(n_cols, n_rows, res, origin):

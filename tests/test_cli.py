@@ -138,6 +138,35 @@ def test_classify_names_the_line_of_a_nan_weight_and_a_bad_sample(tmp_path, caps
     assert err == f"error: {s}:3: column fx: cannot parse 'x'\n"
 
 
+def test_make_course_rejects_an_infinite_resolution(tmp_path, capsys):
+    # it once failed in the course builder with a numpy reduction error
+    d = tmp_path / "chev"
+    code, out, err = run(capsys, "make-course", "--kind", "chevron-ramp", "--resolution", "inf", "--out", str(d))
+    assert code == 1 and out == ""
+    assert err == "error: course resolution must be finite and positive, got inf\n"
+    assert not d.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("make-course", "--kind", "wall-room"),
+        ("simulate", "--course", "course"),
+        ("localize", "--course", "course", "--walklog", "walk.csv"),
+        ("run-experiment", "--config", "configs/chevron.ini"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_every_seed_option_takes_a_non_negative_int(tmp_path, capsys, command):
+    # a negative seed once built a wall room, or failed in numpy's generator
+    # without naming the option
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_make_course_layers(tmp_path, capsys):
     d = tmp_path / "chev"
     code, out, _ = run(capsys, "make-course", "--kind", "chevron-ramp", "--seed", "3", "--out", str(d))

@@ -116,8 +116,9 @@ def test_experiment_config_validation():
         ("modes", ("HL-G", "HL-G"), "repeat"),
         ("seeds", (), "distinct seeds"),
         ("seeds", (1, 1), "distinct seeds"),
+        ("seeds", (-3, 1), "non-negative"),
     ],
-    ids=["odom-only", "repeated", "no-seeds", "repeated-seeds"],
+    ids=["odom-only", "repeated", "no-seeds", "repeated-seeds", "negative-seed"],
 )
 def test_modes_are_distinct_filter_modes(key, values, match, tmp_path):
     with pytest.raises(ValueError, match=match):
@@ -419,6 +420,13 @@ BAD_CONFIGS = [
     ("[experiment]\nkind = chevron-ramp\n[noise]\nz_bias = nan\n", "z_bias must be finite"),
     ("[experiment]\nkind = chevron-ramp\n[noise]\nyaw_bias = inf\n", "yaw_bias must be finite"),
     ("[experiment]\nkind = chevron-ramp\n[noise]\noutlier_prob = 7\n", r"outlier_prob must lie in \[0, 1\], got 7.0"),
+    # settings that once ran every step with underflowed weights, or failed
+    # after the walk was simulated without naming the key
+    ("[experiment]\nkind = chevron-ramp\n[filter]\nsigma_z = inf\n", r"\[filter\] sigma_z must be finite .*, got inf"),
+    ("[experiment]\nkind = chevron-ramp\n[filter]\nsigma_z = 1e-320\n", r"\[filter\] sigma_z must be .*, got 1e-320"),
+    ("[experiment]\nkind = chevron-ramp\n[filter]\nsigma_c = 1e308\n", r"\[filter\] sigma_c must be .*, got 1e\+308"),
+    ("[experiment]\nkind = chevron-ramp\n[course]\nresolution = inf\n", "course resolution must be finite and positive, got inf"),
+    ("[experiment]\nkind = chevron-ramp\nseeds = -3 1\n", r"\[experiment\] seeds must be non-negative integers, got \(-3, 1\)"),
 ]
 
 

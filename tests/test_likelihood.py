@@ -6,6 +6,7 @@ formula.
 """
 
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
@@ -76,6 +77,25 @@ def test_config_rejects_bad_parameters():
         LikelihoodConfig(rho=0.1)
     with pytest.raises(ValueError):
         replace(LikelihoodConfig(), class_rho=0.1)
+
+
+# a sigma whose floor density is 0, inf or nan: each once ran a whole
+# experiment with every weight underflowed, or died after the walk
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e-320, 1e308])
+@pytest.mark.parametrize("name", ["sigma_z", "sigma_c"])
+def test_config_rejects_a_sigma_without_a_finite_positive_floor(name, sigma):
+    # the check itself warns of no overflow: tier-1 makes a RuntimeWarning an error
+    match = re.escape(f"[filter] {name} must be finite and positive with a finite, positive floor density, got {sigma}")
+    with pytest.raises(ValueError, match=match):
+        LikelihoodConfig(**{name: sigma})
+    with pytest.raises(ValueError, match=match):
+        replace(LikelihoodConfig(), **{name: sigma})
+
+
+def test_config_keeps_the_extreme_sigmas_that_have_a_floor():
+    for sigma in (1e-300, 1e300):
+        cfg = LikelihoodConfig(sigma_z=sigma, sigma_c=sigma)
+        assert 0.0 < cfg.rho == cfg.class_rho < math.inf
 
 
 def test_replaced_sigmas_derive_their_floors_anew():
@@ -261,21 +281,40 @@ def test_cloud_field_scores_the_floor_beyond_the_reach_and_off_the_band(seed, n_
     assert np.all((low <= got) & (got <= high))
 
 
+def field_bytes(field) -> int:
+    """What a field holds: its keys, its bricks and its row index."""
+    return field.keys.nbytes + field.bricks.nbytes + field.rows.nbytes
+
+
 @settings(max_examples=30, deadline=None)
 @given(sigma_z=st.floats(1e-3, 0.5), direction=st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 1)]))
 def test_cloud_field_of_two_far_points_stores_a_few_bricks(sigma_z, direction):
-    # the field follows the cloud, not its bounding box: 100 m apart, the
-    # two points need at most 27 bricks each however fine the lattice
+    # 100 m apart, the two points need at most 27 bricks each, but the row
+    # index spans the box between them: a field, when one is made, fits the
+    # budget, and a fine lattice along the diagonal makes none
     far = 100.0 * np.array(direction) / np.linalg.norm(direction)
     cloud = PointCloudMap(np.array([[0.3, -0.2, 0.1], [0.3, -0.2, 0.1] + far]))
-    field = cloud_field(cloud, LikelihoodConfig(sigma_z=sigma_z))
-    assert len(field.keys) <= 2 * 27
-    # a brick, its key and fewer than 16 int32 slots of the table a kept
-    # brick, and the last row
-    assert field.keys.nbytes + field.bricks.nbytes + field.slots.nbytes <= 2 * 27 * (9**3 + 8 + 64) + 9**3
-    # and both points are found
-    got = cloud_log_likelihood_points(cloud.points.T, cloud, LikelihoodConfig(sigma_z=sigma_z))
-    assert np.all(got >= gaussian_log_density(field.error_bound * (1.0 + 1e-9), sigma_z))
+    cfg = LikelihoodConfig(sigma_z=sigma_z)
+    field = cloud_field(cloud, cfg)
+    if field is not None:
+        assert len(field.keys) <= 2 * 27
+        assert field_bytes(field) <= maps_module.FIELD_BUDGET_BYTES
+    # either way both points are found: within the field's error bound, or
+    # at distance 0 by the exact search
+    bound = 0.0 if field is None else field.error_bound * (1.0 + 1e-9)
+    got = cloud_log_likelihood_points(cloud.points.T, cloud, cfg)
+    assert np.all(got >= gaussian_log_density(bound, sigma_z))
+
+
+def test_cloud_field_of_two_far_points_on_a_fine_lattice_is_none():
+    # 100 m apart along the diagonal, at sigma_z 0.05 (bricks 0.3 m a side),
+    # the box's row index would take about 60 MB, whatever the two points'
+    # few bricks hold; at 0.5 it takes 97 KB
+    far = 100.0 * np.ones(3) / np.sqrt(3.0)
+    cloud = PointCloudMap(np.array([[0.3, -0.2, 0.1], [0.3, -0.2, 0.1] + far]))
+    assert cloud_field(cloud, LikelihoodConfig(sigma_z=0.05)) is None
+    field = cloud_field(cloud, LikelihoodConfig(sigma_z=0.5))
+    assert field is not None and field.rows.nbytes <= 2**17
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,10 +345,14 @@ def test_cloud_over_the_budget_keeps_the_bounded_kd_tree_query(seed, n_cloud, si
 
 def test_wall_room_field_at_a_few_mm_exceeds_the_budget():
     cloud = generate_course(CourseSpec("wall-room")).cloud
-    assert cloud_field(PointCloudMap(cloud.points), LikelihoodConfig(sigma_z=0.002)) is None
+    for sigma_z in (0.002, 0.006):
+        assert cloud_field(PointCloudMap(cloud.points), LikelihoodConfig(sigma_z=sigma_z)) is None
+    # the finest sigma_z of a field, and the default
+    fine = cloud_field(PointCloudMap(cloud.points), LikelihoodConfig(sigma_z=0.007))
+    assert fine is not None and field_bytes(fine) <= maps_module.FIELD_BUDGET_BYTES
     field = cloud_field(cloud, LikelihoodConfig())
     assert field is not None
-    assert field.keys.nbytes + field.bricks.nbytes + field.slots.nbytes <= maps_module.FIELD_BUDGET_BYTES
+    assert field_bytes(field) <= maps_module.FIELD_BUDGET_BYTES
 
 
 LEVEL = (0.0, 0.0)

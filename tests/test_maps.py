@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
-import hapticloc.maps as maps_module
 from hapticloc.maps import (
     UNKNOWN_CLASS,
     ClassGrid,
@@ -341,39 +340,28 @@ def binary_search_rows(keys, query):
     return np.where(found, rank, len(keys))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_other=st.integers(0, 300),
-    n_colliding=st.integers(3, 8),
-    wrap=st.booleans(),
+    n_cloud=st.integers(1, 30),
+    spacing=st.floats(1e-3, 0.3),
+    spread=st.floats(1.0, 300.0),
 )
-def test_brick_table_finds_the_rows_a_binary_search_finds(seed, n_other, n_colliding, wrap):
-    # keys in a box of span bricks, whose border keys 0 and span - 1 are
-    # never kept; n_colliding of them share one home slot, the last one if
-    # wrap, so the lookup runs its probe rounds (and wraps round the table)
+def test_row_index_holds_the_rows_a_binary_search_finds(seed, n_cloud, spacing, spread):
+    # one entry a brick of the box low..high, at the brick's key: the rank
+    # of a kept key among the sorted keys, and the last row, all cap, for
+    # every other brick, every border brick among them
     rng = np.random.default_rng(seed)
-    span = 2**20 + 1
-    n_slots = maps_module._slot_count(n_other + n_colliding)
-    inner = np.arange(1.0, span - 1)
-    home = maps_module._home_slots(inner, n_slots, np.empty(len(inner), dtype=np.int64))
-    target = n_slots - 1 if wrap else rng.integers(n_slots)
-    colliding = rng.choice(inner[home == target], n_colliding, replace=False)
-    other = rng.choice(inner[home != target], n_other, replace=False)
-    keys = np.sort(np.concatenate([colliding, other]))
-    row_keys, slots, probes = maps_module._brick_table(keys)
-    n = len(keys)
-    assert np.array_equal(row_keys[:-1], keys) and row_keys[-1] == -1.0
-    assert len(slots) == n_slots and 8 * n <= n_slots < 16 * n
-    assert slots.dtype == np.int32 and np.array_equal(np.sort(slots[slots < n]), np.arange(n))
-    assert np.all(slots[slots >= n] == n)
-    assert probes >= n_colliding - 1 >= 2
-    # kept keys, absent ones, and the border keys a clamped brick gets
-    query = np.concatenate([keys, rng.integers(0, span, 200).astype(float), [0.0, span - 1.0]])
-    rng.shuffle(query)
-    got = np.empty(len(query), dtype=np.int64)
-    maps_module._brick_rows(row_keys, slots, probes, query, got, np.empty((4, len(query)), dtype=np.int64))
-    assert np.array_equal(got, binary_search_rows(keys, query))
+    cloud = PointCloudMap(rng.uniform(-spread, spread, (n_cloud, 3)) * spacing)
+    f = cloud.distance_field(4.0 * spacing, spacing)
+    span = (f.high - f.low + 1.0).astype(np.int64)
+    box = np.arange(span.prod())
+    brick = np.stack(np.unravel_index(box, span))
+    assert np.array_equal(f.weights @ brick, box)
+    assert f.keys.dtype == np.int64 and np.all(np.diff(f.keys) > 0)
+    assert np.array_equal(f.rows, binary_search_rows(f.keys, box))
+    border = ((brick == 0) | (brick == span[:, None] - 1)).any(axis=0)
+    assert border.any() and np.all(f.rows[border] == len(f.keys))
 
 
 def test_a_cloud_keeps_one_field():

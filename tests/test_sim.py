@@ -53,6 +53,13 @@ def test_course_spec_validation():
         CourseSpec("mystery-maze")
     with pytest.raises(ValueError):
         CourseSpec("chevron-ramp", resolution=0.0)
+    # an infinite cell once failed deep in the course builder; a negative
+    # seed built a course that no experiment seed can name
+    for resolution in (np.inf, np.nan, -0.05):
+        with pytest.raises(ValueError, match=f"course resolution must be finite and positive, got {resolution}"):
+            CourseSpec("chevron-ramp", resolution=resolution)
+    with pytest.raises(ValueError, match="course seed must be a non-negative integer, got -1"):
+        CourseSpec("wall-room", seed=-1)
 
 
 def test_courses_deterministic_in_seed():
