@@ -224,8 +224,9 @@ def elevation_log_likelihood_points(
 
 def cloud_field(cloud: PointCloudMap, cfg: LikelihoodConfig):
     """The cloud's distance field for the channel: truncated at
-    cfg.floor_reach, with nodes cfg.field_spacing apart. The cloud makes it
-    on the first request and keeps it; None when it exceeds the budget."""
+    cfg.floor_reach, with nodes cfg.field_spacing apart. The cloud makes it,
+    and its kd-tree, on the first request and keeps both; None when the
+    field exceeds the budget."""
     return cloud.distance_field(cfg.floor_reach, cfg.field_spacing)
 
 

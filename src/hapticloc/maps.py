@@ -30,9 +30,16 @@ rows over the box of bricks around the cloud. field_distances interpolates
 it at query points, and fills each node from kd-tree queries the first time
 it reads it, so a run pays only for the nodes its points reach.
 
-scipy is imported only where a layer is built with it: the class layer's
-distance fields (scipy.ndimage) and the point cloud's kd-tree (scipy.spatial).
-A process that builds neither, such as an elevation-only run, never loads it.
+Loading a layer validates it, and builds no index. The scipy indexes, the
+class layer's distance fields (scipy.ndimage) and the point cloud's kd-tree
+(scipy.spatial), are built, and scipy imported, the first time a caller reads
+them, and then kept: mcl.init_filter requests the indexes of its mode's
+channels, so no filter step builds one. A process that weighs no class or
+cloud contact, such as one that only makes or walks a course, never loads
+scipy.
+
+Layers compare by identity: two layers loaded from one file are equal only
+to themselves.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ def _padded(interior, border):
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ElevationGrid:
     """2.5D height field. heights has shape (n_rows, n_cols), nan = no data.
 
@@ -86,7 +93,7 @@ class ElevationGrid:
     resolution: float
     origin: np.ndarray
     heights: np.ndarray
-    _padded: np.ndarray = field(init=False, repr=False, compare=False)
+    _padded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_lattice(self)
@@ -115,24 +122,26 @@ class ElevationGrid:
         return self.heights.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassGrid:
     """Per-cell terrain class ids on the same lattice convention as ElevationGrid.
 
-    Per-class distance fields are precomputed at construction from an exact
-    Euclidean distance transform, so nearest-class queries are O(1). Distances
-    are measured center-to-center on the cell lattice.
+    Per-class distance fields, from an exact Euclidean distance transform,
+    make nearest-class queries O(1). Distances are measured center-to-center
+    on the cell lattice. The transform runs on the first call of
+    distance_fields, which keeps its result.
 
     class_ids is the interior view of _padded, the ids with an unknown-class
-    border, and _dist holds the padded distance fields, inf on the border.
+    border. Both are read-only, so the fields describe the ids that were
+    validated.
     """
 
     resolution: float
     origin: np.ndarray
     class_ids: np.ndarray
     n_classes: int
-    _padded: np.ndarray = field(init=False, repr=False, compare=False)
-    _dist: np.ndarray = field(init=False, repr=False, compare=False)
+    _padded: np.ndarray = field(init=False, repr=False)
+    _dist: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         _check_lattice(self)
@@ -150,8 +159,8 @@ class ClassGrid:
                 f"outside [0, {self.n_classes}) and not the unknown sentinel {UNKNOWN_CLASS}"
             )
         self._padded = _padded(ids, UNKNOWN_CLASS)
+        self._padded.flags.writeable = False
         self.class_ids = self._padded[1:-1, 1:-1]
-        self._build_distance_fields()
 
     @property
     def n_rows(self) -> int:
@@ -161,31 +170,38 @@ class ClassGrid:
     def n_cols(self) -> int:
         return self.class_ids.shape[1]
 
-    def _build_distance_fields(self):
-        from scipy.ndimage import distance_transform_edt
+    def distance_fields(self) -> np.ndarray:
+        """The padded distance fields, (n_classes, n_rows + 2, n_cols + 2),
+        read-only: each cell's distance to the nearest cell of each class,
+        inf on the border and for a class absent from the grid. Built on the
+        first call and kept."""
+        if self._dist is None:
+            from scipy.ndimage import distance_transform_edt
 
-        rows, cols = self.class_ids.shape
-        self._dist = np.full((self.n_classes, rows + 2, cols + 2), np.inf)
-        for c in range(self.n_classes):
-            mask = self.class_ids == c
-            if mask.any():
-                # scipy takes the root of the summed squared integer offsets
-                # to the nearest cell of class c, so lattice distances are exact
-                np.multiply(self.resolution, distance_transform_edt(~mask), out=self._dist[c, 1:-1, 1:-1])
+            self._dist = np.full((self.n_classes,) + self._padded.shape, np.inf)
+            for c in range(self.n_classes):
+                mask = self.class_ids == c
+                if mask.any():
+                    # scipy takes the root of the summed squared integer offsets
+                    # to the nearest cell of class c, so lattice distances are exact
+                    np.multiply(self.resolution, distance_transform_edt(~mask), out=self._dist[c, 1:-1, 1:-1])
+            self._dist.flags.writeable = False
+        return self._dist
 
 
-@dataclass
+@dataclass(eq=False)
 class PointCloudMap:
     """3D map as a raw point set with a kd-tree for nearest-neighbour queries.
 
     points is a read-only copy: the kd-tree keeps a reference to it, not a
-    copy, and every distance field is filled from it. _field keeps the last
-    field distance_field made, with its (reach, spacing): a filter reads one.
+    copy, and every distance field is filled from it. kd_tree builds the
+    tree on its first call and keeps it. _field keeps the last field
+    distance_field made, with its (reach, spacing): a filter reads one.
     """
 
     points: np.ndarray
-    _tree: cKDTree = field(init=False, repr=False, compare=False)
-    _field: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _tree: cKDTree | None = field(init=False, repr=False, default=None)
+    _field: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.points = np.array(self.points, dtype=float)
@@ -194,17 +210,25 @@ class PointCloudMap:
         if not np.isfinite(self.points).all():
             raise ValueError("point cloud contains non-finite coordinates")
         self.points.flags.writeable = False
-        from scipy.spatial import cKDTree
 
-        self._tree = cKDTree(self.points)
+    def kd_tree(self) -> cKDTree:
+        """The kd-tree over points: built on the first call and kept."""
+        if self._tree is None:
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(self.points)
+        return self._tree
 
     def distance_field(self, reach: float, spacing: float) -> DistanceField | None:
         """The cloud's DistanceField for reach, on a lattice of the given
         spacing: made on the first request and kept until a request for
         another reach or spacing replaces it. None when its bricks and their
-        row index would hold more than FIELD_BUDGET_BYTES."""
+        row index would hold more than FIELD_BUDGET_BYTES. Making it builds
+        the kd-tree too, which fills the field's nodes, or, for a field over
+        the budget, answers the queries in its place."""
         key = (float(reach), float(spacing))
         if self._field is None or self._field[0] != key:
+            self.kd_tree()
             self._field = (key, _make_field(self, *key))
         return self._field[1]
 
@@ -236,7 +260,7 @@ _FILL_CHUNK = 16384
 _GATHER_SLICE = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceField:
     """A point cloud's distance field for one reach, stored sparsely and
     filled node by node as gathers read it.
@@ -259,7 +283,7 @@ class DistanceField:
     row with one take.
     """
 
-    cloud: PointCloudMap = field(repr=False, compare=False)
+    cloud: PointCloudMap = field(repr=False)
     reach: float
     spacing: float
     keys: np.ndarray
@@ -468,7 +492,7 @@ def _field_slice(f: DistanceField, points, out, index, nodes) -> None:
     np.multiply(lerp[0], f.quantum, out=out)
 
 
-@dataclass
+@dataclass(eq=False)
 class MapSet:
     """Map layers of one course. Grid layers, when both present, share a lattice."""
 
@@ -599,7 +623,7 @@ def class_distance_many(grid: ClassGrid, xy, class_id, cells=None, out=None, scr
     class_id = check_class_ids(grid, class_id)
     field_size = grid._padded.size
     index = np.add(class_id * field_size, _cells(grid, xy, cells), out=scratch)
-    return grid._dist.take(index, out=out, mode="clip")
+    return grid.distance_fields().take(index, out=out, mode="clip")
 
 
 _PARALLEL_QUERY = 2048
@@ -620,7 +644,7 @@ def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) 
     """
     points = np.moveaxis(np.asarray(points, dtype=float), 0, -1)
     workers = -1 if points.size >= 3 * _PARALLEL_QUERY else 1
-    dist, _ = cloud._tree.query(points, distance_upper_bound=max_distance, workers=workers)
+    dist, _ = cloud.kd_tree().query(points, distance_upper_bound=max_distance, workers=workers)
     return np.asarray(dist, dtype=float)
 
 

@@ -264,9 +264,11 @@ def init_filter(
     mean's roll and pitch. Binds every setting of the run: the maps and
     likelihood every step weighs its contacts against, and the channels of
     mode, a key of MODES. A mode whose channels need a layer maps lacks
-    raises here. A mode with the cloud channel requests the cloud's distance
-    field here (likelihood.cloud_field), so that no step pays for finding
-    its bricks; steps fill the nodes they read.
+    raises here. The indexes of the mode's channels are requested here, so
+    that no step builds one: the class layer's distance fields for the class
+    channel, and for the cloud channel the cloud's distance field
+    (likelihood.cloud_field), which builds the cloud's kd-tree and finds the
+    field's bricks; steps fill the nodes they read.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
@@ -275,6 +277,8 @@ def init_filter(
         raise ValueError("need at least one particle")
     if not 0.0 <= resample_frac <= 1.0:
         raise ValueError("resample_frac must lie in [0, 1]")
+    if "class" in MODES[mode]:
+        maps.class_grid.distance_fields()
     if "cloud" in MODES[mode]:
         cloud_field(maps.cloud, likelihood)
     rng = np.random.default_rng(seed)

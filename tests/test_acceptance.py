@@ -442,12 +442,12 @@ def test_criterion_10_performance_budgets():
     ids = rng.integers(0, 8, (512, 512)).astype(np.uint8)
     ids[rng.random((512, 512)) < 0.05] = UNKNOWN_CLASS
     t0 = time.perf_counter()
-    ClassGrid(0.05, (0.0, 0.0), ids, 8)  # distance fields build on construction
+    ClassGrid(0.05, (0.0, 0.0), ids, 8).distance_fields()
     build_s = time.perf_counter() - t0
 
-    # the wall room's cloud field at the default sigma_z, every node filled,
-    # the most filters can spend on it; on a cloud of its own, since the
-    # shared course's field may hold nodes filled already
+    # the wall room's kd-tree and cloud field at the default sigma_z, every
+    # node filled, the most filters can spend on them; on a cloud of its
+    # own, since the shared course's field may hold nodes filled already
     cloud = PointCloudMap(generate_course(CourseSpec("wall-room")).cloud.points)
     t0 = time.perf_counter()
     field = cloud_field(cloud, LikelihoodConfig())

@@ -564,12 +564,17 @@ def test_readme_quick_start_prints_what_it_shows(tmp_path, capsys, monkeypatch):
 
 
 # in a fresh interpreter: the scipy modules loaded after the CLI's import and
-# an elevation-only run, then after each course that builds a scipy layer
+# an elevation-only run, after making each course with a scipy index, then
+# after a filter on each course requests its index
 COLD_START = """
 import json, sys
 from dataclasses import replace
+import numpy as np
 import hapticloc.cli
 from hapticloc.evaluate import default_chevron_experiment, run_localization, simulate_for_config
+from hapticloc.geometry import Pose
+from hapticloc.likelihood import LikelihoodConfig
+from hapticloc.mcl import init_filter
 from hapticloc.sim import CourseSpec, generate_course
 
 def loaded():
@@ -580,8 +585,14 @@ cfg = replace(default_chevron_experiment(), waypoints=((1.0, 0.7), (2.0, 0.7)), 
 course, log = simulate_for_config(cfg, 1)
 run_localization(log, course, "HL-G", cfg, seed=1)
 seen.append(loaded())
-for kind in ("class-tiles", "wall-room"):
-    generate_course(CourseSpec(kind))
+courses = {}
+for kind, mode in (("class-tiles", "HL-GC"), ("wall-room", "HL-3D")):
+    courses[mode] = generate_course(CourseSpec(kind))
+    seen.append(loaded())
+prior = Pose(np.array([0.5, 0.5, 0.5]), np.array([0.0, 0.0, 0.0, 1.0]))
+for mode, course in courses.items():
+    init_filter(prior, np.eye(6) * 1e-4, course, LikelihoodConfig(), mode=mode, n_particles=50, seed=1,
+                resample_frac=0.5, xy_std_threshold=0.1)
     seen.append(loaded())
 print(json.dumps(seen))
 """
@@ -591,8 +602,9 @@ def test_an_elevation_only_process_loads_no_scipy_module():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    after_import, after_hl_g, after_tiles, after_wall_room = json.loads(done.stdout)
-    assert after_import == after_hl_g == []
+    after_import, after_hl_g, after_tiles, after_wall_room, after_hl_gc, after_hl_3d = json.loads(done.stdout)
+    # making a course builds none of its indexes
+    assert after_import == after_hl_g == after_tiles == after_wall_room == []
     # scipy.ndimage itself loads scipy.special
-    assert "scipy.ndimage" in after_tiles and "scipy.spatial" not in after_tiles
-    assert "scipy.spatial" in after_wall_room
+    assert "scipy.ndimage" in after_hl_gc and "scipy.spatial" not in after_hl_gc
+    assert "scipy.spatial" in after_hl_3d

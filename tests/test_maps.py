@@ -77,7 +77,7 @@ def masked_lookups(grid, ids, xy):
     r, c = np.where(inside, iy, 0).astype(int), np.where(inside, ix, 0).astype(int)
     heights = np.where(inside, grid.heights[r, c], np.nan)
     classes = np.where(inside, ids.class_ids[r, c], UNKNOWN_CLASS)
-    return heights, classes, np.where(inside, ids._dist[0, 1:-1, 1:-1][r, c], np.inf)
+    return heights, classes, np.where(inside, ids.distance_fields()[0, 1:-1, 1:-1][r, c], np.inf)
 
 
 coords = st.one_of(st.floats(-2.0, 5.0), st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63]))
@@ -211,7 +211,7 @@ def test_distance_fields_match_the_index_fields_bit_for_bit(class_map, resolutio
     ids, n_classes = class_map
     g = ClassGrid(resolution, (0.0, 0.0), ids, n_classes)
     want = index_distance_fields(ids, n_classes, resolution)
-    assert np.array_equal(g._dist.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(g.distance_fields().view(np.uint64), want.view(np.uint64))
 
 
 def test_class_distance_per_point_classes():
@@ -250,6 +250,21 @@ def test_class_grid_rejects_bad_ids():
     ids = np.full((3, 3), 7, dtype=np.uint8)
     with pytest.raises(ValueError):
         ClassGrid(0.1, (0, 0), ids, 4)  # id 7 outside [0, 4) and not UNKNOWN
+
+
+def test_class_ids_and_distance_fields_are_read_only():
+    # the distance fields, built on the first read, describe the validated
+    # ids: a write into either would leave the two disagreeing
+    ids = np.array([[0, 1], [UNKNOWN_CLASS, 0]], dtype=np.uint8)
+    g = ClassGrid(0.1, (0.0, 0.0), ids, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        g.class_ids[0, 0] = 1
+    ids[0, 0] = 1  # the grid holds a copy
+    assert class_at(g, (0.05, 0.05)) == 0
+    assert g.distance_fields() is g.distance_fields()
+    with pytest.raises(ValueError, match="read-only"):
+        g.distance_fields()[0, 1, 1] = 5.0
+    assert class_distance_many(g, [[0.05], [0.05]], 0)[0] == 0.0
 
 
 # kd queries vs exhaustive scan
@@ -367,9 +382,11 @@ def test_row_index_holds_the_rows_a_binary_search_finds(seed, n_cloud, spacing, 
 def test_a_cloud_keeps_one_field():
     cloud = PointCloudMap(np.zeros((1, 3)))
     f = cloud.distance_field(0.03, 0.0075)
+    tree = cloud.kd_tree()
     assert cloud.distance_field(0.03, 0.0075) is f
     assert cloud.distance_field(0.04, 0.0075) is not f
     assert cloud.distance_field(0.03, 0.0075) is not f
+    assert cloud.kd_tree() is tree
 
 
 def test_cloud_points_are_read_only():
@@ -412,6 +429,29 @@ def test_cloud_round_trip(tmp_path):
     save_map(c, tmp_path / "a.xyz")
     c2 = load_map(tmp_path / "a.xyz")
     assert np.array_equal(c2.points, c.points)
+
+
+def test_layers_compare_and_hash_by_identity(tmp_path):
+    # an eq over array fields would raise on two equal layers
+    rng = np.random.default_rng(6)
+    layers = {
+        "a.hmap": small_elevation(),
+        "a.cmap": random_class_grid(rng, 5, 6),
+        "a.xyz": PointCloudMap(rng.normal(size=(17, 3))),
+    }
+    loaded = []
+    for name, layer in layers.items():
+        save_map(layer, tmp_path / name)
+        a, b = load_map(tmp_path / name), load_map(tmp_path / name)
+        assert a == a and a != b and hash(a) != hash(b)
+        loaded.append(a)
+    elevation, grid, cloud = loaded
+    maps = MapSet(elevation, cloud=cloud)
+    assert maps == maps and maps != MapSet(elevation, cloud=cloud)
+    field = cloud.distance_field(0.1, 0.05)
+    assert field == field and field != cloud.distance_field(0.2, 0.05)
+    assert hash(field) == hash(field)
+    assert {elevation, grid, cloud, maps, field} == {elevation, grid, cloud, maps, field}
 
 
 def test_load_map_bad_magic(tmp_path):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.ndimage
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
@@ -796,6 +798,37 @@ def test_only_a_cloud_mode_allocates_the_field_scratch():
         st = new_filter(stand_pose(), np.eye(6) * 1e-4, maps, mode=mode, n_particles=300)
         step(st, forward_input())
         assert (st.workspace.contacts._cloud_scratch is not None) == used, mode
+
+
+def test_each_index_is_built_once_in_init_filter_and_never_in_a_step(monkeypatch):
+    # two filters of each index's channel on one MapSet: the first
+    # init_filter builds the index, and the second filter and every step find
+    # it built. The distance transform runs once per class the grid holds.
+    builds, phase = [], ["maps"]
+
+    def count(module, name, index):
+        make = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            builds.append((index, phase[0]))
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(scipy.ndimage, "distance_transform_edt", "class")
+    count(scipy.spatial, "cKDTree", "cloud")
+    maps = oracle_maps()
+    n_present = len(np.setdiff1d(maps.class_grid.class_ids, [UNKNOWN_CLASS]))
+    probs = np.eye(N_ORACLE_CLASSES)
+    cs = [ContactMeasurement(f, class_probs=probs[k]) for k, f in enumerate(FEET)]
+    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
+    for mode in ("HL-G", "HL-GC", "HL-C", "HL-3D", "HL-3D"):
+        phase[0] = f"{mode} init_filter"
+        st = new_filter(stand_pose(2.0, 1.5), np.eye(6) * 1e-3, maps, mode=mode, n_particles=100)
+        phase[0] = f"{mode} step"
+        for _ in range(3):
+            step(st, inp)
+    assert builds == [("class", "HL-GC init_filter")] * n_present + [("cloud", "HL-3D init_filter")]
 
 
 # the 4-DoF particle: x, y, z and yaw, with roll and pitch shared
