@@ -15,10 +15,13 @@ that a change keeps every file byte-identical.
 
 --write instead writes the golden digests that tests/test_golden.py checks,
 to tests/golden_digests.txt: GOLDEN's experiments and seeds, under a header
-line with the numpy and scipy versions that produced them.
+line that names what produced them: the numpy and scipy versions and the
+CPU path, numpy's active SIMD dispatch targets and the OpenBLAS kernel,
+which both move filter outputs in their last bits.
 """
 
 import argparse
+import ctypes
 import hashlib
 import sys
 import tempfile
@@ -67,8 +70,31 @@ GOLDEN = {
 GOLDEN_FILE = ROOT / "tests" / "golden_digests.txt"
 
 
-def versions_line() -> str:
-    return f"# numpy {numpy.__version__} scipy {scipy.__version__}"
+def simd_dispatch() -> str:
+    """The SIMD targets numpy dispatches its loops to on this CPU."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return ",".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "baseline"
+
+
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS chose for this CPU, or "unknown"
+    for a numpy without it."""
+    libs = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def header_line() -> str:
+    return (
+        f"# numpy {numpy.__version__} scipy {scipy.__version__} "
+        f"simd {simd_dispatch()} openblas {openblas_core()}"
+    )
 
 
 def digest_lines(runs):
@@ -92,7 +118,7 @@ def main(argv=None):
                    help=f"write the golden digests to {GOLDEN_FILE.relative_to(ROOT)} instead")
     args = p.parse_args(argv)
     if args.write:
-        lines = [versions_line(), *digest_lines(GOLDEN.items())]
+        lines = [header_line(), *digest_lines(GOLDEN.items())]
         GOLDEN_FILE.write_text("\n".join(lines) + "\n")
         print(f"{GOLDEN_FILE}: {len(lines) - 1} digests")
         return

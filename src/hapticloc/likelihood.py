@@ -43,6 +43,14 @@ search, stopped at the floor reach: there a point with no map point
 within the reach gets distance inf, which scores the floor, and every
 other point its exact distance, bit for bit.
 
+The class channel reads its distance from the class layer's distance
+fields (class_fields): one per class, built in numpy by
+maps.ClassGrid.distance_fields on the first request, which init_filter
+makes, and kept by the grid. Like the cloud's field they stop at a reach,
+LikelihoodConfig.class_reach, the floor reach of sigma_c: a cell within it
+holds its exact lattice distance, bit for bit, and a cell beyond it inf,
+which scores the floor as the exact distance would.
+
 A localization mode is the set of channels it fuses (MODES). Each channel
 reads the map layer of its own name, so the layers a mode needs are its
 channels, and every contact is weighed with the same channel set.
@@ -111,6 +119,17 @@ def gaussian_log_density(x, sigma, out=None):
     return np.subtract(out, 0.5 * _LOG_2PI, out=out)
 
 
+def _floor_reach(sigma, log_rho) -> float:
+    """Distance beyond which a channel of that sigma scores its floor.
+
+    sigma * sqrt(2 * (log_peak - log_rho)) is where the log density meets
+    log_rho; the relative 1e-6 margin puts the density at the reach below
+    the floor in float arithmetic as well.
+    """
+    log_peak = float(gaussian_log_density(0.0, sigma))
+    return sigma * math.sqrt(2.0 * (log_peak - log_rho)) * (1.0 + 1e-6)
+
+
 def _floor_density(name, sigma) -> float:
     """The density at 3 sigma, a channel's floor. A sigma that is not finite
     and positive, or so small or large that its floor is not a finite,
@@ -125,36 +144,33 @@ def _floor_density(name, sigma) -> float:
 
 @dataclass(frozen=True)
 class LikelihoodConfig:
-    """Channel sigmas and the linear-domain floors derived from them.
+    """Channel sigmas, and the linear-domain floors and floor reaches derived
+    from them.
 
     Each floor is its channel's density at 3 sigma, strictly below the peak
-    for any sigma. The floors are not settable: replace(cfg, sigma_z=...)
-    derives them anew from the new sigmas.
+    for any sigma. Each reach is the distance beyond which its channels
+    score their floor: floor_reach for the sigma_z channels, and class_reach
+    for the class channel, the reach of its distance fields. None is
+    settable: replace(cfg, sigma_z=...) derives them anew from the new
+    sigmas, once, not on every step that reads them.
     """
 
     sigma_z: float = 0.01
     sigma_c: float = 0.05
     rho: float = field(init=False)
     class_rho: float = field(init=False)
+    floor_reach: float = field(init=False)
+    class_reach: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _floor_density("sigma_z", self.sigma_z))
         object.__setattr__(self, "class_rho", _floor_density("sigma_c", self.sigma_c))
+        object.__setattr__(self, "floor_reach", _floor_reach(self.sigma_z, self.log_rho))
+        object.__setattr__(self, "class_reach", _floor_reach(self.sigma_c, self.log_class_rho))
 
     @property
     def log_rho(self) -> float:
         return math.log(self.rho)
-
-    @property
-    def floor_reach(self) -> float:
-        """Distance beyond which the sigma_z channels score their floor.
-
-        sigma_z * sqrt(2 * (log_peak - log_rho)) is where the log density meets
-        log_rho; the relative 1e-6 margin puts the density at the reach below
-        the floor in float arithmetic as well. Derived, not a setting.
-        """
-        log_peak = float(gaussian_log_density(0.0, self.sigma_z))
-        return self.sigma_z * math.sqrt(2.0 * (log_peak - self.log_rho)) * (1.0 + 1e-6)
 
     @property
     def field_spacing(self) -> float:
@@ -250,6 +266,13 @@ def cloud_log_likelihood_points(
     return np.maximum(ll, cfg.log_rho, out=ll)
 
 
+def class_fields(grid: ClassGrid, cfg: LikelihoodConfig) -> np.ndarray:
+    """The class layer's distance fields for the channel: cut at
+    cfg.class_reach, beyond which every distance scores the floor. The grid
+    makes them on the first request and keeps them."""
+    return grid.distance_fields(cfg.class_reach)
+
+
 def class_log_likelihood_points(
     points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None, out=None, scratch=None
 ) -> np.ndarray:
@@ -261,12 +284,17 @@ def class_log_likelihood_points(
     density of the lattice distance to the nearest cell of that class, so a
     cell of that class scores the peak density (distance 0) and an estimate
     absent from the map the floor (distance inf); off-map and unlabeled
-    cells are neutral. cells as for the elevation channel; out receives the
-    distances, then the scores; scratch as for class_distance_many.
+    cells are neutral. The distances are read from the fields class_fields
+    returns, so one beyond cfg.class_reach reads inf and scores the floor,
+    as its exact distance would. cells as for the elevation channel; out
+    receives the distances, then the scores; scratch as for
+    class_distance_many.
     """
     if cells is None:
         cells = padded_cells(grid, points_xy)
-    ll = class_distance_many(grid, points_xy, class_id, cells=cells, out=out, scratch=scratch)
+    ll = class_distance_many(
+        grid, points_xy, class_id, cells=cells, out=out, scratch=scratch, reach=cfg.class_reach
+    )
     gaussian_log_density(ll, cfg.sigma_c, out=ll)
     np.maximum(ll, cfg.log_class_rho, out=ll)
     np.copyto(ll, 0.0, where=class_at_many(grid, points_xy, cells=cells) == UNKNOWN_CLASS)

@@ -30,13 +30,16 @@ rows over the box of bricks around the cloud. field_distances interpolates
 it at query points, and fills each node from kd-tree queries the first time
 it reads it, so a run pays only for the nodes its points reach.
 
-Loading a layer validates it, and builds no index. The scipy indexes, the
-class layer's distance fields (scipy.ndimage) and the point cloud's kd-tree
-(scipy.spatial), are built, and scipy imported, the first time a caller reads
-them, and then kept: mcl.init_filter requests the indexes of its mode's
-channels, so no filter step builds one. A process that weighs no class or
-cloud contact, such as one that only makes or walks a course, never loads
-scipy.
+A class layer keeps its per-class distance fields for one reach
+(ClassGrid.distance_fields), built in numpy by an exact separable transform
+and cut at the reach like the cloud's field: a cell beyond it holds inf.
+
+Loading a layer validates it, and builds no index. The class layer's
+distance fields and the point cloud's kd-tree are built the first time a
+caller reads them, and then kept: mcl.init_filter requests the indexes of
+its mode's channels, so no filter step builds one. scipy serves only the
+kd-tree (scipy.spatial), imported when it is first built, so a process that
+weighs no cloud contact never loads scipy.
 
 Layers compare by identity: two layers loaded from one file are equal only
 to themselves.
@@ -126,10 +129,12 @@ class ElevationGrid:
 class ClassGrid:
     """Per-cell terrain class ids on the same lattice convention as ElevationGrid.
 
-    Per-class distance fields, from an exact Euclidean distance transform,
-    make nearest-class queries O(1). Distances are measured center-to-center
-    on the cell lattice. The transform runs on the first call of
-    distance_fields, which keeps its result.
+    Per-class distance fields, from an exact Euclidean distance transform in
+    numpy (_nearest_squares), make nearest-class queries O(1). Distances are
+    measured center-to-center on the cell lattice. The transform runs on the
+    first request of distance_fields for a reach, beyond which the fields
+    hold inf, as the cloud's field stops at its reach; _fields keeps the last
+    (reach, fields) pair it built: a filter reads one.
 
     class_ids is the interior view of _padded, the ids with an unknown-class
     border. Both are read-only, so the fields describe the ids that were
@@ -141,7 +146,7 @@ class ClassGrid:
     class_ids: np.ndarray
     n_classes: int
     _padded: np.ndarray = field(init=False, repr=False)
-    _dist: np.ndarray | None = field(init=False, repr=False, default=None)
+    _fields: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         _check_lattice(self)
@@ -170,23 +175,92 @@ class ClassGrid:
     def n_cols(self) -> int:
         return self.class_ids.shape[1]
 
-    def distance_fields(self) -> np.ndarray:
-        """The padded distance fields, (n_classes, n_rows + 2, n_cols + 2),
-        read-only: each cell's distance to the nearest cell of each class,
-        inf on the border and for a class absent from the grid. Built on the
-        first call and kept."""
-        if self._dist is None:
-            from scipy.ndimage import distance_transform_edt
-
-            self._dist = np.full((self.n_classes,) + self._padded.shape, np.inf)
+    def distance_fields(self, reach: float = math.inf) -> np.ndarray:
+        """The padded distance fields for reach, (n_classes, n_rows + 2,
+        n_cols + 2), read-only: each cell's distance to the nearest cell of
+        each class where that distance is at most reach, inf beyond it, on
+        the border and for a class absent from the grid. A distance within
+        reach is resolution * sqrt(k) of the exact squared lattice offset k,
+        so the default, an unbounded reach, gives the exact transform. Built
+        on the first request and kept until a request for another reach
+        replaces it."""
+        reach = float(reach)
+        if self._fields is None or self._fields[0] != reach:
+            k_max = _reach_squares(reach, self.resolution, self.n_rows, self.n_cols)
+            fields = np.full((self.n_classes,) + self._padded.shape, np.inf)
             for c in range(self.n_classes):
                 mask = self.class_ids == c
                 if mask.any():
-                    # scipy takes the root of the summed squared integer offsets
-                    # to the nearest cell of class c, so lattice distances are exact
-                    np.multiply(self.resolution, distance_transform_edt(~mask), out=self._dist[c, 1:-1, 1:-1])
-            self._dist.flags.writeable = False
-        return self._dist
+                    k = _nearest_squares(mask, k_max)
+                    interior = fields[c, 1:-1, 1:-1]
+                    np.copyto(interior, k)
+                    np.sqrt(interior, out=interior)
+                    np.multiply(self.resolution, interior, out=interior)
+                    np.copyto(interior, np.inf, where=k > k_max)
+            fields.flags.writeable = False
+            self._fields = (reach, fields)
+        return self._fields[1]
+
+
+def _reach_squares(reach: float, resolution: float, n_rows: int, n_cols: int) -> int:
+    """The largest squared lattice offset k whose distance, resolution *
+    sqrt(k) in float arithmetic, is at most reach, and at most the largest
+    squared offset on an n_rows by n_cols lattice."""
+    if not reach >= 0.0:
+        raise ValueError(f"class field reach must be non-negative, got {reach}")
+    k_lattice = (n_rows - 1) ** 2 + (n_cols - 1) ** 2
+    if resolution * math.sqrt(k_lattice) <= reach:
+        return k_lattice
+    k = int((reach / resolution) ** 2)
+    while k > 0 and resolution * math.sqrt(k) > reach:
+        k -= 1
+    while resolution * math.sqrt(k + 1) <= reach:
+        k += 1
+    return k
+
+
+def _nearest_squares(mask, k_max: int) -> np.ndarray:
+    """Squared lattice offsets from each cell to the nearest True cell of a
+    2-D mask: exact where they are at most k_max, above k_max elsewhere.
+
+    The exact separable transform (Felzenszwalb & Huttenlocher, "Distance
+    Transforms of Sampled Functions", 2012) on integers. A column pass finds
+    g, each cell's row offset to the nearest True cell of its column, and a
+    row pass the minimum over column offsets dj of g**2 + dj**2. A square
+    of at most k_max has offsets of at most r = isqrt(k_max) on each axis,
+    so g is capped at r + 1 and dj runs to r; the row pass also stops once
+    dj**2 reaches every square it holds, beyond which no offset can lower
+    one. uint16 holds the squares when r bounds them, int64 otherwise.
+    """
+    n_rows, n_cols = mask.shape
+    r = math.isqrt(k_max)
+    cap = r + 1
+    rows = np.arange(n_rows, dtype=np.int32 if n_rows + cap < 2**31 else np.int64)[:, None]
+    # the nearest True row at or above, and at or below, each cell; a column
+    # without one reads an offset of at least cap
+    above = np.where(mask, rows, -cap)
+    np.maximum.accumulate(above, axis=0, out=above)
+    np.subtract(rows, above, out=above)
+    below = np.where(mask, rows, n_rows + cap)[::-1]
+    np.minimum.accumulate(below, axis=0, out=below)
+    below = below[::-1]
+    np.subtract(below, rows, out=below)
+    np.minimum(above, below, out=above)
+    np.minimum(above, cap, out=above)
+    dtype = np.uint16 if cap * cap + r * r <= np.iinfo(np.uint16).max else np.int64
+    g2 = above.astype(dtype)
+    np.multiply(g2, g2, out=g2)
+    k = g2.copy()
+    shifted = np.empty_like(g2)
+    for dj in range(1, min(r, n_cols - 1) + 1):
+        dj2 = dtype(dj * dj)
+        if dj2 >= k.max():
+            break
+        np.add(g2[:, :-dj], dj2, out=shifted[:, dj:])
+        np.minimum(k[:, dj:], shifted[:, dj:], out=k[:, dj:])
+        np.add(g2[:, dj:], dj2, out=shifted[:, :-dj])
+        np.minimum(k[:, :-dj], shifted[:, :-dj], out=k[:, :-dj])
+    return k
 
 
 @dataclass(eq=False)
@@ -610,8 +684,12 @@ def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
     return class_id
 
 
-def class_distance_many(grid: ClassGrid, xy, class_id, cells=None, out=None, scratch=None) -> np.ndarray:
-    """Lattice distances to the nearest class_id cell for query points (2, M).
+def class_distance_many(
+    grid: ClassGrid, xy, class_id, cells=None, out=None, scratch=None, reach: float = math.inf
+) -> np.ndarray:
+    """Lattice distances to the nearest class_id cell for query points (2, M),
+    read from the grid's distance fields for reach: inf for a point whose
+    distance exceeds reach, exact otherwise.
 
     class_id is one class for every point or an array of per-point classes
     that broadcasts against the points. A class absent from the grid is at
@@ -623,7 +701,7 @@ def class_distance_many(grid: ClassGrid, xy, class_id, cells=None, out=None, scr
     class_id = check_class_ids(grid, class_id)
     field_size = grid._padded.size
     index = np.add(class_id * field_size, _cells(grid, xy, cells), out=scratch)
-    return grid.distance_fields().take(index, out=out, mode="clip")
+    return grid.distance_fields(reach).take(index, out=out, mode="clip")
 
 
 _PARALLEL_QUERY = 2048

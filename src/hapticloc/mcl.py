@@ -81,6 +81,7 @@ from .likelihood import (
     ContactBuffers,
     ContactMeasurement,
     LikelihoodConfig,
+    class_fields,
     cloud_field,
     contacts_log_likelihood,
     require_layers,
@@ -266,9 +267,9 @@ def init_filter(
     mode, a key of MODES. A mode whose channels need a layer maps lacks
     raises here. The indexes of the mode's channels are requested here, so
     that no step builds one: the class layer's distance fields for the class
-    channel, and for the cloud channel the cloud's distance field
-    (likelihood.cloud_field), which builds the cloud's kd-tree and finds the
-    field's bricks; steps fill the nodes they read.
+    channel (likelihood.class_fields), and for the cloud channel the cloud's
+    distance field (likelihood.cloud_field), which builds the cloud's
+    kd-tree and finds the field's bricks; steps fill the nodes they read.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
@@ -278,7 +279,7 @@ def init_filter(
     if not 0.0 <= resample_frac <= 1.0:
         raise ValueError("resample_frac must lie in [0, 1]")
     if "class" in MODES[mode]:
-        maps.class_grid.distance_fields()
+        class_fields(maps.class_grid, likelihood)
     if "cloud" in MODES[mode]:
         cloud_field(maps.cloud, likelihood)
     rng = np.random.default_rng(seed)

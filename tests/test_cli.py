@@ -563,37 +563,35 @@ def test_readme_quick_start_prints_what_it_shows(tmp_path, capsys, monkeypatch):
                 assert want in printed, (want, out)
 
 
-# in a fresh interpreter: the scipy modules loaded after the CLI's import and
-# an elevation-only run, after making each course with a scipy index, then
-# after a filter on each course requests its index
+# in a fresh interpreter: the scipy modules loaded after the CLI's import,
+# then after each command of every course kind's flow, localize once in each
+# of the kind's modes, on a short walk with 50 particles
 COLD_START = """
-import json, sys
-from dataclasses import replace
-import numpy as np
-import hapticloc.cli
-from hapticloc.evaluate import default_chevron_experiment, run_localization, simulate_for_config
-from hapticloc.geometry import Pose
-from hapticloc.likelihood import LikelihoodConfig
-from hapticloc.mcl import init_filter
-from hapticloc.sim import CourseSpec, generate_course
+import json, sys, tempfile
+from hapticloc.cli import main
 
 def loaded():
     return [m for m in ("scipy.ndimage", "scipy.spatial", "scipy.special") if m in sys.modules]
 
-seen = [loaded()]
-cfg = replace(default_chevron_experiment(), waypoints=((1.0, 0.7), (2.0, 0.7)), n_particles=50)
-course, log = simulate_for_config(cfg, 1)
-run_localization(log, course, "HL-G", cfg, seed=1)
-seen.append(loaded())
-courses = {}
-for kind, mode in (("class-tiles", "HL-GC"), ("wall-room", "HL-3D")):
-    courses[mode] = generate_course(CourseSpec(kind))
-    seen.append(loaded())
-prior = Pose(np.array([0.5, 0.5, 0.5]), np.array([0.0, 0.0, 0.0, 1.0]))
-for mode, course in courses.items():
-    init_filter(prior, np.eye(6) * 1e-4, course, LikelihoodConfig(), mode=mode, n_particles=50, seed=1,
-                resample_frac=0.5, xy_std_threshold=0.1)
-    seen.append(loaded())
+seen = [["import", loaded()]]
+with tempfile.TemporaryDirectory() as tmp:
+    for kind, walk, modes in (
+        ("chevron-ramp", ["--waypoints", "1.0,0.7 2.0,0.7"], ("HL-G",)),
+        ("class-tiles", ["--waypoints", "0.5,0.6 1.5,0.6"], ("HL-G", "HL-GC", "HL-C")),
+        ("wall-room", [], ("HL-3D",)),
+    ):
+        course, log = f"{tmp}/{kind}", f"{tmp}/{kind}.csv"
+        commands = [
+            ("make-course", ["--kind", kind, "--out", course]),
+            ("simulate", ["--course", course, "--out", log, *walk]),
+        ] + [
+            (f"localize {mode}", ["--course", course, "--walklog", log, "--mode", mode,
+                                  "--particles", "50", "--out", f"{tmp}/{kind}-{mode}"])
+            for mode in modes
+        ]
+        for name, argv in commands:
+            assert main([name.split()[0], *argv]) == 0, (name, kind)
+            seen.append([f"{name} {kind}", loaded()])
 print(json.dumps(seen))
 """
 
@@ -602,9 +600,10 @@ def test_an_elevation_only_process_loads_no_scipy_module():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    after_import, after_hl_g, after_tiles, after_wall_room, after_hl_gc, after_hl_3d = json.loads(done.stdout)
-    # making a course builds none of its indexes
-    assert after_import == after_hl_g == after_tiles == after_wall_room == []
-    # scipy.ndimage itself loads scipy.special
-    assert "scipy.ndimage" in after_hl_gc and "scipy.spatial" not in after_hl_gc
-    assert "scipy.spatial" in after_hl_3d
+    seen = dict(json.loads(done.stdout.splitlines()[-1]))
+    # no command or mode loads scipy.ndimage: the class fields are numpy's
+    assert not [name for name, modules in seen.items() if "scipy.ndimage" in modules]
+    # only the cloud channel loads scipy, for its kd-tree, when it starts
+    hl_3d = "localize HL-3D wall-room"
+    assert list(seen)[-1] == hl_3d and "scipy.spatial" in seen[hl_3d]
+    assert not [name for name, modules in seen.items() if modules and name != hl_3d]

@@ -22,6 +22,7 @@ from hapticloc.likelihood import (
     ContactBuffers,
     ContactMeasurement,
     LikelihoodConfig,
+    class_fields,
     class_log_likelihood_points,
     cloud_field,
     cloud_log_likelihood_points,
@@ -34,6 +35,7 @@ from hapticloc.likelihood import (
 import hapticloc.maps as maps_module
 from hapticloc.maps import ClassGrid, ElevationGrid, MapSet, PointCloudMap, field_distances
 from hapticloc.sim import CourseSpec, generate_course
+from test_maps import assert_cut_at, class_maps, edt_fields
 
 # N(k*sigma; 0, sigma) for sigma_z = 0.01 and sigma_c = 0.05.
 PEAK_Z = 39.894228040143275
@@ -103,6 +105,9 @@ def test_replaced_sigmas_derive_their_floors_anew():
     assert replace(LikelihoodConfig(), sigma_c=0.1) == LikelihoodConfig(sigma_c=0.1)
     # the density at 3 sigma scales as 1 / sigma
     assert replace(LikelihoodConfig(), sigma_z=0.02).rho == pytest.approx(FLOOR_Z / 2, rel=1e-12)
+    # and each floor reach as 3 sigma
+    assert replace(LikelihoodConfig(), sigma_z=0.02).floor_reach == pytest.approx(0.06, rel=2e-6)
+    assert replace(LikelihoodConfig(), sigma_c=0.1).class_reach == pytest.approx(0.3, rel=2e-6)
 
 
 def flat_maps(height=0.0, with_class=True, with_cloud=False):
@@ -197,9 +202,44 @@ def test_class_channel_rejects_out_of_range_id():
 
 def test_floor_reach_is_where_the_density_meets_the_floor():
     cfg = LikelihoodConfig()
-    assert cfg.floor_reach == pytest.approx(3.0 * cfg.sigma_z, rel=2e-6)
-    assert gaussian_log_density(cfg.floor_reach, cfg.sigma_z) < cfg.log_rho
-    assert gaussian_log_density(cfg.floor_reach / (1.0 + 2e-6), cfg.sigma_z) > cfg.log_rho
+    for reach, sigma, log_rho in (
+        (cfg.floor_reach, cfg.sigma_z, cfg.log_rho),
+        (cfg.class_reach, cfg.sigma_c, cfg.log_class_rho),
+    ):
+        assert reach == pytest.approx(3.0 * sigma, rel=2e-6)
+        assert gaussian_log_density(reach, sigma) < log_rho
+        assert gaussian_log_density(reach / (1.0 + 2e-6), sigma) > log_rho
+
+
+# The class channel reads distance fields cut at its floor reach: its
+# fields and scores against those of scipy's exact transform.
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    class_map=class_maps(),
+    resolution=st.one_of(st.floats(0.002, 0.5), st.sampled_from([0.01, 0.05])),
+    sigma_c=st.floats(1e-3, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_channel_at_its_reach_matches_the_exact_transform_bit_for_bit(class_map, resolution, sigma_c, seed):
+    ids, n_classes = class_map
+    g = ClassGrid(resolution, (0.0, 0.0), ids, n_classes)
+    cfg = LikelihoodConfig(sigma_c=sigma_c)
+    want = edt_fields(ids, n_classes, resolution)
+    assert_cut_at(class_fields(g, cfg), want, cfg.class_reach)
+    # every class at points on the lattice and around it, each scored from
+    # the oracle's field by the channel's own arithmetic
+    rng = np.random.default_rng(seed)
+    span = resolution * np.array([[ids.shape[1]], [ids.shape[0]]])
+    xy = rng.uniform(-0.2 * span - resolution, 1.2 * span + resolution, (2, 300))
+    cells = maps_module.padded_cells(g, xy)
+    neutral = maps_module.class_at_many(g, xy, cells=cells) == maps_module.UNKNOWN_CLASS
+    for c in range(n_classes):
+        oracle = np.maximum(gaussian_log_density(want[c].reshape(-1)[cells], sigma_c), cfg.log_class_rho)
+        oracle[neutral] = 0.0
+        got = class_log_likelihood_points(xy, c, g, cfg)
+        assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
 
 
 # The cloud channel reads a distance field: its scores against the exact

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,74 @@ def test_distance_fields_match_the_index_fields_bit_for_bit(class_map, resolutio
     g = ClassGrid(resolution, (0.0, 0.0), ids, n_classes)
     want = index_distance_fields(ids, n_classes, resolution)
     assert np.array_equal(g.distance_fields().view(np.uint64), want.view(np.uint64))
+
+
+def edt_fields(ids, n_classes, resolution):
+    """The padded fields from scipy's exact transform, as the class layer
+    built them with scipy: the oracle of the numpy transform."""
+    fields = np.full((n_classes, ids.shape[0] + 2, ids.shape[1] + 2), np.inf)
+    for c in range(n_classes):
+        mask = ids == c
+        if mask.any():
+            np.multiply(resolution, distance_transform_edt(~mask), out=fields[c, 1:-1, 1:-1])
+    return fields
+
+
+def assert_cut_at(got, want, reach):
+    """got holds want bit for bit where want is within reach, and inf beyond it."""
+    within = want <= reach
+    assert np.array_equal(got[within].view(np.uint64), want[within].view(np.uint64))
+    assert np.all(got[~within] == np.inf)
+
+
+def sparse_ids(shape, seed, n_classes=3, density=0.002):
+    """A map that is unlabeled but for a few cells of each class, so that
+    distances run long: over a long enough lattice or reach the transform
+    keeps int64 squares."""
+    rng = np.random.default_rng(seed)
+    ids = np.full(shape, UNKNOWN_CLASS, dtype=np.uint8)
+    cells = rng.random(shape) < density
+    ids[cells] = rng.integers(0, n_classes, cells.sum())
+    ids.flat[0] = 0
+    return ids
+
+
+@pytest.mark.parametrize(
+    "ids, resolution, reach",
+    [
+        (np.array([[0, 255, 1, 1, 255, 255, 0, 255]], dtype=np.uint8), 0.1, 0.25),  # 1 x N
+        (np.array([[0, 255, 1, 1, 255, 255, 0, 255]], dtype=np.uint8).T, 0.1, 0.25),  # N x 1
+        (np.array([[1]], dtype=np.uint8), 0.05, 0.15),  # a single cell
+        (np.full((3, 4), UNKNOWN_CLASS, dtype=np.uint8), 0.05, math.inf),  # every cell unknown
+        (np.array([[0, 1, 1], [255, 1, 0]], dtype=np.uint8), 0.1, 0.099),  # a reach below one cell
+        (np.array([[0, 1, 1], [255, 1, 0]], dtype=np.uint8), 0.1, 0.0),
+        (np.array([[0, 1, 1], [255, 1, 0]], dtype=np.uint8), 0.1, 0.1),  # exactly one cell
+        # exactly a lattice distance, sqrt(13) cells, where (reach / resolution)**2 is below 13
+        (np.pad([[0]], ((0, 4), (0, 4)), constant_values=UNKNOWN_CLASS).astype(np.uint8), 0.07, 0.07 * math.sqrt(13)),
+        (sparse_ids((1, 300), 1), 0.01, math.inf),  # long rows: int64 squares
+        (sparse_ids((300, 1), 2), 0.01, 2.5),  # a reach of 250 cells: int64 squares
+        (sparse_ids((120, 90), 3), 0.02, 0.3),  # a reach of 15 cells: uint16 squares
+        (sparse_ids((200, 260), 4), 0.05, math.inf),
+    ],
+)
+def test_distance_fields_at_a_reach_match_the_exact_transform(ids, resolution, reach):
+    g = ClassGrid(resolution, (0.0, 0.0), ids, 3)
+    got = g.distance_fields(reach)
+    assert g.distance_fields(reach) is got
+    assert_cut_at(got, edt_fields(ids, 3, resolution), reach)
+
+
+def test_distance_fields_keep_the_last_reach_and_reject_a_bad_one():
+    ids = np.array([[0, 1, 1, 1, 1, 0]], dtype=np.uint8)
+    g = ClassGrid(0.1, (0.0, 0.0), ids, 2)
+    near = g.distance_fields(0.15)
+    assert near[0, 1, 3] == np.inf and g.distance_fields()[0, 1, 3] == 0.2
+    assert g.distance_fields(0.15) is not near
+    assert class_distance_many(g, [[0.25], [0.05]], 0, reach=0.15)[0] == np.inf
+    assert class_distance_many(g, [[0.25], [0.05]], 0)[0] == 0.2
+    for reach in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="reach must be non-negative"):
+            g.distance_fields(reach)
 
 
 def test_class_distance_per_point_classes():

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.ndimage
 import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -803,7 +802,8 @@ def test_only_a_cloud_mode_allocates_the_field_scratch():
 def test_each_index_is_built_once_in_init_filter_and_never_in_a_step(monkeypatch):
     # two filters of each index's channel on one MapSet: the first
     # init_filter builds the index, and the second filter and every step find
-    # it built. The distance transform runs once per class the grid holds.
+    # it built. The class layer's numpy transform runs once per class the
+    # grid holds.
     builds, phase = [], ["maps"]
 
     def count(module, name, index):
@@ -815,7 +815,7 @@ def test_each_index_is_built_once_in_init_filter_and_never_in_a_step(monkeypatch
 
         monkeypatch.setattr(module, name, counted)
 
-    count(scipy.ndimage, "distance_transform_edt", "class")
+    count(maps_module, "_nearest_squares", "class")
     count(scipy.spatial, "cKDTree", "cloud")
     maps = oracle_maps()
     n_present = len(np.setdiff1d(maps.class_grid.class_ids, [UNKNOWN_CLASS]))
