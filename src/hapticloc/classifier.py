@@ -7,8 +7,10 @@ gradient descent on the cross-entropy loss. Training runs the gradient only
 evaluates the loss itself, which loss_and_grad adds for checks. Deterministic
 given a seed.
 
-A terrain classifier is anything with predict(signal) -> class probabilities:
-this baseline, or the network of network.py.
+A terrain classifier is anything with predict(signals) -> (K, C) class
+probabilities, one row per signal of the sequence: this baseline, or the
+network of network.py. The baseline labels a whole walk in one batch, and each
+row is bit for bit what the signal alone would get.
 """
 
 from __future__ import annotations
@@ -32,17 +34,34 @@ class StepSignal:
             raise ValueError("signal contains non-finite samples")
 
 
-def featurize(signal: StepSignal) -> np.ndarray:
-    """24-vector: channel means, population stds, minima, maxima, in that order."""
-    s = signal.samples
-    mean = s.mean(axis=0)
-    # np.std's own arithmetic, from the mean already at hand
-    std = np.sqrt(((s - mean) ** 2).sum(axis=0) / len(s))
-    return np.concatenate([mean, std, s.min(axis=0), s.max(axis=0)])
+def featurize(signals) -> np.ndarray:
+    """(K, 24), one row per signal: channel means, population stds, minima,
+    maxima, in that order.
+
+    The signals of one length are reduced as one (n, L, 6) stack over its
+    samples, which sums each channel in the order a lone signal does.
+    """
+    signals = list(signals)
+    by_length = {}
+    for i, signal in enumerate(signals):
+        by_length.setdefault(len(signal.samples), []).append(i)
+    feats = np.empty((len(signals), 24))
+    for length, rows in by_length.items():
+        s = np.stack([signals[i].samples for i in rows])
+        mean = s.mean(axis=1)
+        # np.std's own arithmetic, from the mean already at hand
+        std = np.sqrt(((s - mean[:, None, :]) ** 2).sum(axis=1) / length)
+        feats[rows] = np.concatenate([mean, std, s.min(axis=1), s.max(axis=1)], axis=1)
+    return feats
 
 
 def _softmax_rows(z):
-    z = z - z.max(axis=1, keepdims=True)
+    # the row maximum as a running maximum over the few columns: exact in any
+    # order, and far cheaper than z.max(axis=1)
+    top = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(top, z[:, j], out=top)
+    z = z - top[:, None]
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -84,8 +103,8 @@ class LogisticBaseline:
     def standardize(self, features) -> np.ndarray:
         return (np.asarray(features, dtype=float) - self.feat_mean) / self.feat_std
 
-    def predict(self, signal: StepSignal) -> np.ndarray:
-        return baseline_predict(self, signal)
+    def predict(self, signals) -> np.ndarray:
+        return baseline_predict(self, signals)
 
 
 # full-batch gradient descent: step size and number of steps
@@ -100,7 +119,7 @@ def baseline_train(signals, labels, n_classes: int = 8, seed: int = 0) -> Logist
         raise ValueError("need equally many signals and labels, at least one")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
-    feats = np.stack([featurize(s) for s in signals])
+    feats = featurize(signals)
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std[std < 1e-12] = 1.0
@@ -117,7 +136,9 @@ def baseline_train(signals, labels, n_classes: int = 8, seed: int = 0) -> Logist
     return LogisticBaseline(w, b, mean, std)
 
 
-def baseline_predict(model: LogisticBaseline, signal: StepSignal) -> np.ndarray:
-    """Class probability vector for one signal."""
-    x = model.standardize(featurize(signal))
-    return _softmax_rows((x @ model.weights.T + model.bias)[None, :])[0]
+def baseline_predict(model: LogisticBaseline, signals) -> np.ndarray:
+    """(K, C) class probabilities, one row per signal."""
+    x = model.standardize(featurize(signals))
+    # K stacked (1, 24) @ (24, C) products give each row's logits bit for bit
+    # as the signal alone gets them; one (K, 24) @ (24, C) product may not
+    return _softmax_rows((x[:, None, :] @ model.weights.T)[:, 0, :] + model.bias)

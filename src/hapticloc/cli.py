@@ -86,7 +86,12 @@ def _cmd_localize(args) -> int:
         raise ValueError(f"--weights: mode {mode} reads no terrain classes")
     log = sim.load_walklog(args.walklog, load_signals=needs_class)
     if needs_class:
-        model = evaluate.train_contact_classifier(args.seed) if args.weights is None else load_weights(args.weights)
+        if args.weights is None:
+            model, source = evaluate.train_contact_classifier(args.seed), "the logistic baseline"
+        else:
+            model, source = load_weights(args.weights), f"--weights {args.weights}: the network"
+        if model.n_classes != course.class_grid.n_classes:
+            raise ValueError(f"{source} has {model.n_classes} classes but the class layer has {course.class_grid.n_classes}")
         sim.classify_log(log, model)
     state = evaluate.run_localization(log, course, mode, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -112,7 +117,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    probs = load_weights(args.weights).predict(sim.load_signal(args.signal))
+    probs = load_weights(args.weights).predict([sim.load_signal(args.signal)])[0]
     print(" ".join(format(p, ".9f") for p in probs))
     return 0
 

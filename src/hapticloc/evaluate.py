@@ -325,8 +325,8 @@ def _write_per_seed_outputs(out_dir, seed, log, results):
         errs = per_step_errors(truth, traj)
         with open(os.path.join(d, f"errors_{mode}.csv"), "w") as f:
             f.write("k,err_x,err_y,err_z,err_yaw\n")
-            for k, row in enumerate(errs):
-                f.write(f"{k}," + ",".join(format(v, ".9g") for v in row) + "\n")
+            for k, row in enumerate(errs.tolist()):
+                f.write("%d,%.9g,%.9g,%.9g,%.9g\n" % (k, *row))
         if state is not None:
             write_diagnostics_csv(state, os.path.join(d, f"diagnostics_{mode}.csv"))
 

@@ -261,10 +261,10 @@ def save_trajectory(path, poses, times=None) -> None:
     times = np.asarray(times, dtype=float)
     if len(times) != len(poses):
         raise ValueError("times and poses length mismatch")
+    line = " ".join(["%.17g"] * len(_TRAJECTORY_FIELDS)) + "\n"
     with open(path, "w") as f:
-        for t, p in zip(times, poses):
-            vals = np.concatenate([[t], p.to_array()])
-            f.write(" ".join(format(v, ".17g") for v in vals) + "\n")
+        for t, p in zip(times.tolist(), poses):
+            f.write(line % (t, *p.to_array().tolist()))
 
 
 def load_trajectory(path):

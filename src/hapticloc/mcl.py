@@ -535,8 +535,8 @@ def run_filter(state: FilterState, inputs) -> FilterState:
 
 def write_diagnostics_csv(state: FilterState, path) -> None:
     """Per-step diagnostics: ESS, xy spread, estimate branch, estimated pose."""
+    line = "%d,%.17g,%.17g,%.17g,%s," + ",".join(["%.17g"] * 7) + "\n"
     with open(path, "w") as f:
         f.write("k,ess,xy_std_x,xy_std_y,branch,x,y,z,qx,qy,qz,qw\n")
         for k, d in enumerate(state.diagnostics, start=1):
-            pose = ",".join(format(v, ".17g") for v in state.trajectory[k].to_array())
-            f.write(f"{k},{d.ess:.17g},{d.xy_std[0]:.17g},{d.xy_std[1]:.17g},{d.branch},{pose}\n")
+            f.write(line % (k, d.ess, *d.xy_std.tolist(), d.branch, *state.trajectory[k].to_array().tolist()))

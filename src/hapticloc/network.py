@@ -139,10 +139,14 @@ class NetworkWeights:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def predict(self, signal) -> np.ndarray:
-        """Class probabilities for one StepSignal: the classifier interface
-        the logistic baseline shares (classifier.py)."""
-        return forward(self, signal.samples)
+    @property
+    def n_classes(self) -> int:
+        return self.config.n_classes
+
+    def predict(self, signals) -> np.ndarray:
+        """(K, C) class probabilities for a sequence of StepSignals: the
+        classifier interface the logistic baseline shares (classifier.py)."""
+        return np.stack([forward(self, signal.samples) for signal in signals])
 
 
 def save_weights(net: NetworkWeights, path) -> None:

@@ -571,14 +571,17 @@ def probe_scenario(maps: MapSet, gait: GaitParams, noise: NoiseSpec, seed: int) 
 
 def classify_log(log: WalkLog, model) -> WalkLog:
     """Label, in place, every contact that has a force signal with a terrain
-    classifier's class probabilities: model is anything with predict(signal)
-    -> probs. A contact without a signal, a foot on an unlabeled cell, stays
-    unlabeled. A log without force signals raises."""
-    if not log.has_signals:
+    classifier's class probabilities: model is anything with predict(signals)
+    -> (K, C) probs, called once with the walk's signals. A contact without a
+    signal, a foot on an unlabeled cell, stays unlabeled. A log without force
+    signals raises."""
+    signals = [s for rec in log.records for s in rec.signals if s is not None]
+    if not signals:
         raise ValueError("the walk log holds no force signals to classify")
+    probs = iter(model.predict(signals))
     for rec in log.records:
         rec.contacts = [
-            c if signal is None else ContactMeasurement(c.offset, model.predict(signal), c.in_contact)
+            c if signal is None else ContactMeasurement(c.offset, next(probs), c.in_contact)
             for c, signal in zip(rec.contacts, rec.signals)
         ]
     return log
@@ -608,25 +611,27 @@ def _walklog_header() -> str:
     return ",".join(cols)
 
 
+# one walk-log row: k, then t, true pose, odometry increment, its covariance
+# diagonal and tilt; then per foot its offset, contact flag, true world z,
+# true class and signal file
+_WALKLOG_ROW = "%d" + ",%.17g" * 23 + ",%.17g,%.17g,%.17g,%s,%.17g,%d,%s" * len(FOOT_LABELS) + "\n"
+
+
 def _write_walklog(log: WalkLog, f, signal_refs=None) -> None:
-    g = lambda v: format(v, ".17g")
+    pose_line = " ".join(["%.17g"] * 7) + "\n"
     f.write(f"# walklog {WALKLOG_VERSION}\n")
-    f.write("# start_pose " + " ".join(g(v) for v in log.start_pose.to_array()) + "\n")
-    f.write("# init_prior " + " ".join(g(v) for v in log.init_prior.to_array()) + "\n")
+    f.write("# start_pose " + pose_line % tuple(log.start_pose.to_array().tolist()))
+    f.write("# init_prior " + pose_line % tuple(log.init_prior.to_array().tolist()))
     f.write(_walklog_header() + "\n")
     for i, r in enumerate(log.records):
-        row = [str(r.k), g(r.timestamp)]
-        row += [g(v) for v in r.true_pose.to_array()]
-        row += [g(v) for v in r.odom_increment.to_array()]
-        row += [g(v) for v in r.odom_cov_diag]
-        row += [g(v) for v in r.tilt]
+        row = [r.k]
+        row += np.concatenate([[r.timestamp], r.true_pose.to_array(), r.odom_increment.to_array(),
+                               r.odom_cov_diag, r.tilt]).tolist()
+        world_z, class_ids = r.true_foot_world[:, 2].tolist(), r.true_class_ids.tolist()
         for j, contact in enumerate(r.contacts):
-            row += [g(v) for v in contact.offset]
-            row.append("1" if contact.in_contact else "0")
-            row.append(g(r.true_foot_world[j, 2]))
-            row.append(str(int(r.true_class_ids[j])))
-            row.append(signal_refs[i][j] if signal_refs else "")
-        f.write(",".join(row) + "\n")
+            row += contact.offset.tolist()
+            row += ("1" if contact.in_contact else "0", world_z[j], class_ids[j], signal_refs[i][j] if signal_refs else "")
+        f.write(_WALKLOG_ROW % tuple(row))
 
 
 def save_walklog(log: WalkLog, path, signals_dir: str | None = None) -> None:

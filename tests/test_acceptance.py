@@ -196,7 +196,7 @@ def test_criterion_04_classifier_baseline():
     cut = int(0.75 * len(sigs))
     tr, te = order[:cut], order[cut:]
     model = baseline_train([sigs[i] for i in tr], labels[tr], seed=0)
-    probs = np.stack([baseline_predict(model, sigs[i]) for i in te])
+    probs = baseline_predict(model, [sigs[i] for i in te])
     acc = float(np.mean(np.argmax(probs, axis=1) == labels[te]))
 
     rng = np.random.default_rng(1)

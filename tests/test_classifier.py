@@ -11,12 +11,13 @@ from hapticloc.classifier import (
     LEARNING_RATE,
     LogisticBaseline,
     StepSignal,
+    _softmax_rows,
     baseline_predict,
     baseline_train,
     featurize,
     loss_and_grad,
 )
-from hapticloc.evaluate import make_training_set
+from hapticloc.evaluate import TRAIN_PER_CLASS, TRAIN_SEED_OFFSET, make_training_set, train_contact_classifier
 from test_geometry import same_bits
 
 
@@ -36,8 +37,9 @@ def test_featurize_hand_case():
     s = np.zeros((3, 6))
     s[:, 0] = [1.0, 2.0, 3.0]
     s[:, 5] = [-1.0, 0.0, 1.0]
-    f = featurize(StepSignal(s))
-    assert f.shape == (24,)
+    f = featurize([StepSignal(s)])
+    assert f.shape == (1, 24)
+    f = f[0]
     assert f[0] == pytest.approx(2.0)  # mean of channel 0
     assert f[5] == pytest.approx(0.0)  # mean of channel 5
     assert f[6] == pytest.approx(np.sqrt(2.0 / 3.0))  # population std
@@ -51,9 +53,11 @@ def numpy_features(s):
 
 
 @st.composite
-def signal_samples(draw):
-    """(n, 6) finite samples: any floats, or a scaled normal draw on a large offset."""
-    n = draw(st.integers(1, 200))
+def signal_samples(draw, n=None):
+    """(n, 6) finite samples: any floats, or a scaled normal draw on a large
+    offset. n is drawn from 1..200 when not given."""
+    if n is None:
+        n = draw(st.integers(1, 200))
     if draw(st.booleans()):
         return draw(arrays(np.float64, (n, 6), elements=st.floats(-1e100, 1e100)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -65,12 +69,56 @@ def signal_samples(draw):
 @settings(max_examples=200, deadline=None)
 @given(signal_samples())
 def test_featurize_matches_numpy_std_bit_for_bit(samples):
-    assert same_bits(featurize(StepSignal(samples)), numpy_features(samples))
+    assert same_bits(featurize([StepSignal(samples)]), numpy_features(samples)[None, :])
 
 
 def test_featurize_of_one_sample_matches_numpy_std():
     s = np.array([[1.0, -2.0, 3.5, 1e9, -1e-9, 0.0]])
-    assert same_bits(featurize(StepSignal(s)), numpy_features(s))
+    assert same_bits(featurize([StepSignal(s)]), numpy_features(s)[None, :])
+
+
+@st.composite
+def signal_batches(draw):
+    """Up to 12 signals over at most four lengths, so most lengths repeat;
+    one signal has a channel of -0.0 only."""
+    lengths = draw(st.lists(st.integers(1, 200), min_size=1, max_size=4))
+    batch = [draw(signal_samples(n=draw(st.sampled_from(lengths)))) for _ in range(draw(st.integers(1, 12)))]
+    batch[draw(st.integers(0, len(batch) - 1))][:, draw(st.integers(0, 5))] = -0.0
+    return batch
+
+
+@settings(max_examples=100, deadline=None)
+@given(signal_batches())
+def test_batched_featurize_matches_each_signal_s_numpy_features_bit_for_bit(batch):
+    got = featurize([StepSignal(s) for s in batch])
+    assert same_bits(got, np.stack([numpy_features(s) for s in batch]))
+
+
+def reference_softmax_rows(z):
+    """The row softmax through z.max(axis=1)."""
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+logits = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda b: st.integers(1, 9).flatmap(lambda c: arrays(np.float64, (b, c), elements=logits))))
+def test_softmax_rows_matches_the_max_reduction_bit_for_bit(z):
+    assert same_bits(_softmax_rows(z), reference_softmax_rows(z))
+
+
+@pytest.mark.parametrize("z", [
+    [[2.0, 2.0, -1.0, 2.0]],  # one row, a three-way tie at the top
+    [[1e300], [-1e300], [0.0], [-0.0]],  # one column
+    [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]],  # signed zeros tied at the top
+    [[1e300, -1e300, 1e300, 0.0], [-1e300, -1e300, -1e300, -1e300]],
+])
+def test_softmax_rows_edge_cases_match_the_max_reduction_bit_for_bit(z):
+    z = np.array(z)
+    assert same_bits(_softmax_rows(z), reference_softmax_rows(z))
 
 
 def reference_loss_and_grad(weights, bias, features, labels):
@@ -121,6 +169,16 @@ def test_training_matches_the_loss_evaluating_loop_bit_for_bit(per_class, data_s
     labels = np.asarray(labels)
     model = baseline_train(sigs, labels, seed=seed)
     want = reference_train(sigs, labels, 8, seed)
+    got = (model.weights, model.bias, model.feat_mean, model.feat_std)
+    assert all(same_bits(g, r) for g, r in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_experiment_classifier_matches_the_loss_evaluating_loop_bit_for_bit(seed):
+    # the classifier each experiment seed trains, on its full training set
+    sigs, labels = make_training_set(TRAIN_PER_CLASS, seed + TRAIN_SEED_OFFSET)
+    model = train_contact_classifier(seed)
+    want = reference_train(sigs, np.asarray(labels), 8, seed + TRAIN_SEED_OFFSET)
     got = (model.weights, model.bias, model.feat_mean, model.feat_std)
     assert all(same_bits(g, r) for g, r in zip(got, want))
 
@@ -201,9 +259,9 @@ def test_train_separates_synthetic_materials():
     cut = int(0.75 * n)
     tr, te = order[:cut], order[cut:]
     model = baseline_train([sigs[i] for i in tr], labels[tr], seed=0)
-    probs = np.stack([baseline_predict(model, sigs[i]) for i in te])
+    probs = baseline_predict(model, [sigs[i] for i in te])
     acc = float(np.mean(np.argmax(probs, axis=1) == labels[te]))
     assert acc >= 0.9
     assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    # the classifier interface: predict(signal) -> probs
-    assert np.array_equal(model.predict(sigs[te[0]]), probs[0])
+    # the classifier interface: predict(signals) -> (K, C) probs
+    assert np.array_equal(model.predict([sigs[te[0]]]), probs[:1])

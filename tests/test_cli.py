@@ -317,6 +317,19 @@ def test_localize_class_source_errors(tmp_path, capsys):
     code, _, err = run(capsys, *args, "--walklog", str(log_path), "--mode", "HL-G", "--weights", "w.net")
     assert code == 1
     assert err.strip() == "error: --weights: mode HL-G reads no terrain classes"
+    # a network of another class count than the class layer's is refused
+    # before it labels a contact
+    w = tmp_path / "four.net"
+    save_weights(random_weights(replace(SMALL_NET, n_classes=4), seed=3), w)
+    code, out, err = run(capsys, *args, "--walklog", str(log_path), "--mode", "HL-GC", "--weights", str(w))
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: --weights {w}: the network has 4 classes but the class layer has 8"
+    # and so is the trained baseline on a class layer of another class count
+    grid = load_map(d / "course.cmap")
+    save_map(ClassGrid(grid.resolution, grid.origin, grid.class_ids, 9), d / "course.cmap")
+    code, out, err = run(capsys, *args, "--walklog", str(log_path), "--mode", "HL-C")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: the logistic baseline has 8 classes but the class layer has 9"
 
 
 @pytest.mark.parametrize("mode", ["HL-GC", "HL-C"])

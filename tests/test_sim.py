@@ -397,7 +397,7 @@ def test_classify_log_fills_each_signal_s_prediction():
     for r in log.records:
         for contact, sig in zip(r.contacts, r.signals):
             assert sig is not None  # every tile is classed, so every contact has a signal
-            assert np.array_equal(contact.class_probs, model.predict(sig))
+            assert np.array_equal(contact.class_probs, model.predict([sig])[0])
             assert contact.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     # a walk on a course without a class layer logs no force signals, and
