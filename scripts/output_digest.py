@@ -3,6 +3,7 @@
 
     python scripts/output_digest.py --seeds 1 2 > digests.txt
     python scripts/output_digest.py --seeds 3 4 5 --experiments wall-room wallroom-n5k
+    python scripts/output_digest.py --against HEAD~ --seeds 1 2 3
     python scripts/output_digest.py --write
 
 Runs the three default experiments (chevron, class-tiles, wall-room) and the
@@ -12,6 +13,12 @@ seeds into a temporary directory; --experiments picks some of the six.
 Prints one "<sha256>  <experiment>/<file>" line for report.csv and for every
 file under seed_N/. Run it on two checkouts and diff the outputs to check
 that a change keeps every file byte-identical.
+
+--against REV does that in one run: it exports the git revision REV with
+git archive into a temporary directory, runs the same experiments and
+seeds with this script there (on REV's package) and here, and prints each
+file whose digest differs, or that only one side wrote; it exits 1 if any
+does.
 
 --write instead writes the golden digests that tests/test_golden.py checks,
 to tests/golden_digests.txt: GOLDEN's experiments and seeds, under a header
@@ -23,7 +30,11 @@ which both move filter outputs in their last bits.
 import argparse
 import ctypes
 import hashlib
+import io
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -109,6 +120,29 @@ def digest_lines(runs):
                 yield f"{digest}  {name}/{f.relative_to(out).as_posix()}"
 
 
+def digests_against(rev: str, experiments, seeds):
+    """{file: (digest at rev, digest here)} for every file the experiments
+    write for seeds on either side; a side that did not write one has
+    None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        # this script, run from the export, digests the export's package
+        script = Path(tmp) / "scripts" / "output_digest.py"
+        script.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, script)
+        cmd = [sys.executable, str(script), "--seeds", *map(str, seeds), "--experiments", *experiments]
+        theirs = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+        ours = list(digest_lines((name, seeds) for name in experiments))
+        out, _ = theirs.communicate()
+        if theirs.returncode:
+            sys.exit(f"output_digest: the run at {rev} failed")
+    sides = [{f: d for d, f in (line.split("  ", 1) for line in lines)} for lines in (out.splitlines(), ours)]
+    return {f: (sides[0].get(f), sides[1].get(f)) for f in sorted(sides[0].keys() | sides[1].keys())}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
@@ -116,12 +150,22 @@ def main(argv=None):
                    metavar="NAME", help=f"experiments to run (default: all of {', '.join(EXPERIMENTS)})")
     p.add_argument("--write", action="store_true",
                    help=f"write the golden digests to {GOLDEN_FILE.relative_to(ROOT)} instead")
+    p.add_argument("--against", metavar="REV",
+                   help="compare with the git revision REV: print the files whose digests differ, exit 1 if any")
     args = p.parse_args(argv)
     if args.write:
         lines = [header_line(), *digest_lines(GOLDEN.items())]
         GOLDEN_FILE.write_text("\n".join(lines) + "\n")
         print(f"{GOLDEN_FILE}: {len(lines) - 1} digests")
         return
+    if args.against is not None:
+        pairs = digests_against(args.against, args.experiments, args.seeds)
+        differ = [f for f, (theirs, ours) in pairs.items() if theirs != ours]
+        for f in differ:
+            theirs, ours = pairs[f]
+            print(f"{f}: {theirs or 'not written'} at {args.against}, {ours or 'not written'} here")
+        print(f"{len(differ)} of {len(pairs)} files differ from {args.against}", file=sys.stderr)
+        sys.exit(1 if differ else 0)
     for line in digest_lines((name, args.seeds) for name in args.experiments):
         print(line, flush=True)
 

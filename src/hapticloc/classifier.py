@@ -39,7 +39,10 @@ def featurize(signals) -> np.ndarray:
     maxima, in that order.
 
     The signals of one length are reduced as one (n, L, 6) stack over its
-    samples, which sums each channel in the order a lone signal does.
+    samples, which sums each channel in the order a lone signal does. Minima
+    and maxima reduce a contiguous (n, 6, L) copy instead, many times faster
+    and exact in any order, but for the sign of a zero extreme: where one
+    is zero, the group reduces the stack as the sums do.
     """
     signals = list(signals)
     by_length = {}
@@ -51,7 +54,12 @@ def featurize(signals) -> np.ndarray:
         mean = s.mean(axis=1)
         # np.std's own arithmetic, from the mean already at hand
         std = np.sqrt(((s - mean[:, None, :]) ** 2).sum(axis=1) / length)
-        feats[rows] = np.concatenate([mean, std, s.min(axis=1), s.max(axis=1)], axis=1)
+        by_channel = s.transpose(0, 2, 1).copy()
+        low, high = by_channel.min(axis=2), by_channel.max(axis=2)
+        # a channel holding 0.0 and -0.0 may reach either zero in another order
+        if not (low.all() and high.all()):
+            low, high = s.min(axis=1), s.max(axis=1)
+        feats[rows] = np.concatenate([mean, std, low, high], axis=1)
     return feats
 
 

@@ -93,7 +93,7 @@ def _cmd_localize(args) -> int:
         if model.n_classes != course.class_grid.n_classes:
             raise ValueError(f"{source} has {model.n_classes} classes but the class layer has {course.class_grid.n_classes}")
         sim.classify_log(log, model)
-    state = evaluate.run_localization(log, course, mode, cfg, seed=args.seed)
+    state = evaluate.run_localization(log.init_prior, evaluate.to_step_inputs(log), course, mode, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     save_trajectory(os.path.join(args.out, "estimate.traj"), state.trajectory, log.timestamps())
     write_diagnostics_csv(state, os.path.join(args.out, "diagnostics.csv"))

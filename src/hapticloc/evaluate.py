@@ -265,11 +265,13 @@ def simulate_for_config(cfg: ExperimentConfig, seed: int):
     return course, log
 
 
-def run_localization(log: WalkLog, maps: MapSet, mode: str, cfg: ExperimentConfig, seed: int = 0) -> FilterState:
-    """Run one filter mode over a walk log with cfg's filter settings, starting from the log's prior."""
+def run_localization(prior: Pose, inputs, maps: MapSet, mode: str, cfg: ExperimentConfig, seed: int = 0) -> FilterState:
+    """Run one filter mode over step inputs with cfg's filter settings,
+    starting from prior. A step only reads its StepInput, so the modes of a
+    seed share one list (to_step_inputs of the seed's log)."""
     return run_filter(
         init_filter(
-            log.init_prior,
+            prior,
             cfg.prior_cov(),
             maps,
             cfg.likelihood,
@@ -279,7 +281,7 @@ def run_localization(log: WalkLog, maps: MapSet, mode: str, cfg: ExperimentConfi
             resample_frac=cfg.resample_frac,
             xy_std_threshold=cfg.xy_std_threshold,
         ),
-        to_step_inputs(log),
+        inputs,
     )
 
 
@@ -354,8 +356,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
         odom_ates.append(ate_odom)
         report.rows.append(ReportRow("odom-only", str(seed), ate_odom, 0.0))
         results = [("odom-only", odom_traj, None)]
+        inputs = to_step_inputs(log)
         for mode in cfg.modes:
-            state = run_localization(log, course, mode, cfg, seed)
+            state = run_localization(log.init_prior, inputs, course, mode, cfg, seed)
             a = ate(truth, state.trajectory)
             per_mode[mode].append(a)
             report.rows.append(ReportRow(mode, str(seed), a, _improvement_pct(ate_odom, a)))

@@ -190,6 +190,11 @@ def quat_matrix(q) -> np.ndarray:
     )
 
 
+def tilt_matrix(roll, pitch) -> np.ndarray:
+    """The 3x3 rotation of a base tilted by roll and pitch, Ry(pitch) Rx(roll)."""
+    return quat_matrix(quat_from_euler(roll, pitch, 0.0))
+
+
 @dataclass
 class Pose:
     """World pose. position is a 3-vector, quat a scalar-last unit quaternion."""

@@ -43,13 +43,17 @@ search, stopped at the floor reach: there a point with no map point
 within the reach gets distance inf, which scores the floor, and every
 other point its exact distance, bit for bit.
 
-The class channel reads its distance from the class layer's distance
-fields (class_fields): one per class, built in numpy by
-maps.ClassGrid.distance_fields on the first request, which init_filter
-makes, and kept by the grid. Like the cloud's field they stop at a reach,
-LikelihoodConfig.class_reach, the floor reach of sigma_c: a cell within it
-holds its exact lattice distance, bit for bit, and a cell beyond it inf,
-which scores the floor as the exact distance would.
+The class channel reads the class layer's squared lattice offsets
+(maps.ClassGrid.squared_offsets), one field per class, built in numpy on the
+first request, which init_filter makes, and kept by the grid. Like the
+cloud's field they stop at a reach, LikelihoodConfig.class_reach, the floor
+reach of sigma_c: a cell within it holds its exact squared offset k, and a
+cell beyond it the cap k_max + 1. The channel scores each offset once,
+ahead of the queries (class_scores): a table of k_max + 2 entries holds
+the floored density of the distance resolution * sqrt(k), and the floor at
+the cap, where the exact distance would score it too. So a contact's class
+term is two gathers, its offset at the cell and that offset's score, each
+bit for bit what the Gaussian of the exact distance gives.
 
 A localization mode is the set of channels it fuses (MODES). Each channel
 reads the map layer of its own name, so the layers a mode needs are its
@@ -76,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import planar_rotate_add, quat_from_euler, quat_matrix
+from .geometry import planar_rotate_add
 from .maps import (
     UNKNOWN_CLASS,
     ClassGrid,
@@ -84,7 +88,7 @@ from .maps import (
     MapSet,
     PointCloudMap,
     class_at_many,
-    class_distance_many,
+    class_offsets_many,
     cloud_distances,
     elevation_at_many,
     field_distances,
@@ -150,7 +154,7 @@ class LikelihoodConfig:
     Each floor is its channel's density at 3 sigma, strictly below the peak
     for any sigma. Each reach is the distance beyond which its channels
     score their floor: floor_reach for the sigma_z channels, and class_reach
-    for the class channel, the reach of its distance fields. None is
+    for the class channel, the reach of its squared offsets. None is
     settable: replace(cfg, sigma_z=...) derives them anew from the new
     sigmas, once, not on every step that reads them.
     """
@@ -195,14 +199,15 @@ class ContactMeasurement:
 
     offset is the contact point in the base frame, a finite 3-vector.
     class_probs is a terrain classifier's distribution over the classes, a
-    finite, non-negative 1-D vector whose argmax is the class the class
-    channel queries the map for; None when no classifier labeled the
-    contact. Both are kept as read-only copies.
+    finite, non-negative 1-D vector whose argmax, estimated_class, is the
+    class the class channel queries the map for; both None when no
+    classifier labeled the contact. The arrays are kept as read-only copies.
     """
 
     offset: np.ndarray
     class_probs: np.ndarray | None = None
     in_contact: bool = True
+    estimated_class: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         offset = _read_only(self.offset)
@@ -217,6 +222,7 @@ class ContactMeasurement:
             if not (np.isfinite(probs).all() and (probs >= 0.0).all()):
                 raise ValueError(f"class_probs must be finite and non-negative, got {probs}")
             object.__setattr__(self, "class_probs", probs)
+            object.__setattr__(self, "estimated_class", int(probs.argmax()))
 
 
 def elevation_log_likelihood_points(
@@ -267,10 +273,25 @@ def cloud_log_likelihood_points(
 
 
 def class_fields(grid: ClassGrid, cfg: LikelihoodConfig) -> np.ndarray:
-    """The class layer's distance fields for the channel: cut at
-    cfg.class_reach, beyond which every distance scores the floor. The grid
-    makes them on the first request and keeps them."""
+    """The class layer's distance fields at the channel's reach, read from
+    the offsets class_scores scores: cut at cfg.class_reach, beyond which
+    every distance scores the floor."""
     return grid.distance_fields(cfg.class_reach)
+
+
+def class_scores(grid: ClassGrid, cfg: LikelihoodConfig):
+    """(offsets, scores) of the class channel: the grid's SquaredOffsets for
+    cfg.class_reach, and the channel's score of each offset, the floored
+    log density of its distance, the floor at the cap (distance inf). The
+    grid makes the offsets on the first request and keeps them, and they
+    keep the scores for sigma_c."""
+    f = grid.squared_offsets(cfg.class_reach)
+
+    def score(distances):
+        ll = gaussian_log_density(distances, cfg.sigma_c)
+        return np.maximum(ll, cfg.log_class_rho, out=ll)
+
+    return f, f.table(("class", cfg.sigma_c), score)
 
 
 def class_log_likelihood_points(
@@ -284,30 +305,27 @@ def class_log_likelihood_points(
     density of the lattice distance to the nearest cell of that class, so a
     cell of that class scores the peak density (distance 0) and an estimate
     absent from the map the floor (distance inf); off-map and unlabeled
-    cells are neutral. The distances are read from the fields class_fields
-    returns, so one beyond cfg.class_reach reads inf and scores the floor,
-    as its exact distance would. cells as for the elevation channel; out
-    receives the distances, then the scores; scratch as for
-    class_distance_many.
+    cells are neutral. Each point's squared offset, from the offsets
+    class_scores returns, picks its score from their table, so a distance
+    beyond cfg.class_reach scores the floor, as the exact distance would.
+    cells as for the elevation channel; out receives the scores; scratch as
+    for maps.class_offsets_many.
     """
     if cells is None:
         cells = padded_cells(grid, points_xy)
-    ll = class_distance_many(
-        grid, points_xy, class_id, cells=cells, out=out, scratch=scratch, reach=cfg.class_reach
-    )
-    gaussian_log_density(ll, cfg.sigma_c, out=ll)
-    np.maximum(ll, cfg.log_class_rho, out=ll)
+    offsets, scores = class_scores(grid, cfg)
+    k = class_offsets_many(grid, points_xy, class_id, offsets, cells=cells, scratch=scratch)
+    ll = scores.take(k, out=out, mode="clip")
     np.copyto(ll, 0.0, where=class_at_many(grid, points_xy, cells=cells) == UNKNOWN_CLASS)
     return ll
 
 
-def _estimated_class(contact: ContactMeasurement, grid: ClassGrid) -> int:
-    """The argmax of the contact's class_probs, one entry per class of the layer."""
+def _check_class_probs(contact: ContactMeasurement, grid: ClassGrid) -> None:
+    """Raise unless the contact's class_probs hold one entry per class of the layer."""
     if contact.class_probs.size != grid.n_classes:
         raise ValueError(
             f"class_probs has {contact.class_probs.size} entries but the class layer has {grid.n_classes} classes"
         )
-    return int(np.argmax(contact.class_probs))
 
 
 def require_layers(channels, layers) -> None:
@@ -320,14 +338,15 @@ def require_layers(channels, layers) -> None:
 class ContactBuffers:
     """The arrays contacts_log_likelihood writes for up to n_max particles,
     reused from call to call: the (3, K, N) world points, their (K, N)
-    padded cell indices, the (K, N) flat indices into the class distance
-    fields, and a (2, K, N) pair of float rows: the rows it returns and the
-    class rows, which padded_cells uses first as its scratch and the cloud
-    channel as its distances. Each is a contiguous view of a flat array, for
-    any contact count K and particle count N up to n_max; the arrays grow to
-    the largest K asked for. The rows a call returns are overwritten by the
-    next call. The cloud field's scratch (cloud_scratch), of a fixed size,
-    is allocated only when a cloud channel asks for it.
+    padded cell indices, the (K, N) flat indices into the class layer's
+    squared offsets, and a (2, K, N) pair of float rows: the rows it
+    returns and the class rows, which padded_cells uses first as its
+    scratch and the cloud channel as its distances. Each is a contiguous
+    view of a flat array, for any contact count K and particle count N up
+    to n_max; the arrays grow to the largest K asked for. The rows a call
+    returns are overwritten by the next call. The cloud field's scratch
+    (cloud_scratch), of a fixed size, is allocated only when a cloud
+    channel asks for it.
     """
 
     def __init__(self, n_max: int):
@@ -365,7 +384,7 @@ class ContactBuffers:
 def contacts_log_likelihood(
     positions,
     heading,
-    tilt,
+    tilt_matrix,
     contacts,
     channels,
     maps: MapSet,
@@ -373,12 +392,13 @@ def contacts_log_likelihood(
     buffers: ContactBuffers | None = None,
 ) -> np.ndarray:
     """Joint log-likelihoods (K, N) of K contacts at N particles: positions
-    (3, N), heading (2, N) the cos and sin of each particle's yaw, and tilt
-    the (roll, pitch) they share.
+    (3, N), heading (2, N) the cos and sin of each particle's yaw, and
+    tilt_matrix the rotation of the roll and pitch they share
+    (geometry.tilt_matrix).
 
     Row k belongs to contacts[k], and every row uses the same channels (a
-    value of MODES). The contact offsets are tilted by one rotation matrix,
-    then turned by each particle's heading into one (3, K, N) array; the
+    value of MODES). The contact offsets are tilted by that matrix, then
+    turned by each particle's heading into one (3, K, N) array; the
     grid channels share the points' padded cell indices (MapSet keeps its
     grids on one lattice), and each channel queries its layer once for all
     the contacts. Row k starts at 0 and adds the channels given in the order
@@ -390,10 +410,11 @@ def contacts_log_likelihood(
     require_layers(channels, maps.layers)
     labeled = []
     if "class" in channels:
-        labeled = [c.class_probs is not None for c in contacts]
-        column = np.array(
-            [_estimated_class(c, maps.class_grid) if has else 0 for c, has in zip(contacts, labeled)]
-        ).reshape(-1, 1)
+        labeled = [c.estimated_class is not None for c in contacts]
+        for c, has in zip(contacts, labeled):
+            if has:
+                _check_class_probs(c, maps.class_grid)
+        column = np.array([c.estimated_class if has else 0 for c, has in zip(contacts, labeled)]).reshape(-1, 1)
 
     n = positions.shape[1]
     if buffers is None:
@@ -402,7 +423,6 @@ def contacts_log_likelihood(
     ll, class_rows = rows
     # each offset tilted once, as one pose, so a contact's row does not
     # depend on the others; then turned per particle
-    tilt_matrix = quat_matrix(quat_from_euler(tilt[0], tilt[1], 0.0))
     offsets = np.array([tilt_matrix @ c.offset for c in contacts]).T
     planar_rotate_add(heading, offsets[:, :, None], positions, world)
     if "elevation" in channels or "class" in channels:
@@ -426,7 +446,7 @@ def contacts_log_likelihood(
 
 
 def contact_log_likelihood(
-    positions, heading, tilt, contact: ContactMeasurement, channels, maps: MapSet, cfg: LikelihoodConfig
+    positions, heading, tilt_matrix, contact: ContactMeasurement, channels, maps: MapSet, cfg: LikelihoodConfig
 ) -> np.ndarray:
     """Joint per-particle log-likelihood of one contact, particles as arrays."""
-    return contacts_log_likelihood(positions, heading, tilt, [contact], channels, maps, cfg)[0]
+    return contacts_log_likelihood(positions, heading, tilt_matrix, [contact], channels, maps, cfg)[0]

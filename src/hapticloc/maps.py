@@ -7,7 +7,8 @@ stored row-major, one grid row per file line.
 
 Every grid layer keeps its values in a padded array, the lattice with a
 one-cell border that holds the layer's off-map value (nan height, the unknown
-class, inf distance), and its public array is a view of the interior.
+class, the cap of the squared offsets), and its public array is a view of
+the interior.
 padded_cells maps query points to flat indices into the padded array, a point
 off the lattice to the border, so a lookup is one gather with no inside mask.
 Layers on one lattice share the indices.
@@ -30,12 +31,18 @@ rows over the box of bricks around the cloud. field_distances interpolates
 it at query points, and fills each node from kd-tree queries the first time
 it reads it, so a run pays only for the nodes its points reach.
 
-A class layer keeps its per-class distance fields for one reach
-(ClassGrid.distance_fields), built in numpy by an exact separable transform
-and cut at the reach like the cloud's field: a cell beyond it holds inf.
+A class layer keeps, for one reach, each cell's squared lattice offset to
+the nearest cell of each class (ClassGrid.squared_offsets), found in numpy
+by an exact separable transform and capped one above the largest offset
+within the reach, like the cloud's field cut at its reach. The offsets are
+small integers in the smallest unsigned dtype that holds the cap, and a
+table over them turns them into any function of the distance with one
+gather: the distance table, resolution * sqrt(k) and inf at the cap, gives
+class_distance_many and ClassGrid.distance_fields, and the class channel
+keeps a table of its scores (likelihood.class_scores).
 
 Loading a layer validates it, and builds no index. The class layer's
-distance fields and the point cloud's kd-tree are built the first time a
+offsets and the point cloud's kd-tree are built the first time a
 caller reads them, and then kept: mcl.init_filter requests the indexes of
 its mode's channels, so no filter step builds one. scipy serves only the
 kd-tree (scipy.spatial), imported when it is first built, so a process that
@@ -129,15 +136,16 @@ class ElevationGrid:
 class ClassGrid:
     """Per-cell terrain class ids on the same lattice convention as ElevationGrid.
 
-    Per-class distance fields, from an exact Euclidean distance transform in
-    numpy (_nearest_squares), make nearest-class queries O(1). Distances are
-    measured center-to-center on the cell lattice. The transform runs on the
-    first request of distance_fields for a reach, beyond which the fields
-    hold inf, as the cloud's field stops at its reach; _fields keeps the last
-    (reach, fields) pair it built: a filter reads one.
+    Per-class squared lattice offsets, from an exact Euclidean distance
+    transform in numpy (_nearest_squares), make nearest-class queries O(1).
+    Distances are measured center-to-center on the cell lattice. The
+    transform runs on the first request of squared_offsets for a reach,
+    beyond which the offsets hold their cap, as the cloud's field stops at
+    its reach; _offsets keeps the last SquaredOffsets it built: a filter
+    reads one.
 
     class_ids is the interior view of _padded, the ids with an unknown-class
-    border. Both are read-only, so the fields describe the ids that were
+    border. Both are read-only, so the offsets describe the ids that were
     validated.
     """
 
@@ -146,7 +154,7 @@ class ClassGrid:
     class_ids: np.ndarray
     n_classes: int
     _padded: np.ndarray = field(init=False, repr=False)
-    _fields: tuple | None = field(init=False, repr=False, default=None)
+    _offsets: SquaredOffsets | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         _check_lattice(self)
@@ -175,31 +183,69 @@ class ClassGrid:
     def n_cols(self) -> int:
         return self.class_ids.shape[1]
 
-    def distance_fields(self, reach: float = math.inf) -> np.ndarray:
-        """The padded distance fields for reach, (n_classes, n_rows + 2,
-        n_cols + 2), read-only: each cell's distance to the nearest cell of
-        each class where that distance is at most reach, inf beyond it, on
-        the border and for a class absent from the grid. A distance within
-        reach is resolution * sqrt(k) of the exact squared lattice offset k,
-        so the default, an unbounded reach, gives the exact transform. Built
-        on the first request and kept until a request for another reach
-        replaces it."""
+    def squared_offsets(self, reach: float = math.inf) -> SquaredOffsets:
+        """The grid's SquaredOffsets for reach: built on the first request
+        and kept until a request for another reach replaces it. The default,
+        an unbounded reach, keeps every offset exact."""
         reach = float(reach)
-        if self._fields is None or self._fields[0] != reach:
+        if self._offsets is None or self._offsets.reach != reach:
             k_max = _reach_squares(reach, self.resolution, self.n_rows, self.n_cols)
-            fields = np.full((self.n_classes,) + self._padded.shape, np.inf)
+            cap = k_max + 1
+            offsets = np.full((self.n_classes,) + self._padded.shape, cap, dtype=np.min_scalar_type(cap))
             for c in range(self.n_classes):
                 mask = self.class_ids == c
                 if mask.any():
                     k = _nearest_squares(mask, k_max)
-                    interior = fields[c, 1:-1, 1:-1]
-                    np.copyto(interior, k)
-                    np.sqrt(interior, out=interior)
-                    np.multiply(self.resolution, interior, out=interior)
-                    np.copyto(interior, np.inf, where=k > k_max)
-            fields.flags.writeable = False
-            self._fields = (reach, fields)
-        return self._fields[1]
+                    np.minimum(k, cap, out=k)
+                    np.copyto(offsets[c, 1:-1, 1:-1], k, casting="unsafe")
+            offsets.flags.writeable = False
+            distances = self.resolution * np.sqrt(np.arange(cap + 1, dtype=float))
+            distances[cap] = np.inf
+            distances.flags.writeable = False
+            self._offsets = SquaredOffsets(reach, k_max, offsets, distances)
+        return self._offsets
+
+    def distance_fields(self, reach: float = math.inf) -> np.ndarray:
+        """The padded distance fields for reach, (n_classes, n_rows + 2,
+        n_cols + 2), a new array read from squared_offsets through its
+        distance table: each cell's distance to the nearest cell of each
+        class where that distance is at most reach, inf beyond it, on the
+        border and for a class absent from the grid. A distance within reach
+        is resolution * sqrt(k) of the exact squared lattice offset k, so
+        the default, an unbounded reach, gives the exact transform."""
+        f = self.squared_offsets(reach)
+        return f.distances.take(f.offsets)
+
+
+@dataclass(frozen=True, eq=False)
+class SquaredOffsets:
+    """A class layer's squared lattice offsets for one reach.
+
+    offsets, (n_classes, n_rows + 2, n_cols + 2) and read-only, holds each
+    cell's squared lattice offset k to the nearest cell of each class where
+    k is at most k_max, the largest offset whose distance is within reach,
+    and the cap k_max + 1 beyond it, on the border and for a class absent
+    from the grid; its dtype is the smallest unsigned one that holds the
+    cap. A table of k_max + 2 entries over k turns the offsets into any
+    function of the distance with one gather: distances holds resolution *
+    sqrt(k), the exact transform's arithmetic, and inf at the cap. table
+    keeps the tables a caller derives from distances.
+    """
+
+    reach: float
+    k_max: int
+    offsets: np.ndarray
+    distances: np.ndarray
+    _tables: dict = field(default_factory=dict, repr=False)
+
+    def table(self, key, make) -> np.ndarray:
+        """make(distances), a table over the offsets, read-only: made on the
+        first request for key and kept with the offsets."""
+        if key not in self._tables:
+            values = make(self.distances)
+            values.flags.writeable = False
+            self._tables[key] = values
+        return self._tables[key]
 
 
 def _reach_squares(reach: float, resolution: float, n_rows: int, n_cols: int) -> int:
@@ -688,20 +734,29 @@ def class_distance_many(
     grid: ClassGrid, xy, class_id, cells=None, out=None, scratch=None, reach: float = math.inf
 ) -> np.ndarray:
     """Lattice distances to the nearest class_id cell for query points (2, M),
-    read from the grid's distance fields for reach: inf for a point whose
-    distance exceeds reach, exact otherwise.
+    read from the grid's squared offsets for reach through their distance
+    table: inf for a point whose distance exceeds reach, exact otherwise.
 
     class_id is one class for every point or an array of per-point classes
     that broadcasts against the points. A class absent from the grid is at
     distance inf; so are points outside the grid (callers treat them as
-    off-map before this). cells and out as for elevation_at_many; scratch,
-    an int64 array of the points' shape, holds the flat index into the
-    distance fields.
+    off-map before this). cells and out as for elevation_at_many; scratch
+    as for class_offsets_many.
     """
+    f = grid.squared_offsets(reach)
+    return f.distances.take(class_offsets_many(grid, xy, class_id, f, cells, scratch), out=out, mode="clip")
+
+
+def class_offsets_many(grid: ClassGrid, xy, class_id, offsets: SquaredOffsets, cells=None, scratch=None):
+    """The squared offsets to the nearest class_id cell for query points (2,
+    M), read from offsets, the grid's SquaredOffsets; class_id as for
+    class_distance_many, each checked to be a class of the grid. scratch,
+    an int64 array of the points' shape, holds the flat index into the
+    offsets."""
     class_id = check_class_ids(grid, class_id)
     field_size = grid._padded.size
     index = np.add(class_id * field_size, _cells(grid, xy, cells), out=scratch)
-    return grid.distance_fields(reach).take(index, out=out, mode="clip")
+    return offsets.offsets.take(index, mode="clip")
 
 
 _PARALLEL_QUERY = 2048

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -75,13 +76,14 @@ from .geometry import (
     quat_from_euler,
     quat_matrix,
     quat_to_euler,
+    tilt_matrix,
 )
 from .likelihood import (
     MODES,
     ContactBuffers,
     ContactMeasurement,
     LikelihoodConfig,
-    class_fields,
+    class_scores,
     cloud_field,
     contacts_log_likelihood,
     require_layers,
@@ -225,9 +227,12 @@ class FilterState:
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     divergence_count: int = 0
     # the last odometry covariance step factored (a copy) and the factor of
-    # its x, y, z and yaw block
+    # its x, y, z and yaw block; the last tilt whose rotation a step made,
+    # as its bytes, and that rotation (geometry.tilt_matrix)
     odom_cov: np.ndarray | None = None
     odom_factor: np.ndarray | None = None
+    tilt_key: bytes | None = None
+    tilt_rotation: np.ndarray | None = None
     workspace: _Workspace = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -266,10 +271,11 @@ def init_filter(
     likelihood every step weighs its contacts against, and the channels of
     mode, a key of MODES. A mode whose channels need a layer maps lacks
     raises here. The indexes of the mode's channels are requested here, so
-    that no step builds one: the class layer's distance fields for the class
-    channel (likelihood.class_fields), and for the cloud channel the cloud's
-    distance field (likelihood.cloud_field), which builds the cloud's
-    kd-tree and finds the field's bricks; steps fill the nodes they read.
+    that no step builds one: for the class channel the class layer's squared
+    offsets and their table of scores (likelihood.class_scores), and for the
+    cloud channel the cloud's distance field (likelihood.cloud_field), which
+    builds the cloud's kd-tree and finds the field's bricks; steps fill the
+    nodes they read.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
@@ -279,7 +285,7 @@ def init_filter(
     if not 0.0 <= resample_frac <= 1.0:
         raise ValueError("resample_frac must lie in [0, 1]")
     if "class" in MODES[mode]:
-        class_fields(maps.class_grid, likelihood)
+        class_scores(maps.class_grid, likelihood)
     if "cloud" in MODES[mode]:
         cloud_field(maps.cloud, likelihood)
     rng = np.random.default_rng(seed)
@@ -381,11 +387,12 @@ def _resample_indices(state: FilterState, weights) -> np.ndarray:
 
 def _logsumexp(a, scratch=None):
     """log(sum(exp(a))); scratch, an array of a's shape, holds the exponentials."""
-    m = np.max(a)
-    if not np.isfinite(m):
+    m = a.max()
+    # not finite: nan fails both compares
+    if not -math.inf < m < math.inf:
         return m
     e = np.subtract(a, m, out=scratch)
-    return m + np.log(np.sum(np.exp(e, out=e)))
+    return m + np.log(np.exp(e, out=e).sum())
 
 
 def estimate_detail(state: FilterState, increment: Pose):
@@ -406,8 +413,8 @@ def estimate_detail(state: FilterState, increment: Pose):
     spread = np.subtract(p[:2], mean_p[:2, None], out=ws.delta[:2])
     xy_std = np.sqrt(np.square(spread, out=spread) @ w)
     roll, pitch = state.tilt
-    if np.all(xy_std <= state.xy_std_threshold):
-        ref = float(state.yaw[int(np.argmax(lw))])
+    if xy_std[0] <= state.xy_std_threshold and xy_std[1] <= state.xy_std_threshold:
+        ref = float(state.yaw[lw.argmax()])
         # wrap(yaw - ref) as pi - mod(pi - (yaw - ref), 2 pi), in place
         dyaw = np.subtract(np.pi + ref, state.yaw, out=ws.scratch)
         np.mod(dyaw, 2.0 * np.pi, out=dyaw)
@@ -431,17 +438,26 @@ def _odom_factor(state: FilterState, cov) -> np.ndarray:
     return state.odom_factor
 
 
-def _propagation_terms(tilt, increment: Pose, factor):
+def _tilt_matrix(state: FilterState, tilt) -> np.ndarray:
+    """tilt_matrix of tilt, a (roll, pitch) pair, made again only when tilt
+    differs bitwise from the tilt of the cached rotation."""
+    key = struct.pack("2d", *tilt)
+    if key != state.tilt_key:
+        state.tilt_rotation = tilt_matrix(*tilt)
+        state.tilt_key = key
+    return state.tilt_rotation
+
+
+def _propagation_terms(start, increment: Pose, factor):
     """The terms of a step every particle shares: (g, u, turn).
 
-    The increment's rotation, seen from the base at the step start (tilt,
-    its roll and pitch), turns the heading by turn. g is the 4x4 noise
-    factor with its position rows carried through the increment's rotation
-    and the turn undone, u the increment's translation with the tilt applied
-    and the turn undone: a particle's displacement is u + g[:3] @ draws,
-    rotated in the plane by its new yaw.
+    The increment's rotation, seen from the base at the step start (start,
+    the tilt_matrix of its roll and pitch), turns the heading by turn. g is
+    the 4x4 noise factor with its position rows carried through the
+    increment's rotation and the turn undone, u the increment's translation
+    with the tilt applied and the turn undone: a particle's displacement is
+    u + g[:3] @ draws, rotated in the plane by its new yaw.
     """
-    start = quat_matrix(quat_from_euler(tilt[0], tilt[1], 0.0))
     m = start @ quat_matrix(increment.quat)
     turn = math.atan2(m[1, 0], m[0, 0])
     undo = quat_matrix(quat_from_euler(0.0, 0.0, -turn))
@@ -476,7 +492,7 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     ws.resize(n)
 
     # propagate: the shared terms once, then 4 draws and one cos/sin pair per particle
-    g, u, turn = _propagation_terms(state.tilt, inc, _odom_factor(state, inp.odom_cov))
+    g, u, turn = _propagation_terms(_tilt_matrix(state, state.tilt), inc, _odom_factor(state, inp.odom_cov))
     state.rng.standard_normal(out=ws.draws)
     d = np.matmul(g, ws.draws, out=ws.delta)
     yaw = np.add(state.yaw, d[3], out=ws.yaw[_spare(ws.yaw, state.yaw)])
@@ -491,13 +507,14 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     lw = state.log_weights
     active = contacts_for_mode(inp.contacts)
     if active:
+        tilt = _tilt_matrix(state, state.tilt)
         for ll in contacts_log_likelihood(
-            p, ws.heading, state.tilt, active, state.channels, state.maps, state.likelihood, ws.contacts
+            p, ws.heading, tilt, active, state.channels, state.maps, state.likelihood, ws.contacts
         ):
             lw = np.add(lw, ll, out=ws.log_weights)
 
     total = _logsumexp(lw, ws.scratch)
-    if not np.isfinite(total):
+    if not -math.inf < total < math.inf:
         # every weight underflowed: reset rather than crash, and record it
         state.divergence_count += 1
         log.warning("step %d: all particle weights underflowed, resetting to uniform", len(state.diagnostics) + 1)
@@ -508,7 +525,7 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     state.log_weights = lw
 
     w = np.exp(lw, out=ws.weights)
-    ess = float(1.0 / np.sum(np.square(w, out=ws.scratch)))
+    ess = float(1.0 / np.square(w, out=ws.scratch).sum())
     if ess < state.resample_frac * n:
         idx = _resample_indices(state, w)
         # the spare of each pair, picked before a new count resizes the views

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from hapticloc import mcl
-from hapticloc.evaluate import default_chevron_experiment, run_localization, simulate_for_config
+from hapticloc.evaluate import default_chevron_experiment, run_localization, simulate_for_config, to_step_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -106,7 +106,7 @@ def test_step_timer_sees_every_step():
     course, log = simulate_for_config(cfg, 1)
     undo = spans.patch_everywhere(step, timed_step)
     try:
-        state = run_localization(log, course, "HL-G", cfg, seed=1)
+        state = run_localization(log.init_prior, to_step_inputs(log), course, "HL-G", cfg, seed=1)
     finally:
         spans.restore(undo)
     assert mcl.step is step

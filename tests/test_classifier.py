@@ -94,6 +94,19 @@ def test_batched_featurize_matches_each_signal_s_numpy_features_bit_for_bit(batc
     assert same_bits(got, np.stack([numpy_features(s) for s in batch]))
 
 
+def test_featurize_keeps_the_sign_of_a_zero_extreme():
+    # a channel of 0.0 and -0.0 whose minimum or maximum is a zero: a
+    # reduction in another order than a lone signal's may reach the other
+    # zero, as these channels do over a contiguous copy
+    s = np.ones((10, 6))
+    s[:, 0] = [0.0, 1.0, 1.0, 1.0, -0.0, -0.0, 1.0, 0.0, -0.0, 1.0]
+    s[:, 1] = -s[:, 0]
+    s[:9, 2] = [0.0, 0.0, -0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0]
+    s[:9, 3] = [0.0, 0.0, 0.0, -1.0, 0.0, -0.0, -1.0, -0.0, -0.0]
+    batch = [s, s[::-1].copy(), np.ones((10, 6))]
+    assert same_bits(featurize([StepSignal(b) for b in batch]), np.stack([numpy_features(b) for b in batch]))
+
+
 def reference_softmax_rows(z):
     """The row softmax through z.max(axis=1)."""
     z = z - z.max(axis=1, keepdims=True)

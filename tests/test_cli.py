@@ -20,6 +20,7 @@ from hapticloc.evaluate import (
     run_experiment,
     run_localization,
     simulate_for_config,
+    to_step_inputs,
     train_contact_classifier,
 )
 from hapticloc.geometry import save_trajectory
@@ -256,7 +257,8 @@ def test_wall_probe_flow_and_localize(tmp_path, capsys):
     code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--out", str(out_dir))
     assert code == 0, err
     log = load_walklog(log_path)
-    want = run_localization(log, load_course_dir(d), "HL-3D", default_wallroom_experiment(), seed=0)
+    cfg = default_wallroom_experiment()
+    want = run_localization(log.init_prior, to_step_inputs(log), load_course_dir(d), "HL-3D", cfg, seed=0)
     save_trajectory(tmp_path / "want.traj", want.trajectory, log.timestamps())
     assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
 
@@ -299,7 +301,7 @@ def test_localize_with_network_weights(tmp_path, capsys):
     assert code == 0, err
     log = classify_log(load_walklog(log_path, load_signals=True), load_weights(w))
     cfg = replace(default_tiles_experiment(), n_particles=100)
-    want = run_localization(log, load_course_dir(d), "HL-C", cfg, seed=0)
+    want = run_localization(log.init_prior, to_step_inputs(log), load_course_dir(d), "HL-C", cfg, seed=0)
     save_trajectory(tmp_path / "want.traj", want.trajectory, log.timestamps())
     assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
 

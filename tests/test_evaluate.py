@@ -335,7 +335,7 @@ def test_run_localization_reads_the_experiment_config():
         xy_std_threshold=0.05,
         prior_std_xyz=0.1,
     )
-    st = run_localization(log, maps, "HL-G", cfg, seed=3)
+    st = run_localization(log.init_prior, to_step_inputs(log), maps, "HL-G", cfg, seed=3)
     want = run_filter(
         init_filter(
             log.init_prior,
@@ -353,6 +353,22 @@ def test_run_localization_reads_the_experiment_config():
     assert len(st.trajectory) == 11 and st.n_particles == 80
     assert all(np.array_equal(a.to_array(), b.to_array()) for a, b in zip(st.trajectory, want.trajectory))
     assert [d.ess for d in st.diagnostics] == [d.ess for d in want.diagnostics]
+
+
+def test_modes_sharing_one_input_list_match_a_fresh_list_each():
+    # run_experiment builds a seed's step inputs once for all its modes: a
+    # step only reads them, so each mode, run after the others on the shared
+    # list, steps as it does on a list of its own
+    cfg = replace(default_tiles_experiment(), waypoints=((0.6, 0.6), (2.0, 0.6), (2.0, 1.2)), n_particles=100)
+    course, log = simulate_for_config(cfg, 2)
+    shared = to_step_inputs(log)
+    for mode in cfg.modes:
+        got = run_localization(log.init_prior, shared, course, mode, cfg, seed=2)
+        want = run_localization(log.init_prior, to_step_inputs(log), course, mode, cfg, seed=2)
+        assert [p.to_array().tobytes() for p in got.trajectory] == [p.to_array().tobytes() for p in want.trajectory]
+        assert [d.ess for d in got.diagnostics] == [d.ess for d in want.diagnostics]
+    for a, b in zip(shared, to_step_inputs(log)):
+        assert np.array_equal(a.odom_cov, b.odom_cov) and a.tilt == b.tilt
 
 
 def test_load_experiment_config_overrides(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from hapticloc.geometry import Pose, quat_from_euler, quat_from_yaw, quat_rotate
+from hapticloc.geometry import Pose, quat_from_euler, quat_from_yaw, quat_rotate, tilt_matrix
 from hapticloc.likelihood import (
     MODES,
     ContactBuffers,
@@ -211,8 +211,8 @@ def test_floor_reach_is_where_the_density_meets_the_floor():
         assert gaussian_log_density(reach / (1.0 + 2e-6), sigma) > log_rho
 
 
-# The class channel reads distance fields cut at its floor reach: its
-# fields and scores against those of scipy's exact transform.
+# The class channel reads squared offsets cut at its floor reach: their
+# distance fields and scores against those of scipy's exact transform.
 
 
 @settings(max_examples=100, deadline=None)
@@ -395,7 +395,7 @@ def test_wall_room_field_at_a_few_mm_exceeds_the_budget():
     assert field_bytes(field) <= maps_module.FIELD_BUDGET_BYTES
 
 
-LEVEL = (0.0, 0.0)
+LEVEL = tilt_matrix(0.0, 0.0)
 
 
 def heading_of(yaw):
@@ -423,6 +423,16 @@ def test_contact_measurement_validation():
     # (1, 1) lies in column 2, class 0: a class-1 estimate scores the floor
     got = contact_log_likelihood(*ORIGIN, c, MODES["HL-C"], maps, cfg)
     assert got[0] == pytest.approx(cfg.log_class_rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+def test_a_contact_keeps_the_argmax_of_its_class_probs(probs):
+    # the class the class channel queries, found once, when the contact is built
+    assert ContactMeasurement((0.0, 0.0, -0.3), class_probs=probs).estimated_class == int(np.argmax(probs))
+    assert ContactMeasurement((0.0, 0.0, -0.3)).estimated_class is None
+    with pytest.raises(TypeError):
+        ContactMeasurement((0.0, 0.0, -0.3), class_probs=probs, estimated_class=0)
 
 
 def test_contact_fields_cannot_be_assigned():
@@ -511,10 +521,12 @@ def test_batched_contacts_match_one_contact_at_a_time():
         for k in range(5)
     ]
     for channels in MODES.values():
-        rows = contacts_log_likelihood(positions, heading, (0.05, -0.1), cs, channels, maps, cfg)
+        rows = contacts_log_likelihood(positions, heading, tilt_matrix(0.05, -0.1), cs, channels, maps, cfg)
         assert rows.shape == (len(cs), n)
         for row, c in zip(rows, cs):
-            assert np.array_equal(row, contact_log_likelihood(positions, heading, (0.05, -0.1), c, channels, maps, cfg))
+            assert np.array_equal(
+                row, contact_log_likelihood(positions, heading, tilt_matrix(0.05, -0.1), c, channels, maps, cfg)
+            )
 
 
 def test_contact_world_points_match_the_6dof_rotation():
@@ -526,7 +538,9 @@ def test_contact_world_points_match_the_6dof_rotation():
     yaw = rng.uniform(-np.pi, np.pi, n)
     cs = [ContactMeasurement(rng.normal(0.0, 0.3, 3)) for _ in range(4)]
     buffers = ContactBuffers(n)
-    contacts_log_likelihood(positions, heading_of(yaw), tilt, cs, MODES["HL-G"], flat_maps(), LikelihoodConfig(), buffers)
+    contacts_log_likelihood(
+        positions, heading_of(yaw), tilt_matrix(*tilt), cs, MODES["HL-G"], flat_maps(), LikelihoodConfig(), buffers
+    )
     world = buffers.views(len(cs), n)[0]
     for k, c in enumerate(cs):
         turned = np.column_stack([quat_rotate(quat_from_euler(*tilt, y), c.offset) for y in yaw])

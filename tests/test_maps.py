@@ -266,17 +266,48 @@ def sparse_ids(shape, seed, n_classes=3, density=0.002):
 )
 def test_distance_fields_at_a_reach_match_the_exact_transform(ids, resolution, reach):
     g = ClassGrid(resolution, (0.0, 0.0), ids, 3)
+    offsets = g.squared_offsets(reach)
     got = g.distance_fields(reach)
-    assert g.distance_fields(reach) is got
+    assert g.squared_offsets(reach) is offsets
     assert_cut_at(got, edt_fields(ids, 3, resolution), reach)
+
+
+UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ids=st.tuples(st.integers(1, 3), st.integers(1, 400)).flatmap(
+        lambda shape: st.builds(lambda seed: sparse_ids(shape, seed, density=0.05), st.integers(0, 2**32 - 1))
+    ),
+    transpose=st.booleans(),
+    resolution=st.sampled_from([0.01, 0.05, 0.37]),
+    reach=st.one_of(st.floats(0.0, 5.0), st.just(math.inf)),
+)
+def test_squared_offsets_take_the_smallest_unsigned_dtype_that_holds_their_cap(ids, transpose, resolution, reach):
+    # long thin grids reach every dtype up to uint32 with an unbounded reach
+    ids = ids.T if transpose else ids
+    g = ClassGrid(resolution, (0.0, 0.0), ids, 3)
+    f = g.squared_offsets(reach)
+    cap = f.k_max + 1
+    assert f.offsets.dtype in UNSIGNED and f.offsets.shape == (3, ids.shape[0] + 2, ids.shape[1] + 2)
+    assert np.iinfo(f.offsets.dtype).max >= cap
+    assert all(np.iinfo(d).max < cap for d in UNSIGNED if np.dtype(d).itemsize < f.offsets.itemsize)
+    # the cap on the border and beyond the reach, which the distance table reads as inf
+    assert f.offsets.max() <= cap and (f.offsets[:, 0] == cap).all() and (f.offsets[:, :, -1] == cap).all()
+    assert f.distances.shape == (cap + 1,) and f.distances[cap] == np.inf
+    # k_max: the largest offset within the reach, or the lattice's largest
+    k_lattice = (ids.shape[0] - 1) ** 2 + (ids.shape[1] - 1) ** 2
+    assert f.k_max <= k_lattice and resolution * math.sqrt(f.k_max) <= reach
+    assert f.k_max == k_lattice or resolution * math.sqrt(cap) > reach
 
 
 def test_distance_fields_keep_the_last_reach_and_reject_a_bad_one():
     ids = np.array([[0, 1, 1, 1, 1, 0]], dtype=np.uint8)
     g = ClassGrid(0.1, (0.0, 0.0), ids, 2)
-    near = g.distance_fields(0.15)
-    assert near[0, 1, 3] == np.inf and g.distance_fields()[0, 1, 3] == 0.2
-    assert g.distance_fields(0.15) is not near
+    near = g.squared_offsets(0.15)
+    assert g.distance_fields(0.15)[0, 1, 3] == np.inf and g.distance_fields()[0, 1, 3] == 0.2
+    assert g.squared_offsets(0.15) is not near
     assert class_distance_many(g, [[0.25], [0.05]], 0, reach=0.15)[0] == np.inf
     assert class_distance_many(g, [[0.25], [0.05]], 0)[0] == 0.2
     for reach in (-0.1, math.nan):
@@ -323,17 +354,21 @@ def test_class_grid_rejects_bad_ids():
 
 
 def test_class_ids_and_distance_fields_are_read_only():
-    # the distance fields, built on the first read, describe the validated
-    # ids: a write into either would leave the two disagreeing
+    # the squared offsets the distance fields are read from, built on the
+    # first read, describe the validated ids: a write into the ids, the
+    # offsets or their distance table would leave them disagreeing
     ids = np.array([[0, 1], [UNKNOWN_CLASS, 0]], dtype=np.uint8)
     g = ClassGrid(0.1, (0.0, 0.0), ids, 3)
     with pytest.raises(ValueError, match="read-only"):
         g.class_ids[0, 0] = 1
     ids[0, 0] = 1  # the grid holds a copy
     assert class_at(g, (0.05, 0.05)) == 0
-    assert g.distance_fields() is g.distance_fields()
+    offsets = g.squared_offsets()
+    assert g.squared_offsets() is offsets
     with pytest.raises(ValueError, match="read-only"):
-        g.distance_fields()[0, 1, 1] = 5.0
+        offsets.offsets[0, 1, 1] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        offsets.distances[0] = 5.0
     assert class_distance_many(g, [[0.05], [0.05]], 0)[0] == 0.0
 
 

@@ -12,6 +12,7 @@ from scipy.stats import chi2
 
 import hapticloc.likelihood as likelihood_module
 import hapticloc.maps as maps_module
+import hapticloc.mcl as mcl_module
 from hapticloc.geometry import (
     Pose,
     compose,
@@ -40,6 +41,7 @@ from hapticloc.maps import (
     class_at_many,
     class_distance_many,
 )
+from hapticloc.sim import CourseSpec, generate_course
 from hapticloc.mcl import (
     KLD_BIN,
     KLD_DELTA,
@@ -829,6 +831,71 @@ def test_each_index_is_built_once_in_init_filter_and_never_in_a_step(monkeypatch
         for _ in range(3):
             step(st, inp)
     assert builds == [("class", "HL-GC init_filter")] * n_present + [("cloud", "HL-3D init_filter")]
+
+
+def test_class_scores_are_made_in_init_filter_and_only_read_by_a_step(monkeypatch):
+    # the class channel's Gaussian runs once per grid, reach and sigma_c, on
+    # the table of its offsets' distances; a class-only step only gathers
+    calls, phase = [], ["init_filter"]
+    make = likelihood_module.gaussian_log_density
+
+    def counted(x, *args, **kwargs):
+        calls.append((phase[0], np.shape(x)))
+        return make(x, *args, **kwargs)
+
+    monkeypatch.setattr(likelihood_module, "gaussian_log_density", counted)
+    maps = oracle_maps()
+    cs = [ContactMeasurement(f, class_probs=np.eye(N_ORACLE_CLASSES)[k]) for k, f in enumerate(FEET)]
+    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
+    for _ in range(2):
+        phase[0] = "init_filter"
+        st = new_filter(stand_pose(2.0, 1.5), np.eye(6) * 1e-3, maps, mode="HL-C", n_particles=100)
+        phase[0] = "step"
+        for _ in range(3):
+            step(st, inp)
+    offsets = maps.class_grid.squared_offsets(st.likelihood.class_reach)
+    assert calls == [("init_filter", (offsets.k_max + 2,))]
+
+
+def test_a_level_walk_builds_its_tilt_matrix_once(monkeypatch):
+    # the propagation of each step and the contacts share one rotation per
+    # distinct tilt: the level prior's, which every level step reuses; a
+    # tilted step makes one for its tilt, and the next step starts from it
+    builds = []
+    make = mcl_module.tilt_matrix
+
+    def counted(roll, pitch):
+        builds.append((roll, pitch))
+        return make(roll, pitch)
+
+    monkeypatch.setattr(mcl_module, "tilt_matrix", counted)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=100)
+    for _ in range(5):
+        step(st, forward_input())
+    assert builds == [(0.0, 0.0)]
+    tilted = forward_input()
+    tilted.tilt = (0.1, -0.05)
+    step(st, tilted)
+    step(st, tilted)
+    assert builds == [(0.0, 0.0), (0.1, -0.05)]
+
+
+def test_a_1cm_class_layer_keeps_one_byte_offsets_and_no_float_fields():
+    # init_filter makes the class channel's offsets and scores; at 1 cm the
+    # offsets within its reach (k_max = 225) take one byte a cell, and the
+    # layer keeps no float field of the lattice's size
+    course = generate_course(CourseSpec("class-tiles", seed=1, resolution=0.01))
+    grid = course.class_grid
+    new_filter(stand_pose(2.0, 1.5), np.eye(6) * 1e-4, course, mode="HL-GC", n_particles=50)
+    kept = grid._offsets
+    assert kept is grid.squared_offsets(LikelihoodConfig().class_reach)
+    shape = (grid.n_classes, grid.n_rows + 2, grid.n_cols + 2)
+    assert kept.k_max == 225
+    assert kept.offsets.shape == shape and kept.offsets.dtype == np.uint8
+    assert kept.offsets.nbytes == math.prod(shape)
+    held = [*vars(grid).values(), *vars(kept).values(), *kept._tables.values()]
+    floats = [a.shape for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+    assert floats and shape not in floats
 
 
 # the 4-DoF particle: x, y, z and yaw, with roll and pitch shared
