@@ -8,9 +8,9 @@ evaluates the loss itself, which loss_and_grad adds for checks. Deterministic
 given a seed.
 
 A terrain classifier is anything with predict(signals) -> (K, C) class
-probabilities, one row per signal of the sequence: this baseline, or the
-network of network.py. The baseline labels a whole walk in one batch, and each
-row is bit for bit what the signal alone would get.
+probabilities, one row per signal of the sequence, as this baseline has. It
+labels a whole walk in one batch, and each row is bit for bit what the signal
+alone would get.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Subcommands: make-course, simulate, localize, eval, classify, run-experiment.
+Subcommands: make-course, simulate, localize, eval, run-experiment.
 A course directory holds course.hmap plus course.cmap / course.xyz when the
 course has those layers. Failures print one `error: ...` line on stderr and
 exit nonzero.
 
-On a mode that reads terrain classes, localize fuses a classifier's class
-probabilities for the walk log's force signals: by default the logistic
-baseline run-experiment trains for experiment seed --seed (so make-course,
+On a mode that reads terrain classes, localize fuses the class
+probabilities of the logistic baseline that run-experiment trains for
+experiment seed --seed, for the walk log's force signals: so make-course,
 simulate and localize with one --seed write run-experiment's files for that
-seed), or with --weights FILE the network that classify also runs.
+seed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .geometry import load_trajectory, save_trajectory
 from .likelihood import MODES, require_layers
 from .maps import MapSet, check_same_lattice, load_map, save_map
 from .mcl import write_diagnostics_csv
-from .network import load_weights
 from .sim import CourseSpec
 
 
@@ -82,16 +81,13 @@ def _cmd_localize(args) -> int:
     mode = args.mode or cfg.modes[0]
     require_layers(MODES[mode], course.layers)
     needs_class = "class" in MODES[mode]
-    if args.weights is not None and not needs_class:
-        raise ValueError(f"--weights: mode {mode} reads no terrain classes")
     log = sim.load_walklog(args.walklog, load_signals=needs_class)
     if needs_class:
-        if args.weights is None:
-            model, source = evaluate.train_contact_classifier(args.seed), "the logistic baseline"
-        else:
-            model, source = load_weights(args.weights), f"--weights {args.weights}: the network"
+        model = evaluate.train_contact_classifier(args.seed)
         if model.n_classes != course.class_grid.n_classes:
-            raise ValueError(f"{source} has {model.n_classes} classes but the class layer has {course.class_grid.n_classes}")
+            raise ValueError(
+                f"the logistic baseline has {model.n_classes} classes but the class layer has {course.class_grid.n_classes}"
+            )
         sim.classify_log(log, model)
     state = evaluate.run_localization(log.init_prior, evaluate.to_step_inputs(log), course, mode, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -113,12 +109,6 @@ def _cmd_eval(args) -> int:
             f"{float(t_truth[i])!r} in {args.truth}, {float(t_est[i])!r} in {args.est}"
         )
     print(f"{evaluate.ate(truth, est):.6f}")
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    probs = load_weights(args.weights).predict([sim.load_signal(args.signal)])[0]
-    print(" ".join(format(p, ".9f") for p in probs))
     return 0
 
 
@@ -176,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum; above 500 the filter adapts by KLD (default: the course kind's experiment particle count)",
     )
     p.add_argument("--seed", type=non_negative_int, default=0, help="filter seed, and the experiment seed of the classifier")
-    p.add_argument("--weights", help="class modes: fuse this network weights file, not the seed's baseline")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_localize)
 
@@ -184,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--est", required=True)
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("classify", help="run the contact network on one signal file")
-    p.add_argument("--weights", required=True, help="network weights file")
-    p.add_argument("--signal", required=True, help="signal csv")
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("run-experiment", help="full multi-seed experiment from a config file")
     p.add_argument("--config", required=True)
@@ -203,7 +187,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError, KeyError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -345,31 +345,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
     improvement percentages refer to.
     """
     report = EvalReport(name=cfg.name)
-    per_mode = {m: [] for m in cfg.modes}
-    odom_ates = []
     for seed in cfg.seeds:
         course, log = simulate_for_config(cfg, seed)
         report.walklog_hashes[seed] = walklog_hash(log)
         truth = log.true_poses()
         odom_traj = log.odometry_poses()
         ate_odom = ate(truth, odom_traj)
-        odom_ates.append(ate_odom)
         report.rows.append(ReportRow("odom-only", str(seed), ate_odom, 0.0))
         results = [("odom-only", odom_traj, None)]
         inputs = to_step_inputs(log)
         for mode in cfg.modes:
             state = run_localization(log.init_prior, inputs, course, mode, cfg, seed)
             a = ate(truth, state.trajectory)
-            per_mode[mode].append(a)
             report.rows.append(ReportRow(mode, str(seed), a, _improvement_pct(ate_odom, a)))
             results.append((mode, state.trajectory, state))
         if out_dir is not None:
             _write_per_seed_outputs(out_dir, seed, log, results)
 
-    mean_odom = float(np.mean(odom_ates))
+    mean_odom = report.mean_ate("odom-only")
     report.rows.append(ReportRow("odom-only", "mean", mean_odom, 0.0))
     for mode in cfg.modes:
-        mean_mode = float(np.mean(per_mode[mode]))
+        mean_mode = report.mean_ate(mode)
         report.rows.append(ReportRow(mode, "mean", mean_mode, _improvement_pct(mean_odom, mean_mode)))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,7 +1,7 @@
 """The one field parser of every text file the package reads.
 
-Map layers, walk logs, force signals, trajectories and network weights all
-read their fields through parse_field. The rule is stated here once: a field
+Map layers, walk logs, force signals and trajectories all read their fields
+through parse_field. The rule is stated here once: a field
 that does not parse, or is not finite, raises ValueError naming the file, the
 line and the field, ``<path>:<line>: column <name>: ...``; a row whose values
 parse but make no valid object (a pose with a zero quaternion) names the line,

@@ -272,13 +272,6 @@ def cloud_log_likelihood_points(
     return np.maximum(ll, cfg.log_rho, out=ll)
 
 
-def class_fields(grid: ClassGrid, cfg: LikelihoodConfig) -> np.ndarray:
-    """The class layer's distance fields at the channel's reach, read from
-    the offsets class_scores scores: cut at cfg.class_reach, beyond which
-    every distance scores the floor."""
-    return grid.distance_fields(cfg.class_reach)
-
-
 def class_scores(grid: ClassGrid, cfg: LikelihoodConfig):
     """(offsets, scores) of the class channel: the grid's SquaredOffsets for
     cfg.class_reach, and the channel's score of each offset, the floored

@@ -38,8 +38,8 @@ within the reach, like the cloud's field cut at its reach. The offsets are
 small integers in the smallest unsigned dtype that holds the cap, and a
 table over them turns them into any function of the distance with one
 gather: the distance table, resolution * sqrt(k) and inf at the cap, gives
-class_distance_many and ClassGrid.distance_fields, and the class channel
-keeps a table of its scores (likelihood.class_scores).
+class_distance_many, and the class channel keeps a table of its scores
+(likelihood.class_scores).
 
 Loading a layer validates it, and builds no index. The class layer's
 offsets and the point cloud's kd-tree are built the first time a
@@ -204,17 +204,6 @@ class ClassGrid:
             distances.flags.writeable = False
             self._offsets = SquaredOffsets(reach, k_max, offsets, distances)
         return self._offsets
-
-    def distance_fields(self, reach: float = math.inf) -> np.ndarray:
-        """The padded distance fields for reach, (n_classes, n_rows + 2,
-        n_cols + 2), a new array read from squared_offsets through its
-        distance table: each cell's distance to the nearest cell of each
-        class where that distance is at most reach, inf beyond it, on the
-        border and for a class absent from the grid. A distance within reach
-        is resolution * sqrt(k) of the exact squared lattice offset k, so
-        the default, an unbounded reach, gives the exact transform."""
-        f = self.squared_offsets(reach)
-        return f.distances.take(f.offsets)
 
 
 @dataclass(frozen=True, eq=False)

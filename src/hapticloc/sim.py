@@ -165,6 +165,12 @@ class CourseSpec:
             raise ValueError(f"unknown course kind {self.kind!r}, expected one of {COURSE_KINDS}")
         if not 0.0 < self.resolution < np.inf:
             raise ValueError(f"course resolution must be finite and positive, got {self.resolution}")
+        for axis, size in zip("xy", _COURSES[self.kind][2]):
+            if round(size / self.resolution) < 1:
+                raise ValueError(
+                    f"course resolution {self.resolution} leaves the {size} m {axis} extent "
+                    f"of a {self.kind} course without a cell"
+                )
         if not self.seed >= 0:
             raise ValueError(f"course seed must be a non-negative integer, got {self.seed}")
 
@@ -175,6 +181,7 @@ def _cell_centers(n_cols, n_rows, res, origin):
     return np.meshgrid(xs, ys)
 
 
+CHEVRON_SIZE = (7.0, 3.0)
 CHEVRON_RAMP_DEG = 12.0
 CHEVRON_HEIGHT = 0.13
 CHEVRON_PERIOD = 0.26
@@ -186,7 +193,7 @@ CHEVRON_TILT = 0.025  # gentle cross slope so lateral position is observable ear
 
 
 def _chevron_course(spec: CourseSpec) -> MapSet:
-    size_x, size_y = 7.0, 3.0
+    size_x, size_y = CHEVRON_SIZE
     res = spec.resolution
     n_cols, n_rows = round(size_x / res), round(size_y / res)
     x, y = _cell_centers(n_cols, n_rows, res, (0.0, 0.0))
@@ -225,6 +232,7 @@ def _chevron_course(spec: CourseSpec) -> MapSet:
     return MapSet(elevation=ElevationGrid(res, (0.0, 0.0), h))
 
 
+TILES_SIZE = (7.0, 3.5)
 TILES_PLATFORM_X = (3.0, 5.0)  # ramp up, 1 m top, ramp down
 TILES_PLATFORM_Y = (1.25, 2.25)
 TILES_PLATFORM_H = 0.20
@@ -232,7 +240,7 @@ TILES_RAMP_LEN = 0.5
 
 
 def _tiles_course(spec: CourseSpec) -> MapSet:
-    size_x, size_y = 7.0, 3.5
+    size_x, size_y = TILES_SIZE
     res = spec.resolution
     n_cols, n_rows = round(size_x / res), round(size_y / res)
     x, y = _cell_centers(n_cols, n_rows, res, (0.0, 0.0))
@@ -282,6 +290,7 @@ WALL_ROOM_WALL_Y = -2.0  # side wall reached late in the lateral walk
 WALL_ROOM_WALL_HEIGHT = 0.8
 WALL_ROOM_SPACING = 0.02
 WALL_ROOM_MARGIN = 0.5
+WALL_ROOM_SIZE = tuple(hi - lo + 2 * WALL_ROOM_MARGIN for lo, hi in (WALL_ROOM_FLOOR_X, WALL_ROOM_FLOOR_Y))
 
 
 def _wall_room_course(spec: CourseSpec) -> MapSet:
@@ -296,8 +305,7 @@ def _wall_room_maps(res: float) -> MapSet:
     with them the nodes of the cloud's distance field that earlier filters
     filled, so the heights are read-only, as the cloud's points are."""
     (x0, x1), (y0, y1), m = WALL_ROOM_FLOOR_X, WALL_ROOM_FLOOR_Y, WALL_ROOM_MARGIN
-    n_cols = round((x1 - x0 + 2 * m) / res)
-    n_rows = round((y1 - y0 + 2 * m) / res)
+    n_cols, n_rows = (round(size / res) for size in WALL_ROOM_SIZE)
     elevation = ElevationGrid(res, (x0 - m, y0 - m), np.zeros((n_rows, n_cols)))
 
     s = WALL_ROOM_SPACING
@@ -315,13 +323,14 @@ def _wall_room_maps(res: float) -> MapSet:
     return MapSet(elevation=elevation, cloud=PointCloudMap(np.vstack([floor, front, side])))
 
 
-# course kind -> (its builder, the map layers the builder makes)
+# course kind -> (its builder, the map layers the builder makes, the x and y
+# extent in metres of its lattice, round(extent / resolution) cells each)
 _COURSES = {
-    "chevron-ramp": (_chevron_course, ("elevation",)),
-    "class-tiles": (_tiles_course, ("elevation", "class")),
-    "wall-room": (_wall_room_course, ("elevation", "cloud")),
+    "chevron-ramp": (_chevron_course, ("elevation",), CHEVRON_SIZE),
+    "class-tiles": (_tiles_course, ("elevation", "class"), TILES_SIZE),
+    "wall-room": (_wall_room_course, ("elevation", "cloud"), WALL_ROOM_SIZE),
 }
-COURSE_LAYERS = {kind: layers for kind, (_, layers) in _COURSES.items()}
+COURSE_LAYERS = {kind: layers for kind, (_, layers, _) in _COURSES.items()}
 COURSE_KINDS = tuple(_COURSES)
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hapticloc import evaluate
+from hapticloc import evaluate, sim
 from hapticloc.cli import load_course_dir, main
 from hapticloc.evaluate import (
     default_chevron_experiment,
@@ -25,11 +25,8 @@ from hapticloc.evaluate import (
 )
 from hapticloc.geometry import save_trajectory
 from hapticloc.maps import UNKNOWN_CLASS, ClassGrid, load_map, save_map
-from hapticloc.network import NetworkConfig, forward, load_weights, save_weights
-from hapticloc.sim import classify_log, load_walklog, save_signal, save_walklog, synth_force_signal, walklog_hash
-from test_network import random_weights
+from hapticloc.sim import classify_log, load_walklog, save_walklog, walklog_hash
 
-SMALL_NET = NetworkConfig(res_channels=(8, 12), gru_hidden=10, fc_hidden=7)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
@@ -97,54 +94,38 @@ def test_eval_missing_file_errors(tmp_path, capsys):
     assert out == ""
 
 
-def test_classify_prints_distribution(tmp_path, capsys):
-    w = tmp_path / "w.net"
-    net = random_weights(SMALL_NET, seed=0)
-    save_weights(net, w)
-    s = tmp_path / "s.csv"
-    signal = synth_force_signal(2, 60, np.random.default_rng(1))
-    save_signal(signal, s)
-    code, out, _ = run(capsys, "classify", "--weights", str(w), "--signal", str(s))
-    assert code == 0
-    assert out.split() == [format(p, ".9f") for p in forward(net, signal.samples)]
-
-
-def test_classify_rejects_bad_weights(tmp_path, capsys):
-    w = tmp_path / "w.net"
-    w.write_text("junk\n")
-    s = tmp_path / "s.csv"
-    save_signal(synth_force_signal(0, 50, np.random.default_rng(0)), s)
-    code, _, err = run(capsys, "classify", "--weights", str(w), "--signal", str(s))
-    assert code == 1 and err.startswith("error:")
-
-
-def test_classify_names_the_line_of_a_nan_weight_and_a_bad_sample(tmp_path, capsys):
-    w = tmp_path / "w.net"
-    save_weights(random_weights(SMALL_NET, seed=0), w)
-    s = tmp_path / "s.csv"
-    save_signal(synth_force_signal(2, 60, np.random.default_rng(1)), s)
-    lines = w.read_text().split("\n")
-    ln = lines.index(next(l for l in lines if l.startswith("tensor fc2.bias "))) + 2
-    lines[ln - 1] = "nan " + lines[ln - 1].split(" ", 1)[1]
-    w.write_text("\n".join(lines))
-    code, out, err = run(capsys, "classify", "--weights", str(w), "--signal", str(s))
-    assert code == 1 and out == ""
-    assert err == f"error: {w}:{ln}: column fc2.bias[0]: nan is not finite\n"
-    save_weights(random_weights(SMALL_NET, seed=0), w)
-    lines = s.read_text().split("\n")
-    lines[2] = "x," + lines[2].split(",", 1)[1]
-    s.write_text("\n".join(lines))
-    code, out, err = run(capsys, "classify", "--weights", str(w), "--signal", str(s))
-    assert code == 1 and out == ""
-    assert err == f"error: {s}:3: column fx: cannot parse 'x'\n"
-
-
 def test_make_course_rejects_an_infinite_resolution(tmp_path, capsys):
     # it once failed in the course builder with a numpy reduction error
     d = tmp_path / "chev"
     code, out, err = run(capsys, "make-course", "--kind", "chevron-ramp", "--resolution", "inf", "--out", str(d))
     assert code == 1 and out == ""
     assert err == "error: course resolution must be finite and positive, got inf\n"
+    assert not d.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, extent", [("chevron-ramp", "3.0 m y"), ("class-tiles", "3.5 m y"), ("wall-room", "3.5 m x")]
+)
+def test_make_course_rejects_a_resolution_that_leaves_an_axis_without_a_cell(kind, extent, tmp_path, capsys):
+    # at 10 m the chevron ramp once failed with a numpy reduction error, and
+    # the other two kinds with an error that named no resolution
+    d = tmp_path / "course"
+    code, out, err = run(capsys, "make-course", "--kind", kind, "--resolution", "10", "--out", str(d))
+    assert code == 1 and out == ""
+    assert err == f"error: course resolution 10.0 leaves the {extent} extent of a {kind} course without a cell\n"
+    assert not d.exists()
+
+
+def test_make_course_reports_a_failed_allocation_in_one_line(tmp_path, capsys, monkeypatch):
+    # a resolution of 1e-9 once died with numpy's allocation traceback
+    def too_big(spec):
+        raise MemoryError("Unable to allocate 52.2 GiB for an array")
+
+    monkeypatch.setattr(sim, "generate_course", too_big)
+    d = tmp_path / "course"
+    code, out, err = run(capsys, "make-course", "--kind", "chevron-ramp", "--resolution", "1e-9", "--out", str(d))
+    assert code == 1 and out == ""
+    assert err == "error: Unable to allocate 52.2 GiB for an array\n"
     assert not d.exists()
 
 
@@ -291,21 +272,6 @@ def tiles_walk(tmp_path, capsys):
     return d, log_path
 
 
-def test_localize_with_network_weights(tmp_path, capsys):
-    d, log_path = tiles_walk(tmp_path, capsys)
-    w = tmp_path / "w.net"
-    save_weights(random_weights(SMALL_NET, seed=3), w)
-    out_dir = tmp_path / "loc"
-    code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-C",
-                       "--particles", "100", "--weights", str(w), "--out", str(out_dir))
-    assert code == 0, err
-    log = classify_log(load_walklog(log_path, load_signals=True), load_weights(w))
-    cfg = replace(default_tiles_experiment(), n_particles=100)
-    want = run_localization(log.init_prior, to_step_inputs(log), load_course_dir(d), "HL-C", cfg, seed=0)
-    save_trajectory(tmp_path / "want.traj", want.trajectory, log.timestamps())
-    assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
-
-
 def test_localize_class_source_errors(tmp_path, capsys):
     d, log_path = tiles_walk(tmp_path, capsys)
     # the same walk, saved without its force signals
@@ -315,18 +281,8 @@ def test_localize_class_source_errors(tmp_path, capsys):
     code, out, err = run(capsys, *args, "--walklog", str(bare), "--mode", "HL-GC")
     assert code == 1 and out == ""
     assert err.strip() == "error: the walk log holds no force signals to classify"
-    # a mode without the class channel fuses no classifier
-    code, _, err = run(capsys, *args, "--walklog", str(log_path), "--mode", "HL-G", "--weights", "w.net")
-    assert code == 1
-    assert err.strip() == "error: --weights: mode HL-G reads no terrain classes"
-    # a network of another class count than the class layer's is refused
-    # before it labels a contact
-    w = tmp_path / "four.net"
-    save_weights(random_weights(replace(SMALL_NET, n_classes=4), seed=3), w)
-    code, out, err = run(capsys, *args, "--walklog", str(log_path), "--mode", "HL-GC", "--weights", str(w))
-    assert code == 1 and out == ""
-    assert err.strip() == f"error: --weights {w}: the network has 4 classes but the class layer has 8"
-    # and so is the trained baseline on a class layer of another class count
+    # the trained baseline is refused on a class layer of another class
+    # count, before it labels a contact
     grid = load_map(d / "course.cmap")
     save_map(ClassGrid(grid.resolution, grid.origin, grid.class_ids, 9), d / "course.cmap")
     code, out, err = run(capsys, *args, "--walklog", str(log_path), "--mode", "HL-C")

@@ -22,7 +22,6 @@ from hapticloc.likelihood import (
     ContactBuffers,
     ContactMeasurement,
     LikelihoodConfig,
-    class_fields,
     class_log_likelihood_points,
     cloud_field,
     cloud_log_likelihood_points,
@@ -35,7 +34,7 @@ from hapticloc.likelihood import (
 import hapticloc.maps as maps_module
 from hapticloc.maps import ClassGrid, ElevationGrid, MapSet, PointCloudMap, field_distances
 from hapticloc.sim import CourseSpec, generate_course
-from test_maps import assert_cut_at, class_maps, edt_fields
+from test_maps import assert_cut_at, class_maps, distance_fields, edt_fields
 
 # N(k*sigma; 0, sigma) for sigma_z = 0.01 and sigma_c = 0.05.
 PEAK_Z = 39.894228040143275
@@ -227,7 +226,7 @@ def test_class_channel_at_its_reach_matches_the_exact_transform_bit_for_bit(clas
     g = ClassGrid(resolution, (0.0, 0.0), ids, n_classes)
     cfg = LikelihoodConfig(sigma_c=sigma_c)
     want = edt_fields(ids, n_classes, resolution)
-    assert_cut_at(class_fields(g, cfg), want, cfg.class_reach)
+    assert_cut_at(distance_fields(g, cfg.class_reach), want, cfg.class_reach)
     # every class at points on the lattice and around it, each scored from
     # the oracle's field by the channel's own arithmetic
     rng = np.random.default_rng(seed)

@@ -33,6 +33,17 @@ def small_elevation():
     return ElevationGrid(0.5, (1.0, 2.0), h)
 
 
+def distance_fields(grid, reach=math.inf):
+    """The grid's padded distance fields for reach, (n_classes, n_rows + 2,
+    n_cols + 2), read from its squared offsets through their distance table:
+    each cell's distance to the nearest cell of each class where that
+    distance is at most reach, inf beyond it, on the border and for a class
+    absent from the grid. The default, an unbounded reach, gives the exact
+    transform."""
+    f = grid.squared_offsets(reach)
+    return f.distances.take(f.offsets)
+
+
 def random_class_grid(rng, rows, cols, n_classes=8):
     ids = rng.integers(0, n_classes + 1, size=(rows, cols)).astype(np.uint8)
     ids[ids == n_classes] = UNKNOWN_CLASS  # sprinkle unknowns
@@ -79,7 +90,7 @@ def masked_lookups(grid, ids, xy):
     r, c = np.where(inside, iy, 0).astype(int), np.where(inside, ix, 0).astype(int)
     heights = np.where(inside, grid.heights[r, c], np.nan)
     classes = np.where(inside, ids.class_ids[r, c], UNKNOWN_CLASS)
-    return heights, classes, np.where(inside, ids.distance_fields()[0, 1:-1, 1:-1][r, c], np.inf)
+    return heights, classes, np.where(inside, distance_fields(ids)[0, 1:-1, 1:-1][r, c], np.inf)
 
 
 coords = st.one_of(st.floats(-2.0, 5.0), st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63]))
@@ -213,7 +224,7 @@ def test_distance_fields_match_the_index_fields_bit_for_bit(class_map, resolutio
     ids, n_classes = class_map
     g = ClassGrid(resolution, (0.0, 0.0), ids, n_classes)
     want = index_distance_fields(ids, n_classes, resolution)
-    assert np.array_equal(g.distance_fields().view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(distance_fields(g).view(np.uint64), want.view(np.uint64))
 
 
 def edt_fields(ids, n_classes, resolution):
@@ -267,7 +278,7 @@ def sparse_ids(shape, seed, n_classes=3, density=0.002):
 def test_distance_fields_at_a_reach_match_the_exact_transform(ids, resolution, reach):
     g = ClassGrid(resolution, (0.0, 0.0), ids, 3)
     offsets = g.squared_offsets(reach)
-    got = g.distance_fields(reach)
+    got = distance_fields(g, reach)
     assert g.squared_offsets(reach) is offsets
     assert_cut_at(got, edt_fields(ids, 3, resolution), reach)
 
@@ -306,13 +317,13 @@ def test_distance_fields_keep_the_last_reach_and_reject_a_bad_one():
     ids = np.array([[0, 1, 1, 1, 1, 0]], dtype=np.uint8)
     g = ClassGrid(0.1, (0.0, 0.0), ids, 2)
     near = g.squared_offsets(0.15)
-    assert g.distance_fields(0.15)[0, 1, 3] == np.inf and g.distance_fields()[0, 1, 3] == 0.2
+    assert distance_fields(g, 0.15)[0, 1, 3] == np.inf and distance_fields(g)[0, 1, 3] == 0.2
     assert g.squared_offsets(0.15) is not near
     assert class_distance_many(g, [[0.25], [0.05]], 0, reach=0.15)[0] == np.inf
     assert class_distance_many(g, [[0.25], [0.05]], 0)[0] == 0.2
     for reach in (-0.1, math.nan):
         with pytest.raises(ValueError, match="reach must be non-negative"):
-            g.distance_fields(reach)
+            distance_fields(g, reach)
 
 
 def test_class_distance_per_point_classes():

@@ -13,7 +13,6 @@ import pytest
 
 from hapticloc.geometry import Pose, load_trajectory, save_trajectory
 from hapticloc.maps import ClassGrid, ElevationGrid, MapFormatError, PointCloudMap, load_map, save_map
-from hapticloc.network import load_weights, save_weights
 from hapticloc.sim import (
     CourseSpec,
     GaitParams,
@@ -26,7 +25,6 @@ from hapticloc.sim import (
     simulate_walk,
     synth_force_signal,
 )
-from test_network import SMALL, random_weights
 
 
 def write_walklog(path):
@@ -58,10 +56,6 @@ READERS = {
     "trajectory": (
         lambda p: save_trajectory(p, [Pose([1.0, 2.0, 0.5]), Pose([1.1, 2.0, 0.5])]),
         load_trajectory, 2, 4, "qx", " ", 0, "poses",
-    ),
-    "weights": (
-        lambda p: save_weights(random_weights(SMALL, seed=0), p),
-        load_weights, 3, 0, "fc1.bias[0]", " ", 1, "tensors",
     ),
 }
 
