@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 
 from . import evaluate, sim
+from .fields import positive_int
 from .geometry import load_trajectory, save_trajectory
 from .likelihood import MODES, require_layers
 from .maps import MapSet, check_same_lattice, load_map, save_map
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(MODES), help="default: the course kind's first experiment mode")
     p.add_argument(
         "--particles",
-        type=int,
+        type=positive_int,
         help="maximum; above 500 the filter adapts by KLD (default: the course kind's experiment particle count)",
     )
     p.add_argument("--seed", type=non_negative_int, default=0, help="filter seed, and the experiment seed of the classifier")
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-experiment", help="full multi-seed experiment from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=non_negative_int, help="run this single seed instead of the config's list")
-    p.add_argument("--particles", type=int, help="maximum; above 500 the filter adapts by KLD")
+    p.add_argument("--particles", type=positive_int, help="maximum; above 500 the filter adapts by KLD")
     p.add_argument("--out", help="output directory (overrides config)")
     p.set_defaults(func=_cmd_run_experiment)
     return ap

@@ -24,14 +24,12 @@ from .sim import (
     COURSE_LAYERS,
     N_TERRAIN_CLASSES,
     CourseSpec,
-    GaitParams,
     NoiseSpec,
     WalkLog,
     check_waypoints,
     classify_log,
     generate_course,
     probe_scenario,
-    probe_steps,
     sample_signal_length,
     simulate_walk,
     synth_force_signal,
@@ -95,7 +93,6 @@ class ExperimentConfig:
     name: str
     course: CourseSpec
     waypoints: tuple | None  # None: the course kind's scripted walk (see walk)
-    gait: GaitParams = GaitParams()
     noise: NoiseSpec = NoiseSpec()
     likelihood: LikelihoodConfig = LikelihoodConfig()
     # distinct keys of MODES; odometry-only dead reckoning is always reported
@@ -103,26 +100,18 @@ class ExperimentConfig:
     seeds: tuple = (1, 2, 3, 4, 5)
     # maximum; above 500 the filter adapts by KLD (mcl.KLD_MIN_PARTICLES)
     n_particles: int = 500
-    resample_frac: float = 0.5
-    xy_std_threshold: float = 0.10
     prior_std_xyz: float = 0.12
 
     def __post_init__(self):
         # the [filter] keys, checked before a walk is simulated for them
         if not self.n_particles >= 1:
             raise ValueError(f"[filter] particles must be at least 1, got {self.n_particles}")
-        if not 0.0 <= self.resample_frac <= 1.0:
-            raise ValueError(f"[filter] resample_frac must lie in [0, 1], got {self.resample_frac}")
-        if not self.xy_std_threshold > 0.0:
-            raise ValueError(f"[filter] xy_std_threshold must be positive, got {self.xy_std_threshold}")
         if not 0.0 <= self.prior_std_xyz < np.inf:
             raise ValueError(f"[filter] prior_std_xyz must be finite and non-negative, got {self.prior_std_xyz}")
         if self.waypoints is not None:
-            check_waypoints(self.waypoints, self.gait.step_length)
+            check_waypoints(self.waypoints)
         elif self.course.kind != "wall-room":
             raise ValueError(f"a {self.course.kind} experiment needs waypoints: only wall-room has a scripted walk")
-        else:
-            probe_steps(self.gait.step_length)
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes {self.modes} repeat a mode")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -251,8 +240,8 @@ def walk(cfg: ExperimentConfig, course: MapSet, seed: int) -> WalkLog:
     """The experiment's walk: its waypoints, or with none the course kind's
     scripted walk, which only wall-room has (the wall probe)."""
     if cfg.waypoints is None:
-        return probe_scenario(course, cfg.gait, cfg.noise, seed)
-    return simulate_walk(course, cfg.waypoints, cfg.gait, cfg.noise, seed)
+        return probe_scenario(course, cfg.noise, seed)
+    return simulate_walk(course, cfg.waypoints, cfg.noise, seed)
 
 
 def simulate_for_config(cfg: ExperimentConfig, seed: int):
@@ -278,8 +267,6 @@ def run_localization(prior: Pose, inputs, maps: MapSet, mode: str, cfg: Experime
             mode=mode,
             n_particles=cfg.n_particles,
             seed=seed,
-            resample_frac=cfg.resample_frac,
-            xy_std_threshold=cfg.xy_std_threshold,
         ),
         inputs,
     )
@@ -374,13 +361,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> EvalReport:
 
 
 def parse_waypoints(text) -> tuple:
-    """'x,y x,y ...' -> ((x, y), ...), checked by check_waypoints; the length
-    against the gait's step is checked when the experiment is built."""
+    """'x,y x,y ...' -> ((x, y), ...), checked by check_waypoints."""
     try:
         waypoints = tuple((float(a), float(b)) for a, b in (p.split(",") for p in text.split()))
     except ValueError as e:
         raise ValueError(f"bad waypoint list {text!r}: expected 'x,y x,y ...'") from e
-    check_waypoints(waypoints, 0.0)
+    check_waypoints(waypoints)
     return waypoints
 
 
@@ -397,8 +383,6 @@ _INI_KEYS = {
     ("experiment", "modes"): ("modes", _tuple_of(str)),
     ("course", "resolution"): ("course.resolution", float),
     ("walk", "waypoints"): ("waypoints", parse_waypoints),
-    ("walk", "step_length"): ("gait.step_length", float),
-    ("walk", "standing_height"): ("gait.standing_height", float),
     ("noise", "white_std"): ("noise.white_std", _tuple_of(float)),
     ("noise", "z_bias"): ("noise.z_bias", float),
     ("noise", "yaw_bias"): ("noise.yaw_bias", float),
@@ -406,8 +390,6 @@ _INI_KEYS = {
     ("filter", "particles"): ("n_particles", int),
     ("filter", "sigma_z"): ("likelihood.sigma_z", float),
     ("filter", "sigma_c"): ("likelihood.sigma_c", float),
-    ("filter", "resample_frac"): ("resample_frac", float),
-    ("filter", "xy_std_threshold"): ("xy_std_threshold", float),
     ("filter", "prior_std_xyz"): ("prior_std_xyz", float),
 }
 _INI_SECTIONS = tuple(dict.fromkeys(section for section, _ in _INI_KEYS))

@@ -9,8 +9,8 @@ Rz(yaw) Ry(pitch) Rx(roll).
 
 Each step propagates every particle by the odometry increment with body-frame
 Gaussian noise, multiplies weights by the joint contact likelihood, resamples
-systematically when the effective sample size drops below a fraction of N,
-and appends a pose estimate.
+systematically when the effective sample size drops below RESAMPLE_FRAC of
+N, and appends a pose estimate.
 
 Propagation reads the x, y, z and yaw block of the odometry covariance. The
 increment's rotation, seen from the tilted base at the step start, turns the
@@ -26,12 +26,12 @@ propagation and the contacts: each contact offset is tilted once, as a
 single pose, and then rotated per particle in the plane by that pair.
 
 The estimate is the weighted mean while the particle spread in x and y stays
-below a threshold: positions average with the weights, and yaw averages as
-yaw_ref + sum(w * wrap(yaw - yaw_ref)) about the highest-weight particle, so
-a set straddling +-pi averages near pi. Beyond the threshold (ambiguous,
-typically multimodal sets) x, y, and heading continue by dead reckoning from
-the previous estimate and only z is taken from the particles, so the
-reported pose never teleports between modes. Either way the estimate's
+within XY_STD_THRESHOLD: positions average with the weights, and yaw
+averages as yaw_ref + sum(w * wrap(yaw - yaw_ref)) about the highest-weight
+particle, so a set straddling +-pi averages near pi. Beyond the threshold
+(ambiguous, typically multimodal sets) x, y, and heading continue by dead
+reckoning from the previous estimate and only z is taken from the particles,
+so the reported pose never teleports between modes. Either way the estimate's
 attitude is its yaw composed with the step's roll and pitch.
 
 The state owns its particle arrays. A FilterState allocates, once, every
@@ -104,6 +104,9 @@ KLD_DELTA = 0.01
 KLD_BIN = (0.02, 0.02, math.radians(2.0))
 KLD_MIN_PARTICLES = 500
 _KLD_Z = NormalDist().inv_cdf(1.0 - KLD_DELTA)
+
+RESAMPLE_FRAC = 0.5  # a step resamples below this share of N effective particles
+XY_STD_THRESHOLD = 0.10  # metres of x and y spread the full estimate allows
 
 
 def _xyz_yaw_block(cov, name) -> np.ndarray:
@@ -221,8 +224,6 @@ class FilterState:
     likelihood: LikelihoodConfig
     # the likelihood channels of the filter's mode, a value of MODES
     channels: tuple[str, ...]
-    resample_frac: float
-    xy_std_threshold: float
     trajectory: list[Pose]
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     divergence_count: int = 0
@@ -257,8 +258,6 @@ def init_filter(
     mode: str,
     n_particles: int,
     seed: int,
-    resample_frac: float,
-    xy_std_threshold: float,
 ) -> FilterState:
     """Sample the prior particle set; the trajectory starts at the prior mean.
 
@@ -282,8 +281,15 @@ def init_filter(
     require_layers(MODES[mode], maps.layers)
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    if not 0.0 <= resample_frac <= 1.0:
-        raise ValueError("resample_frac must lie in [0, 1]")
+    prior_cov = np.asarray(prior_cov, dtype=float)
+    # a non-finite prior would make every particle, and so every estimate, nan
+    for name, value in (
+        ("prior_mean.position", prior_mean.position),
+        ("prior_mean.quat", prior_mean.quat),
+        ("prior covariance", prior_cov),
+    ):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     if "class" in MODES[mode]:
         class_scores(maps.class_grid, likelihood)
     if "cloud" in MODES[mode]:
@@ -303,8 +309,6 @@ def init_filter(
         maps=maps,
         likelihood=likelihood,
         channels=MODES[mode],
-        resample_frac=float(resample_frac),
-        xy_std_threshold=float(xy_std_threshold),
         trajectory=[prior_mean],
     )
 
@@ -413,7 +417,7 @@ def estimate_detail(state: FilterState, increment: Pose):
     spread = np.subtract(p[:2], mean_p[:2, None], out=ws.delta[:2])
     xy_std = np.sqrt(np.square(spread, out=spread) @ w)
     roll, pitch = state.tilt
-    if xy_std[0] <= state.xy_std_threshold and xy_std[1] <= state.xy_std_threshold:
+    if xy_std[0] <= XY_STD_THRESHOLD and xy_std[1] <= XY_STD_THRESHOLD:
         ref = float(state.yaw[lw.argmax()])
         # wrap(yaw - ref) as pi - mod(pi - (yaw - ref), 2 pi), in place
         dyaw = np.subtract(np.pi + ref, state.yaw, out=ws.scratch)
@@ -526,7 +530,7 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
 
     w = np.exp(lw, out=ws.weights)
     ess = float(1.0 / np.square(w, out=ws.scratch).sum())
-    if ess < state.resample_frac * n:
+    if ess < RESAMPLE_FRAC * n:
         idx = _resample_indices(state, w)
         # the spare of each pair, picked before a new count resizes the views
         spare_p, spare_yaw = _spare(ws.positions, p), _spare(ws.yaw, yaw)

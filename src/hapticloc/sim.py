@@ -1,6 +1,6 @@
 """Synthetic courses, a crawl-gait walker, contact signal synthesis, walk logs.
 
-The walker advances the base a fixed distance per four-support phase and
+The walker advances the base STEP_LENGTH per four-support phase and
 repositions one leg per phase in crawl order LF -> RH -> RF -> LH. Every phase
 logs the true pose, a noisy odometry increment (white noise plus an unreported
 deterministic z/yaw bias, so raw odometry drifts), and one contact per foot
@@ -103,6 +103,8 @@ SIGNAL_LENGTH_RANGE = (40, 120)
 FOOT_DX = 0.3  # half the 0.6 m foot rectangle, along the body
 FOOT_DY = 0.2  # half the 0.4 m rectangle, across the body
 PHASE_DT = 1.0  # seconds per four-support phase, the walk log's timestamps
+STEP_LENGTH = 0.05  # metres the base advances per phase
+STANDING_HEIGHT = 0.5  # the base's height above the map under it
 
 
 def nominal_offset(label: str) -> np.ndarray:
@@ -110,18 +112,6 @@ def nominal_offset(label: str) -> np.ndarray:
     sx = 1.0 if label in ("LF", "RF") else -1.0
     sy = 1.0 if label in ("LF", "LH") else -1.0
     return np.array([sx * FOOT_DX, sy * FOOT_DY, 0.0])
-
-
-@dataclass(frozen=True)
-class GaitParams:
-    step_length: float = 0.05
-    standing_height: float = 0.5
-
-    def __post_init__(self):
-        for name in ("step_length", "standing_height"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -273,10 +263,12 @@ def _tiles_course(spec: CourseSpec) -> MapSet:
 
 
 # the wall-room course's scripted walk (probe_scenario): base start, lateral
-# walk length, the probing leg's reach from the base and its probe height,
-# and the offset of the filter prior from the true start pose
+# walk length and its count of steps, the probing leg's reach from the base
+# and its probe height, and the offset of the filter prior from the true
+# start pose
 PROBE_START_XY = (1.4, 0.2)
 PROBE_WALK_LENGTH = 2.0
+PROBE_STEPS = round(PROBE_WALK_LENGTH / STEP_LENGTH)  # 40
 PROBE_REACH = 0.8
 PROBE_HEIGHT = 0.3
 PROBE_PRIOR_OFFSET = (0.10, 0.10, 0.0)
@@ -424,10 +416,10 @@ class WalkLog:
         return out
 
 
-def check_waypoints(waypoints, step_length: float) -> np.ndarray:
+def check_waypoints(waypoints) -> np.ndarray:
     """The waypoints as an (n >= 2, 2) float array of finite values, no
-    waypoint equal to the one before it, spanning at least one step_length
-    (0 checks no length); the map is checked when walked."""
+    waypoint equal to the one before it, spanning at least one STEP_LENGTH;
+    the map is checked when walked."""
     wp = np.asarray(waypoints, dtype=float)
     if wp.ndim != 2 or wp.shape[1] != 2 or len(wp) < 2:
         raise ValueError(f"waypoints must be an (n>=2, 2) array, got shape {wp.shape}")
@@ -437,22 +429,22 @@ def check_waypoints(waypoints, step_length: float) -> np.ndarray:
     if np.any(seg_len == 0.0):
         raise ValueError("duplicate consecutive waypoints")
     total = seg_len.sum()
-    if total < (1.0 - 1e-9) * step_length:  # _path_samples counts steps to 1e-9 of a step
-        raise ValueError(f"waypoints span {total:.6g} m, shorter than one {step_length} m step")
+    if total < (1.0 - 1e-9) * STEP_LENGTH:  # _path_samples counts steps to 1e-9 of a step
+        raise ValueError(f"waypoints span {total:.6g} m, shorter than one {STEP_LENGTH} m step")
     return wp
 
 
-def _path_samples(waypoints, step_length):
-    """Positions and headings every step_length metres along a polyline."""
-    wp = check_waypoints(waypoints, step_length)
+def _path_samples(waypoints):
+    """Positions and headings every STEP_LENGTH metres along a polyline."""
+    wp = check_waypoints(waypoints)
     seg = np.diff(wp, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = cum[-1]
-    n = int(np.floor(total / step_length + 1e-9))
+    n = int(np.floor(total / STEP_LENGTH + 1e-9))
     pts, yaws = [], []
     for k in range(n + 1):
-        s = min(k * step_length, total)
+        s = min(k * STEP_LENGTH, total)
         i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
         f = (s - cum[i]) / seg_len[i]
         pts.append(wp[i] + f * seg[i])
@@ -460,11 +452,11 @@ def _path_samples(waypoints, step_length):
     return np.array(pts), np.array(yaws)
 
 
-def _base_pose(maps, xy, yaw, gait) -> Pose:
+def _base_pose(maps, xy, yaw) -> Pose:
     z = elevation_at(maps.elevation, xy)
     if np.isnan(z):
         raise ValueError(f"walk path leaves the map at xy=({round(float(xy[0]), 3)}, {round(float(xy[1]), 3)})")
-    return Pose([xy[0], xy[1], z + gait.standing_height], quat_from_yaw(yaw))
+    return Pose([xy[0], xy[1], z + STANDING_HEIGHT], quat_from_yaw(yaw))
 
 
 def _place_foot(maps, pose: Pose, label: str) -> np.ndarray | None:
@@ -512,13 +504,13 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, rng):
     )
 
 
-def _walk(maps, xys, yaws, gait, noise, seed, probe=None):
+def _walk(maps, xys, yaws, noise, seed, probe=None):
     """The one step loop: stand at base position 0, then log a four-support
     phase at each later base position, swinging one leg per phase in crawl
     order. probe(k, pose) returns (label, world), a foot touching a point off
     the floor on phase k, or None. The log's prior is the true start pose."""
     rng = np.random.default_rng(seed)
-    start = _base_pose(maps, xys[0], yaws[0], gait)
+    start = _base_pose(maps, xys[0], yaws[0])
     feet = {}
     for label in FOOT_LABELS:
         placed = _place_foot(maps, start, label)
@@ -529,7 +521,7 @@ def _walk(maps, xys, yaws, gait, noise, seed, probe=None):
     records = []
     prev = start
     for k in range(1, len(xys)):
-        pose = _base_pose(maps, xys[k], yaws[k], gait)
+        pose = _base_pose(maps, xys[k], yaws[k])
         swing = GAIT_ORDER[(k - 1) % 4]
         placed = _place_foot(maps, pose, swing)
         if placed is not None:
@@ -541,30 +533,20 @@ def _walk(maps, xys, yaws, gait, noise, seed, probe=None):
     return WalkLog(start_pose=start, init_prior=start, records=records)
 
 
-def simulate_walk(maps: MapSet, waypoints, gait: GaitParams, noise: NoiseSpec, seed: int) -> WalkLog:
+def simulate_walk(maps: MapSet, waypoints, noise: NoiseSpec, seed: int) -> WalkLog:
     """Walk the waypoint polyline and log every four-support phase."""
-    return _walk(maps, *_path_samples(waypoints, gait.step_length), gait, noise, seed)
+    return _walk(maps, *_path_samples(waypoints), noise, seed)
 
 
-def probe_steps(step_length: float) -> int:
-    """Steps of the wall probe's PROBE_WALK_LENGTH lateral walk; a step too
-    long to leave one raises."""
-    n = int(round(PROBE_WALK_LENGTH / step_length))
-    if n < 1:
-        raise ValueError(f"step_length {step_length} m leaves the {PROBE_WALK_LENGTH} m wall probe without a step")
-    return n
-
-
-def probe_scenario(maps: MapSet, gait: GaitParams, noise: NoiseSpec, seed: int) -> WalkLog:
+def probe_scenario(maps: MapSet, noise: NoiseSpec, seed: int) -> WalkLog:
     """Lateral wall-probing walk: side-steps toward the side wall, facing the
     front wall, with the RF leg alternating front and side probes.
 
     The filter prior is the true start pose shifted by PROBE_PRIOR_OFFSET in
     world coordinates, so the scripted contacts must pull the estimate back.
     """
-    n = probe_steps(gait.step_length)
     x0, y0 = PROBE_START_XY
-    xys = np.column_stack([np.full(n + 1, x0), y0 - np.arange(n + 1) * gait.step_length])
+    xys = np.column_stack([np.full(PROBE_STEPS + 1, x0), y0 - np.arange(PROBE_STEPS + 1) * STEP_LENGTH])
 
     def probe(k, pose):
         if k % 2 == 1:
@@ -573,7 +555,7 @@ def probe_scenario(maps: MapSet, gait: GaitParams, noise: NoiseSpec, seed: int) 
             target = np.array([pose.position[0] + FOOT_DX, WALL_ROOM_WALL_Y, PROBE_HEIGHT])
         return ("RF", target) if np.linalg.norm(target - pose.position) <= PROBE_REACH else None
 
-    log = _walk(maps, xys, np.zeros(n + 1), gait, noise, seed, probe)
+    log = _walk(maps, xys, np.zeros(PROBE_STEPS + 1), noise, seed, probe)
     log.init_prior = Pose(log.start_pose.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), log.start_pose.quat)
     return log
 

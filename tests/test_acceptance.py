@@ -305,7 +305,7 @@ def test_criterion_08_ambiguity_fallback():
     n = 200
     st = init_filter(
         Pose([0.0, 0.0, 0.3]), np.diag(np.full(6, 1e-12)), maps, LikelihoodConfig(),
-        mode="HL-G", n_particles=n, seed=5, resample_frac=0.5, xy_std_threshold=0.10,
+        mode="HL-G", n_particles=n, seed=5,
     )
     # two equally weighted clusters straddling y = 0: xy spread past the
     # threshold on ground that cannot disambiguate them
@@ -347,7 +347,7 @@ def test_criterion_09_filter_invariants():
 
     st = init_filter(
         Pose([0.0, 0.0, 0.3]), prior_cov, maps, LikelihoodConfig(),
-        mode="HL-G", n_particles=50, seed=2, resample_frac=0.5, xy_std_threshold=0.10,
+        mode="HL-G", n_particles=50, seed=2,
     )
     norm_err = 0.0
     for inp in inputs:
@@ -369,7 +369,7 @@ def test_criterion_09_filter_invariants():
         run_filter(
             init_filter(
                 Pose([0.0, 0.0, 0.3]), prior_cov, maps, LikelihoodConfig(),
-                mode="HL-G", n_particles=80, seed=9, resample_frac=0.5, xy_std_threshold=0.10,
+                mode="HL-G", n_particles=80, seed=9,
             ),
             inputs,
         )
@@ -404,7 +404,7 @@ def test_criterion_10_performance_budgets():
         contacts.append(ContactMeasurement(f, class_probs=probs))
     st = init_filter(
         pose, np.diag([4e-4, 4e-4, 4e-4, 1e-6, 1e-6, 1e-6]), course, LikelihoodConfig(),
-        mode="HL-GC", n_particles=500, seed=3, resample_frac=0.5, xy_std_threshold=0.10,
+        mode="HL-GC", n_particles=500, seed=3,
     )
     inp = StepInput(Pose([0.002, 0.0, 0.0]), np.diag(np.full(6, 1e-6)), contacts)
     times = []

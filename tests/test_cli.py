@@ -149,6 +149,24 @@ def test_every_seed_option_takes_a_non_negative_int(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("localize", "--course", "course", "--walklog", "walk.csv"),
+        ("run-experiment", "--config", "configs/chevron.ini"),
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_every_particles_option_takes_a_count_of_at_least_one(tmp_path, capsys, command, value):
+    # --particles 0 once failed naming "[filter] particles", a key no one wrote
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--particles", value, "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert f"argument --particles: invalid positive_int value: '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_make_course_layers(tmp_path, capsys):
     d = tmp_path / "chev"
     code, out, _ = run(capsys, "make-course", "--kind", "chevron-ramp", "--seed", "3", "--out", str(d))
@@ -203,8 +221,8 @@ def test_simulate_same_seed_same_hash(tmp_path, capsys):
     ids=["chevron-ramp", "class-tiles", "wall-room"],
 )
 def test_simulate_logs_the_experiment_walk(builder, tmp_path, capsys):
-    # the experiment's walk (the wall probe on wall-room) with its gait and
-    # noise: the log run-experiment records
+    # the experiment's walk (the wall probe on wall-room) with its noise:
+    # the log run-experiment records
     cfg, seed = builder(), 3
     d = tmp_path / "course"
     run(capsys, "make-course", "--kind", cfg.course.kind, "--seed", str(seed), "--out", str(d))
@@ -436,19 +454,13 @@ def test_run_experiment_bad_config_errors(tmp_path, capsys):
     ini.write_text("[experiment]\nkind = volcano\n")
     code, _, err = run(capsys, "run-experiment", "--config", str(ini))
     assert code == 1 and err.startswith("error:")
-    ini.write_text("[experiment]\nkind = chevron-ramp\n[walk]\nstep_length = 0\n")
+    ini.write_text("[experiment]\nkind = chevron-ramp\n[noise]\noutlier_prob = 7\n")
     code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))
-    assert code == 1 and err.startswith(f"error: {ini}: ") and "step_length" in err
-    # a wall probe step too long to leave one step: no walk, no run
-    ini.write_text("[experiment]\nkind = wall-room\n[walk]\nstep_length = 5\n")
-    code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))
-    assert code == 1
-    assert err.strip() == f"error: {ini}: step_length 5.0 m leaves the 2.0 m wall probe without a step"
-    assert not (tmp_path / "run").exists()
+    assert code == 1 and err.startswith(f"error: {ini}: ") and "outlier_prob" in err
     # INI syntax errors, each once a configparser traceback; a '%' is
-    # literal text, so that file fails only at its bad step length
+    # literal text, so that file fails only at its bad outlier_prob
     for body, message in [
-        ("[experiment]\nkind = chevron-ramp\nname = run%x\n[walk]\nstep_length = 0\n", "step_length"),
+        ("[experiment]\nkind = chevron-ramp\nname = run%x\n[noise]\noutlier_prob = 7\n", "outlier_prob"),
         ("[experiment]\nkind = chevron-ramp\nkind = wall-room\n", "option 'kind' in section 'experiment' already exists"),
         ("[experiment]\nkind = chevron-ramp\n[walk]\n[walk]\n", "section 'walk' already exists"),
         ("kind = chevron-ramp\n", "File contains no section headers"),
@@ -465,14 +477,12 @@ def test_run_experiment_bad_config_errors(tmp_path, capsys):
     "key, value, message",
     [
         ("prior_std_xyz", "-0.5", "prior_std_xyz must be finite and non-negative, got -0.5"),
-        ("xy_std_threshold", "-1", "xy_std_threshold must be positive, got -1.0"),
         ("particles", "0", "particles must be at least 1, got 0"),
-        ("resample_frac", "1.5", "resample_frac must lie in [0, 1], got 1.5"),
     ],
 )
 def test_run_experiment_rejects_a_filter_value_out_of_range(tmp_path, capsys, key, value, message):
-    # each value once ran: a negative std squared, a threshold that made every
-    # step z-only, or an error without the file after the walk was simulated
+    # each value once ran: a negative std squared, or an error without the
+    # file after the walk was simulated
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[experiment]\nkind = chevron-ramp\nseeds = 1\n[filter]\n{key} = {value}\n")
     code, _, err = run(capsys, "run-experiment", "--config", str(ini), "--out", str(tmp_path / "run"))

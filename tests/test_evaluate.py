@@ -2,6 +2,7 @@
 
 import filecmp
 import pathlib
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from hapticloc.geometry import Pose, quat_from_rotvec, quat_from_yaw
 from hapticloc.likelihood import LikelihoodConfig
 from hapticloc.maps import MapSet
 from hapticloc.mcl import init_filter, run_filter
-from hapticloc.sim import CourseSpec, GaitParams, NoiseSpec, generate_course, simulate_walk, walklog_hash
+from hapticloc.sim import STEP_LENGTH, CourseSpec, NoiseSpec, generate_course, simulate_walk, walklog_hash
 
 
 def pose(x=0.0, y=0.0, z=0.0, yaw=0.0):
@@ -83,7 +84,7 @@ def test_per_step_errors_components_and_yaw_wrap():
 
 def test_to_step_inputs_scales_covariance():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, ((1.0, 0.7), (1.25, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0)
+    log = simulate_walk(maps, ((1.0, 0.7), (1.25, 0.7)), NoiseSpec(white_std=(0.004,) * 6), 0)
     inputs = to_step_inputs(log)
     assert len(inputs) == 5
     want = np.diag(1.5**2 * np.full(6, 0.004**2))
@@ -151,27 +152,25 @@ def test_unwalkable_waypoints_are_rejected(waypoints, text, match, tmp_path):
     assert str(err.value).startswith(f"{p}: [walk] waypoints = ")
 
 
-# a walk must log at least one step; the length is checked against the
-# gait's step when the experiment is built, so the INI loader names only
-# the file
+# a walk must log at least one step of sim.STEP_LENGTH; the INI loader
+# checks the span as it parses the waypoints, so it names the key
 @pytest.mark.parametrize(
-    "walk, waypoints, step_length",
+    "walk, waypoints",
     [
-        ("waypoints = 1.0,0.7 1.03,0.7", ((1.0, 0.7), (1.03, 0.7)), 0.05),
-        ("waypoints = 1.0,0.7 1.03,0.7 1.03,0.71", ((1.0, 0.7), (1.03, 0.7), (1.03, 0.71)), 0.05),
-        ("waypoints = 1.0,0.7 1.06,0.7\nstep_length = 0.1", ((1.0, 0.7), (1.06, 0.7)), 0.1),
+        ("waypoints = 1.0,0.7 1.03,0.7", ((1.0, 0.7), (1.03, 0.7))),
+        ("waypoints = 1.0,0.7 1.03,0.7 1.03,0.71", ((1.0, 0.7), (1.03, 0.7), (1.03, 0.71))),
     ],
-    ids=["one-leg", "two-legs", "longer-step"],
+    ids=["one-leg", "two-legs"],
 )
-def test_a_walk_shorter_than_one_step_is_rejected(walk, waypoints, step_length, tmp_path):
-    match = f"waypoints span .* m, shorter than one {step_length} m step"
+def test_a_walk_shorter_than_one_step_is_rejected(walk, waypoints, tmp_path):
+    match = f"waypoints span .* m, shorter than one {STEP_LENGTH} m step"
     with pytest.raises(ValueError, match=match):
-        replace(default_chevron_experiment(), waypoints=waypoints, gait=GaitParams(step_length=step_length))
+        replace(default_chevron_experiment(), waypoints=waypoints)
     p = tmp_path / "short.ini"
     p.write_text(f"[experiment]\nkind = chevron-ramp\n[walk]\n{walk}\n")
     with pytest.raises(ValueError, match=match) as err:
         load_experiment_config(p)
-    assert str(err.value).startswith(f"{p}: waypoints span ")
+    assert str(err.value).startswith(f"{p}: [walk] waypoints = ")
 
 
 def test_a_walk_of_one_step_is_walked():
@@ -196,7 +195,17 @@ def test_every_setting_is_an_ini_key():
     want = {name for name, _ in _INI_KEYS.values()} | {"course.kind", "course.seed"}
     for builder in (default_chevron_experiment, default_tiles_experiment, default_wallroom_experiment):
         assert settings(builder()) == want
-    assert len(want) == 19
+    assert len(want) == 15
+
+
+def test_readme_ini_table_lists_exactly_the_loader_keys():
+    # README's "| `[section]` | keys |" rows, against _INI_KEYS plus
+    # [experiment] kind and out, which pick the builder and the run directory
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\]` +\|(.*)\|$", readme, re.M)
+    listed = [(section, key) for section, keys in rows for key in re.findall(r"(?:^|,)\s*`(\w+)`", keys)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(_INI_KEYS) | {("experiment", "kind"), ("experiment", "out")}
 
 
 def test_default_experiments_are_valid():
@@ -326,13 +335,11 @@ def test_courses_differ_across_experiment_seeds():
 
 def test_run_localization_reads_the_experiment_config():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, ((1.0, 0.7), (1.5, 0.7)), GaitParams(), NoiseSpec(white_std=(0.004,) * 6), 0)
+    log = simulate_walk(maps, ((1.0, 0.7), (1.5, 0.7)), NoiseSpec(white_std=(0.004,) * 6), 0)
     cfg = replace(
         default_chevron_experiment(),
         likelihood=LikelihoodConfig(sigma_z=0.02),
         n_particles=80,
-        resample_frac=0.7,
-        xy_std_threshold=0.05,
         prior_std_xyz=0.1,
     )
     st = run_localization(log.init_prior, to_step_inputs(log), maps, "HL-G", cfg, seed=3)
@@ -345,8 +352,6 @@ def test_run_localization_reads_the_experiment_config():
             mode="HL-G",
             n_particles=80,
             seed=3,
-            resample_frac=0.7,
-            xy_std_threshold=0.05,
         ),
         to_step_inputs(log),
     )
@@ -384,14 +389,12 @@ def test_load_experiment_config_overrides(tmp_path):
         "resolution = 0.1\n"
         "[walk]\n"
         "waypoints = 0.6,0.6 4.0,0.6\n"
-        "step_length = 0.04\n"
         "[noise]\n"
         "white_std = 0.003 0.003 0.002 0.0003 0.0003 0.001\n"
         "z_bias = 0.002\n"
         "[filter]\n"
         "particles = 350\n"
         "sigma_z = 0.02\n"
-        "resample_frac = 0.4\n"
         "prior_std_xyz = 0.2\n"
     )
     cfg, out = load_experiment_config(p)
@@ -401,13 +404,11 @@ def test_load_experiment_config_overrides(tmp_path):
     assert cfg.modes == ("HL-G", "HL-GC")
     assert cfg.n_particles == 350
     assert cfg.waypoints == ((0.6, 0.6), (4.0, 0.6))
-    assert cfg.gait.step_length == 0.04
     assert cfg.noise.white_std == (0.003, 0.003, 0.002, 0.0003, 0.0003, 0.001)
     assert cfg.noise.z_bias == 0.002
     assert cfg.noise.yaw_bias == 0.0006  # untouched default for this course
     # a new config, so the floor follows the new sigma_z
     assert cfg.likelihood == LikelihoodConfig(sigma_z=0.02, sigma_c=0.05)
-    assert cfg.resample_frac == 0.4
     assert cfg.prior_std_xyz == 0.2
     assert out == "runs/custom"
 
@@ -426,10 +427,12 @@ BAD_CONFIGS = [
     ("[experiment]\nkind = chevron-ramp\n[noise]\nz_bias = fast\n", r"\[noise\] z_bias = 'fast'"),
     ("[experiment]\nkind = chevron-ramp\nseeds = 1 two\n", r"\[experiment\] seeds = '1 two'"),
     ("[experiment]\nkind = chevron-ramp\n[walk]\nwaypoints = 1.0,0.7 3.0\n", r"\[walk\] waypoints = .*bad waypoint list"),
-    # gait and noise settings no walk can use (the constructor's side: tests/test_sim.py)
-    ("[experiment]\nkind = chevron-ramp\n[walk]\nstep_length = 0\n", "step_length must be finite and positive"),
-    ("[experiment]\nkind = wall-room\n[walk]\nstep_length = -0.05\n", "step_length must be finite and positive"),
-    ("[experiment]\nkind = chevron-ramp\n[walk]\nstanding_height = 0\n", "standing_height must be finite and positive"),
+    # the retired settings, now module constants of sim and mcl
+    ("[experiment]\nkind = chevron-ramp\n[walk]\nstep_length = 0.05\n", r"unknown key 'step_length' in section \[walk\]$"),
+    ("[experiment]\nkind = chevron-ramp\n[walk]\nstanding_height = 0.5\n", r"unknown key 'standing_height' in section \[walk\]$"),
+    ("[experiment]\nkind = chevron-ramp\n[filter]\nresample_frac = 0.5\n", r"unknown key 'resample_frac' in section \[filter\]$"),
+    ("[experiment]\nkind = chevron-ramp\n[filter]\nxy_std_threshold = 0.1\n", r"unknown key 'xy_std_threshold' in section \[filter\]$"),
+    # noise settings no walk can use (the constructor's side: tests/test_sim.py)
     ("[experiment]\nkind = chevron-ramp\n[noise]\nwhite_std = 0.1 0.1\n", "white_std must hold 6 finite values"),
     ("[experiment]\nkind = chevron-ramp\n[noise]\nwhite_std = 0 0 0 0 0 -0.1\n", "white_std must hold 6 finite values"),
     ("[experiment]\nkind = chevron-ramp\n[noise]\nwhite_std = 0 0 0 0 0 nan\n", "white_std must hold 6 finite values"),

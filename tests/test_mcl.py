@@ -1,6 +1,7 @@
 """Particle filter mechanics: resampling, normalization, branches, determinism."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -79,7 +80,7 @@ def contacts():
 
 def new_filter(prior_mean, prior_cov, maps=None, likelihood=LikelihoodConfig(), **settings):
     """init_filter on flat_maps() with the settings given, the others fixed here."""
-    fixed = dict(mode="HL-G", n_particles=500, seed=0, resample_frac=0.5, xy_std_threshold=0.10)
+    fixed = dict(mode="HL-G", n_particles=500, seed=0)
     maps = flat_maps() if maps is None else maps
     return init_filter(prior_mean, prior_cov, maps, likelihood, **{**fixed, **settings})
 
@@ -178,8 +179,6 @@ def test_effective_sample_size_bounds():
 def test_init_filter_validation_and_prior():
     with pytest.raises(ValueError):
         new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=0)
-    with pytest.raises(ValueError):
-        new_filter(stand_pose(), np.eye(6) * 1e-4, resample_frac=1.5)
     # dead reckoning is reported beside the filter, never run as a filter mode
     for mode in ("odom-only", "HL-X"):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -198,6 +197,23 @@ def test_init_filter_validation_and_prior():
     assert np.sum(np.exp(st.log_weights)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["prior_mean.position", "prior_mean.quat", "prior covariance"])
+def test_init_filter_rejects_a_non_finite_prior(name, bad):
+    # each once ran on: a nan x gave every estimate a nan x with no divergence
+    # counted, an inf x variance a nan z, and a nan variance failed as an
+    # asymmetric covariance
+    prior, cov = stand_pose(), np.eye(6) * 1e-4
+    if name == "prior_mean.position":
+        prior.position[0] = bad
+    elif name == "prior_mean.quat":
+        prior.quat[3] = bad
+    else:
+        cov[0, 0] = bad
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite$"):
+        new_filter(prior, cov, n_particles=50)
+
+
 def assert_component_rows(st):
     n = st.n_particles
     assert st.positions.shape == (3, n) and st.positions.flags.c_contiguous
@@ -205,9 +221,10 @@ def assert_component_rows(st):
 
 
 @pytest.mark.parametrize("resample", [False, True], ids=["kept", "resampled"])
-def test_particles_stay_contiguous_component_rows(resample):
+def test_particles_stay_contiguous_component_rows(resample, monkeypatch):
     # a return to strided (N, 3) columns would slow every particle pass
-    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=90, seed=0, resample_frac=float(resample))
+    monkeypatch.setattr(mcl_module, "RESAMPLE_FRAC", float(resample))
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=90, seed=0)
     assert_component_rows(st)
     step(st, forward_input())
     assert_component_rows(st)
@@ -232,9 +249,10 @@ def test_step_counts_and_trajectory_growth():
         assert len(st.trajectory) == k + 2
 
 
-def test_resample_resets_weights_uniform():
+def test_resample_resets_weights_uniform(monkeypatch):
     maps = flat_maps()
-    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=150, seed=1, resample_frac=1.0)
+    monkeypatch.setattr(mcl_module, "RESAMPLE_FRAC", 1.0)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=150, seed=1)
     # frac 1.0 forces a resample every step
     step(st, forward_input())
     assert np.allclose(st.log_weights, -np.log(150))
@@ -314,7 +332,7 @@ def test_estimate_z_only_branch_on_bimodal_cluster():
     st.positions[2] = 0.41
     pose, xy_std, branch = estimate_detail(st, STILL)
     assert branch == "z-only"
-    assert xy_std[1] > st.xy_std_threshold
+    assert xy_std[1] > mcl_module.XY_STD_THRESHOLD
     # x, y, heading held at the last estimate; z follows the particles
     assert np.allclose(pose.position[:2], st.trajectory[-1].position[:2])
     assert pose.position[2] == pytest.approx(0.41, abs=1e-6)
@@ -475,7 +493,7 @@ def reference_step(state, inp):
     else:
         state.log_weights = np.full(n, -np.log(n))
     w = np.exp(state.log_weights)
-    if 1.0 / np.sum(w * w) < state.resample_frac * n:
+    if 1.0 / np.sum(w * w) < mcl_module.RESAMPLE_FRAC * n:
         idx = systematic_resample_indices(w, state.rng)
         state.positions = state.positions[:, idx]
         state.yaw = state.yaw[idx]
@@ -648,8 +666,9 @@ def test_interleaved_filters_match_filters_run_alone():
         )
 
 
-def test_step_overwrites_the_arrays_the_state_held():
-    st = new_filter(stand_pose(), np.eye(6) * 1e-3, height_maps(), n_particles=60, seed=3, resample_frac=0.0)
+def test_step_overwrites_the_arrays_the_state_held(monkeypatch):
+    monkeypatch.setattr(mcl_module, "RESAMPLE_FRAC", 0.0)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-3, height_maps(), n_particles=60, seed=3)
     step(st, forward_input())
     held = {name: getattr(st, name) for name in ("positions", "yaw", "log_weights")}
     snapshot = {name: value.copy() for name, value in held.items()}
@@ -701,28 +720,29 @@ def warm_step_peak(st, inp) -> int:
         tracemalloc.stop()
 
 
-def test_warm_step_allocates_few_particle_sized_arrays():
+def test_warm_step_allocates_few_particle_sized_arrays(monkeypatch):
     # the step writes into the state's workspace: once warmed up, an HL-G step
     # at 10k particles with four contacts and the full estimate allocates
     # transient arrays peaking near 8 particle-sized ones (0.66 MB), against
     # 38.5 when every kernel returned new stacked arrays
     n = 10_000
-    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n,
-                    seed=0, xy_std_threshold=10.0)
+    monkeypatch.setattr(mcl_module, "XY_STD_THRESHOLD", 10.0)
+    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n, seed=0)
     inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
     peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].branch == "full"
     assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
 
 
-def test_warm_resampling_step_allocates_few_particle_sized_arrays():
+def test_warm_resampling_step_allocates_few_particle_sized_arrays(monkeypatch):
     # resampling writes its sums and pointers into workspace rows, and the
     # KLD bin count builds its keys in place: a warm resampling step at 10k
     # particles peaks near 3.8 particle-sized arrays, against 4.98 when both
     # allocated theirs
     n = 10_000
-    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n,
-                    seed=0, xy_std_threshold=10.0, resample_frac=1.0)
+    monkeypatch.setattr(mcl_module, "XY_STD_THRESHOLD", 10.0)
+    monkeypatch.setattr(mcl_module, "RESAMPLE_FRAC", 1.0)
+    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n, seed=0)
     inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
     peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].ess < n and np.all(st.log_weights == st.log_weights[0]), "the step resampled"
@@ -757,13 +777,14 @@ def class_height_maps():
     return MapSet(ElevationGrid(0.01, (-1.0, -1.0), heights), ClassGrid(0.01, (-1.0, -1.0), ids, 3))
 
 
-def test_warm_class_step_allocates_few_particle_sized_arrays():
+def test_warm_class_step_allocates_few_particle_sized_arrays(monkeypatch):
     # the class channel writes its rows into the contact buffers too: a warm
     # HL-GC step with four labeled contacts stays under the HL-G bound,
     # against 36.7 particle-sized arrays when it gathered fancy-indexed copies
     n = 10_000
+    monkeypatch.setattr(mcl_module, "XY_STD_THRESHOLD", 10.0)
     st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), class_height_maps(), n_particles=n,
-                    seed=0, xy_std_threshold=10.0, mode="HL-GC")
+                    seed=0, mode="HL-GC")
     probs = np.eye(3)
     cs = [ContactMeasurement(f, class_probs=probs[k % 3]) for k, f in enumerate(FEET)]
     inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
@@ -780,13 +801,14 @@ def flat_cloud_maps():
     return MapSet(ElevationGrid(0.1, (-1.0, -1.0), np.zeros((20, 20))), cloud=cloud)
 
 
-def test_warm_cloud_step_allocates_few_particle_sized_arrays():
+def test_warm_cloud_step_allocates_few_particle_sized_arrays(monkeypatch):
     # the cloud channel gathers its distance field into the contact buffers:
     # a warm HL-3D step with four contacts stays under the HL-G bound,
     # against 20.1 particle-sized arrays for the kd-tree query's results
     n = 10_000
+    monkeypatch.setattr(mcl_module, "XY_STD_THRESHOLD", 10.0)
     st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), flat_cloud_maps(), n_particles=n,
-                    seed=0, xy_std_threshold=10.0, mode="HL-3D")
+                    seed=0, mode="HL-3D")
     inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
     peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].branch == "full"
@@ -901,10 +923,11 @@ def test_a_1cm_class_layer_keeps_one_byte_offsets_and_no_float_fields():
 # the 4-DoF particle: x, y, z and yaw, with roll and pitch shared
 
 
-def test_noise_free_step_moves_each_particle_as_compose_does():
+def test_noise_free_step_moves_each_particle_as_compose_does(monkeypatch):
     # a tilted, turning increment: each particle's new position and yaw are
     # those of its 6-DoF pose composed with the increment
-    st = new_filter(stand_pose(), np.eye(6) * 1e-2, n_particles=40, seed=3, resample_frac=0.0)
+    monkeypatch.setattr(mcl_module, "RESAMPLE_FRAC", 0.0)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-2, n_particles=40, seed=3)
     st.tilt = (0.12, -0.2)
     before = [Pose(p, quat_from_euler(*st.tilt, y)) for p, y in zip(st.positions.T.copy(), st.yaw.copy())]
     inc = Pose(np.array([0.05, -0.01, 0.02]), quat_from_rotvec([0.03, -0.02, 0.4]))
@@ -1010,12 +1033,14 @@ def test_occupied_bins_count_each_drawn_particle_once():
     st.floats(1e-3, 50.0),
 )
 def test_any_finite_state_resamples_to_a_count_in_range(n_max, seed, centre, spread, yaw_spread, weight_spread):
-    st_ = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=n_max, seed=seed, resample_frac=1.0)
+    st_ = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=n_max, seed=seed)
     rng = np.random.default_rng(seed)
     st_.positions = centre + spread * rng.uniform(-1.0, 1.0, (3, n_max))
     st_.yaw = yaw_spread * rng.uniform(-1.0, 1.0, n_max)
     st_.log_weights = weight_spread * rng.standard_normal(n_max)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a fixture's monkeypatch would span every example, so each sets its own
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(mcl_module, "RESAMPLE_FRAC", 1.0)
         step(st_, StepInput(STILL, np.zeros((6, 6)), []))
     n, ws = st_.n_particles, st_.workspace
     assert st_.diagnostics[-1].n_particles == n_max
@@ -1033,16 +1058,18 @@ def test_any_finite_state_resamples_to_a_count_in_range(n_max, seed, centre, spr
         assert view.shape[-1] == n and view.flags.c_contiguous
 
 
-def converged_filter(n_max):
+def converged_filter(monkeypatch, n_max):
     """A filter whose particles sit within a millimetre of the stand pose on a
-    flat map, after one resample of its uneven contact weights."""
-    st_ = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=n_max, seed=4, resample_frac=1.0)
+    flat map, after one resample of its uneven contact weights; every later
+    step of the test resamples too."""
+    monkeypatch.setattr(mcl_module, "RESAMPLE_FRAC", 1.0)
+    st_ = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=n_max, seed=4)
     step(st_, forward_input(cov_scale=1e-4))
     return st_
 
 
-def test_converged_set_shrinks_below_its_maximum():
-    st_ = converged_filter(10_000)
+def test_converged_set_shrinks_below_its_maximum(monkeypatch):
+    st_ = converged_filter(monkeypatch, 10_000)
     assert st_.diagnostics[-1].n_particles == 10_000
     assert KLD_MIN_PARTICLES <= st_.n_particles < 10_000
     # the next step carries the smaller set
@@ -1051,10 +1078,10 @@ def test_converged_set_shrinks_below_its_maximum():
     assert np.isfinite(st_.positions).all() and st_.positions.shape[1] == st_.n_particles
 
 
-def test_widened_set_grows_back_to_its_maximum():
+def test_widened_set_grows_back_to_its_maximum(monkeypatch):
     # from 500 distinct particles the bound reaches about 9.6k, so a 5k set
     # grows back in one resample
-    st_ = converged_filter(5_000)
+    st_ = converged_filter(monkeypatch, 5_000)
     assert st_.n_particles < 5_000
     rng = np.random.default_rng(8)
     st_.positions = st_.positions + np.array([[0.5], [0.5], [0.0]]) * rng.standard_normal((3, st_.n_particles))
@@ -1062,8 +1089,8 @@ def test_widened_set_grows_back_to_its_maximum():
     assert st_.n_particles == 5_000
 
 
-def test_replaced_arrays_of_another_count_step_in_views_of_that_count():
-    st_ = converged_filter(2_000)
+def test_replaced_arrays_of_another_count_step_in_views_of_that_count(monkeypatch):
+    st_ = converged_filter(monkeypatch, 2_000)
     rng = np.random.default_rng(3)
     st_.positions = st_.positions[:, rng.integers(0, st_.n_particles, 1_500)]
     st_.yaw = np.zeros(1_500)

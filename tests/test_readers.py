@@ -15,7 +15,6 @@ from hapticloc.geometry import Pose, load_trajectory, save_trajectory
 from hapticloc.maps import ClassGrid, ElevationGrid, MapFormatError, PointCloudMap, load_map, save_map
 from hapticloc.sim import (
     CourseSpec,
-    GaitParams,
     NoiseSpec,
     generate_course,
     load_signal,
@@ -29,7 +28,7 @@ from hapticloc.sim import (
 
 def write_walklog(path):
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    save_walklog(simulate_walk(maps, ((1.0, 0.7), (1.2, 0.7)), GaitParams(), NoiseSpec(), 1), path)
+    save_walklog(simulate_walk(maps, ((1.0, 0.7), (1.2, 0.7)), NoiseSpec(), 1), path)
 
 
 # reader -> (write a good file, load it, the line and the index of the field

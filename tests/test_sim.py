@@ -22,7 +22,6 @@ from hapticloc.sim import (
     WALL_ROOM_WALL_Y,
     WALKLOG_VERSION,
     CourseSpec,
-    GaitParams,
     NoiseSpec,
     classify_log,
     generate_course,
@@ -39,7 +38,6 @@ from hapticloc.sim import (
     walklog_hash,
 )
 
-GAIT = GaitParams()
 QUIET = NoiseSpec()
 
 
@@ -187,7 +185,7 @@ def test_signal_file_round_trip(tmp_path):
 
 def test_walk_foot_placement_matches_map_exactly():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, straight(2.0), GAIT, QUIET, 0)
+    log = simulate_walk(maps, straight(2.0), QUIET, 0)
     assert log.n_steps == 40
     for r in log.records:
         for w in r.true_foot_world:
@@ -200,7 +198,7 @@ def test_walk_foot_placement_matches_map_exactly():
 
 def test_noise_free_odometry_reproduces_truth():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
-    log = simulate_walk(maps, straight(1.5), GAIT, NoiseSpec(), 0)
+    log = simulate_walk(maps, straight(1.5), NoiseSpec(), 0)
     odo = log.odometry_poses()
     for a, b in zip(odo, log.true_poses()):
         assert np.allclose(a.to_array(), b.to_array(), atol=1e-10)
@@ -209,7 +207,7 @@ def test_noise_free_odometry_reproduces_truth():
 def test_z_bias_accumulates_in_odometry():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     n = 30
-    log = simulate_walk(maps, straight(1.5), GAIT, NoiseSpec(z_bias=0.01), 0)
+    log = simulate_walk(maps, straight(1.5), NoiseSpec(z_bias=0.01), 0)
     assert log.n_steps == n
     odo = log.odometry_poses()
     drift = odo[-1].position[2] - log.true_poses()[-1].position[2]
@@ -219,7 +217,7 @@ def test_z_bias_accumulates_in_odometry():
 def test_walk_step_metadata():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     noise = NoiseSpec(white_std=(0.003,) * 6)
-    log = simulate_walk(maps, straight(0.6), GAIT, noise, 2)
+    log = simulate_walk(maps, straight(0.6), noise, 2)
     assert log.n_steps == 12
     for i, r in enumerate(log.records):
         assert r.k == i + 1
@@ -234,23 +232,23 @@ def test_walk_step_metadata():
 def test_walk_path_errors():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     with pytest.raises(ValueError, match="leaves the map"):
-        simulate_walk(maps, ((1.0, 0.7), (50.0, 0.7)), GAIT, QUIET, 0)
+        simulate_walk(maps, ((1.0, 0.7), (50.0, 0.7)), QUIET, 0)
     with pytest.raises(ValueError):
-        simulate_walk(maps, ((1.0, 0.7),), GAIT, QUIET, 0)
+        simulate_walk(maps, ((1.0, 0.7),), QUIET, 0)
     with pytest.raises(ValueError, match="duplicate"):
-        simulate_walk(maps, ((1.0, 0.7), (1.0, 0.7), (2.0, 0.7)), GAIT, QUIET, 0)
+        simulate_walk(maps, ((1.0, 0.7), (1.0, 0.7), (2.0, 0.7)), QUIET, 0)
     with pytest.raises(ValueError, match="foot LH starts off the map"):
-        simulate_walk(maps, ((0.1, 0.7), (2.0, 0.7)), GAIT, QUIET, 0)
+        simulate_walk(maps, ((0.1, 0.7), (2.0, 0.7)), QUIET, 0)
     with pytest.raises(ValueError, match="waypoints span 0.03 m, shorter than one 0.05 m step"):
-        simulate_walk(maps, ((1.0, 0.7), (1.03, 0.7)), GAIT, QUIET, 0)
+        simulate_walk(maps, ((1.0, 0.7), (1.03, 0.7)), QUIET, 0)
 
 
 def test_walklog_hash_depends_on_seed_and_noise():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     noise = NoiseSpec(white_std=(0.004,) * 6)
-    a = simulate_walk(maps, straight(0.75), GAIT, noise, 1)
-    b = simulate_walk(maps, straight(0.75), GAIT, noise, 1)
-    c = simulate_walk(maps, straight(0.75), GAIT, noise, 2)
+    a = simulate_walk(maps, straight(0.75), noise, 1)
+    b = simulate_walk(maps, straight(0.75), noise, 1)
+    c = simulate_walk(maps, straight(0.75), noise, 2)
     assert walklog_hash(a) == walklog_hash(b)
     assert walklog_hash(a) != walklog_hash(c)
 
@@ -258,7 +256,7 @@ def test_walklog_hash_depends_on_seed_and_noise():
 def test_walklog_round_trip_with_signals(tmp_path):
     maps = generate_course(CourseSpec("class-tiles", seed=2))
     noise = NoiseSpec(white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002), z_bias=0.0015)
-    log = simulate_walk(maps, straight(1.0, start=(0.6, 0.6)), GAIT, noise, 3)
+    log = simulate_walk(maps, straight(1.0, start=(0.6, 0.6)), noise, 3)
     assert log.n_steps == 20
     path = tmp_path / "walk.log"
     save_walklog(log, path, signals_dir="signals")
@@ -295,7 +293,7 @@ def test_load_walklog_errors(tmp_path):
 def test_load_walklog_reads_only_its_version(tmp_path):
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     p = tmp_path / "walk.log"
-    save_walklog(simulate_walk(maps, straight(0.25), GAIT, QUIET, 1), p)
+    save_walklog(simulate_walk(maps, straight(0.25), QUIET, 1), p)
     text = p.read_text()
     assert text.startswith(f"# walklog {WALKLOG_VERSION}\n")
     # a version 1 log, without the tilt columns, is rejected by name
@@ -314,7 +312,7 @@ def corrupt_walklog(tmp_path, column, text):
     path and the line number of that row."""
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     p = tmp_path / "walk.log"
-    save_walklog(simulate_walk(maps, straight(0.25), GAIT, NoiseSpec(white_std=(0.004,) * 6), 1), p)
+    save_walklog(simulate_walk(maps, straight(0.25), NoiseSpec(white_std=(0.004,) * 6), 1), p)
     lines = p.read_text().split("\n")
     header = lines.index(next(l for l in lines if l.startswith("k,")))
     row = lines[header + 1].split(",")
@@ -365,7 +363,7 @@ def test_load_walklog_checks_the_start_and_prior_lines(tmp_path):
 
 def test_probe_scenario_prior_offset_and_probes():
     maps = generate_course(CourseSpec("wall-room", seed=0))
-    log = probe_scenario(maps, GAIT, NoiseSpec(white_std=(0.005,) * 6), 1)
+    log = probe_scenario(maps, NoiseSpec(white_std=(0.005,) * 6), 1)
     assert log.n_steps == 40
     shift = log.init_prior.position - log.start_pose.position
     assert np.allclose(shift, [0.10, 0.10, 0.0])
@@ -391,7 +389,7 @@ def test_probe_scenario_prior_offset_and_probes():
 
 def test_classify_log_fills_each_signal_s_prediction():
     maps = generate_course(CourseSpec("class-tiles", seed=2))
-    log = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), GAIT, QUIET, 3)
+    log = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), QUIET, 3)
     model = train_contact_classifier(seed=0)
     classify_log(log, model)
     for r in log.records:
@@ -402,7 +400,7 @@ def test_classify_log_fills_each_signal_s_prediction():
 
     # a walk on a course without a class layer logs no force signals, and
     # leaves a class mode nothing to fuse
-    bare = simulate_walk(generate_course(CourseSpec("chevron-ramp", seed=1)), straight(0.5), GAIT, QUIET, 3)
+    bare = simulate_walk(generate_course(CourseSpec("chevron-ramp", seed=1)), straight(0.5), QUIET, 3)
     assert not bare.has_signals
     with pytest.raises(ValueError, match="no force signals"):
         classify_log(bare, model)
@@ -424,10 +422,6 @@ def test_noise_spec_validation():
 # settings no walk can use fail at construction (the INI loader's side:
 # tests/test_evaluate.py)
 UNUSABLE = [
-    (GaitParams, "step_length", 0.0, "step_length must be finite and positive, got 0.0"),
-    (GaitParams, "step_length", -0.05, "step_length must be finite and positive"),
-    (GaitParams, "step_length", float("inf"), "step_length must be finite and positive"),
-    (GaitParams, "standing_height", 0.0, "standing_height must be finite and positive"),
     (NoiseSpec, "white_std", (0.1, 0.1), "white_std must hold 6 finite values that are not negative"),
     (NoiseSpec, "white_std", (0.1,) * 5 + (-0.1,), "white_std must hold 6 finite"),
     (NoiseSpec, "white_std", (0.1,) * 5 + (float("nan"),), "white_std must hold 6 finite"),

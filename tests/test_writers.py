@@ -12,7 +12,7 @@ from hapticloc.geometry import Pose
 from hapticloc.likelihood import ContactMeasurement
 from hapticloc.mcl import StepDiagnostics, write_diagnostics_csv
 from hapticloc.sim import WALKLOG_VERSION, CourseSpec, _walklog_header, _write_walklog, generate_course, simulate_walk
-from test_sim import GAIT, QUIET, straight
+from test_sim import QUIET, straight
 
 # a signed zero, the smallest subnormal, a huge magnitude and values that
 # take all 17 digits
@@ -98,7 +98,7 @@ def test_diagnostics_rows_match_the_oracle(tmp_path):
 
 
 def test_walklog_rows_match_the_oracle():
-    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), GAIT, QUIET, 3)
+    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
     log.start_pose = ESTIMATE[0]
     r = log.records[0]
     r.timestamp = -0.0
