@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
+import hapticloc.maps as maps_module
 from hapticloc.maps import (
     UNKNOWN_CLASS,
     ClassGrid,
@@ -460,6 +461,84 @@ def test_field_distances_do_not_depend_on_which_nodes_filled_first():
     got = np.concatenate([field_distances(gathered, query[:, :200]), field_distances(gathered, query[:, 200:])])
     assert np.array_equal(got, field_distances(filled, query))
     assert np.array_equal(field_distances(gathered, query), got)
+
+
+def read_nodes(f, points):
+    """The distinct flat indices of the nodes in kept bricks that a gather
+    at points (3, M) reads: the eight corners of each point's cell, in the
+    brick of the cell's low corner."""
+    cell = np.floor(points.T / f.spacing)
+    brick = np.floor(cell / 8)
+    local = (cell - 8 * brick)[:, None, :] + np.indices((2, 2, 2)).reshape(3, -1).T
+    inside = ((brick >= f.low) & (brick <= f.high)).all(axis=1)
+    row = np.full(len(cell), len(f.keys))
+    row[inside] = binary_search_rows(f.keys, ((brick[inside] - f.low) @ f.weights).astype(np.int64))
+    node = row[:, None] * 9**3 + (local @ [81, 9, 1]).astype(np.int64)
+    return np.unique(node[row < len(f.keys)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cloud=st.integers(1, 30),
+    n_centres=st.integers(1, 4),
+    n_query=st.integers(1, 400),
+    prefill=st.floats(0.0, 1.0),
+)
+def test_gathers_over_many_slices_read_what_a_full_field_holds(seed, n_cloud, n_centres, n_query, prefill):
+    # with slices of 64 points, later slices read corners that earlier ones
+    # (or an earlier fill) filled; whatever was filled before, a gather reads
+    # the full field's values bit for bit, fills every corner it reads and
+    # no other node
+    spacing = 0.0075
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.1, 0.1, (n_cloud, 3))
+    centres = points[rng.integers(0, n_cloud, n_centres)]
+    query = (centres[rng.integers(0, n_centres, n_query)] + rng.normal(0.0, 1.5 * spacing, (n_query, 3))).T
+    gathered = PointCloudMap(points).distance_field(0.03, spacing)
+    full = PointCloudMap(points).distance_field(0.03, spacing)
+    full.fill()
+    read = read_nodes(gathered, query)
+    n_nodes = gathered.bricks[:-1].size
+    gathered.fill(np.concatenate([read, rng.integers(0, n_nodes, 50)])[rng.random(len(read) + 50) < prefill])
+    filled_before = np.flatnonzero(gathered.bricks[:-1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps_module, "_GATHER_SLICE", 64)
+        got = field_distances(gathered, query)
+        assert np.array_equal(got, field_distances(full, query))
+        assert np.array_equal(field_distances(gathered, query), got)
+    filled = np.flatnonzero(gathered.bricks[:-1])
+    assert np.array_equal(filled, np.union1d(filled_before, read))
+    assert np.array_equal(gathered.bricks[:-1].reshape(-1)[filled], full.bricks[:-1].reshape(-1)[filled])
+
+
+def test_a_gather_leaves_none_of_its_corners_unfilled(monkeypatch):
+    # a gather fills every corner it reads, so gathering the same points
+    # again fills nothing and reads what the first gather read; neither
+    # does a gather over a full field
+    calls = []
+    fill = maps_module.DistanceField.fill
+
+    def counted(f, nodes=None):
+        calls.append(nodes)
+        fill(f, nodes)
+
+    monkeypatch.setattr(maps_module.DistanceField, "fill", counted)
+    monkeypatch.setattr(maps_module, "_GATHER_SLICE", 64)
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-0.2, 0.2, (50, 3))
+    query = (points[rng.integers(0, 50, 400)] + rng.normal(0.0, 0.02, (400, 3))).T
+    f = PointCloudMap(points).distance_field(0.03, 0.0075)
+    first = field_distances(f, query)
+    assert calls and f.bricks[:-1].reshape(-1)[read_nodes(f, query)].all()
+    calls.clear()
+    assert np.array_equal(field_distances(f, query), first)
+    assert calls == []
+    full = PointCloudMap(points).distance_field(0.03, 0.0075)
+    full.fill()
+    calls.clear()
+    assert np.array_equal(field_distances(full, query), first)
+    assert calls == []
 
 
 def binary_search_rows(keys, query):
