@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import LogisticBaseline, baseline_train
-from .geometry import Pose, quat_yaw, save_trajectory, wrap_angle
+from .geometry import Pose, save_trajectory, wrap_angle
 from .likelihood import MODES, LikelihoodConfig, require_layers
 from .maps import MapSet
 from .mcl import FilterState, StepInput, init_filter, run_filter, write_diagnostics_csv
@@ -73,10 +73,17 @@ def per_step_errors(truth, est) -> np.ndarray:
         raise ValueError("trajectory length mismatch")
     tp = np.stack([p.position for p in truth])
     ep = np.stack([p.position for p in est])
-    dyaw = wrap_angle(
-        np.array([quat_yaw(e.quat) - quat_yaw(t.quat) for t, e in zip(truth, est)])
-    )
+    dyaw = wrap_angle(_yaws(est) - _yaws(truth))
     return np.column_stack([ep - tp, dyaw])
+
+
+def _yaws(poses) -> np.ndarray:
+    """geometry.quat_yaw of every pose, with the same operations in the same
+    order, in one arctan2 call over the stacked quaternions. On the machines
+    tests/golden_digests.txt names, numpy's vector arctan2 rounds as its
+    scalar call does, so the error files do not move."""
+    qx, qy, qz, qw = np.stack([p.quat for p in poses]).T
+    return np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
 
 
 def to_step_inputs(log: WalkLog) -> list:

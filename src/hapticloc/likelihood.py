@@ -60,17 +60,22 @@ reads the map layer of its own name, so the layers a mode needs are its
 channels, and every contact is weighed with the same channel set.
 
 The contacts of one step are evaluated together (contacts_log_likelihood) at
-particles that carry a position and a yaw each and share one roll and pitch:
-each contact's offset is tilted once, as a single pose, and then turned per
-particle in the plane into (3, K, N) world points. The grid channels share
-one set of padded cell indices for all of them, and each channel of the set
-looks its layer up once, the class channel with one estimated class per
-contact row. The result keeps one row per contact, computed with the same
-arithmetic as one contact on its own, so a caller that adds the rows to the
-weights in contact order gets the same sums bit for bit as evaluating the
-contacts one at a time. A filter hands it ContactBuffers, so that the world
-points, cell indices, rows and the lookups' scratch of every step are
-written into the same arrays.
+particles that carry a position and a yaw each and share one roll and pitch.
+What depends on the contacts alone is laid out once (contact_layout), and a
+filter's step input does that when it is built, for every filter that steps
+it: each contact's offset tilted by that roll and pitch, once, as a single
+pose, each contact's estimated class as a (K, 1) column, and the one length
+of their class_probs. Each call then turns the tilted offsets per particle
+in the plane into (3, K, N) world points, and compares that length with the
+class layer's class count. The grid channels share one set of padded cell
+indices for all the points, and each channel of the set looks its layer up
+once, the class channel with one estimated class per contact row, from the
+offsets and scores its filter bound once (class_scores). The result keeps
+one row per contact, computed with the same arithmetic as one contact on
+its own, so a caller that adds the rows to the weights in contact order gets
+the same sums bit for bit as evaluating the contacts one at a time. A filter
+hands it ContactBuffers, so that the world points, cell indices, rows and
+the lookups' scratch of every step are written into the same arrays.
 """
 
 from __future__ import annotations
@@ -193,6 +198,20 @@ def _read_only(value) -> np.ndarray:
     return a
 
 
+def _kept_offset(value) -> np.ndarray:
+    """value itself when it is a read-only float64 3-vector that owns its
+    data, as every contact's offset is, else a read-only copy."""
+    if (
+        isinstance(value, np.ndarray)
+        and value.base is None
+        and value.dtype == np.float64
+        and value.shape == (3,)
+        and not value.flags.writeable
+    ):
+        return value
+    return _read_only(value)
+
+
 @dataclass(frozen=True)
 class ContactMeasurement:
     """One foot contact handed to the filter, checked once, when it is built.
@@ -201,7 +220,10 @@ class ContactMeasurement:
     class_probs is a terrain classifier's distribution over the classes, a
     finite, non-negative 1-D vector whose argmax, estimated_class, is the
     class the class channel queries the map for; both None when no
-    classifier labeled the contact. The arrays are kept as read-only copies.
+    classifier labeled the contact. The arrays are kept read-only: class_probs
+    as a copy, and offset as a copy unless it is already a read-only float64
+    3-vector that owns its data, such as another contact's offset, which is
+    kept as it is (so labeling a contact does not copy its offset again).
     """
 
     offset: np.ndarray
@@ -210,8 +232,9 @@ class ContactMeasurement:
     estimated_class: int | None = field(init=False, default=None)
 
     def __post_init__(self):
-        offset = _read_only(self.offset)
-        if offset.shape != (3,) or not np.isfinite(offset).all():
+        offset = _kept_offset(self.offset)
+        # three scalar checks cost less than one numpy call on a 3-vector
+        if offset.shape != (3,) or not all(map(math.isfinite, offset.tolist())):
             raise ValueError(f"contact offset must be a finite 3-vector, got {offset.tolist()}")
         object.__setattr__(self, "offset", offset)
         if self.class_probs is not None:
@@ -288,7 +311,7 @@ def class_scores(grid: ClassGrid, cfg: LikelihoodConfig):
 
 
 def class_log_likelihood_points(
-    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None, out=None, scratch=None
+    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None, out=None, scratch=None, class_index=None
 ) -> np.ndarray:
     """Per-point class channel for world xy contact points (2, ...).
 
@@ -302,23 +325,23 @@ def class_log_likelihood_points(
     class_scores returns, picks its score from their table, so a distance
     beyond cfg.class_reach scores the floor, as the exact distance would.
     cells as for the elevation channel; out receives the scores; scratch as
-    for maps.class_offsets_many.
+    for maps.class_offsets_many. class_index, the (offsets, scores) pair
+    class_scores(grid, cfg) returns when the caller holds it, saves looking
+    them up again.
     """
     if cells is None:
         cells = padded_cells(grid, points_xy)
-    offsets, scores = class_scores(grid, cfg)
+    offsets, scores = class_scores(grid, cfg) if class_index is None else class_index
     k = class_offsets_many(grid, points_xy, class_id, offsets, cells=cells, scratch=scratch)
     ll = scores.take(k, out=out, mode="clip")
     np.copyto(ll, 0.0, where=class_at_many(grid, points_xy, cells=cells) == UNKNOWN_CLASS)
     return ll
 
 
-def _check_class_probs(contact: ContactMeasurement, grid: ClassGrid) -> None:
-    """Raise unless the contact's class_probs hold one entry per class of the layer."""
-    if contact.class_probs.size != grid.n_classes:
-        raise ValueError(
-            f"class_probs has {contact.class_probs.size} entries but the class layer has {grid.n_classes} classes"
-        )
+def _check_class_probs(n_probs: int, grid: ClassGrid) -> None:
+    """Raise unless class_probs of n_probs entries hold one per class of the layer."""
+    if n_probs != grid.n_classes:
+        raise ValueError(f"class_probs has {n_probs} entries but the class layer has {grid.n_classes} classes")
 
 
 def require_layers(channels, layers) -> None:
@@ -374,50 +397,86 @@ class ContactBuffers:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class ContactLayout:
+    """K contacts laid out as contacts_log_likelihood reads them, made once
+    (contact_layout) for any number of filters to weigh.
+
+    offsets (3, K) holds each contact's offset tilted by the rotation of the
+    base's roll and pitch; classes (K, 1) each contact's estimated class, 0
+    for a contact no classifier labeled; unlabeled the rows of those; and
+    n_probs the length of the class_probs every labeled contact has, None
+    when no contact is labeled. The arrays are read-only.
+    """
+
+    offsets: np.ndarray
+    classes: np.ndarray
+    unlabeled: tuple[int, ...]
+    n_probs: int | None
+
+    @property
+    def size(self) -> int:
+        return self.offsets.shape[1]
+
+
+def contact_layout(contacts, tilt_matrix) -> ContactLayout:
+    """The layout of contacts, ContactMeasurements, for a base tilted by
+    tilt_matrix (geometry.tilt_matrix of its roll and pitch).
+
+    Each offset is tilted on its own, one 3x3 @ 3-vector product, so that a
+    contact's column does not depend on the others (a (3, 3) @ (3, K)
+    product may round differently). Labeled contacts whose class_probs
+    differ in length raise: a class layer has one class count.
+    """
+    offsets = np.array([tilt_matrix @ c.offset for c in contacts], dtype=float).reshape(-1, 3).T
+    classes = np.array([0 if c.estimated_class is None else c.estimated_class for c in contacts], dtype=np.int64)
+    lengths = {c.class_probs.size for c in contacts if c.class_probs is not None}
+    if len(lengths) > 1:
+        raise ValueError(f"the contacts' class_probs differ in length: {sorted(lengths)} entries")
+    for a in (offsets, classes):
+        a.flags.writeable = False
+    return ContactLayout(
+        offsets,
+        classes.reshape(-1, 1),
+        tuple(k for k, c in enumerate(contacts) if c.class_probs is None),
+        lengths.pop() if lengths else None,
+    )
+
+
 def contacts_log_likelihood(
     positions,
     heading,
-    tilt_matrix,
-    contacts,
+    layout: ContactLayout,
     channels,
     maps: MapSet,
     cfg: LikelihoodConfig,
     buffers: ContactBuffers | None = None,
+    class_index=None,
 ) -> np.ndarray:
-    """Joint log-likelihoods (K, N) of K contacts at N particles: positions
-    (3, N), heading (2, N) the cos and sin of each particle's yaw, and
-    tilt_matrix the rotation of the roll and pitch they share
-    (geometry.tilt_matrix).
+    """Joint log-likelihoods (K, N) of the K contacts of layout at N
+    particles: positions (3, N) and heading (2, N), the cos and sin of each
+    particle's yaw; the particles share the roll and pitch the layout's
+    offsets were tilted by.
 
-    Row k belongs to contacts[k], and every row uses the same channels (a
-    value of MODES). The contact offsets are tilted by that matrix, then
-    turned by each particle's heading into one (3, K, N) array; the
-    grid channels share the points' padded cell indices (MapSet keeps its
-    grids on one lattice), and each channel queries its layer once for all
-    the contacts. Row k starts at 0 and adds the channels given in the order
-    elevation, class, cloud: (0 + elevation) + class for elevation and
-    class. A contact without class_probs adds no class term: its class row
-    is computed for a stand-in class and then zeroed. The arrays come from
-    buffers, or new ones without.
+    Row k belongs to contact k, and every row uses the same channels (a
+    value of MODES). The tilted offsets are turned by each particle's
+    heading into one (3, K, N) array; the grid channels share the points'
+    padded cell indices (MapSet keeps its grids on one lattice), and each
+    channel queries its layer once for all the contacts. Row k starts at 0
+    and adds the channels given in the order elevation, class, cloud: (0 +
+    elevation) + class for elevation and class. A contact without
+    class_probs adds no class term: its class row is computed for a
+    stand-in class and then zeroed. The layout's class_probs length is
+    checked against the class layer here. The arrays come from buffers, or
+    new ones without; class_index as for class_log_likelihood_points.
     """
     require_layers(channels, maps.layers)
-    labeled = []
-    if "class" in channels:
-        labeled = [c.estimated_class is not None for c in contacts]
-        for c, has in zip(contacts, labeled):
-            if has:
-                _check_class_probs(c, maps.class_grid)
-        column = np.array([c.estimated_class if has else 0 for c, has in zip(contacts, labeled)]).reshape(-1, 1)
-
     n = positions.shape[1]
     if buffers is None:
         buffers = ContactBuffers(n)
-    world, cells, index, rows = buffers.views(len(contacts), n)
+    world, cells, index, rows = buffers.views(layout.size, n)
     ll, class_rows = rows
-    # each offset tilted once, as one pose, so a contact's row does not
-    # depend on the others; then turned per particle
-    offsets = np.array([tilt_matrix @ c.offset for c in contacts]).T
-    planar_rotate_add(heading, offsets[:, :, None], positions, world)
+    planar_rotate_add(heading, layout.offsets[:, :, None], positions, world)
     if "elevation" in channels or "class" in channels:
         padded_cells(maps.elevation, world[:2], out=cells, scratch=rows)
     if "elevation" in channels:
@@ -425,13 +484,14 @@ def contacts_log_likelihood(
         elevation_log_likelihood_points(world, maps.elevation, cfg, cells=cells, out=ll)
     else:
         ll.fill(0.0)
-    if any(labeled):
+    if "class" in channels and layout.n_probs is not None:
+        _check_class_probs(layout.n_probs, maps.class_grid)
         class_log_likelihood_points(
-            world[:2], column, maps.class_grid, cfg, cells=cells, out=class_rows, scratch=index
+            world[:2], layout.classes, maps.class_grid, cfg, cells=cells, out=class_rows, scratch=index,
+            class_index=class_index,
         )
-        for row, has in zip(class_rows, labeled):
-            if not has:
-                row.fill(0.0)
+        for k in layout.unlabeled:
+            class_rows[k].fill(0.0)
         ll += class_rows
     if "cloud" in channels:
         ll += cloud_log_likelihood_points(world, maps.cloud, cfg, out=class_rows, scratch=buffers.cloud_scratch)
@@ -442,4 +502,4 @@ def contact_log_likelihood(
     positions, heading, tilt_matrix, contact: ContactMeasurement, channels, maps: MapSet, cfg: LikelihoodConfig
 ) -> np.ndarray:
     """Joint per-particle log-likelihood of one contact, particles as arrays."""
-    return contacts_log_likelihood(positions, heading, tilt_matrix, [contact], channels, maps, cfg)[0]
+    return contacts_log_likelihood(positions, heading, contact_layout([contact], tilt_matrix), channels, maps, cfg)[0]

@@ -34,6 +34,22 @@ reckoning from the previous estimate and only z is taken from the particles,
 so the reported pose never teleports between modes. Either way the estimate's
 attitude is its yaw composed with the step's roll and pitch.
 
+What a step computes is done as rarely as what it depends on allows:
+- once per StepInput, when it is built: the rotation of its tilt and its
+  contact layout, the in-contact offsets tilted by that rotation with their
+  estimated classes and class-probability length (likelihood.ContactLayout);
+- once per filter, in init_filter: the settings, the workspace, and the
+  indexes of the mode's channels, of which the state keeps the class
+  channel's offsets and scores (class_index);
+- once per input, start tilt and odometry covariance: the propagation
+  terms. The first filter to step an input makes them and the input keeps
+  them, keyed by the bytes of that tilt and covariance, so the other modes
+  of a seed, which step the same inputs from the same tilts, reuse them
+  (_shared_terms);
+- per step: the draws, the propagation, the contacts' world points, map
+  lookups and weights, the check of the layout's class-probability length
+  against the filter's class layer, the resample and the estimate.
+
 The state owns its particle arrays. A FilterState allocates, once, every
 particle-sized array a step writes (its _Workspace), and a step writes into
 those, not into new arrays: positions and yaw each alternate between two
@@ -81,10 +97,12 @@ from .geometry import (
 from .likelihood import (
     MODES,
     ContactBuffers,
+    ContactLayout,
     ContactMeasurement,
     LikelihoodConfig,
     class_scores,
     cloud_field,
+    contact_layout,
     contacts_log_likelihood,
     require_layers,
 )
@@ -117,33 +135,63 @@ def _xyz_yaw_block(cov, name) -> np.ndarray:
     return cov[np.ix_(_XYZ_YAW, _XYZ_YAW)]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StepInput:
     """Odometry increment with its 6x6 tangent covariance, the foot contacts,
-    and tilt, the base's (roll, pitch) against gravity at the end of the step."""
+    and tilt, the base's (roll, pitch) against gravity at the end of the step.
+
+    An input is fixed when it is built, and so is the work that depends on it
+    alone, which every filter that steps it reads: tilt_key, the tilt's
+    bytes; rotation, its tilt_matrix; and layout, the contacts in contact
+    (contacts_for_mode) tilted by that rotation and laid out for
+    likelihood.contacts_log_likelihood. The propagation terms also depend on
+    the filter's start tilt and on odom_cov, which the caller may change in
+    place, so the input keeps the last terms a filter made with those as
+    their key (_shared_terms), for the next filter to step it.
+    """
 
     odom_increment: Pose
     odom_cov: np.ndarray
-    contacts: list[ContactMeasurement]
+    contacts: tuple[ContactMeasurement, ...]
     tilt: tuple = (0.0, 0.0)
+    tilt_key: bytes = field(init=False, repr=False)
+    rotation: np.ndarray = field(init=False, repr=False)
+    layout: ContactLayout = field(init=False, repr=False)
+    # [key, (g, u, turn)]: the terms _shared_terms made last, and their key
+    _terms: list = field(init=False, repr=False, default_factory=lambda: [None, None])
 
     def __post_init__(self):
-        self.odom_cov = np.asarray(self.odom_cov, dtype=float)
-        if self.odom_cov.shape != (6, 6):
-            raise ValueError(f"odometry covariance must be 6x6, got {self.odom_cov.shape}")
+        odom_cov = np.asarray(self.odom_cov, dtype=float)
+        if odom_cov.shape != (6, 6):
+            raise ValueError(f"odometry covariance must be 6x6, got {odom_cov.shape}")
         tilt = np.asarray(self.tilt, dtype=float)
         if tilt.shape != (2,):
             raise ValueError(f"tilt must be (roll, pitch), got {self.tilt}")
-        self.tilt = (float(tilt[0]), float(tilt[1]))
         # a non-finite input would turn every particle into nan without a trace
         for name, value in (
             ("odom_increment.position", self.odom_increment.position),
             ("odom_increment.quat", self.odom_increment.quat),
-            ("odom_cov", self.odom_cov),
+            ("odom_cov", odom_cov),
             ("tilt", tilt),
         ):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
+        contacts = tuple(self.contacts)
+        for k, c in enumerate(contacts):
+            if not isinstance(c, ContactMeasurement):
+                raise TypeError(f"contacts[{k}] must be a ContactMeasurement, got {type(c).__name__}")
+        tilt = (float(tilt[0]), float(tilt[1]))
+        rotation = tilt_matrix(*tilt)
+        rotation.flags.writeable = False
+        for name, value in (
+            ("odom_cov", odom_cov),
+            ("contacts", contacts),
+            ("tilt", tilt),
+            ("tilt_key", struct.pack("2d", *tilt)),
+            ("rotation", rotation),
+            ("layout", contact_layout(contacts_for_mode(contacts), rotation)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -227,8 +275,11 @@ class FilterState:
     trajectory: list[Pose]
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     divergence_count: int = 0
+    # the class channel's (offsets, scores) (likelihood.class_scores), bound
+    # by init_filter; None for a mode without the class channel
+    class_index: tuple | None = None
     # the last odometry covariance step factored (a copy) and the factor of
-    # its x, y, z and yaw block; the last tilt whose rotation a step made,
+    # its x, y, z and yaw block; the tilt of the last rotation a step used,
     # as its bytes, and that rotation (geometry.tilt_matrix)
     odom_cov: np.ndarray | None = None
     odom_factor: np.ndarray | None = None
@@ -271,8 +322,9 @@ def init_filter(
     mode, a key of MODES. A mode whose channels need a layer maps lacks
     raises here. The indexes of the mode's channels are requested here, so
     that no step builds one: for the class channel the class layer's squared
-    offsets and their table of scores (likelihood.class_scores), and for the
-    cloud channel the cloud's distance field (likelihood.cloud_field), which
+    offsets and their table of scores (likelihood.class_scores), which the
+    state keeps as class_index for its steps to read, and for the cloud
+    channel the cloud's distance field (likelihood.cloud_field), which
     builds the cloud's kd-tree and finds the field's bricks; steps fill the
     nodes they read.
     """
@@ -290,8 +342,7 @@ def init_filter(
     ):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
-    if "class" in MODES[mode]:
-        class_scores(maps.class_grid, likelihood)
+    class_index = class_scores(maps.class_grid, likelihood) if "class" in MODES[mode] else None
     if "cloud" in MODES[mode]:
         cloud_field(maps.cloud, likelihood)
     rng = np.random.default_rng(seed)
@@ -310,6 +361,7 @@ def init_filter(
         likelihood=likelihood,
         channels=MODES[mode],
         trajectory=[prior_mean],
+        class_index=class_index,
     )
 
 
@@ -443,8 +495,8 @@ def _odom_factor(state: FilterState, cov) -> np.ndarray:
 
 
 def _tilt_matrix(state: FilterState, tilt) -> np.ndarray:
-    """tilt_matrix of tilt, a (roll, pitch) pair, made again only when tilt
-    differs bitwise from the tilt of the cached rotation."""
+    """tilt_matrix of tilt, a (roll, pitch) pair: the state's rotation, that
+    of the last input it stepped, while tilt matches its tilt bitwise."""
     key = struct.pack("2d", *tilt)
     if key != state.tilt_key:
         state.tilt_rotation = tilt_matrix(*tilt)
@@ -470,6 +522,22 @@ def _propagation_terms(start, increment: Pose, factor):
     return g, undo @ (start @ increment.position), turn
 
 
+def _shared_terms(state: FilterState, inp: StepInput):
+    """_propagation_terms from the state's tilt for inp: the terms inp holds
+    when the state's tilt and inp's odometry covariance match their key
+    bitwise, else made, with the state's cached rotation and factor, and
+    kept by inp for the next filter to step it."""
+    cov = inp.odom_cov
+    key = struct.pack("2d", *state.tilt) + cov.tobytes()
+    cached = inp._terms
+    if key != cached[0]:
+        terms = _propagation_terms(_tilt_matrix(state, state.tilt), inp.odom_increment, _odom_factor(state, cov))
+        for a in terms[:2]:
+            a.flags.writeable = False
+        cached[:] = key, terms
+    return cached[1]
+
+
 def contacts_for_mode(contacts) -> list:
     """The contacts a step weighs with its mode's channels: the feet in contact."""
     return [c for c in contacts if c.in_contact]
@@ -478,13 +546,15 @@ def contacts_for_mode(contacts) -> list:
 def step(state: FilterState, inp: StepInput) -> FilterState:
     """Advance the filter by one four-support phase; mutates and returns state.
 
-    Contacts with in_contact False are skipped (contacts_for_mode). The
-    others are weighed against the state's maps and likelihood with the
-    channels of the filter's mode, all together: the particles' cos/sin pair
-    moves them to world points, and each channel queries its map layer once
-    for all of them. Their log-likelihoods are then added to the weights one
-    contact at a time, in contact order. The odometry covariance factor is
-    cached in the state and recomputed, with the full symmetry and PSD
+    Contacts with in_contact False are skipped (the input's layout holds the
+    others). Those are weighed against the state's maps and likelihood with
+    the channels of the filter's mode, all together: the particles' cos/sin
+    pair moves them to world points, and each channel queries its map layer
+    once for all of them. Their log-likelihoods are then added to the
+    weights one contact at a time, in contact order. The propagation terms
+    come from the input when another filter made them for the same start
+    tilt and covariance (_shared_terms); else the odometry covariance factor
+    is cached in the state and recomputed, with the full symmetry and PSD
     checks, only when the covariance changes. A resample may change the
     particle count (_resample_indices); the step's diagnostics keep the
     count it carried.
@@ -496,7 +566,7 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     ws.resize(n)
 
     # propagate: the shared terms once, then 4 draws and one cos/sin pair per particle
-    g, u, turn = _propagation_terms(_tilt_matrix(state, state.tilt), inc, _odom_factor(state, inp.odom_cov))
+    g, u, turn = _shared_terms(state, inp)
     state.rng.standard_normal(out=ws.draws)
     d = np.matmul(g, ws.draws, out=ws.delta)
     yaw = np.add(state.yaw, d[3], out=ws.yaw[_spare(ws.yaw, state.yaw)])
@@ -506,14 +576,14 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     np.add(d[:3], u[:, None], out=d[:3])
     p = planar_rotate_add(ws.heading, d, state.positions, ws.positions[_spare(ws.positions, state.positions)])
     state.positions, state.yaw, state.tilt = p, yaw, inp.tilt
+    # the next step starts from this input's tilt
+    state.tilt_key, state.tilt_rotation = inp.tilt_key, inp.rotation
 
     # the first write of the weights moves them into the workspace
     lw = state.log_weights
-    active = contacts_for_mode(inp.contacts)
-    if active:
-        tilt = _tilt_matrix(state, state.tilt)
+    if inp.layout.size:
         for ll in contacts_log_likelihood(
-            p, ws.heading, tilt, active, state.channels, state.maps, state.likelihood, ws.contacts
+            p, ws.heading, inp.layout, state.channels, state.maps, state.likelihood, ws.contacts, state.class_index
         ):
             lw = np.add(lw, ll, out=ws.log_weights)
 

@@ -565,7 +565,9 @@ def classify_log(log: WalkLog, model) -> WalkLog:
     classifier's class probabilities: model is anything with predict(signals)
     -> (K, C) probs, called once with the walk's signals. A contact without a
     signal, a foot on an unlabeled cell, stays unlabeled. A log without force
-    signals raises."""
+    signals raises. A labeled contact keeps the offset array of the contact
+    it replaces: the constructor takes a checked offset as it is, and copies
+    and checks only the class probabilities."""
     signals = [s for rec in log.records for s in rec.signals if s is not None]
     if not signals:
         raise ValueError("the walk log holds no force signals to classify")

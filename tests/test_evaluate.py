@@ -8,6 +8,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+import hapticloc.mcl as mcl_module
 from hapticloc.evaluate import (
     _INI_KEYS,
     EvalReport,
@@ -90,7 +91,8 @@ def test_to_step_inputs_scales_covariance():
     want = np.diag(1.5**2 * np.full(6, 0.004**2))
     for inp, rec in zip(inputs, log.records):
         assert np.allclose(inp.odom_cov, want, atol=1e-18)
-        assert inp.contacts is rec.contacts
+        # the record's contacts themselves, in a tuple: the input's layout is fixed
+        assert type(inp.contacts) is tuple and list(map(id, inp.contacts)) == list(map(id, rec.contacts))
         assert inp.tilt == rec.tilt
 
 
@@ -374,6 +376,31 @@ def test_modes_sharing_one_input_list_match_a_fresh_list_each():
         assert [d.ess for d in got.diagnostics] == [d.ess for d in want.diagnostics]
     for a, b in zip(shared, to_step_inputs(log)):
         assert np.array_equal(a.odom_cov, b.odom_cov) and a.tilt == b.tilt
+
+
+def test_a_three_mode_tiles_seed_makes_the_propagation_terms_once_per_input(monkeypatch):
+    # HL-G, HL-GC and HL-C start from one prior and step one input list: the
+    # first mode to step an input makes its terms, and the others reuse them
+    terms, steps = [], []
+    make_terms, make_step = mcl_module._propagation_terms, mcl_module.step
+
+    def counted_terms(*args):
+        terms.append(args)
+        return make_terms(*args)
+
+    def counted_step(state, inp):
+        steps.append(inp)
+        return make_step(state, inp)
+
+    monkeypatch.setattr(mcl_module, "_propagation_terms", counted_terms)
+    monkeypatch.setattr(mcl_module, "step", counted_step)
+    cfg = replace(default_tiles_experiment(), waypoints=((0.6, 0.6), (2.0, 0.6), (2.0, 1.2)), n_particles=100,
+                  seeds=(3,))
+    assert cfg.modes == ("HL-G", "HL-GC", "HL-C")
+    run_experiment(cfg)
+    inputs = list(dict.fromkeys(steps))
+    assert len(inputs) > 0 and len(steps) == 3 * len(inputs)
+    assert len(terms) == len(inputs)
 
 
 def test_load_experiment_config_overrides(tmp_path):

@@ -25,6 +25,7 @@ from hapticloc.likelihood import (
     class_log_likelihood_points,
     cloud_field,
     cloud_log_likelihood_points,
+    contact_layout,
     contact_log_likelihood,
     contacts_log_likelihood,
     elevation_log_likelihood_points,
@@ -445,6 +446,37 @@ def test_contact_fields_cannot_be_assigned():
             values[0] = np.nan
 
 
+def test_a_contact_keeps_a_checked_offset_and_copies_any_other():
+    # labeling a contact rebuilds it around the offset array it already holds
+    c = ContactMeasurement((0.2, -0.15, -0.3))
+    labeled = ContactMeasurement(c.offset, class_probs=[0.2, 0.8], in_contact=c.in_contact)
+    assert labeled.offset is c.offset
+    base = np.array([0.2, -0.15, -0.3, 0.0])
+    view = base[:3]
+    view.flags.writeable = False
+    for offset in (np.array([0.2, -0.15, -0.3]), view, c.offset.astype(np.float32)):
+        kept = ContactMeasurement(offset).offset
+        assert kept is not offset and kept.dtype == float and not kept.flags.writeable
+    # a read-only array is still checked
+    bad = np.array([0.2, np.nan, -0.3])
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="offset must be a finite 3-vector"):
+        ContactMeasurement(bad)
+
+
+def test_a_layout_holds_one_class_probs_length():
+    # the class channel compares one length with the class layer
+    layout = contact_layout(
+        [ContactMeasurement((0.0, 0.0, -0.3), class_probs=[0.1, 0.9]), ContactMeasurement((0.1, 0.0, -0.3))], LEVEL
+    )
+    assert layout.n_probs == 2 and layout.unlabeled == (1,) and layout.classes.tolist() == [[1], [0]]
+    assert contact_layout([ContactMeasurement((0.0, 0.0, -0.3))], LEVEL).n_probs is None
+    with pytest.raises(ValueError, match=r"class_probs differ in length: \[2, 3\] entries"):
+        contact_layout(
+            [ContactMeasurement((0.0, 0.0, -0.3), class_probs=p) for p in ([0.1, 0.9], [0.2, 0.3, 0.5])], LEVEL
+        )
+
+
 BAD_ENTRIES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(max_value=-1e-300, allow_infinity=False))
 
 
@@ -519,8 +551,9 @@ def test_batched_contacts_match_one_contact_at_a_time():
         ContactMeasurement(rng.normal(0.0, 0.3, 3), class_probs=None if k == 2 else rng.dirichlet(np.ones(3)))
         for k in range(5)
     ]
+    layout = contact_layout(cs, tilt_matrix(0.05, -0.1))
     for channels in MODES.values():
-        rows = contacts_log_likelihood(positions, heading, tilt_matrix(0.05, -0.1), cs, channels, maps, cfg)
+        rows = contacts_log_likelihood(positions, heading, layout, channels, maps, cfg)
         assert rows.shape == (len(cs), n)
         for row, c in zip(rows, cs):
             assert np.array_equal(
@@ -538,7 +571,8 @@ def test_contact_world_points_match_the_6dof_rotation():
     cs = [ContactMeasurement(rng.normal(0.0, 0.3, 3)) for _ in range(4)]
     buffers = ContactBuffers(n)
     contacts_log_likelihood(
-        positions, heading_of(yaw), tilt_matrix(*tilt), cs, MODES["HL-G"], flat_maps(), LikelihoodConfig(), buffers
+        positions, heading_of(yaw), contact_layout(cs, tilt_matrix(*tilt)), MODES["HL-G"], flat_maps(), LikelihoodConfig(),
+        buffers,
     )
     world = buffers.views(len(cs), n)[0]
     for k, c in enumerate(cs):
@@ -567,9 +601,9 @@ def test_joint_channel_is_sum_of_parts():
     world = pose.position + quat_rotate(pose.quat, foot)
     elevation = elevation_log_likelihood_points(world.reshape(3, 1), maps.elevation, cfg)[0]
     klass = class_log_likelihood_points(world[:2].reshape(2, 1), 0, maps.class_grid, cfg)[0]
-    at_pose = (pose.position.reshape(3, 1), heading_of([0.4]), LEVEL)
+    at_pose = (pose.position.reshape(3, 1), heading_of([0.4]), contact_layout([c], LEVEL))
     for mode, want in (("HL-G", elevation), ("HL-C", klass), ("HL-GC", elevation + klass)):
-        got = contacts_log_likelihood(*at_pose, [c], MODES[mode], maps, cfg)
+        got = contacts_log_likelihood(*at_pose, MODES[mode], maps, cfg)
         assert got.shape == (1, 1)
         assert got[0, 0] == pytest.approx(want, abs=1e-12)
 
@@ -605,5 +639,6 @@ def test_cloud_loglik_single_pose():
     assert math.log(closed_form(0.01 + bound, 0.01)) <= got <= math.log(closed_form(0.01 - bound, 0.01))
     maps = MapSet(ElevationGrid(0.5, (0.0, 0.0), np.zeros((8, 8))), cloud=cloud)
     c = ContactMeasurement(foot)
-    row = contacts_log_likelihood(pose.position.reshape(3, 1), heading_of([0.0]), LEVEL, [c], MODES["HL-3D"], maps, cfg)
+    layout = contact_layout([c], LEVEL)
+    row = contacts_log_likelihood(pose.position.reshape(3, 1), heading_of([0.0]), layout, MODES["HL-3D"], maps, cfg)
     assert row[0, 0] == got

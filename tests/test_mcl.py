@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -565,6 +566,120 @@ def test_batched_step_bit_identical_to_per_contact_step(contact_sets, seed, mode
         assert_same_particles(new, ref)
 
 
+# the work a step input shares: every filter that steps it reads its
+# contact layout, and the first to step it from a start tilt and odometry
+# covariance leaves its propagation terms for the others
+
+
+def assert_same_run(a, b):
+    """Bit-identical particles, trajectories and diagnostics."""
+    assert_same_particles(a, b)
+    assert [p.to_array().tobytes() for p in a.trajectory] == [p.to_array().tobytes() for p in b.trajectory]
+    assert [(d.ess, d.xy_std.tobytes(), d.branch, d.n_particles) for d in a.diagnostics] == [
+        (d.ess, d.xy_std.tobytes(), d.branch, d.n_particles) for d in b.diagnostics
+    ]
+
+
+SHARED_MODES = ("HL-G", "HL-GC", "HL-C")
+
+
+@st.composite
+def shared_walks(draw):
+    """1-4 steps, each an increment, contacts and a tilt; -0.0 and 0.0 tilts
+    differ in their bytes."""
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        position = np.array([draw(st.floats(-0.05, 0.08)), draw(st.floats(-0.03, 0.03)), 0.0])
+        rotvec = [draw(st.floats(-0.02, 0.02)), draw(st.floats(-0.02, 0.02)), draw(st.floats(-0.1, 0.1))]
+        tilt = draw(st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (0.04, -0.03)]))
+        steps.append((Pose(position, quat_from_rotvec(rotvec)), draw(oracle_contacts()), tilt))
+    return steps
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shared_walks(),
+    st.permutations(SHARED_MODES),
+    st.booleans(),
+    st.lists(st.sampled_from([(0.0, 0.0), (0.05, -0.04)]), min_size=3, max_size=3),
+    st.lists(st.sampled_from([1.0, 2.0]), min_size=3, max_size=3),
+    st.integers(0, 2**16),
+)
+def test_modes_sharing_inputs_match_modes_on_inputs_of_their_own(walk, order, interleaved, tilts, scales, seed):
+    # the three modes in any order, one after another or step by step, from
+    # priors that may differ in tilt, with the one odometry covariance the
+    # inputs hold changed in place before each filter steps: each mode runs
+    # as it does alone over inputs built for it
+    maps, cfg = ORACLE_MAPS, LikelihoodConfig(sigma_z=0.02, sigma_c=0.2)
+    prior_cov = np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1])
+    odom_cov = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
+    per_mode = dict(zip(SHARED_MODES, zip(tilts, scales)))
+
+    def start(mode):
+        prior = Pose(np.array([2.0, 1.5, 0.3]), quat_from_euler(*per_mode[mode][0], 0.3))
+        return new_filter(prior, prior_cov, maps, cfg, mode=mode, n_particles=64, seed=seed)
+
+    def inputs(cov):
+        return [StepInput(inc, cov, cs, tilt) for inc, cs, tilt in walk]
+
+    cov = odom_cov.copy()
+    shared = inputs(cov)
+    filters = {mode: start(mode) for mode in order}
+
+    def step_as(mode, inp):
+        cov[...] = per_mode[mode][1] * odom_cov
+        step(filters[mode], inp)
+
+    if interleaved:
+        for inp in shared:
+            for mode in order:
+                step_as(mode, inp)
+    else:
+        for mode in order:
+            for inp in shared:
+                step_as(mode, inp)
+    for mode in order:
+        assert_same_run(filters[mode], run_filter(start(mode), inputs(per_mode[mode][1] * odom_cov)))
+
+
+def test_a_step_input_holds_its_contacts_in_a_tuple():
+    cs = contacts()
+    inp = StepInput(STILL, ODOM_COV, cs)
+    assert type(inp.contacts) is tuple and list(map(id, inp.contacts)) == list(map(id, cs))
+    # the layout is made when the input is built, so the input is fixed
+    for name, value in (("contacts", []), ("tilt", (0.1, 0.0)), ("odom_cov", np.eye(6))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(inp, name, value)
+    cs.pop()
+    assert len(inp.contacts) == 4 and inp.layout.size == 4
+
+
+@pytest.mark.parametrize("bad", [FEET[0], None, (0.2, 0.15, -0.3)], ids=["array", "none", "tuple"])
+def test_a_step_input_refuses_an_entry_that_is_not_a_contact(bad):
+    cs = contacts()
+    cs[2] = bad
+    with pytest.raises(TypeError) as e:
+        StepInput(STILL, ODOM_COV, cs)
+    assert str(e.value) == f"contacts[2] must be a ContactMeasurement, got {type(bad).__name__}"
+
+
+def test_a_class_step_reads_the_scores_its_filter_bound(monkeypatch):
+    # init_filter binds the class channel's offsets and scores once; a step
+    # passes them on and never looks them up
+    maps = oracle_maps()
+    cs = [ContactMeasurement(f, class_probs=np.eye(N_ORACLE_CLASSES)[k]) for k, f in enumerate(FEET)]
+    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
+    for mode in ("HL-GC", "HL-C"):
+        st = new_filter(stand_pose(2.0, 1.5), np.eye(6) * 1e-3, maps, mode=mode, n_particles=100)
+        bound = likelihood_module.class_scores(maps.class_grid, st.likelihood)
+        assert all(a is b for a, b in zip(st.class_index, bound))
+        monkeypatch.setattr(likelihood_module, "class_scores", None)
+        for _ in range(3):
+            step(st, inp)
+        monkeypatch.undo()
+    assert new_filter(stand_pose(), np.eye(6) * 1e-3, maps, mode="HL-G").class_index is None
+
+
 # the cached odometry covariance factor
 
 
@@ -879,10 +994,11 @@ def test_class_scores_are_made_in_init_filter_and_only_read_by_a_step(monkeypatc
     assert calls == [("init_filter", (offsets.k_max + 2,))]
 
 
-def test_a_level_walk_builds_its_tilt_matrix_once(monkeypatch):
-    # the propagation of each step and the contacts share one rotation per
-    # distinct tilt: the level prior's, which every level step reuses; a
-    # tilted step makes one for its tilt, and the next step starts from it
+def test_each_input_builds_its_tilt_matrix_once(monkeypatch):
+    # an input makes the rotation of its tilt when it is built, for its
+    # contacts; a step starts from the rotation of the input its filter
+    # stepped last, so steps make none but the prior's, and only the first
+    # filter to step an input makes that: the second reuses its terms
     builds = []
     make = mcl_module.tilt_matrix
 
@@ -891,15 +1007,15 @@ def test_a_level_walk_builds_its_tilt_matrix_once(monkeypatch):
         return make(roll, pitch)
 
     monkeypatch.setattr(mcl_module, "tilt_matrix", counted)
-    st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=100)
-    for _ in range(5):
-        step(st, forward_input())
+    level = [forward_input() for _ in range(3)]
+    tilted = StepInput(level[0].odom_increment, level[0].odom_cov, contacts(), (0.1, -0.05))
+    assert builds == [(0.0, 0.0)] * 3 + [(0.1, -0.05)]
+    builds.clear()
+    filters = [new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=100, seed=s) for s in (1, 2)]
+    for inp in level + [tilted, tilted] + level:
+        for st in filters:
+            step(st, inp)
     assert builds == [(0.0, 0.0)]
-    tilted = forward_input()
-    tilted.tilt = (0.1, -0.05)
-    step(st, tilted)
-    step(st, tilted)
-    assert builds == [(0.0, 0.0), (0.1, -0.05)]
 
 
 def test_a_1cm_class_layer_keeps_one_byte_offsets_and_no_float_fields():
