@@ -6,19 +6,20 @@
     python scripts/output_digest.py --against HEAD~ --seeds 1 2 3
     python scripts/output_digest.py --write
 
-Runs the three default experiments (chevron, class-tiles, wall-room) and the
-benchmark's three configurations (perfbench/run.py: class-tiles on a 1 cm
-map, chevron at 10k particles, wall-room at 5k particles) for the given
-seeds into a temporary directory; --experiments picks some of the six.
+Runs each course kind's default experiment (sim.COURSES: chevron,
+class-tiles, wall-room) and the benchmark's three configurations
+(perfbench/run.py: class-tiles on a 1 cm map, chevron at 10k particles,
+wall-room at 5k particles) for the given seeds into a temporary directory;
+--experiments picks some of the six.
 Prints one "<sha256>  <experiment>/<file>" line for report.csv and for every
 file under seed_N/. Run it on two checkouts and diff the outputs to check
 that a change keeps every file byte-identical.
 
 --against REV does that in one run: it exports the git revision REV with
 git archive into a temporary directory, runs the same experiments and
-seeds with this script there (on REV's package) and here, and prints each
-file whose digest differs, or that only one side wrote; it exits 1 if any
-does.
+seeds there with REV's own copy of this script (on REV's package, with
+the experiments as REV builds them) and here, and prints each file whose
+digest differs, or that only one side wrote; it exits 1 if any does.
 
 --write instead writes the golden digests that tests/test_golden.py checks,
 to tests/golden_digests.txt: GOLDEN's experiments and seeds, under a header
@@ -29,9 +30,9 @@ which both move filter outputs in their last bits.
 
 import argparse
 import ctypes
+import functools
 import hashlib
 import io
-import shutil
 import subprocess
 import sys
 import tarfile
@@ -48,16 +49,16 @@ import scipy  # noqa: E402
 
 from hapticloc.evaluate import (  # noqa: E402
     default_chevron_experiment,
+    default_experiment,
     default_tiles_experiment,
     default_wallroom_experiment,
     run_experiment,
 )
-from hapticloc.sim import CourseSpec  # noqa: E402
+from hapticloc.sim import COURSES, CourseSpec  # noqa: E402
 
+# each course kind's default experiment, under its name, then the benchmark's
 EXPERIMENTS = {
-    "chevron": default_chevron_experiment,
-    "class-tiles": default_tiles_experiment,
-    "wall-room": default_wallroom_experiment,
+    **{entry.experiment: functools.partial(default_experiment, kind) for kind, entry in COURSES.items()},
     "tiles-1cm-n500": lambda: replace(
         default_tiles_experiment(), course=CourseSpec("class-tiles", resolution=0.01)
     ),
@@ -129,10 +130,9 @@ def digests_against(rev: str, experiments, seeds):
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
-        # this script, run from the export, digests the export's package
+        # the export's own copy of this script digests the export's package
+        # with the experiments as REV builds them
         script = Path(tmp) / "scripts" / "output_digest.py"
-        script.parent.mkdir(exist_ok=True)
-        shutil.copyfile(__file__, script)
         cmd = [sys.executable, str(script), "--seeds", *map(str, seeds), "--experiments", *experiments]
         theirs = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
         ours = list(digest_lines((name, seeds) for name in experiments))

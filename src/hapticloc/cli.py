@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: make-course, simulate, localize, eval, run-experiment.
-A course directory holds course.hmap plus course.cmap / course.xyz when the
-course has those layers. Failures print one `error: ...` line on stderr and
-exit nonzero.
+A course directory holds course.ini, which names its course kind
+([course] kind = ...), and exactly that kind's layer files: course.hmap,
+plus course.cmap / course.xyz when the kind has the class / cloud layer.
+make-course writes them; simulate and localize take their settings from
+the kind's default experiment, and refuse a directory whose files do not
+match its kind. Failures print one `error: ...` line on stderr and exit
+nonzero.
 
 On a mode that reads terrain classes, localize fuses the class
 probabilities of the logistic baseline that run-experiment trains for
@@ -28,43 +32,68 @@ from .mcl import write_diagnostics_csv
 from .sim import CourseSpec
 
 
-# the file of each map layer in a course directory
+# the file that names a course directory's kind, and the file of each map layer
+_KIND_FILE = "course.ini"
 _LAYER_FILES = {"elevation": "course.hmap", "class": "course.cmap", "cloud": "course.xyz"}
 
 
-def save_course_dir(maps: MapSet, out_dir) -> list:
+def save_course_dir(kind: str, maps: MapSet, out_dir) -> list:
+    """Write the map layers, then course.ini naming their kind; remove the
+    layer files of another kind that out_dir held, which the kind would
+    refuse."""
     os.makedirs(out_dir, exist_ok=True)
+    for name, file in _LAYER_FILES.items():
+        if name not in maps.layers and os.path.isfile(os.path.join(out_dir, file)):
+            os.remove(os.path.join(out_dir, file))
     written = []
     for name, layer in maps.layers.items():
         written.append(os.path.join(out_dir, _LAYER_FILES[name]))
         save_map(layer, written[-1])
+    written.append(os.path.join(out_dir, _KIND_FILE))
+    with open(written[-1], "w") as f:
+        f.write(f"[course]\nkind = {kind}\n")
     return written
 
 
-def load_course_dir(path) -> MapSet:
+def load_course_dir(path) -> tuple:
+    """(kind, MapSet) of a course directory: the kind its course.ini names
+    and that kind's map layers, each from its file."""
+    ini = os.path.join(path, _KIND_FILE)
+    if not os.path.isfile(ini):
+        raise FileNotFoundError(f"no {_KIND_FILE} in {path} to name the course kind")
+    cp = evaluate.read_ini(ini)
+    if cp.sections() != ["course"] or list(cp["course"]) != ["kind"]:
+        raise ValueError(f"{ini}: expected a [course] section with the one key kind")
+    kind = cp["course"]["kind"]
+    if kind not in sim.COURSES:
+        raise ValueError(f"{ini}: unknown course kind {kind!r}")
+    kind_layers = sim.COURSES[kind].layers
     files = {name: os.path.join(path, file) for name, file in _LAYER_FILES.items()}
-    if not os.path.isfile(files["elevation"]):
-        raise FileNotFoundError(f"no course.hmap in {path}")
-    layers = {name: load_map(file) for name, file in files.items() if os.path.isfile(file)}
+    for name, file in files.items():
+        if name in kind_layers and not os.path.isfile(file):
+            raise FileNotFoundError(f"no {_LAYER_FILES[name]} in {path}: a {kind} course has the layers {kind_layers}")
+        if name not in kind_layers and os.path.isfile(file):
+            raise ValueError(f"{file}: a {kind} course has no {name} layer, only {kind_layers}")
+    layers = {name: load_map(files[name]) for name in kind_layers}
     if "class" in layers:
         try:
             check_same_lattice(layers["class"], layers["elevation"])
         except ValueError as e:
             raise ValueError(f"{files['class']}: not on the lattice of {files['elevation']}: {e}") from e
-    return MapSet(layers["elevation"], class_grid=layers.get("class"), cloud=layers.get("cloud"))
+    return kind, MapSet(layers["elevation"], class_grid=layers.get("class"), cloud=layers.get("cloud"))
 
 
 def _cmd_make_course(args) -> int:
     spec = CourseSpec(args.kind, resolution=args.resolution, seed=args.seed)
     course = sim.generate_course(spec)
-    for path in save_course_dir(course, args.out):
+    for path in save_course_dir(spec.kind, course, args.out):
         print(path)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    course = load_course_dir(args.course)
-    cfg = evaluate.default_experiment(course)
+    kind, course = load_course_dir(args.course)
+    cfg = evaluate.default_experiment(kind)
     if args.waypoints:
         cfg = replace(cfg, waypoints=evaluate.parse_waypoints(args.waypoints))
     log = evaluate.walk(cfg, course, args.seed)
@@ -75,8 +104,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    course = load_course_dir(args.course)
-    cfg = evaluate.default_experiment(course)
+    kind, course = load_course_dir(args.course)
+    cfg = evaluate.default_experiment(kind)
     if args.particles is not None:
         cfg = replace(cfg, n_particles=args.particles)
     mode = args.mode or cfg.modes[0]
@@ -144,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-course", help="generate a synthetic course into a directory")
-    p.add_argument("--kind", required=True, choices=sim.COURSE_KINDS)
+    p.add_argument("--kind", required=True, choices=tuple(sim.COURSES))
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--resolution", type=float, default=0.05)
     p.add_argument("--out", required=True, help="output directory")

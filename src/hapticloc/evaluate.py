@@ -21,7 +21,7 @@ from .likelihood import MODES, LikelihoodConfig, require_layers
 from .maps import MapSet
 from .mcl import FilterState, StepInput, init_filter, run_filter, write_diagnostics_csv
 from .sim import (
-    COURSE_LAYERS,
+    COURSES,
     N_TERRAIN_CLASSES,
     CourseSpec,
     NoiseSpec,
@@ -94,8 +94,9 @@ def to_step_inputs(log: WalkLog) -> list:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs. Every setting is an INI key (see
-    _INI_KEYS) but course.kind, which picks the builder, and course.seed,
-    which each seed of a run sets; the fixed ones are module constants."""
+    _INI_KEYS) but course.kind, which picks the sim.COURSES entry, and
+    course.seed, which each seed of a run sets; the fixed ones are module
+    constants."""
 
     name: str
     course: CourseSpec
@@ -115,10 +116,11 @@ class ExperimentConfig:
             raise ValueError(f"[filter] particles must be at least 1, got {self.n_particles}")
         if not 0.0 <= self.prior_std_xyz < np.inf:
             raise ValueError(f"[filter] prior_std_xyz must be finite and non-negative, got {self.prior_std_xyz}")
+        entry = COURSES[self.course.kind]
         if self.waypoints is not None:
             check_waypoints(self.waypoints)
-        elif self.course.kind != "wall-room":
-            raise ValueError(f"a {self.course.kind} experiment needs waypoints: only wall-room has a scripted walk")
+        elif entry.waypoints is not None:
+            raise ValueError(f"a {self.course.kind} experiment needs waypoints: its course kind has no scripted walk")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes {self.modes} repeat a mode")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -130,7 +132,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown mode {mode!r}, expected one of {tuple(MODES)} (odom-only is always reported)"
                 )
-            require_layers(MODES[mode], COURSE_LAYERS[self.course.kind])
+            require_layers(MODES[mode], entry.layers)
 
     def prior_cov(self) -> np.ndarray:
         """The 6x6 tangent covariance of the filter prior; roll and pitch, which
@@ -139,86 +141,23 @@ class ExperimentConfig:
         return np.diag([xyz**2, xyz**2, z**2, 0.0, 0.0, yaw**2])
 
 
-# both long legs cross the feature strip so drift never builds for long
-CHEVRON_WAYPOINTS = (
-    (1.0, 0.7),
-    (6.2, 0.7),
-    (6.2, 1.3),
-    (1.0, 1.3),
-    (1.0, 0.7),
-    (6.2, 0.7),
-    (6.2, 1.3),
-    (1.0, 1.3),
-)
-
-TILES_WAYPOINTS = (
-    (0.6, 0.6),
-    (6.4, 0.6),
-    (6.4, 1.75),
-    (0.6, 1.75),
-    (0.6, 2.9),
-    (6.4, 2.9),
-    (6.4, 1.75),
-    (0.6, 1.75),
-)
+def default_experiment(kind: str) -> ExperimentConfig:
+    """The default experiment of a course kind, from its sim.COURSES entry."""
+    course = CourseSpec(kind)
+    entry = COURSES[kind]
+    return ExperimentConfig(entry.experiment, course, entry.waypoints, entry.noise, modes=entry.modes)
 
 
 def default_chevron_experiment() -> ExperimentConfig:
-    """Uneven-terrain loop with drifting odometry; geometry-only localization."""
-    return ExperimentConfig(
-        name="chevron",
-        course=CourseSpec("chevron-ramp"),
-        waypoints=CHEVRON_WAYPOINTS,
-        noise=NoiseSpec(
-            white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002),
-            z_bias=0.0015,
-            yaw_bias=0.0003,
-        ),
-        modes=("HL-G",),
-    )
+    return default_experiment("chevron-ramp")
 
 
 def default_tiles_experiment() -> ExperimentConfig:
-    """Material-tile field: geometry, geometry+class, and class-only modes."""
-    return ExperimentConfig(
-        name="class-tiles",
-        course=CourseSpec("class-tiles"),
-        waypoints=TILES_WAYPOINTS,
-        noise=NoiseSpec(
-            white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002),
-            z_bias=0.0015,
-            yaw_bias=0.0006,
-        ),
-        modes=("HL-G", "HL-GC", "HL-C"),
-    )
+    return default_experiment("class-tiles")
 
 
 def default_wallroom_experiment() -> ExperimentConfig:
-    """Flat room with two walls, offset prior, scripted probing; 3D cloud mode."""
-    return ExperimentConfig(
-        name="wall-room",
-        course=CourseSpec("wall-room"),
-        waypoints=None,
-        noise=NoiseSpec(white_std=(0.005, 0.005, 0.002, 0.0003, 0.0003, 0.001)),
-        modes=("HL-3D",),
-    )
-
-
-_DEFAULT_BUILDERS = {
-    "chevron-ramp": default_chevron_experiment,
-    "class-tiles": default_tiles_experiment,
-    "wall-room": default_wallroom_experiment,
-}
-_KIND_OF_LAYERS = {frozenset(layers): kind for kind, layers in COURSE_LAYERS.items()}
-
-
-def default_experiment(maps: MapSet) -> ExperimentConfig:
-    """The default experiment of the course kind whose layers maps has."""
-    layers = tuple(maps.layers)
-    kind = _KIND_OF_LAYERS.get(frozenset(layers))
-    if kind is None:
-        raise ValueError(f"no course kind has the map layers {layers}; the kinds have {COURSE_LAYERS}")
-    return _DEFAULT_BUILDERS[kind]()
+    return default_experiment("wall-room")
 
 
 def make_training_set(per_class: int, seed: int):
@@ -244,8 +183,8 @@ def _reads_class(cfg: ExperimentConfig) -> bool:
 
 
 def walk(cfg: ExperimentConfig, course: MapSet, seed: int) -> WalkLog:
-    """The experiment's walk: its waypoints, or with none the course kind's
-    scripted walk, which only wall-room has (the wall probe)."""
+    """The experiment's walk: its waypoints, or with none the wall room's
+    probe walk, the one scripted walk (see sim.CourseKind)."""
     if cfg.waypoints is None:
         return probe_scenario(course, cfg.noise, seed)
     return simulate_walk(course, cfg.waypoints, cfg.noise, seed)
@@ -382,8 +321,8 @@ def _tuple_of(parse):
 
 
 # (section, key) -> (ExperimentConfig field or field.subfield, parser of the
-# value). [experiment] kind picks the builder the file starts from, and out
-# is the run directory, not a setting.
+# value). [experiment] kind picks the default experiment the file starts
+# from, and out is the run directory, not a setting.
 _INI_KEYS = {
     ("experiment", "name"): ("name", str),
     ("experiment", "seeds"): ("seeds", _tuple_of(int)),
@@ -402,15 +341,11 @@ _INI_KEYS = {
 _INI_SECTIONS = tuple(dict.fromkeys(section for section, _ in _INI_KEYS))
 
 
-def load_experiment_config(path):
-    """Parse an INI experiment file; unset keys keep the course's defaults.
-
-    Returns (ExperimentConfig, out_dir or None). A section or key outside
-    _INI_KEYS, or a value that does not parse, raises a ValueError naming
-    the file, the section and the key; a file that is not INI syntax (no
-    section header, a section or key listed twice) raises one naming the
-    file. Values are literal text: a '%' in one is not interpolation.
-    """
+def read_ini(path) -> configparser.ConfigParser:
+    """Parse an INI file whose values are literal text: a '%' in one is not
+    interpolation. A file that cannot be read, or is not INI syntax (no
+    section header, a section or key listed twice), raises a one-line
+    ValueError naming the file."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
@@ -419,12 +354,24 @@ def load_experiment_config(path):
         raise ValueError(f"{path}: {' '.join(str(e).split())}") from e
     if not read:
         raise ValueError(f"cannot read config file {path}")
+    return cp
+
+
+def load_experiment_config(path):
+    """Parse an INI experiment file; unset keys keep the course's defaults.
+
+    Returns (ExperimentConfig, out_dir or None). A section or key outside
+    _INI_KEYS, or a value that does not parse, raises a ValueError naming
+    the file, the section and the key; a file that read_ini refuses raises
+    one naming the file.
+    """
+    cp = read_ini(path)
     if "experiment" not in cp or "kind" not in cp["experiment"]:
         raise ValueError(f"{path}: config needs an [experiment] section with a 'kind' key")
     kind = cp["experiment"]["kind"]
-    if kind not in _DEFAULT_BUILDERS:
+    if kind not in COURSES:
         raise ValueError(f"{path}: unknown course kind {kind!r}")
-    cfg = _DEFAULT_BUILDERS[kind]()
+    cfg = default_experiment(kind)
 
     updates, sub_updates = {}, {}
     for section in cp.sections():

@@ -49,6 +49,7 @@ import functools
 import hashlib
 import io
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,11 +152,11 @@ class CourseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in COURSE_KINDS:
-            raise ValueError(f"unknown course kind {self.kind!r}, expected one of {COURSE_KINDS}")
+        if self.kind not in COURSES:
+            raise ValueError(f"unknown course kind {self.kind!r}, expected one of {tuple(COURSES)}")
         if not 0.0 < self.resolution < np.inf:
             raise ValueError(f"course resolution must be finite and positive, got {self.resolution}")
-        for axis, size in zip("xy", _COURSES[self.kind][2]):
+        for axis, size in zip("xy", COURSES[self.kind].extent):
             if round(size / self.resolution) < 1:
                 raise ValueError(
                     f"course resolution {self.resolution} leaves the {size} m {axis} extent "
@@ -180,6 +181,10 @@ CHEVRON_STRIP_Y = (0.2, 1.6)
 CHEVRON_BLOCK = 0.25
 CHEVRON_BLOCK_HMAX = 0.10
 CHEVRON_TILT = 0.025  # gentle cross slope so lateral position is observable early
+
+# the chevron experiment's loop, walked twice: both long legs cross the
+# feature strip so drift never builds for long
+CHEVRON_WAYPOINTS = ((1.0, 0.7), (6.2, 0.7), (6.2, 1.3), (1.0, 1.3)) * 2
 
 
 def _chevron_course(spec: CourseSpec) -> MapSet:
@@ -228,6 +233,9 @@ TILES_PLATFORM_Y = (1.25, 2.25)
 TILES_PLATFORM_H = 0.20
 TILES_RAMP_LEN = 0.5
 
+# the tiles experiment's walk: four legs along x, two over the platform
+TILES_WAYPOINTS = ((0.6, 0.6), (6.4, 0.6), (6.4, 1.75), (0.6, 1.75), (0.6, 2.9), (6.4, 2.9), (6.4, 1.75), (0.6, 1.75))
+
 
 def _tiles_course(spec: CourseSpec) -> MapSet:
     size_x, size_y = TILES_SIZE
@@ -262,7 +270,7 @@ def _tiles_course(spec: CourseSpec) -> MapSet:
     )
 
 
-# the wall-room course's scripted walk (probe_scenario): base start, lateral
+# the wall room's scripted walk (probe_scenario): base start, lateral
 # walk length and its count of steps, the probing leg's reach from the base
 # and its probe height, and the offset of the filter prior from the true
 # start pose
@@ -273,7 +281,7 @@ PROBE_REACH = 0.8
 PROBE_HEIGHT = 0.3
 PROBE_PRIOR_OFFSET = (0.10, 0.10, 0.0)
 
-# the wall-room course: floor extent, the two wall planes, wall height,
+# the wall room: floor extent, the two wall planes, wall height,
 # cloud point spacing, and the flat grid border around the floor
 WALL_ROOM_FLOOR_X = (-0.5, 2.0)
 WALL_ROOM_FLOOR_Y = (-2.0, 1.0)
@@ -315,20 +323,52 @@ def _wall_room_maps(res: float) -> MapSet:
     return MapSet(elevation=elevation, cloud=PointCloudMap(np.vstack([floor, front, side])))
 
 
-# course kind -> (its builder, the map layers the builder makes, the x and y
-# extent in metres of its lattice, round(extent / resolution) cells each)
-_COURSES = {
-    "chevron-ramp": (_chevron_course, ("elevation",), CHEVRON_SIZE),
-    "class-tiles": (_tiles_course, ("elevation", "class"), TILES_SIZE),
-    "wall-room": (_wall_room_course, ("elevation", "cloud"), WALL_ROOM_SIZE),
+@dataclass(frozen=True)
+class CourseKind:
+    """Everything that makes a course kind: the builder of its map layers,
+    the layers it makes, the x and y extent in metres of its lattice
+    (round(extent / resolution) cells each), and its default experiment's
+    plain settings (evaluate.default_experiment). Waypoints None make its
+    default walk the wall room's probe walk (probe_scenario), whose PROBE_*
+    constants fit the wall room's geometry only: a kind with a scripted
+    walk of its own needs a new field here that names its walker."""
+
+    builder: Callable[[CourseSpec], MapSet]
+    layers: tuple
+    extent: tuple
+    experiment: str
+    waypoints: tuple | None
+    noise: NoiseSpec
+    modes: tuple
+
+
+# one entry per course kind. A course directory names its kind, so two
+# kinds may share a builder and layers.
+COURSES = {
+    # uneven-terrain loop with drifting odometry; geometry-only localization
+    "chevron-ramp": CourseKind(
+        _chevron_course, ("elevation",), CHEVRON_SIZE,
+        experiment="chevron", waypoints=CHEVRON_WAYPOINTS, modes=("HL-G",),
+        noise=NoiseSpec(white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002), z_bias=0.0015, yaw_bias=0.0003),
+    ),
+    # material-tile field: geometry, geometry+class, and class-only modes
+    "class-tiles": CourseKind(
+        _tiles_course, ("elevation", "class"), TILES_SIZE,
+        experiment="class-tiles", waypoints=TILES_WAYPOINTS, modes=("HL-G", "HL-GC", "HL-C"),
+        noise=NoiseSpec(white_std=(0.004, 0.004, 0.003, 0.0004, 0.0004, 0.002), z_bias=0.0015, yaw_bias=0.0006),
+    ),
+    # flat room with two walls, offset prior, scripted probing; 3D cloud mode
+    "wall-room": CourseKind(
+        _wall_room_course, ("elevation", "cloud"), WALL_ROOM_SIZE,
+        experiment="wall-room", waypoints=None, modes=("HL-3D",),
+        noise=NoiseSpec(white_std=(0.005, 0.005, 0.002, 0.0003, 0.0003, 0.001)),
+    ),
 }
-COURSE_LAYERS = {kind: layers for kind, (_, layers, _) in _COURSES.items()}
-COURSE_KINDS = tuple(_COURSES)
 
 
 def generate_course(spec: CourseSpec) -> MapSet:
     """Build the named course's map layers, deterministic in the seed."""
-    return _COURSES[spec.kind][0](spec)
+    return COURSES[spec.kind].builder(spec)
 
 
 def sample_signal_length(rng: np.random.Generator) -> int:

@@ -173,7 +173,8 @@ def test_make_course_layers(tmp_path, capsys):
     assert code == 0
     assert (d / "course.hmap").exists()
     assert not (d / "course.cmap").exists()
-    assert str(d / "course.hmap") in out
+    assert out.split() == [str(d / "course.hmap"), str(d / "course.ini")]
+    assert (d / "course.ini").read_text() == "[course]\nkind = chevron-ramp\n"
 
     d2 = tmp_path / "tiles"
     code, out, _ = run(capsys, "make-course", "--kind", "class-tiles", "--out", str(d2))
@@ -184,8 +185,8 @@ def test_make_course_layers(tmp_path, capsys):
     code, out, _ = run(capsys, "make-course", "--kind", "wall-room", "--out", str(d3))
     assert code == 0
     assert (d3 / "course.xyz").exists()
-    maps = load_course_dir(d3)
-    assert maps.cloud is not None
+    kind, maps = load_course_dir(d3)
+    assert kind == "wall-room" and maps.cloud is not None
 
 
 def test_simulate_writes_log_and_hash(tmp_path, capsys):
@@ -257,7 +258,7 @@ def test_wall_probe_flow_and_localize(tmp_path, capsys):
     assert code == 0, err
     log = load_walklog(log_path)
     cfg = default_wallroom_experiment()
-    want = run_localization(log.init_prior, to_step_inputs(log), load_course_dir(d), "HL-3D", cfg, seed=0)
+    want = run_localization(log.init_prior, to_step_inputs(log), load_course_dir(d)[1], "HL-3D", cfg, seed=0)
     save_trajectory(tmp_path / "want.traj", want.trajectory, log.timestamps())
     assert (out_dir / "estimate.traj").read_bytes() == (tmp_path / "want.traj").read_bytes()
 
@@ -381,17 +382,97 @@ def test_localize_on_each_course_kind(kind, mode, walk, tmp_path, capsys):
 
 
 def test_course_layers_matching_no_kind_error(tmp_path, capsys):
+    # a layer file the kind does not have is refused, not taken as another kind
     d = tmp_path / "tiles"
     run(capsys, "make-course", "--kind", "class-tiles", "--out", str(d))
     room = tmp_path / "room"
     run(capsys, "make-course", "--kind", "wall-room", "--out", str(room))
     shutil.copy(room / "course.xyz", d / "course.xyz")
-    code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(tmp_path / "no.log"),
-                       "--out", str(tmp_path / "loc"))
-    assert code == 1
-    assert err.startswith("error:") and "('elevation', 'class', 'cloud')" in err
-    code, _, err = run(capsys, "simulate", "--course", str(d), "--out", str(tmp_path / "x.log"))
-    assert code == 1 and "('elevation', 'class', 'cloud')" in err
+    want = f"error: {d / 'course.xyz'}: a class-tiles course has no cloud layer, only ('elevation', 'class')\n"
+    code, out, err = run(capsys, "localize", "--course", str(d), "--walklog", str(tmp_path / "no.log"),
+                         "--out", str(tmp_path / "loc"))
+    assert (code, out, err) == (1, "", want)
+    code, out, err = run(capsys, "simulate", "--course", str(d), "--out", str(tmp_path / "x.log"))
+    assert (code, out, err) == (1, "", want)
+
+
+def test_a_class_tiles_course_without_its_class_layer_is_refused(tmp_path, capsys):
+    # with course.cmap deleted, simulate once walked the chevron experiment's
+    # 452 steps, and localize ran HL-G on the class-tiles walk
+    d, log_path = tiles_walk(tmp_path, capsys)
+    (d / "course.cmap").unlink()
+    want = f"error: no course.cmap in {d}: a class-tiles course has the layers ('elevation', 'class')\n"
+    code, out, err = run(capsys, "simulate", "--course", str(d), "--seed", "1", "--out", str(tmp_path / "x.csv"))
+    assert (code, out, err) == (1, "", want)
+    assert not (tmp_path / "x.csv").exists()
+    code, out, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path),
+                         "--out", str(tmp_path / "loc"))
+    assert (code, out, err) == (1, "", want)
+    assert not (tmp_path / "loc").exists()
+
+
+def test_a_course_directory_that_names_no_known_kind_is_refused(tmp_path, capsys):
+    d = tmp_path / "chev"
+    run(capsys, "make-course", "--kind", "chevron-ramp", "--out", str(d))
+    ini = d / "course.ini"
+    for body, message in [
+        (None, f"no course.ini in {d} to name the course kind"),
+        ("[course]\nkind = volcano\n", f"{ini}: unknown course kind 'volcano'"),
+        ("[course]\nkind = chevron-ramp\nseed = 1\n", f"{ini}: expected a [course] section with the one key kind"),
+        ("[walk]\nkind = chevron-ramp\n", f"{ini}: expected a [course] section with the one key kind"),
+        ("kind = chevron-ramp\n", f"{ini}: File contains no section headers."),
+    ]:
+        if body is None:
+            ini.unlink()
+        else:
+            ini.write_text(body)
+        for argv in (
+            ("simulate", "--course", str(d), "--out", str(tmp_path / "x.csv")),
+            ("localize", "--course", str(d), "--walklog", str(tmp_path / "no.csv"), "--out", str(tmp_path / "loc")),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and len(err.splitlines()) == 1, err
+            assert err.startswith(f"error: {message}"), err
+
+
+def test_two_kinds_with_the_same_layers_walk_their_own_experiments(tmp_path, capsys, monkeypatch):
+    # a kind made only here, with the chevron ramp's builder and layers but
+    # a walk of its own: its directory names it, so simulate walks its
+    # waypoints, and a chevron-ramp directory still walks the chevron loop
+    loop = ((1.0, 0.7), (6.2, 0.7), (6.2, 1.3), (1.0, 1.3))
+    monkeypatch.setitem(
+        sim.COURSES, "chevron-once", replace(sim.COURSES["chevron-ramp"], experiment="chevron-once", waypoints=loop)
+    )
+    steps = {}
+    for kind in ("chevron-once", "chevron-ramp"):
+        d = tmp_path / kind
+        code, _, err = run(capsys, "make-course", "--kind", kind, "--seed", "1", "--out", str(d))
+        assert code == 0, err
+        code, out, err = run(capsys, "simulate", "--course", str(d), "--seed", "1", "--out", str(tmp_path / "walk.csv"))
+        assert code == 0, err
+        cfg = evaluate.default_experiment(kind)
+        assert cfg.course.kind == kind
+        log = simulate_for_config(cfg, 1)[1]
+        assert out.split("\n")[1] == f"steps={log.n_steps} sha256={walklog_hash(log)}"
+        steps[kind] = log.n_steps
+    assert steps == {"chevron-once": 220, "chevron-ramp": 452}
+
+
+def test_make_course_over_a_course_of_another_kind_writes_a_loadable_course(tmp_path, capsys):
+    # a course directory re-made as another kind keeps none of the old
+    # kind's layer files, so simulate walks the new kind's experiment
+    d = tmp_path / "course"
+    for kind in ("wall-room", "class-tiles", "chevron-ramp"):
+        code, _, err = run(capsys, "make-course", "--kind", kind, "--seed", "1", "--out", str(d))
+        assert code == 0, err
+        assert sorted(os.listdir(d)) == sorted(
+            ["course.ini"] + [f for name, f in (("elevation", "course.hmap"), ("class", "course.cmap"),
+                                               ("cloud", "course.xyz")) if name in sim.COURSES[kind].layers]
+        )
+        assert load_course_dir(d)[0] == kind
+    code, out, err = run(capsys, "simulate", "--course", str(d), "--seed", "1", "--out", str(tmp_path / "walk.csv"))
+    assert code == 0, err
+    assert out.split("\n")[1].startswith("steps=452 ")
 
 
 def test_course_with_a_class_layer_off_the_elevation_lattice_names_the_file(tmp_path, capsys):

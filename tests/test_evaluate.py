@@ -29,9 +29,8 @@ from hapticloc.evaluate import (
 )
 from hapticloc.geometry import Pose, quat_from_rotvec, quat_from_yaw
 from hapticloc.likelihood import LikelihoodConfig
-from hapticloc.maps import MapSet
 from hapticloc.mcl import init_filter, run_filter
-from hapticloc.sim import STEP_LENGTH, CourseSpec, NoiseSpec, generate_course, simulate_walk, walklog_hash
+from hapticloc.sim import COURSES, STEP_LENGTH, CourseSpec, NoiseSpec, generate_course, simulate_walk, walklog_hash
 
 
 def pose(x=0.0, y=0.0, z=0.0, yaw=0.0):
@@ -215,12 +214,11 @@ def test_default_experiments_are_valid():
         cfg = builder()
         assert cfg.seeds == (1, 2, 3, 4, 5)
         assert cfg.n_particles == 500
-        # a course's layers name its kind's default experiment
-        assert default_experiment(generate_course(cfg.course)) == builder()
-    tiles = generate_course(CourseSpec("class-tiles"))
-    room = generate_course(CourseSpec("wall-room"))
-    with pytest.raises(ValueError, match=r"\('elevation', 'class', 'cloud'\)"):
-        default_experiment(MapSet(tiles.elevation, class_grid=tiles.class_grid, cloud=room.cloud))
+        # the kind's COURSES entry names the experiment
+        assert cfg.course == CourseSpec(cfg.course.kind)
+        assert cfg.name == COURSES[cfg.course.kind].experiment
+    with pytest.raises(ValueError, match="unknown course kind 'volcano'"):
+        default_experiment("volcano")
 
 
 def tiny_chevron(seeds=(1, 2)):
