@@ -87,6 +87,7 @@ import numpy as np
 
 from .geometry import planar_rotate_add
 from .maps import (
+    GATHER_ROWS,
     UNKNOWN_CLASS,
     ClassGrid,
     ElevationGrid,
@@ -97,7 +98,6 @@ from .maps import (
     cloud_distances,
     elevation_at_many,
     field_distances,
-    field_scratch,
     padded_cells,
 )
 
@@ -361,8 +361,8 @@ class ContactBuffers:
     view of a flat array, for any contact count K and particle count N up
     to n_max; the arrays grow to the largest K asked for. The rows a call
     returns are overwritten by the next call. The cloud field's scratch
-    (cloud_scratch), of a fixed size, is allocated only when a cloud
-    channel asks for it.
+    (cloud_scratch), maps.GATHER_ROWS float rows of K * n_max, is allocated
+    only when a cloud channel asks for it, and again after the others grow.
     """
 
     def __init__(self, n_max: int):
@@ -375,9 +375,10 @@ class ContactBuffers:
 
     @property
     def cloud_scratch(self):
-        """maps.field_distances' scratch, made on the first request."""
+        """maps.field_distances' scratch for the largest K asked for, made on
+        the first request after the buffers grow."""
         if self._cloud_scratch is None:
-            self._cloud_scratch = field_scratch()
+            self._cloud_scratch = np.empty(GATHER_ROWS * self._cells.size)
         return self._cloud_scratch
 
     def views(self, k: int, n: int):
@@ -388,6 +389,7 @@ class ContactBuffers:
             self._cells = np.empty(size, dtype=np.int64)
             self._index = np.empty(size, dtype=np.int64)
             self._rows = np.empty(2 * size)
+            self._cloud_scratch = None
         kn = k * n
         return (
             self._world[: 3 * kn].reshape(3, k, n),

@@ -28,8 +28,9 @@ A point cloud answers exact nearest-neighbour queries from a kd-tree
 lattice spacing (PointCloudMap.distance_field): the band of lattice nodes
 near the cloud, stored sparsely in bricks, and one dense index of their
 rows over the box of bricks around the cloud. field_distances interpolates
-it at query points, and fills each node from kd-tree queries the first time
-it reads it, so a run pays only for the nodes its points reach.
+it at query points, and fills the nodes it finds unfilled from kd-tree
+queries, together, the first time it reads them, so a run pays only for
+the nodes its points reach.
 
 A class layer keeps, for one reach, each cell's squared lattice offset to
 the nearest cell of each class (ClassGrid.squared_offsets), found in numpy
@@ -361,18 +362,19 @@ _CORNERS = np.array([dx * _SIDE**2 + dy * _SIDE + dz for dy in (0, 1) for dx in 
 # the steps of a node's distance from 0 to the cap, stored one above, so
 # that a uint8 0 marks a node not filled yet; the nodes one fill queries at
 # a time, so that its scratch, about 140 bytes a node with the kd-tree's
-# results, stays near 2.3 MB; and the points field_distances gathers at a
-# time, so that its scratch, 80 bytes a point, stays at 655 KB whatever the
-# particle count
+# results, stays near 2.3 MB; the zero corners field_distances fills at a
+# time, so that one fill and its bookkeeping stay near 0.7 MB; and the
+# float64 rows of a point that its scratch holds
 _QUANTA = 254
 _FILL_CHUNK = 16384
-_GATHER_SLICE = 8192
+_ZERO_CHUNK = 4096
+GATHER_ROWS = 10
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceField:
     """A point cloud's distance field for one reach, stored sparsely and
-    filled node by node as gathers read it.
+    filled as gathers read it.
 
     Each node holds its distance to the nearest point of cloud, capped at
     cap (reach plus a cell diagonal) and rounded to a multiple of quantum,
@@ -520,49 +522,54 @@ def _make_field(cloud: PointCloudMap, reach: float, spacing: float) -> DistanceF
 
 
 def field_distances(distance_field: DistanceField, points, out=None, scratch=None) -> np.ndarray:
-    """The field's distances at finite query points (3, ...): each point's
-    cell, its brick's row read from the field's row index, and the trilinear
-    interpolation of the cell's eight corner nodes. A node no gather has
-    read yet reads 0: the gather fills the nodes of the corners that read 0
-    and reads back only those corners. For a point within the field's reach
-    of the cloud, the distance lies within error_bound of the exact one; a
-    point in a brick the field does not keep reads cap.
+    """The field's distances at finite query points (3, ...), read in one
+    sweep: each point's cell and offset in it, its base node, the cell's low
+    corner, as its brick's row from the field's row index and its offset in
+    the brick, and the trilinear interpolation of the cell's eight corner
+    nodes, each read at its fixed offset from the base. A node no gather has
+    read yet reads 0: the gather fills the nodes of all the corners that
+    read 0 with one fill per _ZERO_CHUNK of them, and reads back only those
+    corners. For a point within the field's reach of the cloud, the distance
+    lies within error_bound of the exact one; a point in a brick the field
+    does not keep reads cap.
 
-    out, a C-contiguous float array of the points' shape, receives the
-    distances. scratch, from field_scratch, holds the corner indices and the
-    corner nodes of _GATHER_SLICE points at a time, so the memory a call
-    uses does not grow with the number of points.
+    out, a C-contiguous float64 array of the points' shape, receives the
+    distances. scratch, a float64 array of at least GATHER_ROWS times the
+    points' count entries, holds the gather's rows; a caller that gathers
+    again makes it once.
     """
     points = np.asarray(points, dtype=float)
     shape = points.shape[1:]
     points = points.reshape(3, -1)
-    out = np.empty(shape) if out is None else out
-    if not out.flags.c_contiguous:
-        raise ValueError("field_distances writes into a C-contiguous out")
-    index, nodes = field_scratch() if scratch is None else scratch
-    flat = out.reshape(-1)
-    for s in range(0, len(flat), _GATHER_SLICE):
-        m = min(_GATHER_SLICE, len(flat) - s)
-        slice_index, slice_nodes = index[: 9 * m].reshape(9, m), nodes[: 8 * m].reshape(8, m)
-        _field_slice(distance_field, points[:, s : s + m], flat[s : s + m], slice_index, slice_nodes)
+    m = points.shape[1]
+    if out is None:
+        out = np.empty(shape)
+    elif out.dtype != np.float64 or out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(
+            f"field_distances writes into a C-contiguous float64 out of the points' shape {shape}, "
+            f"got {out.dtype} {out.shape}{'' if out.flags.c_contiguous else ', not C-contiguous'}"
+        )
+    scratch = np.empty(GATHER_ROWS * m) if scratch is None else scratch
+    _gather(distance_field, points, out.reshape(-1), scratch.reshape(-1)[: GATHER_ROWS * m].reshape(GATHER_ROWS, m))
     return out
 
 
-def field_scratch():
-    """field_distances' scratch: flat int64 and uint8 arrays, viewed as
-    (9, m) and (8, m) for a slice of m points, up to _GATHER_SLICE."""
-    return np.empty(9 * _GATHER_SLICE, dtype=np.int64), np.empty(8 * _GATHER_SLICE, dtype=np.uint8)
-
-
-def _field_slice(f: DistanceField, points, out, index, nodes) -> None:
-    """field_distances for points (3, M), into out (M,), with a (9, M) int64
-    index and (8, M) uint8 nodes as scratch; the index's float view holds
-    the cells, bricks and keys on the way."""
-    real = index.view(float)
-    cell, brick, key, offset, base = real[0:3], real[3:6], real[6], real[7], index[8]
-    # the cell's brick, and its low node's offset in the brick over FIELD_BRICK
-    # (scaling by a power of two and flooring integers are exact)
-    np.floor(np.divide(points, f.spacing, out=cell), out=cell)
+def _gather(f: DistanceField, points, out, real) -> None:
+    """field_distances for points (3, M) into out (M,), with real, GATHER_ROWS
+    float rows of M, as scratch: rows 0-2 hold t, the offset in the cell,
+    until the interpolation; rows 3-8 the cell, brick and key on the way to
+    the base node, an int64 row; row 9 the offset in the brick, then the
+    corner nodes as uint8."""
+    m = len(out)
+    index = real.view(np.int64)
+    t, cell, brick, offset = real[0:3], real[3:6], real[6:9], real[9]
+    base, key = index[3], index[4]
+    # the cell and the point's offset in it, in cells; then the cell's brick,
+    # and its low node's offset in the brick over FIELD_BRICK (scaling by a
+    # power of two and flooring integers are exact)
+    np.divide(points, f.spacing, out=t)
+    np.floor(t, out=cell)
+    np.subtract(t, cell, out=t)
     np.multiply(cell, 1.0 / FIELD_BRICK, out=cell)
     np.floor(cell, out=brick)
     np.subtract(cell, brick, out=cell)
@@ -571,29 +578,34 @@ def _field_slice(f: DistanceField, points, out, index, nodes) -> None:
     np.fmax(brick, f.low[:, None], out=brick)
     np.fmin(brick, f.high[:, None], out=brick)
     np.subtract(brick, f.low[:, None], out=brick)
-    np.matmul(f.weights[None], brick, out=key[None])
-    # a brick that is not kept reads the last row, all cap; the cells' row
-    # is free by now to hold the keys as integers
-    np.copyto(index[0], key, casting="unsafe")
-    f.rows.take(index[0], out=base, mode="clip")
+    np.matmul(f.weights[None], brick, out=cell[0:1])
+    # a brick that is not kept reads the last row, all cap
+    np.copyto(key, cell[0], casting="unsafe")
+    f.rows.take(key, out=base, mode="clip")
     np.multiply(base, _BRICK_NODES, out=base)
     np.add(base, offset, out=base, casting="unsafe")
-    np.add(base, _CORNERS[:, None], out=index[:8])
+    # the corner nodes, a row of M per corner, over the offset in the brick
+    corners = offset.view(np.uint8)
+    nodes = corners.reshape(8, m)
     flat = f.bricks.reshape(-1)
-    flat.take(index[:8], out=nodes, mode="clip")
+    for corner, row in zip(_CORNERS, nodes):
+        flat[corner:].take(base, out=row, mode="clip")
     # a node no gather has read yet reads 0: fill the nodes of the corners
-    # that read 0, then read back just those corners
+    # that read 0, then read back just those corners; the key's row is free
+    # to mark them
     if not nodes.all():
-        at = np.flatnonzero(nodes == 0)
-        missing = index[:8].reshape(-1).take(at)
-        f.fill(missing)
-        nodes.reshape(-1)[at] = flat.take(missing)
+        zero = real[4:6].view(bool).reshape(-1)[: 8 * m]
+        at = np.flatnonzero(np.equal(corners, 0, out=zero))
+        for start in range(0, len(at), _ZERO_CHUNK):
+            chunk = at[start : start + _ZERO_CHUNK]
+            corner, point = np.divmod(chunk, m)
+            missing = base.take(point)
+            missing += _CORNERS.take(corner)
+            f.fill(missing)
+            corners[chunk] = flat.take(missing)
 
-    # the point's offset in its cell, in cells, then the corners interpolated
-    # along z, y and x in quanta
-    t, lerp = real[0:3], real[3:7]
-    np.divide(points, f.spacing, out=t)
-    np.subtract(t, np.floor(t, out=real[3:6]), out=t)
+    # the corners interpolated along z, y and x in quanta
+    lerp = real[3:7]
     np.subtract(nodes[1::2], nodes[0::2], out=lerp, dtype=float)
     np.multiply(lerp, t[2], out=lerp)
     np.add(lerp, nodes[0::2], out=lerp)
@@ -760,8 +772,9 @@ def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) 
     """Nearest-neighbour distances for query points (3, ...), on every core
     for _PARALLEL_QUERY points or more; below that, starting the threads
     costs more than they save (on the wall room at 5k particles, once
-    earlier seeds have filled most of the field, a distance field's fill
-    queries a median of 10 nodes, a mean of 93 and at most 3,332).
+    earlier seeds have filled most of the field, a distance field's fill,
+    about one a step, queries a median of 21 nodes, a mean of 185 and at
+    most 3,998).
 
     With max_distance the kd-tree search stops there: a point with no map point
     nearer than max_distance gets inf, and every other point gets the same

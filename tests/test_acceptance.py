@@ -28,6 +28,7 @@ from hapticloc.evaluate import (
 from hapticloc.geometry import Pose, quat_rotate
 from hapticloc.likelihood import ContactMeasurement, LikelihoodConfig, cloud_field, gaussian_density
 from hapticloc.maps import (
+    GATHER_ROWS,
     UNKNOWN_CLASS,
     ClassGrid,
     ElevationGrid,
@@ -38,7 +39,6 @@ from hapticloc.maps import (
     cloud_distances,
     elevation_at,
     field_distances,
-    field_scratch,
 )
 from hapticloc.mcl import (
     StepInput,
@@ -433,7 +433,7 @@ def test_criterion_10_performance_budgets():
     # a warm gather of 20k points near the wall room's cloud, as a step of
     # 5k particles with 4 contacts makes, from the filled field
     points = cloud.points[rng.integers(0, len(cloud.points), 20_000)] + rng.normal(0.0, 0.01, (20_000, 3))
-    points, out, scratch = points.T.copy(), np.empty(20_000), field_scratch()
+    points, out, scratch = points.T.copy(), np.empty(20_000), np.empty(GATHER_ROWS * 20_000)
     gathers = []
     for _ in range(30):
         t0 = time.perf_counter()

@@ -33,7 +33,7 @@ from hapticloc.likelihood import (
     gaussian_log_density,
 )
 import hapticloc.maps as maps_module
-from hapticloc.maps import ClassGrid, ElevationGrid, MapSet, PointCloudMap, field_distances
+from hapticloc.maps import GATHER_ROWS, ClassGrid, ElevationGrid, MapSet, PointCloudMap, field_distances
 from hapticloc.sim import CourseSpec, generate_course
 from test_maps import assert_cut_at, class_maps, distance_fields, edt_fields
 
@@ -578,6 +578,21 @@ def test_contact_world_points_match_the_6dof_rotation():
     for k, c in enumerate(cs):
         turned = np.column_stack([quat_rotate(quat_from_euler(*tilt, y), c.offset) for y in yaw])
         assert np.allclose(world[:, k], positions + turned, rtol=0.0, atol=1e-12)
+
+
+def test_reused_buffers_give_the_cloud_channel_the_rows_of_new_ones():
+    # the cloud channel's scratch is remade as the other buffers grow with
+    # the contact count
+    maps, cfg = flat_maps(with_cloud=True), LikelihoodConfig()
+    rng = np.random.default_rng(8)
+    buffers = ContactBuffers(50)
+    for k, n in ((1, 50), (3, 20), (2, 50), (4, 35)):
+        positions = maps.cloud.points[rng.integers(0, 64, n)].T + rng.normal(0.0, 0.02, (3, n))
+        heading = heading_of(rng.uniform(-np.pi, np.pi, n))
+        layout = contact_layout([ContactMeasurement(rng.normal(0.0, 0.03, 3)) for _ in range(k)], tilt_matrix(0.0, 0.0))
+        got = contacts_log_likelihood(positions, heading, layout, MODES["HL-3D"], maps, cfg, buffers)
+        assert np.array_equal(got, contacts_log_likelihood(positions, heading, layout, MODES["HL-3D"], maps, cfg))
+    assert buffers.cloud_scratch.size == GATHER_ROWS * 4 * 50
 
 
 def test_class_channel_takes_one_class_per_row():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.spatial import cKDTree
 
 import hapticloc.maps as maps_module
 from hapticloc.maps import (
+    GATHER_ROWS,
     UNKNOWN_CLASS,
     ClassGrid,
     ElevationGrid,
@@ -463,18 +465,44 @@ def test_field_distances_do_not_depend_on_which_nodes_filled_first():
     assert np.array_equal(field_distances(gathered, query), got)
 
 
-def read_nodes(f, points):
-    """The distinct flat indices of the nodes in kept bricks that a gather
-    at points (3, M) reads: the eight corners of each point's cell, in the
-    brick of the cell's low corner."""
+def corner_nodes(f, points):
+    """The flat indices into bricks of the nodes a gather at points (3, M)
+    reads, (M, 8): the eight corners of each point's cell, in the brick of
+    the cell's low corner, the last row for a brick that is not kept."""
     cell = np.floor(points.T / f.spacing)
     brick = np.floor(cell / 8)
     local = (cell - 8 * brick)[:, None, :] + np.indices((2, 2, 2)).reshape(3, -1).T
     inside = ((brick >= f.low) & (brick <= f.high)).all(axis=1)
     row = np.full(len(cell), len(f.keys))
     row[inside] = binary_search_rows(f.keys, ((brick[inside] - f.low) @ f.weights).astype(np.int64))
-    node = row[:, None] * 9**3 + (local @ [81, 9, 1]).astype(np.int64)
-    return np.unique(node[row < len(f.keys)])
+    return row[:, None] * 9**3 + (local @ [81, 9, 1]).astype(np.int64)
+
+
+def read_nodes(f, points):
+    """The distinct flat indices of the nodes in kept bricks that a gather
+    at points (3, M) reads."""
+    node = corner_nodes(f, points)
+    return np.unique(node[node < f.bricks[:-1].size])
+
+
+def counted_fills(monkeypatch):
+    """The nodes of each DistanceField.fill call from here on."""
+    calls = []
+    fill = maps_module.DistanceField.fill
+
+    def counted(f, nodes=None):
+        calls.append(nodes)
+        fill(f, nodes)
+
+    monkeypatch.setattr(maps_module.DistanceField, "fill", counted)
+    return calls
+
+
+def gather_case(seed, n_cloud=50, n_query=400):
+    """(cloud points, query points (3, n_query)) near the cloud."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.2, 0.2, (n_cloud, 3))
+    return points, (points[rng.integers(0, n_cloud, n_query)] + rng.normal(0.0, 0.02, (n_query, 3))).T
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,11 +513,10 @@ def read_nodes(f, points):
     n_query=st.integers(1, 400),
     prefill=st.floats(0.0, 1.0),
 )
-def test_gathers_over_many_slices_read_what_a_full_field_holds(seed, n_cloud, n_centres, n_query, prefill):
-    # with slices of 64 points, later slices read corners that earlier ones
-    # (or an earlier fill) filled; whatever was filled before, a gather reads
-    # the full field's values bit for bit, fills every corner it reads and
-    # no other node
+def test_a_gather_reads_what_a_full_field_holds(seed, n_cloud, n_centres, n_query, prefill):
+    # whatever was filled before, a gather reads the full field's values bit
+    # for bit, fills every corner it reads and no other node; what its
+    # scratch held before, and how much longer it is, do not matter
     spacing = 0.0075
     rng = np.random.default_rng(seed)
     points = rng.uniform(-0.1, 0.1, (n_cloud, 3))
@@ -502,11 +529,10 @@ def test_gathers_over_many_slices_read_what_a_full_field_holds(seed, n_cloud, n_
     n_nodes = gathered.bricks[:-1].size
     gathered.fill(np.concatenate([read, rng.integers(0, n_nodes, 50)])[rng.random(len(read) + 50) < prefill])
     filled_before = np.flatnonzero(gathered.bricks[:-1])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maps_module, "_GATHER_SLICE", 64)
-        got = field_distances(gathered, query)
-        assert np.array_equal(got, field_distances(full, query))
-        assert np.array_equal(field_distances(gathered, query), got)
+    scratch = rng.uniform(-1e9, 1e9, GATHER_ROWS * n_query + int(rng.integers(0, 100)))
+    got = field_distances(gathered, query, scratch=scratch)
+    assert np.array_equal(got, field_distances(full, query))
+    assert np.array_equal(field_distances(gathered, query, scratch=scratch), got)
     filled = np.flatnonzero(gathered.bricks[:-1])
     assert np.array_equal(filled, np.union1d(filled_before, read))
     assert np.array_equal(gathered.bricks[:-1].reshape(-1)[filled], full.bricks[:-1].reshape(-1)[filled])
@@ -516,18 +542,8 @@ def test_a_gather_leaves_none_of_its_corners_unfilled(monkeypatch):
     # a gather fills every corner it reads, so gathering the same points
     # again fills nothing and reads what the first gather read; neither
     # does a gather over a full field
-    calls = []
-    fill = maps_module.DistanceField.fill
-
-    def counted(f, nodes=None):
-        calls.append(nodes)
-        fill(f, nodes)
-
-    monkeypatch.setattr(maps_module.DistanceField, "fill", counted)
-    monkeypatch.setattr(maps_module, "_GATHER_SLICE", 64)
-    rng = np.random.default_rng(11)
-    points = rng.uniform(-0.2, 0.2, (50, 3))
-    query = (points[rng.integers(0, 50, 400)] + rng.normal(0.0, 0.02, (400, 3))).T
+    calls = counted_fills(monkeypatch)
+    points, query = gather_case(11)
     f = PointCloudMap(points).distance_field(0.03, 0.0075)
     first = field_distances(f, query)
     assert calls and f.bricks[:-1].reshape(-1)[read_nodes(f, query)].all()
@@ -539,6 +555,48 @@ def test_a_gather_leaves_none_of_its_corners_unfilled(monkeypatch):
     calls.clear()
     assert np.array_equal(field_distances(full, query), first)
     assert calls == []
+
+
+def test_a_gather_fills_its_zero_corners_with_one_fill(monkeypatch):
+    # the corners that read 0, over all the points, go to one fill
+    points, query = gather_case(5, n_query=10_000)
+    f = PointCloudMap(points).distance_field(0.03, 0.0075)
+    read = read_nodes(f, query)
+    f.fill(read[np.arange(len(read)) % 32 > 0])
+    nodes = corner_nodes(f, query)
+    zero = nodes[f.bricks.reshape(-1)[nodes] == 0]
+    assert 0 < len(zero) <= maps_module._ZERO_CHUNK
+    calls = counted_fills(monkeypatch)
+    field_distances(f, query)
+    assert len(calls) == 1
+    assert np.array_equal(np.sort(calls[0]), np.sort(zero))
+
+
+def test_a_gather_fills_its_zero_corners_a_chunk_at_a_time(monkeypatch):
+    points, query = gather_case(7, n_query=1000)
+    f = PointCloudMap(points).distance_field(0.03, 0.0075)
+    full = PointCloudMap(points).distance_field(0.03, 0.0075)
+    full.fill()
+    f.fill(read_nodes(f, query)[::3])
+    n_zero = np.count_nonzero(f.bricks.reshape(-1)[corner_nodes(f, query)] == 0)
+    assert n_zero > 1000
+    monkeypatch.setattr(maps_module, "_ZERO_CHUNK", 97)
+    calls = counted_fills(monkeypatch)
+    got = field_distances(f, query)
+    assert len(calls) == math.ceil(n_zero / 97)
+    assert [len(c) for c in calls[:-1]] == [97] * (len(calls) - 1)
+    assert np.array_equal(got, field_distances(full, query))
+
+
+def test_field_distances_refuse_an_out_that_does_not_fit_the_points():
+    points, query = gather_case(3, n_query=20)
+    f = PointCloudMap(points).distance_field(0.03, 0.0075)
+    for out in (np.empty(10), np.empty(30), np.empty(20, dtype=np.int64), np.empty((20, 2))[:, 0]):
+        with pytest.raises(ValueError, match=r"\(20,\).*" + re.escape(str(out.shape))):
+            field_distances(f, query, out=out)
+    assert not f.bricks[:-1].any()
+    out = np.empty(20)
+    assert field_distances(f, query, out=out) is out
 
 
 def binary_search_rows(keys, query):
