@@ -48,12 +48,16 @@ The class channel reads the class layer's squared lattice offsets
 first request, which init_filter makes, and kept by the grid. Like the
 cloud's field they stop at a reach, LikelihoodConfig.class_reach, the floor
 reach of sigma_c: a cell within it holds its exact squared offset k, and a
-cell beyond it the cap k_max + 1. The channel scores each offset once,
-ahead of the queries (class_scores): a table of k_max + 2 entries holds
-the floored density of the distance resolution * sqrt(k), and the floor at
-the cap, where the exact distance would score it too. So a contact's class
-term is two gathers, its offset at the cell and that offset's score, each
-bit for bit what the Gaussian of the exact distance gives.
+cell beyond it the cap k_max + 1, and the padded border, where every point
+off the lattice reads, the border code k_max + 2. The channel scores each
+offset once, ahead of the queries (class_scores): a table of k_max + 3
+entries holds the floored density of the distance resolution * sqrt(k),
+the floor at the cap, where the exact distance would score it too, and 0
+at the border code, the neutral factor of an off-map foot. So a contact's
+class term is two gathers, its offset at the cell and that offset's score,
+each bit for bit what the Gaussian of the exact distance gives. Only a
+layer with unlabeled cells inside it also looks up the class ids under the
+points, to zero the terms of those cells, which keep their exact offsets.
 
 A localization mode is the set of channels it fuses (MODES). Each channel
 reads the map layer of its own name, so the layers a mode needs are its
@@ -298,14 +302,18 @@ def cloud_log_likelihood_points(
 def class_scores(grid: ClassGrid, cfg: LikelihoodConfig):
     """(offsets, scores) of the class channel: the grid's SquaredOffsets for
     cfg.class_reach, and the channel's score of each offset, the floored
-    log density of its distance, the floor at the cap (distance inf). The
-    grid makes the offsets on the first request and keeps them, and they
-    keep the scores for sigma_c."""
+    log density of its distance, the floor at the cap (distance inf), and 0
+    at the border code, where a point off the lattice reads and is neutral.
+    The grid makes the offsets on the first request and keeps them, and
+    they keep the scores for sigma_c."""
     f = grid.squared_offsets(cfg.class_reach)
 
     def score(distances):
-        ll = gaussian_log_density(distances, cfg.sigma_c)
-        return np.maximum(ll, cfg.log_class_rho, out=ll)
+        # the border code is the last entry; the Gaussian scores the others
+        ll = np.zeros(len(distances))
+        gaussian_log_density(distances[:-1], cfg.sigma_c, out=ll[:-1])
+        np.maximum(ll[:-1], cfg.log_class_rho, out=ll[:-1])
+        return ll
 
     return f, f.table(("class", cfg.sigma_c), score)
 
@@ -323,7 +331,11 @@ def class_log_likelihood_points(
     absent from the map the floor (distance inf); off-map and unlabeled
     cells are neutral. Each point's squared offset, from the offsets
     class_scores returns, picks its score from their table, so a distance
-    beyond cfg.class_reach scores the floor, as the exact distance would.
+    beyond cfg.class_reach scores the floor, as the exact distance would,
+    and an off-map point, which reads the border code, scores 0. An
+    unlabeled cell inside the grid keeps its exact offsets, so only a grid
+    that has one (ClassGrid.has_unlabeled_cells) looks the points' class ids
+    up after the two gathers, and zeroes the unlabeled ones.
     cells as for the elevation channel; out receives the scores; scratch as
     for maps.class_offsets_many. class_index, the (offsets, scores) pair
     class_scores(grid, cfg) returns when the caller holds it, saves looking
@@ -334,7 +346,8 @@ def class_log_likelihood_points(
     offsets, scores = class_scores(grid, cfg) if class_index is None else class_index
     k = class_offsets_many(grid, points_xy, class_id, offsets, cells=cells, scratch=scratch)
     ll = scores.take(k, out=out, mode="clip")
-    np.copyto(ll, 0.0, where=class_at_many(grid, points_xy, cells=cells) == UNKNOWN_CLASS)
+    if grid.has_unlabeled_cells:
+        np.copyto(ll, 0.0, where=class_at_many(grid, points_xy, cells=cells) == UNKNOWN_CLASS)
     return ll
 
 

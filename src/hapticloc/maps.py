@@ -35,12 +35,14 @@ the nodes its points reach.
 A class layer keeps, for one reach, each cell's squared lattice offset to
 the nearest cell of each class (ClassGrid.squared_offsets), found in numpy
 by an exact separable transform and capped one above the largest offset
-within the reach, like the cloud's field cut at its reach. The offsets are
-small integers in the smallest unsigned dtype that holds the cap, and a
-table over them turns them into any function of the distance with one
-gather: the distance table, resolution * sqrt(k) and inf at the cap, gives
-class_distance_many, and the class channel keeps a table of its scores
-(likelihood.class_scores).
+within the reach, like the cloud's field cut at its reach; its padded
+border holds one code more, so a point off the lattice reads a value of its
+own. The offsets are small integers in the smallest unsigned dtype that
+holds that code, and a table over them turns them into any function of the
+distance with one gather: the distance table, resolution * sqrt(k) and inf
+at the cap and on the border, gives class_distance_many, and the class
+channel keeps a table of its scores (likelihood.class_scores), which reads
+the border as neutral.
 
 Loading a layer validates it, and builds no index. The class layer's
 offsets and the point cloud's kd-tree are built the first time a
@@ -147,7 +149,10 @@ class ClassGrid:
 
     class_ids is the interior view of _padded, the ids with an unknown-class
     border. Both are read-only, so the offsets describe the ids that were
-    validated.
+    validated. has_unlabeled_cells, found when the grid is built, says
+    whether any cell of the interior is UNKNOWN_CLASS: the offsets' border
+    code marks every point off the lattice, so only such a grid needs its
+    class ids to find the points the class channel leaves neutral.
     """
 
     resolution: float
@@ -155,6 +160,7 @@ class ClassGrid:
     class_ids: np.ndarray
     n_classes: int
     _padded: np.ndarray = field(init=False, repr=False)
+    has_unlabeled_cells: bool = field(init=False)
     _offsets: SquaredOffsets | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -175,6 +181,7 @@ class ClassGrid:
         self._padded = _padded(ids, UNKNOWN_CLASS)
         self._padded.flags.writeable = False
         self.class_ids = self._padded[1:-1, 1:-1]
+        self.has_unlabeled_cells = bool((ids == UNKNOWN_CLASS).any())
 
     @property
     def n_rows(self) -> int:
@@ -191,8 +198,9 @@ class ClassGrid:
         reach = float(reach)
         if self._offsets is None or self._offsets.reach != reach:
             k_max = _reach_squares(reach, self.resolution, self.n_rows, self.n_cols)
-            cap = k_max + 1
-            offsets = np.full((self.n_classes,) + self._padded.shape, cap, dtype=np.min_scalar_type(cap))
+            cap, border = k_max + 1, k_max + 2
+            offsets = np.full((self.n_classes,) + self._padded.shape, cap, dtype=np.min_scalar_type(border))
+            offsets[:, 0] = offsets[:, -1] = offsets[:, :, 0] = offsets[:, :, -1] = border
             for c in range(self.n_classes):
                 mask = self.class_ids == c
                 if mask.any():
@@ -200,8 +208,8 @@ class ClassGrid:
                     np.minimum(k, cap, out=k)
                     np.copyto(offsets[c, 1:-1, 1:-1], k, casting="unsafe")
             offsets.flags.writeable = False
-            distances = self.resolution * np.sqrt(np.arange(cap + 1, dtype=float))
-            distances[cap] = np.inf
+            distances = self.resolution * np.sqrt(np.arange(border + 1, dtype=float))
+            distances[cap:] = np.inf
             distances.flags.writeable = False
             self._offsets = SquaredOffsets(reach, k_max, offsets, distances)
         return self._offsets
@@ -214,12 +222,16 @@ class SquaredOffsets:
     offsets, (n_classes, n_rows + 2, n_cols + 2) and read-only, holds each
     cell's squared lattice offset k to the nearest cell of each class where
     k is at most k_max, the largest offset whose distance is within reach,
-    and the cap k_max + 1 beyond it, on the border and for a class absent
-    from the grid; its dtype is the smallest unsigned one that holds the
-    cap. A table of k_max + 2 entries over k turns the offsets into any
-    function of the distance with one gather: distances holds resolution *
-    sqrt(k), the exact transform's arithmetic, and inf at the cap. table
-    keeps the tables a caller derives from distances.
+    the cap k_max + 1 beyond it and for a class absent from the grid, and
+    the border code k_max + 2 on the padded border, where every point off
+    the lattice reads; its dtype is the smallest unsigned one that holds the
+    border code. An unlabeled cell of the interior keeps its exact offsets.
+    A table of k_max + 3 entries over k turns the offsets into any function
+    of the distance with one gather: distances holds resolution * sqrt(k),
+    the exact transform's arithmetic, and inf at the cap and the border
+    code. table keeps the tables a caller derives from distances; one may
+    give the border code a value of its own, as the class channel's scores
+    give it the neutral 0.
     """
 
     reach: float
@@ -656,24 +668,27 @@ def padded_cells(grid, xy, out=None, scratch=None) -> np.ndarray:
 
     A point off the lattice, or with a nan coordinate, gets a border cell.
     out, an int64 array of the points' shape, receives the indices; scratch,
-    a float array of xy's shape, holds the column and row on the way.
+    a float array of xy's shape, holds the column and row on the way. The
+    passes that treat both axes alike take them together; an origin or a
+    bound that differs by axis stays a scalar per axis, which numpy runs
+    faster than a broadcast (2, 1, ...) column.
     """
     xy = np.asarray(xy, dtype=float)
-    col, row = np.empty(xy.shape) if scratch is None else scratch
-    for axis, coord, origin, n in (
-        (col, xy[0], grid.origin[0], grid.n_cols),
-        (row, xy[1], grid.origin[1], grid.n_rows),
-    ):
-        np.subtract(coord, origin, out=axis)
-        np.divide(axis, grid.resolution, out=axis)
-        np.floor(axis, out=axis)
-        # the lattice index, -1 and n (off the lattice, nan included) as the border
-        np.fmax(axis, -1.0, out=axis)
-        np.fmin(axis, n, out=axis)
-        np.add(axis, 1.0, out=axis)
+    lattice = np.empty(xy.shape) if scratch is None else scratch
+    col, row = lattice
+    np.subtract(xy[0], grid.origin[0], out=col)
+    np.subtract(xy[1], grid.origin[1], out=row)
+    np.divide(lattice, grid.resolution, out=lattice)
+    np.floor(lattice, out=lattice)
+    # the lattice index, -1 and n (off the lattice, nan included) as the border
+    np.fmax(lattice, -1.0, out=lattice)
+    np.fmin(col, grid.n_cols, out=col)
+    np.fmin(row, grid.n_rows, out=row)
+    # (row + 1) * (n_cols + 2) + col + 1, its two ones added as n_cols + 3;
     # integers far below 2**53, so exact in float64
     np.multiply(row, grid.n_cols + 2, out=row)
     np.add(row, col, out=row)
+    np.add(row, grid.n_cols + 3, out=row)
     if out is None:
         return row.astype(np.int64)
     np.copyto(out, row, casting="unsafe")
@@ -728,10 +743,11 @@ def class_at(grid: ClassGrid, xy) -> int:
 
 def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
     """class_id (one id or an array of them) as int64, each checked to lie in
-    [0, n_classes)."""
+    [0, n_classes): its least and greatest id, and only when one is out, the
+    first id that is."""
     class_id = np.asarray(class_id, dtype=np.int64)
-    bad = (class_id < 0) | (class_id >= grid.n_classes)
-    if bad.any():
+    if class_id.size and (class_id.min() < 0 or class_id.max() >= grid.n_classes):
+        bad = (class_id < 0) | (class_id >= grid.n_classes)
         raise ValueError(f"class id {int(class_id[bad][0])} outside [0, {grid.n_classes})")
     return class_id
 
@@ -765,16 +781,12 @@ def class_offsets_many(grid: ClassGrid, xy, class_id, offsets: SquaredOffsets, c
     return offsets.offsets.take(index, mode="clip")
 
 
-_PARALLEL_QUERY = 2048
-
-
 def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:
-    """Nearest-neighbour distances for query points (3, ...), on every core
-    for _PARALLEL_QUERY points or more; below that, starting the threads
-    costs more than they save (on the wall room at 5k particles, once
-    earlier seeds have filled most of the field, a distance field's fill,
-    about one a step, queries a median of 21 nodes, a mean of 185 and at
-    most 3,998).
+    """Nearest-neighbour distances for query points (3, ...), on one thread:
+    on the wall room's cloud the kd-tree's threads were slower at every
+    query size tried, from 10 points (several times the query) to 16,384,
+    and a distance field's fill, about one a step, queries a few nodes to a
+    few thousand.
 
     With max_distance the kd-tree search stops there: a point with no map point
     nearer than max_distance gets inf, and every other point gets the same
@@ -784,8 +796,7 @@ def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) 
     its score does not increase with distance.
     """
     points = np.moveaxis(np.asarray(points, dtype=float), 0, -1)
-    workers = -1 if points.size >= 3 * _PARALLEL_QUERY else 1
-    dist, _ = cloud.kd_tree().query(points, distance_upper_bound=max_distance, workers=workers)
+    dist, _ = cloud.kd_tree().query(points, distance_upper_bound=max_distance)
     return np.asarray(dist, dtype=float)
 
 

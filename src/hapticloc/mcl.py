@@ -371,18 +371,31 @@ def systematic_resample_indices(weights, rng: np.random.Generator, m: int | None
 
     Unbiased: particle i is drawn m * weights[i] times in expectation.
     rows, the workspace's resample_rows, holds the cumulative weights and the
-    pointers, so only the indices are allocated; without it all are.
+    pointers, so only the indices are allocated; without it all are. Weights
+    whose total is not finite, or lies more than 1e-6 from 1, raise: the
+    last cumulative weight is pinned to 1, which would draw from them as
+    though they were normalized.
     """
     weights = np.asarray(weights, dtype=float)
     n = len(weights)
     m = n if m is None else m
     cum_row, pointer_row, ramp = (np.empty(n), np.empty(m), np.arange(m, dtype=float)) if rows is None else rows
     cum = np.cumsum(weights, out=cum_row[:n])
+    total = float(cum[-1])
+    # nan fails the compare
+    if not abs(total - 1.0) <= 1e-6:
+        raise ValueError(f"resampling needs weights that sum to 1, got a total of {total}")
     cum[-1] = 1.0
+    return _systematic_draw(cum, rng, m, pointer_row, ramp)
+
+
+def _systematic_draw(cum, rng: np.random.Generator, m: int, pointer_row, ramp) -> np.ndarray:
+    """m systematic pointers, written into pointer_row, looked up in the
+    cumulative weights cum, whose last entry is 1."""
     pointers = np.add(rng.random(), ramp[:m], out=pointer_row[:m])
     pointers /= m
     idx = np.searchsorted(cum, pointers, side="right")
-    return np.minimum(idx, n - 1, out=idx)
+    return np.minimum(idx, len(cum) - 1, out=idx)
 
 
 def kld_sample_size(k: int) -> int:
@@ -402,6 +415,9 @@ def occupied_bins(positions, yaw, idx) -> int:
 
     idx is sorted, as systematic_resample_indices returns it, so a particle
     counts once, where its index first appears; only those keys are sorted.
+    Yaw is wrapped to [0, 2 pi) as np.mod wraps it: when every yaw lies in
+    [-2 pi, 2 pi), by adding 2 pi to the negative ones, as np.mod does there
+    (np.mod also turns a -0.0 into 0.0, which bins alike).
     """
     first = np.empty(len(idx), dtype=bool)
     first[0] = True
@@ -410,7 +426,11 @@ def occupied_bins(positions, yaw, idx) -> int:
     bins = np.empty((3, len(picked)))
     positions[0].take(picked, out=bins[0])
     positions[1].take(picked, out=bins[1])
-    np.mod(yaw.take(picked, out=bins[2]), 2.0 * np.pi, out=bins[2])
+    angle = yaw.take(picked, out=bins[2])
+    if -2.0 * np.pi <= angle.min() and angle.max() < 2.0 * np.pi:
+        np.add(angle, 2.0 * np.pi, out=angle, where=angle < 0.0)
+    else:
+        np.mod(angle, 2.0 * np.pi, out=angle)
     bins /= np.array(KLD_BIN)[:, None]
     np.floor(bins, out=bins)
     # one integer key per bin, exact in float64 while the spans allow it:
@@ -424,21 +444,23 @@ def occupied_bins(positions, yaw, idx) -> int:
         key += bins[1]
         key *= span[2]
         key += bins[2]
-        return len(np.unique(key))
+        key.sort()
+        return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
     return np.unique(bins, axis=1).shape[1]
 
 
 def _resample_indices(state: FilterState, weights) -> np.ndarray:
     """A systematic draw of the current count, and above KLD_MIN_PARTICLES a
     second one if the KLD count of the first, clamped to [KLD_MIN_PARTICLES,
-    n_max], differs from it."""
-    rows = state.workspace.resample_rows
+    n_max], differs from it. The second draw reads the cumulative weights
+    the first left in the workspace's rows."""
+    cum_row, pointer_row, ramp = rows = state.workspace.resample_rows
     idx = systematic_resample_indices(weights, state.rng, rows=rows)
     if state.n_max <= KLD_MIN_PARTICLES:
         return idx
     k = occupied_bins(state.positions, state.yaw, idx)
     m = min(max(kld_sample_size(k), KLD_MIN_PARTICLES), state.n_max)
-    return idx if m == len(idx) else systematic_resample_indices(weights, state.rng, m, rows)
+    return idx if m == len(idx) else _systematic_draw(cum_row[: len(idx)], state.rng, m, pointer_row, ramp)
 
 
 def _logsumexp(a, scratch=None):
@@ -471,9 +493,12 @@ def estimate_detail(state: FilterState, increment: Pose):
     roll, pitch = state.tilt
     if xy_std[0] <= XY_STD_THRESHOLD and xy_std[1] <= XY_STD_THRESHOLD:
         ref = float(state.yaw[lw.argmax()])
-        # wrap(yaw - ref) as pi - mod(pi - (yaw - ref), 2 pi), in place
+        # wrap(yaw - ref) as pi - mod(pi - (yaw - ref), 2 pi), in place; the
+        # mod is the identity on [0, 2 pi), where every yaw within pi of ref
+        # lies (it turns -0.0 into 0.0, and pi less either is pi)
         dyaw = np.subtract(np.pi + ref, state.yaw, out=ws.scratch)
-        np.mod(dyaw, 2.0 * np.pi, out=dyaw)
+        if not (0.0 <= dyaw.min() and dyaw.max() < 2.0 * np.pi):
+            np.mod(dyaw, 2.0 * np.pi, out=dyaw)
         np.subtract(np.pi, dyaw, out=dyaw)
         yaw = ref + float(dyaw @ w)
         return Pose(mean_p, quat_from_euler(roll, pitch, yaw)), xy_std, "full"
@@ -579,13 +604,16 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     # the next step starts from this input's tilt
     state.tilt_key, state.tilt_rotation = inp.tilt_key, inp.rotation
 
-    # the first write of the weights moves them into the workspace
+    # the first write of the weights moves them into the workspace: the
+    # weights join the first contact's row, and one reduce over the rows,
+    # sequential along its axis, adds them to it in contact order
     lw = state.log_weights
     if inp.layout.size:
-        for ll in contacts_log_likelihood(
+        ll = contacts_log_likelihood(
             p, ws.heading, inp.layout, state.channels, state.maps, state.likelihood, ws.contacts, state.class_index
-        ):
-            lw = np.add(lw, ll, out=ws.log_weights)
+        )
+        ll[0] += lw
+        lw = np.add.reduce(ll, axis=0, out=ws.log_weights)
 
     total = _logsumexp(lw, ws.scratch)
     if not -math.inf < total < math.inf:

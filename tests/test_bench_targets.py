@@ -6,9 +6,12 @@ AttributeError. perfbench/run.py times each filter step by replacing every
 module-level reference to mcl.step, so a step bound anywhere else would run
 untimed. Each workload of perfbench/run.py and each experiment of
 scripts/output_digest.py builds its ExperimentConfig with code of its own,
-so a refactor of the config or the course builders can break them. These
-tests load spans.py and output_digest.py from their files, and run
-perfbench/run.py, without writing bytecode next to them.
+so a refactor of the config or the course builders can break them. A
+channel's time counts as its span's only while the step calls it through
+the traced name, so a few tiles steps run under spans.Tracer and count the
+calls of each channel. These tests load spans.py and output_digest.py from
+their files, and run perfbench/run.py, without writing bytecode next to
+them.
 """
 
 import importlib.util
@@ -21,8 +24,16 @@ from pathlib import Path
 
 import pytest
 
+import hapticloc
 from hapticloc import mcl
-from hapticloc.evaluate import default_chevron_experiment, run_localization, simulate_for_config, to_step_inputs
+from hapticloc.evaluate import (
+    default_chevron_experiment,
+    default_tiles_experiment,
+    run_localization,
+    simulate_for_config,
+    to_step_inputs,
+)
+from hapticloc.likelihood import MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -111,3 +122,27 @@ def test_step_timer_sees_every_step():
         spans.restore(undo)
     assert mcl.step is step
     assert len(calls) == len(log.records) > 0 and all(c is state for c in calls)
+
+
+def test_each_channel_runs_under_its_span_once_a_step():
+    # a step that routes a channel around its traced entry point would leave
+    # its time to the caller's self time and its span at 0 calls
+    spans = load_spans()
+    cfg = replace(default_tiles_experiment(), waypoints=((0.6, 0.6), (1.6, 0.6)), n_particles=50)
+    course, log = simulate_for_config(cfg, 1)
+    inputs = to_step_inputs(log)[:6]
+    weighed = sum(inp.layout.size > 0 for inp in inputs)
+    labeled = sum(inp.layout.n_probs is not None for inp in inputs)
+    assert weighed == labeled == len(inputs)
+    for mode in cfg.modes:
+        tracer = spans.Tracer()
+        tracer.install(hapticloc)
+        try:
+            run_localization(log.init_prior, inputs, course, mode, cfg, seed=1)
+        finally:
+            tracer.uninstall()
+        calls = {name: c for name, (c, _, _) in tracer.summary().items()}
+        assert calls["mcl.step"] == len(inputs)
+        for channel, steps in (("elevation", weighed), ("class", labeled)):
+            want = steps if channel in MODES[mode] else 0
+            assert calls[f"likelihood.{channel}_log_likelihood_points"] == want, (mode, channel)

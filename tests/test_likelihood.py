@@ -23,6 +23,7 @@ from hapticloc.likelihood import (
     ContactMeasurement,
     LikelihoodConfig,
     class_log_likelihood_points,
+    class_scores,
     cloud_field,
     cloud_log_likelihood_points,
     contact_layout,
@@ -240,6 +241,59 @@ def test_class_channel_at_its_reach_matches_the_exact_transform_bit_for_bit(clas
         oracle[neutral] = 0.0
         got = class_log_likelihood_points(xy, c, g, cfg)
         assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64))
+
+
+def class_term_with_the_mask(xy, class_id, g, cfg):
+    """The class term as the channel computed it on every grid: the offsets
+    gather, the score gather, then 0 wherever class_at_many reads the
+    unknown class, off the lattice or on an unlabeled cell."""
+    offsets, scores = class_scores(g, cfg)
+    cells = maps_module.padded_cells(g, xy)
+    k = offsets.offsets.take(np.asarray(class_id) * (g.n_rows + 2) * (g.n_cols + 2) + cells)
+    ll = scores.take(k)
+    ll[maps_module.class_at_many(g, xy, cells=cells) == maps_module.UNKNOWN_CLASS] = 0.0
+    return ll
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    n_classes=st.integers(1, 6),
+    unlabeled=st.sampled_from([0.0, 0.05, 0.5]),
+    resolution=st.sampled_from([0.01, 0.05, 0.3]),
+    sigma_c=st.floats(1e-3, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_term_without_the_mask_matches_it_bit_for_bit(shape, n_classes, unlabeled, resolution, sigma_c, seed):
+    # a grid without unlabeled cells reads its off-lattice points from the
+    # border code's score, 0, and skips the class-id lookup; a grid with
+    # them keeps it
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, n_classes, shape).astype(np.uint8)
+    ids[rng.random(shape) < unlabeled] = maps_module.UNKNOWN_CLASS
+    g = ClassGrid(resolution, tuple(rng.uniform(-1.0, 1.0, 2)), ids, n_classes)
+    assert g.has_unlabeled_cells == (ids == maps_module.UNKNOWN_CLASS).any()
+    cfg = LikelihoodConfig(sigma_c=sigma_c)
+    span = resolution * np.array([shape[1], shape[0]])[:, None, None]
+    xy = g.origin[:, None, None] + rng.uniform(-0.3, 1.3, (2, 4, 50)) * span
+    xy[rng.random(xy.shape) < 0.05] = np.nan
+    xy[:, 0, :3] = [[np.inf, -np.inf, 1e300], [0.0, np.nan, -1e300]]
+    classes = rng.integers(0, n_classes, (4, 1))
+    got = class_log_likelihood_points(xy, classes, g, cfg)
+    want = class_term_with_the_mask(xy, classes, g, cfg)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_class_scores_read_the_border_code_as_neutral():
+    # the Gaussian over the k_max + 2 distances, then 0 at the border code
+    g = flat_maps().class_grid
+    cfg = LikelihoodConfig()
+    offsets, scores = class_scores(g, cfg)
+    border = offsets.k_max + 2
+    assert scores.shape == (border + 1,) and scores[border] == 0.0
+    assert scores[border - 1] == cfg.log_class_rho == scores.min()
+    assert np.array_equal(scores[:border], np.maximum(gaussian_log_density(offsets.distances[:border], cfg.sigma_c),
+                                                      cfg.log_class_rho))
 
 
 # The cloud channel reads a distance field: its scores against the exact

@@ -115,6 +115,51 @@ def test_padded_lookups_match_an_inside_mask(points):
     assert np.array_equal(class_distance_many(ids, xy, 0, cells=cells), dist)
 
 
+def per_axis_cells(grid, xy):
+    """padded_cells one axis at a time, each index clamped to the border
+    and shifted by one, then row * (n_cols + 2) + col: the oracle of the
+    passes that take both axes."""
+    xy = np.asarray(xy, dtype=float)
+    col, row = np.empty(xy.shape)
+    for axis, coord, origin, n in (
+        (col, xy[0], grid.origin[0], grid.n_cols),
+        (row, xy[1], grid.origin[1], grid.n_rows),
+    ):
+        np.subtract(coord, origin, out=axis)
+        np.divide(axis, grid.resolution, out=axis)
+        np.floor(axis, out=axis)
+        np.fmax(axis, -1.0, out=axis)
+        np.fmin(axis, n, out=axis)
+        np.add(axis, 1.0, out=axis)
+    np.multiply(row, grid.n_cols + 2, out=row)
+    np.add(row, col, out=row)
+    return row.astype(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 50), st.integers(1, 50)),
+    resolution=st.sampled_from([0.01, 0.05, 0.37, 2.5]),
+    origin=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    points=st.lists(st.tuples(coords, coords), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_padded_cells_match_the_per_axis_form_bit_for_bit(shape, resolution, origin, points, seed):
+    # off-lattice, nan, inf and past-int64 points, and random ones off the
+    # lattice's nodes, in any leading shape, into new arrays or given ones
+    g = ElevationGrid(resolution, origin, np.zeros(shape))
+    rng = np.random.default_rng(seed)
+    span = resolution * np.array([[shape[1]], [shape[0]]])
+    xy = np.concatenate([np.array(points, dtype=float).T, g.origin[:, None] + rng.uniform(-0.2, 1.2, (2, 60)) * span],
+                        axis=1)
+    want = per_axis_cells(g, xy)
+    assert np.array_equal(padded_cells(g, xy), want)
+    rows = np.stack([xy, xy[:, ::-1]], axis=1)
+    out, scratch = np.empty(rows.shape[1:], dtype=np.int64), np.full(rows.shape, np.nan)
+    assert padded_cells(g, rows, out=out, scratch=scratch) is out
+    assert np.array_equal(out, [want, want[::-1]])
+
+
 # cell edges of small_elevation's lattice (origin (1, 2), 0.5 m cells), and
 # the floats just below them
 edges = st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 3.5]).flatmap(
@@ -303,17 +348,29 @@ def test_squared_offsets_take_the_smallest_unsigned_dtype_that_holds_their_cap(i
     ids = ids.T if transpose else ids
     g = ClassGrid(resolution, (0.0, 0.0), ids, 3)
     f = g.squared_offsets(reach)
-    cap = f.k_max + 1
+    cap, border = f.k_max + 1, f.k_max + 2
     assert f.offsets.dtype in UNSIGNED and f.offsets.shape == (3, ids.shape[0] + 2, ids.shape[1] + 2)
-    assert np.iinfo(f.offsets.dtype).max >= cap
-    assert all(np.iinfo(d).max < cap for d in UNSIGNED if np.dtype(d).itemsize < f.offsets.itemsize)
-    # the cap on the border and beyond the reach, which the distance table reads as inf
-    assert f.offsets.max() <= cap and (f.offsets[:, 0] == cap).all() and (f.offsets[:, :, -1] == cap).all()
-    assert f.distances.shape == (cap + 1,) and f.distances[cap] == np.inf
+    assert np.iinfo(f.offsets.dtype).max >= border
+    assert all(np.iinfo(d).max < border for d in UNSIGNED if np.dtype(d).itemsize < f.offsets.itemsize)
+    # the cap beyond the reach and the border code on the border, which the
+    # distance table reads as inf
+    inner = f.offsets[:, 1:-1, 1:-1]
+    assert inner.max() <= cap and (f.offsets[:, 0] == border).all() and (f.offsets[:, :, -1] == border).all()
+    assert (f.offsets[:, -1] == border).all() and (f.offsets[:, :, 0] == border).all()
+    assert f.distances.shape == (border + 1,) and (f.distances[cap:] == np.inf).all()
     # k_max: the largest offset within the reach, or the lattice's largest
     k_lattice = (ids.shape[0] - 1) ** 2 + (ids.shape[1] - 1) ** 2
     assert f.k_max <= k_lattice and resolution * math.sqrt(f.k_max) <= reach
     assert f.k_max == k_lattice or resolution * math.sqrt(cap) > reach
+
+
+@pytest.mark.parametrize("k_max, dtype", [(253, np.uint8), (254, np.uint16)])
+def test_squared_offsets_widen_when_the_border_code_passes_255(k_max, dtype):
+    # the border code k_max + 2 sets the dtype: 255 still fits a byte, 256 not
+    g = ClassGrid(1.0, (0.0, 0.0), np.zeros((20, 20), dtype=np.uint8), 1)
+    f = g.squared_offsets(math.sqrt(k_max + 0.5))
+    assert f.k_max == k_max and f.offsets.dtype == dtype
+    assert f.offsets[0, 0, 0] == k_max + 2 and f.distances[k_max + 2] == np.inf
 
 
 def test_distance_fields_keep_the_last_reach_and_reject_a_bad_one():

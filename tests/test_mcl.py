@@ -163,6 +163,21 @@ def test_resample_into_workspace_rows_matches_fresh_arrays(case):
     assert np.array_equal(systematic_resample_indices(weights, np.random.default_rng(seed), m), want)
 
 
+@pytest.mark.parametrize(
+    "weights, total", [([0.0, 0.0], "0.0"), ([np.nan, 1.0], "nan"), ([0.5, 0.6], "1.1"), ([np.inf, 0.0], "inf")]
+)
+def test_systematic_resample_refuses_weights_that_do_not_sum_to_one(weights, total):
+    # pinning the last cumulative weight to 1 would draw [1, 1] from [0, 0]
+    # and [0, 0] from [nan, 1]
+    with pytest.raises(ValueError, match=f"sum to 1, got a total of {total}"):
+        systematic_resample_indices(np.array(weights), np.random.default_rng(0))
+
+
+def test_systematic_resample_takes_a_total_within_1e6_of_one():
+    idx = systematic_resample_indices(np.array([0.5, 0.5 - 9e-7]), np.random.default_rng(0))
+    assert idx.tolist() == [0, 1]
+
+
 def test_effective_sample_size_bounds():
     # a step without contacts keeps the weights, so StepDiagnostics.ess is theirs
     n = 64
@@ -892,6 +907,30 @@ def class_height_maps():
     return MapSet(ElevationGrid(0.01, (-1.0, -1.0), heights), ClassGrid(0.01, (-1.0, -1.0), ids, 3))
 
 
+@pytest.mark.parametrize("patch, lookups", [(False, 0), (True, 1)], ids=["labeled", "unlabeled-patch"])
+def test_a_class_step_looks_up_class_ids_only_on_a_grid_with_unlabeled_cells(monkeypatch, patch, lookups):
+    # off the lattice the border code scores 0, so only an unlabeled cell
+    # inside the grid needs the class ids under the points
+    calls = []
+    real = likelihood_module.class_at_many
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(likelihood_module, "class_at_many", counting)
+    maps = class_height_maps()
+    if patch:
+        ids = maps.class_grid.class_ids.copy()
+        ids[90:110, 90:110] = UNKNOWN_CLASS
+        maps = MapSet(maps.elevation, ClassGrid(0.01, (-1.0, -1.0), ids, 3))
+    assert maps.class_grid.has_unlabeled_cells == patch
+    st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), maps, n_particles=100, mode="HL-GC")
+    cs = [ContactMeasurement(f, class_probs=np.eye(3)[k % 3]) for k, f in enumerate(FEET)]
+    step(st, StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs))
+    assert calls == [(2, 4, 100)] * lookups
+
+
 def test_warm_class_step_allocates_few_particle_sized_arrays(monkeypatch):
     # the class channel writes its rows into the contact buffers too: a warm
     # HL-GC step with four labeled contacts stays under the HL-G bound,
@@ -1126,6 +1165,41 @@ def test_occupied_bins_match_the_stacked_count(n, spread, seed):
     yaw = rng.uniform(-10.0, 10.0, n)
     idx = np.sort(rng.integers(0, n, n))
     assert occupied_bins(positions, yaw, idx) == reference_occupied_bins(positions, yaw, idx)
+
+
+# yaws on and around the ends of the wrap: 0, -0.0, +-2 pi and the floats
+# inside them, and beyond +-2 pi, where the mod still has to run
+wrap_yaws = st.one_of(
+    st.floats(-2.0 * np.pi, 2.0 * np.pi),
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi, np.nextafter(2.0 * np.pi, 0.0),
+                     np.nextafter(-2.0 * np.pi, 0.0), 7.0, -7.0, 1e3, -1e3]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wrap_yaws, min_size=1, max_size=60), st.sampled_from([0.01, 0.05, 1e150]), st.integers(0, 2**32))
+def test_yaw_wraps_match_the_mod_forms(yaws, spread, seed):
+    # the bin count against np.mod and np.unique; the estimate's yaw against
+    # the mod of every wrapped difference, bit for bit
+    rng = np.random.default_rng(seed)
+    yaw = np.array(yaws)
+    n = len(yaw)
+    positions = rng.uniform(-spread, spread, (3, n))
+    idx = np.sort(rng.integers(0, n, n))
+    assert occupied_bins(positions, yaw, idx) == reference_occupied_bins(positions, yaw, idx)
+    st = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=n, seed=0)
+    st.positions = rng.uniform(-0.05, 0.05, (3, n))
+    st.yaw = yaw
+    lw = rng.normal(0.0, 2.0, n)
+    st.log_weights = lw - _logsumexp(lw)
+    pose, _, branch = estimate_detail(st, STILL)
+    w = np.exp(st.log_weights - _logsumexp(st.log_weights))
+    ref = float(yaw[st.log_weights.argmax()])
+    mean_yaw = ref + float((np.pi - np.mod(np.pi + ref - yaw, 2.0 * np.pi)) @ w)
+    assert branch == "full"
+    # Pose normalizes the quaternion, as the estimate's Pose does
+    want = Pose(pose.position, quat_from_euler(*st.tilt, mean_yaw)).quat
+    assert np.array_equal(pose.quat.view(np.uint64), want.view(np.uint64))
 
 
 def test_occupied_bins_count_each_drawn_particle_once():
