@@ -303,16 +303,17 @@ def class_scores(grid: ClassGrid, cfg: LikelihoodConfig):
     """(offsets, scores) of the class channel: the grid's SquaredOffsets for
     cfg.class_reach, and the channel's score of each offset, the floored
     log density of its distance, the floor at the cap (distance inf), and 0
-    at the border code, where a point off the lattice reads and is neutral.
-    The grid makes the offsets on the first request and keeps them, and
-    they keep the scores for sigma_c."""
+    at the border code (SquaredOffsets.border), where a point off the
+    lattice reads and is neutral. The grid makes the offsets on the first
+    request and keeps them, and they keep the scores for sigma_c."""
     f = grid.squared_offsets(cfg.class_reach)
 
     def score(distances):
-        # the border code is the last entry; the Gaussian scores the others
+        # the Gaussian of the offsets below the border code, 0 at it
         ll = np.zeros(len(distances))
-        gaussian_log_density(distances[:-1], cfg.sigma_c, out=ll[:-1])
-        np.maximum(ll[:-1], cfg.log_class_rho, out=ll[:-1])
+        scored = ll[: f.border]
+        gaussian_log_density(distances[: f.border], cfg.sigma_c, out=scored)
+        np.maximum(scored, cfg.log_class_rho, out=scored)
         return ll
 
     return f, f.table(("class", cfg.sigma_c), score)

@@ -223,9 +223,10 @@ class SquaredOffsets:
     cell's squared lattice offset k to the nearest cell of each class where
     k is at most k_max, the largest offset whose distance is within reach,
     the cap k_max + 1 beyond it and for a class absent from the grid, and
-    the border code k_max + 2 on the padded border, where every point off
-    the lattice reads; its dtype is the smallest unsigned one that holds the
-    border code. An unlabeled cell of the interior keeps its exact offsets.
+    the border code k_max + 2 (border) on the padded border, where every
+    point off the lattice reads; its dtype is the smallest unsigned one that
+    holds the border code. An unlabeled cell of the interior keeps its exact
+    offsets.
     A table of k_max + 3 entries over k turns the offsets into any function
     of the distance with one gather: distances holds resolution * sqrt(k),
     the exact transform's arithmetic, and inf at the cap and the border
@@ -239,6 +240,11 @@ class SquaredOffsets:
     offsets: np.ndarray
     distances: np.ndarray
     _tables: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def border(self) -> int:
+        """The border code, k_max + 2."""
+        return self.k_max + 2
 
     def table(self, key, make) -> np.ndarray:
         """make(distances), a table over the offsets, read-only: made on the

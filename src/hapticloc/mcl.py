@@ -386,16 +386,10 @@ def systematic_resample_indices(weights, rng: np.random.Generator, m: int | None
     if not abs(total - 1.0) <= 1e-6:
         raise ValueError(f"resampling needs weights that sum to 1, got a total of {total}")
     cum[-1] = 1.0
-    return _systematic_draw(cum, rng, m, pointer_row, ramp)
-
-
-def _systematic_draw(cum, rng: np.random.Generator, m: int, pointer_row, ramp) -> np.ndarray:
-    """m systematic pointers, written into pointer_row, looked up in the
-    cumulative weights cum, whose last entry is 1."""
     pointers = np.add(rng.random(), ramp[:m], out=pointer_row[:m])
     pointers /= m
     idx = np.searchsorted(cum, pointers, side="right")
-    return np.minimum(idx, len(cum) - 1, out=idx)
+    return np.minimum(idx, n - 1, out=idx)
 
 
 def kld_sample_size(k: int) -> int:
@@ -415,9 +409,6 @@ def occupied_bins(positions, yaw, idx) -> int:
 
     idx is sorted, as systematic_resample_indices returns it, so a particle
     counts once, where its index first appears; only those keys are sorted.
-    Yaw is wrapped to [0, 2 pi) as np.mod wraps it: when every yaw lies in
-    [-2 pi, 2 pi), by adding 2 pi to the negative ones, as np.mod does there
-    (np.mod also turns a -0.0 into 0.0, which bins alike).
     """
     first = np.empty(len(idx), dtype=bool)
     first[0] = True
@@ -426,11 +417,7 @@ def occupied_bins(positions, yaw, idx) -> int:
     bins = np.empty((3, len(picked)))
     positions[0].take(picked, out=bins[0])
     positions[1].take(picked, out=bins[1])
-    angle = yaw.take(picked, out=bins[2])
-    if -2.0 * np.pi <= angle.min() and angle.max() < 2.0 * np.pi:
-        np.add(angle, 2.0 * np.pi, out=angle, where=angle < 0.0)
-    else:
-        np.mod(angle, 2.0 * np.pi, out=angle)
+    np.mod(yaw.take(picked, out=bins[2]), 2.0 * np.pi, out=bins[2])
     bins /= np.array(KLD_BIN)[:, None]
     np.floor(bins, out=bins)
     # one integer key per bin, exact in float64 while the spans allow it:
@@ -452,15 +439,14 @@ def occupied_bins(positions, yaw, idx) -> int:
 def _resample_indices(state: FilterState, weights) -> np.ndarray:
     """A systematic draw of the current count, and above KLD_MIN_PARTICLES a
     second one if the KLD count of the first, clamped to [KLD_MIN_PARTICLES,
-    n_max], differs from it. The second draw reads the cumulative weights
-    the first left in the workspace's rows."""
-    cum_row, pointer_row, ramp = rows = state.workspace.resample_rows
+    n_max], differs from it."""
+    rows = state.workspace.resample_rows
     idx = systematic_resample_indices(weights, state.rng, rows=rows)
     if state.n_max <= KLD_MIN_PARTICLES:
         return idx
     k = occupied_bins(state.positions, state.yaw, idx)
     m = min(max(kld_sample_size(k), KLD_MIN_PARTICLES), state.n_max)
-    return idx if m == len(idx) else _systematic_draw(cum_row[: len(idx)], state.rng, m, pointer_row, ramp)
+    return idx if m == len(idx) else systematic_resample_indices(weights, state.rng, m, rows)
 
 
 def _logsumexp(a, scratch=None):
@@ -604,16 +590,13 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     # the next step starts from this input's tilt
     state.tilt_key, state.tilt_rotation = inp.tilt_key, inp.rotation
 
-    # the first write of the weights moves them into the workspace: the
-    # weights join the first contact's row, and one reduce over the rows,
-    # sequential along its axis, adds them to it in contact order
+    # the first write of the weights moves them into the workspace
     lw = state.log_weights
     if inp.layout.size:
-        ll = contacts_log_likelihood(
+        for ll in contacts_log_likelihood(
             p, ws.heading, inp.layout, state.channels, state.maps, state.likelihood, ws.contacts, state.class_index
-        )
-        ll[0] += lw
-        lw = np.add.reduce(ll, axis=0, out=ws.log_weights)
+        ):
+            lw = np.add(lw, ll, out=ws.log_weights)
 
     total = _logsumexp(lw, ws.scratch)
     if not -math.inf < total < math.inf:

@@ -289,7 +289,8 @@ def test_class_scores_read_the_border_code_as_neutral():
     g = flat_maps().class_grid
     cfg = LikelihoodConfig()
     offsets, scores = class_scores(g, cfg)
-    border = offsets.k_max + 2
+    border = offsets.border
+    assert offsets.offsets[0, 0, 0] == border == offsets.k_max + 2
     assert scores.shape == (border + 1,) and scores[border] == 0.0
     assert scores[border - 1] == cfg.log_class_rho == scores.min()
     assert np.array_equal(scores[:border], np.maximum(gaussian_log_density(offsets.distances[:border], cfg.sigma_c),

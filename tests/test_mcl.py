@@ -1168,7 +1168,7 @@ def test_occupied_bins_match_the_stacked_count(n, spread, seed):
 
 
 # yaws on and around the ends of the wrap: 0, -0.0, +-2 pi and the floats
-# inside them, and beyond +-2 pi, where the mod still has to run
+# inside them, and beyond +-2 pi
 wrap_yaws = st.one_of(
     st.floats(-2.0 * np.pi, 2.0 * np.pi),
     st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi, np.nextafter(2.0 * np.pi, 0.0),
@@ -1179,7 +1179,8 @@ wrap_yaws = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(wrap_yaws, min_size=1, max_size=60), st.sampled_from([0.01, 0.05, 1e150]), st.integers(0, 2**32))
 def test_yaw_wraps_match_the_mod_forms(yaws, spread, seed):
-    # the bin count against np.mod and np.unique; the estimate's yaw against
+    # the bin count, by a sort and a count, against np.unique; the
+    # estimate's yaw, which skips the mod where it is the identity, against
     # the mod of every wrapped difference, bit for bit
     rng = np.random.default_rng(seed)
     yaw = np.array(yaws)
