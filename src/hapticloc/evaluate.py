@@ -78,10 +78,10 @@ def per_step_errors(truth, est) -> np.ndarray:
 
 
 def _yaws(poses) -> np.ndarray:
-    """geometry.quat_yaw of every pose, with the same operations in the same
-    order, in one arctan2 call over the stacked quaternions. On the machines
-    tests/golden_digests.txt names, numpy's vector arctan2 rounds as its
-    scalar call does, so the error files do not move."""
+    """The heading of every pose about world z, in one arctan2 call over the
+    stacked quaternions. On the machines tests/golden_digests.txt names,
+    numpy's vector arctan2 rounds as its scalar call does, so the error files
+    match those of one scalar arctan2 per pose."""
     qx, qy, qz, qw = np.stack([p.quat for p in poses]).T
     return np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
 

@@ -119,12 +119,6 @@ def quat_to_rotvec(q):
     return np.array([x * scale, y * scale, z * scale])
 
 
-def quat_yaw(q):
-    """Heading angle about world z."""
-    qx, qy, qz, qw = (float(c) for c in q)
-    return np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
-
-
 def quat_from_yaw(yaw):
     half = float(yaw) / 2.0
     return np.array([0.0, 0.0, math.sin(half), math.cos(half)])

@@ -50,7 +50,8 @@ cloud's field they stop at a reach, LikelihoodConfig.class_reach, the floor
 reach of sigma_c: a cell within it holds its exact squared offset k, and a
 cell beyond it the cap k_max + 1, and the padded border, where every point
 off the lattice reads, the border code k_max + 2. The channel scores each
-offset once, ahead of the queries (class_scores): a table of k_max + 3
+offset once, ahead of the queries, and the offsets keep the scores
+(class_scores), which every call reads from the layer: a table of k_max + 3
 entries holds the floored density of the distance resolution * sqrt(k),
 the floor at the cap, where the exact distance would score it too, and 0
 at the border code, the neutral factor of an off-map foot. So a contact's
@@ -74,7 +75,8 @@ in the plane into (3, K, N) world points, and compares that length with the
 class layer's class count. The grid channels share one set of padded cell
 indices for all the points, and each channel of the set looks its layer up
 once, the class channel with one estimated class per contact row, from the
-offsets and scores its filter bound once (class_scores). The result keeps
+offsets and scores its layer keeps (class_scores), as the cloud channel
+reads the field its cloud keeps (cloud_field). The result keeps
 one row per contact, computed with the same arithmetic as one contact on
 its own, so a caller that adds the rows to the weights in contact order gets
 the same sums bit for bit as evaluating the contacts one at a time. A filter
@@ -202,20 +204,6 @@ def _read_only(value) -> np.ndarray:
     return a
 
 
-def _kept_offset(value) -> np.ndarray:
-    """value itself when it is a read-only float64 3-vector that owns its
-    data, as every contact's offset is, else a read-only copy."""
-    if (
-        isinstance(value, np.ndarray)
-        and value.base is None
-        and value.dtype == np.float64
-        and value.shape == (3,)
-        and not value.flags.writeable
-    ):
-        return value
-    return _read_only(value)
-
-
 @dataclass(frozen=True)
 class ContactMeasurement:
     """One foot contact handed to the filter, checked once, when it is built.
@@ -224,10 +212,7 @@ class ContactMeasurement:
     class_probs is a terrain classifier's distribution over the classes, a
     finite, non-negative 1-D vector whose argmax, estimated_class, is the
     class the class channel queries the map for; both None when no
-    classifier labeled the contact. The arrays are kept read-only: class_probs
-    as a copy, and offset as a copy unless it is already a read-only float64
-    3-vector that owns its data, such as another contact's offset, which is
-    kept as it is (so labeling a contact does not copy its offset again).
+    classifier labeled the contact. Both arrays are kept as read-only copies.
     """
 
     offset: np.ndarray
@@ -236,7 +221,7 @@ class ContactMeasurement:
     estimated_class: int | None = field(init=False, default=None)
 
     def __post_init__(self):
-        offset = _kept_offset(self.offset)
+        offset = _read_only(self.offset)
         # three scalar checks cost less than one numpy call on a 3-vector
         if offset.shape != (3,) or not all(map(math.isfinite, offset.tolist())):
             raise ValueError(f"contact offset must be a finite 3-vector, got {offset.tolist()}")
@@ -320,7 +305,7 @@ def class_scores(grid: ClassGrid, cfg: LikelihoodConfig):
 
 
 def class_log_likelihood_points(
-    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None, out=None, scratch=None, class_index=None
+    points_xy, class_id, grid: ClassGrid, cfg: LikelihoodConfig, cells=None, out=None, scratch=None
 ) -> np.ndarray:
     """Per-point class channel for world xy contact points (2, ...).
 
@@ -338,13 +323,11 @@ def class_log_likelihood_points(
     that has one (ClassGrid.has_unlabeled_cells) looks the points' class ids
     up after the two gathers, and zeroes the unlabeled ones.
     cells as for the elevation channel; out receives the scores; scratch as
-    for maps.class_offsets_many. class_index, the (offsets, scores) pair
-    class_scores(grid, cfg) returns when the caller holds it, saves looking
-    them up again.
+    for maps.class_offsets_many.
     """
     if cells is None:
         cells = padded_cells(grid, points_xy)
-    offsets, scores = class_scores(grid, cfg) if class_index is None else class_index
+    offsets, scores = class_scores(grid, cfg)
     k = class_offsets_many(grid, points_xy, class_id, offsets, cells=cells, scratch=scratch)
     ll = scores.take(k, out=out, mode="clip")
     if grid.has_unlabeled_cells:
@@ -467,7 +450,6 @@ def contacts_log_likelihood(
     maps: MapSet,
     cfg: LikelihoodConfig,
     buffers: ContactBuffers | None = None,
-    class_index=None,
 ) -> np.ndarray:
     """Joint log-likelihoods (K, N) of the K contacts of layout at N
     particles: positions (3, N) and heading (2, N), the cos and sin of each
@@ -484,7 +466,7 @@ def contacts_log_likelihood(
     class_probs adds no class term: its class row is computed for a
     stand-in class and then zeroed. The layout's class_probs length is
     checked against the class layer here. The arrays come from buffers, or
-    new ones without; class_index as for class_log_likelihood_points.
+    new ones without.
     """
     require_layers(channels, maps.layers)
     n = positions.shape[1]
@@ -503,8 +485,7 @@ def contacts_log_likelihood(
     if "class" in channels and layout.n_probs is not None:
         _check_class_probs(layout.n_probs, maps.class_grid)
         class_log_likelihood_points(
-            world[:2], layout.classes, maps.class_grid, cfg, cells=cells, out=class_rows, scratch=index,
-            class_index=class_index,
+            world[:2], layout.classes, maps.class_grid, cfg, cells=cells, out=class_rows, scratch=index
         )
         for k in layout.unlabeled:
             class_rows[k].fill(0.0)

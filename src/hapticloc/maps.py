@@ -438,14 +438,12 @@ class DistanceField:
         plus half a quantum."""
         return 0.5 * math.sqrt(3.0) * self.spacing + 0.5 * self.quantum
 
-    def fill(self, nodes=None) -> None:
-        """Fill the nodes given by their flat indices into bricks, or every
-        node, that are not filled yet, _FILL_CHUNK nodes at a time."""
-        n_nodes = self.bricks.size - _BRICK_NODES
-        nodes = None if nodes is None else _distinct_nodes(nodes, len(self.bricks))
-        for start in range(0, n_nodes if nodes is None else len(nodes), _FILL_CHUNK):
-            stop = start + _FILL_CHUNK
-            self._fill(np.arange(start, min(stop, n_nodes)) if nodes is None else nodes[start:stop])
+    def fill(self, nodes) -> None:
+        """Fill the nodes given by their flat indices into bricks that are not
+        filled yet, _FILL_CHUNK nodes at a time."""
+        nodes = _distinct_nodes(nodes, len(self.bricks))
+        for start in range(0, len(nodes), _FILL_CHUNK):
+            self._fill(nodes[start : start + _FILL_CHUNK])
 
     def _fill(self, nodes) -> None:
         """Each of the nodes not filled yet its bounded cloud_distances,

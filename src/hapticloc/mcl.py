@@ -35,17 +35,17 @@ so the reported pose never teleports between modes. Either way the estimate's
 attitude is its yaw composed with the step's roll and pitch.
 
 What a step computes is done as rarely as what it depends on allows:
-- once per StepInput, when it is built: the rotation of its tilt and its
-  contact layout, the in-contact offsets tilted by that rotation with their
-  estimated classes and class-probability length (likelihood.ContactLayout);
+- once per StepInput, when it is built: a read-only copy of its odometry
+  covariance, the rotation of its tilt and its contact layout, the
+  in-contact offsets tilted by that rotation with their estimated classes
+  and class-probability length (likelihood.ContactLayout);
 - once per filter, in init_filter: the settings, the workspace, and the
-  indexes of the mode's channels, of which the state keeps the class
-  channel's offsets and scores (class_index);
-- once per input, start tilt and odometry covariance: the propagation
-  terms. The first filter to step an input makes them and the input keeps
-  them, keyed by the bytes of that tilt and covariance, so the other modes
-  of a seed, which step the same inputs from the same tilts, reuse them
-  (_shared_terms);
+  indexes of the mode's channels, which their map layers keep, and which a
+  step reads from there (likelihood.class_scores, likelihood.cloud_field);
+- once per input and start tilt: the propagation terms. The first filter
+  to step an input makes them and the input keeps them, keyed by the bytes
+  of that tilt, so the other modes of a seed, which step the same inputs
+  from the same tilts, reuse them (_shared_terms);
 - per step: the draws, the propagation, the contacts' world points, map
   lookups and weights, the check of the layout's class-probability length
   against the filter's class layer, the resample and the estimate.
@@ -110,8 +110,9 @@ from .maps import MapSet
 
 log = logging.getLogger(__name__)
 
-# the x, y, z and yaw entries of a tangent vector [dx dy dz droll dpitch dyaw]
-_XYZ_YAW = np.array([0, 1, 2, 5])
+# the x, y, z and yaw block of a 6x6 covariance of tangent vectors
+# [dx dy dz droll dpitch dyaw]
+_XYZ_YAW = np.ix_([0, 1, 2, 5], [0, 1, 2, 5])
 
 # KLD-sampling: with probability 1 - KLD_DELTA the KL divergence between the
 # particle set and the binned posterior stays below KLD_EPSILON; the bins are
@@ -127,27 +128,20 @@ RESAMPLE_FRAC = 0.5  # a step resamples below this share of N effective particle
 XY_STD_THRESHOLD = 0.10  # metres of x and y spread the full estimate allows
 
 
-def _xyz_yaw_block(cov, name) -> np.ndarray:
-    """The x, y, z and yaw block of a 6x6 tangent covariance."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (6, 6):
-        raise ValueError(f"{name} must be 6x6, got {cov.shape}")
-    return cov[np.ix_(_XYZ_YAW, _XYZ_YAW)]
-
-
 @dataclass(frozen=True, eq=False)
 class StepInput:
     """Odometry increment with its 6x6 tangent covariance, the foot contacts,
     and tilt, the base's (roll, pitch) against gravity at the end of the step.
 
     An input is fixed when it is built, and so is the work that depends on it
-    alone, which every filter that steps it reads: tilt_key, the tilt's
-    bytes; rotation, its tilt_matrix; and layout, the contacts in contact
-    (contacts_for_mode) tilted by that rotation and laid out for
+    alone, which every filter that steps it reads: odom_cov, a read-only
+    copy of the caller's covariance; tilt_key, the tilt's bytes; rotation,
+    its tilt_matrix; and layout, the contacts in contact (contacts_for_mode)
+    tilted by that rotation and laid out for
     likelihood.contacts_log_likelihood. The propagation terms also depend on
-    the filter's start tilt and on odom_cov, which the caller may change in
-    place, so the input keeps the last terms a filter made with those as
-    their key (_shared_terms), for the next filter to step it.
+    the filter's start tilt, so the input keeps the last terms a filter made
+    with that tilt as their key (_shared_terms), for the next filter to step
+    it.
     """
 
     odom_increment: Pose
@@ -161,7 +155,8 @@ class StepInput:
     _terms: list = field(init=False, repr=False, default_factory=lambda: [None, None])
 
     def __post_init__(self):
-        odom_cov = np.asarray(self.odom_cov, dtype=float)
+        odom_cov = np.array(self.odom_cov, dtype=float)
+        odom_cov.flags.writeable = False
         if odom_cov.shape != (6, 6):
             raise ValueError(f"odometry covariance must be 6x6, got {odom_cov.shape}")
         tilt = np.asarray(self.tilt, dtype=float)
@@ -275,12 +270,10 @@ class FilterState:
     trajectory: list[Pose]
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     divergence_count: int = 0
-    # the class channel's (offsets, scores) (likelihood.class_scores), bound
-    # by init_filter; None for a mode without the class channel
-    class_index: tuple | None = None
-    # the last odometry covariance step factored (a copy) and the factor of
-    # its x, y, z and yaw block; the tilt of the last rotation a step used,
-    # as its bytes, and that rotation (geometry.tilt_matrix)
+    # the last odometry covariance step factored (a StepInput's read-only
+    # odom_cov) and the factor of its x, y, z and yaw block; the tilt of the
+    # last rotation a step used, as its bytes, and that rotation
+    # (geometry.tilt_matrix)
     odom_cov: np.ndarray | None = None
     odom_factor: np.ndarray | None = None
     tilt_key: bytes | None = None
@@ -321,9 +314,9 @@ def init_filter(
     likelihood every step weighs its contacts against, and the channels of
     mode, a key of MODES. A mode whose channels need a layer maps lacks
     raises here. The indexes of the mode's channels are requested here, so
-    that no step builds one: for the class channel the class layer's squared
-    offsets and their table of scores (likelihood.class_scores), which the
-    state keeps as class_index for its steps to read, and for the cloud
+    that no step builds one; their map layers keep them, and a step reads
+    them from there: for the class channel the class layer's squared offsets
+    and their table of scores (likelihood.class_scores), and for the cloud
     channel the cloud's distance field (likelihood.cloud_field), which
     builds the cloud's kd-tree and finds the field's bricks; steps fill the
     nodes they read.
@@ -342,12 +335,15 @@ def init_filter(
     ):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
-    class_index = class_scores(maps.class_grid, likelihood) if "class" in MODES[mode] else None
+    if "class" in MODES[mode]:
+        class_scores(maps.class_grid, likelihood)
     if "cloud" in MODES[mode]:
         cloud_field(maps.cloud, likelihood)
     rng = np.random.default_rng(seed)
     roll, pitch, yaw = quat_to_euler(prior_mean.quat)
-    factor = covariance_factor(_xyz_yaw_block(prior_cov, "prior covariance"))
+    if prior_cov.shape != (6, 6):
+        raise ValueError(f"prior covariance must be 6x6, got {prior_cov.shape}")
+    factor = covariance_factor(prior_cov[_XYZ_YAW])
     # body-frame position noise, turned into the world by the prior's attitude
     factor[:3] = quat_matrix(prior_mean.quat) @ factor[:3]
     delta = factor @ rng.standard_normal((4, n_particles))
@@ -361,7 +357,6 @@ def init_filter(
         likelihood=likelihood,
         channels=MODES[mode],
         trajectory=[prior_mean],
-        class_index=class_index,
     )
 
 
@@ -493,15 +488,13 @@ def estimate_detail(state: FilterState, increment: Pose):
     return Pose([base.position[0], base.position[1], mean_p[2]], quat_from_euler(roll, pitch, yaw)), xy_std, "z-only"
 
 
-def _odom_factor(state: FilterState, cov) -> np.ndarray:
-    """The factor of cov's x, y, z and yaw block, factored again only when
-    cov differs bitwise from the covariance the cached factor came from."""
-    cov = np.asarray(cov, dtype=float)
-    cached = state.odom_cov
-    if cached is None or cached.shape != cov.shape or cached.tobytes() != cov.tobytes():
-        state.odom_factor = covariance_factor(_xyz_yaw_block(cov, "odometry covariance"))
-        # a copy: the caller may mutate its array in place between steps
-        state.odom_cov = cov.copy()
+def _odom_factor(state: FilterState, cov: np.ndarray) -> np.ndarray:
+    """The factor of the x, y, z and yaw block of cov, a StepInput's
+    read-only odom_cov, factored again only when cov differs bitwise from
+    the covariance the cached factor came from."""
+    if state.odom_cov is None or state.odom_cov.tobytes() != cov.tobytes():
+        state.odom_factor = covariance_factor(cov[_XYZ_YAW])
+        state.odom_cov = cov
     return state.odom_factor
 
 
@@ -535,14 +528,14 @@ def _propagation_terms(start, increment: Pose, factor):
 
 def _shared_terms(state: FilterState, inp: StepInput):
     """_propagation_terms from the state's tilt for inp: the terms inp holds
-    when the state's tilt and inp's odometry covariance match their key
-    bitwise, else made, with the state's cached rotation and factor, and
-    kept by inp for the next filter to step it."""
-    cov = inp.odom_cov
-    key = struct.pack("2d", *state.tilt) + cov.tobytes()
+    when the state's tilt matches their key bitwise, else made, with the
+    state's cached rotation and factor, and kept by inp for the next filter
+    to step it."""
+    key = struct.pack("2d", *state.tilt)
     cached = inp._terms
     if key != cached[0]:
-        terms = _propagation_terms(_tilt_matrix(state, state.tilt), inp.odom_increment, _odom_factor(state, cov))
+        start = _tilt_matrix(state, state.tilt)
+        terms = _propagation_terms(start, inp.odom_increment, _odom_factor(state, inp.odom_cov))
         for a in terms[:2]:
             a.flags.writeable = False
         cached[:] = key, terms
@@ -562,13 +555,14 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     the channels of the filter's mode, all together: the particles' cos/sin
     pair moves them to world points, and each channel queries its map layer
     once for all of them. Their log-likelihoods are then added to the
-    weights one contact at a time, in contact order. The propagation terms
-    come from the input when another filter made them for the same start
-    tilt and covariance (_shared_terms); else the odometry covariance factor
-    is cached in the state and recomputed, with the full symmetry and PSD
-    checks, only when the covariance changes. A resample may change the
-    particle count (_resample_indices); the step's diagnostics keep the
-    count it carried.
+    weights one contact at a time, in contact order. The class channel reads
+    the scores init_filter had its layer make (likelihood.class_scores), as
+    the cloud channel reads its field. The propagation terms come from the
+    input when another filter made them for the same start tilt
+    (_shared_terms); else the odometry covariance factor is cached in the
+    state and recomputed, with the full symmetry and PSD checks, only when
+    the covariance changes. A resample may change the particle count
+    (_resample_indices); the step's diagnostics keep the count it carried.
     """
     n = state.n_particles
     inc = inp.odom_increment
@@ -594,7 +588,7 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     lw = state.log_weights
     if inp.layout.size:
         for ll in contacts_log_likelihood(
-            p, ws.heading, inp.layout, state.channels, state.maps, state.likelihood, ws.contacts, state.class_index
+            p, ws.heading, inp.layout, state.channels, state.maps, state.likelihood, ws.contacts
         ):
             lw = np.add(lw, ll, out=ws.log_weights)
 

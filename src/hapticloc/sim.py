@@ -605,9 +605,9 @@ def classify_log(log: WalkLog, model) -> WalkLog:
     classifier's class probabilities: model is anything with predict(signals)
     -> (K, C) probs, called once with the walk's signals. A contact without a
     signal, a foot on an unlabeled cell, stays unlabeled. A log without force
-    signals raises. A labeled contact keeps the offset array of the contact
-    it replaces: the constructor takes a checked offset as it is, and copies
-    and checks only the class probabilities."""
+    signals raises. A labeled contact is a new ContactMeasurement with the
+    offset of the contact it replaces, of which it keeps its own read-only
+    copy."""
     signals = [s for rec in log.records for s in rec.signals if s is not None]
     if not signals:
         raise ValueError("the walk log holds no force signals to classify")

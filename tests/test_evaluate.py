@@ -14,6 +14,7 @@ from hapticloc.evaluate import (
     EvalReport,
     ExperimentConfig,
     ReportRow,
+    _yaws,
     ate,
     default_chevron_experiment,
     default_experiment,
@@ -71,6 +72,11 @@ def test_ate_validation():
         ate([pose()], [pose(), pose()])
     with pytest.raises(ValueError):
         ate([], [])
+
+
+def test_yaws_of_pure_yaw():
+    yaws = (-3.0, -1.2, 0.0, 0.7, 2.9)
+    assert _yaws([pose(yaw=yaw) for yaw in yaws]) == pytest.approx(yaws, abs=1e-12)
 
 
 def test_per_step_errors_components_and_yaw_wrap():

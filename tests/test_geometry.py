@@ -23,7 +23,6 @@ from hapticloc.geometry import (
     quat_rotate,
     quat_to_euler,
     quat_to_rotvec,
-    quat_yaw,
     relative_increment,
     save_trajectory,
     wrap_angle,
@@ -138,11 +137,6 @@ def trailing_to_rotvec(q):
     return qv * scale
 
 
-def trailing_yaw(q):
-    qx, qy, qz, qw = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
-
-
 def trailing_from_yaw(yaw):
     z, w = np.sin(yaw / 2.0), np.cos(yaw / 2.0)
     zero = np.zeros_like(z)
@@ -170,7 +164,6 @@ def test_single_pose_bit_identical_to_trailing_axis_formulas(q, p, v, yaw):
     assert same_bits(quat_rotate(q, v), cross_quat_rotate(q, v))
     with np.errstate(over="ignore", invalid="ignore"):
         assert same_bits(quat_to_rotvec(q), trailing_to_rotvec(q))
-    assert same_bits(quat_yaw(q), trailing_yaw(q))
     assert same_bits(quat_from_yaw(yaw), trailing_from_yaw(yaw))
     for rv in (v, 1e-12 * v, q[:3]):
         assert same_bits(quat_from_rotvec(rv), trailing_from_rotvec(rv))
@@ -214,11 +207,6 @@ def test_rotvec_round_trip_small_angles():
         rv = np.array([0.3, -0.2, 0.45]) * scale
         back = quat_to_rotvec(quat_from_rotvec(rv))
         assert np.allclose(back, rv, rtol=1e-12, atol=1e-15)
-
-
-def test_quat_yaw_of_pure_yaw():
-    for yaw in (-3.0, -1.2, 0.0, 0.7, 2.9):
-        assert quat_yaw(quat_from_yaw(yaw)) == pytest.approx(yaw, abs=1e-12)
 
 
 def test_wrap_angle():

@@ -501,18 +501,16 @@ def test_contact_fields_cannot_be_assigned():
             values[0] = np.nan
 
 
-def test_a_contact_keeps_a_checked_offset_and_copies_any_other():
-    # labeling a contact rebuilds it around the offset array it already holds
+def test_a_contact_copies_every_offset_and_checks_it():
+    # another contact's offset is copied too, as are views and other dtypes
     c = ContactMeasurement((0.2, -0.15, -0.3))
-    labeled = ContactMeasurement(c.offset, class_probs=[0.2, 0.8], in_contact=c.in_contact)
-    assert labeled.offset is c.offset
     base = np.array([0.2, -0.15, -0.3, 0.0])
     view = base[:3]
     view.flags.writeable = False
-    for offset in (np.array([0.2, -0.15, -0.3]), view, c.offset.astype(np.float32)):
+    for offset in (c.offset, np.array([0.2, -0.15, -0.3]), view, c.offset.astype(np.float32)):
         kept = ContactMeasurement(offset).offset
         assert kept is not offset and kept.dtype == float and not kept.flags.writeable
-    # a read-only array is still checked
+    # a read-only array is checked
     bad = np.array([0.2, np.nan, -0.3])
     bad.flags.writeable = False
     with pytest.raises(ValueError, match="offset must be a finite 3-vector"):

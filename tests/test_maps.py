@@ -47,6 +47,14 @@ def distance_fields(grid, reach=math.inf):
     return f.distances.take(f.offsets)
 
 
+def fill_every_node(f):
+    """Fill every node of the distance field f, one fill per _FILL_CHUNK
+    nodes."""
+    n_nodes = f.bricks[:-1].size
+    for start in range(0, n_nodes, maps_module._FILL_CHUNK):
+        f.fill(np.arange(start, min(start + maps_module._FILL_CHUNK, n_nodes)))
+
+
 def random_class_grid(rng, rows, cols, n_classes=8):
     ids = rng.integers(0, n_classes + 1, size=(rows, cols)).astype(np.uint8)
     ids[ids == n_classes] = UNKNOWN_CLASS  # sprinkle unknowns
@@ -498,7 +506,7 @@ def test_field_nodes_hold_their_quantized_capped_distance(seed, n_cloud, spacing
     assert np.isin(f.keys, key).all()
     field_distances(f, cloud.points[:1].T)
     assert np.count_nonzero(f.bricks[:-1]) == 8
-    f.fill()
+    fill_every_node(f)
     assert np.array_equal(f.bricks[:-1], want[kept][np.argsort(key[kept])])
     assert np.all(f.bricks[-1] == 255)
     # a gather just past a kept brick's own node reads that node's distance
@@ -514,7 +522,7 @@ def test_field_distances_do_not_depend_on_which_nodes_filled_first():
     query = (points[rng.integers(0, 50, 400)] + rng.normal(0.0, 0.02, (400, 3))).T
     gathered = PointCloudMap(points).distance_field(0.03, 0.0075)
     filled = PointCloudMap(points).distance_field(0.03, 0.0075)
-    filled.fill()
+    fill_every_node(filled)
     # a gather in two halves, which fills as it goes, against one over a
     # full field
     got = np.concatenate([field_distances(gathered, query[:, :200]), field_distances(gathered, query[:, 200:])])
@@ -547,7 +555,7 @@ def counted_fills(monkeypatch):
     calls = []
     fill = maps_module.DistanceField.fill
 
-    def counted(f, nodes=None):
+    def counted(f, nodes):
         calls.append(nodes)
         fill(f, nodes)
 
@@ -581,7 +589,7 @@ def test_a_gather_reads_what_a_full_field_holds(seed, n_cloud, n_centres, n_quer
     query = (centres[rng.integers(0, n_centres, n_query)] + rng.normal(0.0, 1.5 * spacing, (n_query, 3))).T
     gathered = PointCloudMap(points).distance_field(0.03, spacing)
     full = PointCloudMap(points).distance_field(0.03, spacing)
-    full.fill()
+    fill_every_node(full)
     read = read_nodes(gathered, query)
     n_nodes = gathered.bricks[:-1].size
     gathered.fill(np.concatenate([read, rng.integers(0, n_nodes, 50)])[rng.random(len(read) + 50) < prefill])
@@ -608,7 +616,7 @@ def test_a_gather_leaves_none_of_its_corners_unfilled(monkeypatch):
     assert np.array_equal(field_distances(f, query), first)
     assert calls == []
     full = PointCloudMap(points).distance_field(0.03, 0.0075)
-    full.fill()
+    fill_every_node(full)
     calls.clear()
     assert np.array_equal(field_distances(full, query), first)
     assert calls == []
@@ -633,7 +641,7 @@ def test_a_gather_fills_its_zero_corners_a_chunk_at_a_time(monkeypatch):
     points, query = gather_case(7, n_query=1000)
     f = PointCloudMap(points).distance_field(0.03, 0.0075)
     full = PointCloudMap(points).distance_field(0.03, 0.0075)
-    full.fill()
+    fill_every_node(full)
     f.fill(read_nodes(f, query)[::3])
     n_zero = np.count_nonzero(f.bricks.reshape(-1)[corner_nodes(f, query)] == 0)
     assert n_zero > 1000

@@ -298,7 +298,8 @@ def test_out_of_contact_feet_are_skipped():
 def test_stepinput_covariance_shapes():
     inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
     cov = np.diag(np.arange(1, 7, dtype=float))
-    assert StepInput(inc, cov, []).odom_cov is cov
+    held = StepInput(inc, cov, []).odom_cov
+    assert held is not cov and np.array_equal(held, cov) and not held.flags.writeable
     # a covariance is a full 6x6 matrix, never its diagonal alone
     for shape in ((6,), (3, 3)):
         with pytest.raises(ValueError, match="must be 6x6"):
@@ -617,44 +618,36 @@ def shared_walks(draw):
     st.permutations(SHARED_MODES),
     st.booleans(),
     st.lists(st.sampled_from([(0.0, 0.0), (0.05, -0.04)]), min_size=3, max_size=3),
-    st.lists(st.sampled_from([1.0, 2.0]), min_size=3, max_size=3),
     st.integers(0, 2**16),
 )
-def test_modes_sharing_inputs_match_modes_on_inputs_of_their_own(walk, order, interleaved, tilts, scales, seed):
+def test_modes_sharing_inputs_match_modes_on_inputs_of_their_own(walk, order, interleaved, tilts, seed):
     # the three modes in any order, one after another or step by step, from
-    # priors that may differ in tilt, with the one odometry covariance the
-    # inputs hold changed in place before each filter steps: each mode runs
-    # as it does alone over inputs built for it
+    # priors that may differ in tilt: each mode runs as it does alone over
+    # inputs built for it
     maps, cfg = ORACLE_MAPS, LikelihoodConfig(sigma_z=0.02, sigma_c=0.2)
     prior_cov = np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1])
     odom_cov = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
-    per_mode = dict(zip(SHARED_MODES, zip(tilts, scales)))
+    per_mode = dict(zip(SHARED_MODES, tilts))
 
     def start(mode):
-        prior = Pose(np.array([2.0, 1.5, 0.3]), quat_from_euler(*per_mode[mode][0], 0.3))
+        prior = Pose(np.array([2.0, 1.5, 0.3]), quat_from_euler(*per_mode[mode], 0.3))
         return new_filter(prior, prior_cov, maps, cfg, mode=mode, n_particles=64, seed=seed)
 
-    def inputs(cov):
-        return [StepInput(inc, cov, cs, tilt) for inc, cs, tilt in walk]
+    def inputs():
+        return [StepInput(inc, odom_cov, cs, tilt) for inc, cs, tilt in walk]
 
-    cov = odom_cov.copy()
-    shared = inputs(cov)
+    shared = inputs()
     filters = {mode: start(mode) for mode in order}
-
-    def step_as(mode, inp):
-        cov[...] = per_mode[mode][1] * odom_cov
-        step(filters[mode], inp)
-
     if interleaved:
         for inp in shared:
             for mode in order:
-                step_as(mode, inp)
+                step(filters[mode], inp)
     else:
         for mode in order:
             for inp in shared:
-                step_as(mode, inp)
+                step(filters[mode], inp)
     for mode in order:
-        assert_same_run(filters[mode], run_filter(start(mode), inputs(per_mode[mode][1] * odom_cov)))
+        assert_same_run(filters[mode], run_filter(start(mode), inputs()))
 
 
 def test_a_step_input_holds_its_contacts_in_a_tuple():
@@ -676,23 +669,6 @@ def test_a_step_input_refuses_an_entry_that_is_not_a_contact(bad):
     with pytest.raises(TypeError) as e:
         StepInput(STILL, ODOM_COV, cs)
     assert str(e.value) == f"contacts[2] must be a ContactMeasurement, got {type(bad).__name__}"
-
-
-def test_a_class_step_reads_the_scores_its_filter_bound(monkeypatch):
-    # init_filter binds the class channel's offsets and scores once; a step
-    # passes them on and never looks them up
-    maps = oracle_maps()
-    cs = [ContactMeasurement(f, class_probs=np.eye(N_ORACLE_CLASSES)[k]) for k, f in enumerate(FEET)]
-    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
-    for mode in ("HL-GC", "HL-C"):
-        st = new_filter(stand_pose(2.0, 1.5), np.eye(6) * 1e-3, maps, mode=mode, n_particles=100)
-        bound = likelihood_module.class_scores(maps.class_grid, st.likelihood)
-        assert all(a is b for a, b in zip(st.class_index, bound))
-        monkeypatch.setattr(likelihood_module, "class_scores", None)
-        for _ in range(3):
-            step(st, inp)
-        monkeypatch.undo()
-    assert new_filter(stand_pose(), np.eye(6) * 1e-3, maps, mode="HL-G").class_index is None
 
 
 # the cached odometry covariance factor
@@ -719,15 +695,18 @@ def test_covariance_cache_follows_a_changing_covariance():
         assert_same_particles(new, ref)
 
 
-def test_covariance_cache_sees_in_place_mutation():
+def test_a_step_input_holds_a_read_only_copy_of_its_covariance():
+    # mutating the caller's array after the input is built changes no step
     new, ref = cache_filters()
     cov = ODOM_COV.copy()
     inp = turning_input(cov)
-    assert inp.odom_cov is cov  # the step input holds the caller's array
+    assert inp.odom_cov is not cov and not inp.odom_cov.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        inp.odom_cov[0, 0] = 1.0
     for k in range(6):
-        cov[0, 0] = 4e-4 * (1 + k % 3)
+        cov[0, 0] = 4e-4 * (2 + k % 3)
         step(new, inp)
-        reference_step(ref, inp)
+        reference_step(ref, turning_input(ODOM_COV))
         assert_same_particles(new, ref)
 
 
@@ -738,15 +717,17 @@ def test_covariance_cache_sees_in_place_mutation():
     ids=["asymmetric", "not-psd"],
 )
 def test_covariance_cache_still_rejects_bad_covariance_on_its_step(cell, value, match, in_place):
+    # an input built from a bad array raises on its step, whether the caller
+    # made that array anew or changed the one its earlier inputs were built
+    # from in place
     state = cache_filters()[0]
     cov = ODOM_COV.copy()
-    inp = turning_input(cov)
     for _ in range(3):
-        step(state, inp)
+        step(state, turning_input(cov))
     if not in_place:
         cov = cov.copy()
-        inp = turning_input(cov)
     cov[cell] = value
+    inp = turning_input(cov)
     with pytest.raises(ValueError, match=match):
         step(state, inp)
     assert len(state.diagnostics) == 3
