@@ -378,13 +378,13 @@ _LOCAL = np.indices((_SIDE,) * 3).reshape(-1, _BRICK_NODES).T
 _OFFSET_WEIGHTS = FIELD_BRICK * np.array([[_SIDE**2, _SIDE, 1.0]])
 _CORNERS = np.array([dx * _SIDE**2 + dy * _SIDE + dz for dy in (0, 1) for dx in (0, 1) for dz in (0, 1)])
 # the steps of a node's distance from 0 to the cap, stored one above, so
-# that a uint8 0 marks a node not filled yet; the nodes one fill queries at
-# a time, so that its scratch, about 140 bytes a node with the kd-tree's
-# results, stays near 2.3 MB; the zero corners field_distances fills at a
-# time, so that one fill and its bookkeeping stay near 0.7 MB; and the
-# float64 rows of a point that its scratch holds
+# that a uint8 0 marks a node not filled yet; the zero corners
+# field_distances fills at a time, the cap on one fill's memory: a fill
+# holds about 140 bytes a node it is given (the bitmap of its distinct
+# nodes, their coordinates and the kd-tree's results), so one fill and its
+# bookkeeping stay near 0.7 MB; and the float64 rows of a point that its
+# scratch holds
 _QUANTA = 254
-_FILL_CHUNK = 16384
 _ZERO_CHUNK = 4096
 GATHER_ROWS = 10
 
@@ -439,16 +439,12 @@ class DistanceField:
         return 0.5 * math.sqrt(3.0) * self.spacing + 0.5 * self.quantum
 
     def fill(self, nodes) -> None:
-        """Fill the nodes given by their flat indices into bricks that are not
-        filled yet, _FILL_CHUNK nodes at a time."""
-        nodes = _distinct_nodes(nodes, len(self.bricks))
-        for start in range(0, len(nodes), _FILL_CHUNK):
-            self._fill(nodes[start : start + _FILL_CHUNK])
-
-    def _fill(self, nodes) -> None:
-        """Each of the nodes not filled yet its bounded cloud_distances,
-        capped and quantized."""
+        """Fill each of the nodes, given by their flat indices into bricks,
+        that is not filled yet with its bounded cloud_distances, capped and
+        quantized. A fill holds about 140 bytes a node it is given, all at
+        once, so a caller bounds the count (field_distances: _ZERO_CHUNK)."""
         flat = self.bricks.reshape(-1)
+        nodes = _distinct_nodes(nodes, len(self.bricks))
         nodes = nodes[flat[nodes] == 0]
         row, local = np.divmod(nodes, _BRICK_NODES)
         span = (self.high - self.low + 1.0).astype(np.int64)

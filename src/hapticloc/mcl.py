@@ -5,7 +5,10 @@ rows (positions (3, N) and yaw (N,), each C-contiguous) with log-domain
 weights. Roll and pitch are not particle state: on a legged robot the IMU
 observes them against gravity, so each step takes them from its input
 (StepInput.tilt) and every particle shares them. A particle's attitude is
-Rz(yaw) Ry(pitch) Rx(roll).
+Rz(yaw) Ry(pitch) Rx(roll). The state's tilt and tilt_rotation are that one
+shared attitude, as a (roll, pitch) pair and its read-only tilt_matrix:
+init_filter sets both from the prior mean, and each step both from its
+input (StepInput.tilt and StepInput.rotation).
 
 Each step propagates every particle by the odometry increment with body-frame
 Gaussian noise, multiplies weights by the joint contact likelihood, resamples
@@ -39,13 +42,16 @@ What a step computes is done as rarely as what it depends on allows:
   covariance, the rotation of its tilt and its contact layout, the
   in-contact offsets tilted by that rotation with their estimated classes
   and class-probability length (likelihood.ContactLayout);
-- once per filter, in init_filter: the settings, the workspace, and the
-  indexes of the mode's channels, which their map layers keep, and which a
-  step reads from there (likelihood.class_scores, likelihood.cloud_field);
-- once per input and start tilt: the propagation terms. The first filter
-  to step an input makes them and the input keeps them, keyed by the bytes
-  of that tilt, so the other modes of a seed, which step the same inputs
-  from the same tilts, reuse them (_shared_terms);
+- once per filter, in init_filter: the settings, the workspace, the
+  rotation of the prior's tilt, and the indexes of the mode's channels,
+  which their map layers keep, and which a step reads from there
+  (likelihood.class_scores, likelihood.cloud_field);
+- once per input and start rotation: the propagation terms. The first
+  filter to step an input makes them and the input keeps them, keyed by
+  the filter's start rotation (FilterState.tilt_rotation), the very array:
+  the prior's, or the rotation of the input the filter stepped last. So the
+  other modes of a seed, which step the same inputs in the same order,
+  reuse the terms of every input after their first (_shared_terms);
 - per step: the draws, the propagation, the contacts' world points, map
   lookups and weights, the check of the layout's class-probability length
   against the filter's class layer, the resample and the estimate.
@@ -78,7 +84,6 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -135,23 +140,23 @@ class StepInput:
 
     An input is fixed when it is built, and so is the work that depends on it
     alone, which every filter that steps it reads: odom_cov, a read-only
-    copy of the caller's covariance; tilt_key, the tilt's bytes; rotation,
-    its tilt_matrix; and layout, the contacts in contact (contacts_for_mode)
-    tilted by that rotation and laid out for
-    likelihood.contacts_log_likelihood. The propagation terms also depend on
-    the filter's start tilt, so the input keeps the last terms a filter made
-    with that tilt as their key (_shared_terms), for the next filter to step
-    it.
+    copy of the caller's covariance; rotation, the read-only tilt_matrix of
+    its tilt, which becomes the state's tilt_rotation when a filter steps
+    it; and layout, the contacts in contact (contacts_for_mode) tilted by
+    that rotation and laid out for likelihood.contacts_log_likelihood. The
+    propagation terms also depend on the filter's start rotation, so the
+    input keeps the last terms a filter made with that rotation as their key
+    (_shared_terms), for the next filter to step it.
     """
 
     odom_increment: Pose
     odom_cov: np.ndarray
     contacts: tuple[ContactMeasurement, ...]
     tilt: tuple = (0.0, 0.0)
-    tilt_key: bytes = field(init=False, repr=False)
     rotation: np.ndarray = field(init=False, repr=False)
     layout: ContactLayout = field(init=False, repr=False)
-    # [key, (g, u, turn)]: the terms _shared_terms made last, and their key
+    # [start rotation, (g, u, turn)]: the terms _shared_terms made last, and
+    # the rotation they were made from
     _terms: list = field(init=False, repr=False, default_factory=lambda: [None, None])
 
     def __post_init__(self):
@@ -182,7 +187,6 @@ class StepInput:
             ("odom_cov", odom_cov),
             ("contacts", contacts),
             ("tilt", tilt),
-            ("tilt_key", struct.pack("2d", *tilt)),
             ("rotation", rotation),
             ("layout", contact_layout(contacts_for_mode(contacts), rotation)),
         ):
@@ -251,7 +255,9 @@ class FilterState:
 
     trajectory[0] is the prior mean and trajectory[k] the estimate after step
     k, whose diagnostics are diagnostics[k - 1]. tilt is the (roll, pitch)
-    every particle shares: the prior mean's, then the last step's.
+    every particle shares, and tilt_rotation its read-only tilt_matrix, one
+    attitude: init_filter sets both from the prior mean, and each step both
+    from its input. A step starts from tilt_rotation.
 
     The state owns positions, yaw and log_weights, and later steps overwrite
     them in place (see the module docstring): copy one to keep it.
@@ -261,6 +267,7 @@ class FilterState:
     positions: np.ndarray
     yaw: np.ndarray
     tilt: tuple
+    tilt_rotation: np.ndarray
     log_weights: np.ndarray
     rng: np.random.Generator
     maps: MapSet
@@ -271,13 +278,9 @@ class FilterState:
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     divergence_count: int = 0
     # the last odometry covariance step factored (a StepInput's read-only
-    # odom_cov) and the factor of its x, y, z and yaw block; the tilt of the
-    # last rotation a step used, as its bytes, and that rotation
-    # (geometry.tilt_matrix)
+    # odom_cov) and the factor of its x, y, z and yaw block
     odom_cov: np.ndarray | None = None
     odom_factor: np.ndarray | None = None
-    tilt_key: bytes | None = None
-    tilt_rotation: np.ndarray | None = None
     workspace: _Workspace = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -310,9 +313,10 @@ def init_filter(
 
     prior_cov is a 6x6 tangent covariance in the prior mean's body frame, of
     which the particles draw the x, y, z and yaw block; they share the prior
-    mean's roll and pitch. Binds every setting of the run: the maps and
-    likelihood every step weighs its contacts against, and the channels of
-    mode, a key of MODES. A mode whose channels need a layer maps lacks
+    mean's roll and pitch, the state's tilt, whose rotation, tilt_rotation,
+    is made here, once per filter. Binds every setting of the run: the maps
+    and likelihood every step weighs its contacts against, and the channels
+    of mode, a key of MODES. A mode whose channels need a layer maps lacks
     raises here. The indexes of the mode's channels are requested here, so
     that no step builds one; their map layers keep them, and a step reads
     them from there: for the class channel the class layer's squared offsets
@@ -347,10 +351,13 @@ def init_filter(
     # body-frame position noise, turned into the world by the prior's attitude
     factor[:3] = quat_matrix(prior_mean.quat) @ factor[:3]
     delta = factor @ rng.standard_normal((4, n_particles))
+    rotation = tilt_matrix(roll, pitch)
+    rotation.flags.writeable = False
     return FilterState(
         positions=prior_mean.position[:, None] + delta[:3],
         yaw=yaw + delta[3],
         tilt=(roll, pitch),
+        tilt_rotation=rotation,
         log_weights=np.full(n_particles, -np.log(n_particles)),
         rng=rng,
         maps=maps,
@@ -498,16 +505,6 @@ def _odom_factor(state: FilterState, cov: np.ndarray) -> np.ndarray:
     return state.odom_factor
 
 
-def _tilt_matrix(state: FilterState, tilt) -> np.ndarray:
-    """tilt_matrix of tilt, a (roll, pitch) pair: the state's rotation, that
-    of the last input it stepped, while tilt matches its tilt bitwise."""
-    key = struct.pack("2d", *tilt)
-    if key != state.tilt_key:
-        state.tilt_rotation = tilt_matrix(*tilt)
-        state.tilt_key = key
-    return state.tilt_rotation
-
-
 def _propagation_terms(start, increment: Pose, factor):
     """The terms of a step every particle shares: (g, u, turn).
 
@@ -527,18 +524,17 @@ def _propagation_terms(start, increment: Pose, factor):
 
 
 def _shared_terms(state: FilterState, inp: StepInput):
-    """_propagation_terms from the state's tilt for inp: the terms inp holds
-    when the state's tilt matches their key bitwise, else made, with the
-    state's cached rotation and factor, and kept by inp for the next filter
-    to step it."""
-    key = struct.pack("2d", *state.tilt)
+    """_propagation_terms from the state's start rotation for inp: the terms
+    inp holds when they were made from that very rotation (a read-only
+    array, so a hit cannot serve another tilt's terms), else made, with the
+    state's cached factor, and kept by inp for the next filter to step it."""
+    start = state.tilt_rotation
     cached = inp._terms
-    if key != cached[0]:
-        start = _tilt_matrix(state, state.tilt)
+    if cached[0] is not start:
         terms = _propagation_terms(start, inp.odom_increment, _odom_factor(state, inp.odom_cov))
         for a in terms[:2]:
             a.flags.writeable = False
-        cached[:] = key, terms
+        cached[:] = start, terms
     return cached[1]
 
 
@@ -557,12 +553,14 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     once for all of them. Their log-likelihoods are then added to the
     weights one contact at a time, in contact order. The class channel reads
     the scores init_filter had its layer make (likelihood.class_scores), as
-    the cloud channel reads its field. The propagation terms come from the
-    input when another filter made them for the same start tilt
-    (_shared_terms); else the odometry covariance factor is cached in the
-    state and recomputed, with the full symmetry and PSD checks, only when
-    the covariance changes. A resample may change the particle count
-    (_resample_indices); the step's diagnostics keep the count it carried.
+    the cloud channel reads its field. The step starts from the state's
+    tilt_rotation, and sets tilt and tilt_rotation to the input's tilt and
+    rotation. The propagation terms come from the input when another filter
+    made them from the same start rotation (_shared_terms); else the
+    odometry covariance factor is cached in the state and recomputed, with
+    the full symmetry and PSD checks, only when the covariance changes. A
+    resample may change the particle count (_resample_indices); the step's
+    diagnostics keep the count it carried.
     """
     n = state.n_particles
     inc = inp.odom_increment
@@ -580,9 +578,9 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
     np.sin(yaw, out=ws.heading[1])
     np.add(d[:3], u[:, None], out=d[:3])
     p = planar_rotate_add(ws.heading, d, state.positions, ws.positions[_spare(ws.positions, state.positions)])
-    state.positions, state.yaw, state.tilt = p, yaw, inp.tilt
-    # the next step starts from this input's tilt
-    state.tilt_key, state.tilt_rotation = inp.tilt_key, inp.rotation
+    state.positions, state.yaw = p, yaw
+    # the next step starts from this input's attitude
+    state.tilt, state.tilt_rotation = inp.tilt, inp.rotation
 
     # the first write of the weights moves them into the workspace
     lw = state.log_weights

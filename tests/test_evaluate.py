@@ -384,7 +384,9 @@ def test_modes_sharing_one_input_list_match_a_fresh_list_each():
 
 def test_a_three_mode_tiles_seed_makes_the_propagation_terms_once_per_input(monkeypatch):
     # HL-G, HL-GC and HL-C start from one prior and step one input list: the
-    # first mode to step an input makes its terms, and the others reuse them
+    # first mode to step an input makes its terms, and the others reuse them,
+    # except on their first input, which each starts from the rotation its
+    # init_filter made (the terms are keyed by the start rotation)
     terms, steps = [], []
     make_terms, make_step = mcl_module._propagation_terms, mcl_module.step
 
@@ -404,7 +406,7 @@ def test_a_three_mode_tiles_seed_makes_the_propagation_terms_once_per_input(monk
     run_experiment(cfg)
     inputs = list(dict.fromkeys(steps))
     assert len(inputs) > 0 and len(steps) == 3 * len(inputs)
-    assert len(terms) == len(inputs)
+    assert len(terms) == len(inputs) + len(cfg.modes) - 1
 
 
 def test_load_experiment_config_overrides(tmp_path):

@@ -47,12 +47,17 @@ def distance_fields(grid, reach=math.inf):
     return f.distances.take(f.offsets)
 
 
+# the nodes fill_every_node gives one fill, so that a fill's scratch stays
+# near 2.3 MB
+FILL_CHUNK = 16384
+
+
 def fill_every_node(f):
-    """Fill every node of the distance field f, one fill per _FILL_CHUNK
+    """Fill every node of the distance field f, one fill per FILL_CHUNK
     nodes."""
     n_nodes = f.bricks[:-1].size
-    for start in range(0, n_nodes, maps_module._FILL_CHUNK):
-        f.fill(np.arange(start, min(start + maps_module._FILL_CHUNK, n_nodes)))
+    for start in range(0, n_nodes, FILL_CHUNK):
+        f.fill(np.arange(start, min(start + FILL_CHUNK, n_nodes)))
 
 
 def random_class_grid(rng, rows, cols, n_classes=8):

@@ -601,8 +601,8 @@ SHARED_MODES = ("HL-G", "HL-GC", "HL-C")
 
 @st.composite
 def shared_walks(draw):
-    """1-4 steps, each an increment, contacts and a tilt; -0.0 and 0.0 tilts
-    differ in their bytes."""
+    """1-4 steps, each an increment, contacts and a tilt; the -0.0 and 0.0
+    tilts compare equal, but the zeros of their rotations differ in sign."""
     steps = []
     for _ in range(draw(st.integers(1, 4))):
         position = np.array([draw(st.floats(-0.05, 0.08)), draw(st.floats(-0.03, 0.03)), 0.0])
@@ -1016,9 +1016,9 @@ def test_class_scores_are_made_in_init_filter_and_only_read_by_a_step(monkeypatc
 
 def test_each_input_builds_its_tilt_matrix_once(monkeypatch):
     # an input makes the rotation of its tilt when it is built, for its
-    # contacts; a step starts from the rotation of the input its filter
-    # stepped last, so steps make none but the prior's, and only the first
-    # filter to step an input makes that: the second reuses its terms
+    # contacts, and init_filter makes the prior's, read-only, one per
+    # filter; a step starts from the rotation its filter holds and takes
+    # its input's, so steps make none
     builds = []
     make = mcl_module.tilt_matrix
 
@@ -1032,10 +1032,15 @@ def test_each_input_builds_its_tilt_matrix_once(monkeypatch):
     assert builds == [(0.0, 0.0)] * 3 + [(0.1, -0.05)]
     builds.clear()
     filters = [new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=100, seed=s) for s in (1, 2)]
+    assert len(builds) == 2
+    assert filters[0].tilt_rotation is not filters[1].tilt_rotation
+    assert not any(st.tilt_rotation.flags.writeable for st in filters)
+    builds.clear()
     for inp in level + [tilted, tilted] + level:
         for st in filters:
             step(st, inp)
-    assert builds == [(0.0, 0.0)]
+            assert st.tilt == inp.tilt and st.tilt_rotation is inp.rotation
+    assert builds == []
 
 
 def test_a_1cm_class_layer_keeps_one_byte_offsets_and_no_float_fields():
@@ -1063,8 +1068,9 @@ def test_noise_free_step_moves_each_particle_as_compose_does(monkeypatch):
     # a tilted, turning increment: each particle's new position and yaw are
     # those of its 6-DoF pose composed with the increment
     monkeypatch.setattr(mcl_module, "RESAMPLE_FRAC", 0.0)
-    st = new_filter(stand_pose(), np.eye(6) * 1e-2, n_particles=40, seed=3)
-    st.tilt = (0.12, -0.2)
+    prior = Pose(stand_pose().position, quat_from_euler(0.12, -0.2, 0.0))
+    st = new_filter(prior, np.eye(6) * 1e-2, n_particles=40, seed=3)
+    assert np.allclose(st.tilt, (0.12, -0.2), rtol=0.0, atol=1e-12)
     before = [Pose(p, quat_from_euler(*st.tilt, y)) for p, y in zip(st.positions.T.copy(), st.yaw.copy())]
     inc = Pose(np.array([0.05, -0.01, 0.02]), quat_from_rotvec([0.03, -0.02, 0.4]))
     step(st, StepInput(inc, np.zeros((6, 6)), [], (0.1, -0.18)))
