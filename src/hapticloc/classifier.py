@@ -4,8 +4,8 @@ A contact signal is reduced to 24 features (per-channel mean, std, min, max)
 and classified with multinomial logistic regression trained by full-batch
 gradient descent on the cross-entropy loss. Training runs the gradient only
 (_cross_entropy_grad, against a one-hot label matrix built once); it never
-evaluates the loss itself, which loss_and_grad adds for checks. Deterministic
-given a seed.
+evaluates the loss itself, which only the tests do, to check the gradient.
+Deterministic given a seed.
 
 A terrain classifier is anything with predict(signals) -> (K, C) class
 probabilities, one row per signal of the sequence, as this baseline has. It
@@ -80,19 +80,6 @@ def _cross_entropy_grad(probs, features, one_hot):
     delta = np.subtract(probs, one_hot, out=probs)
     delta /= len(delta)
     return delta.T @ features, delta.sum(axis=0)
-
-
-def loss_and_grad(weights, bias, features, labels, n_classes: int):
-    """Mean cross-entropy of the logistic model and its analytic gradients.
-
-    features is (B, F) already standardized, labels an int vector (B,).
-    Returns (loss, d_weights, d_bias).
-    """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    probs = _softmax_rows(features @ weights.T + bias)
-    loss = -np.mean(np.log(probs[np.arange(len(labels)), labels]))
-    return float(loss), *_cross_entropy_grad(probs, features, np.eye(n_classes)[labels])
 
 
 @dataclass

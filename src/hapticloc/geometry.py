@@ -17,9 +17,9 @@ and pitch are the tilt against gravity and yaw the heading. Per particle, the
 filter turns vectors in the plane by each particle's yaw (planar_rotate_add),
 writing into arrays it owns.
 
-Trajectory files hold one 't x y z qx qy qz qw' line per pose, read with
-fields.parse_field: a field that does not parse, or is not finite, raises an
-error naming the file, the line and the field.
+Trajectory files hold one line per pose, t and then its POSE_COLUMNS, read
+with fields.parse_field: a field that does not parse, or is not finite,
+raises an error naming the file, the line and the field.
 """
 
 from __future__ import annotations
@@ -189,6 +189,9 @@ def tilt_matrix(roll, pitch) -> np.ndarray:
     return quat_matrix(quat_from_euler(roll, pitch, 0.0))
 
 
+POSE_COLUMNS = ("x", "y", "z", "qx", "qy", "qz", "qw")  # a pose's columns in every file of poses
+
+
 @dataclass
 class Pose:
     """World pose. position is a 3-vector, quat a scalar-last unit quaternion."""
@@ -202,7 +205,7 @@ class Pose:
         self.quat = quat_normalize(q)
 
     def to_array(self) -> np.ndarray:
-        """7-vector [x y z qx qy qz qw]."""
+        """The 7-vector of POSE_COLUMNS: position, then quaternion."""
         return np.concatenate([self.position, self.quat])
 
     @staticmethod
@@ -249,11 +252,11 @@ def covariance_factor(cov) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-_TRAJECTORY_FIELDS = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
+_TRAJECTORY_FIELDS = ("t", *POSE_COLUMNS)
 
 
 def save_trajectory(path, poses, times=None) -> None:
-    """Write one 't x y z qx qy qz qw' line per pose, full float precision."""
+    """Write one line of t and the POSE_COLUMNS per pose, full float precision."""
     poses = list(poses)
     if times is None:
         times = np.arange(len(poses), dtype=float)

@@ -813,8 +813,9 @@ def _height(text, where, column):
     return math.nan if text == "nan" else parse_field(text, float, where, column)
 
 
-_GRID_COLUMNS = ("n_cols", "n_rows", "resolution", "origin_x", "origin_y")
-_GRID_RULES = {"n_cols": positive_int, "n_rows": positive_int, "n_classes": int}
+# each grid file's header columns after its tag and the version 1, with their parsers
+_LATTICE = {"n_cols": positive_int, "n_rows": positive_int, "resolution": float, "origin_x": float, "origin_y": float}
+_GRID_COLUMNS = {"HMAP": _LATTICE, "CMAP": {**_LATTICE, "n_classes": int}}
 
 
 def _grid(path, lines, make, column, parse):
@@ -822,11 +823,11 @@ def _grid(path, lines, make, column, parse):
     n_cols values, each parse(text, where, column)."""
     where, header = lines[0]
     tag, *parts = header.split()
-    columns = _GRID_COLUMNS + (("n_classes",) if tag == "CMAP" else ())
+    columns = _GRID_COLUMNS[tag]
     if len(parts) != 1 + len(columns) or parts[0] != "1":
         expected = " ".join([tag, "1"] + [f"<{c}>" for c in columns])
         raise ValueError(f"{where}: expected header '{expected}', got {header!r}")
-    fields = [parse_field(text, _GRID_RULES.get(c, float), where, c) for text, c in zip(parts[1:], columns)]
+    fields = [parse_field(text, columns[c], where, c) for text, c in zip(parts[1:], columns)]
     n_cols, n_rows, resolution, origin_x, origin_y = fields[:5]
     values = [parse(text, w, f"{column}[{j}]") for w, line in lines[1:] for j, text in enumerate(line.split())]
     if len(values) != n_rows * n_cols:
@@ -858,23 +859,18 @@ def load_map(path):
 
 def save_map(obj, path) -> None:
     """Write a map layer in its text format; loading it back is lossless."""
+    if isinstance(obj, ElevationGrid):
+        tag, rows, fmt = "HMAP", obj.heights, ".17g"
+    elif isinstance(obj, ClassGrid):
+        tag, rows, fmt = "CMAP", obj.class_ids, "d"
+    elif isinstance(obj, PointCloudMap):
+        tag, rows, fmt = None, obj.points, ".17g"
+    else:
+        raise TypeError(f"cannot save object of type {type(obj).__name__} as a map")
     with open(path, "w") as f:
-        if isinstance(obj, ElevationGrid):
-            f.write(
-                f"HMAP 1 {obj.n_cols} {obj.n_rows} {obj.resolution:.17g} "
-                f"{obj.origin[0]:.17g} {obj.origin[1]:.17g}\n"
-            )
-            for row in obj.heights:
-                f.write(" ".join(format(v, ".17g") for v in row) + "\n")
-        elif isinstance(obj, ClassGrid):
-            f.write(
-                f"CMAP 1 {obj.n_cols} {obj.n_rows} {obj.resolution:.17g} "
-                f"{obj.origin[0]:.17g} {obj.origin[1]:.17g} {obj.n_classes}\n"
-            )
-            for row in obj.class_ids:
-                f.write(" ".join(str(int(v)) for v in row) + "\n")
-        elif isinstance(obj, PointCloudMap):
-            for p in obj.points:
-                f.write(" ".join(format(v, ".17g") for v in p) + "\n")
-        else:
-            raise TypeError(f"cannot save object of type {type(obj).__name__} as a map")
+        if tag is not None:
+            origin = {"origin_x": obj.origin[0], "origin_y": obj.origin[1]}
+            header = (origin[c] if c in origin else getattr(obj, c) for c in _GRID_COLUMNS[tag])
+            f.write(" ".join([tag, "1", *(format(v, ".17g") for v in header)]) + "\n")
+        for row in rows:
+            f.write(" ".join(format(v, fmt) for v in row) + "\n")

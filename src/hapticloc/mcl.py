@@ -90,6 +90,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .geometry import (
+    POSE_COLUMNS,
     Pose,
     compose,
     covariance_factor,
@@ -629,8 +630,8 @@ def run_filter(state: FilterState, inputs) -> FilterState:
 
 def write_diagnostics_csv(state: FilterState, path) -> None:
     """Per-step diagnostics: ESS, xy spread, estimate branch, estimated pose."""
-    line = "%d,%.17g,%.17g,%.17g,%s," + ",".join(["%.17g"] * 7) + "\n"
+    line = "%d,%.17g,%.17g,%.17g,%s," + ",".join(["%.17g"] * len(POSE_COLUMNS)) + "\n"
     with open(path, "w") as f:
-        f.write("k,ess,xy_std_x,xy_std_y,branch,x,y,z,qx,qy,qz,qw\n")
+        f.write(",".join(("k", "ess", "xy_std_x", "xy_std_y", "branch", *POSE_COLUMNS)) + "\n")
         for k, d in enumerate(state.diagnostics, start=1):
             f.write(line % (k, d.ess, *d.xy_std.tolist(), d.branch, *state.trajectory[k].to_array().tolist()))

@@ -16,28 +16,11 @@ against gravity, which the filter takes as given. The IMU tilt is modelled as
 exact: the simulator logs the true base attitude, with no noise. Every course
 here is walked level, so both are 0.
 
-Walk log format (save_walklog, load_walklog): a text file whose first line is
-the version line "# walklog 2"; a log with another version, or with none, is
-rejected. Two lines follow, "# start_pose" and "# init_prior" (the filter
-prior), each with 7 values x y z qx qy qz qw. Then a CSV header line and one
-row per step:
-
-  k, t                     step index and timestamp (k * PHASE_DT seconds)
-  true_x ... true_qw       true base pose in the world
-  odo_x ... odo_qw         odometry increment from the previous step's base
-  cov_x ... cov_yaw        diagonal of the reported odometry covariance, in
-                           the tangent order x y z roll pitch yaw
-  tilt_roll, tilt_pitch    the base's roll and pitch at this step, radians
-  then per foot F in FOOT_LABELS order (LF, RF, LH, RH), 7 columns:
-  F_off_x, F_off_y, F_off_z   contact point in the base frame
-  F_contact                1 for a foot in contact, 0 for a lifted one
-  F_world_z                true world z of the contact
-  F_class                  true class id of the cell, 255 for none (no class
-                           layer, or an unlabeled cell)
-  F_signal                 the force signal file, relative to the log's
-                           directory, or empty
-
-Floats are written with 17 significant digits, so they load back exactly.
+Walk log format (save_walklog, load_walklog): the version line "# walklog 2",
+a "# start_pose" and an "# init_prior" (the filter prior) line, each with a
+pose's geometry.POSE_COLUMNS, then a CSV header line and one row per step.
+_COLUMNS, beside save_walklog, is the one definition of the rows' columns: the
+header, the row format and the reader all follow it.
 A signal file is a CSV with the header "fx,fy,fz,tx,ty,tz" and one sample
 per row. Both are read with fields.parse_field: a field that does not parse,
 or is not finite, raises an error naming the file, the line and the field.
@@ -58,6 +41,7 @@ from .classifier import StepSignal
 from .fields import build, data_lines, parse_field, parse_fields
 from .geometry import (
     FOOT_LABELS,
+    POSE_COLUMNS,
     Pose,
     compose,
     pose_exp,
@@ -414,6 +398,9 @@ def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) 
 
 @dataclass
 class StepRecord:
+    """One step of a walk, a row of its log; a loaded log rebuilds the x and y
+    of true_foot_world (load_walklog)."""
+
     k: int
     timestamp: float
     true_pose: Pose
@@ -622,71 +609,59 @@ def classify_log(log: WalkLog, model) -> WalkLog:
 
 WALKLOG_VERSION = "2"
 
-_POSE_COLS = ("x", "y", "z", "qx", "qy", "qz", "qw")
+# a step's columns: k, the step index, and t, its timestamp (k * PHASE_DT
+# seconds); then, in groups named "<group>_<column>", the true base pose in the
+# world, the odometry increment from the previous step's base, the diagonal of
+# the reported odometry covariance, and the base's roll and pitch in radians
+_STEP_GROUPS = {"true": POSE_COLUMNS, "odo": POSE_COLUMNS, "cov": ("x", "y", "z", "roll", "pitch", "yaw"),
+                "tilt": ("roll", "pitch")}
+_STEP_COLUMNS = ("k", "t", *(f"{group}_{c}" for group, names in _STEP_GROUPS.items() for c in names))
+# each foot's columns, named "<foot>_<column>": the contact point in the base
+# frame; 1 for a foot in contact, 0 for a lifted one; the contact's true world
+# z; the true class id of its cell, 255 for none (no class layer, or an
+# unlabeled cell); its force signal file, relative to the log, or empty
+_FOOT_COLUMNS = ("off_x", "off_y", "off_z", "contact", "world_z", "class", "signal")
+_COLUMNS = _STEP_COLUMNS + tuple(f"{label}_{c}" for label in FOOT_LABELS for c in _FOOT_COLUMNS)
+# each field's format and parser: a float to 17 digits, exact on reload, but for these
+_KINDS = {"k": ("%d", int), "contact": ("%d", {"1": True, "0": False}.__getitem__),
+          "class": ("%d", parse_class_id), "signal": ("%s", str)}
+_FIELDS = [_KINDS.get(c, ("%.17g", float)) for c in _STEP_COLUMNS + _FOOT_COLUMNS * len(FOOT_LABELS)]
+_WALKLOG_ROW = ",".join(fmt for fmt, _ in _FIELDS) + "\n"
 
 
-def _walklog_header() -> str:
-    cols = ["k", "t"]
-    cols += [f"true_{c}" for c in _POSE_COLS]
-    cols += [f"odo_{c}" for c in _POSE_COLS]
-    cols += ["cov_x", "cov_y", "cov_z", "cov_roll", "cov_pitch", "cov_yaw"]
-    cols += ["tilt_roll", "tilt_pitch"]
-    for label in FOOT_LABELS:
-        cols += [
-            f"{label}_off_x",
-            f"{label}_off_y",
-            f"{label}_off_z",
-            f"{label}_contact",
-            f"{label}_world_z",
-            f"{label}_class",
-            f"{label}_signal",
-        ]
-    return ",".join(cols)
+def _signal_ref(signals_dir, k, label) -> str:
+    """The signal file of foot label at step k, relative to the log."""
+    return os.path.join(signals_dir, f"sig_{k:05d}_{label}.csv")
 
 
-# one walk-log row: k, then t, true pose, odometry increment, its covariance
-# diagonal and tilt; then per foot its offset, contact flag, true world z,
-# true class and signal file
-_WALKLOG_ROW = "%d" + ",%.17g" * 23 + ",%.17g,%.17g,%.17g,%s,%.17g,%d,%s" * len(FOOT_LABELS) + "\n"
-
-
-def _write_walklog(log: WalkLog, f, signal_refs=None) -> None:
-    pose_line = " ".join(["%.17g"] * 7) + "\n"
+def _write_walklog(log: WalkLog, f, signals_dir: str | None = None) -> None:
+    """The log's text; each signal named under signals_dir, or none without it."""
     f.write(f"# walklog {WALKLOG_VERSION}\n")
-    f.write("# start_pose " + pose_line % tuple(log.start_pose.to_array().tolist()))
-    f.write("# init_prior " + pose_line % tuple(log.init_prior.to_array().tolist()))
-    f.write(_walklog_header() + "\n")
-    for i, r in enumerate(log.records):
-        row = [r.k]
-        row += np.concatenate([[r.timestamp], r.true_pose.to_array(), r.odom_increment.to_array(),
-                               r.odom_cov_diag, r.tilt]).tolist()
+    for name in ("start_pose", "init_prior"):
+        f.write(" ".join([f"# {name}", *(format(v, ".17g") for v in getattr(log, name).to_array())]) + "\n")
+    f.write(",".join(_COLUMNS) + "\n")
+    for r in log.records:
+        row = [r.k, *np.concatenate([[r.timestamp], r.true_pose.to_array(), r.odom_increment.to_array(),
+                                     r.odom_cov_diag, r.tilt]).tolist()]
         world_z, class_ids = r.true_foot_world[:, 2].tolist(), r.true_class_ids.tolist()
-        for j, contact in enumerate(r.contacts):
-            row += contact.offset.tolist()
-            row += ("1" if contact.in_contact else "0", world_z[j], class_ids[j], signal_refs[i][j] if signal_refs else "")
+        for label, contact, z, cid, signal in zip(FOOT_LABELS, r.contacts, world_z, class_ids, r.signals):
+            ref = "" if signals_dir is None or signal is None else _signal_ref(signals_dir, r.k, label)
+            row += (*contact.offset.tolist(), contact.in_contact, z, cid, ref)
         f.write(_WALKLOG_ROW % tuple(row))
 
 
 def save_walklog(log: WalkLog, path, signals_dir: str | None = None) -> None:
     """Write the walk log CSV; signals go to companion per-step CSV files when
     signals_dir is given (stored relative to the log)."""
-    refs = None
     base = os.path.dirname(os.path.abspath(path))
     if signals_dir is not None:
         os.makedirs(os.path.join(base, signals_dir), exist_ok=True)
-        refs = []
         for r in log.records:
-            row = []
             for label, signal in zip(FOOT_LABELS, r.signals):
-                if signal is None:
-                    row.append("")
-                    continue
-                rel = os.path.join(signals_dir, f"sig_{r.k:05d}_{label}.csv")
-                save_signal(signal, os.path.join(base, rel))
-                row.append(rel)
-            refs.append(row)
+                if signal is not None:
+                    save_signal(signal, os.path.join(base, _signal_ref(signals_dir, r.k, label)))
     with open(path, "w") as f:
-        _write_walklog(log, f, refs)
+        _write_walklog(log, f, signals_dir)
 
 
 def walklog_hash(log: WalkLog) -> str:
@@ -714,12 +689,18 @@ def load_signal(path) -> StepSignal:
     return StepSignal(np.array(rows))
 
 
-_CONTACT_FLAGS = {"1": True, "0": False}
-
-
 def load_walklog(path, load_signals: bool = False) -> WalkLog:
+    """Read a walk log, and its signal files when load_signals is set.
+
+    It checks the version line; that one "# start_pose" and one "# init_prior"
+    line each hold a pose's 7 values; that the header lists _COLUMNS; and each
+    row's count of fields and each field, parsed as its column's kind. An
+    error names the file, and the line and the column at fault. The file holds
+    only each foot's world z: true_foot_world's x and y are rebuilt from the
+    true pose and the offset, so they may differ from the simulated ones in
+    the last bit.
+    """
     base = os.path.dirname(os.path.abspath(path))
-    columns = _walklog_header().split(",")
     poses = {}
     records = []
     with open(path) as f:
@@ -738,50 +719,38 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             continue
         if s.startswith(("# start_pose", "# init_prior")):
             name, *values = s.split()[1:]
-            if len(values) != 7:
-                raise ValueError(f"{where}: {name} needs 7 values, got {len(values)}")
-            values = [parse_field(v, float, where, f"{name}[{i}]") for i, v in enumerate(values)]
+            if name in poses:
+                raise ValueError(f"{where}: repeated '# {name}' line")
+            values = parse_fields(values, [f"{name}_{c}" for c in POSE_COLUMNS], where)
             poses[name] = build(where, Pose.from_array, values)
             continue
         if s.startswith("#"):
             continue
         if not header_seen:
-            if s != ",".join(columns):
+            if s != ",".join(_COLUMNS):
                 raise ValueError(f"{where}: unexpected walk log header")
             header_seen = True
             continue
         parts = s.split(",")
-        if len(parts) != len(columns):
-            raise ValueError(f"{where}: expected {len(columns)} fields, got {len(parts)}")
-
-        def field(i, parse=float):
-            return parse_field(parts[i], parse, where, columns[i])
-
-        k, t = field(0, int), field(1)
-        true_pose = build(where, Pose.from_array, [field(i) for i in range(2, 9)])
-        odom = build(where, Pose.from_array, [field(i) for i in range(9, 16)])
-        cov = np.array([field(i) for i in range(16, 22)])
-        tilt = (field(22), field(23))
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"{where}: expected {len(_COLUMNS)} fields, got {len(parts)}")
+        v = [parse_field(text, parse, where, c) for text, (_, parse), c in zip(parts, _FIELDS, _COLUMNS)]
+        k, t, *step = v[: len(_STEP_COLUMNS)]
+        step = iter(step)
+        true, odo, cov, tilt = ([next(step) for _ in names] for names in _STEP_GROUPS.values())
+        true_pose, odom = build(where, Pose.from_array, true), build(where, Pose.from_array, odo)
         contacts, worlds, classes, signals = [], [], [], []
-        for j in range(len(FOOT_LABELS)):
-            o = 24 + 7 * j
-            vec = np.array([field(i) for i in range(o, o + 3)])
-            in_contact = field(o + 3, _CONTACT_FLAGS.__getitem__)
-            world_z = field(o + 4)
-            cid = field(o + 5, parse_class_id)
-            ref = parts[o + 6]
-            contacts.append(ContactMeasurement(vec, in_contact=in_contact))
-            world = true_pose.position + quat_rotate(true_pose.quat, vec)
+        for o in range(len(_STEP_COLUMNS), len(_COLUMNS), len(_FOOT_COLUMNS)):
+            *offset, in_contact, world_z, class_id, ref = v[o : o + len(_FOOT_COLUMNS)]
+            contacts.append(ContactMeasurement(np.array(offset), in_contact=in_contact))
+            world = true_pose.position + quat_rotate(true_pose.quat, offset)
             worlds.append([world[0], world[1], world_z])
-            classes.append(cid)
+            classes.append(class_id)
             signals.append(load_signal(os.path.join(base, ref)) if load_signals and ref else None)
-        records.append(
-            StepRecord(
-                k, t, true_pose, odom, cov, tilt, contacts, np.array(worlds), np.array(classes, dtype=np.uint8), signals
-            )
-        )
+        records.append(StepRecord(k, t, true_pose, odom, np.array(cov), tuple(tilt), contacts, np.array(worlds),
+                                  np.array(classes, dtype=np.uint8), signals))
     if set(poses) != {"start_pose", "init_prior"} or not header_seen:
         raise ValueError(f"{path}: missing walk log header lines")
     if not records:
         raise ValueError(f"{path}: walk log has no step rows")
-    return WalkLog(start_pose=poses["start_pose"], init_prior=poses["init_prior"], records=records)
+    return WalkLog(**poses, records=records)

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from hapticloc.classifier import baseline_predict, baseline_train, loss_and_grad
+from hapticloc.classifier import baseline_predict, baseline_train
 from hapticloc.evaluate import (
     default_chevron_experiment,
     default_tiles_experiment,
@@ -48,6 +48,7 @@ from hapticloc.mcl import (
     systematic_resample_indices,
 )
 from hapticloc.sim import CourseSpec, generate_course
+from test_classifier import loss_and_grad
 from test_maps import distance_fields, fill_every_node
 
 

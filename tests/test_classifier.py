@@ -11,11 +11,11 @@ from hapticloc.classifier import (
     LEARNING_RATE,
     LogisticBaseline,
     StepSignal,
+    _cross_entropy_grad,
     _softmax_rows,
     baseline_predict,
     baseline_train,
     featurize,
-    loss_and_grad,
 )
 from hapticloc.evaluate import TRAIN_PER_CLASS, TRAIN_SEED_OFFSET, make_training_set, train_contact_classifier
 from test_geometry import same_bits
@@ -132,6 +132,20 @@ def test_softmax_rows_matches_the_max_reduction_bit_for_bit(z):
 def test_softmax_rows_edge_cases_match_the_max_reduction_bit_for_bit(z):
     z = np.array(z)
     assert same_bits(_softmax_rows(z), reference_softmax_rows(z))
+
+
+def loss_and_grad(weights, bias, features, labels, n_classes: int):
+    """Mean cross-entropy of the logistic model and its analytic gradients,
+    through the classifier's own _softmax_rows and _cross_entropy_grad.
+
+    features is (B, F) already standardized, labels an int vector (B,).
+    Returns (loss, d_weights, d_bias).
+    """
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    probs = _softmax_rows(features @ weights.T + bias)
+    loss = -np.mean(np.log(probs[np.arange(len(labels)), labels]))
+    return float(loss), *_cross_entropy_grad(probs, features, np.eye(n_classes)[labels])
 
 
 def reference_loss_and_grad(weights, bias, features, labels):

@@ -731,6 +731,8 @@ def test_cloud_points_are_read_only():
 def test_elevation_round_trip(tmp_path):
     g = small_elevation()
     save_map(g, tmp_path / "a.hmap")
+    header = (tmp_path / "a.hmap").read_text().split("\n")[0]
+    assert header == f"HMAP 1 {g.n_cols} {g.n_rows} {g.resolution:.17g} {g.origin[0]:.17g} {g.origin[1]:.17g}"
     g2 = load_map(tmp_path / "a.hmap")
     assert g2.resolution == g.resolution
     assert np.array_equal(g2.origin, g.origin)
@@ -741,6 +743,8 @@ def test_class_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     g = random_class_grid(rng, 5, 6)
     save_map(g, tmp_path / "a.cmap")
+    header = (tmp_path / "a.cmap").read_text().split("\n")[0]
+    assert header == f"CMAP 1 {g.n_cols} {g.n_rows} {g.resolution:.17g} {g.origin[0]:.17g} {g.origin[1]:.17g} {g.n_classes}"
     g2 = load_map(tmp_path / "a.cmap")
     assert np.array_equal(g2.class_ids, g.class_ids)
     assert g2.n_classes == g.n_classes
@@ -752,6 +756,12 @@ def test_cloud_round_trip(tmp_path):
     save_map(c, tmp_path / "a.xyz")
     c2 = load_map(tmp_path / "a.xyz")
     assert np.array_equal(c2.points, c.points)
+
+
+def test_save_map_refuses_what_is_no_layer_before_it_opens_the_file(tmp_path):
+    with pytest.raises(TypeError, match="cannot save object of type dict as a map"):
+        save_map({}, tmp_path / "a.map")
+    assert not (tmp_path / "a.map").exists()
 
 
 def test_layers_compare_and_hash_by_identity(tmp_path):

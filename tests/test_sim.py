@@ -1,18 +1,26 @@
 """Course generation, gait simulation, walk log round trips."""
 
+import os
+import tempfile
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hapticloc.evaluate import train_contact_classifier
-from hapticloc.geometry import FOOT_LABELS, Pose, quat_rotate
+from hapticloc.classifier import StepSignal
+from hapticloc.evaluate import default_experiment, train_contact_classifier, walk
+from hapticloc.geometry import FOOT_LABELS, Pose, quat_normalize, quat_rotate
+from hapticloc.likelihood import ContactMeasurement
 from hapticloc.maps import UNKNOWN_CLASS, elevation_at
 from hapticloc.sim import (
     CHEVRON_HEIGHT,
     CHEVRON_RAMP_DEG,
     CHEVRON_STRIP_Y,
     CLASS_SIGNAL_PARAMS,
+    COURSES,
     N_TERRAIN_CLASSES,
     PHASE_DT,
     SIGNAL_LENGTH_RANGE,
@@ -23,6 +31,8 @@ from hapticloc.sim import (
     WALKLOG_VERSION,
     CourseSpec,
     NoiseSpec,
+    StepRecord,
+    WalkLog,
     classify_log,
     generate_course,
     load_signal,
@@ -37,6 +47,7 @@ from hapticloc.sim import (
     synth_force_signal,
     walklog_hash,
 )
+from test_geometry import same_bits
 
 QUIET = NoiseSpec()
 
@@ -351,14 +362,107 @@ def test_load_walklog_checks_the_start_and_prior_lines(tmp_path):
     prior = next(l for l in text.split("\n") if l.startswith("# init_prior"))
     ln = text.split("\n").index(prior) + 1
     for bad, match in (
-        (prior.rsplit(" ", 1)[0] + " abc", r"column init_prior\[6\]: cannot parse 'abc'"),
-        (prior.rsplit(" ", 1)[0] + " nan", r"column init_prior\[6\]: nan is not finite"),
-        (prior.rsplit(" ", 1)[0], "init_prior needs 7 values, got 6"),
+        (prior.rsplit(" ", 1)[0] + " abc", "column init_prior_qw: cannot parse 'abc'"),
+        (prior.rsplit(" ", 1)[0] + " nan", "column init_prior_qw: nan is not finite"),
+        (prior.rsplit(" ", 1)[0], "expected 7 fields 'init_prior_x init_prior_y .* init_prior_qw', got 6"),
     ):
         p.write_text(text.replace(prior, bad))
         with pytest.raises(ValueError, match=match) as err:
             load_walklog(p)
         assert str(err.value).startswith(f"{p}:{ln}: ")
+
+
+@pytest.mark.parametrize("key", ["start_pose", "init_prior"])
+def test_load_walklog_refuses_a_repeated_pose_line(key, tmp_path):
+    # the loader once kept the last of two such lines, even one after the rows
+    p, _ = corrupt_walklog(tmp_path, "k", "1")
+    lines = p.read_text().split("\n")
+    first = lines.index(next(l for l in lines if l.startswith(f"# {key}")))
+    for at in (first + 1, len(lines)):
+        p.write_text("\n".join(lines[:at] + [f"# {key} 5 5 5 0 0 0 1"] + lines[at:]))
+        with pytest.raises(ValueError) as err:
+            load_walklog(p)
+        assert str(err.value) == f"{p}:{at + 1}: repeated '# {key}' line"
+
+
+# a float up to 1e300 in magnitude, with a signed zero, the subnormals and
+# 1e300 drawn often; beyond that a foot's world position, which the loader
+# rebuilds from the pose and the offset, may overflow
+finite = st.one_of(st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300]), st.floats(-1e300, 1e300))
+# a quaternion's components lie in [-1, 1]; squares that all underflow make
+# no rotation
+quat_parts = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda q: max(map(abs, q)) > 1e-100)
+poses = st.builds(Pose, st.lists(finite, min_size=3, max_size=3), quat_parts)
+signals = st.integers(1, 3).flatmap(lambda n: arrays(np.float64, (n, 6), elements=finite)).map(StepSignal)
+
+
+@st.composite
+def walk_logs(draw):
+    def floats(n):
+        return draw(st.lists(finite, min_size=n, max_size=n))
+
+    ks = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=3, unique=True))
+    records = [
+        StepRecord(
+            k,
+            draw(finite),
+            draw(poses),
+            draw(poses),
+            np.array(floats(6)),
+            tuple(floats(2)),
+            [ContactMeasurement(floats(3), in_contact=draw(st.booleans())) for _ in FOOT_LABELS],
+            np.array([floats(3) for _ in FOOT_LABELS]),
+            np.array(draw(st.lists(st.integers(0, 255), min_size=4, max_size=4)), dtype=np.uint8),
+            [draw(st.none() | signals) for _ in FOOT_LABELS],
+        )
+        for k in ks
+    ]
+    return WalkLog(draw(poses), draw(poses), records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_logs())
+def test_walklog_round_trip_gives_back_every_field_the_file_holds(log):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "walk.log")
+        save_walklog(log, path, signals_dir="signals")
+        loaded = load_walklog(path, load_signals=True)
+    saved_poses, loaded_poses = [log.start_pose, log.init_prior], [loaded.start_pose, loaded.init_prior]
+    assert loaded.n_steps == log.n_steps
+    for ro, rl in zip(log.records, loaded.records):
+        saved_poses += [ro.true_pose, ro.odom_increment]
+        loaded_poses += [rl.true_pose, rl.odom_increment]
+        assert rl.k == ro.k and same_bits(rl.timestamp, ro.timestamp)
+        assert same_bits(rl.odom_cov_diag, ro.odom_cov_diag) and same_bits(rl.tilt, ro.tilt)
+        # of a foot's world position the file holds only z
+        assert same_bits(rl.true_foot_world[:, 2], ro.true_foot_world[:, 2])
+        assert np.array_equal(rl.true_class_ids, ro.true_class_ids)
+        for co, cl, so, sl in zip(ro.contacts, rl.contacts, ro.signals, rl.signals):
+            assert same_bits(cl.offset, co.offset) and cl.in_contact == co.in_contact
+            assert (sl is None) == (so is None)
+            assert so is None or same_bits(sl.samples, so.samples)
+    for saved, got in zip(saved_poses, loaded_poses):
+        assert same_bits(got.position, saved.position)
+        # a Pose normalizes the quaternion it is given, the one it reads too
+        assert same_bits(got.quat, quat_normalize(saved.quat))
+    # so the loaded log hashes as the saved one unless that moved a quaternion
+    moved = any(not same_bits(p.quat, quat_normalize(p.quat)) for p in saved_poses)
+    assert (walklog_hash(loaded) == walklog_hash(log)) != moved
+
+
+@pytest.mark.parametrize("kind", list(COURSES))
+def test_each_default_experiment_s_seed_1_log_round_trips_to_its_hash(kind, tmp_path):
+    cfg = default_experiment(kind)
+    log = walk(cfg, generate_course(replace(cfg.course, seed=1)), 1)
+    save_walklog(log, tmp_path / "walk.log", signals_dir="signals" if log.has_signals else None)
+    loaded = load_walklog(tmp_path / "walk.log", load_signals=True)
+    assert walklog_hash(loaded) == walklog_hash(log)
+    for ro, rl in zip(log.records, loaded.records):
+        # x and y are rebuilt from the true pose and the offset, z is read
+        assert np.abs(rl.true_foot_world - ro.true_foot_world).max() <= 2e-16
+        for so, sl in zip(ro.signals, rl.signals):
+            assert (sl is None) == (so is None)
+            assert so is None or same_bits(sl.samples, so.samples)
 
 
 def test_probe_scenario_prior_offset_and_probes():

@@ -8,10 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from hapticloc.evaluate import _write_per_seed_outputs, per_step_errors
-from hapticloc.geometry import Pose
+from hapticloc.geometry import FOOT_LABELS, Pose
 from hapticloc.likelihood import ContactMeasurement
 from hapticloc.mcl import StepDiagnostics, write_diagnostics_csv
-from hapticloc.sim import WALKLOG_VERSION, CourseSpec, _walklog_header, _write_walklog, generate_course, simulate_walk
+from hapticloc.sim import WALKLOG_VERSION, CourseSpec, _write_walklog, generate_course, simulate_walk
 from test_sim import QUIET, straight
 
 # a signed zero, the smallest subnormal, a huge magnitude and values that
@@ -54,12 +54,21 @@ def oracle_diagnostics(state):
     return out
 
 
-def oracle_walklog(log, signal_refs=None):
+def oracle_walklog_header():
+    pose = ("x", "y", "z", "qx", "qy", "qz", "qw")
+    cols = ["k", "t"] + [f"true_{c}" for c in pose] + [f"odo_{c}" for c in pose]
+    cols += ["cov_x", "cov_y", "cov_z", "cov_roll", "cov_pitch", "cov_yaw", "tilt_roll", "tilt_pitch"]
+    for label in FOOT_LABELS:
+        cols += [f"{label}_{c}" for c in ("off_x", "off_y", "off_z", "contact", "world_z", "class", "signal")]
+    return ",".join(cols)
+
+
+def oracle_walklog(log, signals_dir=None):
     out = f"# walklog {WALKLOG_VERSION}\n"
     out += "# start_pose " + " ".join(g(v) for v in log.start_pose.to_array()) + "\n"
     out += "# init_prior " + " ".join(g(v) for v in log.init_prior.to_array()) + "\n"
-    out += _walklog_header() + "\n"
-    for i, r in enumerate(log.records):
+    out += oracle_walklog_header() + "\n"
+    for r in log.records:
         row = [str(r.k), g(r.timestamp)]
         row += [g(v) for v in r.true_pose.to_array()]
         row += [g(v) for v in r.odom_increment.to_array()]
@@ -70,7 +79,8 @@ def oracle_walklog(log, signal_refs=None):
             row.append("1" if contact.in_contact else "0")
             row.append(g(r.true_foot_world[j, 2]))
             row.append(str(int(r.true_class_ids[j])))
-            row.append(signal_refs[i][j] if signal_refs else "")
+            has_ref = signals_dir is not None and r.signals[j] is not None
+            row.append(f"{signals_dir}/sig_{r.k:05d}_{FOOT_LABELS[j]}.csv" if has_ref else "")
         out += ",".join(row) + "\n"
     return out
 
@@ -107,8 +117,9 @@ def test_walklog_rows_match_the_oracle():
     r.tilt = (-0.0, TINY)
     r.true_foot_world[:, 2] = [-0.0, TINY, HUGE, SUM]
     r.contacts[1] = ContactMeasurement([-0.0, TINY, HUGE], None, False)
-    refs = [[f"signals/sig_{rec.k:05d}_{j}.csv" for j in range(4)] for rec in log.records]
-    for signal_refs in (None, refs):
+    r.signals[2] = None
+    assert sum(s is not None for s in r.signals) == 3
+    for signals_dir in (None, "signals"):
         buf = io.StringIO()
-        _write_walklog(log, buf, signal_refs)
-        assert buf.getvalue() == oracle_walklog(log, signal_refs)
+        _write_walklog(log, buf, signals_dir)
+        assert buf.getvalue() == oracle_walklog(log, signals_dir)
