@@ -5,11 +5,13 @@ are ordered [dx, dy, dz, droll, dpitch, dyaw] and perturb a pose on the right:
 compose(mean, exp(delta)), i.e. noise lives in the body frame of the pose.
 
 Quaternions are single poses: every quaternion function takes one pose and
-computes in plain floats. The formulas keep the operation order of np.cross,
-np.sum and np.linalg.norm (the tests keep those numpy forms as oracles), so
-the outputs are byte-identical to them. np.arctan2 and the power of an array
-round differently from math.atan2 and a scalar's ** in the last bit, so those
-two stay numpy calls.
+computes in plain floats. Each argument is converted once, by
+np.asarray(arg, dtype=float).tolist(): the same Python floats as a float()
+per element, whose calls cost more than the arithmetic. The formulas keep
+the operation order of np.cross, np.sum and np.linalg.norm (the tests keep
+those numpy forms as oracles), so the outputs are byte-identical to them.
+np.arctan2 and the power of an array round differently from math.atan2 and
+a scalar's ** in the last bit, so those two stay numpy calls.
 
 Attitude as Euler angles: quat_from_euler and quat_to_euler use the z-y-x
 convention of a legged robot's base, R = Rz(yaw) Ry(pitch) Rx(roll), so roll
@@ -38,11 +40,12 @@ _QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def quat_normalize(q):
-    x, y, z, w = (float(c) for c in q)
+    x, y, z, w = np.asarray(q, dtype=float).tolist()
     # the norm, squares summed in index order as np.linalg.norm sums them
     n = math.sqrt(((x * x + y * y) + z * z) + w * w)
-    if n == 0.0:
-        raise ValueError("zero-norm quaternion cannot be normalized")
+    # squares that overflow make n inf, and a nan component makes it nan
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"{'zero' if n == 0.0 else n}-norm quaternion cannot be normalized")
     return np.array([x / n, y / n, z / n, w / n])
 
 
@@ -53,8 +56,8 @@ def quat_mul(a, b):
     np.cross's operation order, and the dot product in the scalar part sums
     from 0.0 in index order as np.sum does.
     """
-    ax, ay, az, aw = (float(c) for c in a)
-    bx, by, bz, bw = (float(c) for c in b)
+    ax, ay, az, aw = np.asarray(a, dtype=float).tolist()
+    bx, by, bz, bw = np.asarray(b, dtype=float).tolist()
     return np.array(
         [
             aw * bx + bw * ax + (ay * bz - az * by),
@@ -66,15 +69,15 @@ def quat_mul(a, b):
 
 
 def quat_conjugate(q):
-    x, y, z, w = (float(c) for c in q)
+    x, y, z, w = np.asarray(q, dtype=float).tolist()
     return np.array([-x, -y, -z, w])
 
 
 def quat_rotate(q, v):
     """Rotate the 3-vector v by the quaternion q: v + qw*t + qv x t with
     t = 2 qv x v, each cross product in np.cross's operation order."""
-    x, y, z, w = (float(c) for c in q)
-    vx, vy, vz = (float(c) for c in v)
+    x, y, z, w = np.asarray(q, dtype=float).tolist()
+    vx, vy, vz = np.asarray(v, dtype=float).tolist()
     tx = 2.0 * (y * vz - z * vy)
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
@@ -89,7 +92,7 @@ def quat_rotate(q, v):
 
 def quat_from_rotvec(rv):
     """Exponential map: a rotation vector (axis * angle) to its quaternion."""
-    rx, ry, rz = (float(c) for c in rv)
+    rx, ry, rz = np.asarray(rv, dtype=float).tolist()
     # the norm, squares summed in index order as np.linalg.norm sums them
     angle = math.sqrt((rx * rx + ry * ry) + rz * rz)
     half = 0.5 * angle
@@ -101,7 +104,7 @@ def quat_from_rotvec(rv):
 
 def quat_to_rotvec(q):
     """Logarithm map: a quaternion to its rotation vector, angle in [0, pi]."""
-    x, y, z, w = (float(c) for c in q)
+    x, y, z, w = np.asarray(q, dtype=float).tolist()
     # q and -q are one rotation: take the one with qw >= 0
     if w < 0.0:
         x, y, z, w = -x, -y, -z, -w
@@ -165,7 +168,7 @@ def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
 
 def quat_to_euler(q) -> tuple[float, float, float]:
     """(roll, pitch, yaw) of a unit quaternion, one pose; pitch in [-pi/2, pi/2]."""
-    x, y, z, w = (float(c) for c in q)
+    x, y, z, w = np.asarray(q, dtype=float).tolist()
     roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     pitch = math.asin(max(-1.0, min(1.0, 2.0 * (w * y - z * x))))
     yaw = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
@@ -174,7 +177,7 @@ def quat_to_euler(q) -> tuple[float, float, float]:
 
 def quat_matrix(q) -> np.ndarray:
     """The 3x3 rotation matrix of a unit quaternion, one pose."""
-    x, y, z, w = (float(c) for c in q)
+    x, y, z, w = np.asarray(q, dtype=float).tolist()
     return np.array(
         [
             [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],

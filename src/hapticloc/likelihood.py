@@ -210,8 +210,8 @@ class ContactMeasurement:
 
     offset is the contact point in the base frame, a finite 3-vector.
     class_probs is a terrain classifier's distribution over the classes, a
-    finite, non-negative 1-D vector whose argmax, estimated_class, is the
-    class the class channel queries the map for; both None when no
+    finite, non-negative, non-empty 1-D vector whose argmax, estimated_class,
+    is the class the class channel queries the map for; both None when no
     classifier labeled the contact. Both arrays are kept as read-only copies.
     """
 
@@ -228,13 +228,14 @@ class ContactMeasurement:
         object.__setattr__(self, "offset", offset)
         if self.class_probs is not None:
             probs = _read_only(self.class_probs)
-            if probs.ndim != 1:
-                raise ValueError(f"class_probs must be 1-D, got shape {probs.shape}")
-            # argmax would rank a nan above every probability
-            if not (np.isfinite(probs).all() and (probs >= 0.0).all()):
+            if probs.ndim != 1 or not probs.size:
+                raise ValueError(f"class_probs must be a non-empty 1-D vector, got shape {probs.shape}")
+            values = probs.tolist()
+            # argmax would rank a nan above every probability; nan fails both compares
+            if not all(0.0 <= p < math.inf for p in values):
                 raise ValueError(f"class_probs must be finite and non-negative, got {probs}")
             object.__setattr__(self, "class_probs", probs)
-            object.__setattr__(self, "estimated_class", int(probs.argmax()))
+            object.__setattr__(self, "estimated_class", values.index(max(values)))  # argmax's first largest
 
 
 def elevation_log_likelihood_points(

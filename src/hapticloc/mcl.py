@@ -168,20 +168,20 @@ class StepInput:
         tilt = np.asarray(self.tilt, dtype=float)
         if tilt.shape != (2,):
             raise ValueError(f"tilt must be (roll, pitch), got {self.tilt}")
+        tilt = tuple(tilt.tolist())
         # a non-finite input would turn every particle into nan without a trace
-        for name, value in (
-            ("odom_increment.position", self.odom_increment.position),
-            ("odom_increment.quat", self.odom_increment.quat),
-            ("odom_cov", odom_cov),
+        for name, values in (
+            ("odom_increment.position", self.odom_increment.position.tolist()),
+            ("odom_increment.quat", self.odom_increment.quat.tolist()),
+            ("odom_cov", odom_cov.ravel().tolist()),
             ("tilt", tilt),
         ):
-            if not np.isfinite(value).all():
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite")
         contacts = tuple(self.contacts)
         for k, c in enumerate(contacts):
             if not isinstance(c, ContactMeasurement):
                 raise TypeError(f"contacts[{k}] must be a ContactMeasurement, got {type(c).__name__}")
-        tilt = (float(tilt[0]), float(tilt[1]))
         rotation = tilt_matrix(*tilt)
         rotation.flags.writeable = False
         for name, value in (

@@ -154,19 +154,39 @@ single_quats = st.one_of(
 ).filter(lambda q: np.linalg.norm(q) > 0.0)
 
 
+# the forms a kernel takes an argument in (a float64 array, a float32 array,
+# a list, a tuple), each as (argument, the float64 array of the values it
+# holds): a kernel converts each argument once, and must compute what a
+# float() per element would give it
+ARGUMENT_FORMS = (
+    lambda a: (a, a),
+    lambda a: (a.astype(np.float32), a.astype(np.float32).astype(float)),
+    lambda a: (a.tolist(), a),
+    lambda a: (tuple(a.tolist()), a),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(single_quats, single_quats, arrays(np.float64, (3,), elements=wide), st.floats(-10.0, 10.0))
 def test_single_pose_bit_identical_to_trailing_axis_formulas(q, p, v, yaw):
     yaw = np.float64(yaw)
-    assert same_bits(quat_normalize(q), trailing_normalize(q))
-    assert same_bits(quat_conjugate(q), trailing_conjugate(q))
-    assert same_bits(quat_mul(q, p), cross_quat_mul(q, p))
-    assert same_bits(quat_rotate(q, v), cross_quat_rotate(q, v))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(quat_to_rotvec(q), trailing_to_rotvec(q))
     assert same_bits(quat_from_yaw(yaw), trailing_from_yaw(yaw))
-    for rv in (v, 1e-12 * v, q[:3]):
-        assert same_bits(quat_from_rotvec(rv), trailing_from_rotvec(rv))
+    for form in ARGUMENT_FORMS:
+        (qa, qf), (pa, pf), (va, vf) = form(q), form(p), form(v)
+        # a float32 cast can flush every component of a tiny quaternion to 0
+        if np.linalg.norm(qf) > 0.0:
+            assert same_bits(quat_normalize(qa), trailing_normalize(qf))
+        assert same_bits(quat_conjugate(qa), trailing_conjugate(qf))
+        assert same_bits(quat_mul(qa, pa), cross_quat_mul(qf, pf))
+        assert same_bits(quat_rotate(qa, va), cross_quat_rotate(qf, vf))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(quat_to_rotvec(qa), trailing_to_rotvec(qf))
+        for rv in (v, 1e-12 * v, q[:3]):
+            rva, rvf = form(rv)
+            assert same_bits(quat_from_rotvec(rva), trailing_from_rotvec(rvf))
+        # the kernels without a trailing-axis oracle: every form as its values
+        assert same_bits(quat_matrix(qa), quat_matrix(qf))
+        assert quat_to_euler(qa) == quat_to_euler(qf)
 
 
 # Euler attitude, rotation matrices and the planar rotation of the particles
@@ -318,3 +338,16 @@ def test_pose_validation():
         Pose([0, 0], [0, 0, 0, 1])
     with pytest.raises(ValueError):
         Pose([0, 0, 0], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "quat, norm",
+    [([1e300, 0.0, 0.0, 1.0], "inf"), ([0.0, -np.inf, 0.0, 1.0], "inf"), ([0.0, 0.0, np.nan, 1.0], "nan")],
+    ids=["overflowing-squares", "inf-component", "nan-component"],
+)
+def test_a_quaternion_whose_norm_is_not_finite_is_refused(quat, norm):
+    # the overflow once normalized to [0, 0, 0, 0], and a nan component to
+    # an all-nan quaternion, without an error
+    for make in (quat_normalize, lambda q: Pose(np.zeros(3), q)):
+        with pytest.raises(ValueError, match=f"^{norm}-norm quaternion cannot be normalized$"):
+            make(np.array(quat))

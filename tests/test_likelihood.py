@@ -480,10 +480,15 @@ def test_contact_measurement_validation():
     assert got[0] == pytest.approx(cfg.log_class_rho)
 
 
+# entries that tie, signed zeros among them, beside any probability
+TYING_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(0.0, 1.0))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+@given(st.lists(TYING_ENTRIES, min_size=1, max_size=10))
 def test_a_contact_keeps_the_argmax_of_its_class_probs(probs):
-    # the class the class channel queries, found once, when the contact is built
+    # the class the class channel queries, found once, when the contact is
+    # built: numpy's argmax, the first of tied entries, -0.0 equal to 0.0
     assert ContactMeasurement((0.0, 0.0, -0.3), class_probs=probs).estimated_class == int(np.argmax(probs))
     assert ContactMeasurement((0.0, 0.0, -0.3)).estimated_class is None
     with pytest.raises(TypeError):
@@ -546,10 +551,14 @@ def test_contact_construction_rejects_non_finite_or_negative_input(offset, probs
     bad_offset[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     with pytest.raises(ValueError, match="offset must be a finite 3-vector"):
         ContactMeasurement(bad_offset, class_probs=probs)
+    slot = data.draw(st.integers(0, len(probs) - 1))
     bad_probs = list(probs)
-    bad_probs[data.draw(st.integers(0, len(probs) - 1))] = data.draw(BAD_ENTRIES)
+    bad_probs[slot] = data.draw(BAD_ENTRIES)
     with pytest.raises(ValueError, match="class_probs must be finite and non-negative"):
         ContactMeasurement(offset, class_probs=bad_probs)
+    # -0.0 is non-negative, and kept as it is
+    bad_probs[slot] = -0.0
+    assert np.signbit(ContactMeasurement(offset, class_probs=bad_probs).class_probs[slot])
 
 
 def test_contact_requires_matching_layers():
@@ -583,8 +592,9 @@ def test_class_probs_length_must_match_the_class_layer():
         ([0.6, -0.1, 0.5], "non-negative"),
         ([[0.1, 0.2, 0.7]], "1-D"),
         (0.7, "1-D"),
+        ([], r"^class_probs must be a non-empty 1-D vector, got shape \(0,\)$"),
     ],
-    ids=["nan", "inf", "minus-inf", "negative", "2-d", "scalar"],
+    ids=["nan", "inf", "minus-inf", "negative", "2-d", "scalar", "empty"],
 )
 def test_class_probs_must_be_a_finite_non_negative_vector(probs, match, mode):
     # the contact is rejected when it is built, before any class mode can score it

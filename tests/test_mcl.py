@@ -314,8 +314,28 @@ def test_stepinput_rejects_non_finite_increment_position(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stepinput_rejects_non_finite_increment_quat(bad):
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="odom_increment.quat must be finite"):
-        StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, bad, 1.0])), np.eye(6), [])
+    # a Pose refuses a quaternion whose norm is not finite, so the value is
+    # written into a built one, as a caller holding its array could
+    inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
+    inc.quat[2] = bad
+    with pytest.raises(ValueError, match="odom_increment.quat must be finite"):
+        StepInput(inc, np.eye(6), [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("name", ["odom_increment.position", "odom_increment.quat", "odom_cov", "tilt"])
+def test_stepinput_names_the_non_finite_value(name, bad):
+    # the checks read plain floats; each refuses what np.isfinite refused
+    inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
+    cov, tilt = np.eye(6), [0.1, -0.2]
+    {
+        "odom_increment.position": inc.position,
+        "odom_increment.quat": inc.quat,
+        "odom_cov": cov.reshape(-1),
+        "tilt": tilt,
+    }[name][-1] = bad
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite$"):
+        StepInput(inc, cov, [], tilt)
 
 
 @pytest.mark.parametrize("tilt", [(np.nan, 0.0), (0.0, np.inf), (0.1,), (0.1, 0.2, 0.3)])
