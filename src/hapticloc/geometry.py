@@ -4,14 +4,23 @@ Quaternions are [qx, qy, qz, qw] everywhere in this package. Tangent vectors
 are ordered [dx, dy, dz, droll, dpitch, dyaw] and perturb a pose on the right:
 compose(mean, exp(delta)), i.e. noise lives in the body frame of the pose.
 
-Quaternions are single poses: every quaternion function takes one pose and
-computes in plain floats. Each argument is converted once, by
-np.asarray(arg, dtype=float).tolist(): the same Python floats as a float()
-per element, whose calls cost more than the arithmetic. The formulas keep
-the operation order of np.cross, np.sum and np.linalg.norm (the tests keep
-those numpy forms as oracles), so the outputs are byte-identical to them.
-np.arctan2 and the power of an array round differently from math.atan2 and
-a scalar's ** in the last bit, so those two stay numpy calls.
+Quaternion kernels come in two forms. A single-pose kernel (quat_mul,
+quat_rotate, ...) takes one pose and computes in plain floats; the filter's
+per-step poses and Pose itself run on them. Each argument is converted
+once, by np.asarray(arg, dtype=float).tolist(): the same Python floats as a
+float() per element, whose calls cost more than the arithmetic. A row form
+(quat_mul_rows, quat_rotate_rows, ...) takes (n, 4) quaternions and (n, 3)
+vectors, one pose a row, and computes over the columns; the walker
+(sim._walk) runs on them, over every pose of a walk at once. Both forms
+keep the operation order of np.cross, np.sum and np.linalg.norm (the tests
+keep those numpy forms as oracles), so a row form's row is byte-identical
+to its single-pose kernel's output.
+
+Only +, -, *, / and sqrt run over arrays: they round the same in numpy and
+in Python floats. Every sin, cos, atan2 and asin is a math call per pose,
+since numpy's array forms of them may round differently in the last bit.
+quat_to_rotvec keeps np.arctan2 and the power of an array, which round
+differently from math.atan2 and a scalar's ** in the last bit.
 
 Attitude as Euler angles: quat_from_euler and quat_to_euler use the z-y-x
 convention of a legged robot's base, R = Rz(yaw) Ry(pitch) Rx(roll), so roll
@@ -68,11 +77,6 @@ def quat_mul(a, b):
     )
 
 
-def quat_conjugate(q):
-    x, y, z, w = np.asarray(q, dtype=float).tolist()
-    return np.array([-x, -y, -z, w])
-
-
 def quat_rotate(q, v):
     """Rotate the 3-vector v by the quaternion q: v + qw*t + qv x t with
     t = 2 qv x v, each cross product in np.cross's operation order."""
@@ -122,9 +126,63 @@ def quat_to_rotvec(q):
     return np.array([x * scale, y * scale, z * scale])
 
 
-def quat_from_yaw(yaw):
-    half = float(yaw) / 2.0
-    return np.array([0.0, 0.0, math.sin(half), math.cos(half)])
+def quat_normalize_rows(q):
+    """quat_normalize of each row of the quaternions q (n, 4)."""
+    x, y, z, w = q.T
+    with np.errstate(over="ignore"):
+        n = np.sqrt(((x * x + y * y) + z * z) + w * w)
+    bad = ~((0.0 < n) & (n < math.inf))
+    if bad.any():
+        first = float(n[bad][0])
+        raise ValueError(f"{'zero' if first == 0.0 else first}-norm quaternion cannot be normalized")
+    return q / n[:, None]
+
+
+def quat_conjugate_rows(q):
+    """The conjugate of each row of the quaternions q (n, 4)."""
+    return np.column_stack([-q[:, :3], q[:, 3]])
+
+
+def quat_mul_rows(a, b):
+    """quat_mul of each row of a (n, 4) with the same row of b (n, 4)."""
+    ax, ay, az, aw = a.T
+    bx, by, bz, bw = b.T
+    return np.column_stack(
+        [
+            aw * bx + bw * ax + (ay * bz - az * by),
+            aw * by + bw * ay + (az * bx - ax * bz),
+            aw * bz + bw * az + (ax * by - ay * bx),
+            aw * bw - (ax * bx + 0.0 + ay * by + az * bz),
+        ]
+    )
+
+
+def quat_rotate_rows(q, v):
+    """quat_rotate of each row of v (n, 3) by the same row of q (n, 4)."""
+    x, y, z, w = q.T
+    vx, vy, vz = v.T
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return np.column_stack(
+        [
+            vx + w * tx + (y * tz - z * ty),
+            vy + w * ty + (z * tx - x * tz),
+            vz + w * tz + (x * ty - y * tx),
+        ]
+    )
+
+
+def quat_from_rotvec_rows(rv):
+    """quat_from_rotvec of each row of the rotation vectors rv (n, 3), its
+    sin and cos taken per row with math."""
+    rx, ry, rz = rv.T
+    angle = np.sqrt((rx * rx + ry * ry) + rz * rz)
+    half = (0.5 * angle).tolist()
+    sin = np.array([math.sin(h) for h in half])
+    cos = np.array([math.cos(h) for h in half])
+    scale = np.divide(sin, angle, out=0.5 - angle * angle / 48.0, where=~(angle < 1e-8))
+    return np.column_stack([rx * scale, ry * scale, rz * scale, cos])
 
 
 def wrap_angle(a):
@@ -220,22 +278,6 @@ class Pose:
 def compose(a: Pose, b: Pose) -> Pose:
     """a then b: the pose of frame b expressed in a's parent frame."""
     return Pose(a.position + quat_rotate(a.quat, b.position), quat_mul(a.quat, b.quat))
-
-
-def inverse(p: Pose) -> Pose:
-    qi = quat_conjugate(p.quat)
-    return Pose(-quat_rotate(qi, p.position), qi)
-
-
-def relative_increment(prev: Pose, curr: Pose) -> Pose:
-    """Increment d with compose(prev, d) == curr."""
-    return compose(inverse(prev), curr)
-
-
-def pose_exp(delta) -> Pose:
-    """Tangent vector [dx dy dz droll dpitch dyaw] to a small pose."""
-    delta = np.asarray(delta, dtype=float).reshape(6)
-    return Pose(delta[:3], quat_from_rotvec(delta[3:]))
 
 
 def covariance_factor(cov) -> np.ndarray:

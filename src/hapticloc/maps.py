@@ -441,11 +441,15 @@ class DistanceField:
     def fill(self, nodes) -> None:
         """Fill each of the nodes, given by their flat indices into bricks,
         that is not filled yet with its bounded cloud_distances, capped and
-        quantized. A fill holds about 140 bytes a node it is given, all at
+        quantized. A fill holds about 130 bytes a node it is given, all at
         once, so a caller bounds the count (field_distances: _ZERO_CHUNK)."""
         flat = self.bricks.reshape(-1)
-        nodes = _distinct_nodes(nodes, len(self.bricks))
-        nodes = nodes[flat[nodes] == 0]
+        # the distinct nodes, ascending: a sorted copy without its repeats
+        nodes = np.sort(nodes, axis=None)
+        distinct = np.empty(len(nodes), dtype=bool)
+        distinct[:1] = True
+        np.not_equal(nodes[1:], nodes[:-1], out=distinct[1:])
+        nodes = nodes[distinct & (flat[nodes] == 0)]
         row, local = np.divmod(nodes, _BRICK_NODES)
         span = (self.high - self.low + 1.0).astype(np.int64)
         brick = np.column_stack(np.unravel_index(self.keys[row], span)) + self.low
@@ -455,22 +459,6 @@ class DistanceField:
         np.minimum(d, self.cap, out=d)
         np.rint(np.divide(d, self.quantum, out=d), out=d)
         flat[nodes] = d + 1.0
-
-
-def _distinct_nodes(nodes, n_rows: int) -> np.ndarray:
-    """The distinct flat node indices among nodes, ascending, found without
-    a sort: marked in a bitmap over just the bricks rows they lie in."""
-    row = nodes // _BRICK_NODES
-    touched = np.zeros(n_rows, dtype=bool)
-    touched[row] = True
-    rows = np.flatnonzero(touched)
-    # how far a node moves from its row of bricks to its row of the bitmap
-    shift = np.empty(n_rows, dtype=np.intp)
-    shift[rows] = (np.arange(len(rows)) - rows) * _BRICK_NODES
-    seen = np.zeros(len(rows) * _BRICK_NODES, dtype=bool)
-    seen[nodes + shift[row]] = True
-    at = np.flatnonzero(seen)
-    return at - shift[rows[at // _BRICK_NODES]]
 
 
 def _field_bricks(points, radius: float, spacing: float):
@@ -708,37 +696,12 @@ def elevation_at_many(grid: ElevationGrid, xy, cells=None, out=None) -> np.ndarr
     return grid._padded.take(_cells(grid, xy, cells), out=out, mode="clip")
 
 
-def _padded_index(coord, origin, resolution, n) -> int:
-    """One coordinate's index into a padded axis, by padded_cells' rule in
-    plain floats: (coord - origin) / resolution, floored, plus one for the
-    border; 0, a border cell, off the lattice or for nan."""
-    i = (float(coord) - float(origin)) / resolution
-    return math.floor(i) + 1 if 0.0 <= i < n else 0
-
-
-def _padded_value(grid, xy):
-    """The padded layer's value at one point (x, y): the lookup the batched
-    functions make, without their per-call array overhead."""
-    row = _padded_index(xy[1], grid.origin[1], grid.resolution, grid.n_rows)
-    return grid._padded[row, _padded_index(xy[0], grid.origin[0], grid.resolution, grid.n_cols)]
-
-
-def elevation_at(grid: ElevationGrid, xy) -> float:
-    """Height of the cell containing xy; nan outside the grid or on no-data cells."""
-    return float(_padded_value(grid, xy))
-
-
 def class_at_many(grid: ClassGrid, xy, cells=None) -> np.ndarray:
     """Class ids at query points (2, ...); the unknown sentinel outside the grid.
 
     cells as for elevation_at_many.
     """
     return grid._padded.take(_cells(grid, xy, cells), mode="clip")
-
-
-def class_at(grid: ClassGrid, xy) -> int:
-    """Class id of the cell containing xy; the unknown sentinel outside the grid."""
-    return int(_padded_value(grid, xy))
 
 
 def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:

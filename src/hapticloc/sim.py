@@ -11,6 +11,13 @@ its cell's class; a foot on an unlabeled cell logs none. A signal is its
 class's noise-free template plus fresh white noise; the template of each
 (class, length) is built once and shared read-only (_signal_template).
 
+The walker (_walk) computes a walk's geometry over arrays: the base poses,
+the foot placements, the contact offsets and the true increments of every
+phase at once, with geometry.py's row forms and one map lookup per layer.
+Then one loop makes each phase's draws from the walk's generator in phase
+order, and the odometry increments and the step records are built last, so
+a walk draws what a pose-by-pose walk would draw, in the same order.
+
 Every phase also logs the base's roll and pitch, the attitude an IMU observes
 against gravity, which the filter takes as given. The IMU tilt is modelled as
 exact: the simulator logs the true base attitude, with no noise. Every course
@@ -31,6 +38,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -44,12 +52,13 @@ from .geometry import (
     POSE_COLUMNS,
     Pose,
     compose,
-    pose_exp,
-    quat_conjugate,
-    quat_from_yaw,
+    quat_conjugate_rows,
+    quat_from_rotvec_rows,
+    quat_mul_rows,
+    quat_normalize_rows,
     quat_rotate,
+    quat_rotate_rows,
     quat_to_euler,
-    relative_increment,
 )
 from .likelihood import ContactMeasurement
 from .maps import (
@@ -58,8 +67,8 @@ from .maps import (
     ElevationGrid,
     MapSet,
     PointCloudMap,
-    class_at,
-    elevation_at,
+    class_at_many,
+    elevation_at_many,
     parse_class_id,
 )
 
@@ -469,95 +478,127 @@ def _path_samples(waypoints):
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = cum[-1]
     n = int(np.floor(total / STEP_LENGTH + 1e-9))
-    pts, yaws = [], []
-    for k in range(n + 1):
-        s = min(k * STEP_LENGTH, total)
-        i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
-        f = (s - cum[i]) / seg_len[i]
-        pts.append(wp[i] + f * seg[i])
-        yaws.append(np.arctan2(seg[i, 1], seg[i, 0]))
-    return np.array(pts), np.array(yaws)
+    s = np.minimum(np.arange(n + 1) * STEP_LENGTH, total)
+    i = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
+    f = (s - cum[i]) / seg_len[i]
+    # each segment's heading by a scalar np.arctan2, as the path has always
+    # been sampled: an array arctan2 may round differently in the last bit
+    headings = np.array([np.arctan2(dy, dx) for dx, dy in seg])
+    return wp[i] + f[:, None] * seg[i], headings[i]
 
 
-def _base_pose(maps, xy, yaw) -> Pose:
-    z = elevation_at(maps.elevation, xy)
-    if np.isnan(z):
-        raise ValueError(f"walk path leaves the map at xy=({round(float(xy[0]), 3)}, {round(float(xy[1]), 3)})")
-    return Pose([xy[0], xy[1], z + STANDING_HEIGHT], quat_from_yaw(yaw))
+# the standing offset of each foot, in FOOT_LABELS order, and the foot that
+# swings on each phase, as indices into it
+_NOMINAL = np.array([nominal_offset(label) for label in FOOT_LABELS])
+_SWING = np.array([FOOT_LABELS.index(label) for label in GAIT_ORDER])
 
 
-def _place_foot(maps, pose: Pose, label: str) -> np.ndarray | None:
-    world = pose.position + quat_rotate(pose.quat, nominal_offset(label))
-    z = elevation_at(maps.elevation, world[:2])
-    if np.isnan(z):
-        return None
-    return np.array([world[0], world[1], z])
-
-
-def _record_step(maps, k, pose, prev_pose, feet, noise, rng):
-    incr_true = relative_increment(prev_pose, pose)
-    delta = noise.white_array() * rng.standard_normal(6) + noise.bias_vector()
-    odom = compose(incr_true, pose_exp(delta))
-
-    contacts, worlds, classes, signals = [], [], [], []
-    for label in FOOT_LABELS:
-        world = feet[label].copy()
-        offset = quat_rotate(quat_conjugate(pose.quat), world - pose.position)
-        if noise.outlier_prob > 0.0 and rng.random() < noise.outlier_prob:
-            offset = offset.copy()
-            offset[2] += OUTLIER_SHIFT * (1.0 if rng.random() < 0.5 else -1.0)
-        class_id = UNKNOWN_CLASS
-        signal = None
-        if maps.class_grid is not None:
-            class_id = class_at(maps.class_grid, world[:2])
-            if class_id != UNKNOWN_CLASS:
-                signal = synth_force_signal(class_id, sample_signal_length(rng), rng)
-        contacts.append(ContactMeasurement(offset))
-        worlds.append(world)
-        classes.append(class_id)
-        signals.append(signal)
-
-    return StepRecord(
-        k=k,
-        timestamp=k * PHASE_DT,
-        true_pose=pose,
-        odom_increment=odom,
-        odom_cov_diag=noise.white_array() ** 2,
-        tilt=quat_to_euler(pose.quat)[:2],
-        contacts=contacts,
-        true_foot_world=np.array(worlds),
-        true_class_ids=np.array(classes, dtype=np.uint8),
-        signals=signals,
-    )
+def _leaves_the_map(xy) -> ValueError:
+    return ValueError(f"walk path leaves the map at xy=({round(float(xy[0]), 3)}, {round(float(xy[1]), 3)})")
 
 
 def _walk(maps, xys, yaws, noise, seed, probe=None):
-    """The one step loop: stand at base position 0, then log a four-support
+    """The one walker: stand at base position 0, then log a four-support
     phase at each later base position, swinging one leg per phase in crawl
-    order. probe(k, pose) returns (label, world), a foot touching a point off
-    the floor on phase k, or None. The log's prior is the true start pose."""
-    rng = np.random.default_rng(seed)
-    start = _base_pose(maps, xys[0], yaws[0])
-    feet = {}
-    for label in FOOT_LABELS:
-        placed = _place_foot(maps, start, label)
-        if placed is None:
-            raise ValueError(f"foot {label} starts off the map")
-        feet[label] = placed
+    order; a swing foot that would land off the map stays where it stood.
+    probe(base) takes every base position (n, 3) and returns (label, world,
+    touching): on each phase k with touching[k], foot label touches world[k],
+    a point off the floor, and stands where it stood again on the next phase.
+    The log's prior is the true start pose.
 
-    records = []
-    prev = start
-    for k in range(1, len(xys)):
-        pose = _base_pose(maps, xys[k], yaws[k])
-        swing = GAIT_ORDER[(k - 1) % 4]
-        placed = _place_foot(maps, pose, swing)
-        if placed is not None:
-            feet[swing] = placed
-        touch = None if probe is None else probe(k, pose)
-        touching = feet if touch is None else {**feet, touch[0]: touch[1]}
-        records.append(_record_step(maps, k, pose, prev, touching, noise, rng))
-        prev = pose
-    return WalkLog(start_pose=start, init_prior=start, records=records)
+    The geometry is computed over the whole walk before the draws, and the
+    first error raised is the one a pose-by-pose walk meets first: the start
+    base off the map, then a start foot in FOOT_LABELS order, then a force
+    signal's class or a later base off the map, whichever phase comes first.
+    """
+    rng = np.random.default_rng(seed)
+    base_z = elevation_at_many(maps.elevation, xys.T)
+    off = np.isnan(base_z)
+    if off[0]:
+        raise _leaves_the_map(xys[0])
+    # the bases up to the first one off the map, which raises after the
+    # phases before it have made their draws
+    n = int(off.argmax()) if off.any() else len(xys)
+    base = np.column_stack([xys[:n], base_z[:n] + STANDING_HEIGHT])
+    half = (yaws[:n] / 2.0).tolist()
+    yaw_quat = np.zeros((n, 4))
+    yaw_quat[:, 2] = [math.sin(h) for h in half]
+    yaw_quat[:, 3] = [math.cos(h) for h in half]
+    # Pose normalizes the quaternion it is given once: the rows compute with
+    # that normalized copy, and each Pose is built from the raw quaternion
+    quat = quat_normalize_rows(yaw_quat)
+
+    # every foot placement: the four feet of the start, then the swing foot
+    # of each later phase; a phase's foot stands on its latest placement
+    at = np.concatenate([np.zeros(4, dtype=np.intp), np.arange(1, n)])
+    foot = np.concatenate([np.arange(4), _SWING[np.arange(n - 1) % 4]])
+    placed = base[at] + quat_rotate_rows(quat[at], _NOMINAL[foot])
+    placed[:, 2] = elevation_at_many(maps.elevation, placed[:, :2].T)
+    for label, z in zip(FOOT_LABELS, placed[:4, 2].tolist()):
+        if math.isnan(z):
+            raise ValueError(f"foot {label} starts off the map")
+    latest = np.full((n, 4), -1)
+    landed = np.flatnonzero(~np.isnan(placed[:, 2]))
+    latest[at[landed], foot[landed]] = landed
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    world = placed[latest[1:]]
+    if probe is not None:
+        label, target, touching = probe(base)
+        touched = np.flatnonzero(touching[1:])
+        world[touched, FOOT_LABELS.index(label)] = target[touched + 1]
+
+    # each phase's contact offsets and true increment from the phase before
+    m = n - 1
+    to_base = np.repeat(quat_conjugate_rows(quat[1:]), 4, axis=0)
+    offsets = quat_rotate_rows(to_base, (world - base[1:, None]).reshape(-1, 3)).reshape(m, 4, 3)
+    class_ids = np.full((m, 4), UNKNOWN_CLASS, dtype=np.uint8)
+    if maps.class_grid is not None:
+        class_ids = class_at_many(maps.class_grid, np.moveaxis(world[..., :2], -1, 0))
+    # the true increment is compose(inverse(prev), pose), and the inverse's
+    # position is turned by the conjugate itself, its quaternion the one a
+    # Pose normalizes from it
+    back = quat_conjugate_rows(quat[:-1])
+    back_quat = quat_normalize_rows(back)
+    incr_pos = -quat_rotate_rows(back, base[:-1]) + quat_rotate_rows(back_quat, base[1:])
+    incr_quat = quat_normalize_rows(quat_mul_rows(back_quat, quat[1:]))
+
+    draws = np.empty((m, 6))
+    signals = [[None] * 4 for _ in range(m)]
+    classes = class_ids.tolist()
+    for j in range(m):
+        draws[j] = rng.standard_normal(6)
+        for i, class_id in enumerate(classes[j]):
+            if noise.outlier_prob > 0.0 and rng.random() < noise.outlier_prob:
+                offsets[j, i, 2] += OUTLIER_SHIFT * (1.0 if rng.random() < 0.5 else -1.0)
+            if class_id != UNKNOWN_CLASS:
+                signals[j][i] = synth_force_signal(class_id, sample_signal_length(rng), rng)
+    if n < len(xys):
+        raise _leaves_the_map(xys[n])
+
+    # the odometry increments: each true increment composed with the small
+    # pose of its noise and bias
+    delta = noise.white_array() * draws + noise.bias_vector()
+    odom_pos = incr_pos + quat_rotate_rows(incr_quat, delta[:, :3])
+    odom_quat = quat_mul_rows(incr_quat, quat_normalize_rows(quat_from_rotvec_rows(delta[:, 3:])))
+
+    cov = noise.white_array() ** 2
+    poses = [Pose(p, q) for p, q in zip(base, yaw_quat)]
+    records = [
+        StepRecord(
+            k=k,
+            timestamp=k * PHASE_DT,
+            true_pose=poses[k],
+            odom_increment=Pose(odom_pos[k - 1], odom_quat[k - 1]),
+            odom_cov_diag=cov.copy(),
+            tilt=quat_to_euler(poses[k].quat)[:2],
+            contacts=[ContactMeasurement(offset) for offset in offsets[k - 1]],
+            true_foot_world=world[k - 1].copy(),
+            true_class_ids=class_ids[k - 1].copy(),
+            signals=signals[k - 1],
+        )
+        for k in range(1, n)
+    ]
+    return WalkLog(start_pose=poses[0], init_prior=poses[0], records=records)
 
 
 def simulate_walk(maps: MapSet, waypoints, noise: NoiseSpec, seed: int) -> WalkLog:
@@ -575,12 +616,13 @@ def probe_scenario(maps: MapSet, noise: NoiseSpec, seed: int) -> WalkLog:
     x0, y0 = PROBE_START_XY
     xys = np.column_stack([np.full(PROBE_STEPS + 1, x0), y0 - np.arange(PROBE_STEPS + 1) * STEP_LENGTH])
 
-    def probe(k, pose):
-        if k % 2 == 1:
-            target = np.array([WALL_ROOM_WALL_X, pose.position[1] - FOOT_DY, PROBE_HEIGHT])
-        else:
-            target = np.array([pose.position[0] + FOOT_DX, WALL_ROOM_WALL_Y, PROBE_HEIGHT])
-        return ("RF", target) if np.linalg.norm(target - pose.position) <= PROBE_REACH else None
+    def probe(base):
+        # the front wall on odd phases, the side wall on even ones
+        front = np.column_stack([np.full(len(base), WALL_ROOM_WALL_X), base[:, 1] - FOOT_DY])
+        side = np.column_stack([base[:, 0] + FOOT_DX, np.full(len(base), WALL_ROOM_WALL_Y)])
+        odd = (np.arange(len(base)) % 2 == 1)[:, None]
+        target = np.column_stack([np.where(odd, front, side), np.full(len(base), PROBE_HEIGHT)])
+        return "RF", target, np.linalg.norm(target - base, axis=1) <= PROBE_REACH
 
     log = _walk(maps, xys, np.zeros(PROBE_STEPS + 1), noise, seed, probe)
     log.init_prior = Pose(log.start_pose.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), log.start_pose.quat)

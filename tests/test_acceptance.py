@@ -34,10 +34,8 @@ from hapticloc.maps import (
     ElevationGrid,
     MapSet,
     PointCloudMap,
-    class_at,
     class_distance_many,
     cloud_distances,
-    elevation_at,
     field_distances,
 )
 from hapticloc.mcl import (
@@ -48,6 +46,7 @@ from hapticloc.mcl import (
     systematic_resample_indices,
 )
 from hapticloc.sim import CourseSpec, generate_course
+from per_pose import class_at, elevation_at
 from test_classifier import loss_and_grad
 from test_maps import distance_fields, fill_every_node
 

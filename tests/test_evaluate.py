@@ -28,10 +28,11 @@ from hapticloc.evaluate import (
     to_step_inputs,
     write_report,
 )
-from hapticloc.geometry import Pose, quat_from_rotvec, quat_from_yaw
+from hapticloc.geometry import Pose, quat_from_rotvec
 from hapticloc.likelihood import LikelihoodConfig
 from hapticloc.mcl import init_filter, run_filter
 from hapticloc.sim import COURSES, STEP_LENGTH, CourseSpec, NoiseSpec, generate_course, simulate_walk, walklog_hash
+from per_pose import quat_from_yaw
 
 
 def pose(x=0.0, y=0.0, z=0.0, yaw=0.0):

@@ -9,24 +9,25 @@ from hapticloc.geometry import (
     Pose,
     compose,
     covariance_factor,
-    inverse,
     load_trajectory,
     planar_rotate_add,
-    pose_exp,
-    quat_conjugate,
+    quat_conjugate_rows,
     quat_from_euler,
     quat_from_rotvec,
-    quat_from_yaw,
+    quat_from_rotvec_rows,
     quat_matrix,
     quat_mul,
+    quat_mul_rows,
     quat_normalize,
+    quat_normalize_rows,
     quat_rotate,
+    quat_rotate_rows,
     quat_to_euler,
     quat_to_rotvec,
-    relative_increment,
     save_trajectory,
     wrap_angle,
 )
+from per_pose import inverse, pose_exp, quat_conjugate, quat_from_yaw, relative_increment
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 angles = st.floats(-3.0, 3.0, allow_nan=False)
@@ -189,6 +190,34 @@ def test_single_pose_bit_identical_to_trailing_axis_formulas(q, p, v, yaw):
         assert quat_to_euler(qa) == quat_to_euler(qf)
 
 
+@st.composite
+def pose_rows(draw):
+    """(q, p, v): two (n, 4) arrays of quaternions and an (n, 3) array of vectors."""
+    n = draw(st.integers(1, 6))
+    q, p = (np.array(draw(st.lists(single_quats, min_size=n, max_size=n))) for _ in range(2))
+    return q, p, draw(arrays(np.float64, (n, 3), elements=wide))
+
+
+def per_row(kernel, *args):
+    return np.array([kernel(*row) for row in zip(*args)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pose_rows())
+def test_row_forms_bit_identical_to_single_pose_kernels_and_trailing_axis_formulas(rows):
+    q, p, v = rows
+    for row_form, kernel, oracle, args in (
+        (quat_normalize_rows, quat_normalize, trailing_normalize, (q,)),
+        (quat_conjugate_rows, quat_conjugate, trailing_conjugate, (q,)),
+        (quat_mul_rows, quat_mul, cross_quat_mul, (q, p)),
+        (quat_rotate_rows, quat_rotate, cross_quat_rotate, (q, v)),
+        *((quat_from_rotvec_rows, quat_from_rotvec, trailing_from_rotvec, (rv,)) for rv in (v, 1e-12 * v, q[:, :3])),
+    ):
+        got = row_form(*args)
+        assert same_bits(got, per_row(kernel, *args)), row_form.__name__
+        assert same_bits(got, oracle(*args)), row_form.__name__
+
+
 # Euler attitude, rotation matrices and the planar rotation of the particles
 
 
@@ -348,6 +377,10 @@ def test_pose_validation():
 def test_a_quaternion_whose_norm_is_not_finite_is_refused(quat, norm):
     # the overflow once normalized to [0, 0, 0, 0], and a nan component to
     # an all-nan quaternion, without an error
-    for make in (quat_normalize, lambda q: Pose(np.zeros(3), q)):
+    def rows(q):
+        # the row form refuses a quaternion behind a good one
+        return quat_normalize_rows(np.stack([[0.0, 0.0, 0.0, 1.0], q]))
+
+    for make in (quat_normalize, lambda q: Pose(np.zeros(3), q), rows):
         with pytest.raises(ValueError, match=f"^{norm}-norm quaternion cannot be normalized$"):
             make(np.array(quat))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from hapticloc.geometry import Pose, quat_from_euler, quat_from_yaw, quat_rotate, tilt_matrix
+from hapticloc.geometry import Pose, quat_from_euler, quat_rotate, tilt_matrix
 from hapticloc.likelihood import (
     MODES,
     ContactBuffers,
@@ -36,6 +36,7 @@ from hapticloc.likelihood import (
 import hapticloc.maps as maps_module
 from hapticloc.maps import GATHER_ROWS, ClassGrid, ElevationGrid, MapSet, PointCloudMap, field_distances
 from hapticloc.sim import CourseSpec, generate_course
+from per_pose import quat_from_yaw
 from test_maps import assert_cut_at, class_maps, distance_fields, edt_fields
 
 # N(k*sigma; 0, sigma) for sigma_z = 0.01 and sigma_c = 0.05.

@@ -18,10 +18,8 @@ from hapticloc.maps import (
     MapSet,
     PointCloudMap,
     check_same_lattice,
-    class_at,
     class_distance_many,
     cloud_distances,
-    elevation_at,
     elevation_at_many,
     class_at_many,
     field_distances,
@@ -29,6 +27,7 @@ from hapticloc.maps import (
     padded_cells,
     save_map,
 )
+from per_pose import class_at, elevation_at
 
 
 def small_elevation():

@@ -21,7 +21,6 @@ from hapticloc.geometry import (
     covariance_factor,
     quat_from_euler,
     quat_from_rotvec,
-    quat_from_yaw,
     quat_matrix,
     quat_to_euler,
     wrap_angle,
@@ -61,6 +60,7 @@ from hapticloc.mcl import (
     systematic_resample_indices,
     write_diagnostics_csv,
 )
+from per_pose import elevation_at, quat_from_yaw
 
 STAND_Z = 0.3
 # base-frame foot offsets, in FOOT_LABELS order (LF, RF, LH, RH)
@@ -424,8 +424,6 @@ def test_filter_tracks_through_height_feature():
     The tent period (0.8 m) puts front and hind feet (0.4 m apart) on opposite
     slopes, so no common z shift can explain an x offset away.
     """
-    from hapticloc.maps import elevation_at
-
     res = 0.1
     nx = ny = 60
     xc = (np.arange(nx) + 0.5) * res

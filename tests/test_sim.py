@@ -14,7 +14,7 @@ from hapticloc.classifier import StepSignal
 from hapticloc.evaluate import default_experiment, train_contact_classifier, walk
 from hapticloc.geometry import FOOT_LABELS, Pose, quat_normalize, quat_rotate
 from hapticloc.likelihood import ContactMeasurement
-from hapticloc.maps import UNKNOWN_CLASS, elevation_at
+from hapticloc.maps import UNKNOWN_CLASS, ClassGrid, ElevationGrid, MapSet
 from hapticloc.sim import (
     CHEVRON_HEIGHT,
     CHEVRON_RAMP_DEG,
@@ -47,6 +47,8 @@ from hapticloc.sim import (
     synth_force_signal,
     walklog_hash,
 )
+import per_pose
+from per_pose import elevation_at
 from test_geometry import same_bits
 
 QUIET = NoiseSpec()
@@ -252,6 +254,79 @@ def test_walk_path_errors():
         simulate_walk(maps, ((0.1, 0.7), (2.0, 0.7)), QUIET, 0)
     with pytest.raises(ValueError, match="waypoints span 0.03 m, shorter than one 0.05 m step"):
         simulate_walk(maps, ((1.0, 0.7), (1.03, 0.7)), QUIET, 0)
+
+
+def assert_same_walk(got, want):
+    """Two walk logs with the same hash, every force signal's samples and every
+    foot's true world position, bit for bit."""
+    assert walklog_hash(got) == walklog_hash(want)
+    assert got.n_steps == want.n_steps
+    for rg, rw in zip(got.records, want.records):
+        assert same_bits(rg.true_foot_world, rw.true_foot_world)
+        for sg, sw in zip(rg.signals, rw.signals):
+            assert (sg is None) == (sw is None)
+            assert sg is None or same_bits(sg.samples, sw.samples)
+
+
+def reference_walk(cfg, course, seed):
+    """evaluate.walk with the pose-by-pose walker."""
+    if cfg.waypoints is None:
+        return per_pose.probe_scenario(course, cfg.noise, seed)
+    return per_pose.simulate_walk(course, cfg.waypoints, cfg.noise, seed)
+
+
+# every default walk, class-tiles also at 1 cm, and each with outliers, which
+# no config sets, so the golden digests never run their interleaved draws
+WALKS = [(kind, 0.05) for kind in COURSES] + [("class-tiles", 0.01)]
+
+
+@pytest.mark.parametrize("outlier_prob", [0.0, 0.3])
+@pytest.mark.parametrize("kind, resolution", WALKS, ids=[f"{kind}-{res}" for kind, res in WALKS])
+def test_the_walker_matches_the_pose_by_pose_walker_bit_for_bit(kind, resolution, outlier_prob):
+    cfg = default_experiment(kind)
+    spec, noise = replace(cfg.course, resolution=resolution), replace(cfg.noise, outlier_prob=outlier_prob)
+    cfg = replace(cfg, course=spec, noise=noise)
+    outliers = 0
+    for seed in range(1, 6):
+        course = generate_course(replace(cfg.course, seed=seed))
+        log = walk(cfg, course, seed)
+        assert_same_walk(log, reference_walk(cfg, course, seed))
+        for r in log.records:
+            for c, w in zip(r.contacts, r.true_foot_world):
+                outliers += abs((r.true_pose.position + quat_rotate(r.true_pose.quat, c.offset))[2] - w[2]) > 0.1
+    # the outlier draws ran and shifted contacts, and no contact shifts without them
+    assert (outliers > 0) == (outlier_prob > 0.0)
+
+
+def unsignalled_class_course():
+    """A flat 5 x 1 m course whose class layer names, from x = 2 m on, a
+    class no force signal is made for."""
+    ids = np.zeros((20, 100), dtype=np.uint8)
+    ids[:, 40:] = N_TERRAIN_CLASSES
+    return MapSet(ElevationGrid(0.05, (0.0, 0.0), np.zeros((20, 100))),
+                  ClassGrid(0.05, (0.0, 0.0), ids, N_TERRAIN_CLASSES + 1))
+
+
+@pytest.mark.parametrize(
+    "course, waypoints, match",
+    [
+        ("chevron", ((1.0, 0.7), (50.0, 0.7)), r"walk path leaves the map at xy=\(7.0, 0.7\)"),
+        ("chevron", ((0.1, 0.7), (2.0, 0.7)), "foot LH starts off the map"),
+        ("chevron", ((0.1, 0.7), (50.0, 0.7)), "foot LH starts off the map"),
+        # the front feet reach the unsignalled class before the base leaves
+        ("classes", ((0.5, 0.5), (9.0, 0.5)), rf"class id {N_TERRAIN_CLASSES} outside \[0, {N_TERRAIN_CLASSES}\)"),
+    ],
+    ids=["base-leaves-mid-walk", "start-foot-off", "both", "class-before-base"],
+)
+def test_the_walker_raises_the_pose_by_pose_walker_s_first_error(course, waypoints, match):
+    maps = generate_course(CourseSpec("chevron-ramp", seed=1)) if course == "chevron" else unsignalled_class_course()
+    noise = NoiseSpec(white_std=(0.004,) * 6, outlier_prob=0.3)
+    errors = []
+    for simulate in (simulate_walk, per_pose.simulate_walk):
+        with pytest.raises(ValueError, match=match) as err:
+            simulate(maps, waypoints, noise, 0)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
 
 
 def test_walklog_hash_depends_on_seed_and_noise():
