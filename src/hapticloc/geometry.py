@@ -13,8 +13,13 @@ float() per element, whose calls cost more than the arithmetic. A row form
 vectors, one pose a row, and computes over the columns; the walker
 (sim._walk) runs on them, over every pose of a walk at once. Both forms
 keep the operation order of np.cross, np.sum and np.linalg.norm (the tests
-keep those numpy forms as oracles), so a row form's row is byte-identical
-to its single-pose kernel's output.
+keep those numpy forms as oracles). The product and the rotation are each
+written once, as a formula over components (_hamilton, _rotate) that the
+single-pose kernel evaluates on Python floats and the row form on numpy
+columns; +, - and * round alike on both, so a row form's row is
+byte-identical to its single-pose kernel's output by construction.
+quat_from_rotvec and its row form keep separate bodies, since they differ
+in their sin and cos calls and in the small-angle series.
 
 Only +, -, *, / and sqrt run over arrays: they round the same in numpy and
 in Python floats. Every sin, cos, atan2 and asin is a math call per pose,
@@ -58,6 +63,28 @@ def quat_normalize(q):
     return np.array([x / n, y / n, z / n, w / n])
 
 
+def _hamilton(ax, ay, az, aw, bx, by, bz, bw):
+    """The Hamilton product's components, over floats or columns alike."""
+    return (
+        aw * bx + bw * ax + (ay * bz - az * by),
+        aw * by + bw * ay + (az * bx - ax * bz),
+        aw * bz + bw * az + (ax * by - ay * bx),
+        aw * bw - (ax * bx + 0.0 + ay * by + az * bz),
+    )
+
+
+def _rotate(x, y, z, w, vx, vy, vz):
+    """The components of v turned by q, over floats or columns alike."""
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
+    )
+
+
 def quat_mul(a, b):
     """Hamilton product of scalar-last quaternions.
 
@@ -65,33 +92,13 @@ def quat_mul(a, b):
     np.cross's operation order, and the dot product in the scalar part sums
     from 0.0 in index order as np.sum does.
     """
-    ax, ay, az, aw = np.asarray(a, dtype=float).tolist()
-    bx, by, bz, bw = np.asarray(b, dtype=float).tolist()
-    return np.array(
-        [
-            aw * bx + bw * ax + (ay * bz - az * by),
-            aw * by + bw * ay + (az * bx - ax * bz),
-            aw * bz + bw * az + (ax * by - ay * bx),
-            aw * bw - (ax * bx + 0.0 + ay * by + az * bz),
-        ]
-    )
+    return np.array(_hamilton(*np.asarray(a, dtype=float).tolist(), *np.asarray(b, dtype=float).tolist()))
 
 
 def quat_rotate(q, v):
     """Rotate the 3-vector v by the quaternion q: v + qw*t + qv x t with
     t = 2 qv x v, each cross product in np.cross's operation order."""
-    x, y, z, w = np.asarray(q, dtype=float).tolist()
-    vx, vy, vz = np.asarray(v, dtype=float).tolist()
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return np.array(
-        [
-            vx + w * tx + (y * tz - z * ty),
-            vy + w * ty + (z * tx - x * tz),
-            vz + w * tz + (x * ty - y * tx),
-        ]
-    )
+    return np.array(_rotate(*np.asarray(q, dtype=float).tolist(), *np.asarray(v, dtype=float).tolist()))
 
 
 def quat_from_rotvec(rv):
@@ -145,32 +152,12 @@ def quat_conjugate_rows(q):
 
 def quat_mul_rows(a, b):
     """quat_mul of each row of a (n, 4) with the same row of b (n, 4)."""
-    ax, ay, az, aw = a.T
-    bx, by, bz, bw = b.T
-    return np.column_stack(
-        [
-            aw * bx + bw * ax + (ay * bz - az * by),
-            aw * by + bw * ay + (az * bx - ax * bz),
-            aw * bz + bw * az + (ax * by - ay * bx),
-            aw * bw - (ax * bx + 0.0 + ay * by + az * bz),
-        ]
-    )
+    return np.column_stack(_hamilton(*a.T, *b.T))
 
 
 def quat_rotate_rows(q, v):
     """quat_rotate of each row of v (n, 3) by the same row of q (n, 4)."""
-    x, y, z, w = q.T
-    vx, vy, vz = v.T
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return np.column_stack(
-        [
-            vx + w * tx + (y * tz - z * ty),
-            vy + w * ty + (z * tx - x * tz),
-            vz + w * tz + (x * ty - y * tx),
-        ]
-    )
+    return np.column_stack(_rotate(*q.T, *v.T))
 
 
 def quat_from_rotvec_rows(rv):
