@@ -33,6 +33,14 @@ and pitch are the tilt against gravity and yaw the heading. Per particle, the
 filter turns vectors in the plane by each particle's yaw (planar_rotate_add),
 writing into arrays it owns.
 
+A Pose keeps, as given, a quaternion whose norm lies within UNIT_NORM_TOL
+of 1, and normalizes any other with quat_normalize, which refuses a zero or
+non-finite norm; it has no other construction path. Normalizing is not
+idempotent in the last bit, but one quat_normalize leaves a norm within
+about 4e-16 of 1, as does a product of unit quaternions, so a Pose built
+from another Pose's quaternion, from a compose, or from a file that one
+was saved to, holds the same bits.
+
 Trajectory files hold one line per pose, t and then its POSE_COLUMNS, read
 with fields.parse_field: a field that does not parse, or is not finite,
 raises an error naming the file, the line and the field.
@@ -53,11 +61,19 @@ FOOT_LABELS = ("LF", "RF", "LH", "RH")
 _QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 
+# a quaternion whose norm lies within this of 1 is unit: Pose keeps it as given
+UNIT_NORM_TOL = 1e-12
+
+
+def _quat_norm(x, y, z, w):
+    # squares summed in index order as np.linalg.norm sums them; squares that
+    # overflow make it inf, and a nan component makes it nan
+    return math.sqrt(((x * x + y * y) + z * z) + w * w)
+
+
 def quat_normalize(q):
     x, y, z, w = np.asarray(q, dtype=float).tolist()
-    # the norm, squares summed in index order as np.linalg.norm sums them
-    n = math.sqrt(((x * x + y * y) + z * z) + w * w)
-    # squares that overflow make n inf, and a nan component makes it nan
+    n = _quat_norm(x, y, z, w)
     if not 0.0 < n < math.inf:
         raise ValueError(f"{'zero' if n == 0.0 else n}-norm quaternion cannot be normalized")
     return np.array([x / n, y / n, z / n, w / n])
@@ -131,18 +147,6 @@ def quat_to_rotvec(q):
     else:
         scale = angle / n
     return np.array([x * scale, y * scale, z * scale])
-
-
-def quat_normalize_rows(q):
-    """quat_normalize of each row of the quaternions q (n, 4)."""
-    x, y, z, w = q.T
-    with np.errstate(over="ignore"):
-        n = np.sqrt(((x * x + y * y) + z * z) + w * w)
-    bad = ~((0.0 < n) & (n < math.inf))
-    if bad.any():
-        first = float(n[bad][0])
-        raise ValueError(f"{'zero' if first == 0.0 else first}-norm quaternion cannot be normalized")
-    return q / n[:, None]
 
 
 def quat_conjugate_rows(q):
@@ -242,7 +246,10 @@ POSE_COLUMNS = ("x", "y", "z", "qx", "qy", "qz", "qw")  # a pose's columns in ev
 
 @dataclass
 class Pose:
-    """World pose. position is a 3-vector, quat a scalar-last unit quaternion."""
+    """World pose. position is a 3-vector, quat a scalar-last unit quaternion:
+    one whose norm lies within UNIT_NORM_TOL of 1 is kept as given, any
+    other is normalized (quat_normalize, which refuses a zero or non-finite
+    norm)."""
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     quat: np.ndarray = field(default_factory=lambda: _QUAT_IDENTITY.copy())
@@ -250,7 +257,10 @@ class Pose:
     def __post_init__(self):
         self.position = np.array(self.position, dtype=float).reshape(3)
         q = np.array(self.quat, dtype=float).reshape(4)
-        self.quat = quat_normalize(q)
+        # nan fails the compare
+        if not abs(_quat_norm(*q.tolist()) - 1.0) <= UNIT_NORM_TOL:
+            q = quat_normalize(q)
+        self.quat = q
 
     def to_array(self) -> np.ndarray:
         """The 7-vector of POSE_COLUMNS: position, then quaternion."""

@@ -28,7 +28,8 @@ so that one cos/sin pair per particle, of its new yaw, serves both the
 propagation and the contacts: each contact offset is tilted once, as a
 single pose, and then rotated per particle in the plane by that pair.
 
-The estimate is the weighted mean while the particle spread in x and y stays
+The estimate is the weighted mean, under the weights the step normalized
+(Probabilistic Robotics ch. 4), while the particle spread in x and y stays
 within XY_STD_THRESHOLD: positions average with the weights, and yaw
 averages as yaw_ref + sum(w * wrap(yaw - yaw_ref)) about the highest-weight
 particle, so a set straddling +-pi averages near pi. Beyond the threshold
@@ -54,7 +55,10 @@ What a step computes is done as rarely as what it depends on allows:
   reuse the terms of every input after their first (_shared_terms);
 - per step: the draws, the propagation, the contacts' world points, map
   lookups and weights, the check of the layout's class-probability length
-  against the filter's class layer, the resample and the estimate.
+  against the filter's class layer, the resample and the estimate. The
+  weights are normalized once, in log space, and exponentiated once; the
+  ESS, the resample and the estimate all read those linear weights (after
+  a resample or a reset, the exp of the uniform log-weights).
 
 The state owns its particle arrays. A FilterState allocates, once, every
 particle-sized array a step writes (its _Workspace), and a step writes into
@@ -462,8 +466,12 @@ def _logsumexp(a, scratch=None):
     return m + np.log(np.exp(e, out=e).sum())
 
 
-def estimate_detail(state: FilterState, increment: Pose):
+def estimate_detail(state: FilterState, increment: Pose, weights: np.ndarray):
     """(pose, xy_std, branch): weighted mean, or the dead-reckoning fallback.
+
+    weights are the linear weights of the state's particles, the exp of its
+    normalized log_weights, as the step made them: the estimate reads them
+    and normalizes nothing again.
 
     The full branch averages positions with the weights, and yaw about the
     highest-weight particle's yaw, each difference wrapped to (-pi, pi]. The
@@ -472,16 +480,13 @@ def estimate_detail(state: FilterState, increment: Pose):
     Both attach the state's roll and pitch.
     """
     ws = state.workspace
-    lw = state.log_weights
-    w = np.subtract(lw, _logsumexp(lw, ws.scratch), out=ws.weights)
-    np.exp(w, out=w)
     p = state.positions
-    mean_p = p @ w
+    mean_p = p @ weights
     spread = np.subtract(p[:2], mean_p[:2, None], out=ws.delta[:2])
-    xy_std = np.sqrt(np.square(spread, out=spread) @ w)
+    xy_std = np.sqrt(np.square(spread, out=spread) @ weights)
     roll, pitch = state.tilt
     if xy_std[0] <= XY_STD_THRESHOLD and xy_std[1] <= XY_STD_THRESHOLD:
-        ref = float(state.yaw[lw.argmax()])
+        ref = float(state.yaw[state.log_weights.argmax()])
         # wrap(yaw - ref) as pi - mod(pi - (yaw - ref), 2 pi), in place; the
         # mod is the identity on [0, 2 pi), where every yaw within pi of ref
         # lies (it turns -0.0 into 0.0, and pi less either is pi)
@@ -489,7 +494,7 @@ def estimate_detail(state: FilterState, increment: Pose):
         if not (0.0 <= dyaw.min() and dyaw.max() < 2.0 * np.pi):
             np.mod(dyaw, 2.0 * np.pi, out=dyaw)
         np.subtract(np.pi, dyaw, out=dyaw)
-        yaw = ref + float(dyaw @ w)
+        yaw = ref + float(dyaw @ weights)
         return Pose(mean_p, quat_from_euler(roll, pitch, yaw)), xy_std, "full"
     base = compose(state.trajectory[-1], increment)
     yaw = quat_to_euler(base.quat)[2]
@@ -614,8 +619,9 @@ def step(state: FilterState, inp: StepInput) -> FilterState:
         state.yaw = yaw.take(idx, out=ws.yaw[spare_yaw], mode="clip")
         state.log_weights = ws.log_weights
         state.log_weights.fill(-np.log(len(idx)))
+        w = np.exp(state.log_weights, out=ws.weights)
 
-    est, xy_std, branch = estimate_detail(state, inc)
+    est, xy_std, branch = estimate_detail(state, inc, w)
     state.trajectory.append(est)
     state.diagnostics.append(StepDiagnostics(ess, xy_std, branch, n))
     return state

@@ -55,7 +55,6 @@ from .geometry import (
     quat_conjugate_rows,
     quat_from_rotvec_rows,
     quat_mul_rows,
-    quat_normalize_rows,
     quat_rotate,
     quat_rotate_rows,
     quat_to_euler,
@@ -521,12 +520,9 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
     n = int(off.argmax()) if off.any() else len(xys)
     base = np.column_stack([xys[:n], base_z[:n] + STANDING_HEIGHT])
     half = (yaws[:n] / 2.0).tolist()
-    yaw_quat = np.zeros((n, 4))
-    yaw_quat[:, 2] = [math.sin(h) for h in half]
-    yaw_quat[:, 3] = [math.cos(h) for h in half]
-    # Pose normalizes the quaternion it is given once: the rows compute with
-    # that normalized copy, and each Pose is built from the raw quaternion
-    quat = quat_normalize_rows(yaw_quat)
+    quat = np.zeros((n, 4))
+    quat[:, 2] = [math.sin(h) for h in half]
+    quat[:, 3] = [math.cos(h) for h in half]
 
     # every foot placement: the four feet of the start, then the swing foot
     # of each later phase; a phase's foot stands on its latest placement
@@ -554,13 +550,10 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
     class_ids = np.full((m, 4), UNKNOWN_CLASS, dtype=np.uint8)
     if maps.class_grid is not None:
         class_ids = class_at_many(maps.class_grid, np.moveaxis(world[..., :2], -1, 0))
-    # the true increment is compose(inverse(prev), pose), and the inverse's
-    # position is turned by the conjugate itself, its quaternion the one a
-    # Pose normalizes from it
+    # the true increment is compose(inverse(prev), pose)
     back = quat_conjugate_rows(quat[:-1])
-    back_quat = quat_normalize_rows(back)
-    incr_pos = -quat_rotate_rows(back, base[:-1]) + quat_rotate_rows(back_quat, base[1:])
-    incr_quat = quat_normalize_rows(quat_mul_rows(back_quat, quat[1:]))
+    incr_pos = -quat_rotate_rows(back, base[:-1]) + quat_rotate_rows(back, base[1:])
+    incr_quat = quat_mul_rows(back, quat[1:])
 
     draws = np.empty((m, 6))
     signals = [[None] * 4 for _ in range(m)]
@@ -579,10 +572,10 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
     # pose of its noise and bias
     delta = noise.white_array() * draws + noise.bias_vector()
     odom_pos = incr_pos + quat_rotate_rows(incr_quat, delta[:, :3])
-    odom_quat = quat_mul_rows(incr_quat, quat_normalize_rows(quat_from_rotvec_rows(delta[:, 3:])))
+    odom_quat = quat_mul_rows(incr_quat, quat_from_rotvec_rows(delta[:, 3:]))
 
     cov = noise.white_array() ** 2
-    poses = [Pose(p, q) for p, q in zip(base, yaw_quat)]
+    poses = [Pose(p, q) for p, q in zip(base, quat)]
     records = [
         StepRecord(
             k=k,

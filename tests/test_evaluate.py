@@ -330,7 +330,7 @@ def test_class_tiles_walk_does_not_depend_on_the_modes():
         for modes in (("HL-G",), default_tiles_experiment().modes)
     }
     assert len(set(hashes.values())) == 1
-    assert hashes["HL-G",].startswith("9d611a17cc51")
+    assert hashes["HL-G",].startswith("cbd5b4067401")
 
 
 def test_courses_differ_across_experiment_seeds():

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from hapticloc.geometry import (
+    UNIT_NORM_TOL,
     Pose,
     compose,
     covariance_factor,
@@ -19,7 +20,6 @@ from hapticloc.geometry import (
     quat_mul,
     quat_mul_rows,
     quat_normalize,
-    quat_normalize_rows,
     quat_rotate,
     quat_rotate_rows,
     quat_to_euler,
@@ -207,7 +207,6 @@ def per_row(kernel, *args):
 def test_row_forms_bit_identical_to_single_pose_kernels_and_trailing_axis_formulas(rows):
     q, p, v = rows
     for row_form, kernel, oracle, args in (
-        (quat_normalize_rows, quat_normalize, trailing_normalize, (q,)),
         (quat_conjugate_rows, quat_conjugate, trailing_conjugate, (q,)),
         (quat_mul_rows, quat_mul, cross_quat_mul, (q, p)),
         (quat_rotate_rows, quat_rotate, cross_quat_rotate, (q, v)),
@@ -345,6 +344,23 @@ def test_trajectory_round_trip_exact(tmp_path):
         assert np.array_equal(a.to_array(), b.to_array())
 
 
+def scaled_quats(rng, n):
+    """n quaternions of components uniform in [-1, 1], each row scaled by
+    10**e for e uniform in [-3, 3]: about a third of them move in the last
+    bit when normalized a second time."""
+    return rng.uniform(-1.0, 1.0, (n, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+
+
+def test_trajectory_round_trip_gives_back_every_quaternion_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(11)
+    poses_in = [Pose(rng.normal(size=3), q) for q in scaled_quats(rng, 1_000)]
+    path = tmp_path / "a.traj"
+    save_trajectory(path, poses_in)
+    _, poses_out = load_trajectory(path)
+    for a, b in zip(poses_in, poses_out):
+        assert same_bits(b.to_array(), a.to_array())
+
+
 def test_trajectory_bad_line_reports_location(tmp_path):
     path = tmp_path / "bad.traj"
     path.write_text("0 1 2 3 0 0 0 1\n0 1 2\n")
@@ -369,6 +385,27 @@ def test_pose_validation():
         Pose([0, 0, 0], [0, 0, 0, 0])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_pose_keeps_a_unit_quaternion_so_a_second_pose_moves_nothing(seed):
+    # normalizing is not idempotent in the last bit, so a Pose that
+    # normalized every quaternion changed one it had made itself
+    for q in scaled_quats(np.random.default_rng(seed), 20):
+        once = Pose(np.zeros(3), q).quat
+        assert same_bits(Pose(np.zeros(3), once).quat, once)
+        unit = quat_normalize(q)
+        assert same_bits(Pose(np.zeros(3), unit).quat, unit)
+
+
+def test_a_pose_normalizes_a_quaternion_off_unit_and_refuses_a_zero_or_non_finite_norm():
+    near, off = 1.0 + 0.5 * UNIT_NORM_TOL, 1.0 + 2.0 * UNIT_NORM_TOL
+    assert Pose(np.zeros(3), [0.0, 0.0, 0.0, near]).quat.tolist() == [0.0, 0.0, 0.0, near]
+    assert Pose(np.zeros(3), [0.0, 0.0, 0.0, off]).quat.tolist() == [0.0, 0.0, 0.0, 1.0]
+    for q, norm in (([0.0] * 4, "zero"), ([0.0, 0.0, np.inf, 1.0], "inf"), ([np.nan, 0.0, 0.0, 1.0], "nan")):
+        with pytest.raises(ValueError, match=f"^{norm}-norm quaternion cannot be normalized$"):
+            Pose(np.zeros(3), q)
+
+
 @pytest.mark.parametrize(
     "quat, norm",
     [([1e300, 0.0, 0.0, 1.0], "inf"), ([0.0, -np.inf, 0.0, 1.0], "inf"), ([0.0, 0.0, np.nan, 1.0], "nan")],
@@ -377,10 +414,6 @@ def test_pose_validation():
 def test_a_quaternion_whose_norm_is_not_finite_is_refused(quat, norm):
     # the overflow once normalized to [0, 0, 0, 0], and a nan component to
     # an all-nan quaternion, without an error
-    def rows(q):
-        # the row form refuses a quaternion behind a good one
-        return quat_normalize_rows(np.stack([[0.0, 0.0, 0.0, 1.0], q]))
-
-    for make in (quat_normalize, lambda q: Pose(np.zeros(3), q), rows):
+    for make in (quat_normalize, lambda q: Pose(np.zeros(3), q)):
         with pytest.raises(ValueError, match=f"^{norm}-norm quaternion cannot be normalized$"):
             make(np.array(quat))

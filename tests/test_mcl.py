@@ -3,7 +3,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -42,6 +42,7 @@ from hapticloc.maps import (
     class_at_many,
     class_distance_many,
 )
+from hapticloc.evaluate import default_chevron_experiment, simulate_for_config, to_step_inputs
 from hapticloc.sim import CourseSpec, generate_course
 from hapticloc.mcl import (
     KLD_BIN,
@@ -353,9 +354,15 @@ def test_stepinput_rejects_non_finite_covariance():
         StepInput(inc, cov, [])
 
 
+def normalized_weights(st):
+    """The linear weights of the state's log-weights, normalized again: the
+    weights a step hands the estimate, for a state no step has made."""
+    return np.exp(st.log_weights - _logsumexp(st.log_weights))
+
+
 def test_estimate_full_branch_on_tight_cluster():
     st = new_filter(stand_pose(0.5, -0.25), np.eye(6) * 1e-6, n_particles=400, seed=5)
-    pose, xy_std, branch = estimate_detail(st, STILL)
+    pose, xy_std, branch = estimate_detail(st, STILL, normalized_weights(st))
     assert branch == "full"
     assert np.all(xy_std < 0.01)
     assert np.allclose(pose.position[:2], [0.5, -0.25], atol=0.005)
@@ -367,7 +374,7 @@ def test_estimate_z_only_branch_on_bimodal_cluster():
     st.positions[1, :half] -= 0.5
     st.positions[1, half:] += 0.5
     st.positions[2] = 0.41
-    pose, xy_std, branch = estimate_detail(st, STILL)
+    pose, xy_std, branch = estimate_detail(st, STILL, normalized_weights(st))
     assert branch == "z-only"
     assert xy_std[1] > mcl_module.XY_STD_THRESHOLD
     # x, y, heading held at the last estimate; z follows the particles
@@ -380,7 +387,8 @@ def test_z_only_branch_dead_reckons_with_last_increment():
     st = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=7)
     st.positions[1, :100] -= 0.5
     st.positions[1, 100:] += 0.5
-    pose, _, branch = estimate_detail(st, Pose(np.array([0.07, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])))
+    increment = Pose(np.array([0.07, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))
+    pose, _, branch = estimate_detail(st, increment, normalized_weights(st))
     assert branch == "z-only"
     assert pose.position[0] == pytest.approx(0.07)
 
@@ -1102,7 +1110,7 @@ def test_estimate_yaw_averages_across_plus_minus_pi():
     st = new_filter(stand_pose(), np.eye(6) * 1e-6, n_particles=200, seed=5)
     jitter = np.random.default_rng(1).normal(0.0, 0.005, 200)
     st.yaw = np.where(np.arange(200) % 2 == 0, np.pi - 0.01, -np.pi + 0.01) + jitter
-    pose, _, branch = estimate_detail(st, STILL)
+    pose, _, branch = estimate_detail(st, STILL, normalized_weights(st))
     assert branch == "full"
     yaw = quat_to_euler(pose.quat)[2]
     assert abs(wrap_angle(yaw - np.pi)) < 0.01, yaw
@@ -1198,14 +1206,37 @@ def test_yaw_wraps_match_the_mod_forms(yaws, spread, seed):
     st.yaw = yaw
     lw = rng.normal(0.0, 2.0, n)
     st.log_weights = lw - _logsumexp(lw)
-    pose, _, branch = estimate_detail(st, STILL)
-    w = np.exp(st.log_weights - _logsumexp(st.log_weights))
+    w = normalized_weights(st)
+    pose, _, branch = estimate_detail(st, STILL, w)
     ref = float(yaw[st.log_weights.argmax()])
     mean_yaw = ref + float((np.pi - np.mod(np.pi + ref - yaw, 2.0 * np.pi)) @ w)
     assert branch == "full"
-    # Pose normalizes the quaternion, as the estimate's Pose does
+    # a Pose built as the estimate's is
     want = Pose(pose.position, quat_from_euler(*st.tilt, mean_yaw)).quat
     assert np.array_equal(pose.quat.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_particles", [500, 2_000])
+def test_each_estimate_is_the_mean_under_the_weights_its_step_normalized(n_particles):
+    # a step normalizes its weights once, and the estimate reads them: on
+    # every step of a walk, kept weights, resampled and (at 2,000, by KLD)
+    # resized sets alike, the estimate's position is the weighted mean
+    # under exp(log_weights), bit for bit, on the full branch and in z on
+    # the z-only one
+    cfg = replace(default_chevron_experiment(), n_particles=n_particles)
+    course, log = simulate_for_config(cfg, 1)
+    st = init_filter(
+        log.init_prior, cfg.prior_cov(), course, cfg.likelihood, mode="HL-G", n_particles=n_particles, seed=1
+    )
+    for inp in to_step_inputs(log):
+        step(st, inp)
+        want = st.positions @ np.exp(st.log_weights)
+        got = st.trajectory[-1].position
+        axes = slice(0, 3) if st.diagnostics[-1].branch == "full" else slice(2, 3)
+        assert np.array_equal(got[axes].view(np.uint64), want[axes].view(np.uint64)), len(st.diagnostics)
+    assert {d.branch for d in st.diagnostics} == {"full", "z-only"}
+    if n_particles > KLD_MIN_PARTICLES:
+        assert len({d.n_particles for d in st.diagnostics}) > 1
 
 
 def test_occupied_bins_count_each_drawn_particle_once():
