@@ -165,19 +165,24 @@ class ClassGrid:
 
     def __post_init__(self):
         _check_lattice(self)
-        ids = np.asarray(self.class_ids, dtype=np.uint8)
-        if ids.ndim != 2 or ids.size == 0:
+        given = np.asarray(self.class_ids)
+        if given.ndim != 2 or given.size == 0:
             raise ValueError("class_ids must be a non-empty 2D array")
         self.n_classes = int(self.n_classes)
         if not 0 < self.n_classes <= 254:
             raise ValueError("n_classes must be in [1, 254]")
-        bad = (ids >= self.n_classes) & (ids != UNKNOWN_CLASS)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
+        # the ids as given, before the cast, which would wrap -1 to the
+        # sentinel and 263 to 7, and truncate 1.7 to 1; nan fails every compare
+        good = ((given >= 0) & (given < self.n_classes)) | (given == UNKNOWN_CLASS)
+        if not np.issubdtype(given.dtype, np.integer):
+            good &= given == np.floor(given)
+        if not good.all():
+            r, c = np.argwhere(~good)[0]
             raise ValueError(
-                f"class id {int(ids[r, c])} at cell (row {r}, col {c}) "
-                f"outside [0, {self.n_classes}) and not the unknown sentinel {UNKNOWN_CLASS}"
+                f"class id {given[r, c].item()} at cell (row {r}, col {c}) is not an integer "
+                f"in [0, {self.n_classes}) nor the unknown sentinel {UNKNOWN_CLASS}"
             )
+        ids = given.astype(np.uint8)
         self._padded = _padded(ids, UNKNOWN_CLASS)
         self._padded.flags.writeable = False
         self.class_ids = self._padded[1:-1, 1:-1]

@@ -627,13 +627,16 @@ def classify_log(log: WalkLog, model) -> WalkLog:
     classifier's class probabilities: model is anything with predict(signals)
     -> (K, C) probs, called once with the walk's signals. A contact without a
     signal, a foot on an unlabeled cell, stays unlabeled. A log without force
-    signals raises. A labeled contact is a new ContactMeasurement with the
-    offset of the contact it replaces, of which it keeps its own read-only
-    copy."""
+    signals raises, as does a model that returns other than one row per
+    signal. A labeled contact is a new ContactMeasurement with the offset of
+    the contact it replaces, of which it keeps its own read-only copy."""
     signals = [s for rec in log.records for s in rec.signals if s is not None]
     if not signals:
         raise ValueError("the walk log holds no force signals to classify")
-    probs = iter(model.predict(signals))
+    probs = model.predict(signals)
+    if len(probs) != len(signals):
+        raise ValueError(f"the classifier returned {len(probs)} rows of class probabilities for {len(signals)} signals")
+    probs = iter(probs)
     for rec in log.records:
         rec.contacts = [
             c if signal is None else ContactMeasurement(c.offset, next(probs), c.in_contact)

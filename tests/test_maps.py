@@ -436,6 +436,24 @@ def test_class_grid_rejects_bad_ids():
         ClassGrid(0.1, (0, 0), ids, 4)  # id 7 outside [0, 4) and not UNKNOWN
 
 
+@pytest.mark.parametrize("bad", [-1, 263, 300, 1.7, np.nan], ids=["minus-1", "263", "300", "1.7", "nan"])
+def test_class_grid_checks_each_id_as_given_before_it_casts_it(bad):
+    # a cast to uint8 first made -1 the unknown sentinel and 263 class 7,
+    # silently, reported 300 as 44, and truncated 1.7 to class 1
+    ids = np.array([[0, 1, 255], [2, bad, 7]])
+    with pytest.raises(ValueError) as err:
+        ClassGrid(0.1, (0, 0), ids, 8)
+    assert str(err.value) == (
+        f"class id {ids[1, 1].item()} at cell (row 1, col 1) is not an integer in [0, 8) "
+        f"nor the unknown sentinel {UNKNOWN_CLASS}"
+    )
+    # the ids of every other cell, as ints or integral floats, are accepted
+    ids[1, 1] = 3
+    for given in (ids, ids.astype(float)):
+        g = ClassGrid(0.1, (0, 0), given, 8)
+        assert g.class_ids.dtype == np.uint8 and g.class_ids.tolist() == [[0, 1, 255], [2, 3, 7]]
+
+
 def test_class_ids_and_distance_fields_are_read_only():
     # the squared offsets the distance fields are read from, built on the
     # first read, describe the validated ids: a write into the ids, the

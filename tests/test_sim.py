@@ -582,6 +582,22 @@ def test_classify_log_fills_each_signal_s_prediction():
         classify_log(bare, model)
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-row-short", "one-row-over"])
+def test_classify_log_refuses_a_model_that_returns_other_than_one_row_per_signal(extra):
+    # a short answer once raised a bare StopIteration, and a long one lost
+    # its extra rows without a word
+    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
+    n = sum(s is not None for r in log.records for s in r.signals)
+
+    class Stub:
+        def predict(self, signals):
+            return np.full((len(signals) + extra, 8), 1.0 / 8.0)
+
+    with pytest.raises(ValueError) as err:
+        classify_log(log, Stub())
+    assert str(err.value) == f"the classifier returned {n + extra} rows of class probabilities for {n} signals"
+
+
 def test_gait_nominal_offsets():
     assert np.array_equal(nominal_offset("LF"), [0.3, 0.2, 0.0])
     assert np.array_equal(nominal_offset("RF"), [0.3, -0.2, 0.0])
