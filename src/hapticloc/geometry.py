@@ -256,11 +256,10 @@ class Pose:
 
     def __post_init__(self):
         self.position = np.array(self.position, dtype=float).reshape(3)
-        q = np.array(self.quat, dtype=float).reshape(4)
-        # nan fails the compare
-        if not abs(_quat_norm(*q.tolist()) - 1.0) <= UNIT_NORM_TOL:
-            q = quat_normalize(q)
-        self.quat = q
+        q = np.asarray(self.quat, dtype=float).reshape(4)
+        # nan fails the compare; a kept quaternion is copied into an array
+        # of its own, not a view, which would keep its base alive
+        self.quat = q.copy() if abs(_quat_norm(*q.tolist()) - 1.0) <= UNIT_NORM_TOL else quat_normalize(q)
 
     def to_array(self) -> np.ndarray:
         """The 7-vector of POSE_COLUMNS: position, then quaternion."""

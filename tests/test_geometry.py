@@ -397,6 +397,15 @@ def test_a_pose_keeps_a_unit_quaternion_so_a_second_pose_moves_nothing(seed):
         assert same_bits(Pose(np.zeros(3), unit).quat, unit)
 
 
+def test_a_pose_keeps_a_unit_quaternion_in_an_array_of_its_own():
+    # neither the caller's array nor a view of it: a later write to the
+    # caller's array leaves the pose as it was, and no base is kept alive
+    q = np.array([[0.0, 0.0, 0.0, 1.0]])
+    pose = Pose(np.zeros(3), q)
+    q[0, 0] = 5.0
+    assert pose.quat.tolist() == [0.0, 0.0, 0.0, 1.0] and pose.quat.base is None
+
+
 def test_a_pose_normalizes_a_quaternion_off_unit_and_refuses_a_zero_or_non_finite_norm():
     near, off = 1.0 + 0.5 * UNIT_NORM_TOL, 1.0 + 2.0 * UNIT_NORM_TOL
     assert Pose(np.zeros(3), [0.0, 0.0, 0.0, near]).quat.tolist() == [0.0, 0.0, 0.0, near]
