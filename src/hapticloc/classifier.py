@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .maps import check_class_ids
+
 
 @dataclass
 class StepSignal:
@@ -107,13 +109,12 @@ LEARNING_RATE = 0.5
 EPOCHS = 400
 
 
-def baseline_train(signals, labels, n_classes: int = 8, seed: int = 0) -> LogisticBaseline:
-    """Fit the baseline on labeled signals with full-batch gradient descent."""
-    labels = np.asarray(labels, dtype=int)
+def baseline_train(signals, labels, n_classes: int, seed: int = 0) -> LogisticBaseline:
+    """Fit the baseline on labeled signals with full-batch gradient descent;
+    each label is a class id of n_classes, checked by maps.check_class_ids."""
     if len(signals) != len(labels) or len(labels) == 0:
         raise ValueError("need equally many signals and labels, at least one")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes})")
+    labels = check_class_ids(labels, n_classes)
     feats = featurize(signals)
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)

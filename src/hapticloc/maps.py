@@ -20,7 +20,7 @@ is allowed only as a height's no-data value.
   elevation   header ``HMAP 1 <n_cols> <n_rows> <resolution> <origin_x> <origin_y>``
               followed by n_rows * n_cols heights; missing cells are ``nan``.
   class map   header ``CMAP 1 <n_cols> <n_rows> <resolution> <origin_x> <origin_y> <n_classes>``
-              followed by integer ids; 255 marks unlabeled cells.
+              followed by integer ids, each a class (check_class_ids) or 255, unlabeled.
   point cloud one ``x y z`` triple per line, no header.
 
 A point cloud answers exact nearest-neighbour queries from a kd-tree
@@ -96,8 +96,20 @@ def _padded(interior, border):
     return out
 
 
+class _Lattice:
+    """A grid layer's lattice size, read from its padded values."""
+
+    @property
+    def n_rows(self) -> int:
+        return self._padded.shape[0] - 2
+
+    @property
+    def n_cols(self) -> int:
+        return self._padded.shape[1] - 2
+
+
 @dataclass(eq=False)
-class ElevationGrid:
+class ElevationGrid(_Lattice):
     """2.5D height field. heights has shape (n_rows, n_cols), nan = no data.
 
     heights is the interior view of _padded, the heights with a nan border.
@@ -126,17 +138,9 @@ class ElevationGrid:
         self._padded.flags.writeable = False
         self.heights.flags.writeable = False
 
-    @property
-    def n_rows(self) -> int:
-        return self.heights.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.heights.shape[1]
-
 
 @dataclass(eq=False)
-class ClassGrid:
+class ClassGrid(_Lattice):
     """Per-cell terrain class ids on the same lattice convention as ElevationGrid.
 
     Per-class squared lattice offsets, from an exact Euclidean distance
@@ -148,8 +152,9 @@ class ClassGrid:
     reads one.
 
     class_ids is the interior view of _padded, the ids with an unknown-class
-    border. Both are read-only, so the offsets describe the ids that were
-    validated. has_unlabeled_cells, found when the grid is built, says
+    border: each cell UNKNOWN_CLASS or a class id that check_class_ids passed
+    as given. Both are read-only, so the offsets describe the ids that were
+    checked. has_unlabeled_cells, found when the grid is built, says
     whether any cell of the interior is UNKNOWN_CLASS: the offsets' border
     code marks every point off the lattice, so only such a grid needs its
     class ids to find the points the class channel leaves neutral.
@@ -171,30 +176,13 @@ class ClassGrid:
         self.n_classes = int(self.n_classes)
         if not 0 < self.n_classes <= 254:
             raise ValueError("n_classes must be in [1, 254]")
-        # the ids as given, before the cast, which would wrap -1 to the
-        # sentinel and 263 to 7, and truncate 1.7 to 1; nan fails every compare
-        good = ((given >= 0) & (given < self.n_classes)) | (given == UNKNOWN_CLASS)
-        if not np.issubdtype(given.dtype, np.integer):
-            good &= given == np.floor(given)
-        if not good.all():
-            r, c = np.argwhere(~good)[0]
-            raise ValueError(
-                f"class id {given[r, c].item()} at cell (row {r}, col {c}) is not an integer "
-                f"in [0, {self.n_classes}) nor the unknown sentinel {UNKNOWN_CLASS}"
-            )
-        ids = given.astype(np.uint8)
-        self._padded = _padded(ids, UNKNOWN_CLASS)
+        # checked before the uint8 cast, which would wrap -1 to the sentinel and 263 to 7
+        unknown = given == UNKNOWN_CLASS
+        self.has_unlabeled_cells = bool(unknown.any())
+        check_class_ids(np.where(unknown, 0, given) if self.has_unlabeled_cells else given, self.n_classes)
+        self._padded = _padded(given.astype(np.uint8, copy=False), UNKNOWN_CLASS)
         self._padded.flags.writeable = False
         self.class_ids = self._padded[1:-1, 1:-1]
-        self.has_unlabeled_cells = bool((ids == UNKNOWN_CLASS).any())
-
-    @property
-    def n_rows(self) -> int:
-        return self.class_ids.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.class_ids.shape[1]
 
     def squared_offsets(self, reach: float = math.inf) -> SquaredOffsets:
         """The grid's SquaredOffsets for reach: built on the first request
@@ -709,15 +697,26 @@ def class_at_many(grid: ClassGrid, xy, cells=None) -> np.ndarray:
     return grid._padded.take(_cells(grid, xy, cells), mode="clip")
 
 
-def check_class_ids(grid: ClassGrid, class_id) -> np.ndarray:
-    """class_id (one id or an array of them) as int64, each checked to lie in
-    [0, n_classes): its least and greatest id, and only when one is out, the
-    first id that is."""
-    class_id = np.asarray(class_id, dtype=np.int64)
-    if class_id.size and (class_id.min() < 0 or class_id.max() >= grid.n_classes):
-        bad = (class_id < 0) | (class_id >= grid.n_classes)
-        raise ValueError(f"class id {int(class_id[bad][0])} outside [0, {grid.n_classes})")
-    return class_id
+def check_class_ids(class_id, n_classes: int):
+    """class_id, one class id or an array of them, checked as given, before
+    any cast: an integral value in [0, n_classes) passes, as an int for a
+    scalar, else an integer array (itself, or int64 for others). Any other
+    id raises a ValueError naming the first as given and its index. A Python
+    int costs no numpy call, an integer array two reductions."""
+    if type(class_id) is int and 0 <= class_id < n_classes:
+        return class_id
+    ids = np.asarray(class_id)
+    if ids.dtype.kind in "iu" and (not ids.size or (ids.min() >= 0 and ids.max() < n_classes)):
+        return ids if ids.ndim else int(ids)
+    if ids.dtype.kind in "iuf":  # nan fails every compare, inf the range
+        good = (ids >= 0) & (ids < n_classes) & (ids == np.floor(ids))
+    else:  # an object array, as Python ints past int64 make, holds a class only as an int
+        good = np.array([type(v) is int and 0 <= v < n_classes for v in ids.flat], dtype=bool).reshape(ids.shape)
+    if good.all():
+        return int(ids) if ids.ndim == 0 else ids.astype(np.int64)
+    where = tuple(int(i) for i in np.argwhere(~good)[0])
+    at = f" at index {where}" if where else ""
+    raise ValueError(f"class id {ids.item(where)!r}{at} is not an integer in [0, {n_classes})")
 
 
 def class_distance_many(
@@ -740,12 +739,12 @@ def class_distance_many(
 def class_offsets_many(grid: ClassGrid, xy, class_id, offsets: SquaredOffsets, cells=None, scratch=None):
     """The squared offsets to the nearest class_id cell for query points (2,
     M), read from offsets, the grid's SquaredOffsets; class_id as for
-    class_distance_many, each checked to be a class of the grid. scratch,
-    an int64 array of the points' shape, holds the flat index into the
+    class_distance_many, each checked by check_class_ids. scratch, an
+    int64 array of the points' shape, holds the flat index into the
     offsets."""
-    class_id = check_class_ids(grid, class_id)
-    field_size = grid._padded.size
-    index = np.add(class_id * field_size, _cells(grid, xy, cells), out=scratch)
+    class_id = check_class_ids(class_id, grid.n_classes)
+    field_start = np.multiply(class_id, grid._padded.size, dtype=np.int64)
+    index = np.add(field_start, _cells(grid, xy, cells), out=scratch)
     return offsets.offsets.take(index, mode="clip")
 
 

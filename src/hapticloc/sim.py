@@ -67,13 +67,12 @@ from .maps import (
     MapSet,
     PointCloudMap,
     class_at_many,
+    check_class_ids,
     elevation_at_many,
     parse_class_id,
 )
 
 GAIT_ORDER = ("LF", "RH", "RF", "LH")
-
-N_TERRAIN_CLASSES = 8
 
 # per-class signal template parameters: amplitude, frequency, damping,
 # vertical-force offset, torque scale; rows are distinct so the summary
@@ -90,6 +89,7 @@ CLASS_SIGNAL_PARAMS = np.array(
         [4.8, 5.3, 2.6, 12.4, 1.04],
     ]
 )
+N_TERRAIN_CLASSES = len(CLASS_SIGNAL_PARAMS)
 
 SIGNAL_LENGTH_RANGE = (40, 120)
 
@@ -394,10 +394,9 @@ def _signal_template(class_id: int, n_samples: int):
 
 def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) -> StepSignal:
     """Class-conditioned damped-oscillation force/torque signal: the class
-    template plus white noise at 6% of each channel's amplitude."""
-    class_id = int(class_id)
-    if not 0 <= class_id < len(CLASS_SIGNAL_PARAMS):
-        raise ValueError(f"class id {class_id} outside [0, {len(CLASS_SIGNAL_PARAMS)})")
+    template plus white noise at 6% of each channel's amplitude, for a class
+    id of N_TERRAIN_CLASSES checked by maps.check_class_ids (1.7 raises)."""
+    class_id = check_class_ids(class_id, N_TERRAIN_CLASSES)
     if n_samples < 1:
         raise ValueError("signal needs at least one sample")
     template, sigma = _signal_template(class_id, int(n_samples))

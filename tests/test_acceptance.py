@@ -45,7 +45,7 @@ from hapticloc.mcl import (
     step,
     systematic_resample_indices,
 )
-from hapticloc.sim import CourseSpec, generate_course
+from hapticloc.sim import N_TERRAIN_CLASSES, CourseSpec, generate_course
 from per_pose import class_at, elevation_at
 from test_classifier import loss_and_grad
 from test_maps import distance_fields, fill_every_node
@@ -171,7 +171,7 @@ def test_criterion_04_classifier_baseline():
     order = np.random.default_rng(0).permutation(len(sigs))
     cut = int(0.75 * len(sigs))
     tr, te = order[:cut], order[cut:]
-    model = baseline_train([sigs[i] for i in tr], labels[tr], seed=0)
+    model = baseline_train([sigs[i] for i in tr], labels[tr], N_TERRAIN_CLASSES, seed=0)
     probs = baseline_predict(model, [sigs[i] for i in te])
     acc = float(np.mean(np.argmax(probs, axis=1) == labels[te]))
 

@@ -18,6 +18,7 @@ from hapticloc.classifier import (
     featurize,
 )
 from hapticloc.evaluate import TRAIN_PER_CLASS, TRAIN_SEED_OFFSET, make_training_set, train_contact_classifier
+from hapticloc.sim import N_TERRAIN_CLASSES
 from test_geometry import same_bits
 
 
@@ -194,8 +195,8 @@ def test_loss_and_grad_match_the_fancy_indexed_gradient_bit_for_bit(b, c, data_s
 def test_training_matches_the_loss_evaluating_loop_bit_for_bit(per_class, data_seed, seed):
     sigs, labels = make_training_set(per_class=per_class, seed=data_seed)
     labels = np.asarray(labels)
-    model = baseline_train(sigs, labels, seed=seed)
-    want = reference_train(sigs, labels, 8, seed)
+    model = baseline_train(sigs, labels, N_TERRAIN_CLASSES, seed=seed)
+    want = reference_train(sigs, labels, N_TERRAIN_CLASSES, seed)
     got = (model.weights, model.bias, model.feat_mean, model.feat_std)
     assert all(same_bits(g, r) for g, r in zip(got, want))
 
@@ -205,7 +206,7 @@ def test_experiment_classifier_matches_the_loss_evaluating_loop_bit_for_bit(seed
     # the classifier each experiment seed trains, on its full training set
     sigs, labels = make_training_set(TRAIN_PER_CLASS, seed + TRAIN_SEED_OFFSET)
     model = train_contact_classifier(seed)
-    want = reference_train(sigs, np.asarray(labels), 8, seed + TRAIN_SEED_OFFSET)
+    want = reference_train(sigs, np.asarray(labels), N_TERRAIN_CLASSES, seed + TRAIN_SEED_OFFSET)
     got = (model.weights, model.bias, model.feat_mean, model.feat_std)
     assert all(same_bits(g, r) for g, r in zip(got, want))
 
@@ -261,18 +262,29 @@ def test_gradient_matches_central_differences():
 def test_train_validation():
     sigs = [StepSignal(np.random.default_rng(0).normal(size=(10, 6)))]
     with pytest.raises(ValueError):
-        baseline_train(sigs, [0, 1])
+        baseline_train(sigs, [0, 1], 8)
     with pytest.raises(ValueError):
-        baseline_train([], [])
+        baseline_train([], [], 8)
     with pytest.raises(ValueError):
         baseline_train(sigs, [9], n_classes=8)
+
+
+def test_train_checks_each_label_as_given():
+    # an int cast first trained the 1.7 as class 1
+    sigs = [StepSignal(np.random.default_rng(i).normal(size=(10, 6))) for i in range(3)]
+    with pytest.raises(ValueError) as err:
+        baseline_train(sigs, [0, 1.7, 2], n_classes=3)
+    assert str(err.value) == "class id 1.7 at index (1,) is not an integer in [0, 3)"
+    # integral float labels train bit for bit as their ints
+    a, b = baseline_train(sigs, [0.0, 1.0, 2.0], 3), baseline_train(sigs, [0, 1, 2], 3)
+    assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
 
 def test_train_is_deterministic():
     sigs, labels = make_training_set(per_class=6, seed=3)
     labels = np.asarray(labels)
-    a = baseline_train(sigs, labels, seed=5)
-    b = baseline_train(sigs, labels, seed=5)
+    a = baseline_train(sigs, labels, N_TERRAIN_CLASSES, seed=5)
+    b = baseline_train(sigs, labels, N_TERRAIN_CLASSES, seed=5)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
 
@@ -285,7 +297,7 @@ def test_train_separates_synthetic_materials():
     order = rng.permutation(n)
     cut = int(0.75 * n)
     tr, te = order[:cut], order[cut:]
-    model = baseline_train([sigs[i] for i in tr], labels[tr], seed=0)
+    model = baseline_train([sigs[i] for i in tr], labels[tr], N_TERRAIN_CLASSES, seed=0)
     probs = baseline_predict(model, [sigs[i] for i in te])
     acc = float(np.mean(np.argmax(probs, axis=1) == labels[te]))
     assert acc >= 0.9

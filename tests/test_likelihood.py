@@ -202,6 +202,20 @@ def test_class_channel_rejects_out_of_range_id():
         class_log_likelihood_points(np.array([[0.2], [0.2]]), 7, maps.class_grid, LikelihoodConfig())
 
 
+def test_class_channel_checks_a_float_class_column_as_given():
+    # the int64 cast first scored the 1.7 of a (K, 1) column as class 1
+    ids = np.zeros((1, 4), dtype=np.uint8)
+    ids[0, 3] = 1
+    g = ClassGrid(0.05, (0.0, 0.0), ids, 3)
+    pts = np.array([[0.025, 0.125, 0.175], [0.025, 0.025, 0.025]])
+    column = np.array([[0.0], [1.7]])
+    with pytest.raises(ValueError, match=r"^class id 1\.7 at index \(1, 0\) is not an integer in \[0, 3\)$"):
+        class_log_likelihood_points(pts, column, g, LikelihoodConfig())
+    column[1] = 1.0
+    got = class_log_likelihood_points(pts, column, g, LikelihoodConfig())
+    assert np.array_equal(got, class_log_likelihood_points(pts, np.array([[0], [1]]), g, LikelihoodConfig()))
+
+
 def test_floor_reach_is_where_the_density_meets_the_floor():
     cfg = LikelihoodConfig()
     for reach, sigma, log_rho in (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
+from hapticloc.classifier import baseline_train
 import hapticloc.maps as maps_module
 from hapticloc.maps import (
     GATHER_ROWS,
@@ -19,6 +20,7 @@ from hapticloc.maps import (
     PointCloudMap,
     check_same_lattice,
     class_distance_many,
+    class_offsets_many,
     cloud_distances,
     elevation_at_many,
     class_at_many,
@@ -27,6 +29,7 @@ from hapticloc.maps import (
     padded_cells,
     save_map,
 )
+from hapticloc.sim import N_TERRAIN_CLASSES, synth_force_signal
 from per_pose import class_at, elevation_at
 
 
@@ -407,7 +410,8 @@ def test_class_distance_per_point_classes():
     want = [class_distance_many(g, p.reshape(2, 1), c)[0] for p, c in zip(pts, classes)]
     assert np.array_equal(got, want)
     classes[7] = g.n_classes
-    with pytest.raises(ValueError, match=f"class id {g.n_classes} outside"):
+    n = g.n_classes
+    with pytest.raises(ValueError, match=rf"class id {n} at index \(7,\) is not an integer in \[0, {n}\)"):
         class_distance_many(g, pts.T, classes)
 
 
@@ -426,7 +430,7 @@ def test_class_distance_lattice_absent_and_bad_class():
     assert got[0] == exhaustive_class_distance(g, (0.05, 0.05), 1) == 0.1 * np.sqrt(3**2 + 2**2)
     got = class_distance_many(g, [[0.05], [0.05]], [2])
     assert got[0] == exhaustive_class_distance(g, (0.05, 0.05), 2) == np.inf
-    with pytest.raises(ValueError, match="class id 9 outside"):
+    with pytest.raises(ValueError, match=r"class id 9 at index \(0,\) is not an integer in \[0, 3\)"):
         class_distance_many(g, [[0.05], [0.05]], [9])
 
 
@@ -443,15 +447,83 @@ def test_class_grid_checks_each_id_as_given_before_it_casts_it(bad):
     ids = np.array([[0, 1, 255], [2, bad, 7]])
     with pytest.raises(ValueError) as err:
         ClassGrid(0.1, (0, 0), ids, 8)
-    assert str(err.value) == (
-        f"class id {ids[1, 1].item()} at cell (row 1, col 1) is not an integer in [0, 8) "
-        f"nor the unknown sentinel {UNKNOWN_CLASS}"
-    )
+    assert str(err.value) == f"class id {ids[1, 1].item()!r} at index (1, 1) is not an integer in [0, 8)"
     # the ids of every other cell, as ints or integral floats, are accepted
     ids[1, 1] = 3
     for given in (ids, ids.astype(float)):
         g = ClassGrid(0.1, (0, 0), given, 8)
         assert g.class_ids.dtype == np.uint8 and g.class_ids.tolist() == [[0, 1, 255], [2, 3, 7]]
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.2, 2.99, 1e20], ids=["1.7", "minus-0.2", "2.99", "1e20"])
+def test_a_lookup_checks_each_class_id_as_given(bad):
+    # an int64 cast first answered 1.7 as class 1, -0.2 as class 0 and 2.99
+    # as class 2, and let 1e20 escape as an OverflowError
+    g = ClassGrid(0.1, (0, 0), [[0, 1], [2, 0]], 3)
+    xy = [[0.05], [0.05]]
+    for class_id, at in ((bad, ""), ([bad], " at index (0,)"), (np.array([[0.0], [bad]]), " at index (1, 0)")):
+        with pytest.raises(ValueError) as err:
+            class_distance_many(g, xy, class_id)
+        assert str(err.value) == f"class id {bad!r}{at} is not an integer in [0, 3)"
+    # integral floats keep their class
+    assert class_distance_many(g, xy, [2.0])[0] == class_distance_many(g, xy, [2])[0] == 0.1
+
+
+def _lookup_class(class_id, as_column):
+    # the class the offsets of a 1 x N row of cells, class c in column c,
+    # answer for class_id at column 0: its squared offset is c * c
+    grid = ClassGrid(1.0, (0.0, 0.0), [list(range(N_TERRAIN_CLASSES))], N_TERRAIN_CLASSES)
+    k = class_offsets_many(grid, [[0.5], [0.5]], np.array([[class_id]]) if as_column else class_id,
+                           grid.squared_offsets())
+    return math.isqrt(int(np.ravel(k)[0]))
+
+
+_SIGNAL = synth_force_signal(0, 5, np.random.default_rng(0))
+
+# the class id rule's four entry points, each answering the class it reads
+# class_id as; the unknown sentinel, which only a map cell may hold, is not drawn
+CLASS_ID_ENTRIES = {
+    "ClassGrid": lambda c: int(ClassGrid(1.0, (0.0, 0.0), np.array([[c]]), N_TERRAIN_CLASSES).class_ids[0, 0]),
+    "lookup": lambda c: _lookup_class(c, as_column=False),
+    "lookup-column": lambda c: _lookup_class(c, as_column=True),
+    "synth_force_signal": lambda c: next(
+        k for k in range(N_TERRAIN_CLASSES)
+        if np.array_equal(synth_force_signal(c, 5, np.random.default_rng(0)).samples,
+                          synth_force_signal(k, 5, np.random.default_rng(0)).samples)
+    ),
+    # one signal of one label: training raises that label's bias above the rest
+    "baseline_train": lambda c: int(np.argmax(baseline_train([_SIGNAL], [c], N_TERRAIN_CLASSES).bias)),
+}
+
+class_id_values = st.one_of(
+    st.integers(-3, N_TERRAIN_CLASSES + 3),
+    st.integers(-(2**70), 2**70),
+    st.integers(-3, N_TERRAIN_CLASSES + 3).map(float),
+    st.integers(0, 254).map(np.uint8),
+    st.integers(-3, N_TERRAIN_CLASSES + 3).map(np.int64),
+    st.floats(-3.0, N_TERRAIN_CLASSES + 3.0),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, float(N_TERRAIN_CLASSES), 2**63, 2**64]),
+).filter(lambda c: c != UNKNOWN_CLASS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_id_values)
+def test_every_entry_point_takes_the_same_class_ids_as_the_same_classes(class_id):
+    answers = {}
+    for name, entry in CLASS_ID_ENTRIES.items():
+        try:
+            answers[name] = entry(class_id)
+        except ValueError as err:
+            value = class_id.item() if isinstance(class_id, np.generic) else class_id
+            assert str(err).startswith(f"class id {value!r}")
+            assert str(err).endswith(f" is not an integer in [0, {N_TERRAIN_CLASSES})")
+            answers[name] = None
+    # every entry point accepts the integral values in [0, N), as ints or
+    # floats, each as its own class, and refuses every other value
+    integral = not isinstance(class_id, float) or class_id.is_integer()
+    want = int(class_id) if integral and 0 <= class_id < N_TERRAIN_CLASSES else None
+    assert answers == dict.fromkeys(CLASS_ID_ENTRIES, want)
 
 
 def test_class_ids_and_distance_fields_are_read_only():

@@ -137,6 +137,18 @@ def test_signal_length_range_and_synthesis():
         synth_force_signal(0, 0, rng)
 
 
+@pytest.mark.parametrize("bad", [1.7, -0.5], ids=["1.7", "minus-0.5"])
+def test_synth_force_signal_checks_its_class_id_as_given(bad):
+    # int() first made 1.7 a class-1 signal and -0.5 a class-0 one
+    with pytest.raises(ValueError) as err:
+        synth_force_signal(bad, 40, np.random.default_rng(0))
+    assert str(err.value) == f"class id {bad!r} is not an integer in [0, {N_TERRAIN_CLASSES})"
+    # an integral float or a numpy integer keeps its class
+    want = synth_force_signal(3, 40, np.random.default_rng(0)).samples
+    for same in (3.0, np.int64(3), np.uint8(3)):
+        assert np.array_equal(synth_force_signal(same, 40, np.random.default_rng(0)).samples, want)
+
+
 def uncached_signal(class_id, n_samples, rng):
     """The signal formula with its template built inline on every call."""
     amp, freq, damp, offset, torque = CLASS_SIGNAL_PARAMS[class_id]
@@ -314,7 +326,8 @@ def unsignalled_class_course():
         ("chevron", ((0.1, 0.7), (2.0, 0.7)), "foot LH starts off the map"),
         ("chevron", ((0.1, 0.7), (50.0, 0.7)), "foot LH starts off the map"),
         # the front feet reach the unsignalled class before the base leaves
-        ("classes", ((0.5, 0.5), (9.0, 0.5)), rf"class id {N_TERRAIN_CLASSES} outside \[0, {N_TERRAIN_CLASSES}\)"),
+        ("classes", ((0.5, 0.5), (9.0, 0.5)),
+         rf"class id {N_TERRAIN_CLASSES} is not an integer in \[0, {N_TERRAIN_CLASSES}\)"),
     ],
     ids=["base-leaves-mid-walk", "start-foot-off", "both", "class-before-base"],
 )
