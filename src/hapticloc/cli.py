@@ -111,13 +111,16 @@ def _cmd_localize(args) -> int:
     mode = args.mode or cfg.modes[0]
     require_layers(MODES[mode], course.layers)
     needs_class = "class" in MODES[mode]
+    # trained before the log is loaded, as evaluate.simulate_for_config
+    # trains before the walk, so the training set is freed before the
+    # log's signals are read
+    model = evaluate.train_contact_classifier(args.seed) if needs_class else None
+    if model is not None and model.n_classes != course.class_grid.n_classes:
+        raise ValueError(
+            f"the logistic baseline has {model.n_classes} classes but the class layer has {course.class_grid.n_classes}"
+        )
     log = sim.load_walklog(args.walklog, load_signals=needs_class)
-    if needs_class:
-        model = evaluate.train_contact_classifier(args.seed)
-        if model.n_classes != course.class_grid.n_classes:
-            raise ValueError(
-                f"the logistic baseline has {model.n_classes} classes but the class layer has {course.class_grid.n_classes}"
-            )
+    if model is not None:
         sim.classify_log(log, model)
     state = evaluate.run_localization(log.init_prior, evaluate.to_step_inputs(log), course, mode, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)

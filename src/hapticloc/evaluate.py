@@ -192,11 +192,18 @@ def walk(cfg: ExperimentConfig, course: MapSet, seed: int) -> WalkLog:
 
 def simulate_for_config(cfg: ExperimentConfig, seed: int):
     """Course + walk log for one seed of an experiment; a mode that reads
-    classes gets them from a classifier trained for the seed."""
+    classes gets them from a classifier trained for the seed.
+
+    The classifier is trained first, so that its training signals are freed
+    before the course and the walk's signals exist: the seed's peak memory
+    then holds one set of signals, not two. The training set, the course and
+    the walk each draw from a generator of their own, so the order moves no
+    draw."""
+    model = train_contact_classifier(seed) if _reads_class(cfg) else None
     course = generate_course(replace(cfg.course, seed=seed))
     log = walk(cfg, course, seed)
-    if _reads_class(cfg):
-        classify_log(log, train_contact_classifier(seed))
+    if model is not None:
+        classify_log(log, model)
     return course, log
 
 

@@ -200,6 +200,7 @@ class ClassGrid(_Lattice):
                     k = _nearest_squares(mask, k_max)
                     np.minimum(k, cap, out=k)
                     np.copyto(offsets[c, 1:-1, 1:-1], k, casting="unsafe")
+                    del k  # so that the next class's transform runs without it
             offsets.flags.writeable = False
             distances = self.resolution * np.sqrt(np.arange(border + 1, dtype=float))
             distances[cap:] = np.inf
@@ -277,12 +278,16 @@ def _nearest_squares(mask, k_max: int) -> np.ndarray:
     of at most k_max has offsets of at most r = isqrt(k_max) on each axis,
     so g is capped at r + 1 and dj runs to r; the row pass also stops once
     dj**2 reaches every square it holds, beyond which no offset can lower
-    one. uint16 holds the squares when r bounds them, int64 otherwise.
+    one. The column pass runs in the narrowest signed type that holds
+    n_rows + cap, and uint16 holds the squares when r bounds them, int64
+    otherwise; each pass frees what it has read, so besides the mask at most
+    three arrays of its shape live at once.
     """
     n_rows, n_cols = mask.shape
     r = math.isqrt(k_max)
     cap = r + 1
-    rows = np.arange(n_rows, dtype=np.int32 if n_rows + cap < 2**31 else np.int64)[:, None]
+    # the narrowest signed type whose max reaches n_rows + cap
+    rows = np.arange(n_rows, dtype=np.min_scalar_type(-(n_rows + cap) - 1))[:, None]
     # the nearest True row at or above, and at or below, each cell; a column
     # without one reads an offset of at least cap
     above = np.where(mask, rows, -cap)
@@ -293,9 +298,11 @@ def _nearest_squares(mask, k_max: int) -> np.ndarray:
     below = below[::-1]
     np.subtract(below, rows, out=below)
     np.minimum(above, below, out=above)
+    del below
     np.minimum(above, cap, out=above)
     dtype = np.uint16 if cap * cap + r * r <= np.iinfo(np.uint16).max else np.int64
     g2 = above.astype(dtype)
+    del above
     np.multiply(g2, g2, out=g2)
     k = g2.copy()
     shifted = np.empty_like(g2)

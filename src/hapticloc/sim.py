@@ -158,10 +158,12 @@ class CourseSpec:
             raise ValueError(f"course seed must be a non-negative integer, got {self.seed}")
 
 
-def _cell_centers(n_cols, n_rows, res, origin):
-    xs = origin[0] + (np.arange(n_cols) + 0.5) * res
-    ys = origin[1] + (np.arange(n_rows) + 0.5) * res
-    return np.meshgrid(xs, ys)
+def _cell_axes(extent, res):
+    """The x and the y of a lattice's cell centres, from the origin (0, 0):
+    round(size / res) cells along each axis of extent. A builder computes on
+    these axes, and makes a full-grid array only for the layers it returns
+    and for a feature that varies along both axes."""
+    return tuple((np.arange(round(size / res)) + 0.5) * res for size in extent)
 
 
 CHEVRON_SIZE = (7.0, 3.0)
@@ -180,41 +182,43 @@ CHEVRON_WAYPOINTS = ((1.0, 0.7), (6.2, 0.7), (6.2, 1.3), (1.0, 1.3)) * 2
 
 
 def _chevron_course(spec: CourseSpec) -> MapSet:
-    size_x, size_y = CHEVRON_SIZE
     res = spec.resolution
-    n_cols, n_rows = round(size_x / res), round(size_y / res)
-    x, y = _cell_centers(n_cols, n_rows, res, (0.0, 0.0))
-    h = np.zeros((n_rows, n_cols))
+    xs, ys = _cell_axes(CHEVRON_SIZE, res)
+    h = np.zeros((len(ys), len(xs)))
 
     slope = np.tan(np.radians(CHEVRON_RAMP_DEG))
     plateau = slope * 1.0
     x0 = CHEVRON_STRIP_X
     y_lo, y_hi = CHEVRON_STRIP_Y
     yc = 0.5 * (y_lo + y_hi)
-    strip = (y >= y_lo) & (y < y_hi)
-    tilt = CHEVRON_TILT * (y - y_lo)
+    # every feature spans the strip's rows: one column over them, and a
+    # rectangle of h per feature
+    strip = (ys >= y_lo) & (ys < y_hi)
+    tilt = CHEVRON_TILT * (ys[strip] - y_lo)[:, None]
+    level = plateau + tilt
 
-    up = strip & (x >= x0) & (x < x0 + 1.0)
-    h[up] = slope * (x[up] - x0) + tilt[up]
+    up = (xs >= x0) & (xs < x0 + 1.0)
+    h[np.ix_(strip, up)] = slope * (xs[up] - x0) + tilt
 
     # random block field first: non-repeating, so the filter can lock on
-    # before it meets the periodic chevron section
+    # before it meets the periodic chevron section. block_h spans the
+    # lattice's largest block indices, which set how many heights are drawn
     rng = np.random.default_rng(spec.seed)
-    blocks = strip & (x >= x0 + 1.0) & (x < x0 + 2.0)
-    bi = np.floor((x - (x0 + 1.0)) / CHEVRON_BLOCK).astype(int)
-    bj = np.floor((y - y_lo) / CHEVRON_BLOCK).astype(int)
+    blocks = (xs >= x0 + 1.0) & (xs < x0 + 2.0)
+    bi = np.floor((xs - (x0 + 1.0)) / CHEVRON_BLOCK).astype(int)
+    bj = np.floor((ys - y_lo) / CHEVRON_BLOCK).astype(int)
     block_h = rng.uniform(0.0, CHEVRON_BLOCK_HMAX, size=(int(bj.max()) + 1, int(bi.max()) + 1))
-    h[blocks] = plateau + tilt[blocks] + block_h[bj[blocks], bi[blocks]]
+    h[np.ix_(strip, blocks)] = level + block_h[np.ix_(bj[strip], bi[blocks])]
 
     # chevron ridges: triangular profile along u, folded about the strip axis
-    chev = strip & (x >= x0 + 2.0) & (x < x0 + 3.2)
-    u = (x - (x0 + 2.0)) + np.abs(y - yc)
+    chev = (xs >= x0 + 2.0) & (xs < x0 + 3.2)
+    u = (xs[chev] - (x0 + 2.0)) + np.abs(ys[strip] - yc)[:, None]
     m = np.mod(u, CHEVRON_PERIOD)
     tent = CHEVRON_HEIGHT * (1.0 - np.abs(2.0 * m / CHEVRON_PERIOD - 1.0))
-    h[chev] = plateau + tilt[chev] + tent[chev]
+    h[np.ix_(strip, chev)] = level + tent
 
-    down = strip & (x >= x0 + 3.2) & (x < x0 + 4.2)
-    h[down] = (plateau + tilt[down]) * (1.0 - (x[down] - (x0 + 3.2)) / 1.0)
+    down = (xs >= x0 + 3.2) & (xs < x0 + 4.2)
+    h[np.ix_(strip, down)] = level * (1.0 - (xs[down] - (x0 + 3.2)) / 1.0)
 
     return MapSet(elevation=ElevationGrid(res, (0.0, 0.0), h))
 
@@ -232,19 +236,18 @@ TILES_WAYPOINTS = ((0.6, 0.6), (6.4, 0.6), (6.4, 1.75), (0.6, 1.75), (0.6, 2.9),
 def _tiles_course(spec: CourseSpec) -> MapSet:
     size_x, size_y = TILES_SIZE
     res = spec.resolution
-    n_cols, n_rows = round(size_x / res), round(size_y / res)
-    x, y = _cell_centers(n_cols, n_rows, res, (0.0, 0.0))
+    xs, ys = _cell_axes(TILES_SIZE, res)
 
-    h = np.zeros((n_rows, n_cols))
+    h = np.zeros((len(ys), len(xs)))
     px0, px1 = TILES_PLATFORM_X
     py0, py1 = TILES_PLATFORM_Y
-    on_y = (y >= py0) & (y < py1)
-    up = on_y & (x >= px0) & (x < px0 + TILES_RAMP_LEN)
-    top = on_y & (x >= px0 + TILES_RAMP_LEN) & (x < px1 - TILES_RAMP_LEN)
-    down = on_y & (x >= px1 - TILES_RAMP_LEN) & (x < px1)
-    h[up] = TILES_PLATFORM_H * (x[up] - px0) / TILES_RAMP_LEN
-    h[top] = TILES_PLATFORM_H
-    h[down] = TILES_PLATFORM_H * (px1 - x[down]) / TILES_RAMP_LEN
+    on_y = (ys >= py0) & (ys < py1)
+    up = (xs >= px0) & (xs < px0 + TILES_RAMP_LEN)
+    top = (xs >= px0 + TILES_RAMP_LEN) & (xs < px1 - TILES_RAMP_LEN)
+    down = (xs >= px1 - TILES_RAMP_LEN) & (xs < px1)
+    h[np.ix_(on_y, up)] = TILES_PLATFORM_H * (xs[up] - px0) / TILES_RAMP_LEN
+    h[np.ix_(on_y, top)] = TILES_PLATFORM_H
+    h[np.ix_(on_y, down)] = TILES_PLATFORM_H * (px1 - xs[down]) / TILES_RAMP_LEN
 
     # 1 x 1 m material tiles; a seeded assignment that uses every class
     n_tx, n_ty = int(np.ceil(size_x)), int(np.ceil(size_y))
@@ -252,9 +255,9 @@ def _tiles_course(spec: CourseSpec) -> MapSet:
     tile_class = rng.integers(0, N_TERRAIN_CLASSES, size=(n_ty, n_tx))
     order = rng.permutation(n_tx * n_ty)[:N_TERRAIN_CLASSES]
     tile_class.flat[order] = np.arange(N_TERRAIN_CLASSES)
-    ti = np.clip(np.floor(x).astype(int), 0, n_tx - 1)
-    tj = np.clip(np.floor(y).astype(int), 0, n_ty - 1)
-    ids = tile_class[tj, ti].astype(np.uint8)
+    ti = np.clip(np.floor(xs).astype(int), 0, n_tx - 1)
+    tj = np.clip(np.floor(ys).astype(int), 0, n_ty - 1)
+    ids = tile_class.astype(np.uint8)[np.ix_(tj, ti)]
 
     return MapSet(
         elevation=ElevationGrid(res, (0.0, 0.0), h),

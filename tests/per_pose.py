@@ -5,6 +5,11 @@ of the pose algebra (quat_from_yaw, quat_conjugate, inverse,
 relative_increment, pose_exp), and the walker that used them: a walk built
 one pose at a time, with its draws made inside the step loop. The tests
 hold the package's batched walker (sim._walk) to this one, bit for bit.
+
+Also the full-grid course builders (chevron_course, tiles_course): each
+computes on meshgrids of every cell centre and full-grid masks. The tests
+hold the package's builders, which compute on the lattice's axes, to them,
+bit for bit.
 """
 
 import math
@@ -13,11 +18,21 @@ import numpy as np
 
 from hapticloc.geometry import FOOT_LABELS, Pose, compose, quat_from_rotvec, quat_rotate, quat_to_euler
 from hapticloc.likelihood import ContactMeasurement
-from hapticloc.maps import UNKNOWN_CLASS, ClassGrid, ElevationGrid
+from hapticloc.maps import UNKNOWN_CLASS, ClassGrid, ElevationGrid, MapSet
 from hapticloc.sim import (
+    CHEVRON_BLOCK,
+    CHEVRON_BLOCK_HMAX,
+    CHEVRON_HEIGHT,
+    CHEVRON_PERIOD,
+    CHEVRON_RAMP_DEG,
+    CHEVRON_SIZE,
+    CHEVRON_STRIP_X,
+    CHEVRON_STRIP_Y,
+    CHEVRON_TILT,
     FOOT_DX,
     FOOT_DY,
     GAIT_ORDER,
+    N_TERRAIN_CLASSES,
     OUTLIER_SHIFT,
     PHASE_DT,
     PROBE_HEIGHT,
@@ -27,6 +42,11 @@ from hapticloc.sim import (
     PROBE_STEPS,
     STANDING_HEIGHT,
     STEP_LENGTH,
+    TILES_PLATFORM_H,
+    TILES_PLATFORM_X,
+    TILES_PLATFORM_Y,
+    TILES_RAMP_LEN,
+    TILES_SIZE,
     WALL_ROOM_WALL_X,
     WALL_ROOM_WALL_Y,
     StepRecord,
@@ -212,3 +232,81 @@ def probe_scenario(maps, noise, seed) -> WalkLog:
     log = walk(maps, xys, np.zeros(PROBE_STEPS + 1), noise, seed, probe)
     log.init_prior = Pose(log.start_pose.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), log.start_pose.quat)
     return log
+
+
+# the full-grid course builders
+
+
+def _cell_centers(n_cols, n_rows, res, origin):
+    xs = origin[0] + (np.arange(n_cols) + 0.5) * res
+    ys = origin[1] + (np.arange(n_rows) + 0.5) * res
+    return np.meshgrid(xs, ys)
+
+
+def chevron_course(spec) -> MapSet:
+    size_x, size_y = CHEVRON_SIZE
+    res = spec.resolution
+    n_cols, n_rows = round(size_x / res), round(size_y / res)
+    x, y = _cell_centers(n_cols, n_rows, res, (0.0, 0.0))
+    h = np.zeros((n_rows, n_cols))
+
+    slope = np.tan(np.radians(CHEVRON_RAMP_DEG))
+    plateau = slope * 1.0
+    x0 = CHEVRON_STRIP_X
+    y_lo, y_hi = CHEVRON_STRIP_Y
+    yc = 0.5 * (y_lo + y_hi)
+    strip = (y >= y_lo) & (y < y_hi)
+    tilt = CHEVRON_TILT * (y - y_lo)
+
+    up = strip & (x >= x0) & (x < x0 + 1.0)
+    h[up] = slope * (x[up] - x0) + tilt[up]
+
+    rng = np.random.default_rng(spec.seed)
+    blocks = strip & (x >= x0 + 1.0) & (x < x0 + 2.0)
+    bi = np.floor((x - (x0 + 1.0)) / CHEVRON_BLOCK).astype(int)
+    bj = np.floor((y - y_lo) / CHEVRON_BLOCK).astype(int)
+    block_h = rng.uniform(0.0, CHEVRON_BLOCK_HMAX, size=(int(bj.max()) + 1, int(bi.max()) + 1))
+    h[blocks] = plateau + tilt[blocks] + block_h[bj[blocks], bi[blocks]]
+
+    chev = strip & (x >= x0 + 2.0) & (x < x0 + 3.2)
+    u = (x - (x0 + 2.0)) + np.abs(y - yc)
+    m = np.mod(u, CHEVRON_PERIOD)
+    tent = CHEVRON_HEIGHT * (1.0 - np.abs(2.0 * m / CHEVRON_PERIOD - 1.0))
+    h[chev] = plateau + tilt[chev] + tent[chev]
+
+    down = strip & (x >= x0 + 3.2) & (x < x0 + 4.2)
+    h[down] = (plateau + tilt[down]) * (1.0 - (x[down] - (x0 + 3.2)) / 1.0)
+
+    return MapSet(elevation=ElevationGrid(res, (0.0, 0.0), h))
+
+
+def tiles_course(spec) -> MapSet:
+    size_x, size_y = TILES_SIZE
+    res = spec.resolution
+    n_cols, n_rows = round(size_x / res), round(size_y / res)
+    x, y = _cell_centers(n_cols, n_rows, res, (0.0, 0.0))
+
+    h = np.zeros((n_rows, n_cols))
+    px0, px1 = TILES_PLATFORM_X
+    py0, py1 = TILES_PLATFORM_Y
+    on_y = (y >= py0) & (y < py1)
+    up = on_y & (x >= px0) & (x < px0 + TILES_RAMP_LEN)
+    top = on_y & (x >= px0 + TILES_RAMP_LEN) & (x < px1 - TILES_RAMP_LEN)
+    down = on_y & (x >= px1 - TILES_RAMP_LEN) & (x < px1)
+    h[up] = TILES_PLATFORM_H * (x[up] - px0) / TILES_RAMP_LEN
+    h[top] = TILES_PLATFORM_H
+    h[down] = TILES_PLATFORM_H * (px1 - x[down]) / TILES_RAMP_LEN
+
+    n_tx, n_ty = int(np.ceil(size_x)), int(np.ceil(size_y))
+    rng = np.random.default_rng(spec.seed)
+    tile_class = rng.integers(0, N_TERRAIN_CLASSES, size=(n_ty, n_tx))
+    order = rng.permutation(n_tx * n_ty)[:N_TERRAIN_CLASSES]
+    tile_class.flat[order] = np.arange(N_TERRAIN_CLASSES)
+    ti = np.clip(np.floor(x).astype(int), 0, n_tx - 1)
+    tj = np.clip(np.floor(y).astype(int), 0, n_ty - 1)
+    ids = tile_class[tj, ti].astype(np.uint8)
+
+    return MapSet(
+        elevation=ElevationGrid(res, (0.0, 0.0), h),
+        class_grid=ClassGrid(res, (0.0, 0.0), ids, N_TERRAIN_CLASSES),
+    )

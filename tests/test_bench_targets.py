@@ -9,9 +9,10 @@ scripts/output_digest.py builds its ExperimentConfig with code of its own,
 so a refactor of the config or the course builders can break them. A
 channel's time counts as its span's only while the step calls it through
 the traced name, so a few tiles steps run under spans.Tracer and count the
-calls of each channel. These tests load spans.py and output_digest.py from
-their files, and run perfbench/run.py, without writing bytecode next to
-them.
+calls of each channel. scripts/stage_memory.py wraps the stages that
+run_experiment calls by name. These tests load spans.py, output_digest.py
+and stage_memory.py from their files, and run perfbench/run.py, without
+writing bytecode next to them.
 """
 
 import importlib.util
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import hapticloc
-from hapticloc import mcl
+from hapticloc import evaluate, mcl
 from hapticloc.evaluate import (
     default_chevron_experiment,
     default_tiles_experiment,
@@ -39,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 BENCH_RUN = ROOT / "perfbench" / "run.py"
 OUTPUT_DIGEST = ROOT / "scripts" / "output_digest.py"
+STAGE_MEMORY = ROOT / "scripts" / "stage_memory.py"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
@@ -74,6 +76,26 @@ def test_every_output_digest_experiment_builds():
     assert set(WORKLOADS) < set(experiments)
     for build in experiments.values():
         build()  # raises if the config no longer builds
+
+
+def test_stage_memory_prints_a_row_for_each_stage_of_a_seed(capsys):
+    stage_memory = load_module("stage_memory", STAGE_MEMORY)
+    real = {name: getattr(evaluate, name) for name in stage_memory.STAGES}
+    stage_memory.main(["--experiment", "class-tiles", "--seed", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    imports, rows = lines[2].split(), [line.rsplit(None, 4) for line in lines[3:]]
+    assert imports[0] == "(imports)"
+    assert [row[0] for row in rows] == [
+        "train_contact_classifier", "generate_course", "walk", "classify_log", "walklog_hash", "to_step_inputs",
+        *(f"run_localization {mode}" for mode in default_tiles_experiment().modes),
+        "_write_per_seed_outputs", "write_report",
+    ]
+    values = [[float(v) for v in row[1:]] for row in rows]
+    assert all(start <= peak and end <= peak for start, peak, end, _ in values)
+    maxrss = [float(imports[1])] + [row[3] for row in values]
+    assert maxrss == sorted(maxrss)
+    # the stages run unwrapped again
+    assert all(getattr(evaluate, name) is fn for name, fn in real.items())
 
 
 # resolves (module, attr) pairs given as JSON the way Tracer.install does, in

@@ -26,6 +26,7 @@ from hapticloc.evaluate import (
 from hapticloc.geometry import save_trajectory
 from hapticloc.maps import UNKNOWN_CLASS, ClassGrid, load_map, save_map
 from hapticloc.sim import classify_log, load_walklog, save_walklog, walklog_hash
+from test_evaluate import record_calls
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -320,6 +321,17 @@ def test_localize_checks_the_mode_s_layers_before_it_trains(mode, tmp_path, caps
                          "--out", str(tmp_path / "loc"))
     assert code == 1 and out == "" and trained == []
     assert err.strip() == "error: the class channel requires a class layer, not among the map layers ('elevation',)"
+
+
+def test_localize_trains_the_classifier_before_it_loads_the_walk_log(tmp_path, capsys, monkeypatch):
+    # as simulate_for_config does, so the training set is freed before the
+    # log's signals are read
+    d, log_path = tiles_walk(tmp_path, capsys)
+    calls = record_calls(monkeypatch, (evaluate, "train_contact_classifier"), (sim, "load_walklog"))
+    code, _, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", "HL-C",
+                       "--particles", "100", "--out", str(tmp_path / "loc"))
+    assert code == 0, err
+    assert calls == ["train_contact_classifier", "load_walklog"]
 
 
 def test_localize_rejects_another_walk_log_version(tmp_path, capsys):

@@ -8,6 +8,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+import hapticloc.evaluate as evaluate_module
 import hapticloc.mcl as mcl_module
 from hapticloc.evaluate import (
     _INI_KEYS,
@@ -319,6 +320,31 @@ def test_simulate_for_config_class_probs():
     assert soft
     for c in soft:
         assert c.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def record_calls(monkeypatch, *targets):
+    """The list to which each call of the (module, name) targets appends
+    its name, in call order; the calls go through to the real functions."""
+    calls = []
+
+    def wrap(name, real):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return recorded
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+    return calls
+
+
+def test_a_class_seed_trains_its_classifier_before_it_builds_the_course(monkeypatch):
+    # so the training signals are freed before the walk's signals exist
+    names = ("train_contact_classifier", "generate_course", "walk", "classify_log")
+    calls = record_calls(monkeypatch, *((evaluate_module, name) for name in names))
+    simulate_for_config(replace(default_tiles_experiment(), waypoints=((0.6, 0.6), (1.0, 0.6))), 1)
+    assert calls == list(names)
 
 
 def test_class_tiles_walk_does_not_depend_on_the_modes():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from hapticloc.maps import (
     padded_cells,
     save_map,
 )
-from hapticloc.sim import N_TERRAIN_CLASSES, synth_force_signal
+from hapticloc.evaluate import default_tiles_experiment
+from hapticloc.sim import N_TERRAIN_CLASSES, CourseSpec, generate_course, synth_force_signal
 from per_pose import class_at, elevation_at
 
 
@@ -47,6 +49,18 @@ def distance_fields(grid, reach=math.inf):
     transform."""
     f = grid.squared_offsets(reach)
     return f.distances.take(f.offsets)
+
+
+def traced_peak(call):
+    """call()'s result, and the peak in bytes that tracemalloc traced while
+    it ran, above what was traced when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 # the nodes fill_every_node gives one fill, so that a fill's scratch stays
@@ -386,6 +400,38 @@ def test_squared_offsets_widen_when_the_border_code_passes_255(k_max, dtype):
     f = g.squared_offsets(math.sqrt(k_max + 0.5))
     assert f.k_max == k_max and f.offsets.dtype == dtype
     assert f.offsets[0, 0, 0] == k_max + 2 and f.distances[k_max + 2] == np.inf
+
+
+@pytest.mark.parametrize(
+    "n_rows, r",
+    [(100, 26), (100, 27), (32740, 26), (32740, 27)],
+    ids=["int8", "int16", "int16-edge", "int32"],
+)
+def test_the_column_pass_holds_its_largest_value_at_each_width(n_rows, r):
+    # the column pass runs in the narrowest signed type that holds
+    # n_rows + cap, cap = r + 1: 127 and 32767 sit on a type's edge, 128
+    # and 32768 one past it. One class cell at each end of a column.
+    mask = np.zeros((n_rows, 1), dtype=bool)
+    mask[[0, -1]] = True
+    k_max = r * r + r  # isqrt(k_max) == r
+    got = maps_module._nearest_squares(mask, k_max)
+    d2 = np.minimum(np.arange(n_rows), np.arange(n_rows)[::-1]).astype(np.int64) ** 2
+    inside = d2 <= k_max
+    assert np.array_equal(got[inside, 0], d2[inside]) and (got[~inside, 0] > k_max).all()
+
+
+def test_a_1_cm_tiles_grid_s_class_transform_holds_few_bytes_a_cell():
+    # the column pass runs in int16 and each pass frees what it has read, as
+    # squared_offsets frees each class's offsets once it has copied them.
+    # Beyond the offsets and the table it keeps, the transform at the tiles
+    # experiment's class reach peaks at 7.2 traced bytes a cell of the 1 cm
+    # grid, against 17.2 with an int32 column pass that held every
+    # intermediate; the bound leaves 25% over 7.2
+    grid = generate_course(CourseSpec("class-tiles", resolution=0.01, seed=1)).class_grid
+    reach = default_tiles_experiment().likelihood.class_reach
+    f, peak = traced_peak(lambda: grid.squared_offsets(reach))
+    transient = peak - f.offsets.nbytes - f.distances.nbytes
+    assert transient / grid.class_ids.size < 9.0, f"{transient / grid.class_ids.size:.2f} bytes a cell"
 
 
 def test_distance_fields_keep_the_last_reach_and_reject_a_bad_one():

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -62,6 +61,7 @@ from hapticloc.mcl import (
     write_diagnostics_csv,
 )
 from per_pose import elevation_at, quat_from_yaw
+from test_maps import traced_peak
 
 STAND_Z = 0.3
 # base-frame foot offsets, in FOOT_LABELS order (LF, RF, LH, RH)
@@ -848,13 +848,7 @@ def warm_step_peak(st, inp) -> int:
     """The transient peak, in bytes, of one step after three warm-up steps."""
     for _ in range(3):
         step(st, inp)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        step(st, inp)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: step(st, inp))[1]
 
 
 def test_warm_step_allocates_few_particle_sized_arrays(monkeypatch):

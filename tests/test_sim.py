@@ -50,6 +50,7 @@ from hapticloc.sim import (
 import per_pose
 from per_pose import elevation_at
 from test_geometry import same_bits
+from test_maps import traced_peak
 
 QUIET = NoiseSpec()
 
@@ -106,6 +107,38 @@ def test_tiles_course_uses_every_class_and_exact_platform_height():
     assert set(np.unique(ids)) == set(range(N_TERRAIN_CLASSES))
     assert maps.elevation.heights.max() == TILES_PLATFORM_H  # exact, not approx
     assert maps.class_grid.n_classes == N_TERRAIN_CLASSES
+
+
+FULL_GRID_BUILDERS = {"chevron-ramp": per_pose.chevron_course, "class-tiles": per_pose.tiles_course}
+
+
+@pytest.mark.parametrize("resolution", [0.01, 0.02, 0.03, 0.05, 0.07])
+@pytest.mark.parametrize("kind", sorted(FULL_GRID_BUILDERS))
+def test_the_builders_match_the_full_grid_builders_bit_for_bit(kind, resolution):
+    # 0.03 and 0.07 do not divide the extents, so the lattice's last cell
+    # does not end on the extent's edge
+    for seed in range(5):
+        spec = CourseSpec(kind, resolution=resolution, seed=seed)
+        got, want = generate_course(spec), FULL_GRID_BUILDERS[kind](spec)
+        assert same_bits(got.elevation.heights, want.elevation.heights)
+        if want.class_grid is None:
+            assert got.class_grid is None
+        else:
+            assert got.class_grid.class_ids.dtype == want.class_grid.class_ids.dtype
+            assert np.array_equal(got.class_grid.class_ids, want.class_grid.class_ids)
+
+
+@pytest.mark.parametrize("kind", sorted(FULL_GRID_BUILDERS))
+def test_a_1_cm_build_holds_few_bytes_a_cell(kind):
+    # the builders compute on the lattice's axes. A 1 cm build peaks at 18.1
+    # (chevron) and 19.2 (class-tiles) traced bytes a cell, nearly all of it
+    # the heights, held twice while the elevation layer pads them, and the
+    # class ids. The full-grid builders peak at 85 and 55. The bound leaves
+    # 25% over 19.2
+    spec = CourseSpec(kind, resolution=0.01, seed=1)
+    _, peak = traced_peak(lambda: generate_course(spec))
+    n_cells = np.prod([round(size / spec.resolution) for size in COURSES[kind].extent])
+    assert peak / n_cells < 24.0, f"{peak / n_cells:.1f} bytes a cell"
 
 
 def test_wall_room_cloud_geometry():
