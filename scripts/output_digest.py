@@ -7,10 +7,11 @@
     python scripts/output_digest.py --write
 
 Runs each course kind's default experiment (sim.COURSES: chevron,
-class-tiles, wall-room) and the benchmark's three configurations
-(perfbench/run.py: class-tiles on a 1 cm map, chevron at 10k particles,
-wall-room at 5k particles) for the given seeds into a temporary directory;
---experiments picks some of the six.
+class-tiles, wall-room) and the benchmark's three workloads (class-tiles
+on a 1 cm map, chevron at 10k particles, wall-room at 5k particles) for the
+given seeds into a temporary directory; --experiments picks some of the
+six. A workload's config is the one perfbench/run.py's WORKLOADS builds, so
+the digests cover what the benchmark runs.
 Prints one "<sha256>  <experiment>/<file>" line for report.csv and for every
 file under seed_N/. Run it on two checkouts and diff the outputs to check
 that a change keeps every file byte-identical.
@@ -32,6 +33,7 @@ import argparse
 import ctypes
 import functools
 import hashlib
+import importlib.util
 import io
 import subprocess
 import sys
@@ -41,29 +43,37 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH_RUN = ROOT / "perfbench" / "run.py"
 # digest the package of this checkout, not an installed one
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy  # noqa: E402
 import scipy  # noqa: E402
 
-from hapticloc.evaluate import (  # noqa: E402
-    default_chevron_experiment,
-    default_experiment,
-    default_tiles_experiment,
-    default_wallroom_experiment,
-    run_experiment,
-)
-from hapticloc.sim import COURSES, CourseSpec  # noqa: E402
+from hapticloc import evaluate, sim  # noqa: E402
+from hapticloc.evaluate import default_experiment, run_experiment  # noqa: E402
+
+
+def bench_workloads() -> dict:
+    """perfbench/run.py's WORKLOADS, loaded from its file, with the modules
+    it imports from beside it; no bytecode is written there."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH_RUN)
+    # registered before it runs, as its dataclasses look their module up
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    path, dont_write = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH_RUN.parent))
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, dont_write
+    return module.WORKLOADS
+
 
 # each course kind's default experiment, under its name, then the benchmark's
 EXPERIMENTS = {
-    **{entry.experiment: functools.partial(default_experiment, kind) for kind, entry in COURSES.items()},
-    "tiles-1cm-n500": lambda: replace(
-        default_tiles_experiment(), course=CourseSpec("class-tiles", resolution=0.01)
-    ),
-    "chevron-n10k": lambda: replace(default_chevron_experiment(), n_particles=10_000),
-    "wallroom-n5k": lambda: replace(default_wallroom_experiment(), n_particles=5_000),
+    **{entry.experiment: functools.partial(default_experiment, kind) for kind, entry in sim.COURSES.items()},
+    **{name: functools.partial(w.make_config, evaluate, sim) for name, w in bench_workloads().items()},
 }
 
 # the golden set: seed 1 of the three default experiments, plus wall-room

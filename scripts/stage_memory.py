@@ -4,7 +4,8 @@
     python scripts/stage_memory.py --experiment tiles-1cm-n500 --seed 1
 
 Runs evaluate.run_experiment for one experiment of scripts/output_digest.py's
-table and one seed, into a temporary directory, with tracemalloc on. Each
+table (a benchmark workload's is the config perfbench/run.py runs) and one
+seed, into a temporary directory, with tracemalloc on. Each
 stage is a call that run_experiment or simulate_for_config makes through
 evaluate's namespace (STAGES). For each call the script prints one row: the
 memory tracemalloc traced when the stage began, its traced peak while it ran,

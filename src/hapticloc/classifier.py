@@ -22,18 +22,20 @@ import numpy as np
 from .maps import check_class_ids
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepSignal:
-    """One contact's force/torque recording, samples (length, 6)."""
+    """One contact's force/torque recording, samples (length, 6): a finite, read-only copy."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.array(self.samples, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 6 or len(self.samples) == 0:
-            raise ValueError(f"signal samples must be (length>=1, 6), got {self.samples.shape}")
-        if not np.isfinite(self.samples).all():
+        samples = np.array(self.samples, dtype=float)
+        if samples.ndim != 2 or samples.shape[1] != 6 or len(samples) == 0:
+            raise ValueError(f"signal samples must be (length>=1, 6), got {samples.shape}")
+        if not np.isfinite(samples).all():
             raise ValueError("signal contains non-finite samples")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
 
 def featurize(signals) -> np.ndarray:

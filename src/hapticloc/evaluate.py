@@ -198,12 +198,15 @@ def simulate_for_config(cfg: ExperimentConfig, seed: int):
     before the course and the walk's signals exist: the seed's peak memory
     then holds one set of signals, not two. The training set, the course and
     the walk each draw from a generator of their own, so the order moves no
-    draw."""
+    draw. The labeled records drop their signals, which nothing reads after
+    classify_log (walklog_hash leaves signal references empty)."""
     model = train_contact_classifier(seed) if _reads_class(cfg) else None
     course = generate_course(replace(cfg.course, seed=seed))
     log = walk(cfg, course, seed)
     if model is not None:
         classify_log(log, model)
+        for rec in log.records:
+            rec.signals = [None] * len(rec.signals)
     return course, log
 
 

@@ -33,13 +33,13 @@ and pitch are the tilt against gravity and yaw the heading. Per particle, the
 filter turns vectors in the plane by each particle's yaw (planar_rotate_add),
 writing into arrays it owns.
 
-A Pose keeps, as given, a quaternion whose norm lies within UNIT_NORM_TOL
-of 1, and normalizes any other with quat_normalize, which refuses a zero or
-non-finite norm; it has no other construction path. Normalizing is not
+A Pose has one construction path, and is read-only after it. That path
+refuses a non-finite position, keeps, as given, a quaternion whose norm
+lies within UNIT_NORM_TOL of 1, and normalizes any other with
+quat_normalize, which refuses a zero or non-finite norm. Normalizing is not
 idempotent in the last bit, but one quat_normalize leaves a norm within
 about 4e-16 of 1, as does a product of unit quaternions, so a Pose built
-from another Pose's quaternion, from a compose, or from a file that one
-was saved to, holds the same bits.
+from another Pose's quaternion, a compose, or a file it was saved to, holds the same bits.
 
 Trajectory files hold one line per pose, t and then its POSE_COLUMNS, read
 with fields.parse_field: a field that does not parse, or is not finite,
@@ -49,7 +49,7 @@ raises an error naming the file, the line and the field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,6 @@ from .fields import build, data_lines, parse_fields
 
 # the feet in the order every step lists its contacts: a contact's foot is its index
 FOOT_LABELS = ("LF", "RF", "LH", "RH")
-
-_QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
-
 
 # a quaternion whose norm lies within this of 1 is unit: Pose keeps it as given
 UNIT_NORM_TOL = 1e-12
@@ -244,31 +241,32 @@ def tilt_matrix(roll, pitch) -> np.ndarray:
 POSE_COLUMNS = ("x", "y", "z", "qx", "qy", "qz", "qw")  # a pose's columns in every file of poses
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pose:
-    """World pose. position is a 3-vector, quat a scalar-last unit quaternion:
-    one whose norm lies within UNIT_NORM_TOL of 1 is kept as given, any
-    other is normalized (quat_normalize, which refuses a zero or non-finite
-    norm)."""
+    """World pose, read-only once built. position is a finite 3-vector, quat
+    a scalar-last unit quaternion: one whose norm lies within UNIT_NORM_TOL
+    of 1 is kept as given, any other is normalized (quat_normalize, which
+    refuses a zero or non-finite norm). Both are read-only copies."""
 
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    quat: np.ndarray = field(default_factory=lambda: _QUAT_IDENTITY.copy())
+    position: np.ndarray = (0.0, 0.0, 0.0)
+    quat: np.ndarray = (0.0, 0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        self.position = np.array(self.position, dtype=float).reshape(3)
+        position = np.asarray(self.position, dtype=float).reshape(3).copy()
+        if not all(map(math.isfinite, position.tolist())):
+            raise ValueError(f"pose position must be finite, got {position.tolist()}")
         q = np.asarray(self.quat, dtype=float).reshape(4)
-        # nan fails the compare; a kept quaternion is copied into an array
-        # of its own, not a view, which would keep its base alive
-        self.quat = q.copy() if abs(_quat_norm(*q.tolist()) - 1.0) <= UNIT_NORM_TOL else quat_normalize(q)
+        # nan fails the compare; each array is a copy of its own, not a view,
+        # which would keep its base alive; setflags is cheaper than .flags
+        q = q.copy() if abs(_quat_norm(*q.tolist()) - 1.0) <= UNIT_NORM_TOL else quat_normalize(q)
+        position.setflags(write=False)
+        q.setflags(write=False)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "quat", q)
 
     def to_array(self) -> np.ndarray:
         """The 7-vector of POSE_COLUMNS: position, then quaternion."""
         return np.concatenate([self.position, self.quat])
-
-    @staticmethod
-    def from_array(a) -> "Pose":
-        a = np.asarray(a, dtype=float).reshape(7)
-        return Pose(a[:3], a[3:])
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -315,4 +313,4 @@ def load_trajectory(path):
     rows = [(where, parse_fields(line.split(), _TRAJECTORY_FIELDS, where)) for where, line in data_lines(path)]
     if not rows:
         raise ValueError(f"{path}: trajectory file has no poses")
-    return np.array([row[0] for _, row in rows]), [build(where, Pose.from_array, row[1:]) for where, row in rows]
+    return np.array([row[0] for _, row in rows]), [build(where, Pose, row[1:4], row[4:]) for where, row in rows]

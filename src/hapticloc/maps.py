@@ -8,7 +8,7 @@ stored row-major, one grid row per file line.
 Every grid layer keeps its values in a padded array, the lattice with a
 one-cell border that holds the layer's off-map value (nan height, the unknown
 class, the cap of the squared offsets), and its public array is a view of
-the interior.
+the interior; both, like a cloud's points, are read-only once checked.
 padded_cells maps query points to flat indices into the padded array, a point
 off the lattice to the border, so a lookup is one gather with no inside mask.
 Layers on one lattice share the indices.
@@ -86,6 +86,7 @@ def _check_lattice(grid) -> None:
     grid.origin = np.array(grid.origin, dtype=float).reshape(2)
     if not np.isfinite(grid.origin).all():
         raise ValueError(f"grid origin must be finite, got {grid.origin.tolist()}")
+    grid.origin.flags.writeable = False
 
 
 def _padded(interior, border):
@@ -112,7 +113,8 @@ class _Lattice:
 class ElevationGrid(_Lattice):
     """2.5D height field. heights has shape (n_rows, n_cols), nan = no data.
 
-    heights is the interior view of _padded, the heights with a nan border.
+    heights is the interior view of _padded, the heights with a nan border;
+    both are read-only, so every caller reads the heights that were checked.
     """
 
     resolution: float
@@ -130,13 +132,8 @@ class ElevationGrid(_Lattice):
             r, c = np.argwhere(np.isinf(heights))[0]
             raise ValueError(f"heights must be finite or nan (no data), got {heights[r, c]} at (row {r}, col {c})")
         self._padded = _padded(heights, np.nan)
-        self.heights = self._padded[1:-1, 1:-1]
-
-    def freeze(self) -> None:
-        """Make the heights read-only, for a grid that several callers
-        share."""
         self._padded.flags.writeable = False
-        self.heights.flags.writeable = False
+        self.heights = self._padded[1:-1, 1:-1]
 
 
 @dataclass(eq=False)
@@ -380,8 +377,8 @@ _CORNERS = np.array([dx * _SIDE**2 + dy * _SIDE + dz for dy in (0, 1) for dx in 
 # the steps of a node's distance from 0 to the cap, stored one above, so
 # that a uint8 0 marks a node not filled yet; the zero corners
 # field_distances fills at a time, the cap on one fill's memory: a fill
-# holds about 140 bytes a node it is given (the bitmap of its distinct
-# nodes, their coordinates and the kd-tree's results), so one fill and its
+# holds about 130 bytes a node it is given (its distinct nodes, their
+# coordinates and the kd-tree's results), so one fill and its
 # bookkeeping stay near 0.7 MB; and the float64 rows of a point that its
 # scratch holds
 _QUANTA = 254
@@ -618,9 +615,9 @@ def _gather(f: DistanceField, points, out, real) -> None:
     np.multiply(lerp[0], f.quantum, out=out)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MapSet:
-    """Map layers of one course. Grid layers, when both present, share a lattice."""
+    """Map layers of one course, fixed once built. Grid layers, when both present, share a lattice."""
 
     elevation: ElevationGrid
     class_grid: ClassGrid | None = None

@@ -144,11 +144,12 @@ class StepInput:
     and tilt, the base's (roll, pitch) against gravity at the end of the step.
 
     An input is fixed when it is built, and so is the work that depends on it
-    alone, which every filter that steps it reads: odom_cov, a read-only
-    copy of the caller's covariance; rotation, the read-only tilt_matrix of
-    its tilt, which becomes the state's tilt_rotation when a filter steps
-    it; and layout, the contacts in contact (contacts_for_mode) tilted by
-    that rotation and laid out for likelihood.contacts_log_likelihood. The
+    alone, which every filter that steps it reads (its increment is a Pose,
+    finite and read-only once built): odom_cov, a read-only copy of the
+    caller's covariance; rotation, the read-only tilt_matrix of its tilt,
+    which becomes the state's tilt_rotation when a filter steps it; and
+    layout, the contacts in contact (contacts_for_mode) tilted by that
+    rotation and laid out for likelihood.contacts_log_likelihood. The
     propagation terms also depend on the filter's start rotation, so the
     input keeps the last terms a filter made with that rotation as their key
     (_shared_terms), for the next filter to step it.
@@ -174,12 +175,7 @@ class StepInput:
             raise ValueError(f"tilt must be (roll, pitch), got {self.tilt}")
         tilt = tuple(tilt.tolist())
         # a non-finite input would turn every particle into nan without a trace
-        for name, values in (
-            ("odom_increment.position", self.odom_increment.position.tolist()),
-            ("odom_increment.quat", self.odom_increment.quat.tolist()),
-            ("odom_cov", odom_cov.ravel().tolist()),
-            ("tilt", tilt),
-        ):
+        for name, values in (("odom_cov", odom_cov.ravel().tolist()), ("tilt", tilt)):
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite")
         contacts = tuple(self.contacts)
@@ -316,10 +312,10 @@ def init_filter(
     n_particles is the maximum count, and the prior's count: above
     KLD_MIN_PARTICLES the count adapts by KLD-sampling on each resample.
 
-    prior_cov is a 6x6 tangent covariance in the prior mean's body frame, of
-    which the particles draw the x, y, z and yaw block; they share the prior
-    mean's roll and pitch, the state's tilt, whose rotation, tilt_rotation,
-    is made here, once per filter. Binds every setting of the run: the maps
+    prior_cov is a finite 6x6 tangent covariance in the prior mean's body
+    frame (a Pose, finite once built), of which the particles draw the x, y,
+    z and yaw block; they share the prior mean's roll and pitch, the state's
+    tilt, whose rotation, tilt_rotation, is made here, once per filter. Binds every setting of the run: the maps
     and likelihood every step weighs its contacts against, and the channels
     of mode, a key of MODES. A mode whose channels need a layer maps lacks
     raises here. The indexes of the mode's channels are requested here, so
@@ -337,13 +333,8 @@ def init_filter(
         raise ValueError("need at least one particle")
     prior_cov = np.asarray(prior_cov, dtype=float)
     # a non-finite prior would make every particle, and so every estimate, nan
-    for name, value in (
-        ("prior_mean.position", prior_mean.position),
-        ("prior_mean.quat", prior_mean.quat),
-        ("prior covariance", prior_cov),
-    ):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
+    if not np.isfinite(prior_cov).all():
+        raise ValueError("prior covariance must be finite")
     if "class" in MODES[mode]:
         class_scores(maps.class_grid, likelihood)
     if "cloud" in MODES[mode]:

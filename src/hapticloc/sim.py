@@ -10,6 +10,8 @@ with a class layer, every foot on a labeled cell also logs a force signal of
 its cell's class; a foot on an unlabeled cell logs none. A signal is its
 class's noise-free template plus fresh white noise; the template of each
 (class, length) is built once and shared read-only (_signal_template).
+A walk's layers, poses, contacts and signals are read-only once built;
+only its records are not (classify_log relabels their contacts in place).
 
 The walker (_walk) computes a walk's geometry over arrays: the base poses,
 the foot placements, the contact offsets and the true increments of every
@@ -109,7 +111,7 @@ def nominal_offset(label: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Odometry corruption: reported white noise plus unreported per-step bias."""
+    """Odometry corruption: reported white noise, kept as 6 floats, plus unreported per-step bias."""
 
     white_std: tuple = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     z_bias: float = 0.0
@@ -120,14 +122,12 @@ class NoiseSpec:
         white = np.asarray(self.white_std, dtype=float)
         if not (white.shape == (6,) and np.isfinite(white).all() and (white >= 0.0).all()):
             raise ValueError(f"white_std must hold 6 finite values that are not negative, got {self.white_std}")
+        object.__setattr__(self, "white_std", tuple(white.tolist()))
         for name in ("z_bias", "yaw_bias"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.outlier_prob <= 1.0:
             raise ValueError(f"outlier_prob must lie in [0, 1], got {self.outlier_prob}")
-
-    def white_array(self) -> np.ndarray:
-        return np.asarray(self.white_std, dtype=float)
 
     def bias_vector(self) -> np.ndarray:
         return np.array([0.0, 0.0, self.z_bias, 0.0, 0.0, self.yaw_bias])
@@ -298,7 +298,7 @@ def _wall_room_course(spec: CourseSpec) -> MapSet:
 def _wall_room_maps(res: float) -> MapSet:
     """The wall room at one resolution. Every caller shares its layers, and
     with them the nodes of the cloud's distance field that earlier filters
-    filled, so the heights are read-only, as the cloud's points are."""
+    filled; the layers are read-only, as every map layer is."""
     (x0, x1), (y0, y1), m = WALL_ROOM_FLOOR_X, WALL_ROOM_FLOOR_Y, WALL_ROOM_MARGIN
     n_cols, n_rows = (round(size / res) for size in WALL_ROOM_SIZE)
     elevation = ElevationGrid(res, (x0 - m, y0 - m), np.zeros((n_rows, n_cols)))
@@ -314,7 +314,6 @@ def _wall_room_maps(res: float) -> MapSet:
     sx, sz = np.meshgrid(xs, zs)
     side = np.column_stack([sx.ravel(), np.full(sx.size, WALL_ROOM_WALL_Y), sz.ravel()])
 
-    elevation.freeze()
     return MapSet(elevation=elevation, cloud=PointCloudMap(np.vstack([floor, front, side])))
 
 
@@ -572,11 +571,12 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
 
     # the odometry increments: each true increment composed with the small
     # pose of its noise and bias
-    delta = noise.white_array() * draws + noise.bias_vector()
+    white = np.array(noise.white_std)
+    delta = white * draws + noise.bias_vector()
     odom_pos = incr_pos + quat_rotate_rows(incr_quat, delta[:, :3])
     odom_quat = quat_mul_rows(incr_quat, quat_from_rotvec_rows(delta[:, 3:]))
 
-    cov = noise.white_array() ** 2
+    cov = white**2
     poses = [Pose(p, q) for p, q in zip(base, quat)]
     records = [
         StepRecord(
@@ -738,7 +738,7 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
     error names the file, and the line and the column at fault. The file holds
     only each foot's world z: true_foot_world's x and y are rebuilt from the
     true pose and the offset, so they may differ from the simulated ones in
-    the last bit.
+    the last bit; one that is not finite raises, naming the line and foot.
     """
     base = os.path.dirname(os.path.abspath(path))
     poses = {}
@@ -762,7 +762,7 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             if name in poses:
                 raise ValueError(f"{where}: repeated '# {name}' line")
             values = parse_fields(values, [f"{name}_{c}" for c in POSE_COLUMNS], where)
-            poses[name] = build(where, Pose.from_array, values)
+            poses[name] = build(where, Pose, values[:3], values[3:])
             continue
         if s.startswith("#"):
             continue
@@ -778,13 +778,18 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
         k, t, *step = v[: len(_STEP_COLUMNS)]
         step = iter(step)
         true, odo, cov, tilt = ([next(step) for _ in names] for names in _STEP_GROUPS.values())
-        true_pose, odom = build(where, Pose.from_array, true), build(where, Pose.from_array, odo)
+        true_pose, odom = build(where, Pose, true[:3], true[3:]), build(where, Pose, odo[:3], odo[3:])
         contacts, worlds, classes, signals = [], [], [], []
-        for o in range(len(_STEP_COLUMNS), len(_COLUMNS), len(_FOOT_COLUMNS)):
+        base_x, base_y, _ = true_pose.position.tolist()
+        for label, o in zip(FOOT_LABELS, range(len(_STEP_COLUMNS), len(_COLUMNS), len(_FOOT_COLUMNS))):
             *offset, in_contact, world_z, class_id, ref = v[o : o + len(_FOOT_COLUMNS)]
             contacts.append(ContactMeasurement(np.array(offset), in_contact=in_contact))
-            world = true_pose.position + quat_rotate(true_pose.quat, offset)
-            worlds.append([world[0], world[1], world_z])
+            dx, dy, _ = quat_rotate(true_pose.quat, offset).tolist()
+            x, y = base_x + dx, base_y + dy  # Python floats overflow to inf with no warning
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{where}: foot {label}: its world x and y, rebuilt from the true pose "
+                                 f"and its offset, are not finite ({x}, {y})")
+            worlds.append([x, y, world_z])
             classes.append(class_id)
             signals.append(load_signal(os.path.join(base, ref)) if load_signals and ref else None)
         records.append(StepRecord(k, t, true_pose, odom, np.array(cov), tuple(tilt), contacts, np.array(worlds),

@@ -151,7 +151,7 @@ def _place_foot(maps, pose: Pose, label: str) -> np.ndarray | None:
 
 def _record_step(maps, k, pose, prev_pose, feet, noise, rng):
     incr_true = relative_increment(prev_pose, pose)
-    delta = noise.white_array() * rng.standard_normal(6) + noise.bias_vector()
+    delta = np.array(noise.white_std) * rng.standard_normal(6) + noise.bias_vector()
     odom = compose(incr_true, pose_exp(delta))
 
     contacts, worlds, classes, signals = [], [], [], []
@@ -177,7 +177,7 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, rng):
         timestamp=k * PHASE_DT,
         true_pose=pose,
         odom_increment=odom,
-        odom_cov_diag=noise.white_array() ** 2,
+        odom_cov_diag=np.array(noise.white_std) ** 2,
         tilt=quat_to_euler(pose.quat)[:2],
         contacts=contacts,
         true_foot_world=np.array(worlds),

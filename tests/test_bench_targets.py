@@ -4,15 +4,17 @@ perfbench/spans.py looks up every TARGETS entry with getattr when a run uses
 --trace 1, so a renamed or removed function stops every traced run with an
 AttributeError. perfbench/run.py times each filter step by replacing every
 module-level reference to mcl.step, so a step bound anywhere else would run
-untimed. Each workload of perfbench/run.py and each experiment of
-scripts/output_digest.py builds its ExperimentConfig with code of its own,
-so a refactor of the config or the course builders can break them. A
+untimed. Each workload of perfbench/run.py builds its ExperimentConfig
+with code of its own, which scripts/output_digest.py runs too, and so does
+each default experiment there, so a refactor of the config or the course
+builders can break them. A
 channel's time counts as its span's only while the step calls it through
 the traced name, so a few tiles steps run under spans.Tracer and count the
 calls of each channel. scripts/stage_memory.py wraps the stages that
 run_experiment calls by name. These tests load spans.py, output_digest.py
 and stage_memory.py from their files, and run perfbench/run.py, without
-writing bytecode next to them.
+writing bytecode next to them; perfbench/run.py is also loaded, to compare
+its workloads' configs with output_digest.py's.
 """
 
 import importlib.util
@@ -26,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import hapticloc
-from hapticloc import evaluate, mcl
+from hapticloc import evaluate, mcl, sim
 from hapticloc.evaluate import (
     default_chevron_experiment,
     default_tiles_experiment,
@@ -45,14 +47,17 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 
 
 def load_module(name, path):
+    """The module at path, its own imports also searched for beside it."""
     spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
+    # registered before it runs, as a dataclass looks its module up
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    search, dont_write = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(path.parent))
     sys.dont_write_bytecode = True
     try:
         spec.loader.exec_module(module)
     finally:
-        sys.dont_write_bytecode = dont_write
+        sys.path[:], sys.dont_write_bytecode = search, dont_write
     return module
 
 
@@ -76,6 +81,12 @@ def test_every_output_digest_experiment_builds():
     assert set(WORKLOADS) < set(experiments)
     for build in experiments.values():
         build()  # raises if the config no longer builds
+    # the golden digests and the stage memory table run the configs the
+    # benchmark runs
+    bench = load_module("perfbench_run", BENCH_RUN).WORKLOADS
+    assert set(bench) == set(WORKLOADS)
+    for name, workload in bench.items():
+        assert experiments[name]() == workload.make_config(evaluate, sim), name
 
 
 def test_stage_memory_prints_a_row_for_each_stage_of_a_seed(capsys):

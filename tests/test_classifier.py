@@ -1,5 +1,7 @@
 """Baseline classifier: features, analytic gradient, training, prediction."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,19 @@ def test_step_signal_validation():
     with pytest.raises(ValueError):
         StepSignal(bad)
     assert StepSignal(np.zeros((7, 6))).samples.shape == (7, 6)
+
+
+def test_a_signal_keeps_a_read_only_copy_of_its_samples():
+    # checked once, when built: a write into the samples, or other samples
+    # in their place, would get round the check
+    given = np.zeros((7, 6))
+    signal = StepSignal(given)
+    given[0, 0] = np.nan
+    assert not np.shares_memory(signal.samples, given) and np.isfinite(signal.samples).all()
+    with pytest.raises(ValueError, match="read-only"):
+        signal.samples[0, 0] = np.nan
+    with pytest.raises(FrozenInstanceError):
+        signal.samples = given
 
 
 def test_featurize_hand_case():

@@ -359,6 +359,15 @@ def test_class_tiles_walk_does_not_depend_on_the_modes():
     assert hashes["HL-G",].startswith("cbd5b4067401")
 
 
+def test_a_class_seed_releases_its_signals_once_its_contacts_are_labeled():
+    # nothing reads a signal after classify_log, so the filters run without
+    # the walk's signals; the log hashes as it did with them
+    _, log = simulate_for_config(default_tiles_experiment(), 1)
+    assert not log.has_signals and all(r.signals == [None] * 4 for r in log.records)
+    assert any(c.class_probs is not None for r in log.records for c in r.contacts)
+    assert walklog_hash(log).startswith("cbd5b4067401")
+
+
 def test_courses_differ_across_experiment_seeds():
     cfg = tiny_chevron()
     a, _ = simulate_for_config(cfg, 1)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,6 +385,33 @@ def test_pose_validation():
         Pose([0, 0], [0, 0, 0, 1])
     with pytest.raises(ValueError):
         Pose([0, 0, 0], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_a_pose_refuses_a_non_finite_position(bad):
+    # as it refuses a quaternion whose norm is not finite: a filter fed one
+    # would carry nan through every later estimate
+    for i in range(3):
+        position = [1.0, 2.0, 3.0]
+        position[i] = bad
+        with pytest.raises(ValueError, match=r"^pose position must be finite, got \["):
+            Pose(position)
+
+
+def test_a_pose_is_read_only_once_built():
+    # checked once, when built: a write into either array, or another array
+    # in its place, would get round the checks
+    given = np.array([[1.0, 2.0, 3.0]])
+    pose = Pose(given, [0.0, 0.0, 0.0, 1.0])
+    given[0, 0] = np.nan
+    assert pose.position.tolist() == [1.0, 2.0, 3.0] and pose.position.base is None
+    for name in ("position", "quat"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pose, name)[0] = np.nan
+        with pytest.raises(FrozenInstanceError):
+            setattr(pose, name, getattr(pose, name).copy())
+    assert pose.to_array().tolist() == [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 1.0]
+    assert Pose().to_array().tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 @settings(max_examples=100, deadline=None)

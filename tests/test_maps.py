@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -212,18 +213,33 @@ def test_scalar_lookups_match_the_batched_ones_bit_for_bit(points):
 
 def test_layer_arrays_are_views_of_the_padded_layers():
     g = small_elevation()
-    assert np.shares_memory(g.heights, g._padded)
-    g.heights[0, 0] = 7.0
-    assert elevation_at(g, (1.01, 2.01)) == 7.0
+    ids = ClassGrid(g.resolution, g.origin, np.array([[0, 1, 255], [2, 0, 1]]), 3)
+    for layer, padded in ((g.heights, g._padded), (ids.class_ids, ids._padded)):
+        assert np.shares_memory(layer, padded)
+        assert np.array_equal(padded[1:-1, 1:-1], layer, equal_nan=True)
     assert np.isnan(g._padded[0]).all() and np.isnan(g._padded[:, -1]).all()
+    assert (ids._padded[0] == UNKNOWN_CLASS).all() and (ids._padded[:, -1] == UNKNOWN_CLASS).all()
 
 
 def test_a_frozen_grid_rejects_writes():
+    # every grid is read-only from construction: its heights, the padded
+    # array they view, and the origin of its lattice
     g = small_elevation()
-    g.freeze()
-    with pytest.raises(ValueError, match="read-only"):
-        g.heights[0, 0] = 7.0
+    for a in (g.heights, g._padded, g.origin):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
     assert elevation_at(g, (1.01, 2.01)) == 0.0
+
+
+def test_a_map_set_rejects_a_new_layer():
+    # a replaced layer would skip the lattice check the set made when built
+    g = small_elevation()
+    ms = MapSet(g, class_grid=ClassGrid(g.resolution, g.origin, np.zeros((2, 3), dtype=int), 3))
+    other = ClassGrid(g.resolution, g.origin, np.zeros((5, 5), dtype=int), 3)
+    for name, layer in (("elevation", g), ("class_grid", other), ("cloud", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ms, name, layer)
+    assert ms.class_grid.n_rows == 2
 
 
 def cell_center(grid, ix, iy):

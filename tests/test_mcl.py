@@ -219,16 +219,23 @@ def test_init_filter_validation_and_prior():
 def test_init_filter_rejects_a_non_finite_prior(name, bad):
     # each once ran on: a nan x gave every estimate a nan x with no divergence
     # counted, an inf x variance a nan z, and a nan variance failed as an
-    # asymmetric covariance
+    # asymmetric covariance. A prior mean is a Pose, which refuses the value
+    # when built and refuses any write after, so init_filter checks only the
+    # covariance.
     prior, cov = stand_pose(), np.eye(6) * 1e-4
-    if name == "prior_mean.position":
-        prior.position[0] = bad
-    elif name == "prior_mean.quat":
-        prior.quat[3] = bad
-    else:
+    if name == "prior covariance":
         cov[0, 0] = bad
-    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite$"):
-        new_filter(prior, cov, n_particles=50)
+        with pytest.raises(ValueError, match=r"^prior covariance must be finite$"):
+            new_filter(prior, cov, n_particles=50)
+        return
+    attr = name.split(".")[1]
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(prior, attr)[-1] = bad
+    arrays = {"position": prior.position.copy(), "quat": prior.quat.copy()}
+    arrays[attr][-1] = bad
+    with pytest.raises(ValueError, match="position must be finite|norm quaternion cannot be normalized"):
+        Pose(**arrays)
+    assert np.isfinite(new_filter(prior, cov, n_particles=50).positions).all()
 
 
 def assert_component_rows(st):
@@ -309,34 +316,61 @@ def test_stepinput_covariance_shapes():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stepinput_rejects_non_finite_increment_position(bad):
-    with pytest.raises(ValueError, match="odom_increment.position must be finite"):
+    # the increment is a Pose, which refuses the position before an input exists
+    with pytest.raises(ValueError, match=r"^pose position must be finite"):
         StepInput(Pose(np.array([0.05, bad, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), np.eye(6), [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_stepinput_rejects_non_finite_increment_quat(bad):
-    # a Pose refuses a quaternion whose norm is not finite, so the value is
-    # written into a built one, as a caller holding its array could
+    # a Pose refuses a quaternion whose norm is not finite, and a built one
+    # refuses the write a caller holding its array could once make
     inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
-    inc.quat[2] = bad
-    with pytest.raises(ValueError, match="odom_increment.quat must be finite"):
-        StepInput(inc, np.eye(6), [])
+    with pytest.raises(ValueError, match="norm quaternion cannot be normalized"):
+        Pose(np.zeros(3), np.array([0.0, 0.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="read-only"):
+        inc.quat[2] = bad
+    with pytest.raises(FrozenInstanceError):
+        inc.quat = np.array([0.0, 0.0, bad, 1.0])
+    assert StepInput(inc, np.eye(6), []).odom_increment.quat.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 @pytest.mark.parametrize("name", ["odom_increment.position", "odom_increment.quat", "odom_cov", "tilt"])
 def test_stepinput_names_the_non_finite_value(name, bad):
-    # the checks read plain floats; each refuses what np.isfinite refused
+    # the checks read plain floats; each refuses what np.isfinite refused.
+    # The increment's arrays are read-only, so its value never gets there.
     inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
     cov, tilt = np.eye(6), [0.1, -0.2]
-    {
+    held = {
         "odom_increment.position": inc.position,
         "odom_increment.quat": inc.quat,
         "odom_cov": cov.reshape(-1),
         "tilt": tilt,
-    }[name][-1] = bad
+    }[name]
+    if name.startswith("odom_increment"):
+        with pytest.raises(ValueError, match="read-only"):
+            held[-1] = bad
+        return
+    held[-1] = bad
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite$"):
         StepInput(inc, cov, [], tilt)
+
+
+def test_a_built_input_refuses_a_write_into_its_increment():
+    # once ran on: nan written into an input's increment after
+    # to_step_inputs made every later estimate nan, with no divergence counted
+    _, log = simulate_for_config(replace(default_chevron_experiment(), waypoints=((1.0, 0.7), (2.0, 0.7))), 1)
+    inputs = to_step_inputs(log)
+    increment = inputs[3].odom_increment
+    for name in ("position", "quat"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(increment, name)[0] = np.nan
+        with pytest.raises(FrozenInstanceError):
+            setattr(increment, name, np.full(3 if name == "position" else 4, np.nan))
+    with pytest.raises(FrozenInstanceError):
+        inputs[3].odom_increment = Pose()
+    assert increment is log.records[3].odom_increment and np.isfinite(increment.to_array()).all()
 
 
 @pytest.mark.parametrize("tilt", [(np.nan, 0.0), (0.0, np.inf), (0.1,), (0.1, 0.2, 0.3)])

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -222,9 +223,13 @@ def test_cached_templates_are_shared_read_only():
         template[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         sigma[0] = 1.0
-    # a signal owns its samples: writing one leaves the template alone
+    # a signal owns its samples, read-only: a write into them raises, and
+    # the template they were made from stays as it was
     kept = template.copy()
-    synth_force_signal(2, 50, np.random.default_rng(0)).samples[:] = 0.0
+    signal = synth_force_signal(2, 50, np.random.default_rng(0))
+    assert not np.shares_memory(signal.samples, template)
+    with pytest.raises(ValueError, match="read-only"):
+        signal.samples[:] = 0.0
     assert np.array_equal(_signal_template(2, 50)[0], kept)
     lo, hi = SIGNAL_LENGTH_RANGE
     assert _signal_template.cache_info().maxsize == N_TERRAIN_CLASSES * (hi - lo + 1)
@@ -439,16 +444,18 @@ def test_load_walklog_reads_only_its_version(tmp_path):
     assert str(err.value).startswith(f"{p}: ")
 
 
-def corrupt_walklog(tmp_path, column, text):
-    """A saved walk log with one field of its first row replaced; returns the
-    path and the line number of that row."""
+def corrupt_walklog(tmp_path, column, text, **others):
+    """A saved walk log with one field of its first row replaced, and any
+    others given as column=text; returns the path and the line number of
+    that row."""
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     p = tmp_path / "walk.log"
     save_walklog(simulate_walk(maps, straight(0.25), NoiseSpec(white_std=(0.004,) * 6), 1), p)
     lines = p.read_text().split("\n")
     header = lines.index(next(l for l in lines if l.startswith("k,")))
     row = lines[header + 1].split(",")
-    row[lines[header].split(",").index(column)] = text
+    for name, value in {column: text, **others}.items():
+        row[lines[header].split(",").index(name)] = value
     lines[header + 1] = ",".join(row)
     p.write_text("\n".join(lines))
     return p, header + 2
@@ -475,6 +482,19 @@ def test_load_walklog_names_the_bad_field(column, text, match, tmp_path):
     with pytest.raises(ValueError, match=match) as err:
         load_walklog(p)
     assert str(err.value).startswith(f"{p}:{ln}: column {column}: ")
+
+
+@pytest.mark.parametrize("foot", FOOT_LABELS)
+def test_load_walklog_refuses_a_foot_it_cannot_rebuild(foot, tmp_path):
+    # a foot's world x is rebuilt as the true x plus the turned offset; this
+    # sum overflowed with only a floating-point warning, and the log held inf
+    p, ln = corrupt_walklog(tmp_path, "true_x", "1.7e308", **{f"{foot}_off_x": "1e308"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            load_walklog(p)
+    assert str(err.value).startswith(f"{p}:{ln}: foot {foot}: its world x and y, rebuilt from the true pose ")
+    assert "are not finite (inf, " in str(err.value)
 
 
 def test_load_walklog_checks_the_start_and_prior_lines(tmp_path):
@@ -653,8 +673,18 @@ def test_gait_nominal_offsets():
 
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
-        NoiseSpec(white_std=(0.1, 0.1)).white_array()
+        NoiseSpec(white_std=(0.1, 0.1))
     assert np.array_equal(NoiseSpec(z_bias=0.2, yaw_bias=0.3).bias_vector(), [0, 0, 0.2, 0, 0, 0.3])
+
+
+def test_noise_spec_keeps_the_floats_it_checked():
+    # not the container it was given, which its caller could still change
+    given = np.array([0.1, 0.2, 0.3, 0.0, 0.0, 1])
+    noise = NoiseSpec(white_std=given)
+    given[0] = np.nan
+    assert noise.white_std == (0.1, 0.2, 0.3, 0.0, 0.0, 1.0)
+    assert all(type(v) is float for v in noise.white_std)
+    assert noise == NoiseSpec(white_std=[0.1, 0.2, 0.3, 0, 0, 1])
 
 
 # settings no walk can use fail at construction (the INI loader's side:
