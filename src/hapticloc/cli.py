@@ -121,7 +121,7 @@ def _cmd_localize(args) -> int:
         )
     log = sim.load_walklog(args.walklog, load_signals=needs_class)
     if model is not None:
-        sim.classify_log(log, model)
+        log = sim.classify_log(log, model)
     state = evaluate.run_localization(log.init_prior, evaluate.to_step_inputs(log), course, mode, cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     save_trajectory(os.path.join(args.out, "estimate.traj"), state.trajectory, log.timestamps())

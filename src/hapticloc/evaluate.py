@@ -118,7 +118,7 @@ class ExperimentConfig:
             raise ValueError(f"[filter] prior_std_xyz must be finite and non-negative, got {self.prior_std_xyz}")
         entry = COURSES[self.course.kind]
         if self.waypoints is not None:
-            check_waypoints(self.waypoints)
+            object.__setattr__(self, "waypoints", tuple(map(tuple, check_waypoints(self.waypoints).tolist())))
         elif entry.waypoints is not None:
             raise ValueError(f"a {self.course.kind} experiment needs waypoints: its course kind has no scripted walk")
         if len(set(self.modes)) != len(self.modes):
@@ -198,16 +198,13 @@ def simulate_for_config(cfg: ExperimentConfig, seed: int):
     before the course and the walk's signals exist: the seed's peak memory
     then holds one set of signals, not two. The training set, the course and
     the walk each draw from a generator of their own, so the order moves no
-    draw. The labeled records drop their signals, which nothing reads after
-    classify_log (walklog_hash leaves signal references empty)."""
+    draw. The labeled log classify_log returns holds no signals, which
+    nothing reads after labeling (walklog_hash leaves signal references
+    empty), so the walk's signals are freed with the walk's own log."""
     model = train_contact_classifier(seed) if _reads_class(cfg) else None
     course = generate_course(replace(cfg.course, seed=seed))
     log = walk(cfg, course, seed)
-    if model is not None:
-        classify_log(log, model)
-        for rec in log.records:
-            rec.signals = [None] * len(rec.signals)
-    return course, log
+    return course, log if model is None else classify_log(log, model)
 
 
 def run_localization(prior: Pose, inputs, maps: MapSet, mode: str, cfg: ExperimentConfig, seed: int = 0) -> FilterState:

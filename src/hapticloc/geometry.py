@@ -18,8 +18,7 @@ written once, as a formula over components (_hamilton, _rotate) that the
 single-pose kernel evaluates on Python floats and the row form on numpy
 columns; +, - and * round alike on both, so a row form's row is
 byte-identical to its single-pose kernel's output by construction.
-quat_from_rotvec and its row form keep separate bodies, since they differ
-in their sin and cos calls and in the small-angle series.
+quat_from_rotvec is its row form on one row.
 
 Only +, -, *, / and sqrt run over arrays: they round the same in numpy and
 in Python floats. Every sin, cos, atan2 and asin is a math call per pose,
@@ -116,14 +115,7 @@ def quat_rotate(q, v):
 
 def quat_from_rotvec(rv):
     """Exponential map: a rotation vector (axis * angle) to its quaternion."""
-    rx, ry, rz = np.asarray(rv, dtype=float).tolist()
-    # the norm, squares summed in index order as np.linalg.norm sums them
-    angle = math.sqrt((rx * rx + ry * ry) + rz * rz)
-    half = 0.5 * angle
-    # sin(angle/2)/angle, with the series expansion below 1e-8, where it
-    # also replaces the 0/0 of angle 0
-    scale = 0.5 - angle * angle / 48.0 if angle < 1e-8 else math.sin(half) / angle
-    return np.array([rx * scale, ry * scale, rz * scale, math.cos(half)])
+    return quat_from_rotvec_rows(np.asarray(rv, dtype=float).reshape(1, 3))[0]
 
 
 def quat_to_rotvec(q):
@@ -162,13 +154,16 @@ def quat_rotate_rows(q, v):
 
 
 def quat_from_rotvec_rows(rv):
-    """quat_from_rotvec of each row of the rotation vectors rv (n, 3), its
-    sin and cos taken per row with math."""
+    """The exponential map of each row of the rotation vectors rv (n, 3), its
+    sin and cos taken per row with math: quat_from_rotvec's one body."""
     rx, ry, rz = rv.T
+    # the norm, squares summed in index order as np.linalg.norm sums them
     angle = np.sqrt((rx * rx + ry * ry) + rz * rz)
     half = (0.5 * angle).tolist()
     sin = np.array([math.sin(h) for h in half])
     cos = np.array([math.cos(h) for h in half])
+    # sin(angle/2)/angle, with the series expansion below 1e-8, where it
+    # also replaces the 0/0 of angle 0
     scale = np.divide(sin, angle, out=0.5 - angle * angle / 48.0, where=~(angle < 1e-8))
     return np.column_stack([rx * scale, ry * scale, rz * scale, cos])
 

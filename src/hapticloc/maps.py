@@ -52,7 +52,8 @@ kd-tree (scipy.spatial), imported when it is first built, so a process that
 weighs no cloud contact never loads scipy.
 
 Layers compare by identity: two layers loaded from one file are equal only
-to themselves.
+to themselves. Every layer is frozen: _bind alone sets its checked settings
+and arrays, and the indexes it keeps.
 """
 
 from __future__ import annotations
@@ -77,16 +78,22 @@ class MapFormatError(ValueError):
     """Raised when a map file does not parse; message carries path and line."""
 
 
+def _bind(layer, name, value):
+    """Set a frozen layer's field to a value its checks made, or an index it keeps; return value."""
+    object.__setattr__(layer, name, value)
+    return value
+
+
 def _check_lattice(grid) -> None:
     """Coerce and check a grid's resolution and origin, naming the bad field:
     a cell index computed from a non-finite one means nothing."""
-    grid.resolution = float(grid.resolution)
-    if not (np.isfinite(grid.resolution) and grid.resolution > 0.0):
-        raise ValueError(f"grid resolution must be finite and positive, got {grid.resolution}")
-    grid.origin = np.array(grid.origin, dtype=float).reshape(2)
-    if not np.isfinite(grid.origin).all():
-        raise ValueError(f"grid origin must be finite, got {grid.origin.tolist()}")
-    grid.origin.flags.writeable = False
+    resolution = _bind(grid, "resolution", float(grid.resolution))
+    if not (np.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"grid resolution must be finite and positive, got {resolution}")
+    origin = _bind(grid, "origin", np.array(grid.origin, dtype=float).reshape(2))
+    if not np.isfinite(origin).all():
+        raise ValueError(f"grid origin must be finite, got {origin.tolist()}")
+    origin.flags.writeable = False
 
 
 def _padded(interior, border):
@@ -109,7 +116,7 @@ class _Lattice:
         return self._padded.shape[1] - 2
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ElevationGrid(_Lattice):
     """2.5D height field. heights has shape (n_rows, n_cols), nan = no data.
 
@@ -131,12 +138,12 @@ class ElevationGrid(_Lattice):
         if np.isinf(heights).any():
             r, c = np.argwhere(np.isinf(heights))[0]
             raise ValueError(f"heights must be finite or nan (no data), got {heights[r, c]} at (row {r}, col {c})")
-        self._padded = _padded(heights, np.nan)
-        self._padded.flags.writeable = False
-        self.heights = self._padded[1:-1, 1:-1]
+        padded = _bind(self, "_padded", _padded(heights, np.nan))
+        padded.flags.writeable = False
+        _bind(self, "heights", padded[1:-1, 1:-1])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ClassGrid(_Lattice):
     """Per-cell terrain class ids on the same lattice convention as ElevationGrid.
 
@@ -170,16 +177,16 @@ class ClassGrid(_Lattice):
         given = np.asarray(self.class_ids)
         if given.ndim != 2 or given.size == 0:
             raise ValueError("class_ids must be a non-empty 2D array")
-        self.n_classes = int(self.n_classes)
-        if not 0 < self.n_classes <= 254:
+        n_classes = _bind(self, "n_classes", int(self.n_classes))
+        if not 0 < n_classes <= 254:
             raise ValueError("n_classes must be in [1, 254]")
         # checked before the uint8 cast, which would wrap -1 to the sentinel and 263 to 7
         unknown = given == UNKNOWN_CLASS
-        self.has_unlabeled_cells = bool(unknown.any())
-        check_class_ids(np.where(unknown, 0, given) if self.has_unlabeled_cells else given, self.n_classes)
-        self._padded = _padded(given.astype(np.uint8, copy=False), UNKNOWN_CLASS)
-        self._padded.flags.writeable = False
-        self.class_ids = self._padded[1:-1, 1:-1]
+        unlabeled = _bind(self, "has_unlabeled_cells", bool(unknown.any()))
+        check_class_ids(np.where(unknown, 0, given) if unlabeled else given, n_classes)
+        padded = _bind(self, "_padded", _padded(given.astype(np.uint8, copy=False), UNKNOWN_CLASS))
+        padded.flags.writeable = False
+        _bind(self, "class_ids", padded[1:-1, 1:-1])
 
     def squared_offsets(self, reach: float = math.inf) -> SquaredOffsets:
         """The grid's SquaredOffsets for reach: built on the first request
@@ -202,7 +209,7 @@ class ClassGrid(_Lattice):
             distances = self.resolution * np.sqrt(np.arange(border + 1, dtype=float))
             distances[cap:] = np.inf
             distances.flags.writeable = False
-            self._offsets = SquaredOffsets(reach, k_max, offsets, distances)
+            _bind(self, "_offsets", SquaredOffsets(reach, k_max, offsets, distances))
         return self._offsets
 
 
@@ -314,7 +321,7 @@ def _nearest_squares(mask, k_max: int) -> np.ndarray:
     return k
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PointCloudMap:
     """3D map as a raw point set with a kd-tree for nearest-neighbour queries.
 
@@ -329,19 +336,19 @@ class PointCloudMap:
     _field: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self.points = np.array(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) == 0:
+        points = _bind(self, "points", np.array(self.points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
             raise ValueError("point cloud must be a non-empty (M, 3) array")
-        if not np.isfinite(self.points).all():
+        if not np.isfinite(points).all():
             raise ValueError("point cloud contains non-finite coordinates")
-        self.points.flags.writeable = False
+        points.flags.writeable = False
 
     def kd_tree(self) -> cKDTree:
         """The kd-tree over points: built on the first call and kept."""
         if self._tree is None:
             from scipy.spatial import cKDTree
 
-            self._tree = cKDTree(self.points)
+            _bind(self, "_tree", cKDTree(self.points))
         return self._tree
 
     def distance_field(self, reach: float, spacing: float) -> DistanceField | None:
@@ -354,7 +361,7 @@ class PointCloudMap:
         key = (float(reach), float(spacing))
         if self._field is None or self._field[0] != key:
             self.kd_tree()
-            self._field = (key, _make_field(self, *key))
+            _bind(self, "_field", (key, _make_field(self, *key)))
         return self._field[1]
 
 

@@ -315,16 +315,17 @@ def init_filter(
     prior_cov is a finite 6x6 tangent covariance in the prior mean's body
     frame (a Pose, finite once built), of which the particles draw the x, y,
     z and yaw block; they share the prior mean's roll and pitch, the state's
-    tilt, whose rotation, tilt_rotation, is made here, once per filter. Binds every setting of the run: the maps
-    and likelihood every step weighs its contacts against, and the channels
-    of mode, a key of MODES. A mode whose channels need a layer maps lacks
-    raises here. The indexes of the mode's channels are requested here, so
-    that no step builds one; their map layers keep them, and a step reads
-    them from there: for the class channel the class layer's squared offsets
-    and their table of scores (likelihood.class_scores), and for the cloud
-    channel the cloud's distance field (likelihood.cloud_field), which
-    builds the cloud's kd-tree and finds the field's bricks; steps fill the
-    nodes they read.
+    tilt, whose rotation, tilt_rotation, is made here, once per filter.
+    Binds every setting of the run: the maps and likelihood every step
+    weighs its contacts against, and the channels of mode, a key of MODES.
+    A mode whose channels need a layer maps lacks raises here. The indexes
+    of the mode's channels are requested here, once the prior is checked,
+    so that no step builds one; their map layers keep them, and a step
+    reads them from there: for the class channel the class layer's squared
+    offsets and their table of scores (likelihood.class_scores), and for
+    the cloud channel the cloud's distance field (likelihood.cloud_field),
+    which builds the cloud's kd-tree and finds the field's bricks; steps
+    fill the nodes they read.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
@@ -332,6 +333,8 @@ def init_filter(
     if n_particles < 1:
         raise ValueError("need at least one particle")
     prior_cov = np.asarray(prior_cov, dtype=float)
+    if prior_cov.shape != (6, 6):
+        raise ValueError(f"prior covariance must be 6x6, got {prior_cov.shape}")
     # a non-finite prior would make every particle, and so every estimate, nan
     if not np.isfinite(prior_cov).all():
         raise ValueError("prior covariance must be finite")
@@ -341,8 +344,6 @@ def init_filter(
         cloud_field(maps.cloud, likelihood)
     rng = np.random.default_rng(seed)
     roll, pitch, yaw = quat_to_euler(prior_mean.quat)
-    if prior_cov.shape != (6, 6):
-        raise ValueError(f"prior covariance must be 6x6, got {prior_cov.shape}")
     factor = covariance_factor(prior_cov[_XYZ_YAW])
     # body-frame position noise, turned into the world by the prior's attitude
     factor[:3] = quat_matrix(prior_mean.quat) @ factor[:3]

@@ -10,8 +10,8 @@ with a class layer, every foot on a labeled cell also logs a force signal of
 its cell's class; a foot on an unlabeled cell logs none. A signal is its
 class's noise-free template plus fresh white noise; the template of each
 (class, length) is built once and shared read-only (_signal_template).
-A walk's layers, poses, contacts and signals are read-only once built;
-only its records are not (classify_log relabels their contacts in place).
+A walk's layers, poses, contacts and signals are read-only once built, and
+so are its log and the log's records: classify_log returns a new log.
 
 The walker (_walk) computes a walk's geometry over arrays: the base poses,
 the foot placements, the contact offsets and the true increments of every
@@ -43,7 +43,7 @@ import io
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -405,10 +405,10 @@ def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) 
     return StepSignal(template + rng.standard_normal((n_samples, 6)) * sigma)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One step of a walk, a row of its log; a loaded log rebuilds the x and y
-    of true_foot_world (load_walklog)."""
+    """One step of a walk, a row of its log, fixed once built; a loaded log
+    rebuilds the x and y of true_foot_world (load_walklog)."""
 
     k: int
     timestamp: float
@@ -416,17 +416,19 @@ class StepRecord:
     odom_increment: Pose
     odom_cov_diag: np.ndarray
     tilt: tuple  # (roll, pitch) of the base, as an IMU observes it against gravity
-    contacts: list  # ContactMeasurement, one per foot in FOOT_LABELS order
+    contacts: tuple  # ContactMeasurement, one per foot in FOOT_LABELS order
     true_foot_world: np.ndarray  # (4, 3)
     true_class_ids: np.ndarray  # (4,), UNKNOWN_CLASS where no class layer
-    signals: list  # StepSignal or None, per foot
+    signals: tuple  # StepSignal or None, per foot
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WalkLog:
+    """A walk's start pose, the filter prior and its StepRecords, fixed once built."""
+
     start_pose: Pose
     init_prior: Pose
-    records: list
+    records: tuple
 
     @property
     def n_steps(self) -> int:
@@ -493,10 +495,6 @@ _NOMINAL = np.array([nominal_offset(label) for label in FOOT_LABELS])
 _SWING = np.array([FOOT_LABELS.index(label) for label in GAIT_ORDER])
 
 
-def _leaves_the_map(xy) -> ValueError:
-    return ValueError(f"walk path leaves the map at xy=({round(float(xy[0]), 3)}, {round(float(xy[1]), 3)})")
-
-
 def _walk(maps, xys, yaws, noise, seed, probe=None):
     """The one walker: stand at base position 0, then log a four-support
     phase at each later base position, swinging one leg per phase in crawl
@@ -506,21 +504,19 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
     a point off the floor, and stands where it stood again on the next phase.
     The log's prior is the true start pose.
 
-    The geometry is computed over the whole walk before the draws, and the
-    first error raised is the one a pose-by-pose walk meets first: the start
-    base off the map, then a start foot in FOOT_LABELS order, then a force
-    signal's class or a later base off the map, whichever phase comes first.
+    The geometry is computed over the whole walk, and checked, before the
+    walk's generator makes its first draw: every base, of which the first
+    off the map raises, then the start feet in FOOT_LABELS order. Only a
+    force signal's class raises within the draws (synth_force_signal).
     """
-    rng = np.random.default_rng(seed)
     base_z = elevation_at_many(maps.elevation, xys.T)
     off = np.isnan(base_z)
-    if off[0]:
-        raise _leaves_the_map(xys[0])
-    # the bases up to the first one off the map, which raises after the
-    # phases before it have made their draws
-    n = int(off.argmax()) if off.any() else len(xys)
-    base = np.column_stack([xys[:n], base_z[:n] + STANDING_HEIGHT])
-    half = (yaws[:n] / 2.0).tolist()
+    if off.any():
+        x, y = xys[off.argmax()].tolist()
+        raise ValueError(f"walk path leaves the map at xy=({round(x, 3)}, {round(y, 3)})")
+    n = len(xys)
+    base = np.column_stack([xys, base_z + STANDING_HEIGHT])
+    half = (yaws / 2.0).tolist()
     quat = np.zeros((n, 4))
     quat[:, 2] = [math.sin(h) for h in half]
     quat[:, 3] = [math.cos(h) for h in half]
@@ -556,6 +552,7 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
     incr_pos = -quat_rotate_rows(back, base[:-1]) + quat_rotate_rows(back, base[1:])
     incr_quat = quat_mul_rows(back, quat[1:])
 
+    rng = np.random.default_rng(seed)
     draws = np.empty((m, 6))
     signals = [[None] * 4 for _ in range(m)]
     classes = class_ids.tolist()
@@ -566,8 +563,6 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
                 offsets[j, i, 2] += OUTLIER_SHIFT * (1.0 if rng.random() < 0.5 else -1.0)
             if class_id != UNKNOWN_CLASS:
                 signals[j][i] = synth_force_signal(class_id, sample_signal_length(rng), rng)
-    if n < len(xys):
-        raise _leaves_the_map(xys[n])
 
     # the odometry increments: each true increment composed with the small
     # pose of its noise and bias
@@ -578,7 +573,7 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
 
     cov = white**2
     poses = [Pose(p, q) for p, q in zip(base, quat)]
-    records = [
+    records = tuple(
         StepRecord(
             k=k,
             timestamp=k * PHASE_DT,
@@ -586,13 +581,13 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
             odom_increment=Pose(odom_pos[k - 1], odom_quat[k - 1]),
             odom_cov_diag=cov.copy(),
             tilt=quat_to_euler(poses[k].quat)[:2],
-            contacts=[ContactMeasurement(offset) for offset in offsets[k - 1]],
+            contacts=tuple(map(ContactMeasurement, offsets[k - 1])),
             true_foot_world=world[k - 1].copy(),
             true_class_ids=class_ids[k - 1].copy(),
-            signals=signals[k - 1],
+            signals=tuple(signals[k - 1]),
         )
         for k in range(1, n)
-    ]
+    )
     return WalkLog(start_pose=poses[0], init_prior=poses[0], records=records)
 
 
@@ -620,18 +615,20 @@ def probe_scenario(maps: MapSet, noise: NoiseSpec, seed: int) -> WalkLog:
         return "RF", target, np.linalg.norm(target - base, axis=1) <= PROBE_REACH
 
     log = _walk(maps, xys, np.zeros(PROBE_STEPS + 1), noise, seed, probe)
-    log.init_prior = Pose(log.start_pose.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), log.start_pose.quat)
-    return log
+    start = log.start_pose
+    return replace(log, init_prior=Pose(start.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), start.quat))
 
 
 def classify_log(log: WalkLog, model) -> WalkLog:
-    """Label, in place, every contact that has a force signal with a terrain
-    classifier's class probabilities: model is anything with predict(signals)
-    -> (K, C) probs, called once with the walk's signals. A contact without a
-    signal, a foot on an unlabeled cell, stays unlabeled. A log without force
-    signals raises, as does a model that returns other than one row per
-    signal. A labeled contact is a new ContactMeasurement with the offset of
-    the contact it replaces, of which it keeps its own read-only copy."""
+    """A new log: log with every contact that has a force signal labeled with
+    a terrain classifier's class probabilities, and without the signals,
+    which nothing reads after labeling; log itself is left as it was. model
+    is anything with predict(signals) -> (K, C) probs, called once with the
+    walk's signals. A contact without a signal, a foot on an unlabeled cell,
+    stays unlabeled. A log without force signals raises, as does a model
+    that returns other than one row per signal. A labeled contact is a new
+    ContactMeasurement with the offset of the contact it replaces, of which
+    it keeps its own read-only copy."""
     signals = [s for rec in log.records for s in rec.signals if s is not None]
     if not signals:
         raise ValueError("the walk log holds no force signals to classify")
@@ -639,12 +636,14 @@ def classify_log(log: WalkLog, model) -> WalkLog:
     if len(probs) != len(signals):
         raise ValueError(f"the classifier returned {len(probs)} rows of class probabilities for {len(signals)} signals")
     probs = iter(probs)
+    records = []
     for rec in log.records:
-        rec.contacts = [
+        contacts = tuple(
             c if signal is None else ContactMeasurement(c.offset, next(probs), c.in_contact)
             for c, signal in zip(rec.contacts, rec.signals)
-        ]
-    return log
+        )
+        records.append(replace(rec, contacts=contacts, signals=(None,) * len(rec.signals)))
+    return replace(log, records=tuple(records))
 
 
 WALKLOG_VERSION = "2"
@@ -792,10 +791,10 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             worlds.append([x, y, world_z])
             classes.append(class_id)
             signals.append(load_signal(os.path.join(base, ref)) if load_signals and ref else None)
-        records.append(StepRecord(k, t, true_pose, odom, np.array(cov), tuple(tilt), contacts, np.array(worlds),
-                                  np.array(classes, dtype=np.uint8), signals))
+        records.append(StepRecord(k, t, true_pose, odom, np.array(cov), tuple(tilt), tuple(contacts),
+                                  np.array(worlds), np.array(classes, dtype=np.uint8), tuple(signals)))
     if set(poses) != {"start_pose", "init_prior"} or not header_seen:
         raise ValueError(f"{path}: missing walk log header lines")
     if not records:
         raise ValueError(f"{path}: walk log has no step rows")
-    return WalkLog(**poses, records=records)
+    return WalkLog(**poses, records=tuple(records))

@@ -13,6 +13,7 @@ bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -230,8 +231,8 @@ def probe_scenario(maps, noise, seed) -> WalkLog:
         return ("RF", target) if np.linalg.norm(target - pose.position) <= PROBE_REACH else None
 
     log = walk(maps, xys, np.zeros(PROBE_STEPS + 1), noise, seed, probe)
-    log.init_prior = Pose(log.start_pose.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), log.start_pose.quat)
-    return log
+    start = log.start_pose
+    return replace(log, init_prior=Pose(start.position + np.asarray(PROBE_PRIOR_OFFSET, dtype=float), start.quat))
 
 
 # the full-grid course builders

@@ -182,6 +182,17 @@ def test_a_walk_shorter_than_one_step_is_rejected(walk, waypoints, tmp_path):
     assert str(err.value).startswith(f"{p}: [walk] waypoints = ")
 
 
+def test_a_config_keeps_the_waypoints_it_checked():
+    # an edit of the given container once reached the walk unchecked, and a
+    # list of lists made the frozen config unhashable
+    given = [[1.0, 0.7], [2, 0.7]]
+    cfg = replace(default_chevron_experiment(), waypoints=given)
+    given[1][0] = float("nan")
+    assert cfg.waypoints == ((1.0, 0.7), (2.0, 0.7))
+    assert all(type(v) is float for waypoint in cfg.waypoints for v in waypoint)
+    assert hash(cfg) == hash(replace(default_chevron_experiment(), waypoints=((1.0, 0.7), (2.0, 0.7))))
+
+
 def test_a_walk_of_one_step_is_walked():
     cfg = replace(default_chevron_experiment(), waypoints=((1.0, 0.7), (1.05, 0.7)))
     _, log = simulate_for_config(cfg, 1)
@@ -363,7 +374,7 @@ def test_a_class_seed_releases_its_signals_once_its_contacts_are_labeled():
     # nothing reads a signal after classify_log, so the filters run without
     # the walk's signals; the log hashes as it did with them
     _, log = simulate_for_config(default_tiles_experiment(), 1)
-    assert not log.has_signals and all(r.signals == [None] * 4 for r in log.records)
+    assert not log.has_signals and all(r.signals == (None,) * 4 for r in log.records)
     assert any(c.class_probs is not None for r in log.records for c in r.contacts)
     assert walklog_hash(log).startswith("cbd5b4067401")
 

@@ -242,6 +242,30 @@ def test_a_map_set_rejects_a_new_layer():
     assert ms.class_grid.n_rows == 2
 
 
+def test_a_layer_rejects_a_new_setting():
+    # a rebound setting would skip the checks the layer made when built: a
+    # negative resolution would read nan on the map, and a smaller class
+    # count would build too few class offsets
+    g = small_elevation()
+    ids = ClassGrid(g.resolution, g.origin, np.zeros((2, 3), dtype=int), 3)
+    cloud = PointCloudMap(np.zeros((1, 3)))
+    for layer, name, value in (
+        (g, "resolution", -1.0),
+        (g, "origin", (0.0, 0.0)),
+        (g, "heights", np.ones((2, 3))),
+        (ids, "resolution", -1.0),
+        (ids, "origin", (0.0, 0.0)),
+        (ids, "class_ids", np.ones((2, 3), dtype=np.uint8)),
+        (ids, "n_classes", 1),
+        (cloud, "points", np.ones((1, 3))),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(layer, name, value)
+    assert elevation_at_many(g, [[1.01], [2.01]]).tolist() == [0.0]
+    assert ids.squared_offsets().offsets.shape == (3, 4, 5)
+    assert cloud_distances(cloud, np.array([[0.0], [0.0], [2.0]])).tolist() == [2.0]
+
+
 def cell_center(grid, ix, iy):
     return grid.origin + (np.array([ix, iy]) + 0.5) * grid.resolution
 

@@ -238,6 +238,18 @@ def test_init_filter_rejects_a_non_finite_prior(name, bad):
     assert np.isfinite(new_filter(prior, cov, n_particles=50).positions).all()
 
 
+@pytest.mark.parametrize("mode", ["HL-GC", "HL-3D"])
+def test_init_filter_checks_the_prior_s_shape_before_it_builds_an_index(mode):
+    # a refused call builds no index: the class offsets of a 1 cm layer take
+    # about 50 ms
+    course = generate_course(CourseSpec("class-tiles", seed=1))
+    maps = MapSet(course.elevation, course.class_grid, PointCloudMap(np.zeros((1, 3))))
+    with pytest.raises(ValueError, match=r"^prior covariance must be 6x6, got \(5, 5\)$"):
+        new_filter(stand_pose(1.0, 1.0), np.eye(5), maps, mode=mode, n_particles=50)
+    assert maps.class_grid._offsets is None
+    assert maps.cloud._tree is None and maps.cloud._field is None
+
+
 def assert_component_rows(st):
     n = st.n_particles
     assert st.positions.shape == (3, n) and st.positions.flags.c_contiguous

@@ -3,7 +3,7 @@
 import os
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hapticloc.sim as sim_module
 from hapticloc.classifier import StepSignal
 from hapticloc.evaluate import default_experiment, train_contact_classifier, walk
 from hapticloc.geometry import FOOT_LABELS, Pose, quat_rotate
@@ -358,26 +359,48 @@ def unsignalled_class_course():
 
 
 @pytest.mark.parametrize(
-    "course, waypoints, match",
+    "course, waypoints, match, single_fault",
     [
-        ("chevron", ((1.0, 0.7), (50.0, 0.7)), r"walk path leaves the map at xy=\(7.0, 0.7\)"),
-        ("chevron", ((0.1, 0.7), (2.0, 0.7)), "foot LH starts off the map"),
-        ("chevron", ((0.1, 0.7), (50.0, 0.7)), "foot LH starts off the map"),
-        # the front feet reach the unsignalled class before the base leaves
-        ("classes", ((0.5, 0.5), (9.0, 0.5)),
-         rf"class id {N_TERRAIN_CLASSES} is not an integer in \[0, {N_TERRAIN_CLASSES}\)"),
+        ("chevron", ((1.0, 0.7), (50.0, 0.7)), r"walk path leaves the map at xy=\(7.0, 0.7\)", True),
+        ("chevron", ((0.1, 0.7), (2.0, 0.7)), "foot LH starts off the map", True),
+        ("classes", ((0.5, 0.5), (4.5, 0.5)),
+         rf"class id {N_TERRAIN_CLASSES} is not an integer in \[0, {N_TERRAIN_CLASSES}\)", True),
+        # with two faults the walker raises the base error, which it finds
+        # before it draws, where the pose-by-pose walker met the other fault
+        # first: the start foot, or the unsignalled class that the front
+        # feet reach before the base leaves
+        ("chevron", ((0.1, 0.7), (50.0, 0.7)), r"walk path leaves the map at xy=\(7.05, 0.7\)", False),
+        ("classes", ((0.5, 0.5), (9.0, 0.5)), r"walk path leaves the map at xy=\(5.0, 0.5\)", False),
     ],
-    ids=["base-leaves-mid-walk", "start-foot-off", "both", "class-before-base"],
+    ids=["base-leaves-mid-walk", "start-foot-off", "class", "both", "class-before-base"],
 )
-def test_the_walker_raises_the_pose_by_pose_walker_s_first_error(course, waypoints, match):
+def test_the_walker_raises_the_pose_by_pose_walker_s_first_error(course, waypoints, match, single_fault):
     maps = generate_course(CourseSpec("chevron-ramp", seed=1)) if course == "chevron" else unsignalled_class_course()
     noise = NoiseSpec(white_std=(0.004,) * 6, outlier_prob=0.3)
-    errors = []
-    for simulate in (simulate_walk, per_pose.simulate_walk):
-        with pytest.raises(ValueError, match=match) as err:
-            simulate(maps, waypoints, noise, 0)
-        errors.append(str(err.value))
-    assert errors[0] == errors[1]
+    with pytest.raises(ValueError, match=match) as err:
+        simulate_walk(maps, waypoints, noise, 0)
+    if single_fault:
+        with pytest.raises(ValueError) as want:
+            per_pose.simulate_walk(maps, waypoints, noise, 0)
+        assert str(err.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "waypoints, match",
+    [(((0.6, 0.6), (50.0, 0.6)), r"walk path leaves the map at xy=\(7.05, 0.6\)"),
+     (((0.1, 0.6), (6.0, 0.6)), "foot LH starts off the map")],
+    ids=["base-leaves", "start-foot-off"],
+)
+def test_a_walk_the_walker_refuses_raises_before_its_first_draw(monkeypatch, waypoints, match):
+    # every base and start foot is checked before the walk's generator is
+    # made, so a refused class-tiles walk synthesizes no force signal
+    maps = generate_course(CourseSpec("class-tiles", seed=1))
+    calls = []
+    monkeypatch.setattr(sim_module.np.random, "default_rng", lambda *args: calls.append("default_rng"))
+    monkeypatch.setattr(sim_module, "synth_force_signal", lambda *args: calls.append("synth_force_signal"))
+    with pytest.raises(ValueError, match=match):
+        simulate_walk(maps, waypoints, QUIET, 0)
+    assert calls == []
 
 
 def test_walklog_hash_depends_on_seed_and_noise():
@@ -551,14 +574,14 @@ def walk_logs(draw):
             draw(poses),
             np.array(floats(6)),
             tuple(floats(2)),
-            [ContactMeasurement(floats(3), in_contact=draw(st.booleans())) for _ in FOOT_LABELS],
+            tuple(ContactMeasurement(floats(3), in_contact=draw(st.booleans())) for _ in FOOT_LABELS),
             np.array([floats(3) for _ in FOOT_LABELS]),
             np.array(draw(st.lists(st.integers(0, 255), min_size=4, max_size=4)), dtype=np.uint8),
-            [draw(st.none() | signals) for _ in FOOT_LABELS],
+            tuple(draw(st.none() | signals) for _ in FOOT_LABELS),
         )
         for k in ks
     ]
-    return WalkLog(draw(poses), draw(poses), records)
+    return WalkLog(draw(poses), draw(poses), tuple(records))
 
 
 @settings(max_examples=60, deadline=None)
@@ -633,9 +656,11 @@ def test_classify_log_fills_each_signal_s_prediction():
     maps = generate_course(CourseSpec("class-tiles", seed=2))
     log = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), QUIET, 3)
     model = train_contact_classifier(seed=0)
-    classify_log(log, model)
-    for r in log.records:
-        for contact, sig in zip(r.contacts, r.signals):
+    labeled = classify_log(log, model)
+    assert labeled.n_steps == log.n_steps and not labeled.has_signals
+    for r, rl in zip(log.records, labeled.records):
+        assert rl.signals == (None,) * 4
+        for contact, sig in zip(rl.contacts, r.signals):
             assert sig is not None  # every tile is classed, so every contact has a signal
             assert np.array_equal(contact.class_probs, model.predict([sig])[0])
             assert contact.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -646,6 +671,38 @@ def test_classify_log_fills_each_signal_s_prediction():
     assert not bare.has_signals
     with pytest.raises(ValueError, match="no force signals"):
         classify_log(bare, model)
+
+
+def test_classify_log_leaves_the_log_it_labels_as_it_was():
+    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.5, start=(0.6, 0.6)), QUIET, 3)
+    records = log.records
+    contacts, signals = [r.contacts for r in records], [r.signals for r in records]
+    labeled = classify_log(log, train_contact_classifier(seed=0))
+    assert log.records is records
+    assert all(r.contacts is c and r.signals is s for r, c, s in zip(records, contacts, signals))
+    assert all(c.class_probs is None for r in records for c in r.contacts)
+    assert all(s is not None for r in records for s in r.signals)
+    # the labeled log is the same walk: only its contacts' labels and its
+    # signals differ
+    assert all(c.class_probs is not None for r in labeled.records for c in r.contacts)
+    assert labeled.start_pose is log.start_pose and labeled.init_prior is log.init_prior
+    assert walklog_hash(labeled) == walklog_hash(log)
+
+
+def test_a_walk_log_and_its_records_refuse_a_new_value(tmp_path):
+    # classify_log and probe_scenario return new logs, so no step of making
+    # a log edits what an earlier one made
+    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
+    save_walklog(log, tmp_path / "walk.log", signals_dir="signals")
+    loaded = load_walklog(tmp_path / "walk.log", load_signals=True)
+    for walk_log in (log, loaded):
+        r = walk_log.records[0]
+        assert isinstance(walk_log.records, tuple)
+        assert isinstance(r.contacts, tuple) and isinstance(r.signals, tuple)
+        for value, name in ((walk_log, "start_pose"), (walk_log, "init_prior"), (walk_log, "records"),
+                            (r, "true_pose"), (r, "odom_increment"), (r, "tilt"), (r, "contacts"), (r, "signals")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["one-row-short", "one-row-over"])

@@ -3,6 +3,7 @@ format(v, ".17g") joiners these files were first written with, which stay
 here as the oracle."""
 
 import io
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -109,15 +110,21 @@ def test_diagnostics_rows_match_the_oracle(tmp_path):
 
 def test_walklog_rows_match_the_oracle():
     log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
-    log.start_pose = ESTIMATE[0]
     r = log.records[0]
-    r.timestamp = -0.0
-    r.true_pose, r.odom_increment = ESTIMATE[1], ESTIMATE[3]
-    r.odom_cov_diag = np.array([-0.0, TINY, HUGE, THIRD, SUM, 123456789.12345678])
-    r.tilt = (-0.0, TINY)
-    r.true_foot_world[:, 2] = [-0.0, TINY, HUGE, SUM]
-    r.contacts[1] = ContactMeasurement([-0.0, TINY, HUGE], None, False)
-    r.signals[2] = None
+    world = r.true_foot_world.copy()
+    world[:, 2] = [-0.0, TINY, HUGE, SUM]
+    r = replace(
+        r,
+        timestamp=-0.0,
+        true_pose=ESTIMATE[1],
+        odom_increment=ESTIMATE[3],
+        odom_cov_diag=np.array([-0.0, TINY, HUGE, THIRD, SUM, 123456789.12345678]),
+        tilt=(-0.0, TINY),
+        true_foot_world=world,
+        contacts=(r.contacts[0], ContactMeasurement([-0.0, TINY, HUGE], None, False), *r.contacts[2:]),
+        signals=(*r.signals[:2], None, *r.signals[3:]),
+    )
+    log = replace(log, start_pose=ESTIMATE[0], records=(r, *log.records[1:]))
     assert sum(s is not None for s in r.signals) == 3
     for signals_dir in (None, "signals"):
         buf = io.StringIO()
