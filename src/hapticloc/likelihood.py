@@ -26,10 +26,11 @@ which the Gaussian can no longer beat the floor) plus a cell diagonal, and
 rounded to one of 254 quanta; the band is stored sparsely, in bricks of
 nodes, and a dense index over the box of bricks around the cloud holds
 each brick's row, so a contact finds its brick with one lookup. A point's
-distance interpolates the eight corners of its cell, and a corner no step
-has read before is filled from the kd-tree first, so runs pay for the
-nodes their contacts reach, once per cloud, and no value depends on which
-filled first. For a point within the reach the distance lies within
+distance interpolates the eight corners of its cell, and a brick no step
+has read before is filled whole first, from the field's own buckets of the
+cloud's points, each node bit for bit what a kd-tree query gives, so runs
+pay for the bricks their contacts reach, once per cloud, and no value
+depends on which filled first. For a point within the reach the distance lies within
 error_bound = sqrt(3)/2 field_spacing plus half a quantum of the exact
 distance (the interpolation of a distance, whose slope is at most 1,
 misses by at most half a cell diagonal). A point beyond the reach plus
@@ -39,9 +40,10 @@ non-increasing in the distance in float arithmetic too. A cloud whose
 field and row index would hold more than maps.FIELD_BUDGET_BYTES (a
 sigma_z of a few mm on the wall room, or a few points far apart at a fine
 spacing) has none, and its channel keeps the exact nearest-neighbour
-search, stopped at the floor reach: there a point with no map point
-within the reach gets distance inf, which scores the floor, and every
-other point its exact distance, bit for bit.
+search of a kd-tree (scipy.spatial, the only use of scipy here), stopped
+at the floor reach: there a point with no map point within the reach gets
+distance inf, which scores the floor, and every other point its exact
+distance, bit for bit.
 
 The class channel reads the class layer's squared lattice offsets
 (maps.ClassGrid.squared_offsets), one field per class, built in numpy on the
@@ -259,9 +261,10 @@ def elevation_log_likelihood_points(
 
 def cloud_field(cloud: PointCloudMap, cfg: LikelihoodConfig):
     """The cloud's distance field for the channel: truncated at
-    cfg.floor_reach, with nodes cfg.field_spacing apart. The cloud makes it,
-    and its kd-tree, on the first request and keeps both; None when the
-    field exceeds the budget."""
+    cfg.floor_reach, with nodes cfg.field_spacing apart, filled whole
+    bricks at a time from its own buckets of the cloud's points. The cloud
+    makes it on the first request and keeps it; None when the field exceeds
+    the budget, and then the cloud builds its kd-tree instead."""
     return cloud.distance_field(cfg.floor_reach, cfg.field_spacing)
 
 

@@ -23,14 +23,16 @@ is allowed only as a height's no-data value.
               followed by integer ids, each a class (check_class_ids) or 255, unlabeled.
   point cloud one ``x y z`` triple per line, no header.
 
-A point cloud answers exact nearest-neighbour queries from a kd-tree
-(cloud_distances), and keeps a truncated distance field for one reach and
-lattice spacing (PointCloudMap.distance_field): the band of lattice nodes
-near the cloud, stored sparsely in bricks, and one dense index of their
-rows over the box of bricks around the cloud. field_distances interpolates
-it at query points, and fills the nodes it finds unfilled from kd-tree
-queries, together, the first time it reads them, so a run pays only for
-the nodes its points reach.
+A point cloud keeps a truncated distance field for one reach and lattice
+spacing (PointCloudMap.distance_field): the band of lattice nodes near the
+cloud, stored sparsely in bricks, one dense index of their rows over the
+box of bricks around the cloud, and the cloud's points sorted into
+buckets, one a brick. field_distances interpolates it at query points, and
+fills the bricks it finds unfilled, together, the first time it reads
+them, each whole from the buckets of the bricks around it, so a run pays
+only for the bricks its points reach. A cloud whose field would exceed the
+budget answers exact nearest-neighbour queries from a kd-tree instead
+(cloud_distances).
 
 A class layer keeps, for one reach, each cell's squared lattice offset to
 the nearest cell of each class (ClassGrid.squared_offsets), found in numpy
@@ -45,11 +47,12 @@ channel keeps a table of its scores (likelihood.class_scores), which reads
 the border as neutral.
 
 Loading a layer validates it, and builds no index. The class layer's
-offsets and the point cloud's kd-tree are built the first time a
-caller reads them, and then kept: mcl.init_filter requests the indexes of
-its mode's channels, so no filter step builds one. scipy serves only the
-kd-tree (scipy.spatial), imported when it is first built, so a process that
-weighs no cloud contact never loads scipy.
+offsets and the point cloud's field, or its kd-tree, are built the first
+time a caller reads them, and then kept: mcl.init_filter requests the
+indexes of its mode's channels, so no filter step builds one. scipy serves
+only the kd-tree (scipy.spatial) of a cloud whose field is over the
+budget, and the tests' exact queries; it is imported when a kd-tree is
+first built, so a process of the default courses never loads scipy.
 
 Layers compare by identity: two layers loaded from one file are equal only
 to themselves. Every layer is frozen: _bind alone sets its checked settings
@@ -323,12 +326,14 @@ def _nearest_squares(mask, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PointCloudMap:
-    """3D map as a raw point set with a kd-tree for nearest-neighbour queries.
+    """3D map as a raw point set, read through a distance field or a kd-tree.
 
     points is a read-only copy: the kd-tree keeps a reference to it, not a
-    copy, and every distance field is filled from it. kd_tree builds the
-    tree on its first call and keeps it. _field keeps the last field
-    distance_field made, with its (reach, spacing): a filter reads one.
+    copy, and every distance field sorts its own copy from it. kd_tree
+    builds the tree on its first call and keeps it; only a cloud whose
+    field is over the budget, and an exact query (cloud_distances), need
+    one. _field keeps the last field distance_field made, with its (reach,
+    spacing): a filter reads one.
     """
 
     points: np.ndarray
@@ -355,13 +360,14 @@ class PointCloudMap:
         """The cloud's DistanceField for reach, on a lattice of the given
         spacing: made on the first request and kept until a request for
         another reach or spacing replaces it. None when its bricks and their
-        row index would hold more than FIELD_BUDGET_BYTES. Making it builds
-        the kd-tree too, which fills the field's nodes, or, for a field over
-        the budget, answers the queries in its place."""
+        row index would hold more than FIELD_BUDGET_BYTES; then the kd-tree,
+        built here, answers the queries in its place. A field fills whole
+        bricks from its own buckets of the points, so it needs no kd-tree."""
         key = (float(reach), float(spacing))
         if self._field is None or self._field[0] != key:
-            self.kd_tree()
-            _bind(self, "_field", (key, _make_field(self, *key)))
+            made = _bind(self, "_field", (key, _make_field(self, *key)))[1]
+            if made is None:
+                self.kd_tree()
         return self._field[1]
 
 
@@ -374,49 +380,51 @@ FIELD_BRICK = 8
 FIELD_BUDGET_BYTES = 16 * 2**20
 _SIDE = FIELD_BRICK + 1
 _BRICK_NODES = _SIDE**3
-# a node's offsets x, y, z in its brick, in the order of its index there,
-# 81 x + 9 y + z, so FIELD_BRICK times these weights weigh offsets over
+# a node's index in its brick is 81 x + 9 y + z for its offsets x, y, z
+# there, so FIELD_BRICK times these weights weigh offsets over
 # FIELD_BRICK; a cell's corners from its low one, in the order the gather
 # interpolates them: z pairs, then x, then y
-_LOCAL = np.indices((_SIDE,) * 3).reshape(-1, _BRICK_NODES).T
 _OFFSET_WEIGHTS = FIELD_BRICK * np.array([[_SIDE**2, _SIDE, 1.0]])
 _CORNERS = np.array([dx * _SIDE**2 + dy * _SIDE + dz for dy in (0, 1) for dx in (0, 1) for dz in (0, 1)])
 # the steps of a node's distance from 0 to the cap, stored one above, so
-# that a uint8 0 marks a node not filled yet; the zero corners
-# field_distances fills at a time, the cap on one fill's memory: a fill
-# holds about 130 bytes a node it is given (its distinct nodes, their
-# coordinates and the kd-tree's results), so one fill and its
-# bookkeeping stay near 0.7 MB; and the float64 rows of a point that its
-# scratch holds
+# that a uint8 0 marks a node not filled yet; the cloud points a brick's
+# fill weighs at a time, the cap on its memory: float64 arrays of 81 nodes
+# by those points, which peak near 0.75 MB on a cloud dense enough to fill
+# them (0.2 MB on the wall room's); and the float64 rows of a point that a
+# gather's scratch holds
 _QUANTA = 254
-_ZERO_CHUNK = 4096
+_FILL_POINTS = 256
 GATHER_ROWS = 10
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceField:
     """A point cloud's distance field for one reach, stored sparsely and
-    filled as gathers read it.
+    filled a brick at a time as gathers read it.
 
-    Each node holds its distance to the nearest point of cloud, capped at
-    cap (reach plus a cell diagonal) and rounded to a multiple of quantum,
-    as one plus that multiple: one uint8 a node, 0 while the node is not
-    filled. keys are the sorted int64 keys of the bricks that may hold a
-    node within reach plus half a cell diagonal of the cloud, and bricks
-    their nodes, a row each, plus a last row all at cap that stands for
-    every other brick. A node is filled (fill) on the first gather that
-    reads it; its value does not depend on when, and the pages of bricks no
-    gather read take no memory (_make_field). A brick's key is weights @
-    (b - low) for its brick coordinates b; low and high lie at least one
-    brick beyond the kept ones on each side, so a brick outside that box
-    clamps to a border key, which is never kept.
+    Each node holds its distance to the nearest point of the cloud, capped
+    at cap (reach plus a cell diagonal) and rounded to a multiple of
+    quantum, as one plus that multiple: one uint8 a node, 0 while the node
+    is not filled. keys are the sorted int64 keys of the bricks that may
+    hold a node within reach plus half a cell diagonal of the cloud, and
+    bricks their nodes, a row each, plus a last row all at cap that stands
+    for every other brick. A brick is filled whole (fill) on the first
+    gather that reads it, so its first node reads 0 until then; its values
+    do not depend on when, and the pages of bricks no gather read take no
+    memory (_make_field). A brick's key is weights @ (b - low) for its
+    brick coordinates b; low and high lie at least one brick beyond the
+    kept ones on each side, so a brick outside that box clamps to a border
+    key, which is never kept.
 
     rows is the row index over that box, one entry a key: the row of a kept
     brick, the last row for every other one, so a gather finds each point's
-    row with one take.
+    row with one take. points (3, P) are the cloud's points in the order of
+    the rows of their bricks, every point's own brick being kept, and
+    starts (len(keys) + 2) the first of each row's points, the fill's
+    buckets: a brick's nodes read only the points of the bricks within cap
+    of it.
     """
 
-    cloud: PointCloudMap = field(repr=False)
     reach: float
     spacing: float
     keys: np.ndarray
@@ -425,6 +433,8 @@ class DistanceField:
     low: np.ndarray
     high: np.ndarray
     weights: np.ndarray
+    points: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
 
     @property
     def cap(self) -> float:
@@ -442,27 +452,77 @@ class DistanceField:
         plus half a quantum."""
         return 0.5 * math.sqrt(3.0) * self.spacing + 0.5 * self.quantum
 
-    def fill(self, nodes) -> None:
-        """Fill each of the nodes, given by their flat indices into bricks,
-        that is not filled yet with its bounded cloud_distances, capped and
-        quantized. A fill holds about 130 bytes a node it is given, all at
-        once, so a caller bounds the count (field_distances: _ZERO_CHUNK)."""
-        flat = self.bricks.reshape(-1)
-        # the distinct nodes, ascending: a sorted copy without its repeats
-        nodes = np.sort(nodes, axis=None)
-        distinct = np.empty(len(nodes), dtype=bool)
-        distinct[:1] = True
-        np.not_equal(nodes[1:], nodes[:-1], out=distinct[1:])
-        nodes = nodes[distinct & (flat[nodes] == 0)]
-        row, local = np.divmod(nodes, _BRICK_NODES)
+    def fill(self, rows) -> None:
+        """Fill every node of each brick of rows, given by its row in
+        bricks, that is not filled yet: the sqrt of the least (dx*dx +
+        dy*dy) + dz*dz over the points of the bricks within cap of it,
+        capped and quantized, the kd-tree's own arithmetic, so each node
+        holds its bounded cloud_distances bit for bit. The least is taken
+        over _FILL_POINTS points at a time, one z-slab of 81 nodes at a
+        time, so a fill's memory does not grow with the cloud's density."""
+        rows = np.unique(rows)
+        rows = rows[self.bricks[rows, 0] == 0]
+        if not len(rows):
+            return
         span = (self.high - self.low + 1.0).astype(np.int64)
-        brick = np.column_stack(np.unravel_index(self.keys[row], span)) + self.low
-        at = FIELD_BRICK * brick + _LOCAL[local]
-        at *= self.spacing
-        d = cloud_distances(self.cloud, at.T, self.cap)
-        np.minimum(d, self.cap, out=d)
-        np.rint(np.divide(d, self.quantum, out=d), out=d)
-        flat[nodes] = d + 1.0
+        box = np.column_stack(np.unravel_index(self.keys[rows], span))
+        # each brick's node coordinates on each axis, (n, 3, 9)
+        axes = (FIELD_BRICK * (box + self.low))[:, :, None] + np.arange(_SIDE)
+        axes *= self.spacing
+        # a point within cap of a node of the brick lies in a brick at most
+        # rings bricks from it on each axis: (2 rings + 1)**2 runs of keys
+        # along z, and so, the points being in the keys' order, runs of the
+        # points; a run off the box in x or y is empty, and each is cut at
+        # the box's ends in z
+        rings = math.floor(self.cap / (FIELD_BRICK * self.spacing)) + 1
+        ring = np.arange(-rings, rings + 1)
+        x = box[:, 0, None, None] + ring[:, None]
+        y = box[:, 1, None, None] + ring
+        off = (x < 0) | (x >= span[0]) | (y < 0) | (y >= span[1])
+        column = (x * span[1] + y) * span[2]
+        z_low = np.maximum(box[:, 2] - rings, 0)[:, None, None]
+        z_high = np.minimum(box[:, 2] + rings, span[2] - 1)[:, None, None]
+        begin = self.starts[np.searchsorted(self.keys, column + z_low)].reshape(len(rows), -1)
+        end = self.starts[np.searchsorted(self.keys, column + z_high, side="right")].reshape(len(rows), -1)
+        end[off.reshape(len(rows), -1)] = 0
+        # the least squared distance of each node, [z, 81 x + 9 y]
+        least, low = np.empty((_SIDE, _SIDE**2)), np.empty((_SIDE, _SIDE**2))
+        for row, (ax, ay, az), b, e in zip(rows.tolist(), axes, begin, end):
+            least.fill(np.inf)
+            for p in _runs(self.points, b, e):
+                # the points of one z share their dz, and rounding is
+                # monotonic, so the least of (dx + dy) + dz over them is
+                # their least dx + dy, plus dz: a z-slab of 81 nodes adds
+                # one dz a distinct z
+                p = p[:, np.argsort(p[2])]
+                group = np.flatnonzero(np.concatenate([[True], p[2, 1:] != p[2, :-1]]))
+                dx, dy = (np.square(np.subtract.outer(q, a)) for a, q in zip((ax, ay), p))
+                dz = np.square(np.subtract.outer(az, p[2, group]))
+                dxy = np.minimum.reduceat((dx[:, :, None] + dy[:, None]).reshape(-1, _SIDE**2), group)
+                sums = np.empty_like(dxy)
+                for z in range(_SIDE):
+                    np.minimum.reduce(np.add(dxy, dz[z, :, None], out=sums), out=low[z])
+                np.minimum(least, low, out=least)
+            d = np.sqrt(least, out=least)
+            np.minimum(d, self.cap, out=d)
+            np.rint(np.divide(d, self.quantum, out=d), out=d)
+            self.bricks[row] = (d + 1.0).T.reshape(-1)
+
+
+def _runs(points, begin, end):
+    """The points (3, P) of the runs begin[i]:end[i], as arrays (3, at most
+    _FILL_POINTS)."""
+    pieces, held = [], 0
+    for b, e in zip(begin.tolist(), end.tolist()):
+        while b < e:
+            take = min(e - b, _FILL_POINTS - held)
+            pieces.append(points[:, b : b + take])
+            held, b = held + take, b + take
+            if held == _FILL_POINTS:
+                yield np.concatenate(pieces, axis=1)
+                pieces, held = [], 0
+    if pieces:
+        yield np.concatenate(pieces, axis=1)
 
 
 def _field_bricks(points, radius: float, spacing: float):
@@ -514,6 +574,9 @@ def _make_field(cloud: PointCloudMap, reach: float, spacing: float) -> DistanceF
     bricks lie in an anonymous memory map, whose pages read zero and take
     memory only once a node on them fills (numpy's own allocation asks for
     huge pages for an array this large, so a first write would commit 2 MB).
+    The cloud's points are sorted once by the rows of their own bricks, as
+    the gather finds a point's brick, each kept, so that a brick's fill reads
+    the points of the bricks around it as a few runs of that order.
     """
     found = _field_bricks(cloud.points, reach + 0.5 * math.sqrt(3.0) * spacing, spacing)
     if found is None:
@@ -522,7 +585,14 @@ def _make_field(cloud: PointCloudMap, reach: float, spacing: float) -> DistanceF
     n = len(keys) + 1
     bricks = np.frombuffer(mmap.mmap(-1, n * _BRICK_NODES), dtype=np.uint8).reshape(n, _BRICK_NODES)
     bricks[-1] = _QUANTA + 1
-    return DistanceField(cloud, reach, spacing, keys, rows, bricks, low, high, weights)
+    own = np.floor(cloud.points.T / spacing / FIELD_BRICK)
+    row = rows[(weights @ (own - low[:, None])).astype(np.int64)]
+    order = np.argsort(row, kind="stable")
+    points = np.ascontiguousarray(cloud.points[order].T)
+    starts = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+    for a in (points, starts):
+        a.flags.writeable = False
+    return DistanceField(reach, spacing, keys, rows, bricks, low, high, weights, points, starts)
 
 
 def field_distances(distance_field: DistanceField, points, out=None, scratch=None) -> np.ndarray:
@@ -530,10 +600,10 @@ def field_distances(distance_field: DistanceField, points, out=None, scratch=Non
     sweep: each point's cell and offset in it, its base node, the cell's low
     corner, as its brick's row from the field's row index and its offset in
     the brick, and the trilinear interpolation of the cell's eight corner
-    nodes, each read at its fixed offset from the base. A node no gather has
-    read yet reads 0: the gather fills the nodes of all the corners that
-    read 0 with one fill per _ZERO_CHUNK of them, and reads back only those
-    corners. For a point within the field's reach of the cloud, the distance
+    nodes, each read at its fixed offset from the base. A brick no gather
+    has read yet reads 0 at its first node: the gather fills every such
+    brick its points fall in with one fill before it reads the corners. For
+    a point within the field's reach of the cloud, the distance
     lies within error_bound of the exact one; a point in a brick the field
     does not keep reads cap.
 
@@ -562,7 +632,8 @@ def _gather(f: DistanceField, points, out, real) -> None:
     """field_distances for points (3, M) into out (M,), with real, GATHER_ROWS
     float rows of M, as scratch: rows 0-2 hold t, the offset in the cell,
     until the interpolation; rows 3-8 the cell, brick and key on the way to
-    the base node, an int64 row; row 9 the offset in the brick, then the
+    the base node, an int64 row, and then the key's row the first node of
+    each point's brick as uint8; row 9 the offset in the brick, then the
     corner nodes as uint8."""
     m = len(out)
     index = real.view(np.int64)
@@ -587,26 +658,20 @@ def _gather(f: DistanceField, points, out, real) -> None:
     np.copyto(key, cell[0], casting="unsafe")
     f.rows.take(key, out=base, mode="clip")
     np.multiply(base, _BRICK_NODES, out=base)
+    # a brick no gather has read yet reads 0 at its first node: fill the
+    # bricks of the points that read 0 there; the key's row is free to hold
+    # the first nodes
+    flat = f.bricks.reshape(-1)
+    first = key.view(np.uint8)[:m]
+    flat.take(base, out=first, mode="clip")
+    if not first.all():
+        f.fill(base[first == 0] // _BRICK_NODES)
     np.add(base, offset, out=base, casting="unsafe")
     # the corner nodes, a row of M per corner, over the offset in the brick
     corners = offset.view(np.uint8)
     nodes = corners.reshape(8, m)
-    flat = f.bricks.reshape(-1)
     for corner, row in zip(_CORNERS, nodes):
         flat[corner:].take(base, out=row, mode="clip")
-    # a node no gather has read yet reads 0: fill the nodes of the corners
-    # that read 0, then read back just those corners; the key's row is free
-    # to mark them
-    if not nodes.all():
-        zero = real[4:6].view(bool).reshape(-1)[: 8 * m]
-        at = np.flatnonzero(np.equal(corners, 0, out=zero))
-        for start in range(0, len(at), _ZERO_CHUNK):
-            chunk = at[start : start + _ZERO_CHUNK]
-            corner, point = np.divmod(chunk, m)
-            missing = base.take(point)
-            missing += _CORNERS.take(corner)
-            f.fill(missing)
-            corners[chunk] = flat.take(missing)
 
     # the corners interpolated along z, y and x in quanta
     lerp = real[3:7]
@@ -760,11 +825,11 @@ def class_offsets_many(grid: ClassGrid, xy, class_id, offsets: SquaredOffsets, c
 
 
 def cloud_distances(cloud: PointCloudMap, points, max_distance: float = np.inf) -> np.ndarray:
-    """Nearest-neighbour distances for query points (3, ...), on one thread:
-    on the wall room's cloud the kd-tree's threads were slower at every
-    query size tried, from 10 points (several times the query) to 16,384,
-    and a distance field's fill, about one a step, queries a few nodes to a
-    few thousand.
+    """Nearest-neighbour distances for query points (3, ...) from the
+    cloud's kd-tree, on one thread: on the wall room's cloud the kd-tree's
+    threads were slower at every query size tried, from 10 points to 16,384.
+    The cloud channel queries it only for a cloud whose field is over the
+    budget.
 
     With max_distance the kd-tree search stops there: a point with no map point
     nearer than max_distance gets inf, and every other point gets the same

@@ -324,8 +324,9 @@ def init_filter(
     reads them from there: for the class channel the class layer's squared
     offsets and their table of scores (likelihood.class_scores), and for
     the cloud channel the cloud's distance field (likelihood.cloud_field),
-    which builds the cloud's kd-tree and finds the field's bricks; steps
-    fill the nodes they read.
+    which finds the field's bricks and sorts the cloud's points into their
+    buckets (or builds the kd-tree of a cloud whose field is over the
+    budget); steps fill whole the bricks they read.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")

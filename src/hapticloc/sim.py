@@ -405,10 +405,17 @@ def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) 
     return StepSignal(template + rng.standard_normal((n_samples, 6)) * sigma)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writable."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One step of a walk, a row of its log, fixed once built; a loaded log
-    rebuilds the x and y of true_foot_world (load_walklog)."""
+    """One step of a walk, a row of its log, fixed once built: the walker
+    and load_walklog give it read-only arrays. A loaded log rebuilds the x
+    and y of true_foot_world (load_walklog)."""
 
     k: int
     timestamp: float
@@ -573,17 +580,19 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
 
     cov = white**2
     poses = [Pose(p, q) for p, q in zip(base, quat)]
+    # every record reads views of these, fixed as a record's fields are
+    cov, world, class_ids = map(_read_only, (cov, world, class_ids))
     records = tuple(
         StepRecord(
             k=k,
             timestamp=k * PHASE_DT,
             true_pose=poses[k],
             odom_increment=Pose(odom_pos[k - 1], odom_quat[k - 1]),
-            odom_cov_diag=cov.copy(),
+            odom_cov_diag=cov,
             tilt=quat_to_euler(poses[k].quat)[:2],
             contacts=tuple(map(ContactMeasurement, offsets[k - 1])),
-            true_foot_world=world[k - 1].copy(),
-            true_class_ids=class_ids[k - 1].copy(),
+            true_foot_world=world[k - 1],
+            true_class_ids=class_ids[k - 1],
             signals=tuple(signals[k - 1]),
         )
         for k in range(1, n)
@@ -791,8 +800,9 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
             worlds.append([x, y, world_z])
             classes.append(class_id)
             signals.append(load_signal(os.path.join(base, ref)) if load_signals and ref else None)
-        records.append(StepRecord(k, t, true_pose, odom, np.array(cov), tuple(tilt), tuple(contacts),
-                                  np.array(worlds), np.array(classes, dtype=np.uint8), tuple(signals)))
+        records.append(StepRecord(k, t, true_pose, odom, _read_only(np.array(cov)), tuple(tilt), tuple(contacts),
+                                  _read_only(np.array(worlds)), _read_only(np.array(classes, dtype=np.uint8)),
+                                  tuple(signals)))
     if set(poses) != {"start_pose", "init_prior"} or not header_seen:
         raise ValueError(f"{path}: missing walk log header lines")
     if not records:

@@ -645,7 +645,7 @@ import json, sys, tempfile
 from hapticloc.cli import main
 
 def loaded():
-    return [m for m in ("scipy.ndimage", "scipy.spatial", "scipy.special") if m in sys.modules]
+    return [m for m in ("scipy", "scipy.ndimage", "scipy.spatial", "scipy.special") if m in sys.modules]
 
 seen = [["import", loaded()]]
 with tempfile.TemporaryDirectory() as tmp:
@@ -675,9 +675,7 @@ def test_an_elevation_only_process_loads_no_scipy_module():
     done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     seen = dict(json.loads(done.stdout.splitlines()[-1]))
-    # no command or mode loads scipy.ndimage: the class fields are numpy's
-    assert not [name for name, modules in seen.items() if "scipy.ndimage" in modules]
-    # only the cloud channel loads scipy, for its kd-tree, when it starts
-    hl_3d = "localize HL-3D wall-room"
-    assert list(seen)[-1] == hl_3d and "scipy.spatial" in seen[hl_3d]
-    assert not [name for name, modules in seen.items() if modules and name != hl_3d]
+    # no command or mode loads scipy: the class fields are numpy's, and the
+    # cloud's field fills its bricks from its own buckets of the points
+    assert list(seen)[-1] == "localize HL-3D wall-room"
+    assert not [name for name, modules in seen.items() if modules]

@@ -32,6 +32,7 @@ from hapticloc.maps import (
     save_map,
 )
 from hapticloc.evaluate import default_tiles_experiment
+from hapticloc.likelihood import LikelihoodConfig
 from hapticloc.sim import N_TERRAIN_CLASSES, CourseSpec, generate_course, synth_force_signal
 from per_pose import class_at, elevation_at
 
@@ -64,17 +65,21 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-# the nodes fill_every_node gives one fill, so that a fill's scratch stays
-# near 2.3 MB
-FILL_CHUNK = 16384
-
-
 def fill_every_node(f):
-    """Fill every node of the distance field f, one fill per FILL_CHUNK
-    nodes."""
-    n_nodes = f.bricks[:-1].size
-    for start in range(0, n_nodes, FILL_CHUNK):
-        f.fill(np.arange(start, min(start + FILL_CHUNK, n_nodes)))
+    """Fill every node of the distance field f: one fill of every brick row."""
+    f.fill(np.arange(len(f.keys)))
+
+
+def kd_tree_bricks(f, cloud, rows):
+    """The nodes of the bricks of rows as the kd-tree fills them (len(rows),
+    729): each node's distance to the nearest point of cloud, found by
+    cKDTree and stopped at the cap, capped and rounded to the quantum, plus
+    one; the oracle of DistanceField.fill."""
+    span = (f.high - f.low + 1.0).astype(np.int64)
+    brick = np.column_stack(np.unravel_index(f.keys[rows], span)) + f.low
+    nodes = (8 * brick[:, None, :] + np.indices((9, 9, 9)).reshape(3, -1).T) * f.spacing
+    d = cKDTree(cloud.points).query(nodes.reshape(-1, 3), distance_upper_bound=f.cap)[0]
+    return (np.rint(np.minimum(d, f.cap) / f.quantum) + 1.0).astype(np.uint8).reshape(len(rows), -1)
 
 
 def random_class_grid(rng, rows, cols, n_classes=8):
@@ -660,40 +665,91 @@ def test_cloud_distances_bounded_search():
     assert np.all(got[~inside] == np.inf)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_cloud=st.integers(1, 30), spacing=st.floats(1e-3, 0.3))
-def test_field_nodes_hold_their_quantized_capped_distance(seed, n_cloud, spacing):
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cloud=st.integers(1, 30),
+    spacing=st.floats(1e-3, 0.3),
+    reach_cells=st.floats(0.5, 12.0),
+    dense=st.booleans(),
+)
+def test_field_nodes_hold_their_quantized_capped_distance(seed, n_cloud, spacing, reach_cells, dense):
     # every brick with a node within reach plus half a cell diagonal is
-    # kept, and only bricks next to a point's own; a gather fills the
-    # corners it reads and no other node; once filled, every node is its
-    # exact nearest distance, capped and rounded to the quantum, plus one;
-    # the last brick, which stands for every other one, is all cap
-    reach = 4.0 * spacing
+    # kept, and only bricks that near a point's own; a gather fills exactly
+    # the bricks its points fall in, and every node of a filled brick is
+    # its exact nearest distance, capped and rounded to the quantum, plus
+    # one, as the kd-tree finds it; the last brick, which stands for every
+    # other one, is all cap. A reach past 6.3 cells puts the cap beyond a
+    # brick side, so a brick reads the points of two rings of bricks or
+    # more; a dense cloud puts more points around a brick than one chunk of
+    # the fill, on a lattice of quarter cells, so that many share a z
+    reach = reach_cells * spacing
     rng = np.random.default_rng(seed)
-    cloud = PointCloudMap(rng.uniform(-20.0, 20.0, (n_cloud, 3)) * spacing)
+    if dense:
+        cloud = PointCloudMap(np.round(rng.uniform(-12.0, 12.0, (20 * n_cloud, 3))) * (spacing / 4.0))
+    else:
+        cloud = PointCloudMap(rng.uniform(-20.0, 20.0, (n_cloud, 3)) * spacing)
     f = cloud.distance_field(reach, spacing)
     assert f is cloud.distance_field(reach, spacing)
     assert np.all(np.diff(f.keys) > 0) and not f.bricks[:-1].any()
-    own = np.floor(cloud.points / (8 * spacing))
-    brick = np.unique((own[:, None, :] + np.indices((3, 3, 3)).reshape(3, -1).T - 1.0).reshape(-1, 3), axis=0)
-    nodes = (8 * brick[:, None, :] + np.indices((9, 9, 9)).reshape(3, -1).T) * spacing
-    d = cKDTree(cloud.points).query(nodes.reshape(-1, 3))[0]
-    want = np.rint(np.minimum(d, f.cap) / f.quantum).reshape(len(brick), -1) + 1
     near = reach + np.sqrt(3.0) / 2.0 * spacing
+    rings = math.ceil(near / (8 * spacing)) + 1
+    own = np.floor(cloud.points / (8 * spacing))
+    around = np.indices((2 * rings + 1,) * 3).reshape(3, -1).T - rings
+    brick = np.unique((own[:, None, :] + around).reshape(-1, 3), axis=0)
+    nodes = (8 * brick[:, None, :] + np.indices((9, 9, 9)).reshape(3, -1).T) * spacing
+    d = cKDTree(cloud.points).query(nodes.reshape(-1, 3))[0].reshape(len(brick), -1)
     key = (brick - f.low) @ f.weights
     kept = np.isin(key, f.keys)
-    assert kept[d.reshape(len(brick), -1).min(axis=1) <= near].all()
+    assert kept[d.min(axis=1) <= near].all()
     assert np.isin(f.keys, key).all()
-    field_distances(f, cloud.points[:1].T)
-    assert np.count_nonzero(f.bricks[:-1]) == 8
+    want = kd_tree_bricks(f, cloud, np.arange(len(f.keys)))
+    rows = read_rows(f, cloud.points[:3].T)
+    field_distances(f, cloud.points[:3].T)
+    assert np.array_equal(np.flatnonzero(f.bricks[:-1].any(axis=1)), rows)
+    assert np.array_equal(f.bricks[rows], want[rows])
     fill_every_node(f)
-    assert np.array_equal(f.bricks[:-1], want[kept][np.argsort(key[kept])])
+    assert np.array_equal(f.bricks[:-1], want)
     assert np.all(f.bricks[-1] == 255)
     # a gather just past a kept brick's own node reads that node's distance
     own_nodes = (np.indices((9, 9, 9)).reshape(3, -1).T < 8).all(axis=1)
-    at = nodes[kept][:, own_nodes].reshape(-1, 3) + 1e-6 * spacing
+    at = nodes[kept][np.argsort(key[kept])][:, own_nodes].reshape(-1, 3) + 1e-6 * spacing
     got = field_distances(f, at.T)
-    assert np.allclose(got, (want[kept][:, own_nodes].ravel() - 1) * f.quantum, rtol=0.0, atol=1e-3 * f.quantum)
+    assert np.allclose(got, (want[:, own_nodes].ravel() - 1.0) * f.quantum, rtol=0.0, atol=1e-3 * f.quantum)
+
+
+def test_the_wall_room_field_equals_a_kd_tree_fill_in_every_node():
+    # all 5,022,810 nodes of the wall room's field at the default sigma_z,
+    # each bit for bit what the kd-tree's bounded query gives
+    cfg = LikelihoodConfig()
+    cloud = PointCloudMap(generate_course(CourseSpec("wall-room")).cloud.points)
+    f = cloud.distance_field(cfg.floor_reach, cfg.field_spacing)
+    fill_every_node(f)
+    assert f.bricks[:-1].size == 5_022_810
+    for start in range(0, len(f.keys), 512):
+        rows = np.arange(start, min(start + 512, len(f.keys)))
+        assert np.array_equal(f.bricks[rows], kd_tree_bricks(f, cloud, rows)), start
+
+
+def test_a_dense_cloud_fills_a_brick_a_chunk_of_points_at_a_time(monkeypatch):
+    # 2,000 points in one brick: each fill reads them in chunks of the
+    # fill's size, and every node still holds the kd-tree's value
+    runs = []
+    make = maps_module._runs
+
+    def counted(*args):
+        for p in make(*args):
+            runs.append(p.shape[1])
+            yield p
+
+    monkeypatch.setattr(maps_module, "_runs", counted)
+    rng = np.random.default_rng(8)
+    cloud = PointCloudMap(rng.uniform(0.001, 0.059, (2000, 3)))
+    f = cloud.distance_field(0.03, 0.0075)
+    fill_every_node(f)
+    chunk = maps_module._FILL_POINTS
+    assert max(runs) == chunk and len(runs) >= len(f.keys) * math.ceil(2000 / chunk)
+    assert np.array_equal(f.bricks[:-1], kd_tree_bricks(f, cloud, np.arange(len(f.keys))))
 
 
 def test_field_distances_do_not_depend_on_which_nodes_filled_first():
@@ -710,34 +766,29 @@ def test_field_distances_do_not_depend_on_which_nodes_filled_first():
     assert np.array_equal(field_distances(gathered, query), got)
 
 
-def corner_nodes(f, points):
-    """The flat indices into bricks of the nodes a gather at points (3, M)
-    reads, (M, 8): the eight corners of each point's cell, in the brick of
-    the cell's low corner, the last row for a brick that is not kept."""
-    cell = np.floor(points.T / f.spacing)
-    brick = np.floor(cell / 8)
-    local = (cell - 8 * brick)[:, None, :] + np.indices((2, 2, 2)).reshape(3, -1).T
+def read_rows(f, points):
+    """The distinct rows of the kept bricks a gather at points (3, M) reads:
+    those of the bricks the points' cells lie in, each cell's eight corners
+    in the brick of its low corner."""
+    brick = np.floor(np.floor(points.T / f.spacing) / 8)
     inside = ((brick >= f.low) & (brick <= f.high)).all(axis=1)
-    row = np.full(len(cell), len(f.keys))
-    row[inside] = binary_search_rows(f.keys, ((brick[inside] - f.low) @ f.weights).astype(np.int64))
-    return row[:, None] * 9**3 + (local @ [81, 9, 1]).astype(np.int64)
+    row = binary_search_rows(f.keys, ((brick[inside] - f.low) @ f.weights).astype(np.int64))
+    return np.unique(row[row < len(f.keys)])
 
 
-def read_nodes(f, points):
-    """The distinct flat indices of the nodes in kept bricks that a gather
-    at points (3, M) reads."""
-    node = corner_nodes(f, points)
-    return np.unique(node[node < f.bricks[:-1].size])
+def filled_rows(f):
+    """The rows of the field's filled bricks: a filled node holds at least 1."""
+    return np.flatnonzero(f.bricks[:-1].all(axis=1))
 
 
 def counted_fills(monkeypatch):
-    """The nodes of each DistanceField.fill call from here on."""
+    """The rows of each DistanceField.fill call from here on."""
     calls = []
     fill = maps_module.DistanceField.fill
 
-    def counted(f, nodes):
-        calls.append(nodes)
-        fill(f, nodes)
+    def counted(f, rows):
+        calls.append(rows)
+        fill(f, rows)
 
     monkeypatch.setattr(maps_module.DistanceField, "fill", counted)
     return calls
@@ -760,7 +811,7 @@ def gather_case(seed, n_cloud=50, n_query=400):
 )
 def test_a_gather_reads_what_a_full_field_holds(seed, n_cloud, n_centres, n_query, prefill):
     # whatever was filled before, a gather reads the full field's values bit
-    # for bit, fills every corner it reads and no other node; what its
+    # for bit, fills every brick it reads and no other one; what its
     # scratch held before, and how much longer it is, do not matter
     spacing = 0.0075
     rng = np.random.default_rng(seed)
@@ -770,28 +821,29 @@ def test_a_gather_reads_what_a_full_field_holds(seed, n_cloud, n_centres, n_quer
     gathered = PointCloudMap(points).distance_field(0.03, spacing)
     full = PointCloudMap(points).distance_field(0.03, spacing)
     fill_every_node(full)
-    read = read_nodes(gathered, query)
-    n_nodes = gathered.bricks[:-1].size
-    gathered.fill(np.concatenate([read, rng.integers(0, n_nodes, 50)])[rng.random(len(read) + 50) < prefill])
-    filled_before = np.flatnonzero(gathered.bricks[:-1])
+    read = read_rows(gathered, query)
+    n_rows = len(gathered.keys)
+    gathered.fill(np.concatenate([read, rng.integers(0, n_rows, 5)])[rng.random(len(read) + 5) < prefill])
+    filled_before = filled_rows(gathered)
     scratch = rng.uniform(-1e9, 1e9, GATHER_ROWS * n_query + int(rng.integers(0, 100)))
     got = field_distances(gathered, query, scratch=scratch)
     assert np.array_equal(got, field_distances(full, query))
     assert np.array_equal(field_distances(gathered, query, scratch=scratch), got)
-    filled = np.flatnonzero(gathered.bricks[:-1])
+    filled = filled_rows(gathered)
     assert np.array_equal(filled, np.union1d(filled_before, read))
-    assert np.array_equal(gathered.bricks[:-1].reshape(-1)[filled], full.bricks[:-1].reshape(-1)[filled])
+    assert not gathered.bricks[np.setdiff1d(np.arange(n_rows), filled)].any()
+    assert np.array_equal(gathered.bricks[filled], full.bricks[filled])
 
 
 def test_a_gather_leaves_none_of_its_corners_unfilled(monkeypatch):
-    # a gather fills every corner it reads, so gathering the same points
+    # a gather fills every brick it reads, so gathering the same points
     # again fills nothing and reads what the first gather read; neither
     # does a gather over a full field
     calls = counted_fills(monkeypatch)
     points, query = gather_case(11)
     f = PointCloudMap(points).distance_field(0.03, 0.0075)
     first = field_distances(f, query)
-    assert calls and f.bricks[:-1].reshape(-1)[read_nodes(f, query)].all()
+    assert calls and f.bricks[read_rows(f, query)].all()
     calls.clear()
     assert np.array_equal(field_distances(f, query), first)
     assert calls == []
@@ -802,34 +854,23 @@ def test_a_gather_leaves_none_of_its_corners_unfilled(monkeypatch):
     assert calls == []
 
 
-def test_a_gather_fills_its_zero_corners_with_one_fill(monkeypatch):
-    # the corners that read 0, over all the points, go to one fill
+def test_a_gather_fills_its_unfilled_bricks_with_one_fill(monkeypatch):
+    # the bricks whose first node reads 0, over all the points, go to one
+    # fill, which fills each of them once, whatever order the bricks were
+    # filled in before
     points, query = gather_case(5, n_query=10_000)
-    f = PointCloudMap(points).distance_field(0.03, 0.0075)
-    read = read_nodes(f, query)
-    f.fill(read[np.arange(len(read)) % 32 > 0])
-    nodes = corner_nodes(f, query)
-    zero = nodes[f.bricks.reshape(-1)[nodes] == 0]
-    assert 0 < len(zero) <= maps_module._ZERO_CHUNK
-    calls = counted_fills(monkeypatch)
-    field_distances(f, query)
-    assert len(calls) == 1
-    assert np.array_equal(np.sort(calls[0]), np.sort(zero))
-
-
-def test_a_gather_fills_its_zero_corners_a_chunk_at_a_time(monkeypatch):
-    points, query = gather_case(7, n_query=1000)
     f = PointCloudMap(points).distance_field(0.03, 0.0075)
     full = PointCloudMap(points).distance_field(0.03, 0.0075)
     fill_every_node(full)
-    f.fill(read_nodes(f, query)[::3])
-    n_zero = np.count_nonzero(f.bricks.reshape(-1)[corner_nodes(f, query)] == 0)
-    assert n_zero > 1000
-    monkeypatch.setattr(maps_module, "_ZERO_CHUNK", 97)
+    read = read_rows(f, query)
+    f.fill(read[::-3])
+    unfilled = np.setdiff1d(read, read[::-3])
+    assert len(unfilled) > 1
     calls = counted_fills(monkeypatch)
     got = field_distances(f, query)
-    assert len(calls) == math.ceil(n_zero / 97)
-    assert [len(c) for c in calls[:-1]] == [97] * (len(calls) - 1)
+    assert len(calls) == 1
+    assert np.array_equal(np.unique(calls[0]), unfilled)
+    assert np.array_equal(filled_rows(f), read)
     assert np.array_equal(got, field_distances(full, query))
 
 
@@ -878,8 +919,10 @@ def test_row_index_holds_the_rows_a_binary_search_finds(seed, n_cloud, spacing, 
 
 
 def test_a_cloud_keeps_one_field():
+    # and a field builds no kd-tree: it fills its bricks from its own buckets
     cloud = PointCloudMap(np.zeros((1, 3)))
     f = cloud.distance_field(0.03, 0.0075)
+    assert cloud._tree is None
     tree = cloud.kd_tree()
     assert cloud.distance_field(0.03, 0.0075) is f
     assert cloud.distance_field(0.04, 0.0075) is not f
@@ -888,8 +931,9 @@ def test_a_cloud_keeps_one_field():
 
 
 def test_cloud_points_are_read_only():
-    # the kd-tree and the distance fields read the cloud's own array: a write
-    # into it would leave them answering for the old points without an error
+    # the kd-tree reads the cloud's own array, and a distance field is sorted
+    # from it: a write into it would leave them answering for the old points
+    # without an error
     rng = np.random.default_rng(5)
     cloud = PointCloudMap(rng.uniform(-10.0, 10.0, (1000, 3)))
     query = np.full((3, 1), -5.0)

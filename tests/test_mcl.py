@@ -1028,7 +1028,8 @@ def test_each_index_is_built_once_in_init_filter_and_never_in_a_step(monkeypatch
     # two filters of each index's channel on one MapSet: the first
     # init_filter builds the index, and the second filter and every step find
     # it built. The class layer's numpy transform runs once per class the
-    # grid holds.
+    # grid holds; the cloud's field sorts its points into its bricks' buckets
+    # once, and no filter builds a kd-tree.
     builds, phase = [], ["maps"]
 
     def count(module, name, index):
@@ -1041,7 +1042,8 @@ def test_each_index_is_built_once_in_init_filter_and_never_in_a_step(monkeypatch
         monkeypatch.setattr(module, name, counted)
 
     count(maps_module, "_nearest_squares", "class")
-    count(scipy.spatial, "cKDTree", "cloud")
+    count(maps_module, "_make_field", "cloud")
+    count(scipy.spatial, "cKDTree", "kd-tree")
     maps = oracle_maps()
     n_present = len(np.setdiff1d(maps.class_grid.class_ids, [UNKNOWN_CLASS]))
     probs = np.eye(N_ORACLE_CLASSES)

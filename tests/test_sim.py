@@ -705,6 +705,24 @@ def test_a_walk_log_and_its_records_refuse_a_new_value(tmp_path):
                 setattr(value, name, getattr(value, name))
 
 
+def test_a_walk_record_s_arrays_refuse_a_write(tmp_path):
+    # a write into a record's arrays would move the log's hash with no new
+    # value: the walker's records read views of read-only arrays, and a
+    # loaded log's are read-only too
+    log = simulate_walk(generate_course(CourseSpec("chevron-ramp", seed=1)), straight(0.3, start=(1.0, 0.7)), QUIET, 1)
+    save_walklog(log, tmp_path / "walk.log")
+    loaded = load_walklog(tmp_path / "walk.log")
+    before = walklog_hash(log)
+    assert walklog_hash(loaded) == before
+    for walk_log in (log, loaded):
+        r = walk_log.records[0]
+        for name, index, value in (("true_foot_world", (0, 2), np.nan), ("odom_cov_diag", 0, -1.0),
+                                   ("true_class_ids", 0, 7)):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(r, name)[index] = value
+        assert walklog_hash(walk_log) == before
+
+
 @pytest.mark.parametrize("extra", [-1, 1], ids=["one-row-short", "one-row-over"])
 def test_classify_log_refuses_a_model_that_returns_other_than_one_row_per_signal(extra):
     # a short answer once raised a bare StopIteration, and a long one lost
