@@ -97,7 +97,7 @@ def _cmd_simulate(args) -> int:
     if args.waypoints:
         cfg = replace(cfg, waypoints=evaluate.parse_waypoints(args.waypoints))
     log = evaluate.walk(cfg, course, args.seed)
-    sim.save_walklog(log, args.out, signals_dir="signals" if log.has_signals else None)
+    sim.save_walklog(log, args.out, signals_dir="signals" if log.signals else None)
     print(args.out)
     print(f"steps={log.n_steps} sha256={sim.walklog_hash(log)}")
     return 0

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import LogisticBaseline, baseline_train
-from .geometry import Pose, save_trajectory, wrap_angle
-from .likelihood import MODES, LikelihoodConfig, require_layers
+from .geometry import Pose, save_trajectory, tilt_matrix, wrap_angle
+from .likelihood import MODES, LikelihoodConfig, lay_out_contacts, require_layers
 from .maps import MapSet
 from .mcl import FilterState, StepInput, init_filter, run_filter, write_diagnostics_csv
 from .sim import (
@@ -87,8 +87,16 @@ def _yaws(poses) -> np.ndarray:
 
 
 def to_step_inputs(log: WalkLog) -> list:
-    s2 = ODOM_COV_SCALE**2
-    return [StepInput(r.odom_increment, np.diag(s2 * r.odom_cov_diag), r.contacts, r.tilt) for r in log.records]
+    """One StepInput per step of log, from its columns: the layout of the feet
+    in contact, and one read-only covariance for the steps of one diagonal."""
+    covs, probs, inputs = {}, log.class_probs, []
+    for j, (odo, cov, tilt, touching) in enumerate(zip(log.odometry, log.cov_diag, log.tilt.tolist(), log.in_contact)):
+        cov = covs.setdefault(cov.tobytes(), np.diag(ODOM_COV_SCALE**2 * cov))
+        cov.flags.writeable = False
+        feet_probs = None if probs is None else probs[j][touching]
+        layout = lay_out_contacts(log.offsets[j][touching], feet_probs, tilt_matrix(*tilt))
+        inputs.append(StepInput(Pose(odo[:3], odo[3:]), cov, layout, tuple(tilt)))
+    return inputs
 
 
 @dataclass(frozen=True)

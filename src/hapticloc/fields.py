@@ -16,11 +16,11 @@ import math
 
 
 def parse_field(text, parse, where, column):
-    """parse(text) of the field column at where, "<path>:<line>"; a parse
-    that raises ValueError or KeyError, or a float that is not finite, raises."""
+    """parse(text) of the field column at where, "<path>:<line>"; a parse that
+    raises ValueError, KeyError or OverflowError, or a float not finite, raises."""
     try:
         value = parse(text)
-    except (ValueError, KeyError):
+    except (ValueError, KeyError, OverflowError):
         raise ValueError(f"{where}: column {column}: cannot parse {text!r}") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{where}: column {column}: {text} is not finite")

@@ -39,6 +39,7 @@ quat_normalize, which refuses a zero or non-finite norm. Normalizing is not
 idempotent in the last bit, but one quat_normalize leaves a norm within
 about 4e-16 of 1, as does a product of unit quaternions, so a Pose built
 from another Pose's quaternion, a compose, or a file it was saved to, holds the same bits.
+unit_quat_rows is that rule over rows, for the pose columns of a walk log.
 
 Trajectory files hold one line per pose, t and then its POSE_COLUMNS, read
 with fields.parse_field: a field that does not parse, or is not finite,
@@ -47,7 +48,9 @@ raises an error naming the file, the line and the field.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +171,17 @@ def quat_from_rotvec_rows(rv):
     return np.column_stack([rx * scale, ry * scale, rz * scale, cos])
 
 
+def unit_quat_rows(q):
+    """Pose's rule on each row of the quaternions q (n, 4): as given within
+    UNIT_NORM_TOL of unit norm, else quat_normalize's (which may raise)."""
+    x, y, z, w = q.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.flatnonzero(~(np.abs(np.sqrt(((x * x + y * y) + z * z) + w * w) - 1.0) <= UNIT_NORM_TOL))
+    rows = q.copy()
+    rows[off] = np.reshape([quat_normalize(q[i]) for i in off], (-1, 4))
+    return rows
+
+
 def wrap_angle(a):
     """Wrap angles to (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(a, dtype=float), 2.0 * np.pi)
@@ -229,8 +243,16 @@ def quat_matrix(q) -> np.ndarray:
 
 
 def tilt_matrix(roll, pitch) -> np.ndarray:
-    """The 3x3 rotation of a base tilted by roll and pitch, Ry(pitch) Rx(roll)."""
-    return quat_matrix(quat_from_euler(roll, pitch, 0.0))
+    """The read-only 3x3 rotation Ry(pitch) Rx(roll) of a tilted base, one array
+    per pair of float bits (0.0 and -0.0 differ) of the last 64 asked for."""
+    return _tilt_matrix(struct.pack("2d", roll, pitch))
+
+
+@functools.lru_cache(maxsize=64)
+def _tilt_matrix(bits: bytes) -> np.ndarray:
+    rotation = quat_matrix(quat_from_euler(*struct.unpack("2d", bits), 0.0))
+    rotation.flags.writeable = False
+    return rotation
 
 
 POSE_COLUMNS = ("x", "y", "z", "qx", "qy", "qz", "qw")  # a pose's columns in every file of poses

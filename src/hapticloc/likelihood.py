@@ -68,22 +68,17 @@ channels, and every contact is weighed with the same channel set.
 
 The contacts of one step are evaluated together (contacts_log_likelihood) at
 particles that carry a position and a yaw each and share one roll and pitch.
-What depends on the contacts alone is laid out once (contact_layout), and a
-filter's step input does that when it is built, for every filter that steps
-it: each contact's offset tilted by that roll and pitch, once, as a single
-pose, each contact's estimated class as a (K, 1) column, and the one length
-of their class_probs. Each call then turns the tilted offsets per particle
-in the plane into (3, K, N) world points, and compares that length with the
-class layer's class count. The grid channels share one set of padded cell
-indices for all the points, and each channel of the set looks its layer up
-once, the class channel with one estimated class per contact row, from the
-offsets and scores its layer keeps (class_scores), as the cloud channel
-reads the field its cloud keeps (cloud_field). The result keeps
-one row per contact, computed with the same arithmetic as one contact on
-its own, so a caller that adds the rows to the weights in contact order gets
-the same sums bit for bit as evaluating the contacts one at a time. A filter
-hands it ContactBuffers, so that the world points, cell indices, rows and
-the lookups' scratch of every step are written into the same arrays.
+What depends on the contacts alone is laid out once, before a step input
+is built (lay_out_contacts, from a walk log's rows, or from
+ContactMeasurements through contact_layout): the offsets tilted by that
+roll and pitch, the estimated classes as a (K, 1) column, and the one
+length of their class probabilities. Each call turns the offsets per
+particle into (3, K, N) world points; the grid channels share one set of
+padded cell indices, and each channel looks its layer up once, from the
+indexes its layer keeps (class_scores, cloud_field). Row k, contact k's,
+is computed as for the contact on its own, so rows added in contact order
+sum bit for bit as the contacts one at a time would. A filter hands it
+ContactBuffers, which every step writes into.
 """
 
 from __future__ import annotations
@@ -212,15 +207,14 @@ class ContactMeasurement:
 
     offset is the contact point in the base frame, a finite 3-vector.
     class_probs is a terrain classifier's distribution over the classes, a
-    finite, non-negative, non-empty 1-D vector whose argmax, estimated_class,
-    is the class the class channel queries the map for; both None when no
+    finite, non-negative, non-empty 1-D vector whose argmax is the class the
+    class channel queries the map for (lay_out_contacts); None when no
     classifier labeled the contact. Both arrays are kept as read-only copies.
     """
 
     offset: np.ndarray
     class_probs: np.ndarray | None = None
     in_contact: bool = True
-    estimated_class: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         offset = _read_only(self.offset)
@@ -232,12 +226,10 @@ class ContactMeasurement:
             probs = _read_only(self.class_probs)
             if probs.ndim != 1 or not probs.size:
                 raise ValueError(f"class_probs must be a non-empty 1-D vector, got shape {probs.shape}")
-            values = probs.tolist()
             # argmax would rank a nan above every probability; nan fails both compares
-            if not all(0.0 <= p < math.inf for p in values):
+            if not all(0.0 <= p < math.inf for p in probs.tolist()):
                 raise ValueError(f"class_probs must be finite and non-negative, got {probs}")
             object.__setattr__(self, "class_probs", probs)
-            object.__setattr__(self, "estimated_class", values.index(max(values)))  # argmax's first largest
 
 
 def elevation_log_likelihood_points(
@@ -403,47 +395,50 @@ class ContactBuffers:
 @dataclass(frozen=True, eq=False)
 class ContactLayout:
     """K contacts laid out as contacts_log_likelihood reads them, made once
-    (contact_layout) for any number of filters to weigh.
+    (lay_out_contacts) for any number of filters to weigh.
 
-    offsets (3, K) holds each contact's offset tilted by the rotation of the
-    base's roll and pitch; classes (K, 1) each contact's estimated class, 0
-    for a contact no classifier labeled; unlabeled the rows of those; and
-    n_probs the length of the class_probs every labeled contact has, None
-    when no contact is labeled. The arrays are read-only.
+    offsets (3, K) holds the offsets tilted by rotation, the base's
+    tilt_matrix; classes (K, 1) the estimated classes, 0 for a contact no
+    classifier labeled; unlabeled the rows of those; n_probs the labeled
+    contacts' class_probs length, or None. offsets and classes are read-only.
     """
 
     offsets: np.ndarray
     classes: np.ndarray
     unlabeled: tuple[int, ...]
     n_probs: int | None
+    rotation: np.ndarray
 
     @property
     def size(self) -> int:
         return self.offsets.shape[1]
 
 
-def contact_layout(contacts, tilt_matrix) -> ContactLayout:
-    """The layout of contacts, ContactMeasurements, for a base tilted by
-    tilt_matrix (geometry.tilt_matrix of its roll and pitch).
+def lay_out_contacts(offsets, class_probs, rotation) -> ContactLayout:
+    """The one layout of contacts: offsets (K, 3) in the base frame, each
+    tilted by rotation on its own (a (3, 3) @ (3, K) product may round
+    otherwise); class_probs (K, C), nan for a contact no classifier labeled,
+    or None. A labeled contact's class is its row's first largest entry."""
+    tilted = np.array([rotation @ offset for offset in offsets], dtype=float).reshape(-1, 3).T
+    classes = np.zeros((tilted.shape[1], 1), dtype=np.int64)
+    unlabeled, n_probs = tuple(range(len(classes))), None
+    if class_probs is not None and not np.isnan(class_probs[:, 0]).all():
+        labeled = ~np.isnan(class_probs[:, 0])
+        classes[labeled, 0] = class_probs[labeled].argmax(axis=1)
+        unlabeled, n_probs = tuple(np.flatnonzero(~labeled).tolist()), class_probs.shape[1]
+    tilted.flags.writeable = classes.flags.writeable = False
+    return ContactLayout(tilted, classes, unlabeled, n_probs, rotation)
 
-    Each offset is tilted on its own, one 3x3 @ 3-vector product, so that a
-    contact's column does not depend on the others (a (3, 3) @ (3, K)
-    product may round differently). Labeled contacts whose class_probs
-    differ in length raise: a class layer has one class count.
-    """
-    offsets = np.array([tilt_matrix @ c.offset for c in contacts], dtype=float).reshape(-1, 3).T
-    classes = np.array([0 if c.estimated_class is None else c.estimated_class for c in contacts], dtype=np.int64)
+
+def contact_layout(contacts, tilt_matrix) -> ContactLayout:
+    """lay_out_contacts of ContactMeasurements. Labeled contacts whose
+    class_probs differ in length raise: a class layer has one class count."""
     lengths = {c.class_probs.size for c in contacts if c.class_probs is not None}
     if len(lengths) > 1:
         raise ValueError(f"the contacts' class_probs differ in length: {sorted(lengths)} entries")
-    for a in (offsets, classes):
-        a.flags.writeable = False
-    return ContactLayout(
-        offsets,
-        classes.reshape(-1, 1),
-        tuple(k for k, c in enumerate(contacts) if c.class_probs is None),
-        lengths.pop() if lengths else None,
-    )
+    n = max(lengths, default=0)
+    probs = np.array([np.full(n, np.nan) if c.class_probs is None else c.class_probs for c in contacts])
+    return lay_out_contacts([c.offset for c in contacts], probs if n else None, tilt_matrix)
 
 
 def contacts_log_likelihood(

@@ -39,10 +39,9 @@ so the reported pose never teleports between modes. Either way the estimate's
 attitude is its yaw composed with the step's roll and pitch.
 
 What a step computes is done as rarely as what it depends on allows:
-- once per StepInput, when it is built: a read-only copy of its odometry
-  covariance, the rotation of its tilt and its contact layout, the
-  in-contact offsets tilted by that rotation with their estimated classes
-  and class-probability length (likelihood.ContactLayout);
+- once per step, before its StepInput is built: its contact layout, the
+  in-contact offsets tilted by its tilt with their estimated classes and
+  class-probability length (likelihood.lay_out_contacts);
 - once per filter, in init_filter: the settings, the workspace, the
   rotation of the prior's tilt, and the indexes of the mode's channels,
   which their map layers keep, and which a step reads from there
@@ -50,9 +49,9 @@ What a step computes is done as rarely as what it depends on allows:
 - once per input and start rotation: the propagation terms. The first
   filter to step an input makes them and the input keeps them, keyed by
   the filter's start rotation (FilterState.tilt_rotation), the very array:
-  the prior's, or the rotation of the input the filter stepped last. So the
-  other modes of a seed, which step the same inputs in the same order,
-  reuse the terms of every input after their first (_shared_terms);
+  the prior's or the last input's, one array per tilt (tilt_matrix). So the
+  other modes of a seed, stepping the same inputs in the same order from
+  priors of one tilt, reuse the terms of every input (_shared_terms);
 - per step: the draws, the propagation, the contacts' world points, map
   lookups and weights, the check of the layout's class-probability length
   against the filter's class layer, the resample and the estimate. The
@@ -108,11 +107,9 @@ from .likelihood import (
     MODES,
     ContactBuffers,
     ContactLayout,
-    ContactMeasurement,
     LikelihoodConfig,
     class_scores,
     cloud_field,
-    contact_layout,
     contacts_log_likelihood,
     require_layers,
 )
@@ -140,33 +137,30 @@ XY_STD_THRESHOLD = 0.10  # metres of x and y spread the full estimate allows
 
 @dataclass(frozen=True, eq=False)
 class StepInput:
-    """Odometry increment with its 6x6 tangent covariance, the foot contacts,
-    and tilt, the base's (roll, pitch) against gravity at the end of the step.
+    """Odometry increment with its 6x6 tangent covariance, the layout of the
+    step's feet in contact (likelihood.ContactLayout), and tilt, the base's
+    (roll, pitch) against gravity at the end of the step.
 
-    An input is fixed when it is built, and so is the work that depends on it
-    alone, which every filter that steps it reads (its increment is a Pose,
-    finite and read-only once built): odom_cov, a read-only copy of the
-    caller's covariance; rotation, the read-only tilt_matrix of its tilt,
-    which becomes the state's tilt_rotation when a filter steps it; and
-    layout, the contacts in contact (contacts_for_mode) tilted by that
-    rotation and laid out for likelihood.contacts_log_likelihood. The
-    propagation terms also depend on the filter's start rotation, so the
-    input keeps the last terms a filter made with that rotation as their key
-    (_shared_terms), for the next filter to step it.
+    An input is fixed when it is built, as is what filters read of it: its
+    increment, a Pose; odom_cov, read-only; rotation, the tilt_matrix of
+    tilt, which the layout's must equal, and the state's tilt_rotation once
+    a filter steps it. The propagation terms also depend on the filter's
+    start rotation: the input keeps the last ones made, keyed by it.
     """
 
     odom_increment: Pose
     odom_cov: np.ndarray
-    contacts: tuple[ContactMeasurement, ...]
+    layout: ContactLayout
     tilt: tuple = (0.0, 0.0)
     rotation: np.ndarray = field(init=False, repr=False)
-    layout: ContactLayout = field(init=False, repr=False)
     # [start rotation, (g, u, turn)]: the terms _shared_terms made last, and
     # the rotation they were made from
     _terms: list = field(init=False, repr=False, default_factory=lambda: [None, None])
 
     def __post_init__(self):
-        odom_cov = np.array(self.odom_cov, dtype=float)
+        odom_cov = np.asarray(self.odom_cov, dtype=float)
+        if odom_cov.flags.writeable:  # a read-only one is kept, for inputs to share
+            odom_cov = odom_cov.copy()
         odom_cov.flags.writeable = False
         if odom_cov.shape != (6, 6):
             raise ValueError(f"odometry covariance must be 6x6, got {odom_cov.shape}")
@@ -178,19 +172,12 @@ class StepInput:
         for name, values in (("odom_cov", odom_cov.ravel().tolist()), ("tilt", tilt)):
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite")
-        contacts = tuple(self.contacts)
-        for k, c in enumerate(contacts):
-            if not isinstance(c, ContactMeasurement):
-                raise TypeError(f"contacts[{k}] must be a ContactMeasurement, got {type(c).__name__}")
+        if not isinstance(self.layout, ContactLayout):
+            raise TypeError(f"layout must be a ContactLayout, got {type(self.layout).__name__}")
         rotation = tilt_matrix(*tilt)
-        rotation.flags.writeable = False
-        for name, value in (
-            ("odom_cov", odom_cov),
-            ("contacts", contacts),
-            ("tilt", tilt),
-            ("rotation", rotation),
-            ("layout", contact_layout(contacts_for_mode(contacts), rotation)),
-        ):
+        if self.layout.rotation is not rotation and self.layout.rotation.tolist() != rotation.tolist():
+            raise ValueError(f"the layout was made for another tilt than {tilt}")
+        for name, value in (("odom_cov", odom_cov), ("tilt", tilt), ("rotation", rotation)):
             object.__setattr__(self, name, value)
 
 
@@ -349,13 +336,11 @@ def init_filter(
     # body-frame position noise, turned into the world by the prior's attitude
     factor[:3] = quat_matrix(prior_mean.quat) @ factor[:3]
     delta = factor @ rng.standard_normal((4, n_particles))
-    rotation = tilt_matrix(roll, pitch)
-    rotation.flags.writeable = False
     return FilterState(
         positions=prior_mean.position[:, None] + delta[:3],
         yaw=yaw + delta[3],
         tilt=(roll, pitch),
-        tilt_rotation=rotation,
+        tilt_rotation=tilt_matrix(roll, pitch),
         log_weights=np.full(n_particles, -np.log(n_particles)),
         rng=rng,
         maps=maps,

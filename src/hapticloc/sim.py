@@ -10,15 +10,15 @@ with a class layer, every foot on a labeled cell also logs a force signal of
 its cell's class; a foot on an unlabeled cell logs none. A signal is its
 class's noise-free template plus fresh white noise; the template of each
 (class, length) is built once and shared read-only (_signal_template).
-A walk's layers, poses, contacts and signals are read-only once built, and
-so are its log and the log's records: classify_log returns a new log.
+A walk's layers, signals and log (WalkLog, of columns) are read-only once
+built: classify_log returns a new log.
 
 The walker (_walk) computes a walk's geometry over arrays: the base poses,
 the foot placements, the contact offsets and the true increments of every
 phase at once, with geometry.py's row forms and one map lookup per layer.
 Then one loop makes each phase's draws from the walk's generator in phase
-order, and the odometry increments and the step records are built last, so
-a walk draws what a pose-by-pose walk would draw, in the same order.
+order, and the odometry increments are computed last, so a walk draws what
+a pose-by-pose walk would draw, in the same order, into the log's columns.
 
 Every phase also logs the base's roll and pitch, the attitude an IMU observes
 against gravity, which the filter takes as given. The IMU tilt is modelled as
@@ -42,8 +42,9 @@ import hashlib
 import io
 import math
 import os
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,11 +58,10 @@ from .geometry import (
     quat_conjugate_rows,
     quat_from_rotvec_rows,
     quat_mul_rows,
-    quat_rotate,
     quat_rotate_rows,
     quat_to_euler,
+    unit_quat_rows,
 )
-from .likelihood import ContactMeasurement
 from .maps import (
     UNKNOWN_CLASS,
     ClassGrid,
@@ -405,58 +405,53 @@ def synth_force_signal(class_id: int, n_samples: int, rng: np.random.Generator) 
     return StepSignal(template + rng.standard_normal((n_samples, 6)) * sigma)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, no longer writable."""
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True, eq=False)
-class StepRecord:
-    """One step of a walk, a row of its log, fixed once built: the walker
-    and load_walklog give it read-only arrays. A loaded log rebuilds the x
-    and y of true_foot_world (load_walklog)."""
-
-    k: int
-    timestamp: float
-    true_pose: Pose
-    odom_increment: Pose
-    odom_cov_diag: np.ndarray
-    tilt: tuple  # (roll, pitch) of the base, as an IMU observes it against gravity
-    contacts: tuple  # ContactMeasurement, one per foot in FOOT_LABELS order
-    true_foot_world: np.ndarray  # (4, 3)
-    true_class_ids: np.ndarray  # (4,), UNKNOWN_CLASS where no class layer
-    signals: tuple  # StepSignal or None, per foot
-
-
 @dataclass(frozen=True, eq=False)
 class WalkLog:
-    """A walk's start pose, the filter prior and its StepRecords, fixed once built."""
+    """A walk: its start pose, the filter prior, one column per field of a
+    step (README), the steps on the leading axis, made read-only in place;
+    once labeled, class_probs (m, feet, C), nan where a contact had no force
+    signal; signals, a read-only map of (row, foot) to the StepSignal of each
+    contact that has one."""
 
     start_pose: Pose
     init_prior: Pose
-    records: tuple
+    k: np.ndarray
+    t: np.ndarray
+    true_pose: np.ndarray
+    odometry: np.ndarray
+    cov_diag: np.ndarray
+    tilt: np.ndarray
+    offsets: np.ndarray
+    in_contact: np.ndarray
+    foot_world: np.ndarray
+    class_ids: np.ndarray
+    class_probs: np.ndarray | None = None
+    signals: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        for f in fields(self)[2:-1]:  # the columns, class_probs last
+            if getattr(self, f.name) is not None:
+                column = np.asarray(getattr(self, f.name))
+                column.flags.writeable = False
+                object.__setattr__(self, f.name, column)
+        object.__setattr__(self, "signals", MappingProxyType(dict(self.signals)))
 
     @property
     def n_steps(self) -> int:
-        return len(self.records)
-
-    @property
-    def has_signals(self) -> bool:
-        return any(s is not None for r in self.records for s in r.signals)
+        return len(self.k)
 
     def true_poses(self) -> list:
-        return [self.start_pose] + [r.true_pose for r in self.records]
+        return [self.start_pose] + [Pose(p[:3], p[3:]) for p in self.true_pose]
 
     def timestamps(self) -> np.ndarray:
-        return np.array([0.0] + [r.timestamp for r in self.records])
+        return np.concatenate([[0.0], self.t])
 
     def odometry_poses(self) -> list:
         """Dead-reckoned trajectory: composed increments from the prior mean."""
         pose = self.init_prior
         out = [pose]
-        for r in self.records:
-            pose = compose(pose, r.odom_increment)
+        for row in self.odometry:
+            pose = compose(pose, Pose(row[:3], row[3:]))
             out.append(pose)
         return out
 
@@ -561,7 +556,7 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
 
     rng = np.random.default_rng(seed)
     draws = np.empty((m, 6))
-    signals = [[None] * 4 for _ in range(m)]
+    signals = {}
     classes = class_ids.tolist()
     for j in range(m):
         draws[j] = rng.standard_normal(6)
@@ -569,7 +564,7 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
             if noise.outlier_prob > 0.0 and rng.random() < noise.outlier_prob:
                 offsets[j, i, 2] += OUTLIER_SHIFT * (1.0 if rng.random() < 0.5 else -1.0)
             if class_id != UNKNOWN_CLASS:
-                signals[j][i] = synth_force_signal(class_id, sample_signal_length(rng), rng)
+                signals[j, i] = synth_force_signal(class_id, sample_signal_length(rng), rng)
 
     # the odometry increments: each true increment composed with the small
     # pose of its noise and bias
@@ -578,26 +573,12 @@ def _walk(maps, xys, yaws, noise, seed, probe=None):
     odom_pos = incr_pos + quat_rotate_rows(incr_quat, delta[:, :3])
     odom_quat = quat_mul_rows(incr_quat, quat_from_rotvec_rows(delta[:, 3:]))
 
-    cov = white**2
-    poses = [Pose(p, q) for p, q in zip(base, quat)]
-    # every record reads views of these, fixed as a record's fields are
-    cov, world, class_ids = map(_read_only, (cov, world, class_ids))
-    records = tuple(
-        StepRecord(
-            k=k,
-            timestamp=k * PHASE_DT,
-            true_pose=poses[k],
-            odom_increment=Pose(odom_pos[k - 1], odom_quat[k - 1]),
-            odom_cov_diag=cov,
-            tilt=quat_to_euler(poses[k].quat)[:2],
-            contacts=tuple(map(ContactMeasurement, offsets[k - 1])),
-            true_foot_world=world[k - 1],
-            true_class_ids=class_ids[k - 1],
-            signals=tuple(signals[k - 1]),
-        )
-        for k in range(1, n)
-    )
-    return WalkLog(start_pose=poses[0], init_prior=poses[0], records=records)
+    true = np.column_stack([base, unit_quat_rows(quat)])
+    start = Pose(true[0, :3], true[0, 3:])
+    k = np.arange(1, n)
+    return WalkLog(start, start, k, k * PHASE_DT, true[1:], np.column_stack([odom_pos, unit_quat_rows(odom_quat)]),
+                   np.broadcast_to(white**2, (m, 6)), np.array([quat_to_euler(q)[:2] for q in true[1:, 3:]]),
+                   offsets, np.ones((m, len(FOOT_LABELS)), dtype=bool), world, class_ids, signals=signals)
 
 
 def simulate_walk(maps: MapSet, waypoints, noise: NoiseSpec, seed: int) -> WalkLog:
@@ -633,26 +614,22 @@ def classify_log(log: WalkLog, model) -> WalkLog:
     a terrain classifier's class probabilities, and without the signals,
     which nothing reads after labeling; log itself is left as it was. model
     is anything with predict(signals) -> (K, C) probs, called once with the
-    walk's signals. A contact without a signal, a foot on an unlabeled cell,
-    stays unlabeled. A log without force signals raises, as does a model
-    that returns other than one row per signal. A labeled contact is a new
-    ContactMeasurement with the offset of the contact it replaces, of which
-    it keeps its own read-only copy."""
-    signals = [s for rec in log.records for s in rec.signals if s is not None]
-    if not signals:
+    walk's signals. A log without signals raises, as does a model that
+    returns other than one row per signal, or a row a ContactMeasurement
+    refuses."""
+    if not log.signals:
         raise ValueError("the walk log holds no force signals to classify")
-    probs = model.predict(signals)
-    if len(probs) != len(signals):
-        raise ValueError(f"the classifier returned {len(probs)} rows of class probabilities for {len(signals)} signals")
-    probs = iter(probs)
-    records = []
-    for rec in log.records:
-        contacts = tuple(
-            c if signal is None else ContactMeasurement(c.offset, next(probs), c.in_contact)
-            for c, signal in zip(rec.contacts, rec.signals)
-        )
-        records.append(replace(rec, contacts=contacts, signals=(None,) * len(rec.signals)))
-    return replace(log, records=tuple(records))
+    probs, n = np.array(model.predict(list(log.signals.values())), dtype=float), len(log.signals)
+    if len(probs) != n:
+        raise ValueError(f"the classifier returned {len(probs)} rows of class probabilities for {n} signals")
+    if probs.ndim != 2 or not probs.shape[1]:
+        raise ValueError(f"class_probs must be a non-empty 1-D vector, got shape {probs.shape[1:]}")
+    refused = ~((0.0 <= probs) & (probs < math.inf)).all(axis=1)  # nan fails both compares
+    if refused.any():
+        raise ValueError(f"class_probs must be finite and non-negative, got {probs[refused.argmax()]}")
+    column = np.full((*log.in_contact.shape, probs.shape[1]), np.nan)
+    column[tuple(np.transpose(list(log.signals)))] = probs
+    return replace(log, class_probs=column, signals={})
 
 
 WALKLOG_VERSION = "2"
@@ -670,8 +647,9 @@ _STEP_COLUMNS = ("k", "t", *(f"{group}_{c}" for group, names in _STEP_GROUPS.ite
 # unlabeled cell); its force signal file, relative to the log, or empty
 _FOOT_COLUMNS = ("off_x", "off_y", "off_z", "contact", "world_z", "class", "signal")
 _COLUMNS = _STEP_COLUMNS + tuple(f"{label}_{c}" for label in FOOT_LABELS for c in _FOOT_COLUMNS)
+
 # each field's format and parser: a float to 17 digits, exact on reload, but for these
-_KINDS = {"k": ("%d", int), "contact": ("%d", {"1": True, "0": False}.__getitem__),
+_KINDS = {"k": ("%d", lambda text: np.int64(int(text))), "contact": ("%d", {"1": True, "0": False}.__getitem__),
           "class": ("%d", parse_class_id), "signal": ("%s", str)}
 _FIELDS = [_KINDS.get(c, ("%.17g", float)) for c in _STEP_COLUMNS + _FOOT_COLUMNS * len(FOOT_LABELS)]
 _WALKLOG_ROW = ",".join(fmt for fmt, _ in _FIELDS) + "\n"
@@ -688,13 +666,14 @@ def _write_walklog(log: WalkLog, f, signals_dir: str | None = None) -> None:
     for name in ("start_pose", "init_prior"):
         f.write(" ".join([f"# {name}", *(format(v, ".17g") for v in getattr(log, name).to_array())]) + "\n")
     f.write(",".join(_COLUMNS) + "\n")
-    for r in log.records:
-        row = [r.k, *np.concatenate([[r.timestamp], r.true_pose.to_array(), r.odom_increment.to_array(),
-                                     r.odom_cov_diag, r.tilt]).tolist()]
-        world_z, class_ids = r.true_foot_world[:, 2].tolist(), r.true_class_ids.tolist()
-        for label, contact, z, cid, signal in zip(FOOT_LABELS, r.contacts, world_z, class_ids, r.signals):
-            ref = "" if signals_dir is None or signal is None else _signal_ref(signals_dir, r.k, label)
-            row += (*contact.offset.tolist(), contact.in_contact, z, cid, ref)
+    steps = np.column_stack([log.t, log.true_pose, log.odometry, log.cov_diag, log.tilt])
+    feet = zip(log.offsets, log.in_contact, log.foot_world[..., 2], log.class_ids)
+    for j, (k, step, foot) in enumerate(zip(log.k.tolist(), steps, feet)):
+        offsets, touching, world_z, class_ids = (a.tolist() for a in foot)
+        row = [k, *step.tolist()]
+        for i, label in enumerate(FOOT_LABELS):
+            ref = "" if signals_dir is None or (j, i) not in log.signals else _signal_ref(signals_dir, k, label)
+            row += (*offsets[i], touching[i], world_z[i], class_ids[i], ref)
         f.write(_WALKLOG_ROW % tuple(row))
 
 
@@ -704,10 +683,8 @@ def save_walklog(log: WalkLog, path, signals_dir: str | None = None) -> None:
     base = os.path.dirname(os.path.abspath(path))
     if signals_dir is not None:
         os.makedirs(os.path.join(base, signals_dir), exist_ok=True)
-        for r in log.records:
-            for label, signal in zip(FOOT_LABELS, r.signals):
-                if signal is not None:
-                    save_signal(signal, os.path.join(base, _signal_ref(signals_dir, r.k, label)))
+        for (j, i), signal in log.signals.items():
+            save_signal(signal, os.path.join(base, _signal_ref(signals_dir, int(log.k[j]), FOOT_LABELS[i])))
     with open(path, "w") as f:
         _write_walklog(log, f, signals_dir)
 
@@ -741,16 +718,18 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
     """Read a walk log, and its signal files when load_signals is set.
 
     It checks the version line; that one "# start_pose" and one "# init_prior"
-    line each hold a pose's 7 values; that the header lists _COLUMNS; and each
-    row's count of fields and each field, parsed as its column's kind. An
-    error names the file, and the line and the column at fault. The file holds
-    only each foot's world z: true_foot_world's x and y are rebuilt from the
-    true pose and the offset, so they may differ from the simulated ones in
-    the last bit; one that is not finite raises, naming the line and foot.
+    line each hold a pose's 7 values, kept as a Pose keeps them; that the
+    header lists _COLUMNS; each row's fields, parsed as their columns'
+    kinds; and that no two rows share a step index k, or signal file names.
+    An error names the file, and the line and the column at fault. Of each
+    foot's world point the file holds z: x and y are rebuilt from the true
+    pose and the offset (quat_rotate_rows), so they may differ from the
+    simulated ones in the last bit; one not finite raises, naming the foot.
     """
     base = os.path.dirname(os.path.abspath(path))
-    poses = {}
-    records = []
+    # the poses; each row's numbers; the line of each row's step index; the
+    # signals loaded, by (row, foot)
+    poses, rows, lines_of, signals = {}, [], {}, {}
     with open(path) as f:
         lines = f.readlines()
     first = lines[0].split() if lines else []
@@ -783,28 +762,35 @@ def load_walklog(path, load_signals: bool = False) -> WalkLog:
         if len(parts) != len(_COLUMNS):
             raise ValueError(f"{where}: expected {len(_COLUMNS)} fields, got {len(parts)}")
         v = [parse_field(text, parse, where, c) for text, (_, parse), c in zip(parts, _FIELDS, _COLUMNS)]
-        k, t, *step = v[: len(_STEP_COLUMNS)]
-        step = iter(step)
-        true, odo, cov, tilt = ([next(step) for _ in names] for names in _STEP_GROUPS.values())
-        true_pose, odom = build(where, Pose, true[:3], true[3:]), build(where, Pose, odo[:3], odo[3:])
-        contacts, worlds, classes, signals = [], [], [], []
-        base_x, base_y, _ = true_pose.position.tolist()
-        for label, o in zip(FOOT_LABELS, range(len(_STEP_COLUMNS), len(_COLUMNS), len(_FOOT_COLUMNS))):
-            *offset, in_contact, world_z, class_id, ref = v[o : o + len(_FOOT_COLUMNS)]
-            contacts.append(ContactMeasurement(np.array(offset), in_contact=in_contact))
-            dx, dy, _ = quat_rotate(true_pose.quat, offset).tolist()
-            x, y = base_x + dx, base_y + dy  # Python floats overflow to inf with no warning
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"{where}: foot {label}: its world x and y, rebuilt from the true pose "
-                                 f"and its offset, are not finite ({x}, {y})")
-            worlds.append([x, y, world_z])
-            classes.append(class_id)
-            signals.append(load_signal(os.path.join(base, ref)) if load_signals and ref else None)
-        records.append(StepRecord(k, t, true_pose, odom, _read_only(np.array(cov)), tuple(tilt), tuple(contacts),
-                                  _read_only(np.array(worlds)), _read_only(np.array(classes, dtype=np.uint8)),
-                                  tuple(signals)))
+        if v[0] in lines_of:
+            raise ValueError(f"{where}: column k: step {v[0]} repeats the step of line {lines_of[v[0]]}")
+        lines_of[v[0]] = ln
+        # the true pose and the odometry increment, each as a Pose keeps it
+        for o in (2, 2 + len(POSE_COLUMNS)):
+            v[o : o + 7] = build(where, Pose, v[o : o + 3], v[o + 3 : o + 7]).to_array().tolist()
+        feet = v[len(_STEP_COLUMNS) :]
+        for i, ref in enumerate(feet[len(_FOOT_COLUMNS) - 1 :: len(_FOOT_COLUMNS)]):
+            if load_signals and ref:
+                signals[len(rows), i] = load_signal(os.path.join(base, ref))
+        rows.append(v[1 : len(_STEP_COLUMNS)] + [x for x in feet if not isinstance(x, str)])
     if set(poses) != {"start_pose", "init_prior"} or not header_seen:
         raise ValueError(f"{path}: missing walk log header lines")
-    if not records:
+    if not rows:
         raise ValueError(f"{path}: walk log has no step rows")
-    return WalkLog(**poses, records=tuple(records))
+
+    groups = np.cumsum([1, *map(len, _STEP_GROUPS.values())])
+    t, true, odometry, cov_diag, tilt, feet = np.hsplit(np.array(rows), groups)
+    feet = feet.reshape(len(rows), len(FOOT_LABELS), -1)  # offset, in contact (1 or 0), world z, class id
+    offsets, world = feet[..., :3], np.empty((len(rows), len(FOOT_LABELS), 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        turned = quat_rotate_rows(np.repeat(true[:, 3:], len(FOOT_LABELS), axis=0), offsets.reshape(-1, 3))
+        world[..., :2] = true[:, None, :2] + turned.reshape(world.shape)[..., :2]
+    world[..., 2] = feet[..., 4]
+    unbuilt = np.argwhere(~np.isfinite(world).all(axis=2))
+    if len(unbuilt):
+        j, i = unbuilt[0].tolist()
+        x, y = world[j, i, :2].tolist()
+        raise ValueError(f"{path}:{list(lines_of.values())[j]}: foot {FOOT_LABELS[i]}: its world x and y, rebuilt "
+                         f"from the true pose and its offset, are not finite ({x}, {y})")
+    return WalkLog(poses["start_pose"], poses["init_prior"], list(lines_of), t[:, 0], true, odometry, cov_diag, tilt,
+                   offsets, feet[..., 3] == 1, world, feet[..., 5].astype(np.uint8), signals=signals)

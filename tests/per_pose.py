@@ -3,8 +3,10 @@
 The scalar map lookups (elevation_at, class_at), the single-pose helpers
 of the pose algebra (quat_from_yaw, quat_conjugate, inverse,
 relative_increment, pose_exp), and the walker that used them: a walk built
-one pose at a time, with its draws made inside the step loop. The tests
-hold the package's batched walker (sim._walk) to this one, bit for bit.
+one pose at a time, record by record, with its draws made inside the step
+loop, each step's Poses and ContactMeasurements built as the walk goes, and
+the records stacked into the log's columns at the end. The tests hold the
+package's batched walker (sim._walk) to this one, bit for bit.
 
 Also the full-grid course builders (chevron_course, tiles_course): each
 computes on meshgrids of every cell centre and full-grid masks. The tests
@@ -50,7 +52,6 @@ from hapticloc.sim import (
     TILES_SIZE,
     WALL_ROOM_WALL_X,
     WALL_ROOM_WALL_Y,
-    StepRecord,
     WalkLog,
     check_waypoints,
     nominal_offset,
@@ -151,6 +152,7 @@ def _place_foot(maps, pose: Pose, label: str) -> np.ndarray | None:
 
 
 def _record_step(maps, k, pose, prev_pose, feet, noise, rng):
+    """One step's record: the dict of its fields, and its signal per foot."""
     incr_true = relative_increment(prev_pose, pose)
     delta = np.array(noise.white_std) * rng.standard_normal(6) + noise.bias_vector()
     odom = compose(incr_true, pose_exp(delta))
@@ -173,18 +175,26 @@ def _record_step(maps, k, pose, prev_pose, feet, noise, rng):
         classes.append(class_id)
         signals.append(signal)
 
-    return StepRecord(
+    record = dict(
         k=k,
-        timestamp=k * PHASE_DT,
-        true_pose=pose,
-        odom_increment=odom,
-        odom_cov_diag=np.array(noise.white_std) ** 2,
+        t=k * PHASE_DT,
+        true_pose=pose.to_array(),
+        odometry=odom.to_array(),
+        cov_diag=np.array(noise.white_std) ** 2,
         tilt=quat_to_euler(pose.quat)[:2],
-        contacts=contacts,
-        true_foot_world=np.array(worlds),
-        true_class_ids=np.array(classes, dtype=np.uint8),
-        signals=signals,
+        offsets=[c.offset for c in contacts],
+        in_contact=[c.in_contact for c in contacts],
+        foot_world=np.array(worlds),
+        class_ids=np.array(classes, dtype=np.uint8),
     )
+    return record, signals
+
+
+def walk_log(start, init_prior, records):
+    """The WalkLog of (record, signals) pairs, one per step, in step order."""
+    columns = {name: [record[name] for record, _ in records] for name in records[0][0]}
+    signals = {(j, i): s for j, (_, feet) in enumerate(records) for i, s in enumerate(feet) if s is not None}
+    return WalkLog(start, init_prior, **columns, signals=signals)
 
 
 def walk(maps, xys, yaws, noise, seed, probe=None):
@@ -212,7 +222,7 @@ def walk(maps, xys, yaws, noise, seed, probe=None):
         touching = feet if touch is None else {**feet, touch[0]: touch[1]}
         records.append(_record_step(maps, k, pose, prev, touching, noise, rng))
         prev = pose
-    return WalkLog(start_pose=start, init_prior=start, records=records)
+    return walk_log(start, start, records)
 
 
 def simulate_walk(maps, waypoints, noise, seed) -> WalkLog:

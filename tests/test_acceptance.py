@@ -25,8 +25,8 @@ from hapticloc.evaluate import (
     make_training_set,
     run_experiment,
 )
-from hapticloc.geometry import Pose, quat_rotate
-from hapticloc.likelihood import ContactMeasurement, LikelihoodConfig, cloud_field, gaussian_density
+from hapticloc.geometry import Pose, quat_rotate, tilt_matrix
+from hapticloc.likelihood import ContactMeasurement, LikelihoodConfig, cloud_field, contact_layout, gaussian_density
 from hapticloc.maps import (
     GATHER_ROWS,
     UNKNOWN_CLASS,
@@ -73,6 +73,11 @@ def _flat_maps(extent=10.0, res=0.5):
 
 def _elevation_contacts():
     return [ContactMeasurement(f) for f in FEET]
+
+
+def _level(contacts):
+    """The layout of contacts, every one in contact, for a level base."""
+    return contact_layout(contacts, tilt_matrix(0.0, 0.0))
 
 
 # criterion 1 -----------------------------------------------------------------
@@ -316,7 +321,7 @@ def test_criterion_08_ambiguity_fallback():
     st.yaw = np.zeros(n)
 
     inc = Pose([0.05, 0.0, 0.0])
-    inp = StepInput(inc, np.diag(np.full(6, 1e-12)), _elevation_contacts())
+    inp = StepInput(inc, np.diag(np.full(6, 1e-12)), _level(_elevation_contacts()))
     for _ in range(10):
         step(st, inp)
 
@@ -341,7 +346,7 @@ def test_criterion_09_filter_invariants():
     maps = _flat_maps()
     prior_cov = np.diag([0.01, 0.01, 0.0004, 1e-6, 1e-6, 1e-4])
     inputs = [
-        StepInput(Pose([0.05, 0.0, 0.0]), np.diag([1e-5, 1e-5, 1e-6, 1e-8, 1e-8, 1e-7]), _elevation_contacts())
+        StepInput(Pose([0.05, 0.0, 0.0]), np.diag([1e-5, 1e-5, 1e-6, 1e-8, 1e-8, 1e-7]), _level(_elevation_contacts()))
         for _ in range(10)
     ]
 
@@ -406,7 +411,7 @@ def test_criterion_10_performance_budgets():
         pose, np.diag([4e-4, 4e-4, 4e-4, 1e-6, 1e-6, 1e-6]), course, LikelihoodConfig(),
         mode="HL-GC", n_particles=500, seed=3,
     )
-    inp = StepInput(Pose([0.002, 0.0, 0.0]), np.diag(np.full(6, 1e-6)), contacts)
+    inp = StepInput(Pose([0.002, 0.0, 0.0]), np.diag(np.full(6, 1e-6)), _level(contacts))
     times = []
     for _ in range(50):
         t0 = time.perf_counter()

@@ -359,9 +359,9 @@ def test_localize_over_a_patch_of_unlabeled_cells(mode, tmp_path, capsys):
                        "--seed", "1", "--out", str(log_path))
     assert code == 0, err
     log = classify_log(load_walklog(log_path, load_signals=True), train_contact_classifier(1))
-    unlabeled = np.array([r.true_class_ids == UNKNOWN_CLASS for r in log.records])
+    unlabeled = log.class_ids == UNKNOWN_CLASS
     assert unlabeled.sum() > 10 and not unlabeled.all()
-    labeled = np.array([[c.class_probs is not None for c in r.contacts] for r in log.records])
+    labeled = ~np.isnan(log.class_probs).any(axis=2)
     assert np.array_equal(labeled, ~unlabeled)
 
     code, out, err = run(capsys, "localize", "--course", str(d), "--walklog", str(log_path), "--mode", mode,

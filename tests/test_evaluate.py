@@ -7,6 +7,9 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hapticloc.evaluate as evaluate_module
 import hapticloc.mcl as mcl_module
@@ -29,11 +32,21 @@ from hapticloc.evaluate import (
     to_step_inputs,
     write_report,
 )
-from hapticloc.geometry import Pose, quat_from_rotvec
-from hapticloc.likelihood import LikelihoodConfig
-from hapticloc.mcl import init_filter, run_filter
-from hapticloc.sim import COURSES, STEP_LENGTH, CourseSpec, NoiseSpec, generate_course, simulate_walk, walklog_hash
+from hapticloc.geometry import FOOT_LABELS, Pose, quat_from_rotvec, tilt_matrix
+from hapticloc.likelihood import ContactMeasurement, LikelihoodConfig, contact_layout
+from hapticloc.mcl import contacts_for_mode, init_filter, run_filter
+from hapticloc.sim import (
+    COURSES,
+    STEP_LENGTH,
+    CourseSpec,
+    NoiseSpec,
+    WalkLog,
+    generate_course,
+    simulate_walk,
+    walklog_hash,
+)
 from per_pose import quat_from_yaw
+from test_geometry import same_bits
 
 
 def pose(x=0.0, y=0.0, z=0.0, yaw=0.0):
@@ -96,11 +109,61 @@ def test_to_step_inputs_scales_covariance():
     inputs = to_step_inputs(log)
     assert len(inputs) == 5
     want = np.diag(1.5**2 * np.full(6, 0.004**2))
-    for inp, rec in zip(inputs, log.records):
+    for inp, tilt in zip(inputs, log.tilt):
         assert np.allclose(inp.odom_cov, want, atol=1e-18)
-        # the record's contacts themselves, in a tuple: the input's layout is fixed
-        assert type(inp.contacts) is tuple and list(map(id, inp.contacts)) == list(map(id, rec.contacts))
-        assert inp.tilt == rec.tilt
+        assert inp.tilt == tuple(tilt.tolist())
+    # the steps share one covariance and one rotation, as their bits are alike
+    assert all(inp.odom_cov is inputs[0].odom_cov and inp.rotation is inputs[0].rotation for inp in inputs)
+
+
+angles = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+lengths = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def tilted_logs(draw):
+    """A walk log of 1-4 steps, each with a non-zero roll and pitch as often
+    as not, random offsets, feet in and out of contact, and class
+    probabilities on some contacts and not on others."""
+    m, feet, n_classes = draw(st.integers(1, 4)), len(FOOT_LABELS), draw(st.integers(1, 4))
+    probs = draw(arrays(float, (m, feet, n_classes), elements=st.floats(0.0, 1.0)))
+    probs[draw(arrays(bool, (m, feet)))] = np.nan
+    pose = Pose().to_array()
+    return WalkLog(
+        Pose(),
+        Pose(),
+        k=np.arange(1, m + 1),
+        t=np.arange(1.0, m + 1),
+        true_pose=[pose] * m,
+        odometry=[Pose(draw(arrays(float, 3, elements=lengths)), quat_from_rotvec([0.0, 0.0, 0.1])).to_array()
+                  for _ in range(m)],
+        cov_diag=np.full((m, 6), 1e-4),
+        tilt=draw(arrays(float, (m, 2), elements=angles)),
+        offsets=draw(arrays(float, (m, feet, 3), elements=lengths)),
+        in_contact=draw(arrays(bool, (m, feet))),
+        foot_world=np.zeros((m, feet, 3)),
+        class_ids=np.full((m, feet), 255, dtype=np.uint8),
+        class_probs=probs if draw(st.booleans()) else None,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tilted_logs())
+def test_each_input_s_layout_is_the_layout_of_its_step_s_contact_measurements(log):
+    # to_step_inputs lays out each step from the log's columns; the layout
+    # of the step's ContactMeasurements in contact is the same, bit for bit
+    for j, inp in enumerate(to_step_inputs(log)):
+        tilt = tuple(log.tilt[j].tolist())
+        probs = ([None] * len(FOOT_LABELS) if log.class_probs is None
+                 else [None if np.isnan(row[0]) else row for row in log.class_probs[j]])
+        cs = [ContactMeasurement(offset, class_probs=p, in_contact=touching)
+              for offset, p, touching in zip(log.offsets[j], probs, log.in_contact[j].tolist())]
+        want = contact_layout(contacts_for_mode(cs), tilt_matrix(*tilt))
+        got = inp.layout
+        assert same_bits(got.offsets, want.offsets) and same_bits(got.rotation, want.rotation)
+        assert got.classes.dtype == want.classes.dtype and np.array_equal(got.classes, want.classes)
+        assert got.unlabeled == want.unlabeled and got.n_probs == want.n_probs
+        assert inp.tilt == tilt and same_bits(inp.odom_increment.to_array(), log.odometry[j])
 
 
 def test_experiment_config_validation():
@@ -327,10 +390,10 @@ def test_write_report_row_order(tmp_path):
 def test_simulate_for_config_class_probs():
     cfg = replace(default_tiles_experiment(), waypoints=((0.6, 0.6), (2.0, 0.6)))
     _, log = simulate_for_config(cfg, 1)
-    soft = [c for r in log.records for c in r.contacts if c.class_probs is not None]
-    assert soft
-    for c in soft:
-        assert c.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
+    soft = log.class_probs[~np.isnan(log.class_probs).any(axis=2)]
+    assert len(soft)
+    for probs in soft:
+        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def record_calls(monkeypatch, *targets):
@@ -374,8 +437,8 @@ def test_a_class_seed_releases_its_signals_once_its_contacts_are_labeled():
     # nothing reads a signal after classify_log, so the filters run without
     # the walk's signals; the log hashes as it did with them
     _, log = simulate_for_config(default_tiles_experiment(), 1)
-    assert not log.has_signals and all(r.signals == (None,) * 4 for r in log.records)
-    assert any(c.class_probs is not None for r in log.records for c in r.contacts)
+    assert not log.signals
+    assert not np.isnan(log.class_probs).all()
     assert walklog_hash(log).startswith("cbd5b4067401")
 
 
@@ -432,8 +495,8 @@ def test_modes_sharing_one_input_list_match_a_fresh_list_each():
 def test_a_three_mode_tiles_seed_makes_the_propagation_terms_once_per_input(monkeypatch):
     # HL-G, HL-GC and HL-C start from one prior and step one input list: the
     # first mode to step an input makes its terms, and the others reuse them,
-    # except on their first input, which each starts from the rotation its
-    # init_filter made (the terms are keyed by the start rotation)
+    # their first input's too, as the terms are keyed by the start rotation,
+    # and the priors and inputs of one tilt share one (geometry.tilt_matrix)
     terms, steps = [], []
     make_terms, make_step = mcl_module._propagation_terms, mcl_module.step
 
@@ -453,7 +516,7 @@ def test_a_three_mode_tiles_seed_makes_the_propagation_terms_once_per_input(monk
     run_experiment(cfg)
     inputs = list(dict.fromkeys(steps))
     assert len(inputs) > 0 and len(steps) == 3 * len(inputs)
-    assert len(terms) == len(inputs) + len(cfg.modes) - 1
+    assert len(terms) == len(inputs)
 
 
 def test_load_experiment_config_overrides(tmp_path):

@@ -503,11 +503,10 @@ TYING_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(0.0
 @given(st.lists(TYING_ENTRIES, min_size=1, max_size=10))
 def test_a_contact_keeps_the_argmax_of_its_class_probs(probs):
     # the class the class channel queries, found once, when the contact is
-    # built: numpy's argmax, the first of tied entries, -0.0 equal to 0.0
-    assert ContactMeasurement((0.0, 0.0, -0.3), class_probs=probs).estimated_class == int(np.argmax(probs))
-    assert ContactMeasurement((0.0, 0.0, -0.3)).estimated_class is None
-    with pytest.raises(TypeError):
-        ContactMeasurement((0.0, 0.0, -0.3), class_probs=probs, estimated_class=0)
+    # laid out: numpy's argmax, the first of tied entries, -0.0 equal to 0.0
+    layout = contact_layout([ContactMeasurement((0.0, 0.0, -0.3), class_probs=probs)], LEVEL)
+    assert layout.classes.tolist() == [[int(np.argmax(probs))]] and layout.unlabeled == ()
+    assert contact_layout([ContactMeasurement((0.0, 0.0, -0.3))], LEVEL).unlabeled == (0,)
 
 
 def test_contact_fields_cannot_be_assigned():

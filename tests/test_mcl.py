@@ -22,6 +22,7 @@ from hapticloc.geometry import (
     quat_from_rotvec,
     quat_matrix,
     quat_to_euler,
+    tilt_matrix,
     wrap_angle,
 )
 from hapticloc.likelihood import (
@@ -29,6 +30,7 @@ from hapticloc.likelihood import (
     ContactMeasurement,
     LikelihoodConfig,
     cloud_log_likelihood_points,
+    contact_layout,
     elevation_log_likelihood_points,
     gaussian_log_density,
 )
@@ -51,6 +53,7 @@ from hapticloc.mcl import (
     FilterState,
     StepInput,
     _logsumexp,
+    contacts_for_mode,
     estimate_detail,
     init_filter,
     kld_sample_size,
@@ -80,6 +83,12 @@ def contacts():
     return [ContactMeasurement(f) for f in FEET]
 
 
+def contact_input(increment, cov, contacts, tilt=(0.0, 0.0)):
+    """The StepInput of a step's ContactMeasurements: the layout of those in
+    contact (contacts_for_mode), for a base tilted by tilt."""
+    return StepInput(increment, cov, contact_layout(contacts_for_mode(contacts), tilt_matrix(*tilt)), tilt)
+
+
 def new_filter(prior_mean, prior_cov, maps=None, likelihood=LikelihoodConfig(), **settings):
     """init_filter on flat_maps() with the settings given, the others fixed here."""
     fixed = dict(mode="HL-G", n_particles=500, seed=0)
@@ -92,7 +101,7 @@ STILL = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
 
 def forward_input(dx=0.05, cov_scale=1.0):
     cov = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5]) * cov_scale
-    return StepInput(Pose(np.array([dx, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), cov, contacts())
+    return contact_input(Pose(np.array([dx, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), cov, contacts())
 
 
 def test_systematic_resample_equal_weights_is_identity_permutation():
@@ -182,7 +191,7 @@ def test_systematic_resample_takes_a_total_within_1e6_of_one():
 def test_effective_sample_size_bounds():
     # a step without contacts keeps the weights, so StepDiagnostics.ess is theirs
     n = 64
-    still = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros((6, 6)), [])
+    still = contact_input(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros((6, 6)), [])
     st = new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=n, seed=0)
     step(st, still)
     assert st.diagnostics[-1].ess == pytest.approx(n)
@@ -309,7 +318,7 @@ def test_out_of_contact_feet_are_skipped():
         ContactMeasurement((0.2, 0.15, 5.0), in_contact=False)
     ]
     st = new_filter(stand_pose(), np.diag([0.01, 0.01, 0.01, 0, 0, 0]) ** 1, n_particles=80, seed=2)
-    inp = StepInput(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros((6, 6)), lifted)
+    inp = contact_input(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])), np.zeros((6, 6)), lifted)
     step(st, inp)
     # no active contact: weights stay exactly uniform after normalization
     assert np.allclose(st.log_weights, -np.log(80))
@@ -318,19 +327,19 @@ def test_out_of_contact_feet_are_skipped():
 def test_stepinput_covariance_shapes():
     inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
     cov = np.diag(np.arange(1, 7, dtype=float))
-    held = StepInput(inc, cov, []).odom_cov
+    held = contact_input(inc, cov, []).odom_cov
     assert held is not cov and np.array_equal(held, cov) and not held.flags.writeable
     # a covariance is a full 6x6 matrix, never its diagonal alone
     for shape in ((6,), (3, 3)):
         with pytest.raises(ValueError, match="must be 6x6"):
-            StepInput(inc, np.ones(shape), [])
+            contact_input(inc, np.ones(shape), [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stepinput_rejects_non_finite_increment_position(bad):
     # the increment is a Pose, which refuses the position before an input exists
     with pytest.raises(ValueError, match=r"^pose position must be finite"):
-        StepInput(Pose(np.array([0.05, bad, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), np.eye(6), [])
+        contact_input(Pose(np.array([0.05, bad, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])), np.eye(6), [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -344,7 +353,7 @@ def test_stepinput_rejects_non_finite_increment_quat(bad):
         inc.quat[2] = bad
     with pytest.raises(FrozenInstanceError):
         inc.quat = np.array([0.0, 0.0, bad, 1.0])
-    assert StepInput(inc, np.eye(6), []).odom_increment.quat.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert contact_input(inc, np.eye(6), []).odom_increment.quat.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
@@ -366,7 +375,7 @@ def test_stepinput_names_the_non_finite_value(name, bad):
         return
     held[-1] = bad
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite$"):
-        StepInput(inc, cov, [], tilt)
+        StepInput(inc, cov, contact_layout([], tilt_matrix(0.0, 0.0)), tilt)
 
 
 def test_a_built_input_refuses_a_write_into_its_increment():
@@ -382,13 +391,13 @@ def test_a_built_input_refuses_a_write_into_its_increment():
             setattr(increment, name, np.full(3 if name == "position" else 4, np.nan))
     with pytest.raises(FrozenInstanceError):
         inputs[3].odom_increment = Pose()
-    assert increment is log.records[3].odom_increment and np.isfinite(increment.to_array()).all()
+    assert increment.to_array().tobytes() == log.odometry[3].tobytes() and np.isfinite(increment.to_array()).all()
 
 
 @pytest.mark.parametrize("tilt", [(np.nan, 0.0), (0.0, np.inf), (0.1,), (0.1, 0.2, 0.3)])
 def test_stepinput_rejects_a_tilt_that_is_not_two_finite_angles(tilt):
     with pytest.raises(ValueError, match="tilt"):
-        StepInput(STILL, np.eye(6), [], tilt)
+        StepInput(STILL, np.eye(6), contact_layout([], tilt_matrix(0.0, 0.0)), tilt)
 
 
 def test_stepinput_rejects_non_finite_covariance():
@@ -397,7 +406,7 @@ def test_stepinput_rejects_non_finite_covariance():
     cov[2, 2] = np.nan
     inc = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="odom_cov must be finite"):
-        StepInput(inc, cov, [])
+        contact_input(inc, cov, [])
 
 
 def normalized_weights(st):
@@ -507,7 +516,7 @@ def test_filter_tracks_through_height_feature():
         noisy = inc_true + rng.normal(0.0, [3e-3, 3e-3, 1e-3])
         noisy[0] += 0.004  # systematic forward drift the map must correct
         inputs.append(
-            StepInput(Pose(noisy, np.array([0.0, 0.0, 0.0, 1.0])),
+            contact_input(Pose(noisy, np.array([0.0, 0.0, 0.0, 1.0])),
                       # inflated x variance: exploration must outrun the bias
                       np.diag([6e-5, 2e-5, 4e-6, 1e-8, 1e-8, 1e-8]), cs)
         )
@@ -551,10 +560,11 @@ def reference_contact_log_likelihood(positions, yaw, tilt, contact, channels, ma
     return ll
 
 
-def reference_step(state, inp):
+def reference_step(state, inp, contacts):
     """The particle update of step written plainly: the covariance factored on
-    every step, new arrays for every result, and the contacts weighed one at a
-    time with the filter's channels."""
+    every step, new arrays for every result, and inp's contacts, the
+    ContactMeasurements it was built from, weighed one at a time with the
+    filter's channels."""
     n = state.n_particles
     inc = inp.odom_increment
     factor = covariance_factor(inp.odom_cov[np.ix_([0, 1, 2, 5], [0, 1, 2, 5])])
@@ -571,7 +581,7 @@ def reference_step(state, inp):
     p = state.positions
     state.positions = np.stack([c * v[0] - s * v[1] + p[0], s * v[0] + c * v[1] + p[1], p[2] + v[2]])
     state.tilt = inp.tilt
-    for contact in inp.contacts:
+    for contact in contacts:
         if contact.in_contact:
             state.log_weights = state.log_weights + reference_contact_log_likelihood(
                 state.positions, state.yaw, state.tilt, contact, state.channels, state.maps, state.likelihood
@@ -648,9 +658,9 @@ def test_batched_step_bit_identical_to_per_contact_step(contact_sets, seed, mode
     cov = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
     for k, cs in enumerate(contact_sets):
         tilt = (0.03 * k, -0.02 * k)
-        inp = StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_rotvec([0.002, -0.001, 0.01])), cov, cs, tilt)
+        inp = contact_input(Pose(np.array([0.05, 0.0, 0.0]), quat_from_rotvec([0.002, -0.001, 0.01])), cov, cs, tilt)
         step(new, inp)
-        reference_step(ref, inp)
+        reference_step(ref, inp, cs)
         assert_same_particles(new, ref)
 
 
@@ -706,7 +716,7 @@ def test_modes_sharing_inputs_match_modes_on_inputs_of_their_own(walk, order, in
         return new_filter(prior, prior_cov, maps, cfg, mode=mode, n_particles=64, seed=seed)
 
     def inputs():
-        return [StepInput(inc, odom_cov, cs, tilt) for inc, cs, tilt in walk]
+        return [contact_input(inc, odom_cov, cs, tilt) for inc, cs, tilt in walk]
 
     shared = inputs()
     filters = {mode: start(mode) for mode in order}
@@ -722,25 +732,37 @@ def test_modes_sharing_inputs_match_modes_on_inputs_of_their_own(walk, order, in
         assert_same_run(filters[mode], run_filter(start(mode), inputs()))
 
 
-def test_a_step_input_holds_its_contacts_in_a_tuple():
+def test_a_step_input_holds_its_contact_layout_fixed():
     cs = contacts()
-    inp = StepInput(STILL, ODOM_COV, cs)
-    assert type(inp.contacts) is tuple and list(map(id, inp.contacts)) == list(map(id, cs))
-    # the layout is made when the input is built, so the input is fixed
-    for name, value in (("contacts", []), ("tilt", (0.1, 0.0)), ("odom_cov", np.eye(6))):
+    layout = contact_layout(cs, tilt_matrix(0.1, -0.05))
+    inp = StepInput(STILL, ODOM_COV, layout, (0.1, -0.05))
+    # the input keeps the layout's rotation as its own, the filters' key
+    assert inp.layout is layout and inp.rotation is layout.rotation
+    # the layout is made before the input is built, so the input is fixed
+    for name, value in (("layout", layout), ("tilt", (0.1, 0.0)), ("odom_cov", np.eye(6)), ("rotation", np.eye(3))):
         with pytest.raises(FrozenInstanceError):
             setattr(inp, name, value)
+    for name in ("offsets", "classes", "rotation"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(layout, name)[0, 0] = 7
     cs.pop()
-    assert len(inp.contacts) == 4 and inp.layout.size == 4
+    assert inp.layout.size == 4
 
 
 @pytest.mark.parametrize("bad", [FEET[0], None, (0.2, 0.15, -0.3)], ids=["array", "none", "tuple"])
 def test_a_step_input_refuses_an_entry_that_is_not_a_contact(bad):
-    cs = contacts()
-    cs[2] = bad
+    # an input takes its contacts as one ContactLayout, and nothing else
     with pytest.raises(TypeError) as e:
-        StepInput(STILL, ODOM_COV, cs)
-    assert str(e.value) == f"contacts[2] must be a ContactMeasurement, got {type(bad).__name__}"
+        StepInput(STILL, ODOM_COV, bad)
+    assert str(e.value) == f"layout must be a ContactLayout, got {type(bad).__name__}"
+
+
+def test_a_step_input_refuses_a_layout_made_for_another_tilt():
+    # the filter would tilt the contacts by one attitude and report another
+    for tilt in ((0.1, -0.05), (0.0, 0.0)):
+        layout = contact_layout(contacts(), tilt_matrix(*tilt))
+        with pytest.raises(ValueError, match=r"^the layout was made for another tilt than \(0.1, 0.0\)$"):
+            StepInput(STILL, ODOM_COV, layout, (0.1, 0.0))
 
 
 # the cached odometry covariance factor
@@ -750,7 +772,7 @@ ODOM_COV = np.diag([4e-4, 4e-4, 1e-4, 1e-6, 1e-6, 4e-5])
 
 
 def turning_input(cov):
-    return StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.02)), cov, contacts())
+    return contact_input(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.02)), cov, contacts())
 
 
 def cache_filters():
@@ -763,7 +785,7 @@ def test_covariance_cache_follows_a_changing_covariance():
     for cov in [ODOM_COV] * 3 + [2.0 * ODOM_COV] * 3 + [ODOM_COV, ODOM_COV.copy()]:
         inp = turning_input(cov)
         step(new, inp)
-        reference_step(ref, inp)
+        reference_step(ref, inp, contacts())
         assert_same_particles(new, ref)
 
 
@@ -778,7 +800,7 @@ def test_a_step_input_holds_a_read_only_copy_of_its_covariance():
     for k in range(6):
         cov[0, 0] = 4e-4 * (2 + k % 3)
         step(new, inp)
-        reference_step(ref, turning_input(ODOM_COV))
+        reference_step(ref, turning_input(ODOM_COV), contacts())
         assert_same_particles(new, ref)
 
 
@@ -808,15 +830,17 @@ def test_covariance_cache_still_rejects_bad_covariance_on_its_step(cell, value, 
 # the workspace: each state writes its steps into arrays of its own
 
 
+def walk_contacts(i):
+    """Step i's contacts, of which 4, 3, 0, 4, ... are active as i counts up:
+    one foot lifted, then all four, so the contact buffers change shape."""
+    lifted = {0: (), 1: (2,), 2: (0, 1, 2, 3)}[i % 3]
+    return [ContactMeasurement(f, in_contact=j not in lifted) for j, f in enumerate(FEET)]
+
+
 def walk_inputs(k):
-    """k turning steps whose active contacts go 4, 3, 0, 4, ...: one foot
-    lifted, then all four, so the contact buffers change shape."""
-    out = []
-    for i in range(k):
-        lifted = {0: (), 1: (2,), 2: (0, 1, 2, 3)}[i % 3]
-        cs = [ContactMeasurement(f, in_contact=j not in lifted) for j, f in enumerate(FEET)]
-        out.append(StepInput(Pose(np.array([0.04, 0.01, 0.0]), quat_from_yaw(0.02)), ODOM_COV, cs))
-    return out
+    """k turning steps, each with its walk_contacts."""
+    return [contact_input(Pose(np.array([0.04, 0.01, 0.0]), quat_from_yaw(0.02)), ODOM_COV, walk_contacts(i))
+            for i in range(k)]
 
 
 def height_maps():
@@ -827,9 +851,9 @@ def height_maps():
 def test_changing_contact_count_matches_reference_step():
     maps = height_maps()
     new, ref = (new_filter(stand_pose(), np.eye(6) * 1e-3, maps, n_particles=120, seed=9) for _ in range(2))
-    for inp in walk_inputs(9):
+    for i, inp in enumerate(walk_inputs(9)):
         step(new, inp)
-        reference_step(ref, inp)
+        reference_step(ref, inp, walk_contacts(i))
         assert_same_particles(new, ref)
 
 
@@ -867,9 +891,9 @@ def test_step_overwrites_the_arrays_the_state_held(monkeypatch):
 def test_replaced_arrays_keep_stepping_and_are_not_written():
     maps, inputs = height_maps(), walk_inputs(4)
     new, ref = (new_filter(stand_pose(), np.eye(6) * 1e-3, maps, n_particles=80, seed=5) for _ in range(2))
-    for inp in inputs[:2]:
+    for i, inp in enumerate(inputs[:2]):
         step(new, inp)
-        reference_step(ref, inp)
+        reference_step(ref, inp, walk_contacts(i))
     rng = np.random.default_rng(6)
     mine = {
         "positions": new.positions + rng.normal(0.0, 0.01, new.positions.shape),
@@ -882,9 +906,9 @@ def test_replaced_arrays_keep_stepping_and_are_not_written():
         setattr(new, name, value)
         setattr(ref, name, value.copy())
     kept = {name: value.copy() for name, value in mine.items()}
-    for inp in inputs[2:]:
+    for i, inp in enumerate(inputs[2:], start=2):
         step(new, inp)
-        reference_step(ref, inp)
+        reference_step(ref, inp, walk_contacts(i))
         assert_same_particles(new, ref)
     for name, value in mine.items():
         assert np.array_equal(value, kept[name]), name
@@ -905,7 +929,7 @@ def test_warm_step_allocates_few_particle_sized_arrays(monkeypatch):
     n = 10_000
     monkeypatch.setattr(mcl_module, "XY_STD_THRESHOLD", 10.0)
     st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n, seed=0)
-    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
+    inp = contact_input(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
     peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].branch == "full"
     assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
@@ -920,7 +944,7 @@ def test_warm_resampling_step_allocates_few_particle_sized_arrays(monkeypatch):
     monkeypatch.setattr(mcl_module, "XY_STD_THRESHOLD", 10.0)
     monkeypatch.setattr(mcl_module, "RESAMPLE_FRAC", 1.0)
     st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), height_maps(), n_particles=n, seed=0)
-    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
+    inp = contact_input(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
     peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].ess < n and np.all(st.log_weights == st.log_weights[0]), "the step resampled"
     assert peak < 4.5 * 8 * n, f"transient peak {peak / (8 * n):.2f} particle-sized arrays"
@@ -942,7 +966,7 @@ def test_grid_channels_share_one_cell_index_per_step(monkeypatch):
     st = new_filter(start, np.diag([0.25, 0.25, 1e-4, 1e-4, 1e-4, 0.1]), ORACLE_MAPS, mode="HL-GC", n_particles=64)
     probs = np.eye(N_ORACLE_CLASSES)
     cs = [ContactMeasurement(f, class_probs=probs[k % 3]) for k, f in enumerate(FEET)]
-    step(st, StepInput(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), ODOM_COV, cs))
+    step(st, contact_input(Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.01)), ODOM_COV, cs))
     assert calls == [(2, 4, 64)]
 
 
@@ -974,7 +998,7 @@ def test_a_class_step_looks_up_class_ids_only_on_a_grid_with_unlabeled_cells(mon
     assert maps.class_grid.has_unlabeled_cells == patch
     st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), maps, n_particles=100, mode="HL-GC")
     cs = [ContactMeasurement(f, class_probs=np.eye(3)[k % 3]) for k, f in enumerate(FEET)]
-    step(st, StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs))
+    step(st, contact_input(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs))
     assert calls == [(2, 4, 100)] * lookups
 
 
@@ -988,7 +1012,7 @@ def test_warm_class_step_allocates_few_particle_sized_arrays(monkeypatch):
                     seed=0, mode="HL-GC")
     probs = np.eye(3)
     cs = [ContactMeasurement(f, class_probs=probs[k % 3]) for k, f in enumerate(FEET)]
-    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
+    inp = contact_input(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
     peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].branch == "full"
     assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
@@ -1010,7 +1034,7 @@ def test_warm_cloud_step_allocates_few_particle_sized_arrays(monkeypatch):
     monkeypatch.setattr(mcl_module, "XY_STD_THRESHOLD", 10.0)
     st = new_filter(stand_pose(), np.diag([1e-2, 1e-2, 1e-4, 1e-4, 1e-4, 1e-2]), flat_cloud_maps(), n_particles=n,
                     seed=0, mode="HL-3D")
-    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
+    inp = contact_input(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, contacts())
     peak = warm_step_peak(st, inp)
     assert st.diagnostics[-1].branch == "full"
     assert peak < 12 * 8 * n, f"transient peak {peak / (8 * n):.1f} particle-sized arrays"
@@ -1048,7 +1072,7 @@ def test_each_index_is_built_once_in_init_filter_and_never_in_a_step(monkeypatch
     n_present = len(np.setdiff1d(maps.class_grid.class_ids, [UNKNOWN_CLASS]))
     probs = np.eye(N_ORACLE_CLASSES)
     cs = [ContactMeasurement(f, class_probs=probs[k]) for k, f in enumerate(FEET)]
-    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
+    inp = contact_input(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
     for mode in ("HL-G", "HL-GC", "HL-C", "HL-3D", "HL-3D"):
         phase[0] = f"{mode} init_filter"
         st = new_filter(stand_pose(2.0, 1.5), np.eye(6) * 1e-3, maps, mode=mode, n_particles=100)
@@ -1071,7 +1095,7 @@ def test_class_scores_are_made_in_init_filter_and_only_read_by_a_step(monkeypatc
     monkeypatch.setattr(likelihood_module, "gaussian_log_density", counted)
     maps = oracle_maps()
     cs = [ContactMeasurement(f, class_probs=np.eye(N_ORACLE_CLASSES)[k]) for k, f in enumerate(FEET)]
-    inp = StepInput(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
+    inp = contact_input(Pose(np.array([0.02, 0.0, 0.0]), quat_from_yaw(0.0)), ODOM_COV, cs)
     for _ in range(2):
         phase[0] = "init_filter"
         st = new_filter(stand_pose(2.0, 1.5), np.eye(6) * 1e-3, maps, mode="HL-C", n_particles=100)
@@ -1083,10 +1107,11 @@ def test_class_scores_are_made_in_init_filter_and_only_read_by_a_step(monkeypatc
 
 
 def test_each_input_builds_its_tilt_matrix_once(monkeypatch):
-    # an input makes the rotation of its tilt when it is built, for its
-    # contacts, and init_filter makes the prior's, read-only, one per
-    # filter; a step starts from the rotation its filter holds and takes
-    # its input's, so steps make none
+    # an input asks for the rotation of its tilt when it is built, and
+    # init_filter for the prior's; tilt_matrix keeps one read-only array per
+    # tilt, which the filters and inputs of that tilt share. A step starts
+    # from the rotation its filter holds and takes its input's, so steps ask
+    # for none
     builds = []
     make = mcl_module.tilt_matrix
 
@@ -1096,12 +1121,12 @@ def test_each_input_builds_its_tilt_matrix_once(monkeypatch):
 
     monkeypatch.setattr(mcl_module, "tilt_matrix", counted)
     level = [forward_input() for _ in range(3)]
-    tilted = StepInput(level[0].odom_increment, level[0].odom_cov, contacts(), (0.1, -0.05))
+    tilted = contact_input(level[0].odom_increment, level[0].odom_cov, contacts(), (0.1, -0.05))
     assert builds == [(0.0, 0.0)] * 3 + [(0.1, -0.05)]
     builds.clear()
     filters = [new_filter(stand_pose(), np.eye(6) * 1e-4, n_particles=100, seed=s) for s in (1, 2)]
     assert len(builds) == 2
-    assert filters[0].tilt_rotation is not filters[1].tilt_rotation
+    assert filters[0].tilt_rotation is filters[1].tilt_rotation is level[0].rotation
     assert not any(st.tilt_rotation.flags.writeable for st in filters)
     builds.clear()
     for inp in level + [tilted, tilted] + level:
@@ -1141,7 +1166,7 @@ def test_noise_free_step_moves_each_particle_as_compose_does(monkeypatch):
     assert np.allclose(st.tilt, (0.12, -0.2), rtol=0.0, atol=1e-12)
     before = [Pose(p, quat_from_euler(*st.tilt, y)) for p, y in zip(st.positions.T.copy(), st.yaw.copy())]
     inc = Pose(np.array([0.05, -0.01, 0.02]), quat_from_rotvec([0.03, -0.02, 0.4]))
-    step(st, StepInput(inc, np.zeros((6, 6)), [], (0.1, -0.18)))
+    step(st, contact_input(inc, np.zeros((6, 6)), [], (0.1, -0.18)))
     for pose, p, y in zip(before, st.positions.T, st.yaw):
         after = compose(pose, inc)
         assert np.allclose(p, after.position, rtol=0.0, atol=1e-12)
@@ -1169,7 +1194,7 @@ def finite_step_inputs(draw):
     a = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=36, max_size=36))).reshape(6, 6)
     cov = a @ a.T
     tilt = (draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
-    return StepInput(Pose(position, quat_from_rotvec(rotvec)), 0.5 * (cov + cov.T), draw(oracle_contacts()), tilt)
+    return contact_input(Pose(position, quat_from_rotvec(rotvec)), 0.5 * (cov + cov.T), draw(oracle_contacts()), tilt)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1310,7 +1335,7 @@ def test_any_finite_state_resamples_to_a_count_in_range(n_max, seed, centre, spr
     # a fixture's monkeypatch would span every example, so each sets its own
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(mcl_module, "RESAMPLE_FRAC", 1.0)
-        step(st_, StepInput(STILL, np.zeros((6, 6)), []))
+        step(st_, contact_input(STILL, np.zeros((6, 6)), []))
     n, ws = st_.n_particles, st_.workspace
     assert st_.diagnostics[-1].n_particles == n_max
     assert min(KLD_MIN_PARTICLES, n_max) <= n <= n_max

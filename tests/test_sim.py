@@ -3,7 +3,7 @@
 import os
 import tempfile
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import hapticloc.sim as sim_module
 from hapticloc.classifier import StepSignal
 from hapticloc.evaluate import default_experiment, train_contact_classifier, walk
-from hapticloc.geometry import FOOT_LABELS, Pose, quat_rotate
+from hapticloc.geometry import FOOT_LABELS, Pose, quat_rotate, quat_to_euler
 from hapticloc.likelihood import ContactMeasurement
 from hapticloc.maps import UNKNOWN_CLASS, ClassGrid, ElevationGrid, MapSet
 from hapticloc.sim import (
@@ -33,7 +33,6 @@ from hapticloc.sim import (
     WALKLOG_VERSION,
     CourseSpec,
     NoiseSpec,
-    StepRecord,
     WalkLog,
     classify_log,
     generate_course,
@@ -55,6 +54,8 @@ from test_geometry import same_bits
 from test_maps import traced_peak
 
 QUIET = NoiseSpec()
+# a walk log's per-step columns
+COLUMNS = [f.name for f in fields(WalkLog)[2:-2]]
 
 
 def straight(length, start=(1.0, 0.7)):
@@ -251,12 +252,12 @@ def test_walk_foot_placement_matches_map_exactly():
     maps = generate_course(CourseSpec("chevron-ramp", seed=1))
     log = simulate_walk(maps, straight(2.0), QUIET, 0)
     assert log.n_steps == 40
-    for r in log.records:
-        for w in r.true_foot_world:
+    for true, offsets, world in zip(log.true_pose, log.offsets, log.foot_world):
+        for w in world:
             assert w[2] == elevation_at(maps.elevation, w[:2])  # exact lookup
         # body-frame offsets reconstruct the same world points
-        for contact, w in zip(r.contacts, r.true_foot_world):
-            back = r.true_pose.position + quat_rotate(r.true_pose.quat, contact.offset)
+        for offset, w in zip(offsets, world):
+            back = true[:3] + quat_rotate(true[3:], offset)
             assert np.allclose(back, w, atol=1e-12)
 
 
@@ -283,14 +284,15 @@ def test_walk_step_metadata():
     noise = NoiseSpec(white_std=(0.003,) * 6)
     log = simulate_walk(maps, straight(0.6), noise, 2)
     assert log.n_steps == 12
-    for i, r in enumerate(log.records):
-        assert r.k == i + 1
-        assert r.timestamp == r.k * PHASE_DT
-        assert np.array_equal(r.odom_cov_diag, np.full(6, 0.003**2))
-        assert all(c.in_contact for c in r.contacts)
-        assert np.all(r.true_class_ids == UNKNOWN_CLASS)  # no class layer here
-        # every course is walked level, and the IMU tilt is logged exactly
-        assert r.tilt == (0.0, 0.0)
+    assert log.k.tolist() == list(range(1, 13))
+    assert log.t.tolist() == [k * PHASE_DT for k in range(1, 13)]
+    assert np.array_equal(log.cov_diag, np.full((12, 6), 0.003**2))
+    assert log.in_contact.all()
+    assert np.all(log.class_ids == UNKNOWN_CLASS)  # no class layer here
+    # every course is walked level, and the IMU tilt is logged exactly: the
+    # scalar quat_to_euler of each true pose's quaternion
+    assert np.array_equal(log.tilt, np.zeros((12, 2)))
+    assert log.tilt.tolist() == [list(quat_to_euler(q)[:2]) for q in log.true_pose[:, 3:]]
 
 
 def test_walk_path_errors():
@@ -307,16 +309,29 @@ def test_walk_path_errors():
         simulate_walk(maps, ((1.0, 0.7), (1.03, 0.7)), QUIET, 0)
 
 
+def same_column(a, b):
+    """Two columns of one dtype and shape holding the same bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_signals(got, want):
+    """Two walk logs with signals for the same contacts, in the same order,
+    each signal's samples bit for bit."""
+    assert list(got.signals) == list(want.signals)
+    for key, signal in got.signals.items():
+        assert same_bits(signal.samples, want.signals[key].samples)
+
+
 def assert_same_walk(got, want):
-    """Two walk logs with the same hash, every force signal's samples and every
-    foot's true world position, bit for bit."""
+    """Two walk logs with the same hash, every column, every force signal's
+    samples and the start and prior poses, bit for bit."""
     assert walklog_hash(got) == walklog_hash(want)
-    assert got.n_steps == want.n_steps
-    for rg, rw in zip(got.records, want.records):
-        assert same_bits(rg.true_foot_world, rw.true_foot_world)
-        for sg, sw in zip(rg.signals, rw.signals):
-            assert (sg is None) == (sw is None)
-            assert sg is None or same_bits(sg.samples, sw.samples)
+    for name in COLUMNS:
+        assert same_column(getattr(got, name), getattr(want, name)), name
+    for name in ("start_pose", "init_prior"):
+        assert same_bits(getattr(got, name).to_array(), getattr(want, name).to_array())
+    assert_same_signals(got, want)
 
 
 def reference_walk(cfg, course, seed):
@@ -342,9 +357,9 @@ def test_the_walker_matches_the_pose_by_pose_walker_bit_for_bit(kind, resolution
         course = generate_course(replace(cfg.course, seed=seed))
         log = walk(cfg, course, seed)
         assert_same_walk(log, reference_walk(cfg, course, seed))
-        for r in log.records:
-            for c, w in zip(r.contacts, r.true_foot_world):
-                outliers += abs((r.true_pose.position + quat_rotate(r.true_pose.quat, c.offset))[2] - w[2]) > 0.1
+        for true, offsets, world in zip(log.true_pose, log.offsets, log.foot_world):
+            for offset, w in zip(offsets, world):
+                outliers += abs((true[:3] + quat_rotate(true[3:], offset))[2] - w[2]) > 0.1
     # the outlier draws ran and shifted contacts, and no contact shifts without them
     assert (outliers > 0) == (outlier_prob > 0.0)
 
@@ -424,19 +439,9 @@ def test_walklog_round_trip_with_signals(tmp_path):
     assert loaded.n_steps == log.n_steps
     assert np.array_equal(loaded.start_pose.to_array(), log.start_pose.to_array())
     assert np.array_equal(loaded.init_prior.to_array(), log.init_prior.to_array())
-    for ro, rl in zip(log.records, loaded.records):
-        assert rl.k == ro.k and rl.timestamp == ro.timestamp
-        assert np.array_equal(rl.true_pose.to_array(), ro.true_pose.to_array())
-        assert np.array_equal(rl.odom_increment.to_array(), ro.odom_increment.to_array())
-        assert np.array_equal(rl.odom_cov_diag, ro.odom_cov_diag)
-        assert rl.tilt == ro.tilt
-        assert np.array_equal(rl.true_class_ids, ro.true_class_ids)
-        for co, cl, so, sl in zip(ro.contacts, rl.contacts, ro.signals, rl.signals):
-            assert np.array_equal(cl.offset, co.offset)
-            assert cl.in_contact == co.in_contact
-            assert (so is None) == (sl is None)
-            if so is not None:
-                assert np.array_equal(sl.samples, so.samples)
+    for name in ("k", "t", "true_pose", "odometry", "cov_diag", "tilt", "offsets", "in_contact", "class_ids"):
+        assert same_column(getattr(loaded, name), getattr(log, name)), name
+    assert_same_signals(loaded, log)
     assert walklog_hash(loaded) == walklog_hash(log)
 
 
@@ -566,22 +571,22 @@ def walk_logs(draw):
         return draw(st.lists(finite, min_size=n, max_size=n))
 
     ks = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=3, unique=True))
-    records = [
-        StepRecord(
-            k,
-            draw(finite),
-            draw(poses),
-            draw(poses),
-            np.array(floats(6)),
-            tuple(floats(2)),
-            tuple(ContactMeasurement(floats(3), in_contact=draw(st.booleans())) for _ in FOOT_LABELS),
-            np.array([floats(3) for _ in FOOT_LABELS]),
-            np.array(draw(st.lists(st.integers(0, 255), min_size=4, max_size=4)), dtype=np.uint8),
-            tuple(draw(st.none() | signals) for _ in FOOT_LABELS),
-        )
-        for k in ks
-    ]
-    return WalkLog(draw(poses), draw(poses), tuple(records))
+    m, feet = len(ks), len(FOOT_LABELS)
+    return WalkLog(
+        draw(poses),
+        draw(poses),
+        k=ks,
+        t=floats(m),
+        true_pose=[draw(poses).to_array() for _ in ks],
+        odometry=[draw(poses).to_array() for _ in ks],
+        cov_diag=[floats(6) for _ in ks],
+        tilt=[floats(2) for _ in ks],
+        offsets=[[floats(3) for _ in FOOT_LABELS] for _ in ks],
+        in_contact=draw(arrays(bool, (m, feet))),
+        foot_world=[[floats(3) for _ in FOOT_LABELS] for _ in ks],
+        class_ids=draw(arrays(np.uint8, (m, feet))),
+        signals={(j, i): s for j in range(m) for i in range(feet) if (s := draw(st.none() | signals)) is not None},
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -591,23 +596,15 @@ def test_walklog_round_trip_gives_back_every_field_the_file_holds(log):
         path = os.path.join(d, "walk.log")
         save_walklog(log, path, signals_dir="signals")
         loaded = load_walklog(path, load_signals=True)
-    saved_poses, loaded_poses = [log.start_pose, log.init_prior], [loaded.start_pose, loaded.init_prior]
-    assert loaded.n_steps == log.n_steps
-    for ro, rl in zip(log.records, loaded.records):
-        saved_poses += [ro.true_pose, ro.odom_increment]
-        loaded_poses += [rl.true_pose, rl.odom_increment]
-        assert rl.k == ro.k and same_bits(rl.timestamp, ro.timestamp)
-        assert same_bits(rl.odom_cov_diag, ro.odom_cov_diag) and same_bits(rl.tilt, ro.tilt)
-        # of a foot's world position the file holds only z
-        assert same_bits(rl.true_foot_world[:, 2], ro.true_foot_world[:, 2])
-        assert np.array_equal(rl.true_class_ids, ro.true_class_ids)
-        for co, cl, so, sl in zip(ro.contacts, rl.contacts, ro.signals, rl.signals):
-            assert same_bits(cl.offset, co.offset) and cl.in_contact == co.in_contact
-            assert (sl is None) == (so is None)
-            assert so is None or same_bits(sl.samples, so.samples)
-    for saved, got in zip(saved_poses, loaded_poses):
-        # a Pose keeps a unit quaternion as given, the one it reads too
-        assert same_bits(got.position, saved.position) and same_bits(got.quat, saved.quat)
+    # a Pose keeps a unit quaternion as given, the one it reads too, and
+    # the pose columns hold what a Pose holds
+    for name in ("k", "t", "true_pose", "odometry", "cov_diag", "tilt", "offsets", "in_contact", "class_ids"):
+        assert same_column(getattr(loaded, name), getattr(log, name)), name
+    for name in ("start_pose", "init_prior"):
+        assert same_bits(getattr(loaded, name).to_array(), getattr(log, name).to_array())
+    # of a foot's world position the file holds only z
+    assert same_bits(loaded.foot_world[..., 2], log.foot_world[..., 2])
+    assert_same_signals(loaded, log)
     assert walklog_hash(loaded) == walklog_hash(log)
 
 
@@ -615,15 +612,12 @@ def test_walklog_round_trip_gives_back_every_field_the_file_holds(log):
 def test_each_default_experiment_s_seed_1_log_round_trips_to_its_hash(kind, tmp_path):
     cfg = default_experiment(kind)
     log = walk(cfg, generate_course(replace(cfg.course, seed=1)), 1)
-    save_walklog(log, tmp_path / "walk.log", signals_dir="signals" if log.has_signals else None)
+    save_walklog(log, tmp_path / "walk.log", signals_dir="signals" if log.signals else None)
     loaded = load_walklog(tmp_path / "walk.log", load_signals=True)
     assert walklog_hash(loaded) == walklog_hash(log)
-    for ro, rl in zip(log.records, loaded.records):
-        # x and y are rebuilt from the true pose and the offset, z is read
-        assert np.abs(rl.true_foot_world - ro.true_foot_world).max() <= 2e-16
-        for so, sl in zip(ro.signals, rl.signals):
-            assert (sl is None) == (so is None)
-            assert so is None or same_bits(sl.samples, so.samples)
+    # x and y are rebuilt from the true pose and the offset, z is read
+    assert np.abs(loaded.foot_world - log.foot_world).max() <= 2e-16
+    assert_same_signals(loaded, log)
 
 
 def test_probe_scenario_prior_offset_and_probes():
@@ -636,18 +630,18 @@ def test_probe_scenario_prior_offset_and_probes():
 
     rf = FOOT_LABELS.index("RF")
     front_probes = side_probes = 0
-    for r in log.records:
-        w = r.true_foot_world[rf]
+    for k, world in zip(log.k.tolist(), log.foot_world):
+        w = world[rf]
         if w[2] > 0.0:  # probing in the air, not standing on the floor
             assert w[2] == pytest.approx(0.3)
-            if r.k % 2 == 1:
+            if k % 2 == 1:
                 assert w[0] == pytest.approx(WALL_ROOM_WALL_X)
                 front_probes += 1
             else:
                 assert w[1] == pytest.approx(WALL_ROOM_WALL_Y)
                 side_probes += 1
         others = [j for j in range(4) if j != rf]
-        assert np.all(r.true_foot_world[others, 2] == 0.0)
+        assert np.all(world[others, 2] == 0.0)
     assert front_probes > 5
     assert side_probes > 0  # the side wall comes into reach late in the walk
 
@@ -657,70 +651,78 @@ def test_classify_log_fills_each_signal_s_prediction():
     log = simulate_walk(maps, straight(0.5, start=(0.6, 0.6)), QUIET, 3)
     model = train_contact_classifier(seed=0)
     labeled = classify_log(log, model)
-    assert labeled.n_steps == log.n_steps and not labeled.has_signals
-    for r, rl in zip(log.records, labeled.records):
-        assert rl.signals == (None,) * 4
-        for contact, sig in zip(rl.contacts, r.signals):
-            assert sig is not None  # every tile is classed, so every contact has a signal
-            assert np.array_equal(contact.class_probs, model.predict([sig])[0])
-            assert contact.class_probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert labeled.n_steps == log.n_steps and not labeled.signals
+    # every tile is classed, so every contact has a signal
+    assert list(log.signals) == [(j, i) for j in range(log.n_steps) for i in range(len(FOOT_LABELS))]
+    assert labeled.class_probs.shape == (log.n_steps, len(FOOT_LABELS), N_TERRAIN_CLASSES)
+    for (j, i), sig in log.signals.items():
+        assert np.array_equal(labeled.class_probs[j, i], model.predict([sig])[0])
+        assert labeled.class_probs[j, i].sum() == pytest.approx(1.0, abs=1e-9)
 
     # a walk on a course without a class layer logs no force signals, and
     # leaves a class mode nothing to fuse
     bare = simulate_walk(generate_course(CourseSpec("chevron-ramp", seed=1)), straight(0.5), QUIET, 3)
-    assert not bare.has_signals
+    assert not bare.signals
     with pytest.raises(ValueError, match="no force signals"):
         classify_log(bare, model)
 
 
 def test_classify_log_leaves_the_log_it_labels_as_it_was():
     log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.5, start=(0.6, 0.6)), QUIET, 3)
-    records = log.records
-    contacts, signals = [r.contacts for r in records], [r.signals for r in records]
+    columns = {name: getattr(log, name) for name in COLUMNS}
+    signals = dict(log.signals)
     labeled = classify_log(log, train_contact_classifier(seed=0))
-    assert log.records is records
-    assert all(r.contacts is c and r.signals is s for r, c, s in zip(records, contacts, signals))
-    assert all(c.class_probs is None for r in records for c in r.contacts)
-    assert all(s is not None for r in records for s in r.signals)
-    # the labeled log is the same walk: only its contacts' labels and its
-    # signals differ
-    assert all(c.class_probs is not None for r in labeled.records for c in r.contacts)
+    assert all(getattr(log, name) is column for name, column in columns.items())
+    assert log.class_probs is None and len(signals) == 4 * log.n_steps
+    assert list(log.signals) == list(signals) and all(log.signals[key] is s for key, s in signals.items())
+    # the labeled log is the same walk, its very columns: only its contacts'
+    # labels and its signals differ
+    assert all(getattr(labeled, name) is column for name, column in columns.items())
+    assert not np.isnan(labeled.class_probs).any() and not labeled.signals
     assert labeled.start_pose is log.start_pose and labeled.init_prior is log.init_prior
     assert walklog_hash(labeled) == walklog_hash(log)
+
+
+def simulated_loaded_and_labeled(tmp_path):
+    """A short class-tiles walk's log, its saved and loaded copy with its
+    signals, and its labeled log."""
+    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
+    save_walklog(log, tmp_path / "walk.log", signals_dir="signals")
+    loaded = load_walklog(tmp_path / "walk.log", load_signals=True)
+    return {"simulated": log, "loaded": loaded, "labeled": classify_log(log, train_contact_classifier(seed=0))}
 
 
 def test_a_walk_log_and_its_records_refuse_a_new_value(tmp_path):
     # classify_log and probe_scenario return new logs, so no step of making
     # a log edits what an earlier one made
-    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
-    save_walklog(log, tmp_path / "walk.log", signals_dir="signals")
-    loaded = load_walklog(tmp_path / "walk.log", load_signals=True)
-    for walk_log in (log, loaded):
-        r = walk_log.records[0]
-        assert isinstance(walk_log.records, tuple)
-        assert isinstance(r.contacts, tuple) and isinstance(r.signals, tuple)
-        for value, name in ((walk_log, "start_pose"), (walk_log, "init_prior"), (walk_log, "records"),
-                            (r, "true_pose"), (r, "odom_increment"), (r, "tilt"), (r, "contacts"), (r, "signals")):
+    for walk_log in simulated_loaded_and_labeled(tmp_path).values():
+        for name in ("start_pose", "init_prior", *COLUMNS, "class_probs", "signals"):
             with pytest.raises(FrozenInstanceError):
-                setattr(value, name, getattr(value, name))
+                setattr(walk_log, name, getattr(walk_log, name))
+        with pytest.raises(TypeError):
+            walk_log.signals[0, 0] = None
 
 
-def test_a_walk_record_s_arrays_refuse_a_write(tmp_path):
-    # a write into a record's arrays would move the log's hash with no new
-    # value: the walker's records read views of read-only arrays, and a
-    # loaded log's are read-only too
-    log = simulate_walk(generate_course(CourseSpec("chevron-ramp", seed=1)), straight(0.3, start=(1.0, 0.7)), QUIET, 1)
-    save_walklog(log, tmp_path / "walk.log")
-    loaded = load_walklog(tmp_path / "walk.log")
-    before = walklog_hash(log)
-    assert walklog_hash(loaded) == before
-    for walk_log in (log, loaded):
-        r = walk_log.records[0]
-        for name, index, value in (("true_foot_world", (0, 2), np.nan), ("odom_cov_diag", 0, -1.0),
-                                   ("true_class_ids", 0, 7)):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(r, name)[index] = value
+def test_a_walk_log_s_columns_refuse_a_write(tmp_path):
+    # a write into a column would move the log's hash with no new value: the
+    # walker's, the loader's and classify_log's columns are read-only, the
+    # class probabilities too
+    logs = simulated_loaded_and_labeled(tmp_path)
+    before = walklog_hash(logs["simulated"])
+    for kind, walk_log in logs.items():
         assert walklog_hash(walk_log) == before
+        names = [*COLUMNS, *(["class_probs"] if kind == "labeled" else [])]
+        for name in names:
+            column = getattr(walk_log, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[(0,) * column.ndim] = 7
+        assert walklog_hash(walk_log) == before
+    # a column given writable is made read-only in place, so its giver's
+    # array cannot move the log either
+    offsets = logs["simulated"].offsets.copy()
+    assert walklog_hash(replace(logs["simulated"], offsets=offsets)) == before
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0, 0, 0] = np.nan
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["one-row-short", "one-row-over"])
@@ -728,7 +730,7 @@ def test_classify_log_refuses_a_model_that_returns_other_than_one_row_per_signal
     # a short answer once raised a bare StopIteration, and a long one lost
     # its extra rows without a word
     log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
-    n = sum(s is not None for r in log.records for s in r.signals)
+    n = len(log.signals)
 
     class Stub:
         def predict(self, signals):
@@ -737,6 +739,42 @@ def test_classify_log_refuses_a_model_that_returns_other_than_one_row_per_signal
     with pytest.raises(ValueError) as err:
         classify_log(log, Stub())
     assert str(err.value) == f"the classifier returned {n + extra} rows of class probabilities for {n} signals"
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.25, np.inf], ids=["nan", "negative", "inf"])
+def test_classify_log_refuses_a_probability_a_contact_measurement_refuses(bad):
+    # the check ContactMeasurement made of each labeled contact, with its
+    # message, made once over the model's rows; the first bad row is named
+    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
+
+    class Stub:
+        def predict(self, signals):
+            probs = np.full((len(signals), 8), 1.0 / 8.0)
+            probs[5:, 3] = bad
+            probs[5, 6] = 0.5
+            return probs
+
+    row = Stub().predict(list(log.signals.values()))[5]
+    with pytest.raises(ValueError) as want:
+        ContactMeasurement(np.zeros(3), class_probs=row)
+    with pytest.raises(ValueError) as err:
+        classify_log(log, Stub())
+    assert str(err.value) == str(want.value)
+
+
+def test_load_walklog_refuses_a_repeated_step_index(tmp_path):
+    # saving such a log once named both rows' signals sig_<k>_<foot>.csv, so
+    # the later row's overwrote the earlier's and the hash did not change
+    log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=1)), straight(0.2, start=(0.6, 0.6)), QUIET, 1)
+    p = tmp_path / "walk.log"
+    save_walklog(log, p, signals_dir="signals")
+    lines = p.read_text().split("\n")
+    header = lines.index(next(line for line in lines if line.startswith("k,")))
+    lines[header + 2] = ",".join(["1", *lines[header + 2].split(",")[1:]])
+    p.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as err:
+        load_walklog(p, load_signals=True)
+    assert str(err.value) == f"{p}:{header + 3}: column k: step 1 repeats the step of line {header + 2}"
 
 
 def test_gait_nominal_offsets():

@@ -10,7 +10,6 @@ import numpy as np
 
 from hapticloc.evaluate import _write_per_seed_outputs, per_step_errors
 from hapticloc.geometry import FOOT_LABELS, Pose
-from hapticloc.likelihood import ContactMeasurement
 from hapticloc.mcl import StepDiagnostics, write_diagnostics_csv
 from hapticloc.sim import WALKLOG_VERSION, CourseSpec, _write_walklog, generate_course, simulate_walk
 from test_sim import QUIET, straight
@@ -69,19 +68,18 @@ def oracle_walklog(log, signals_dir=None):
     out += "# start_pose " + " ".join(g(v) for v in log.start_pose.to_array()) + "\n"
     out += "# init_prior " + " ".join(g(v) for v in log.init_prior.to_array()) + "\n"
     out += oracle_walklog_header() + "\n"
-    for r in log.records:
-        row = [str(r.k), g(r.timestamp)]
-        row += [g(v) for v in r.true_pose.to_array()]
-        row += [g(v) for v in r.odom_increment.to_array()]
-        row += [g(v) for v in r.odom_cov_diag]
-        row += [g(v) for v in r.tilt]
-        for j, contact in enumerate(r.contacts):
-            row += [g(v) for v in contact.offset]
-            row.append("1" if contact.in_contact else "0")
-            row.append(g(r.true_foot_world[j, 2]))
-            row.append(str(int(r.true_class_ids[j])))
-            has_ref = signals_dir is not None and r.signals[j] is not None
-            row.append(f"{signals_dir}/sig_{r.k:05d}_{FOOT_LABELS[j]}.csv" if has_ref else "")
+    for j in range(log.n_steps):
+        k = int(log.k[j])
+        row = [str(k), g(float(log.t[j]))]
+        for column in (log.true_pose, log.odometry, log.cov_diag, log.tilt):
+            row += [g(float(v)) for v in column[j]]
+        for i, label in enumerate(FOOT_LABELS):
+            row += [g(float(v)) for v in log.offsets[j, i]]
+            row.append("1" if log.in_contact[j, i] else "0")
+            row.append(g(float(log.foot_world[j, i, 2])))
+            row.append(str(int(log.class_ids[j, i])))
+            has_ref = signals_dir is not None and (j, i) in log.signals
+            row.append(f"{signals_dir}/sig_{k:05d}_{label}.csv" if has_ref else "")
         out += ",".join(row) + "\n"
     return out
 
@@ -110,22 +108,20 @@ def test_diagnostics_rows_match_the_oracle(tmp_path):
 
 def test_walklog_rows_match_the_oracle():
     log = simulate_walk(generate_course(CourseSpec("class-tiles", seed=2)), straight(0.2, start=(0.6, 0.6)), QUIET, 3)
-    r = log.records[0]
-    world = r.true_foot_world.copy()
-    world[:, 2] = [-0.0, TINY, HUGE, SUM]
-    r = replace(
-        r,
-        timestamp=-0.0,
-        true_pose=ESTIMATE[1],
-        odom_increment=ESTIMATE[3],
-        odom_cov_diag=np.array([-0.0, TINY, HUGE, THIRD, SUM, 123456789.12345678]),
-        tilt=(-0.0, TINY),
-        true_foot_world=world,
-        contacts=(r.contacts[0], ContactMeasurement([-0.0, TINY, HUGE], None, False), *r.contacts[2:]),
-        signals=(*r.signals[:2], None, *r.signals[3:]),
-    )
-    log = replace(log, start_pose=ESTIMATE[0], records=(r, *log.records[1:]))
-    assert sum(s is not None for s in r.signals) == 3
+    # the first step's fields, each column's row 0, set to every kind of value
+    columns = {name: np.array(getattr(log, name)) for name in ("t", "true_pose", "odometry", "cov_diag", "tilt",
+                                                                "offsets", "in_contact", "foot_world")}
+    columns["t"][0] = -0.0
+    columns["true_pose"][0] = ESTIMATE[1].to_array()
+    columns["odometry"][0] = ESTIMATE[3].to_array()
+    columns["cov_diag"][0] = [-0.0, TINY, HUGE, THIRD, SUM, 123456789.12345678]
+    columns["tilt"][0] = (-0.0, TINY)
+    columns["foot_world"][0, :, 2] = [-0.0, TINY, HUGE, SUM]
+    columns["offsets"][0, 1] = [-0.0, TINY, HUGE]
+    columns["in_contact"][0, 1] = False
+    signals = {key: signal for key, signal in log.signals.items() if key != (0, 2)}
+    log = replace(log, start_pose=ESTIMATE[0], signals=signals, **columns)
+    assert sum(j == 0 for j, _ in log.signals) == 3
     for signals_dir in (None, "signals"):
         buf = io.StringIO()
         _write_walklog(log, buf, signals_dir)
